@@ -72,6 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="wildcard match policy for SELF_RUN (arrival|lowest_rank|"
             "highest_rank|random:<seed>)",
         )
+
+    def jobs_flag(p: argparse.ArgumentParser) -> None:
+        # verify and escalate only: the commands that run the replay pool
         p.add_argument(
             "--jobs",
             "-j",
@@ -85,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="explore the wildcard match space")
     common(v)
+    jobs_flag(v)
     v.add_argument(
         "--clock",
         default="lamport",
@@ -270,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify with widening bounded-mixing stages (k=0,1,2,unbounded)",
     )
     common(e)
+    jobs_flag(e)
     e.add_argument(
         "--run-budget", type=int, default=2000, help="total interleaving budget"
     )

@@ -25,7 +25,7 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.verifier import DampiVerifier, VerificationReport, FoundError
-from repro.dampi.campaign import distributed_verify, escalating_verify, run_campaign
+from repro.dampi.campaign import escalating_verify, run_campaign
 from repro.dampi.faults import FaultInjected, FaultPlan
 from repro.dampi.journal import CampaignJournal, JournalError
 
@@ -38,7 +38,6 @@ __all__ = [
     "DampiVerifier",
     "VerificationReport",
     "FoundError",
-    "distributed_verify",
     "escalating_verify",
     "run_campaign",
     "FaultInjected",

@@ -406,32 +406,3 @@ def _cells_picklable(program, configs, kwargs) -> bool:
         return True
     except Exception:
         return False
-
-
-def distributed_verify(
-    program: Callable,
-    nprocs: int,
-    config: Optional[DampiConfig] = None,
-    workers: int = 2,
-    journal=None,
-    kwargs: Optional[dict] = None,
-    args: tuple = (),
-):
-    """Campaign-level entry to the distributed verifier: shard the
-    decision tree across ``workers`` processes with durable leases and
-    work stealing (see :mod:`repro.dist`).  The report is bit-identical
-    to :meth:`DampiVerifier.verify` for any worker count; with
-    ``journal=`` the campaign survives worker *and* coordinator crashes
-    (``repro dist resume``).  Imported lazily: campaigns that never
-    distribute pay nothing for the subsystem."""
-    from repro.dist import distributed_verify as _distributed_verify
-
-    return _distributed_verify(
-        program,
-        nprocs,
-        config=config,
-        workers=workers,
-        journal=journal,
-        kwargs=kwargs,
-        args=args,
-    )

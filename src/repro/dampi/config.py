@@ -66,12 +66,6 @@ class DampiConfig:
         Use dict-indexed unexpected/posted message queues (O(1) deposit
         and match) instead of the reference linear scans.  Match order
         is bit-identical either way; ``False`` is the ablation path.
-    outcome_dedup:
-        When True, a replay that lands on an already-witnessed
-        completed-wildcard outcome is recorded but does not seed fresh
-        decision nodes — cutting redundant runs on loop-heavy /
-        divergence-heavy workloads at the cost of exhaustiveness
-        guarantees on the deduplicated suffixes.
     policy / mode / cost_model:
         Substrate knobs (wildcard match policy for SELF_RUN portions,
         scheduling mode, virtual-time constants).
@@ -144,7 +138,6 @@ class DampiConfig:
     force_jobs: bool = False
     persistent_session: bool = True
     indexed_matching: bool = True
-    outcome_dedup: bool = False
     #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
     #: the engine at each explored decision point and start the sibling
     #: schedules of that point from the snapshot instead of re-executing
@@ -161,12 +154,12 @@ class DampiConfig:
     #: when a flipped sibling's run provably matches an already-walked
     #: sibling — same downstream send/recv skeleton fingerprint *and*
     #: identical checker outcome — the generator marks the un-walked
-    #: subtree pruned instead of expanding it (outcome-dedup generalized
-    #: from leaves to subtrees).  Findings stay bit-identical to the
-    #: unpruned walk; every pruned subtree is accounted for in
-    #: ``report.prune_stats`` and the journal.  CLI: ``--prune`` /
-    #: ``--no-prune``.
-    prune: bool = False
+    #: subtree pruned instead of expanding it.  Findings stay
+    #: bit-identical to the unpruned walk (the set of distinct wildcard
+    #: *outcomes* visited does not — pin ``False`` to enumerate those);
+    #: every pruned subtree is accounted for in ``report.prune_stats``
+    #: and the journal.  CLI: ``--no-prune``.
+    prune: bool = True
     #: Adaptive per-epoch clock escalation: run the configured scalar
     #: clock (``lamport`` / ``lamport_dual``) by default, detect the
     #: Fig. 4 cross-coupled imprecision pattern from each recorded trace

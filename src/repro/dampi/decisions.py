@@ -112,3 +112,12 @@ class EpochDecisions:
 
     def __repr__(self) -> str:
         return f"EpochDecisions({len(self.forced)} forced, flip={self.flip})"
+
+
+#: canonical, hashable identity of a guided schedule
+ScheduleKey = tuple
+
+
+def schedule_key(decisions: EpochDecisions) -> ScheduleKey:
+    """Canonical identity of a guided schedule (its forced map + flip)."""
+    return (decisions.flip, tuple(sorted(decisions.forced.items())))

@@ -29,26 +29,40 @@ Each line is one JSON record with a ``t`` discriminator:
     under different search semantics), and optionally the CLI program
     spec so ``repro resume <dir>`` is self-contained.
 ``run``
-    One consumed interleaving: its schedule key, the full
-    :class:`~repro.dampi.epoch.RunTrace` (epochs + potential matches),
-    the report's :class:`~repro.dampi.verifier.RunRecord` fields, engine
-    stats and piggyback counters (so resumed telemetry totals match), the
-    errors first witnessed at this run, and the error-dedup keys they
-    claimed.  Run 0 (the self run) additionally carries the
-    leak/monitor reports and the self-run aggregates.
+    One consumed interleaving: its walk ``index``, the count of errors
+    it was first to ``found`` (an audit figure for ``repro stats``;
+    resume recomputes it), and the *run record* (below) built by
+    :func:`run_entry`.
 ``failure``
-    A replay lost to a worker crash/timeout: its schedule and the
-    failure reason (resume replays the ``abandon()`` transition).
+    A replay lost to a worker crash/timeout: ``index``, schedule ``key``
+    and the failure ``reason`` (resume replays the ``abandon()``
+    transition and re-records the lost run).
 ``checkpoint``
     A full :class:`~repro.dampi.explorer.ScheduleGenerator` snapshot
-    (path nodes with ``tried``/``alternatives``/``frozen``, counters)
-    plus the witnessed-outcome dedup cache, written every
-    ``DampiConfig.journal_checkpoint_interval`` entries — resume
-    fast-forwards the generator from the latest one and
-    transition-replays only the entries after it.
+    (path nodes with ``tried``/``alternatives``/``frozen``, counters),
+    written every ``DampiConfig.journal_checkpoint_interval`` entries —
+    resume fast-forwards the generator from the latest one and drives it
+    only with the entries after it.
 ``end``
     Campaign completion marker with final counts (tooling/CI aid; a
     journal without one is simply an interrupted campaign).
+
+The run record
+--------------
+One executed run has one serialised shape, wherever it goes: a campaign
+journal's ``run`` entries, a shard worker's ``srun`` memo entries and the
+``record`` frames it streams, and the coordinator journal's
+``dself``/``rec`` entries all carry the dict :func:`run_entry` builds,
+and every reader turns it back into a result with
+:func:`result_from_entry` and folds it in through
+:meth:`DampiVerifier._consume <repro.dampi.verifier.DampiVerifier._consume>`
+— the path a live run takes.  The record ships *raw facts* (schedule
+key, full trace, makespan, engine stats, piggyback counters, the
+deadlock's blocked map, primary errors as ``(rank, type-name, message)``
+rows, the leak report, and the self run's monitor report), never the
+report's view of them: error dedup and ``error_kinds`` depend on the
+walk's global order, so they are recomputed wherever the record is
+consumed.
 
 Durability: every append is one ``write()`` of ``json + "\\n"`` followed
 by ``flush`` + ``fsync``.  A crash mid-append leaves a torn final line
@@ -79,8 +93,11 @@ from repro.dampi.epoch import EpochRecord, RunTrace
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
+from repro.errors import DeadlockError
 
-JOURNAL_VERSION = 1
+#: 2: ``run`` entries carry the raw run record (v1 stored the report's
+#: post-dedup view and a witnessed-outcome set in checkpoints)
+JOURNAL_VERSION = 2
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -101,7 +118,6 @@ SEMANTIC_CONFIG_FIELDS = (
     "enable_leak_check",
     "enable_monitor",
     "trace_ops",
-    "outcome_dedup",
     "prune",
     "adaptive_clocks",
 )
@@ -201,25 +217,106 @@ def monitor_from_jsonable(payload: Optional[dict]) -> Optional[MonitorReport]:
     )
 
 
-def outcome_to_jsonable(outcome: frozenset) -> list:
-    return sorted([list(key), src] for key, src in outcome)
+# -- the run record --------------------------------------------------------------
 
 
-def outcome_from_jsonable(payload: list) -> frozenset:
-    return frozenset((tuple(key), src) for key, src in payload)
+def run_entry(
+    decisions: Optional[EpochDecisions], result, trace, esc: Optional[int] = None
+) -> dict:
+    """Serialize one executed run into its run record (see module doc).
+    The self run (``decisions is None``) also carries the monitor report —
+    only run 0 feeds the report's monitor block.  ``esc`` (alternatives a
+    clock escalation injected into ``trace``) rides along so consumers
+    re-derive the escalation stats without the precision replay."""
+    pb = result.artifacts.get("piggyback")
+    entry = {
+        "key": decisions_to_jsonable(decisions) if decisions is not None else None,
+        "trace": trace_to_jsonable(trace),
+        "makespan": result.makespan,
+        "stats": dict(result.stats or {}),
+        "pb": dict(pb) if pb else None,
+        "leaks": leaks_to_jsonable(result.artifacts.get("leaks")),
+        "deadlock": (
+            [[r, op] for r, op in sorted(result.deadlock.blocked.items())]
+            if result.deadlocked
+            else None
+        ),
+        # primary_errors iterates rank-sorted; preserve that order so the
+        # consumer's dedup walk sees errors exactly as the live loop did.
+        # DeadlockError rows are omitted (the recorder skips them; the
+        # deadlock travels in its own field).
+        "errors": [
+            [rank, type(exc).__name__, str(exc)]
+            for rank, exc in result.primary_errors.items()
+            if not isinstance(exc, DeadlockError)
+        ],
+    }
+    if esc is not None:
+        entry["esc"] = esc
+    if decisions is None:
+        entry["monitor"] = monitor_to_jsonable(result.artifacts.get("monitor"))
+    return entry
+
+
+#: dynamically rebuilt exception classes for recorded crash rows, cached so
+#: equal type names compare equal across entries
+_EXC_CACHE: dict[str, type] = {}
+
+
+def _recorded_exception(type_name: str, message: str) -> Exception:
+    cls = _EXC_CACHE.get(type_name)
+    if cls is None:
+        cls = _EXC_CACHE[type_name] = type(
+            type_name, (Exception,), {"__module__": "repro.dampi.recorded"}
+        )
+    return cls(message)
 
 
 @dataclass
 class JournaledResult:
-    """Duck-typed :class:`~repro.mpi.runtime.RunResult` stand-in fed to
-    telemetry while replaying a journal — carries exactly the fields
-    :meth:`CampaignTelemetry.record_run` reads (makespan, engine stats,
-    the piggyback artifact), so resumed ``engine.*``/``pb.*`` totals match
-    the uninterrupted run's."""
+    """Duck-typed :class:`~repro.mpi.runtime.RunResult` rebuilt from a run
+    record — exactly the fields :meth:`DampiVerifier._consume` and
+    :meth:`CampaignTelemetry.record_run` read."""
 
     makespan: float = 0.0
     stats: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
+    deadlock: Optional[DeadlockError] = None
+    primary_errors: dict = field(default_factory=dict)
+
+    @property
+    def deadlocked(self) -> bool:
+        return self.deadlock is not None
+
+
+def result_from_entry(entry: dict) -> JournaledResult:
+    """Rebuild the duck-typed result from a run record.  The rebuilt
+    pieces reproduce the live report byte-for-byte: ``DeadlockError``
+    reconstructs from its blocked map (its message is derived from it),
+    and crash rows rebuild as dynamic exception types whose ``__name__``
+    and ``str()`` match the originals — the two things the error-dedup
+    keys and detail strings are made of."""
+    artifacts: dict = {}
+    if entry.get("pb"):
+        artifacts["piggyback"] = dict(entry["pb"])
+    leaks = leaks_from_jsonable(entry.get("leaks"))
+    if leaks is not None:
+        artifacts["leaks"] = leaks
+    if entry.get("monitor") is not None:
+        artifacts["monitor"] = monitor_from_jsonable(entry["monitor"])
+    deadlock = None
+    if entry.get("deadlock") is not None:
+        deadlock = DeadlockError({int(r): op for r, op in entry["deadlock"]})
+    return JournaledResult(
+        makespan=entry["makespan"],
+        stats=dict(entry.get("stats") or {}),
+        artifacts=artifacts,
+        deadlock=deadlock,
+        primary_errors={
+            int(rank): _recorded_exception(name, msg)
+            for rank, name, msg in entry.get("errors") or ()
+        },
+    )
 
 
 # -- generator snapshots -------------------------------------------------------
@@ -390,11 +487,16 @@ class CampaignJournal:
         self._load()
 
     @classmethod
-    def open(cls, journal) -> "CampaignJournal":
-        """Coerce a path or an existing journal into a journal."""
+    def open(cls, journal, config) -> "CampaignJournal":
+        """Coerce a path or an existing journal into a journal, opened
+        under ``config``'s journal tuning."""
         if isinstance(journal, CampaignJournal):
             return journal
-        return cls(journal)
+        return cls(
+            journal,
+            segment_bytes=config.journal_segment_bytes,
+            fsync=config.journal_fsync,
+        )
 
     def bind(self, tracer=None, metrics=None) -> None:
         """Attach the campaign's telemetry sinks (journal events land in
@@ -430,10 +532,23 @@ class CampaignJournal:
                     ) from None
                 if record.get("t") == "meta":
                     if self.meta is None:
+                        self._check_version(record)
                         self.meta = record
                     continue
                 self.entries.append(record)
         self._segment_index = next_index
+
+    def _check_version(self, meta: dict) -> None:
+        """Refuse another format version at load, before any reader (resume,
+        ``repro stats``, dist reload) can misread its entries."""
+        if meta.get("version") != JOURNAL_VERSION:
+            raise JournalError(
+                f"journal {self.root} has format version "
+                f"{meta.get('version')!r}; this build reads and writes "
+                f"version {JOURNAL_VERSION} only — finish that campaign "
+                f"with the build that started it, or start over in a new "
+                f"journal directory"
+            )
 
     def run_entries(self) -> list[dict]:
         """The replayable history: run and failure records, in order."""
@@ -473,15 +588,7 @@ class CampaignJournal:
             shard_prefix=shard_prefix,
         )
         if self.meta is not None:
-            if self.meta.get("version") != JOURNAL_VERSION:
-                raise JournalError(
-                    f"journal {self.root} has version "
-                    f"{self.meta.get('version')!r}, expected {JOURNAL_VERSION}"
-                )
             old = dict(self.meta.get("signature") or {})
-            # journals written before the distributed subsystem carry no
-            # mode field; they are whole-campaign journals
-            old.setdefault("journal_mode", "campaign")
             if old.get("journal_mode") != mode:
                 raise JournalError(self._mode_mismatch_message(old, mode))
             if old != sig:

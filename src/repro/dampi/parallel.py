@@ -48,7 +48,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, ScheduleKey, schedule_key
 from repro.obs.metrics import MetricsRegistry
 
 _log = logging.getLogger(__name__)
@@ -56,15 +56,6 @@ _log = logging.getLogger(__name__)
 #: schedules speculated ahead per wave, as a multiple of the worker count —
 #: enough to hide consume latency without unbounded speculative waste
 WAVE_DEPTH = 2
-
-#: canonical, hashable identity of a guided schedule
-ScheduleKey = tuple
-
-
-def schedule_key(decisions: EpochDecisions) -> ScheduleKey:
-    """Canonical identity of a guided schedule (its forced map + flip)."""
-    return (decisions.flip, tuple(sorted(decisions.forced.items())))
-
 
 @dataclass(frozen=True)
 class ReplaySpec:

@@ -15,10 +15,9 @@ identical downstream communication choices; paired with an identical
 checker-outcome digest (the exact material report error-dedup keys are
 built from), the un-walked sibling's subtree is provably isomorphic to
 the already-walked one — same future walk shape, same error keys — so
-the generator marks it pruned instead of expanding it.  This is
-outcome-dedup generalized from leaves to subtrees; every pruned subtree
-is accounted for in ``report.prune_stats``, the ``prune.*`` metrics, and
-the journal.
+the generator marks it pruned instead of expanding it.  Every pruned
+subtree is accounted for in ``report.prune_stats``, the ``prune.*``
+metrics, and the journal.
 
 Soundness (see ALGORITHM.md §4): the epoch keys (Lamport clocks) are
 deliberately excluded from the fingerprint — sibling subtrees are
@@ -174,10 +173,9 @@ class RunSignature:
 
 
 def signature_of(result, trace: RunTrace) -> RunSignature:
-    """Build a run's signature from a live result (serial loop, shard
-    workers).  Journal resume and dist assembly rebuild it from the
-    stored trace + the entry's ``osig`` field instead — identical by
-    construction."""
+    """Build a run's signature from its result — live, or rebuilt from a
+    run record (:func:`repro.dampi.journal.result_from_entry` reproduces
+    exactly the material :func:`outcome_digest` hashes)."""
     return RunSignature(trace, outcome_digest(result, trace))
 
 

@@ -16,6 +16,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.dampi import journal as jr
+from repro.dampi.artifacts import ArtifactStore
 from repro.dampi.checkpoint import (
     PrefixCheckpointCache,
     capture_key,
@@ -23,7 +25,7 @@ from repro.dampi.checkpoint import (
 )
 from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.epoch import EpochKey, RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FaultPlan
@@ -593,6 +595,44 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+class _Campaign:
+    """What one campaign folds its runs into: the state
+    :meth:`DampiVerifier._consume` advances, whether the runs come from
+    the live loop, a journal being resumed, or a distributed
+    coordinator's collected records."""
+
+    def __init__(self, verifier: "DampiVerifier", telemetry: CampaignTelemetry):
+        cfg = verifier.config
+        self.report = VerificationReport(nprocs=verifier.nprocs, config=cfg)
+        self.telemetry = telemetry
+        self.generator = ScheduleGenerator(
+            bound_k=cfg.bound_k,
+            auto_loop_threshold=cfg.auto_loop_threshold,
+            prune=cfg.prune,
+        )
+        self.store = (
+            ArtifactStore(cfg.artifacts_dir)
+            if cfg.artifacts_dir is not None
+            else None
+        )
+        #: error-dedup keys claimed so far
+        self.seen: set[tuple[str, str]] = set()
+        #: adaptive-escalation accounting (precision replays are *extra*
+        #: executions — not interleavings — so they are counted here, not
+        #: in the walk)
+        self.esc = {
+            "escalations": 0,
+            "escalation_replays": 0,
+            "extra_alternatives": 0,
+        }
+        #: where consumed runs are appended; None while a journal's own
+        #: entries are being replayed (and for unjournaled campaigns)
+        self.journal: Optional[jr.CampaignJournal] = None
+        #: run/failure entries the journal holds / since its last checkpoint
+        self.applied = 0
+        self.since_checkpoint = 0
+
+
 class DampiVerifier:
     """Verify ``program`` over the space of wildcard non-determinism.
 
@@ -679,8 +719,7 @@ class DampiVerifier:
         n = self.config.trace_sample_every
         if n <= 1 or decisions is None or decisions.flip is None:
             return True
-        key = (decisions.flip, tuple(sorted(decisions.forced.items())))
-        return zlib.crc32(repr(key).encode()) % n == 0
+        return zlib.crc32(repr(schedule_key(decisions)).encode()) % n == 0
 
     def run_once(
         self, decisions: Optional[EpochDecisions] = None
@@ -822,108 +861,51 @@ class DampiVerifier:
         one-shot faults stay one-shot across stages).
         """
         cfg = self.config
-        report = VerificationReport(nprocs=self.nprocs, config=cfg)
         telemetry = CampaignTelemetry(cfg)
         started = time.perf_counter()
         if faults is not None:
             self._faults = faults
         faults = self._faults
-        generator = ScheduleGenerator(
-            bound_k=cfg.bound_k,
-            auto_loop_threshold=cfg.auto_loop_threshold,
-            prune=cfg.prune,
-        )
-        seen_error_keys: set[tuple[str, str]] = set()
-        witnessed_outcomes: set[frozenset] = set()
-        #: adaptive-escalation accounting (precision replays are *extra*
-        #: executions — not interleavings — so they are counted here, not
-        #: in the walk)
-        esc_stats = {
-            "escalations": 0,
-            "escalation_replays": 0,
-            "extra_alternatives": 0,
-        }
-        store = None
-        if cfg.artifacts_dir is not None:
-            from repro.dampi.artifacts import ArtifactStore
-
-            store = ArtifactStore(cfg.artifacts_dir)
+        camp = _Campaign(self, telemetry)
+        report = camp.report
+        history = []
         if journal is not None:
-            from repro.dampi.journal import CampaignJournal
-
-            if not isinstance(journal, CampaignJournal):
-                journal = CampaignJournal(
-                    journal,
-                    segment_bytes=cfg.journal_segment_bytes,
-                    fsync=cfg.journal_fsync,
-                )
+            journal = jr.CampaignJournal.open(journal, cfg)
             journal.bind(tracer=telemetry.tracer, metrics=telemetry.metrics)
             journal.ensure_meta(
                 self.nprocs, cfg, kwargs=self.kwargs, prog_args=self.args
             )
-
-        history = journal.run_entries() if journal is not None else []
-        replayed = len(history)
-        applied = replayed  # run/failure entries journaled so far
-        run_index = 0
-        if history:
-            run_index, generator = self._replay_journal(
-                journal, history, report, telemetry, generator,
-                seen_error_keys, witnessed_outcomes, store, esc_stats,
-            )
-        else:
+            history = journal.run_entries()
+        run_index = self._replay_journal(camp, journal, history) if history else 0
+        # from here on consumed runs are appended (the replayed ones are
+        # what the journal already holds)
+        camp.journal, camp.applied = journal, len(history)
+        if not history:
             if faults:
                 faults.fire(
                     "self", tracer=telemetry.tracer, metrics=telemetry.metrics
                 )
             tele_token = telemetry.run_started()
             result, trace = self.run_once()
-            esc = self._escalate(None, trace, esc_stats)
-            signature = (
-                prune_mod.signature_of(result, trace) if cfg.prune else None
+            self._consume(
+                camp, 0, None, result, trace,
+                esc=self._escalate(None, trace), started=tele_token,
             )
-            if store is not None:
-                store.write_run(0, trace)
-            pre_seen = set(seen_error_keys)
-            self._record_run(report, 0, None, result, trace, seen_error_keys)
-            telemetry.record_run(
-                0,
-                result,
-                trace,
-                flip=None,
-                error_kinds=report.runs[-1].error_kinds,
-                started=tele_token,
-            )
-            report.wildcards_analyzed = trace.wildcard_count
-            report.self_run_vtime = result.makespan
-            report.leak_report = result.artifacts.get("leaks")
-            report.monitor_report = result.artifacts.get("monitor")
-            generator.seed(trace, signature=signature)
-            witnessed_outcomes.add(report.runs[0].outcome)
-            if journal is not None:
-                journal.append(
-                    self._journal_run_entry(
-                        0, None, result, trace, report, 0, seen_error_keys,
-                        pre_seen, signature=signature, esc=esc,
-                    )
-                )
-                applied = 1
         if executor is None:
             executor = self._make_executor(telemetry)
 
         executed = 0 if history else 1  # the live self run counts as executed
-        since_checkpoint = 0
         try:
             while True:
                 if cfg.max_interleavings is not None and report.interleavings >= cfg.max_interleavings:
-                    report.truncated = not generator.exhausted
+                    report.truncated = not camp.generator.exhausted
                     break
                 if cfg.max_seconds is not None and time.perf_counter() - started > cfg.max_seconds:
-                    report.truncated = not generator.exhausted
+                    report.truncated = not camp.generator.exhausted
                     break
                 width = executor.wave_width
-                batch = generator.next_decision_batch(width) if width else ()
-                decisions = generator.next_decisions()
+                batch = camp.generator.next_decision_batch(width) if width else ()
+                decisions = camp.generator.next_decisions()
                 if decisions is None:
                     break
                 run_index += 1
@@ -935,82 +917,17 @@ class DampiVerifier:
                         metrics=telemetry.metrics,
                     )
                 tele_token = telemetry.run_started()
-                n_err = len(report.errors)
-                pre_seen = set(seen_error_keys) if journal is not None else set()
                 outcome = executor.run(decisions, batch)
                 executed += 1
                 if outcome.failure is not None:
-                    generator.abandon()
-                    self._record_worker_failure(
-                        report, run_index, decisions, outcome.failure, seen_error_keys
+                    self._consume_failure(camp, run_index, decisions, outcome.failure)
+                else:
+                    self._consume(
+                        camp, run_index, decisions, outcome.result, outcome.trace,
+                        esc=self._escalate(decisions, outcome.trace),
+                        started=tele_token,
                     )
-                    telemetry.record_failure(run_index, outcome.failure)
-                    if journal is not None:
-                        journal.append(
-                            self._journal_failure_entry(
-                                run_index, decisions, outcome.failure,
-                                report, n_err, seen_error_keys, pre_seen,
-                            )
-                        )
-                        applied += 1
-                        since_checkpoint += 1
-                    telemetry.heartbeat(report.interleavings, generator, executor)
-                    continue
-                result, trace = outcome.result, outcome.trace
-                esc = self._escalate(decisions, trace, esc_stats)
-                if store is not None:
-                    store.write_run(run_index, trace, decisions)
-                fingerprint = completed_outcome(trace)
-                signature = (
-                    prune_mod.signature_of(result, trace) if cfg.prune else None
-                )
-                saved_before = generator.replays_saved
-                pruned = generator.integrate(
-                    trace,
-                    seed_fresh=not (
-                        cfg.outcome_dedup and fingerprint in witnessed_outcomes
-                    ),
-                    signature=signature,
-                )
-                witnessed_outcomes.add(fingerprint)
-                self._record_run(report, run_index, decisions, result, trace, seen_error_keys)
-                rec = report.runs[-1]
-                telemetry.record_run(
-                    run_index,
-                    result,
-                    trace,
-                    flip=rec.flip,
-                    error_kinds=rec.error_kinds,
-                    started=tele_token,
-                )
-                if journal is not None:
-                    journal.append(
-                        self._journal_run_entry(
-                            run_index, decisions, result, trace,
-                            report, n_err, seen_error_keys, pre_seen,
-                            signature=signature, esc=esc,
-                        )
-                    )
-                    applied += 1
-                    since_checkpoint += 1
-                    if pruned:
-                        # audit record: resume re-derives the decision from
-                        # the run entry's trace + osig, so this is purely
-                        # for `repro stats` visibility and postmortems
-                        journal.append(
-                            {
-                                "t": "prune",
-                                "index": run_index,
-                                "flip": list(rec.flip) if rec.flip else None,
-                                "saved": generator.replays_saved - saved_before,
-                            }
-                        )
-                    if since_checkpoint >= cfg.journal_checkpoint_interval:
-                        self._journal_checkpoint(
-                            journal, applied, generator, witnessed_outcomes, telemetry
-                        )
-                        since_checkpoint = 0
-                telemetry.heartbeat(report.interleavings, generator, executor)
+                telemetry.heartbeat(report.interleavings, camp.generator, executor)
         finally:
             # the journal needs no explicit cleanup here: every append is
             # already flushed+fsync'd, and the normal path below writes the
@@ -1018,29 +935,8 @@ class DampiVerifier:
             executor.close()
             self.close()
 
-        report.divergences = generator.divergences
-        report.bound_frozen = generator.distance_frozen
-        report.parallel_stats = executor.stats()
-        report.wall_seconds = time.perf_counter() - started
-        telemetry.record_executor(report.parallel_stats)
-        if cfg.prune or cfg.adaptive_clocks:
-            report.prune_stats = {
-                "enabled": cfg.prune,
-                "adaptive_clocks": cfg.adaptive_clocks,
-                "subtrees_pruned": generator.prunes,
-                "replays_saved": generator.replays_saved,
-                **esc_stats,
-            }
-            m = telemetry.metrics
-            m.counter("prune.subtrees").inc(generator.prunes)
-            m.counter("prune.replays_saved").inc(generator.replays_saved)
-            m.counter("prune.escalations").inc(esc_stats["escalations"])
-            m.counter("prune.escalation_replays").inc(
-                esc_stats["escalation_replays"]
-            )
-            m.counter("prune.extra_alternatives").inc(
-                esc_stats["extra_alternatives"]
-            )
+        stats = executor.stats()
+        telemetry.record_executor(stats)
         if journal is not None:
             journal.append(
                 {
@@ -1049,29 +945,23 @@ class DampiVerifier:
                     "truncated": report.truncated,
                 }
             )
-            journal.close()
-            report.journal_stats = {
-                "dir": str(journal.root),
-                "replayed": replayed,
-                "executed": executed,
-            }
-            telemetry.metrics.gauge("journal.replayed_runs").set(replayed)
-            telemetry.metrics.gauge("journal.executed_runs").set(executed)
-        telemetry.finalize(report)
+        self._finish_report(
+            camp, started, stats, journal, len(history), executed
+        )
         return report
 
-    def _escalate(self, decisions, trace, esc_stats) -> Optional[int]:
+    def _escalate(self, decisions, trace) -> Optional[int]:
         """Adaptive clock escalation hook (no-op unless
         ``config.adaptive_clocks`` and the run flagged scalar risk): one
         vector-clock precision replay, whose vector-only alternatives are
-        injected into ``trace`` in place *before* it reaches the journal,
-        the artifact store, or the generator — so every downstream
-        consumer (resume, dist assembly) inherits the augmented trace for
-        free.  Returns the injected-alternative count, or None when no
-        escalation ran (the journal entry omits the field)."""
+        injected into ``trace`` in place *before* it is consumed — so the
+        journal, the artifact store, the generator and every later reader
+        of the run record (resume, dist assembly) inherit the augmented
+        trace for free.  Returns the injected-alternative count, or None
+        when no escalation ran (the run record omits the field)."""
         if not self.config.adaptive_clocks or not trace.scalar_risk:
             return None
-        added = prune_mod.escalate_trace(
+        return prune_mod.escalate_trace(
             self.program,
             self.nprocs,
             self.config,
@@ -1080,25 +970,162 @@ class DampiVerifier:
             args=self.args,
             kwargs=self.kwargs,
         )
-        esc_stats["escalations"] += 1
-        esc_stats["escalation_replays"] += 1
-        esc_stats["extra_alternatives"] += added
-        return added
+
+    # -- the one consume step -----------------------------------------------------
+
+    def _consume(
+        self, camp: _Campaign, index, decisions, result, trace,
+        esc=None, started=None, drive=True,
+    ) -> None:
+        """Fold one run into the campaign — the only place that happens.
+
+        A live run, a resumed journal entry and a distributed worker's
+        record all arrive here as ``(result, trace)`` (the latter two
+        rebuilt by :func:`repro.dampi.journal.result_from_entry`), with
+        ``esc`` the alternatives a clock escalation injected into the
+        trace, if one ran.  ``drive=False`` is the fast-forwarded journal
+        entry: the generator will be restored from a checkpoint that
+        already contains this run, so only the report side is applied."""
+        cfg = self.config
+        report, generator = camp.report, camp.generator
+        if esc is not None:
+            camp.esc["escalations"] += 1
+            camp.esc["escalation_replays"] += 1
+            camp.esc["extra_alternatives"] += esc
+        if camp.store is not None:
+            camp.store.write_run(index, trace, decisions)
+        saved_before = generator.replays_saved
+        pruned = False
+        if drive:
+            signature = (
+                prune_mod.signature_of(result, trace) if cfg.prune else None
+            )
+            if decisions is None:
+                generator.seed(trace, signature=signature)
+            else:
+                pruned = generator.integrate(trace, signature=signature)
+        n_err = len(report.errors)
+        self._record_run(report, index, decisions, result, trace, camp.seen)
+        rec = report.runs[-1]
+        if decisions is None:
+            report.wildcards_analyzed = trace.wildcard_count
+            report.self_run_vtime = result.makespan
+            report.leak_report = result.artifacts.get("leaks")
+            report.monitor_report = result.artifacts.get("monitor")
+        camp.telemetry.record_run(
+            index,
+            result,
+            trace,
+            flip=rec.flip,
+            error_kinds=rec.error_kinds,
+            started=started,
+        )
+        journal = camp.journal
+        if journal is None:
+            return
+        journal.append(
+            self._journal_run_entry(
+                index, decisions, result, trace, esc, len(report.errors) - n_err
+            )
+        )
+        if pruned:
+            # audit record: resume re-derives the decision from the run
+            # record, so this is purely for `repro stats` visibility and
+            # postmortems
+            journal.append(
+                {
+                    "t": "prune",
+                    "index": index,
+                    "flip": list(rec.flip) if rec.flip else None,
+                    "saved": generator.replays_saved - saved_before,
+                }
+            )
+        camp.applied += 1
+        camp.since_checkpoint += 1
+        if camp.since_checkpoint >= cfg.journal_checkpoint_interval:
+            self._journal_checkpoint(camp)
+            camp.since_checkpoint = 0
+
+    def _consume_entry(
+        self, camp: _Campaign, index, decisions, entry: dict, drive=True
+    ) -> None:
+        """:meth:`_consume` a run that exists only as its run record."""
+        self._consume(
+            camp, index, decisions,
+            jr.result_from_entry(entry), jr.trace_from_jsonable(entry["trace"]),
+            esc=entry.get("esc"), drive=drive,
+        )
+
+    def _consume_failure(
+        self, camp: _Campaign, index, decisions, reason: str, drive=True
+    ) -> None:
+        """Fold in a replay that never produced a result (its pool worker
+        crashed or timed out); ``drive`` as in :meth:`_consume`."""
+        if drive:
+            camp.generator.abandon()
+        self._record_worker_failure(
+            camp.report, index, decisions, reason, camp.seen
+        )
+        camp.telemetry.record_failure(index, reason)
+        if camp.journal is not None:
+            camp.journal.append(
+                {
+                    "t": "failure",
+                    "index": index,
+                    "key": jr.decisions_to_jsonable(decisions),
+                    "reason": reason,
+                }
+            )
+            camp.applied += 1
+            camp.since_checkpoint += 1
+
+    def _finish_report(
+        self, camp: _Campaign, started, parallel_stats,
+        journal=None, replayed=0, executed=0,
+    ) -> None:
+        """Close out the report once the walk is over: the generator's
+        final counters, the prune/escalation block, this attempt's
+        executor and journal accounting, then telemetry."""
+        cfg = self.config
+        report, generator = camp.report, camp.generator
+        metrics = camp.telemetry.metrics
+        report.divergences = generator.divergences
+        report.bound_frozen = generator.distance_frozen
+        report.parallel_stats = parallel_stats
+        if cfg.prune or cfg.adaptive_clocks:
+            report.prune_stats = {
+                "enabled": cfg.prune,
+                "adaptive_clocks": cfg.adaptive_clocks,
+                "subtrees_pruned": generator.prunes,
+                "replays_saved": generator.replays_saved,
+                **camp.esc,
+            }
+            metrics.counter("prune.subtrees").inc(generator.prunes)
+            metrics.counter("prune.replays_saved").inc(generator.replays_saved)
+            for name, n in camp.esc.items():
+                metrics.counter(f"prune.{name}").inc(n)
+        if journal is not None:
+            journal.close()
+            report.journal_stats = {
+                "dir": str(journal.root),
+                "replayed": replayed,
+                "executed": executed,
+            }
+            metrics.gauge("journal.replayed_runs").set(replayed)
+            metrics.gauge("journal.executed_runs").set(executed)
+        report.wall_seconds = time.perf_counter() - started
+        camp.telemetry.finalize(report)
 
     # -- journal plumbing ---------------------------------------------------------
 
-    def _replay_journal(
-        self, journal, history, report, telemetry, generator,
-        seen, witnessed, store, esc_stats,
-    ):
+    def _replay_journal(self, camp: _Campaign, journal, history) -> int:
         """Rebuild the session state from a journal without executing
-        anything: report state comes straight from the entries; DFS state
-        is recovered by *transition replay* — feeding each journaled trace
-        back through the generator's own ``seed``/``integrate``/``abandon``
-        (deterministic, so the rebuilt state is bit-identical) — with a
-        fast-forward from the latest checkpoint when one exists."""
-        from repro.dampi import journal as jr
-
+        anything: each entry's run record goes through the same
+        :meth:`_consume` a live run does, which also feeds the trace back
+        through the generator's own ``seed``/``integrate``/``abandon``
+        (deterministic, so the rebuilt DFS state is bit-identical) — with
+        a fast-forward from the latest checkpoint when one exists.
+        Returns the last run index replayed."""
         ckpt = journal.latest_checkpoint()
         fast_forward = 0
         if ckpt is not None:
@@ -1110,256 +1137,73 @@ class DampiVerifier:
                 )
         run_index = 0
         for i, entry in enumerate(history):
-            live = i >= fast_forward
+            drive = i >= fast_forward
             run_index = entry["index"]
+            decisions = (
+                jr.decisions_from_jsonable(entry["key"])
+                if entry.get("key")
+                else None
+            )
+            if drive and run_index:
+                self._check_journal_schedule(
+                    journal, run_index, decisions, camp.generator.next_decisions()
+                )
             if entry["t"] == "failure":
-                if live:
-                    decisions = generator.next_decisions()
-                    self._check_journal_schedule(journal, entry, decisions)
-                    generator.abandon()
-                self._apply_failure_entry(entry, report, telemetry, seen)
+                self._consume_failure(
+                    camp, run_index, decisions, entry["reason"], drive=drive
+                )
             else:
-                trace = jr.trace_from_jsonable(entry["trace"])
-                fingerprint = completed_outcome(trace)
-                if entry.get("esc") is not None:
-                    esc_stats["escalations"] += 1
-                    esc_stats["escalation_replays"] += 1
-                    esc_stats["extra_alternatives"] += entry["esc"]
-                # the stored trace already carries any escalation-injected
-                # alternatives; the outcome digest rides the entry, so the
-                # pruning decision replays deterministically without
-                # re-running anything
-                signature = (
-                    prune_mod.RunSignature(trace, entry["osig"])
-                    if self.config.prune and entry.get("osig") is not None
-                    else None
-                )
-                if run_index == 0:
-                    if live:
-                        generator.seed(trace, signature=signature)
-                elif live:
-                    decisions = generator.next_decisions()
-                    self._check_journal_schedule(journal, entry, decisions)
-                    generator.integrate(
-                        trace,
-                        seed_fresh=not (
-                            self.config.outcome_dedup and fingerprint in witnessed
-                        ),
-                        signature=signature,
-                    )
-                witnessed.add(fingerprint)
-                self._apply_run_entry(entry, trace, report, telemetry, seen)
-                if store is not None:
-                    decisions = (
-                        jr.decisions_from_jsonable(entry["key"])
-                        if entry.get("key")
-                        else None
-                    )
-                    store.write_run(run_index, trace, decisions)
+                self._consume_entry(camp, run_index, decisions, entry, drive=drive)
             if i + 1 == fast_forward:
-                generator = jr.restore_generator(ckpt["generator"])
-                witnessed.clear()
-                witnessed.update(
-                    jr.outcome_from_jsonable(o) for o in ckpt["witnessed"]
-                )
-        if telemetry.tracer is not None:
-            telemetry.tracer.instant(
+                camp.generator = jr.restore_generator(ckpt["generator"])
+        if camp.telemetry.tracer is not None:
+            camp.telemetry.tracer.instant(
                 "journal_resume", "journal", replayed=len(history)
             )
-        return run_index, generator
+        return run_index
 
-    def _check_journal_schedule(self, journal, entry, decisions) -> None:
+    def _check_journal_schedule(self, journal, index, journaled, asked) -> None:
         """A journaled entry must match what the deterministic walk asks
         for at that point — anything else means the program, its inputs,
         or the config changed under the journal."""
-        from repro.dampi import journal as jr
-        from repro.dampi.parallel import schedule_key
-
-        expected = (
-            jr.decisions_from_jsonable(entry["key"]) if entry.get("key") else None
-        )
         if (
-            decisions is None
-            or expected is None
-            or schedule_key(expected) != schedule_key(decisions)
+            asked is None
+            or journaled is None
+            or schedule_key(journaled) != schedule_key(asked)
         ):
             raise jr.JournalError(
-                f"journal {journal.root}: entry {entry['index']} diverges "
+                f"journal {journal.root}: entry {index} diverges "
                 f"from the deterministic walk (journaled flip "
-                f"{expected.flip if expected else None}, walk asks "
-                f"{decisions.flip if decisions else None}) — was the "
+                f"{journaled.flip if journaled else None}, walk asks "
+                f"{asked.flip if asked else None}) — was the "
                 f"program or its configuration changed since the journal "
                 f"was written?"
             )
 
-    def _apply_entry_errors(self, entry, report, seen) -> None:
-        from repro.dampi import journal as jr
-
-        for err in entry.get("errors", ()):
-            decisions = (
-                jr.decisions_from_jsonable(err["decisions"])
-                if err.get("decisions")
-                else None
-            )
-            report.errors.append(
-                FoundError(err["kind"], err["run_index"], err["detail"], decisions)
-            )
-        seen.update(tuple(k) for k in entry.get("seen", ()))
-
-    def _apply_run_entry(self, entry, trace, report, telemetry, seen) -> None:
-        from repro.dampi import journal as jr
-
-        rec = entry["record"]
-        flip = tuple(rec["flip"]) if rec.get("flip") else None
-        report.interleavings += 1
-        report.total_vtime += rec["makespan"]
-        self._apply_entry_errors(entry, report, seen)
-        report.runs.append(
-            RunRecord(
-                index=entry["index"],
-                makespan=rec["makespan"],
-                wildcard_count=rec["wildcard_count"],
-                error_kinds=tuple(rec["error_kinds"]),
-                diverged=rec["diverged"],
-                flip=flip,
-                outcome=completed_outcome(trace),
-            )
-        )
-        if self.config.keep_traces:
-            report.traces.append(trace)
-        result = jr.JournaledResult(
-            makespan=rec["makespan"],
-            stats=entry.get("stats") or {},
-            artifacts=(
-                {"piggyback": entry["pb"]} if entry.get("pb") else {}
-            ),
-        )
-        telemetry.record_run(
-            entry["index"],
-            result,
-            trace,
-            flip=flip,
-            error_kinds=tuple(rec["error_kinds"]),
-            started=None,
-        )
-        extras = entry.get("extras")
-        if extras:
-            report.wildcards_analyzed = extras["wildcards_analyzed"]
-            report.self_run_vtime = extras["self_run_vtime"]
-            report.leak_report = jr.leaks_from_jsonable(extras["leaks"])
-            report.monitor_report = jr.monitor_from_jsonable(extras["monitor"])
-
-    def _apply_failure_entry(self, entry, report, telemetry, seen) -> None:
-        rec = entry["record"]
-        report.interleavings += 1
-        self._apply_entry_errors(entry, report, seen)
-        report.runs.append(
-            RunRecord(
-                index=entry["index"],
-                makespan=rec["makespan"],
-                wildcard_count=rec["wildcard_count"],
-                error_kinds=tuple(rec["error_kinds"]),
-                diverged=rec["diverged"],
-                flip=tuple(rec["flip"]) if rec.get("flip") else None,
-                outcome=frozenset(),
-            )
-        )
-        telemetry.record_failure(entry["index"], entry["reason"])
-
-    def _jsonable_error(self, error: FoundError) -> dict:
-        from repro.dampi import journal as jr
-
-        return {
-            "kind": error.kind,
-            "run_index": error.run_index,
-            "detail": error.detail,
-            "decisions": (
-                jr.decisions_to_jsonable(error.decisions)
-                if error.decisions is not None
-                else None
-            ),
-        }
-
     def _journal_run_entry(
-        self, index, decisions, result, trace, report, n_err, seen, pre_seen,
-        signature=None, esc=None,
+        self, index, decisions, result, trace, esc, found
     ) -> dict:
-        from repro.dampi import journal as jr
-
-        rec = report.runs[-1]
-        pb = result.artifacts.get("piggyback")
-        entry = {
+        """Encode one consumed run as its campaign-journal entry: the run
+        record plus its walk index and ``found``, the errors it was first
+        to witness (audit only — resume recomputes the dedup)."""
+        return {
             "t": "run",
             "index": index,
-            "key": (
-                jr.decisions_to_jsonable(decisions) if decisions is not None else None
-            ),
-            "trace": jr.trace_to_jsonable(trace),
-            "record": {
-                "makespan": rec.makespan,
-                "wildcard_count": rec.wildcard_count,
-                "error_kinds": list(rec.error_kinds),
-                "diverged": rec.diverged,
-                "flip": list(rec.flip) if rec.flip else None,
-            },
-            "stats": dict(result.stats or {}),
-            "pb": dict(pb) if pb else None,
-            "errors": [self._jsonable_error(e) for e in report.errors[n_err:]],
-            "seen": sorted(list(k) for k in (seen - pre_seen)),
-        }
-        if signature is not None:
-            entry["osig"] = signature.osig
-        if esc is not None:
-            entry["esc"] = esc
-        if index == 0:
-            entry["extras"] = {
-                "wildcards_analyzed": report.wildcards_analyzed,
-                "self_run_vtime": report.self_run_vtime,
-                "leaks": jr.leaks_to_jsonable(report.leak_report),
-                "monitor": jr.monitor_to_jsonable(report.monitor_report),
-            }
-        return entry
-
-    def _journal_failure_entry(
-        self, index, decisions, reason, report, n_err, seen, pre_seen
-    ) -> dict:
-        from repro.dampi import journal as jr
-
-        rec = report.runs[-1]
-        return {
-            "t": "failure",
-            "index": index,
-            "key": jr.decisions_to_jsonable(decisions),
-            "reason": reason,
-            "record": {
-                "makespan": rec.makespan,
-                "wildcard_count": rec.wildcard_count,
-                "error_kinds": list(rec.error_kinds),
-                "diverged": rec.diverged,
-                "flip": list(rec.flip) if rec.flip else None,
-            },
-            "errors": [self._jsonable_error(e) for e in report.errors[n_err:]],
-            "seen": sorted(list(k) for k in (seen - pre_seen)),
+            "found": found,
+            **jr.run_entry(decisions, result, trace, esc=esc),
         }
 
-    def _journal_checkpoint(
-        self, journal, applied, generator, witnessed, telemetry
-    ) -> None:
-        from repro.dampi import journal as jr
-
-        journal.append(
+    def _journal_checkpoint(self, camp: _Campaign) -> None:
+        camp.journal.append(
             {
                 "t": "checkpoint",
-                "applied": applied,
-                "generator": jr.snapshot_generator(generator),
-                "witnessed": sorted(
-                    jr.outcome_to_jsonable(o) for o in witnessed
-                ),
+                "applied": camp.applied,
+                "generator": jr.snapshot_generator(camp.generator),
             }
         )
-        if telemetry.tracer is not None:
-            telemetry.tracer.instant(
-                "journal_checkpoint", "journal", applied=applied
+        if camp.telemetry.tracer is not None:
+            camp.telemetry.tracer.instant(
+                "journal_checkpoint", "journal", applied=camp.applied
             )
 
     def _record_worker_failure(

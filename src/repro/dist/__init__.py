@@ -16,7 +16,7 @@ semantics.
 
 from repro.dist.coordinator import DistCoordinator, distributed_verify, journal_status
 from repro.dist.leases import Lease, LeaseTable, lease_id, lease_key, lease_root_decisions
-from repro.dist.protocol import DistError, result_from_entry, run_entry
+from repro.dist.protocol import DistError
 
 __all__ = [
     "DistCoordinator",
@@ -28,6 +28,4 @@ __all__ = [
     "lease_id",
     "lease_key",
     "lease_root_decisions",
-    "result_from_entry",
-    "run_entry",
 ]

@@ -33,7 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
+from repro.dampi.journal import decisions_to_jsonable
 
 
 def lease_root_decisions(spec: dict) -> EpochDecisions:
@@ -48,16 +49,12 @@ def lease_root_decisions(spec: dict) -> EpochDecisions:
 def lease_key(spec: dict):
     """Hashable identity of a lease — the root schedule's key.  Two specs
     with the same root schedule denote the same subtree."""
-    from repro.dampi.parallel import schedule_key
-
     return schedule_key(lease_root_decisions(spec))
 
 
 def lease_id(spec: dict) -> str:
     """Stable, filesystem-safe digest of the lease identity (shard
     journal directory names; deterministic across coordinator restarts)."""
-    from repro.dampi.journal import decisions_to_jsonable
-
     canonical = json.dumps(
         decisions_to_jsonable(lease_root_decisions(spec)),
         separators=(",", ":"),

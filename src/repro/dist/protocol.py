@@ -33,15 +33,10 @@ coordinator → worker
 
 Run entries
 -----------
-A *record* carries everything the coordinator needs to (a) replay the
-run's effect on a schedule generator (the full trace) and (b) rebuild a
-duck-typed :class:`~repro.mpi.runtime.RunResult` for report assembly.
-Error dedup and ``error_kinds`` are **global-order-dependent** (the
-serial loop appends an error only the first time its key is seen), so
-entries ship raw facts — the deadlock's blocked map, the primary errors
-as ``(rank, type-name, message)`` rows, the leak report — and the
-coordinator recomputes dedup during its deterministic assembly walk,
-rather than trusting any worker-local ordering.
+A ``record`` frame carries one *run record* — the dict
+:func:`repro.dampi.journal.run_entry` builds, the same one campaign and
+shard journals store (see that module for the shape and for why it ships
+raw facts rather than any worker-local view of them).
 """
 
 from __future__ import annotations
@@ -50,11 +45,10 @@ import base64
 import json
 import socket
 import threading
-from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dampi.decisions import EpochDecisions
-from repro.errors import DeadlockError
+from repro.dampi.decisions import EpochDecisions, schedule_key
+from repro.dampi.journal import decisions_from_jsonable, decisions_to_jsonable
 from repro.obs.binary import decode_events, encode_events
 
 
@@ -120,134 +114,14 @@ def unpack_events(blob: str):
 # -- run entries ---------------------------------------------------------------
 
 
-def run_entry(
-    decisions: Optional[EpochDecisions],
-    result,
-    trace,
-    include_monitor: bool = False,
-    osig: Optional[str] = None,
-    esc: Optional[int] = None,
-) -> dict:
-    """Serialize one executed run into a record entry (see module doc).
-    ``include_monitor`` is for the coordinator's self entry — only run 0
-    feeds the report's monitor block.  ``osig`` (the run's checker-outcome
-    digest) and ``esc`` (alternatives injected by a clock escalation) ride
-    along when pruning/adaptive clocks are on, so the assembly walk can
-    rebuild run signatures and escalation stats without the live result."""
-    from repro.dampi import journal as jr
-
-    pb = result.artifacts.get("piggyback")
-    entry = {
-        "key": (
-            jr.decisions_to_jsonable(decisions) if decisions is not None else None
-        ),
-        "trace": jr.trace_to_jsonable(trace),
-        "makespan": result.makespan,
-        "stats": dict(result.stats or {}),
-        "pb": dict(pb) if pb else None,
-        "leaks": jr.leaks_to_jsonable(result.artifacts.get("leaks")),
-        "deadlock": (
-            [[r, op] for r, op in sorted(result.deadlock.blocked.items())]
-            if result.deadlocked
-            else None
-        ),
-        # primary_errors iterates rank-sorted; preserve that order so the
-        # assembly's dedup walk sees errors exactly as the serial loop
-        # would.  DeadlockError rows are omitted (the serial recorder
-        # skips them; the deadlock travels in its own field).
-        "errors": [
-            [rank, type(exc).__name__, str(exc)]
-            for rank, exc in result.primary_errors.items()
-            if not isinstance(exc, DeadlockError)
-        ],
-    }
-    if osig is not None:
-        entry["osig"] = osig
-    if esc is not None:
-        entry["esc"] = esc
-    if include_monitor:
-        entry["monitor"] = jr.monitor_to_jsonable(result.artifacts.get("monitor"))
-    return entry
-
-
 def entry_schedule_key(entry: dict):
     """The canonical schedule identity of an entry (hashable)."""
-    from repro.dampi import journal as jr
-    from repro.dampi.parallel import schedule_key
-
     if entry.get("key") is None:
         return None
-    return schedule_key(jr.decisions_from_jsonable(entry["key"]))
+    return schedule_key(decisions_from_jsonable(entry["key"]))
 
 
 def decisions_key_str(decisions: EpochDecisions) -> str:
     """Canonical string form of a schedule key — the shard journals' memo
     index (JSON-able, deterministic: the forced map is emitted sorted)."""
-    from repro.dampi import journal as jr
-
-    return json.dumps(jr.decisions_to_jsonable(decisions), separators=(",", ":"))
-
-
-#: dynamically rebuilt exception classes for remote crash rows, cached so
-#: equal type names compare equal across entries
-_EXC_CACHE: dict[str, type] = {}
-
-
-def _remote_exception(type_name: str, message: str) -> Exception:
-    cls = _EXC_CACHE.get(type_name)
-    if cls is None:
-        cls = _EXC_CACHE[type_name] = type(
-            type_name, (Exception,), {"__module__": "repro.dist.remote"}
-        )
-    return cls(message)
-
-
-@dataclass
-class ShardResult:
-    """Duck-typed :class:`~repro.mpi.runtime.RunResult` rebuilt from a
-    record entry — exactly the fields report assembly
-    (:meth:`DampiVerifier._record_run`) and telemetry
-    (:meth:`CampaignTelemetry.record_run`) read."""
-
-    makespan: float = 0.0
-    stats: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
-    deadlock: Optional[DeadlockError] = None
-    primary_errors: dict = field(default_factory=dict)
-
-    @property
-    def deadlocked(self) -> bool:
-        return self.deadlock is not None
-
-
-def result_from_entry(entry: dict) -> ShardResult:
-    """Rebuild the duck-typed result from a record entry.  The rebuilt
-    pieces reproduce the serial report byte-for-byte: ``DeadlockError``
-    reconstructs from its blocked map (its message is derived from it),
-    and crash rows rebuild as dynamic exception types whose ``__name__``
-    and ``str()`` match the originals — the two things the error-dedup
-    keys and detail strings are made of."""
-    from repro.dampi import journal as jr
-
-    artifacts: dict = {}
-    if entry.get("pb"):
-        artifacts["piggyback"] = dict(entry["pb"])
-    leaks = jr.leaks_from_jsonable(entry.get("leaks"))
-    if leaks is not None:
-        artifacts["leaks"] = leaks
-    if entry.get("monitor") is not None:
-        artifacts["monitor"] = jr.monitor_from_jsonable(entry["monitor"])
-    deadlock = None
-    if entry.get("deadlock") is not None:
-        deadlock = DeadlockError({int(r): op for r, op in entry["deadlock"]})
-    primary = {
-        int(rank): _remote_exception(name, msg)
-        for rank, name, msg in entry.get("errors") or ()
-    }
-    return ShardResult(
-        makespan=entry["makespan"],
-        stats=dict(entry.get("stats") or {}),
-        artifacts=artifacts,
-        deadlock=deadlock,
-        primary_errors=primary,
-    )
+    return json.dumps(decisions_to_jsonable(decisions), separators=(",", ":"))

@@ -9,14 +9,8 @@ the subtree exactly like the serial verify loop — ``run_once`` →
 ``integrate`` → ``next_decisions`` — streaming one ``record`` frame per
 completed run and finishing with ``lease_done``.
 
-Three deliberate deviations from the serial loop:
+Two deliberate deviations from the serial loop:
 
-* **No outcome dedup.**  Dedup prunes based on *globally* witnessed
-  outcomes, which a shard cannot know.  Workers explore the full subtree
-  (a superset of what any dedup walk would execute there) and the
-  coordinator's assembly applies the real config — a dedup walk's
-  schedules are always a subset of the full walk's, so every needed
-  record exists.
 * **Pinned prefix.**  Alternatives discovered at prefix nodes belong to
   other shards; they are reported upstream as ``discovered`` candidate
   leases (the coordinator dedups them against everything already
@@ -71,12 +65,16 @@ from typing import Optional
 
 from repro.dampi import prune as prune_mod
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, trace_from_jsonable
+from repro.dampi.journal import (
+    CampaignJournal,
+    result_from_entry,
+    run_entry,
+    trace_from_jsonable,
+)
 from repro.dampi.verifier import DampiVerifier
 from repro.dist.protocol import (
     decisions_key_str,
     pack_events,
-    run_entry,
     send_frame,
     start_reader,
 )
@@ -90,7 +88,7 @@ def shard_config(config):
     Semantic knobs (clock, piggyback, bound, policy, ...) pass through
     untouched — they define what a run *is*.  Execution knobs are
     normalized: one inline job per worker (the worker process *is* the
-    parallelism), no outcome dedup (see module doc), no budgets (budgets
+    parallelism), no budgets (budgets
     are global properties the coordinator's assembly enforces), no
     per-worker progress lines or event tracing (the coordinator owns
     observability).  The fault plan travels along so ``worker:*`` sites
@@ -100,7 +98,6 @@ def shard_config(config):
         config,
         jobs=1,
         force_jobs=False,
-        outcome_dedup=False,
         trace_events=False,
         progress_interval_seconds=None,
         max_interleavings=None,
@@ -140,13 +137,11 @@ class _ShardWorker:
         #: selector (1-based, memo hits included: "before consuming")
         self._seq = 0
         self._runs = 0
-        #: adaptive-clock escalations run by this worker (fresh replays
-        #: only — memoized entries were escalated when first executed)
-        self._esc_stats = {
-            "escalations": 0,
-            "escalation_replays": 0,
-            "extra_alternatives": 0,
-        }
+        #: adaptive-clock escalations run by this worker, one precision
+        #: replay each (fresh replays only — memoized entries were
+        #: escalated when first executed)
+        self._escalations = 0
+        self._extra_alternatives = 0
         #: subtree prunes across this worker's leases (worker-local walk
         #: shortcuts; the assembly recomputes the deterministic totals)
         self._prunes = 0
@@ -251,9 +246,9 @@ class _ShardWorker:
         for name, n in (
             ("worker_prunes", self._prunes),
             ("worker_replays_saved", self._replays_saved),
-            ("worker_escalations", self._esc_stats["escalations"]),
-            ("worker_escalation_replays", self._esc_stats["escalation_replays"]),
-            ("worker_extra_alternatives", self._esc_stats["extra_alternatives"]),
+            ("worker_escalations", self._escalations),
+            ("worker_escalation_replays", self._escalations),
+            ("worker_extra_alternatives", self._extra_alternatives),
         ):
             if n:
                 self.metrics.inc(f"dist.{name}", n)
@@ -351,37 +346,31 @@ class _ShardWorker:
                     self.tracer.instant(
                         "memo_hit", "dist", run=self._runs, lease=lease_id_
                     )
+                    result = result_from_entry(entry)
                     trace = trace_from_jsonable(entry["trace"])
                 else:
                     result, trace = self.verifier.run_once(decisions)
                     # escalate BEFORE the trace is journaled or streamed:
                     # the memo, the coordinator, and the assembly all
                     # inherit the augmented alternatives for free
-                    esc = self.verifier._escalate(
-                        decisions, trace, self._esc_stats
-                    )
-                    entry = run_entry(
-                        decisions,
-                        result,
-                        trace,
-                        osig=(
-                            prune_mod.outcome_digest(result, trace)
-                            if self.config.prune
-                            else None
-                        ),
-                        esc=esc,
-                    )
+                    esc = self.verifier._escalate(decisions, trace)
+                    if esc is not None:
+                        self._escalations += 1
+                        self._extra_alternatives += esc
+                    entry = run_entry(decisions, result, trace, esc=esc)
                     if journal is not None:
                         journal.append({"t": "srun", "k": kstr, "entry": entry})
                     self.metrics.inc("exec.replays")
                 self._runs += 1
                 self._send({"t": "record", "lease": lease_id_, "entry": entry})
-                signature = (
-                    prune_mod.RunSignature(trace, entry["osig"])
-                    if self.config.prune and entry.get("osig") is not None
-                    else None
+                gen.integrate(
+                    trace,
+                    signature=(
+                        prune_mod.signature_of(result, trace)
+                        if self.config.prune
+                        else None
+                    ),
                 )
-                gen.integrate(trace, signature=signature)
                 discoveries = gen.take_pinned_discoveries()
                 if discoveries:
                     self._send(

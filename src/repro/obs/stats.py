@@ -276,7 +276,7 @@ def journal_progress(path) -> dict:
             t = e.get("t")
             if t == "run":
                 runs += 1
-                errors += len(e.get("errors") or ())
+                errors += e.get("found", 0)
             elif t == "failure":
                 failures += 1
             elif t == "checkpoint":

@@ -150,6 +150,27 @@ class TestReplayCommand:
         assert "WildcardBugError" in out
 
 
+class TestJobsFlag:
+    """``--jobs`` exists only where a replay pool does."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["dist", "run"],
+            ["replay", "--decisions", "w.json"],
+        ],
+        ids=["dist run", "replay"],
+    )
+    def test_rejected_where_it_would_be_ignored(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                command
+                + ["repro.workloads.patterns:fig3_program", "-n", "3", "--jobs", "4"]
+            )
+        assert exc.value.code == 2  # argparse usage error
+        assert "--jobs" in capsys.readouterr().err
+
+
 class TestEscalateCommand:
     def test_escalate_finds_error_early(self, capsys):
         rc = main(

@@ -18,7 +18,12 @@ import pytest
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, JournalError
+from repro.dampi.journal import (
+    CampaignJournal,
+    JournalError,
+    result_from_entry,
+    run_entry,
+)
 from repro.dampi.parallel import schedule_key
 from repro.dampi.verifier import DampiVerifier
 from repro.dist import (
@@ -30,12 +35,7 @@ from repro.dist import (
     lease_root_decisions,
 )
 from repro.dist.leases import LeaseTable
-from repro.dist.protocol import (
-    decisions_key_str,
-    entry_schedule_key,
-    result_from_entry,
-    run_entry,
-)
+from repro.dist.protocol import decisions_key_str, entry_schedule_key
 from repro.dist.worker import _ShardWorker, shard_config
 from repro.obs.metrics import deterministic_view
 from repro.workloads.bugzoo import ZOO, buffer_too_small, head_to_head_recv
@@ -452,16 +452,6 @@ class TestDistributedBitIdentity:
         assert serial.truncated and dist.truncated
         assert _canon(dist) == _canon(serial)
 
-    def test_outcome_dedup_applied_in_assembly(self):
-        cfg = DampiConfig(outcome_dedup=True)
-        serial = DampiVerifier(
-            wildcard_lattice, 4, cfg, kwargs=BIG
-        ).verify()
-        dist = distributed_verify(
-            wildcard_lattice, 4, cfg, workers=2, kwargs=BIG
-        )
-        assert _canon(dist) == _canon(serial)
-
     def test_matmult_identical(self):
         cfg = DampiConfig()
         serial = DampiVerifier(matmult_program, 3, cfg).verify()
@@ -549,11 +539,11 @@ class TestDistributedJournal:
 class TestShardConfig:
     def test_execution_knobs_normalized_semantics_kept(self):
         cfg = DampiConfig(
-            jobs=4, outcome_dedup=True, max_interleavings=9, bound_k=2,
+            jobs=4, max_interleavings=9, bound_k=2,
             trace_events=True, progress_interval_seconds=1.0,
         )
         sc = shard_config(cfg)
-        assert sc.jobs == 1 and not sc.outcome_dedup
+        assert sc.jobs == 1
         assert sc.max_interleavings is None and sc.max_seconds is None
         assert not sc.trace_events and sc.progress_interval_seconds is None
         assert sc.bound_k == 2  # semantic knobs untouched

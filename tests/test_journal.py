@@ -21,11 +21,14 @@ from repro.dampi import (
     escalating_verify,
     run_campaign,
 )
+from repro.dampi import FaultInjected, VerificationReport
 from repro.dampi import journal as jr
+from repro.dampi import prune as prune_mod
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.parallel import schedule_key
+from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import wildcard_lattice
 from tests.test_explorer import trace_with
 from tests.test_parallel import _report_fingerprint
@@ -228,6 +231,110 @@ class TestCrashResume:
         assert "journal_stats" not in json.loads(report.to_json())
 
 
+class TestRunRecord:
+    """One run, one serialised shape: what the journal stores is enough to
+    rebuild everything the consume step reads."""
+
+    @pytest.mark.parametrize("entry", ZOO, ids=lambda e: e.name)
+    def test_recorded_run_consumes_like_the_live_one(self, entry):
+        """The zoo's self runs cover deadlocks, crashes and both leak
+        kinds; its racy programs add a guided replay (non-empty key)."""
+        v = DampiVerifier(entry.program, entry.nprocs, DampiConfig())
+        try:
+            runs = [(None, *v.run_once())]
+            gen = ScheduleGenerator()
+            gen.seed(runs[0][2])
+            decisions = gen.next_decisions()
+            if decisions is not None:
+                runs.append((decisions, *v.run_once(decisions)))
+        finally:
+            v.close()
+        for decisions, result, trace in runs:
+            record = json.loads(json.dumps(jr.run_entry(decisions, result, trace)))
+            rebuilt = jr.result_from_entry(record)
+            rtrace = jr.trace_from_jsonable(record["trace"])
+            live_report, rebuilt_report = (
+                VerificationReport(nprocs=entry.nprocs, config=v.config)
+                for _ in range(2)
+            )
+            v._record_run(live_report, 1, decisions, result, trace, set())
+            v._record_run(rebuilt_report, 1, decisions, rebuilt, rtrace, set())
+            assert rebuilt_report.errors == live_report.errors
+            assert rebuilt_report.runs == live_report.runs
+            assert rebuilt_report.total_vtime == live_report.total_vtime
+            # the pruning decision is taken from the same material
+            assert prune_mod.outcome_digest(rebuilt, rtrace) == (
+                prune_mod.outcome_digest(result, trace)
+            )
+
+    def test_resume_at_every_k_with_traces_and_artifacts(self, tmp_path):
+        """Interrupt before every replay of a 6-run campaign whose errors
+        surface at runs 0 and 2; every resume must hand back the
+        uninterrupted report, kept traces and artifact tree included."""
+        entry = next(e for e in ZOO if e.name == "order-dependent consumption")
+
+        def verify(tag, journal=None, fault_plan=None):
+            cfg = DampiConfig(
+                keep_traces=True,
+                artifacts_dir=str(tmp_path / f"artifacts-{tag}"),
+                fault_plan=fault_plan,
+            )
+            return DampiVerifier(entry.program, entry.nprocs, cfg).verify(
+                journal=journal
+            )
+
+        def tree(tag):
+            # decisions files compare by schedule: their advisory
+            # ``expect_siblings`` hint is not part of a schedule's identity
+            # and is not journaled
+            root = tmp_path / f"artifacts-{tag}"
+            return {
+                str(p.relative_to(root)): (
+                    schedule_key(EpochDecisions.load(p))
+                    if p.name == "decisions.json"
+                    else p.read_bytes()
+                )
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        oracle = verify("oracle")
+        assert oracle.interleavings == 6
+        for k in range(1, oracle.interleavings):
+            jdir = tmp_path / f"journal-{k}"
+            with pytest.raises(FaultInjected):
+                verify(k, journal=jdir, fault_plan=f"raise@run:{k}")
+            resumed = verify(k, journal=jdir)
+            assert resumed.journal_stats["replayed"] == k
+            assert resumed.journal_stats["executed"] == oracle.interleavings - k
+            assert _canon(resumed) == _canon(oracle)
+            assert _report_fingerprint(resumed) == _report_fingerprint(oracle)
+            assert [jr.trace_to_jsonable(t) for t in resumed.traces] == [
+                jr.trace_to_jsonable(t) for t in oracle.traces
+            ]
+            assert tree(k) == tree("oracle")
+
+    def test_v1_journal_is_refused_by_version(self, tmp_path):
+        """A journal of the previous format (post-dedup ``record`` view,
+        no raw facts) must fail on its version, not on a missing field."""
+        journal_dir = tmp_path / "v1"
+        journal_dir.mkdir()
+        v1 = [
+            {"t": "meta", "version": 1, "nprocs": 3, "signature": {}},
+            {"t": "run", "index": 0, "key": None, "trace": {},
+             "record": {"makespan": 0.0}, "errors": [], "seen": []},
+        ]
+        (journal_dir / "segment-00000.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in v1)
+        )
+        with pytest.raises(JournalError, match="format version 1"):
+            DampiVerifier(
+                wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+            ).verify(journal=journal_dir)
+        with pytest.raises(JournalError, match="format version 1"):
+            main(["resume", str(journal_dir)])
+
+
 class TestFailureEntryResume:
     def test_worker_crash_failure_entries_resume_bit_identically(self, tmp_path):
         """A replay lost to a dying pool worker lands in the journal as a
@@ -314,10 +421,6 @@ class TestSerialization:
         d = EpochDecisions(forced={}, flip=None)
         d2 = jr.decisions_from_jsonable(jr.decisions_to_jsonable(d))
         assert d2.flip is None and d2.forced == {}
-
-    def test_outcome_roundtrip(self):
-        outcome = frozenset({((0, 1), 2), ((1, 0), 0)})
-        assert jr.outcome_from_jsonable(jr.outcome_to_jsonable(outcome)) == outcome
 
     def test_generator_snapshot_roundtrip(self):
         gen = ScheduleGenerator(bound_k=1)

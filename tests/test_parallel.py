@@ -154,29 +154,6 @@ class TestFrontierBatch:
         assert speculated <= requested
 
 
-class TestOutcomeDedup:
-    def test_integrate_without_seeding_keeps_prefix_only(self):
-        g = ScheduleGenerator()
-        g.seed(trace_with([(0, 0, 1)], [(0, 0, 2)]))
-        g.next_decisions()
-        g.integrate(
-            trace_with([(0, 0, 2), (1, 1, 0)], [(0, 0, 3), (1, 1, 2)]),
-            seed_fresh=False,
-        )
-        # no fresh node for (1,1); the prefix alternative 3 is still merged
-        assert [n.key for n in g.path] == [(0, 0)]
-        assert 3 in g.path[0].alternatives
-
-    def test_dedup_never_loses_distinct_outcomes_on_lattice(self):
-        kwargs = {"receives": 2, "senders": 3}
-        base = DampiVerifier(wildcard_lattice, 4, DampiConfig(), kwargs=kwargs).verify()
-        dedup = DampiVerifier(
-            wildcard_lattice, 4, DampiConfig(outcome_dedup=True), kwargs=kwargs
-        ).verify()
-        assert dedup.outcomes == base.outcomes
-        assert dedup.interleavings <= base.interleavings
-
-
 def _lattice_body(p):
     if p.rank == 0:
         got = []

@@ -52,7 +52,7 @@ def _findings(report):
 class TestPruningZooProperty:
     @pytest.mark.parametrize("entry", ZOO, ids=lambda e: e.name)
     def test_findings_identical_and_fully_accounted(self, entry):
-        base = _verify(entry.program, entry.nprocs)
+        base = _verify(entry.program, entry.nprocs, prune=False)
         pruned = _verify(entry.program, entry.nprocs, prune=True)
         assert _findings(pruned) == _findings(base)
         ps = pruned.prune_stats
@@ -68,8 +68,9 @@ class TestPruningZooProperty:
         assert ps["replays_saved"] == 2  # 6-run walk collapses to 4
         assert pruned.interleavings == 4
 
-    def test_off_by_default_and_no_stats_block(self):
-        report = _verify(COMMUTATIVE.program, COMMUTATIVE.nprocs)
+    def test_on_by_default_and_off_means_no_stats_block(self):
+        assert DampiConfig().prune  # library default == CLI default
+        report = _verify(COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=False)
         assert report.prune_stats is None
         assert report.interleavings == 6
 
@@ -169,12 +170,7 @@ class TestAdaptiveEscalation:
         try:
             _result, trace = v.run_once()
             assert trace.scalar_risk  # the flagging pass fired
-            stats = {
-                "escalations": 0,
-                "escalation_replays": 0,
-                "extra_alternatives": 0,
-            }
-            added = v._escalate(None, trace, stats)
+            added = v._escalate(None, trace)
             assert added and added > 0
             injected = [
                 m
