@@ -1,13 +1,8 @@
-"""Ablation — engine scheduling modes (DESIGN.md §5.1) + raw throughput.
-
-``run_to_block`` buys replay determinism at one token handoff per
-blocking event; ``rr`` switches on every call; ``free`` runs real
-threads.  This bench measures the simulator's wall-clock throughput in
-each mode (a property of the substrate, not of the paper) via
-pytest-benchmark's real timing, and checks all modes agree semantically.
+"""Raw engine throughput (DESIGN.md §5.1): the run-to-block scheduler buys
+replay determinism at one token handoff per blocking event.  This bench
+measures the simulator's wall-clock throughput (a property of the
+substrate, not of the paper) via pytest-benchmark's real timing.
 """
-
-import pytest
 
 from repro.mpi.constants import SUM
 from repro.mpi.runtime import run_program
@@ -25,15 +20,13 @@ def ring_job(p):
     return p.world.allreduce(acc, op=SUM)
 
 
-@pytest.mark.parametrize("mode", ["run_to_block", "rr", "free"])
-def test_scheduler_mode_throughput(benchmark, mode):
+def test_scheduler_ring_throughput(benchmark):
     def run():
-        res = run_program(ring_job, NPROCS, mode=mode)
+        res = run_program(ring_job, NPROCS)
         res.raise_any()
         return res
 
     res = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-    # all modes compute the same answer (the ring sum is schedule-invariant)
     expected = sum((r - 1) % NPROCS for r in range(NPROCS)) * ROUNDS
     assert set(res.returns.values()) == {expected}
 

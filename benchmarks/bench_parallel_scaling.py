@@ -10,22 +10,12 @@ Two legs:
   (nprocs,) cells dispatched onto the campaign pool — coarse-grained
   cell-level scaling for a deterministic program with no replays.
 
-Methodology: a replay's cost is pure compute, so its *measured* speedup
-is capped by the physical core count of the machine running the bench
-(CI containers often expose one core).  The bench therefore reports two
-curves per leg:
-
-* ``modeled``: a discrete-event replay of the executor's own wave
-  discipline (:func:`repro.dampi.parallel.simulate_wave_schedule`) over
-  the per-replay durations and frontier windows logged by an
-  instrumented serial run — the machine-independent scaling signal, in
-  the same spirit as the repo's virtual-time benchmarking;
-* ``measured``: real wall-clock of an actual pool run at each jobs
-  count, honest about whatever hardware is underneath.
-
-The modeled jobs=1 wall equals the serial replay wall by construction;
-speedup(J) = modeled(1) / modeled(J).  On a machine with >= J cores the
-measured curve tracks the modeled one.
+Methodology: a replay's cost is pure compute, so its speedup is capped by
+the physical core count of the machine running the bench (CI containers
+often expose one core, where ``jobs > 1`` auto-demotes to in-process
+execution — ``pool_stats`` records it).  Only real wall-clock of actual
+runs is reported: a path that has never run on > 1 CPU is unmeasured,
+not fast.
 
 Every pool run is also checked bit-identical to the serial report — the
 scaling never buys a different answer.
@@ -50,11 +40,6 @@ import pytest
 
 from repro.dampi.campaign import run_campaign
 from repro.dampi.config import DampiConfig
-from repro.dampi.parallel import (
-    ReplayExecutor,
-    ReplaySpec,
-    simulate_wave_schedule,
-)
 from repro.dampi.verifier import DampiVerifier
 from repro.workloads.matmult import matmult_program
 from repro.workloads.parmetis import parmetis_program
@@ -81,31 +66,12 @@ def _fingerprint(report):
     )
 
 
-def _instrumented_serial():
-    """Serial verification that logs per-replay durations and the frontier
-    window at every step — the input to the work/span model."""
-    verifier = DampiVerifier(matmult_program, MM_NPROCS, MM_CFG, kwargs=MM_KW)
-    spec = ReplaySpec(
-        DampiVerifier, matmult_program, MM_NPROCS, MM_CFG, kwargs=MM_KW
-    )
-    executor = ReplayExecutor(
-        spec, jobs=1, inline_runner=verifier.run_once, trace_waves=2 * max(JOBS_GRID)
-    )
-    t0 = time.perf_counter()
-    report = verifier.verify(executor=executor)
-    wall = time.perf_counter() - t0
-    return report, executor, wall
-
-
 def run_matmult_leg():
-    report1, ex, serial_wall = _instrumented_serial()
-    replay_wall = sum(ex.consumed_seconds)  # modeled(1): replays only
-    modeled = {
-        j: simulate_wave_schedule(
-            ex.consumed_keys, ex.consumed_seconds, ex.wave_log, jobs=j
-        )
-        for j in JOBS_GRID
-    }
+    t0 = time.perf_counter()
+    report1 = DampiVerifier(
+        matmult_program, MM_NPROCS, MM_CFG, kwargs=MM_KW
+    ).verify()
+    serial_wall = time.perf_counter() - t0
     measured, stats = {1: serial_wall}, {}
     for j in JOBS_GRID[1:]:
         cfg = replace(MM_CFG, jobs=j)
@@ -119,10 +85,7 @@ def run_matmult_leg():
     return {
         "interleavings": report1.interleavings,
         "serial_wall_seconds": serial_wall,
-        "serial_replay_seconds": replay_wall,
-        "modeled_wall_seconds": modeled,
         "measured_wall_seconds": measured,
-        "modeled_speedup": {j: modeled[1] / modeled[j] for j in JOBS_GRID},
         "measured_speedup": {j: measured[1] / measured[j] for j in JOBS_GRID},
         "pool_stats": stats,
     }
@@ -137,16 +100,6 @@ def run_parmetis_leg():
         DampiVerifier(parmetis_program, np_, cfg, kwargs=PM_KW).verify()
         durations.append(time.perf_counter() - t1)
     serial_wall = time.perf_counter() - t0
-
-    def makespan(jobs):
-        # the campaign pool's discipline: cells to the earliest-free worker
-        # in submission order
-        workers = [0.0] * jobs
-        for d in durations:
-            workers[workers.index(min(workers))] += d
-        return max(workers)
-
-    modeled = {j: makespan(j) for j in JOBS_GRID}
     configs = {"k0": PM_CFG}
     t0 = time.perf_counter()
     pooled = run_campaign(
@@ -164,8 +117,6 @@ def run_parmetis_leg():
             {"nprocs": np_, "seconds": d} for np_, d in zip(PM_NPROCS, durations)
         ],
         "serial_wall_seconds": serial_wall,
-        "modeled_wall_seconds": modeled,
-        "modeled_speedup": {j: modeled[1] / modeled[j] for j in JOBS_GRID},
         "measured_jobs2_wall_seconds": measured2,
     }
 
@@ -177,51 +128,35 @@ def run_scaling():
 def _report(data) -> list[str]:
     mm, pm = data["matmult"], data["parmetis"]
     lines = [
-        "Parallel replay scaling (modeled = executor wave discipline on J "
-        "dedicated workers; measured = this machine, "
+        f"Parallel replay scaling (measured on this machine, "
         f"{os.cpu_count()} core(s))",
         "",
         f"matmult {MM_NPROCS} procs, k=0, "
         f"{mm['interleavings']} interleavings:",
-        f"{'jobs':>6} | {'modeled (s)':>12} | {'speedup':>8} | {'measured (s)':>13}",
+        f"{'jobs':>6} | {'measured (s)':>13} | {'speedup':>8}",
     ]
     for j in JOBS_GRID:
         lines.append(
-            f"{j:>6} | {mm['modeled_wall_seconds'][j]:12.3f} | "
-            f"{mm['modeled_speedup'][j]:7.2f}x | "
-            f"{mm['measured_wall_seconds'][j]:13.3f}"
+            f"{j:>6} | {mm['measured_wall_seconds'][j]:13.3f} | "
+            f"{mm['measured_speedup'][j]:7.2f}x"
         )
     lines += [
         "",
-        f"ParMETIS campaign cells (nprocs = {', '.join(map(str, PM_NPROCS))}):",
-        f"{'jobs':>6} | {'modeled (s)':>12} | {'speedup':>8}",
+        f"ParMETIS campaign cells (nprocs = {', '.join(map(str, PM_NPROCS))}): "
+        f"serial {pm['serial_wall_seconds']:.3f} s, "
+        f"jobs=2 {pm['measured_jobs2_wall_seconds']:.3f} s",
+        "every pool run verified bit-identical to its serial counterpart",
     ]
-    for j in JOBS_GRID:
-        lines.append(
-            f"{j:>6} | {pm['modeled_wall_seconds'][j]:12.3f} | "
-            f"{pm['modeled_speedup'][j]:7.2f}x"
-        )
-    lines.append(
-        "every pool run verified bit-identical to its serial counterpart"
-    )
     return lines
 
 
 def _check(data):
     mm = data["matmult"]
     assert mm["interleavings"] >= 100, "workload too small to say anything"
-    assert mm["modeled_speedup"][4] >= 2.0, (
-        f"expected >=2x modeled speedup at jobs=4, got "
-        f"{mm['modeled_speedup'][4]:.2f}x"
-    )
-    assert mm["modeled_speedup"][8] >= mm["modeled_speedup"][4] >= mm[
-        "modeled_speedup"
-    ][2], "speedup must be monotone in workers"
     if (os.cpu_count() or 1) >= 4:
         assert mm["measured_speedup"][4] >= 1.5, (
             "4 real cores should show real speedup"
         )
-    assert data["parmetis"]["modeled_speedup"][2] >= 1.3
 
 
 @pytest.mark.slow

@@ -22,12 +22,8 @@ Legs
     spawned ``nprocs`` OS threads and rebuilt every module per replay and
     matched by linear scan), checked out into a temporary git worktree and
     driven by the *same* driver script in a subprocess.  Where git or the
-    baseline commit is unavailable (e.g. a shallow clone), the leg falls
-    back to a config ablation of the current tree
-    (``persistent_session=False, indexed_matching=False``) and records
-    ``baseline_mode="ablation"`` — that ablation cannot see pure hot-path
-    micro-optimisations shared by both configurations, so its ratio is a
-    lower bound.
+    baseline commit is unavailable (e.g. a shallow clone), the leg and its
+    gate are skipped and ``baseline_mode="unavailable"`` is recorded.
 
 Methodology: legs are interleaved (before/after/no-checkpoint cycling) so
 drifting host load hits every distribution, and each leg's p50 is the best
@@ -86,9 +82,8 @@ PROGRAMS = [
 
 #: Driver run in a subprocess against either tree.  Wraps ``run_once`` so
 #: every execution the verification performs — self run and guided replays
-#: — contributes one wall sample.  ``REPLAY_LATENCY_ABLATE=1`` selects the
-#: ablation baseline, ``REPLAY_LATENCY_NO_CKPT=1`` disables prefix
-#: checkpoints, on trees whose config supports those knobs.
+#: — contributes one wall sample.  ``REPLAY_LATENCY_NO_CKPT=1`` disables
+#: prefix checkpoints, on trees whose config supports that knob.
 _DRIVER = r"""
 import dataclasses, json, os, statistics, sys, time, importlib
 mod, fn = sys.argv[1].rsplit(":", 1)
@@ -99,10 +94,6 @@ from repro.mpi.runtime import Runtime
 program = getattr(importlib.import_module(mod), fn)
 fields = {f.name for f in dataclasses.fields(DampiConfig)}
 cfg_kwargs = {"bound_k": 0}
-if os.environ.get("REPLAY_LATENCY_ABLATE") == "1":
-    for name in ("persistent_session", "indexed_matching"):
-        if name in fields:
-            cfg_kwargs[name] = False
 if os.environ.get("REPLAY_LATENCY_NO_CKPT") == "1" and "prefix_checkpoints" in fields:
     cfg_kwargs["prefix_checkpoints"] = False
 # rank-main span timing: phase fallback for trees without result.phases
@@ -162,11 +153,8 @@ print("REPLAY_LATENCY_JSON:" + json.dumps(out))
 
 
 def _run_driver(src_root: Path, label: str, program: str, nprocs: int,
-                kwargs: dict, ablate: bool = False,
-                no_checkpoints: bool = False) -> dict:
+                kwargs: dict, no_checkpoints: bool = False) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src_root))
-    if ablate:
-        env["REPLAY_LATENCY_ABLATE"] = "1"
     if no_checkpoints:
         env["REPLAY_LATENCY_NO_CKPT"] = "1"
     proc = subprocess.run(
@@ -184,8 +172,7 @@ def _run_driver(src_root: Path, label: str, program: str, nprocs: int,
 
 
 class _Baseline:
-    """Checkout of :data:`BASELINE_REF` in a temporary git worktree, with
-    the config-ablation fallback when git can't produce one."""
+    """Checkout of :data:`BASELINE_REF` in a temporary git worktree."""
 
     def __init__(self):
         self.mode = "worktree"
@@ -202,13 +189,8 @@ class _Baseline:
             )
             self.path = wt
         except (subprocess.SubprocessError, FileNotFoundError):
-            self.mode = "ablation"
+            self.mode = "unavailable"
         return self
-
-    def src_root(self) -> Path:
-        if self.path is not None:
-            return self.path / "src"
-        return REPO_ROOT / "src"
 
     def __exit__(self, *exc) -> None:
         if self.path is not None:
@@ -226,10 +208,11 @@ def run_latency() -> dict:
         for label, program, nprocs, kwargs in PROGRAMS:
             before, after, no_ckpt = [], [], []
             for _ in range(REPS):  # interleave legs against host-load drift
-                before.append(_run_driver(
-                    base.src_root(), f"{label}/before", program, nprocs,
-                    kwargs, ablate=base.mode == "ablation",
-                ))
+                if base.path is not None:
+                    before.append(_run_driver(
+                        base.path / "src", f"{label}/before", program,
+                        nprocs, kwargs,
+                    ))
                 after.append(_run_driver(
                     REPO_ROOT / "src", f"{label}/after", program, nprocs, kwargs,
                 ))
@@ -237,7 +220,7 @@ def run_latency() -> dict:
                     REPO_ROOT / "src", f"{label}/no_checkpoint", program,
                     nprocs, kwargs, no_checkpoints=True,
                 ))
-            best_before = min(before, key=lambda r: r["p50_ms"])
+            best_before = min(before, key=lambda r: r["p50_ms"], default=None)
             best_after = min(after, key=lambda r: r["p50_ms"])
             best_no_ckpt = min(no_ckpt, key=lambda r: r["p50_ms"])
             data["programs"][label] = {
@@ -247,7 +230,10 @@ def run_latency() -> dict:
                 "before": best_before,
                 "after": best_after,
                 "after_no_checkpoint": best_no_ckpt,
-                "p50_speedup": best_before["p50_ms"] / best_after["p50_ms"],
+                "p50_speedup": (
+                    best_before["p50_ms"] / best_after["p50_ms"]
+                    if best_before else None
+                ),
                 "checkpoint_speedup": (
                     best_no_ckpt["p50_ms"] / best_after["p50_ms"]
                 ),
@@ -266,11 +252,17 @@ def _report(data: dict) -> list[str]:
         f"{'ckpt x':>7}",
     ]
     for label, row in data["programs"].items():
+        before = (
+            f"{row['before']['p50_ms']:9.2f}ms" if row["before"] else f"{'n/a':>11}"
+        )
+        speedup = (
+            f"{row['p50_speedup']:7.2f}x" if row["before"] else f"{'n/a':>8}"
+        )
         lines.append(
             f"{label:>18} | {row['runs_per_rep']:>5} | "
-            f"{row['before']['p50_ms']:9.2f}ms | {row['after']['p50_ms']:8.2f}ms | "
+            f"{before} | {row['after']['p50_ms']:8.2f}ms | "
             f"{row['after_no_checkpoint']['p50_ms']:9.2f}ms | "
-            f"{row['p50_speedup']:7.2f}x | {row['checkpoint_speedup']:6.2f}x"
+            f"{speedup} | {row['checkpoint_speedup']:6.2f}x"
         )
     mm = data["programs"].get("matmult")
     if mm is not None:
@@ -285,7 +277,7 @@ def _report(data: dict) -> list[str]:
             + (f" restore={restore:.3f}ms" if restore is not None else ""),
         ]
         bph = mm["before"]
-        if bph.get("phase_execute_p50_ms") is not None:
+        if bph and bph.get("phase_execute_p50_ms") is not None:
             lines.append(
                 "matmult before-leg phase p50s (derived): "
                 f"spawn_reset={bph['phase_spawn_reset_p50_ms']:.3f}ms "
@@ -317,21 +309,24 @@ def _report(data: dict) -> list[str]:
 
 
 def _check(data: dict) -> None:
+    have_baseline = data["baseline_mode"] == "worktree"
     for label, row in data["programs"].items():
         assert row["runs_per_rep"] >= 4, f"{label}: too few replays to measure"
-        # the before leg must now carry a derived phase breakdown too
-        assert row["before"].get("phase_execute_p50_ms") is not None, (
-            f"{label}: before-leg phase breakdown missing"
-        )
+        if have_baseline:
+            # the before leg must carry a derived phase breakdown too
+            assert row["before"].get("phase_execute_p50_ms") is not None, (
+                f"{label}: before-leg phase breakdown missing"
+            )
     mm = data["programs"]["matmult"]
-    assert mm["p50_speedup"] > 1.0, (
-        f"per-replay p50 regressed: {mm['p50_speedup']:.2f}x"
-    )
-    if data["baseline_mode"] == "worktree" and not SMOKE:
-        assert mm["p50_speedup"] >= 2.0, (
-            f"expected >=2x per-replay p50 on matmult, got "
-            f"{mm['p50_speedup']:.2f}x"
+    if have_baseline:
+        assert mm["p50_speedup"] > 1.0, (
+            f"per-replay p50 regressed: {mm['p50_speedup']:.2f}x"
         )
+        if not SMOKE:
+            assert mm["p50_speedup"] >= 2.0, (
+                f"expected >=2x per-replay p50 on matmult, got "
+                f"{mm['p50_speedup']:.2f}x"
+            )
     if SMOKE:
         # smoke legs run once each under CI jitter: only guard against a
         # checkpoint path that *costs* latency vs. full re-execution

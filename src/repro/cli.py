@@ -30,8 +30,15 @@ from typing import Callable
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
+from repro.dampi.journal import JournalError
 from repro.dampi.verifier import DampiVerifier
 from repro.isp.verifier import IspVerifier
+
+
+class UsageError(Exception):
+    """A command line this program cannot act on: ``main`` prints the
+    message and exits 2 (argparse's usage code), never 1 — that one means
+    the program under test has defects."""
 
 
 def resolve_program(spec: str) -> Callable:
@@ -442,6 +449,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(**fields) -> DampiConfig:
+    try:
+        return DampiConfig(**fields)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
+def _program_args(args) -> tuple[Callable, dict]:
+    """The program and its keyword arguments, as ``common()`` named them."""
+    if args.nprocs < 1:
+        raise UsageError(f"--nprocs must be >= 1, not {args.nprocs}")
+    try:
+        kwargs = json.loads(args.kwargs)
+    except ValueError as e:
+        raise UsageError(f"--kwargs is not valid JSON: {e}") from e
+    if not isinstance(kwargs, dict):
+        raise UsageError(f"--kwargs must be a JSON object, not {args.kwargs!r}")
+    return resolve_program(args.program), kwargs
+
+
 def _jobs_arg(args):
     """``--jobs 0`` means "all cores" (DampiConfig spells that None)."""
     return None if args.jobs == 0 else args.jobs
@@ -459,8 +486,7 @@ def _check_adaptive_clock(args) -> None:
 
 
 def cmd_verify(args) -> int:
-    program = resolve_program(args.program)
-    kwargs = json.loads(args.kwargs)
+    program, kwargs = _program_args(args)
     if args.no_trace and (args.trace_out or args.events_out or args.revt_out):
         raise SystemExit(
             "--no-trace conflicts with --trace-out/--events-out/--revt-out "
@@ -472,7 +498,7 @@ def cmd_verify(args) -> int:
             "(payload sampling configures the tracer --no-trace disables)"
         )
     _check_adaptive_clock(args)
-    config = DampiConfig(
+    config = _config(
         clock_impl=args.clock,
         piggyback=args.piggyback,
         bound_k=args.bound_k,
@@ -486,7 +512,7 @@ def cmd_verify(args) -> int:
         # tracing is the default: the ring-buffered tracer holds campaign
         # overhead under the 5% budget (benchmarks/bench_obs_overhead.py)
         trace_events=not args.no_trace,
-        trace_sample_every=max(1, args.trace_sample),
+        trace_sample_every=args.trace_sample,
         progress_interval_seconds=args.progress,
         fault_plan=args.fault_plan,
         prefix_checkpoints=not args.no_prefix_checkpoints,
@@ -660,11 +686,11 @@ def cmd_stats(args) -> int:
 def cmd_escalate(args) -> int:
     from repro.dampi.campaign import escalating_verify
 
-    program = resolve_program(args.program)
+    program, kwargs = _program_args(args)
     result = escalating_verify(
         program,
         args.nprocs,
-        base_config=DampiConfig(
+        base_config=_config(
             clock_impl=args.clock,
             policy=args.policy,
             jobs=_jobs_arg(args),
@@ -672,17 +698,18 @@ def cmd_escalate(args) -> int:
         ),
         run_budget=args.run_budget,
         stop_on_error=not args.keep_going,
-        kwargs=json.loads(args.kwargs),
+        kwargs=kwargs,
         journal_dir=args.journal_dir,
     )
     print(result.summary())
     return 1 if result.errors else 0
 
 
-def cmd_resume(args) -> int:
-    """Self-contained crash recovery: everything needed to continue —
-    program spec, nprocs, config, kwargs — is read from the journal's
-    meta record, so the operator only names the directory."""
+def _load_resume(args, journal_mode: str, api: str):
+    """What ``resume`` and ``dist resume`` read back from a journal's meta
+    record: ``(journal, meta, program, config, kwargs)``, or a
+    refusal naming what the operator should do instead.  ``journal_mode``
+    is the kind this command owns; ``api`` the in-process way out."""
     from repro.dampi.journal import CampaignJournal
     from repro.mpi.costmodel import CostModel
 
@@ -694,14 +721,20 @@ def cmd_resume(args) -> int:
             f"(empty directory, or not a campaign journal)"
         )
     mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode == "shard":
-        raise SystemExit(
-            f"{args.journal_dir} is a worker shard journal of a distributed "
-            f"campaign — it covers one leased subtree, not the whole "
-            f"verification; resume the campaign's coordinator journal with "
-            f"'repro dist resume' instead"
-        )
-    if mode != "campaign":
+    if mode != journal_mode:
+        if journal_mode == "dist":
+            raise SystemExit(
+                f"{args.journal_dir} is a {mode!r} journal, not a distributed "
+                f"coordinator journal; use "
+                f"{'repro resume' if mode == 'campaign' else 'the coordinator journal'} instead"
+            )
+        if mode == "shard":
+            raise SystemExit(
+                f"{args.journal_dir} is a worker shard journal of a distributed "
+                f"campaign — it covers one leased subtree, not the whole "
+                f"verification; resume the campaign's coordinator journal with "
+                f"'repro dist resume' instead"
+            )
         raise SystemExit(
             f"{args.journal_dir} is a {mode!r} journal; use "
             f"'repro dist resume' on it"
@@ -716,17 +749,16 @@ def cmd_resume(args) -> int:
     if not isinstance(payload, dict):
         raise SystemExit(
             "this journal's config is not serializable (policy instance?); "
-            "resume in-process via DampiVerifier.verify(journal=...)"
+            f"resume in-process via {api}(journal=...)"
         )
     d = dict(payload)
     cm = d.pop("cost_model", None)
     # the recorded plan already fired — a resume must not re-inject it
     d["fault_plan"] = args.fault_plan
     try:
-        config = DampiConfig(
-            **d, **({"cost_model": CostModel(**cm)} if cm else {})
-        )
+        config = _config(**d, **({"cost_model": CostModel(**cm)} if cm else {}))
     except TypeError as e:
+        # also how a journal from a version with more knobs is refused
         raise SystemExit(
             f"journal config does not match this version's DampiConfig: {e}"
         ) from e
@@ -736,7 +768,16 @@ def cmd_resume(args) -> int:
             f"this journal's program kwargs are not serializable "
             f"({kwargs!r}); resume in-process instead"
         )
-    program = resolve_program(spec)
+    return journal, meta, resolve_program(spec), config, kwargs
+
+
+def cmd_resume(args) -> int:
+    """Self-contained crash recovery: everything needed to continue —
+    program spec, nprocs, config, kwargs — is read from the journal's
+    meta record, so the operator only names the directory."""
+    journal, meta, program, config, kwargs = _load_resume(
+        args, "campaign", "DampiVerifier.verify"
+    )
     verifier = DampiVerifier(program, meta["nprocs"], config, kwargs=kwargs)
     report = verifier.verify(journal=journal)
     print(report.summary())
@@ -779,9 +820,9 @@ def cmd_dist_run(args) -> int:
     from repro.dampi.journal import CampaignJournal
     from repro.dist import distributed_verify
 
-    program = resolve_program(args.program)
+    program, kwargs = _program_args(args)
     _check_adaptive_clock(args)
-    config = DampiConfig(
+    config = _config(
         clock_impl=args.clock,
         bound_k=args.bound_k,
         max_interleavings=args.max_interleavings,
@@ -806,7 +847,7 @@ def cmd_dist_run(args) -> int:
         config=config,
         workers=args.workers,
         journal=journal,
-        kwargs=json.loads(args.kwargs),
+        kwargs=kwargs,
     )
     return _print_dist_report(args, report)
 
@@ -814,57 +855,14 @@ def cmd_dist_run(args) -> int:
 def cmd_dist_resume(args) -> int:
     """Like 'repro resume' but for a coordinator journal: program spec,
     nprocs, config, and worker count all come from the meta record."""
-    from repro.dampi.journal import CampaignJournal
     from repro.dist import distributed_verify
-    from repro.mpi.costmodel import CostModel
 
-    journal = CampaignJournal(args.journal_dir)
-    meta = journal.meta
-    if meta is None:
-        raise SystemExit(
-            f"{args.journal_dir}: no journal meta record found "
-            f"(empty directory, or not a campaign journal)"
-        )
-    mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode != "dist":
-        raise SystemExit(
-            f"{args.journal_dir} is a {mode!r} journal, not a distributed "
-            f"coordinator journal; use "
-            f"{'repro resume' if mode == 'campaign' else 'the coordinator journal'} instead"
-        )
-    spec = args.program or meta.get("program")
-    if not spec:
-        raise SystemExit(
-            "this journal does not record a program spec (it was written "
-            "by the API, not the CLI); pass --program module:callable"
-        )
-    payload = meta.get("config")
-    if not isinstance(payload, dict):
-        raise SystemExit(
-            "this journal's config is not serializable (policy instance?); "
-            "resume in-process via repro.dist.distributed_verify(journal=...)"
-        )
-    d = dict(payload)
-    cm = d.pop("cost_model", None)
-    # the recorded plan already fired — a resume must not re-inject it
-    d["fault_plan"] = args.fault_plan
-    try:
-        config = DampiConfig(
-            **d, **({"cost_model": CostModel(**cm)} if cm else {})
-        )
-    except TypeError as e:
-        raise SystemExit(
-            f"journal config does not match this version's DampiConfig: {e}"
-        ) from e
-    kwargs = meta.get("kwargs")
-    if not isinstance(kwargs, dict):
-        raise SystemExit(
-            f"this journal's program kwargs are not serializable "
-            f"({kwargs!r}); resume in-process instead"
-        )
+    journal, meta, program, config, kwargs = _load_resume(
+        args, "dist", "repro.dist.distributed_verify"
+    )
     workers = args.workers or (meta.get("dist") or {}).get("workers") or 2
     report = distributed_verify(
-        resolve_program(spec),
+        program,
         meta["nprocs"],
         config=config,
         workers=workers,
@@ -893,10 +891,9 @@ def cmd_dist_status(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    program = resolve_program(args.program)
-    kwargs = json.loads(args.kwargs)
+    program, kwargs = _program_args(args)
     decisions = EpochDecisions.load(args.decisions)
-    config = DampiConfig(clock_impl=args.clock, policy=args.policy)
+    config = _config(clock_impl=args.clock, policy=args.policy)
     verifier = DampiVerifier(program, args.nprocs, config, kwargs=kwargs)
     result, trace = verifier.run_once(decisions)
     print(f"replayed {len(decisions)} forced decision(s); {result!r}")
@@ -931,6 +928,9 @@ def main(argv=None) -> int:
                 return cmd_dist_status(args)
         if args.command == "replay":
             return cmd_replay(args)
+    except (UsageError, JournalError) as e:
+        print(f"repro: error: {e}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # downstream pager/head closed the pipe mid-table; exit quietly
         # (dup devnull over stdout so the interpreter's flush-at-exit

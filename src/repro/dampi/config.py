@@ -7,6 +7,28 @@ from typing import Optional
 
 from repro.mpi.costmodel import CostModel
 
+#: config fields that change what the walk *means* — a journal recorded
+#: under one set cannot be resumed under another
+#: (``journal.config_signature`` hashes these plus ``cost_model``).
+#: Every other field is an execution knob (``jobs``, checkpoints,
+#: telemetry, ``fault_plan``, journal/dist tuning): bit-identity-
+#: preserving and deliberately excluded.  A new field must be classified
+#: (``tests/test_journal.py`` enumerates the dataclass).
+SEMANTIC_CONFIG_FIELDS = (
+    "clock_impl",
+    "piggyback",
+    "bound_k",
+    "auto_loop_threshold",
+    "max_interleavings",
+    "max_seconds",
+    "policy",
+    "enable_leak_check",
+    "enable_monitor",
+    "trace_ops",
+    "prune",
+    "adaptive_clocks",
+)
+
 
 @dataclass
 class DampiConfig:
@@ -52,23 +74,11 @@ class DampiConfig:
         overhead (``pool_stats`` records the demotion and its reason).
         ``True`` skips the heuristic and uses the pool regardless —
         tests of the pool machinery and oversubscription experiments.
-    persistent_session:
-        Reuse one runtime + rank-executor-thread pool + module stack
-        across the guided replays of a verification (engine state is
-        rebuilt per run; see ``Runtime.recycle``).  Cuts per-replay
-        thread spawn/join and interposition-chain compilation — the
-        dominant per-replay cost on small workloads — while keeping
-        reports bit-identical to cold-start execution.  Automatically
-        bypassed when ``policy`` is a policy *instance* (its internal
-        state could carry across runs).  ``False`` restores a fresh
-        Runtime per run.
-    indexed_matching:
-        Use dict-indexed unexpected/posted message queues (O(1) deposit
-        and match) instead of the reference linear scans.  Match order
-        is bit-identical either way; ``False`` is the ablation path.
-    policy / mode / cost_model:
-        Substrate knobs (wildcard match policy for SELF_RUN portions,
-        scheduling mode, virtual-time constants).
+    policy / cost_model:
+        Substrate knobs: the wildcard match policy for SELF_RUN portions
+        (the paper's native match bias; a policy *instance* may carry
+        state, so it gets a fresh Runtime per run instead of the
+        persistent replay session) and the virtual-time constants.
     enable_leak_check / enable_monitor / trace_ops:
         Toggle the auxiliary checker modules.
     keep_traces:
@@ -136,8 +146,6 @@ class DampiConfig:
     jobs: Optional[int] = 1
     job_timeout_seconds: Optional[float] = None
     force_jobs: bool = False
-    persistent_session: bool = True
-    indexed_matching: bool = True
     #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
     #: the engine at each explored decision point and start the sibling
     #: schedules of that point from the snapshot instead of re-executing
@@ -170,7 +178,6 @@ class DampiConfig:
     #: Requires a scalar ``clock_impl``.
     adaptive_clocks: bool = False
     policy: str = "arrival"
-    mode: str = "run_to_block"
     cost_model: CostModel = field(default_factory=CostModel)
     enable_leak_check: bool = True
     enable_monitor: bool = True

@@ -88,6 +88,7 @@ from repro.dampi.artifacts import (
     match_from_jsonable,
     match_to_jsonable,
 )
+from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, RunTrace
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
@@ -101,26 +102,6 @@ JOURNAL_VERSION = 2
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
-
-#: config fields that change what the walk *means* — a journal recorded
-#: under one set cannot be resumed under another.  Execution knobs
-#: (``jobs``, ``persistent_session``, ``indexed_matching``, telemetry,
-#: ``fault_plan``) are bit-identity-preserving and deliberately excluded.
-SEMANTIC_CONFIG_FIELDS = (
-    "clock_impl",
-    "piggyback",
-    "bound_k",
-    "auto_loop_threshold",
-    "max_interleavings",
-    "max_seconds",
-    "policy",
-    "mode",
-    "enable_leak_check",
-    "enable_monitor",
-    "trace_ops",
-    "prune",
-    "adaptive_clocks",
-)
 
 
 class JournalError(RuntimeError):
@@ -421,8 +402,6 @@ def config_signature(
     identity).  A journal of one mode can never be resumed as another:
     a shard covers one subtree, not the tree.
     """
-    # NB: "journal_mode", not "mode" — DampiConfig has a semantic field
-    # named ``mode`` (run_to_block/...) that also lands in this dict
     sig = {"nprocs": nprocs, "journal_mode": mode}
     if shard_prefix is not None:
         sig["shard_prefix"] = _jsonable_or_repr(shard_prefix)

@@ -37,11 +37,9 @@ Degradation paths, in order:
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -131,21 +129,19 @@ def _worker_verifier(spec: ReplaySpec):
 
 
 def _execute_replay(spec: ReplaySpec, decisions: EpochDecisions):
-    """One guided replay, timed, plus the worker's checkpoint-cache stats.
+    """One guided replay plus the worker's checkpoint-cache stats.
 
     The stats are the worker verifier's *cumulative* counters tagged with
     the process id — the executor keeps the latest snapshot per pid and
     sums across workers (snapshots themselves never cross processes)."""
     verifier = _worker_verifier(spec)
-    t0 = time.perf_counter()
     result, trace = verifier.run_once(decisions)
-    duration = time.perf_counter() - t0
     wstats = None
     ckpt = verifier.checkpoint_stats()
     if ckpt is not None:
         wstats = dict(ckpt)
         wstats["pid"] = os.getpid()
-    return result, trace, duration, wstats
+    return result, trace, wstats
 
 
 def _execute_replay_group(spec: ReplaySpec, group: Sequence[EpochDecisions]):
@@ -173,7 +169,6 @@ class ReplayOutcome:
 
     result: Any = None
     trace: Any = None
-    duration: float = 0.0
     #: True when the schedule was not yet computed at consumption time
     miss: bool = True
     #: human-readable reason when the worker crashed or timed out
@@ -194,10 +189,6 @@ class ReplayExecutor:
     inline_runner:
         ``run_once``-shaped callable used for in-process execution (kept
         identical to the serial verifier's own path).
-    trace_waves:
-        When > 0, log each consumption step's frontier window (that many
-        schedules wide) even in serial mode — the input the scaling bench
-        feeds its work/span simulation.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` backing the
         executor's counters under the ``exec.*`` namespace (environment-
@@ -214,7 +205,6 @@ class ReplayExecutor:
         jobs: Optional[int] = None,
         timeout: Optional[float] = None,
         inline_runner: Optional[Callable] = None,
-        trace_waves: int = 0,
         force: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         tracer=None,
@@ -224,7 +214,6 @@ class ReplayExecutor:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.timeout = timeout
         self._inline_runner = inline_runner
-        self._trace_width = trace_waves
         self._tracer = tracer
         self.parallel = self.jobs > 1 and spec.picklable()
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -253,10 +242,7 @@ class ReplayExecutor:
         self._c_swallowed = self.metrics.counter("exec.swallowed_errors")
         self.demoted = False
         self.demote_reason: Optional[str] = None
-        self.consumed_keys: list[ScheduleKey] = []
-        self.consumed_seconds: list[float] = []
-        self.miss_flags: list[bool] = []
-        self.wave_log: list[list[ScheduleKey]] = []
+        self.consumed = 0
         # Replay cost is pure compute: on a single-CPU host pool workers
         # time-slice against the consuming loop and dispatch overhead is
         # all the pool can add.  Demote up front unless explicitly forced
@@ -303,8 +289,6 @@ class ReplayExecutor:
     def wave_width(self) -> int:
         """How many pending schedules verify() should ask the generator
         for each iteration (0 = don't bother computing a batch)."""
-        if self._trace_width:
-            return self._trace_width
         return WAVE_DEPTH * self.jobs if self.parallel else 0
 
     # -- pool lifecycle -------------------------------------------------------
@@ -348,9 +332,9 @@ class ReplayExecutor:
             if p.future.done():
                 del self._futures[key]
                 try:
-                    r, t, d, w = p.future.result()[p.index]
+                    r, t, w = p.future.result()[p.index]
                     self._worker_stats(w)
-                    self._done[key] = ReplayOutcome(r, t, d, miss=False)
+                    self._done[key] = ReplayOutcome(r, t, miss=False)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception:
@@ -446,17 +430,13 @@ class ReplayExecutor:
         self, decisions: EpochDecisions, batch: Sequence[EpochDecisions] = ()
     ) -> ReplayOutcome:
         """Consume one schedule, pre-submitting its frontier wave first."""
-        if self._trace_width:
-            self.wave_log.append([schedule_key(d) for d in batch])
         if self.parallel:
             for group in self._sibling_groups(batch):
                 if not self.parallel:  # a submit may demote mid-wave
                     break
                 self._submit(group)
         out = self._take(decisions) if self.parallel else self._run_inline(decisions)
-        self.consumed_keys.append(schedule_key(decisions))
-        self.consumed_seconds.append(out.duration)
-        self.miss_flags.append(out.miss)
+        self.consumed += 1
         if out.failure is not None:
             self._c_failures.inc()
         elif out.miss:
@@ -469,9 +449,8 @@ class ReplayExecutor:
         runner = self._inline_runner
         if runner is None:
             runner = lambda d: _execute_replay(self.spec, d)[:2]  # noqa: E731
-        t0 = time.perf_counter()
         result, trace = runner(decisions)
-        return ReplayOutcome(result, trace, time.perf_counter() - t0, miss=True)
+        return ReplayOutcome(result, trace, miss=True)
 
     def _worker_stats(self, wstats: Optional[dict]) -> None:
         """Record a pool worker's cumulative checkpoint-cache snapshot."""
@@ -495,17 +474,17 @@ class ReplayExecutor:
             # the per-replay budget scales with the group size
             timeout = self.timeout * pending.size if self.timeout else None
             items = pending.future.result(timeout=timeout)
-            r, t, d, w = items[pending.index]
+            r, t, w = items[pending.index]
             self._worker_stats(w)
-            out = ReplayOutcome(r, t, d, miss=miss)
+            out = ReplayOutcome(r, t, miss=miss)
             # the group future resolved every sibling at once — move them
             # from the futures map into the cache
             for k, p in list(self._futures.items()):
                 if p.future is pending.future:
                     del self._futures[k]
-                    r, t, d, w = items[p.index]
+                    r, t, w = items[p.index]
                     self._worker_stats(w)
-                    self._done[k] = ReplayOutcome(r, t, d, miss=False)
+                    self._done[k] = ReplayOutcome(r, t, miss=False)
         except FutureTimeoutError:
             # cancel() is a no-op on a running future: the worker is wedged
             # and would keep its slot (and block close()) forever — recycle
@@ -541,9 +520,9 @@ class ReplayExecutor:
             if p.future.done():
                 del self._futures[k]
                 try:
-                    r, t, d, w = p.future.result()[p.index]
+                    r, t, w = p.future.result()[p.index]
                     self._worker_stats(w)
-                    self._done[k] = ReplayOutcome(r, t, d, miss=False)
+                    self._done[k] = ReplayOutcome(r, t, miss=False)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception:
@@ -600,7 +579,7 @@ class ReplayExecutor:
             "jobs": self.jobs,
             "wave_width": self.wave_width,
             "submitted": self.submitted,
-            "consumed": len(self.consumed_keys),
+            "consumed": self.consumed,
             "hits": self.hits,
             "misses": self.misses,
             "failures": self.failures,
@@ -613,48 +592,3 @@ class ReplayExecutor:
         if ckpt is not None:
             out["checkpoint"] = ckpt
         return out
-
-
-def simulate_wave_schedule(
-    consumed_keys: Sequence[ScheduleKey],
-    consumed_seconds: Sequence[float],
-    wave_log: Sequence[Sequence[ScheduleKey]],
-    jobs: int,
-    wave_depth: int = WAVE_DEPTH,
-) -> float:
-    """Modeled wall-clock of the executor on ``jobs`` dedicated workers.
-
-    A discrete-event replay of the executor's discipline over the frontier
-    windows and per-run durations logged by a ``trace_waves`` session:
-    at each consumption step the first ``wave_depth * jobs`` schedules of
-    the logged window are submitted to the earliest-free worker, then the
-    clock joins the consumed schedule's completion.  Durations of
-    schedules that were speculated but never consumed fall back to the
-    mean consumed duration.  ``jobs=1`` reproduces the serial wall-clock;
-    the ratio to larger ``jobs`` is the machine-independent scaling curve
-    (measured wall-clock matches it when that many cores actually exist).
-    """
-    durations = dict(zip(consumed_keys, consumed_seconds))
-    mean = (
-        sum(consumed_seconds) / len(consumed_seconds) if consumed_seconds else 0.0
-    )
-    width = max(1, wave_depth * jobs)
-    free = [0.0] * jobs
-    heapq.heapify(free)
-    finish: dict[ScheduleKey, float] = {}
-    clock = 0.0
-    for step, key in enumerate(consumed_keys):
-        window = wave_log[step] if step < len(wave_log) else [key]
-        for k in list(window[:width]) or [key]:
-            if k in finish:
-                continue
-            start = max(clock, heapq.heappop(free))
-            done = start + durations.get(k, mean)
-            heapq.heappush(free, done)
-            finish[k] = done
-        if key not in finish:  # cache miss outside the logged window
-            start = max(clock, heapq.heappop(free))
-            finish[key] = start + durations.get(key, mean)
-            heapq.heappush(free, finish[key])
-        clock = max(clock, finish[key])
-    return clock

@@ -194,7 +194,6 @@ def escalation_config(cfg):
         jobs=1,
         force_jobs=False,
         prefix_checkpoints=False,
-        persistent_session=False,
         trace_events=False,
         progress_interval_seconds=None,
         artifacts_dir=None,

@@ -93,11 +93,9 @@ class _ReplaySession:
             verifier.program,
             modules=modules,
             policy=cfg.policy,
-            mode=cfg.mode,
             cost_model=cfg.cost_model,
             args=verifier.args,
             kwargs=verifier.kwargs,
-            indexed=cfg.indexed_matching,
             tracer=verifier._run_tracer,
         )
         self.pool = RankExecutorPool(
@@ -117,7 +115,7 @@ class _ReplaySession:
         #: consumer force bit-identical prefixes.
         self._deep_sharing = False
         if cfg.prefix_checkpoints:
-            reason = self._checkpoint_unsupported_reason(verifier)
+            reason = self._checkpoint_unsupported_reason()
             if reason is None:
                 self.runtime.install_views(
                     [RecordingProc(p) for p in self.runtime.procs]
@@ -136,11 +134,8 @@ class _ReplaySession:
                 self.checkpoint_demote_reason = reason
                 _log.info("prefix checkpoints demoted: %s", reason)
 
-    def _checkpoint_unsupported_reason(self, verifier) -> Optional[str]:
+    def _checkpoint_unsupported_reason(self) -> Optional[str]:
         """Why this session cannot checkpoint (None = it can)."""
-        cfg = verifier.config
-        if cfg.mode != "run_to_block":
-            return f"scheduling mode {cfg.mode!r} is not deterministic"
         # per-run event tracing no longer demotes checkpoints: snapshots
         # carry the tracer's prefix stream (repro.mpi.snapshot), so a
         # restored run's events and exact counters match a full run
@@ -729,8 +724,8 @@ class DampiVerifier:
         The first execution always cold-starts (fresh runtime and
         threads): single-run users pay nothing for the session machinery
         and leak no pool threads.  From the second execution on — i.e.
-        for guided replays — a persistent session takes over when the
-        config allows it (see ``DampiConfig.persistent_session``).
+        for guided replays — a persistent session takes over, unless
+        ``policy`` is a policy *instance* (see :class:`_ReplaySession`).
         """
         cfg = self.config
         if self._faults and decisions is not None and decisions.flip is not None:
@@ -745,13 +740,9 @@ class DampiVerifier:
         self._runs_started += 1
         if self._session is not None:
             return self._session.run(decisions)
-        if (
-            cfg.persistent_session
-            and self._runs_started >= 2
-            # a policy instance may carry internal state (e.g. a seeded
-            # RNG) across runs; only string specs rebuild from scratch
-            and isinstance(cfg.policy, str)
-        ):
+        # a policy instance may carry internal state (e.g. a seeded RNG)
+        # across runs; only string specs rebuild from scratch
+        if self._runs_started >= 2 and isinstance(cfg.policy, str):
             self._session = _ReplaySession(self)
             return self._session.run(decisions)
         runtime = Runtime(
@@ -759,11 +750,9 @@ class DampiVerifier:
             self.program,
             modules=self._build_modules(decisions),
             policy=cfg.policy,
-            mode=cfg.mode,
             cost_model=cfg.cost_model,
             args=self.args,
             kwargs=self.kwargs,
-            indexed=cfg.indexed_matching,
             tracer=self._run_tracer,
         )
         result = runtime.run()
@@ -835,7 +824,6 @@ class DampiVerifier:
 
     def verify(
         self,
-        executor: Optional[ReplayExecutor] = None,
         journal=None,
         faults: Optional[FaultPlan] = None,
     ) -> VerificationReport:
@@ -844,10 +832,9 @@ class DampiVerifier:
 
         The loop itself is serial — it is the DFS of paper §II-B — but
         replay *execution* is delegated to a :class:`ReplayExecutor` built
-        from ``config.jobs`` (or passed in by benchmarks), which may
-        pre-compute the frontier wave on a worker pool.  Reports are
-        bit-identical across ``jobs`` settings; see
-        :mod:`repro.dampi.parallel`.
+        from ``config.jobs``, which may pre-compute the frontier wave on
+        a worker pool.  Reports are bit-identical across ``jobs``
+        settings; see :mod:`repro.dampi.parallel`.
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
@@ -891,8 +878,7 @@ class DampiVerifier:
                 camp, 0, None, result, trace,
                 esc=self._escalate(None, trace), started=tele_token,
             )
-        if executor is None:
-            executor = self._make_executor(telemetry)
+        executor = self._make_executor(telemetry)
 
         executed = 0 if history else 1  # the live self run counts as executed
         try:
@@ -1317,7 +1303,6 @@ def measure_slowdown(
         program,
         modules=(),
         policy=cfg.policy,
-        mode=cfg.mode,
         cost_model=cfg.cost_model,
         args=args,
         kwargs=kwargs or {},

@@ -5,21 +5,15 @@ One :class:`MessageEngine` exists per job.  Rank threads call its
 All engine state is guarded by a single lock shared by per-rank condition
 variables.
 
-Scheduling modes
-----------------
-``run_to_block`` (default)
-    Exactly one rank executes at a time, holding a token from thread start;
-    the token passes round-robin when the holder blocks or finishes.  This
-    makes entire executions deterministic, which DAMPI's guided replays
-    rely on, while costing one context switch per *blocking event* only.
-``rr``
-    As above, but the token also passes after every MPI call — a
-    finer-grained deterministic interleaving (more switches, more overlap
-    of unexpected-queue states).
-``free``
-    True concurrent threads; only engine data structures are locked.
-    Matching outcomes then depend on OS scheduling — the environment in
-    which Heisenbugs actually appear.
+Scheduling
+----------
+Exactly one rank executes at a time, holding a token from thread start;
+the token passes round-robin when the holder blocks, finishes or polls
+(``test``/``iprobe``/``yield``).  This makes entire executions
+deterministic, which DAMPI's guided replays rely on, at one context
+switch per *blocking event*.  An MPI library's native non-determinism is
+modelled by the wildcard :class:`~repro.mpi.matching.MatchPolicy`, not by
+thread timing.
 
 Deadlock detection is a *proof*, not a timeout: sends are eager, matching
 is performed immediately on post, so if every non-finished rank is blocked
@@ -44,7 +38,7 @@ from repro.mpi.collectives import CollectiveInstance
 from repro.mpi.communicator import CommContext
 from repro.mpi.constants import ANY_SOURCE, UNDEFINED, ReduceOp, validate_tag
 from repro.mpi.costmodel import CostModel, SerializedResource, VirtualClocks
-from repro.mpi.matching import IndexedMailBox, LinearMailBox, make_policy
+from repro.mpi.matching import IndexedMailBox, make_policy
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, RequestKind, RequestState, Status
 
@@ -115,16 +109,11 @@ class MessageEngine:
         nprocs: int,
         cost_model: Optional[CostModel] = None,
         policy="arrival",
-        mode: str = "run_to_block",
-        indexed: bool = True,
         tracer=None,
     ):
         if nprocs < 1:
             raise ValueError("nprocs must be >= 1")
-        if mode not in ("run_to_block", "rr", "free"):
-            raise ValueError(f"unknown scheduling mode {mode!r}")
         self.nprocs = nprocs
-        self.mode = mode
         self.cost = cost_model or CostModel()
         self.policy = make_policy(policy)
         #: structured event sink (:class:`repro.obs.trace.Tracer`) or None.
@@ -138,14 +127,13 @@ class MessageEngine:
 
         self._lock = threading.Lock()
         self._ranks = [_RankState(r, self._lock) for r in range(nprocs)]
-        mailbox_cls = IndexedMailBox if indexed else LinearMailBox
-        self._mail = [mailbox_cls(r) for r in range(nprocs)]
+        self._mail = [IndexedMailBox(r) for r in range(nprocs)]
         self._collectives: dict[tuple[int, int], CollectiveInstance] = {}
         self._coll_done: dict[tuple[int, int], int] = {}
         self.contexts: dict[int, CommContext] = {}
         self._next_ctx = WORLD_CTX
         self._fatal: Optional[BaseException] = None
-        self._current: Optional[int] = 0 if mode != "free" else None
+        self._current: Optional[int] = 0
         #: ranks whose thread has entered the job (checkpoint capture needs
         #: to distinguish not-yet-started ranks from finished ones)
         self._started: set[int] = set()
@@ -229,8 +217,6 @@ class MessageEngine:
             raise self._fatal
 
     def _wait_for_token(self, rank: int) -> None:
-        if self.mode == "free":
-            return
         st = self._ranks[rank]
         while self._current != rank:
             self._check_fatal(rank)
@@ -242,9 +228,6 @@ class MessageEngine:
     def _schedule_next(self, from_rank: Optional[int]) -> None:
         """Pass the token to the next runnable rank (round-robin); prove
         deadlock if nobody is runnable but somebody is blocked."""
-        if self.mode == "free":
-            self._free_mode_deadlock_check()
-            return
         start = 0 if from_rank is None else (from_rank + 1) % self.nprocs
         for i in range(self.nprocs):
             cand = (start + i) % self.nprocs
@@ -261,16 +244,6 @@ class MessageEngine:
             self._set_fatal(DeadlockError(blocked))
         else:
             self._current = None  # everyone DONE
-
-    def _free_mode_deadlock_check(self) -> None:
-        blocked = {}
-        for st in self._ranks:
-            if st.state is RankRunState.BLOCKED:
-                blocked[st.rank] = st.describe
-            elif st.state is not RankRunState.DONE:
-                return
-        if blocked:
-            self._set_fatal(DeadlockError(blocked))
 
     def _block_until(self, rank: int, ready_fn, describe, site: str = "") -> None:
         """Block the calling rank until ``ready_fn()`` (engine-state
@@ -346,8 +319,6 @@ class MessageEngine:
         yet holding the token) park here for the token; the restored token
         holder waits here until every re-entering rank has reinstalled its
         wait state, so no wake-up can be missed."""
-        if self.mode == "free":
-            return
         with self._lock:
             st = self._ranks[rank]
             if rank in self._reentering:
@@ -379,7 +350,7 @@ class MessageEngine:
     def begin_call(self, rank: int) -> None:
         """Mark the start of a top-level MPI call for ``rank`` (resets the
         per-call blocking-event counter).  Lockless: a rank only writes its
-        own counter, and in deterministic modes only one rank runs."""
+        own counter, and only one rank runs at a time."""
         self._ranks[rank].blocks_this_call = 0
 
     def _unblock_if_ready(self, rank: int) -> None:
@@ -391,18 +362,12 @@ class MessageEngine:
             st.cond.notify()
 
     def _yield_token(self, rank: int) -> None:
-        """Voluntary scheduling point (``rr`` mode, test/iprobe loops)."""
-        if self.mode == "free":
-            return
+        """Voluntary scheduling point (test/iprobe loops)."""
         st = self._ranks[rank]
         st.state = RankRunState.RUNNABLE
         self._schedule_next(rank)
         self._wait_for_token(rank)
         st.state = RankRunState.RUNNING
-
-    def _maybe_yield(self, rank: int) -> None:
-        if self.mode == "rr":
-            self._yield_token(rank)
 
     # ------------------------------------------------------------------ #
     # point-to-point                                                      #
@@ -452,8 +417,6 @@ class MessageEngine:
             stats.envelopes += 1
             stats.bytes += nbytes
             self._deposit(env)
-            if self.mode == "rr":
-                self._yield_token(rank)
             return req
 
     def pmpi_issend(
@@ -490,7 +453,6 @@ class MessageEngine:
             self.stats.envelopes += 1
             self.stats.bytes += env.nbytes
             self._deposit(env)  # may complete req immediately if matched
-            self._maybe_yield(rank)
             return req
 
     def _deposit(self, env: Envelope) -> None:
@@ -582,8 +544,6 @@ class MessageEngine:
                 self._complete_recv(req, env)
             else:
                 mb.add_posted(req)
-            if self.mode == "rr":
-                self._yield_token(rank)
             return req
 
     # ------------------------------------------------------------------ #
@@ -615,9 +575,8 @@ class MessageEngine:
             return self._consume(rank, req)
 
     def pmpi_test(self, rank: int, req: Request) -> tuple[bool, Optional[Status]]:
-        """Non-blocking completion check.  A scheduling point in
-        deterministic modes — otherwise a test loop would hold the token
-        forever and livelock the job."""
+        """Non-blocking completion check.  A scheduling point — otherwise
+        a test loop would hold the token forever and livelock the job."""
         self._validate_completion_target(rank, req)
         with self._lock:
             self._check_fatal(rank)
@@ -806,7 +765,6 @@ class MessageEngine:
             self.clocks.raise_to(rank, t)
             result = inst.result_for(rank)
             self._retire_collective(key, inst)
-            self._maybe_yield(rank)
             return result
 
     def pmpi_icollective(
@@ -845,7 +803,6 @@ class MessageEngine:
             for w in inst.group:
                 if w != rank:
                     self._unblock_if_ready(w)
-            self._maybe_yield(rank)
             return req
 
     def _drain_collective_requests(self, inst: CollectiveInstance) -> None:
@@ -932,16 +889,15 @@ class MessageEngine:
         with self._lock:
             self._check_fatal(rank)
             self.clocks.advance(rank, seconds)
-            self._maybe_yield(rank)
 
     def charge(self, rank: int, seconds: float) -> None:
         """Advance a rank's virtual clock by tool-side CPU time (used by
         interposition modules to model their own overhead).
 
         Lockless: a rank only ever charges *itself*, the store is a single
-        bytecode under the GIL, and in deterministic modes only one rank
-        thread runs at a time anyway.  Cross-rank reads (e.g. makespan)
-        happen after the job drains."""
+        bytecode under the GIL, and only one rank thread runs at a time
+        anyway.  Cross-rank reads (e.g. makespan) happen after the job
+        drains."""
         self.clocks.vtimes[rank] += seconds
 
     def pmpi_pcontrol(self, rank: int, level: int) -> None:

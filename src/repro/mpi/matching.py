@@ -15,24 +15,18 @@ pluggable :class:`MatchPolicy` picks the winner.  The policy models the
 paper's introduction: DAMPI's whole job is to cover the outcomes a fixed
 policy would never produce.
 
-Two interchangeable mailbox implementations exist:
+The mailbox is :class:`IndexedMailBox`: dict indexes keyed by
+``(ctx, src, tag)`` and ``(ctx, src)`` for the unexpected queue plus
+selector buckets for posted receives, making deposit/match/candidate
+queries O(1)–O(sources) instead of O(queue depth).  Candidate lists come
+out in global arrival order (envelope uids are assigned under the engine
+lock at deposit time, so uid order *is* arrival order), and posted
+receives complete oldest-first (request uids are assigned at post time).
 
-* :class:`LinearMailBox` — the original first-compatible linear scan over
-  flat queues.  O(queue depth) per operation, trivially correct; kept as
-  the reference/ablation path (``indexed_matching=False``) and mirrored
-  by the independent oracle in ``tests/oracle.py``.
-* :class:`IndexedMailBox` (the default) — dict indexes keyed by
-  ``(ctx, src, tag)`` and ``(ctx, src)`` for the unexpected queue plus
-  selector buckets for posted receives, making deposit/match/candidate
-  queries O(1)–O(sources) instead of O(queue depth).
-
-Both produce *bit-identical* match sequences: candidate lists come out in
-global arrival order (envelope uids are assigned under the engine lock at
-deposit time, so uid order *is* arrival order), and posted receives
-complete oldest-first (request uids are assigned at post time).  MPI's
-non-overtaking rule is preserved per ``(source, dest, ctx, tag)`` stream
-in both.  The equivalence is enforced by a zoo-wide differential property
-test (``tests/test_coverage_property.py``).
+The matching rule itself is stated once, independently of this module, as
+flat first-compatible scans in ``tests/oracle.py::ReferenceMatcher``; a
+zoo-wide differential (``tests/test_coverage_property.py``) runs the
+engine on both and requires identical reports.
 """
 
 from __future__ import annotations
@@ -149,75 +143,6 @@ def make_policy(spec) -> MatchPolicy:
     raise ValueError(f"unknown match policy {spec!r}")
 
 
-class LinearMailBox:
-    """Unexpected-message and posted-receive queues for one destination rank.
-
-    The reference implementation: flat lists scanned first-compatible.
-    """
-
-    __slots__ = ("dst", "unexpected", "posted")
-
-    def __init__(self, dst: int):
-        self.dst = dst
-        self.unexpected: list[Envelope] = []
-        self.posted: list[Request] = []
-
-    # -- queries -----------------------------------------------------------
-
-    def candidates_for(self, ctx: int, src: int, tag: int) -> list[Envelope]:
-        """Matchable envelopes for a (possibly wildcard) selector.
-
-        Returns at most one envelope per source: the earliest compatible
-        one from that source's stream.  For the non-overtaking rule to
-        hold, that earliest compatible envelope is the *only* legal match
-        from that source.
-        """
-        out: dict[int, Envelope] = {}
-        for env in self.unexpected:
-            if env.ctx != ctx or env.src in out:
-                continue
-            if env.compatible(src, tag):
-                out[env.src] = env
-        return list(out.values())
-
-    def first_posted_match(self, env: Envelope) -> Optional[Request]:
-        """Oldest posted receive this envelope may complete, honouring
-        non-overtaking: if an older unmatched envelope from the same stream
-        and tag exists, this envelope must not be delivered yet."""
-        for older in self.unexpected:
-            if (
-                older.ctx == env.ctx
-                and older.src == env.src
-                and older.tag == env.tag
-            ):
-                # an older same-stream same-tag envelope is still queued;
-                # it must match first.
-                return None
-        for req in self.posted:
-            if req.ctx == env.ctx and env.compatible(req.effective_src, req.posted_tag):
-                return req
-        return None
-
-    # -- mutations (engine calls these under its lock) ----------------------
-
-    def add_unexpected(self, env: Envelope) -> None:
-        self.unexpected.append(env)
-
-    def remove_unexpected(self, env: Envelope) -> None:
-        self.unexpected.remove(env)
-
-    def add_posted(self, req: Request) -> None:
-        self.posted.append(req)
-
-    def remove_posted(self, req: Request) -> None:
-        self.posted.remove(req)
-
-    def pending_counts(self) -> tuple[int, int]:
-        """(unexpected, posted) queue depths — used in diagnostics and the
-        ISP cost model's state-size term."""
-        return len(self.unexpected), len(self.posted)
-
-
 def _env_uid(env: Envelope) -> int:
     return env.uid
 
@@ -234,7 +159,8 @@ class IndexedMailBox:
     arrival order.  Posted receives live in buckets keyed by their exact
     selector ``(ctx, effective_src, posted_tag)``.
 
-    Invariants that make this bit-identical to :class:`LinearMailBox`:
+    Invariants that make this bit-identical to a first-compatible linear
+    scan over flat queues:
 
     * envelope uids are assigned at deposit time under the engine lock, so
       uid order *is* global arrival order — sorting per-source stream
@@ -417,6 +343,3 @@ class IndexedMailBox:
         ISP cost model's state-size term."""
         return self._n_unexpected, self._n_posted
 
-
-#: Default mailbox implementation (the engine's ``indexed`` knob selects).
-MailBox = IndexedMailBox

@@ -236,13 +236,8 @@ class Runtime:
         Tool modules, outermost first (e.g. ``[TraceModule(), *dampi]``).
     policy:
         Wildcard match policy (see :mod:`repro.mpi.matching`).
-    mode:
-        ``"run_to_block"`` (deterministic, default), ``"rr"``, ``"free"``.
     cost_model:
         Virtual-time constants; default :class:`CostModel`.
-    indexed:
-        Use the indexed mailbox (default).  ``False`` selects the
-        reference linear-scan matcher — the ablation/"before" path.
     """
 
     def __init__(
@@ -252,12 +247,10 @@ class Runtime:
         *,
         modules: Sequence = (),
         policy="arrival",
-        mode: str = "run_to_block",
         cost_model: Optional[CostModel] = None,
         args: tuple = (),
         kwargs: Optional[dict] = None,
         name: str = "",
-        indexed: bool = True,
         tracer=None,
     ):
         self.nprocs = nprocs
@@ -266,17 +259,14 @@ class Runtime:
         self.kwargs = dict(kwargs or {})
         self.name = name or getattr(program, "__name__", "program")
         self._policy_spec = policy
-        self._mode = mode
         self._cost_model = cost_model
-        self._indexed = indexed
         #: per-run event tracer (:class:`repro.obs.trace.Tracer`) or None;
         #: shared with the engine and the tool modules, reset at the top of
         #: every run and collected into ``RunResult.artifacts["obs"]``
         self.tracer = tracer
         self.stack = ToolStack(modules)
         self.engine = MessageEngine(
-            nprocs, cost_model=cost_model, policy=policy, mode=mode,
-            indexed=indexed, tracer=tracer,
+            nprocs, cost_model=cost_model, policy=policy, tracer=tracer,
         )
         self.procs = [Proc(r, self.engine, runtime=self) for r in range(nprocs)]
         for proc in self.procs:
@@ -342,8 +332,6 @@ class Runtime:
             self.nprocs,
             cost_model=self._cost_model,
             policy=self._policy_spec,
-            mode=self._mode,
-            indexed=self._indexed,
             tracer=self.tracer,
         )
         for proc in self.procs:
@@ -555,11 +543,9 @@ def run_program(
     *,
     modules: Sequence = (),
     policy="arrival",
-    mode: str = "run_to_block",
     cost_model: Optional[CostModel] = None,
     args: tuple = (),
     kwargs: Optional[dict] = None,
-    indexed: bool = True,
 ) -> RunResult:
     """One-shot convenience: build a Runtime and run it."""
     return Runtime(
@@ -567,9 +553,7 @@ def run_program(
         program,
         modules=modules,
         policy=policy,
-        mode=mode,
         cost_model=cost_model,
         args=args,
         kwargs=kwargs,
-        indexed=indexed,
     ).run()

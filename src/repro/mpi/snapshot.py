@@ -646,8 +646,6 @@ def ineligible_reason(engine, cut_rank: int) -> Optional[str]:
     """Why the current engine state cannot be captured (None = eligible).
 
     Caller must hold ``engine._lock``."""
-    if engine.mode != "run_to_block":
-        return f"scheduling mode {engine.mode!r}"
     if engine._fatal is not None:
         return "job already failing"
     if engine._current != cut_rank:
@@ -785,8 +783,6 @@ def install_snapshot(runtime, snap: Snapshot, record_after: bool = False) -> dic
             runtime.nprocs,
             cost_model=runtime._cost_model,
             policy=runtime._policy_spec,
-            mode=runtime._mode,
-            indexed=runtime._indexed,
             tracer=runtime.tracer,
         )
         runtime._restore_engine = engine

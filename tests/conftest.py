@@ -1,8 +1,6 @@
-"""Shared pytest fixtures and helpers."""
+"""Shared pytest helpers."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.mpi.runtime import run_program
 
@@ -12,9 +10,3 @@ def run_ok(program, nprocs, **kw):
     result = run_program(program, nprocs, **kw)
     result.raise_any()
     return result
-
-
-@pytest.fixture(params=["run_to_block", "rr", "free"])
-def sched_mode(request):
-    """All three engine scheduling modes (for semantics-invariance tests)."""
-    return request.param

@@ -148,22 +148,24 @@ def as_runnable(programs: list[list[tuple]]):
 class ReferenceMatcher:
     """An independent model of MPI point-to-point matching for one receiver.
 
-    Mirrors the semantics both production mailboxes
-    (``repro.mpi.matching.LinearMailBox`` / ``IndexedMailBox``) must
-    implement — unexpected-message queue in arrival order, posted-receive
-    queue in post order, first-compatible selection, non-overtaking per
-    ``(source, dest, ctx, tag)`` stream — but shares no code with either:
-    flat lists, explicit scans, and its own compatibility predicate.  The
-    differential property test drives all three with identical operation
-    sequences and requires identical answers.
+    The one executable statement of the semantics the production mailbox
+    (``repro.mpi.matching.IndexedMailBox``) must implement —
+    unexpected-message queue in arrival order, posted-receive queue in
+    post order, first-compatible selection, non-overtaking per
+    ``(source, dest, ctx, tag)`` stream — sharing no code with it: flat
+    lists, explicit scans, and its own compatibility predicate.  The
+    differential tests (``tests/test_coverage_property.py``) drive both
+    with identical operation sequences, and run the engine itself on
+    this class, requiring identical answers.
 
     Duck-typed over the engine's objects: envelopes expose
     ``ctx/src/tag/uid``, posted receives ``ctx/effective_src/posted_tag/uid``.
     """
 
-    def __init__(self):
+    def __init__(self, dst: int):
         from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 
+        self.dst = dst
         self._any_src = ANY_SOURCE
         self._any_tag = ANY_TAG
         self.unexpected: list = []  # arrival order

@@ -171,6 +171,55 @@ class TestJobsFlag:
         assert "--jobs" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    """Misuse is one line on stderr and argparse's exit code 2 — never a
+    traceback, never 1 (which means the program under test has defects)."""
+
+    LATTICE = [
+        "verify", "repro.workloads.patterns:wildcard_lattice",
+        "--kwargs", json.dumps({"receives": 2, "senders": 2}),
+    ]
+
+    def _assert_usage_error(self, argv, capsys, needle):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("repro: error: ") and needle in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["-n", "3", "--jobs", "-1"], "jobs"),
+            (["-n", "3", "--bound-k", "-1"], "bound_k"),
+            (["-n", "0"], "--nprocs"),
+            (["-n", "3", "--kwargs", "[1]"], "--kwargs"),
+            (["-n", "3", "--kwargs", "{"], "--kwargs"),
+            (["-n", "3", "--trace-sample", "0"], "trace_sample_every"),
+        ],
+        ids=["jobs", "bound-k", "nprocs", "kwargs-list", "kwargs-json", "trace-sample"],
+    )
+    def test_bad_flag_values(self, flags, needle, capsys):
+        self._assert_usage_error(self.LATTICE + flags, capsys, needle)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["escalate"], ["dist", "run"], ["replay", "--decisions", "w.json"]],
+        ids=["escalate", "dist run", "replay"],
+    )
+    def test_every_program_command_validates_its_inputs(self, command, capsys):
+        argv = command + ["repro.workloads.patterns:fig3_program", "-n", "0"]
+        self._assert_usage_error(argv, capsys, "--nprocs")
+
+    def test_journal_recorded_under_other_semantics(self, tmp_path, capsys):
+        argv = self.LATTICE + ["-n", "3", "--journal-dir", str(tmp_path / "j")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self._assert_usage_error(
+            argv + ["--bound-k", "1"], capsys, "different verification semantics"
+        )
+
+
 class TestEscalateCommand:
     def test_escalate_finds_error_early(self, capsys):
         rc = main(

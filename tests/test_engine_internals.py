@@ -111,7 +111,7 @@ class TestSchedulingModes:
         outs = {run_ok(prog, 3).returns[0] for _ in range(5)}
         assert len(outs) == 1
 
-    def test_all_modes_agree_on_deterministic_program(self, sched_mode):
+    def test_all_modes_agree_on_deterministic_program(self):
         def prog(p):
             acc = p.world.allreduce(p.rank + 1)
             sub = p.world.split(color=p.rank % 2, key=p.rank)
@@ -119,12 +119,8 @@ class TestSchedulingModes:
             sub.free()
             return acc
 
-        res = run_ok(prog, 4, mode=sched_mode)
+        res = run_ok(prog, 4)
         assert set(res.returns.values()) == {12}
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MessageEngine(2, mode="chaotic")
 
     def test_nprocs_validated(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ bit-identical to an uninterrupted run — without re-executing the
 interleavings already journaled (the re-executed count is asserted).
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -24,6 +25,7 @@ from repro.dampi import (
 from repro.dampi import FaultInjected, VerificationReport
 from repro.dampi import journal as jr
 from repro.dampi import prune as prune_mod
+from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
@@ -314,7 +316,7 @@ class TestRunRecord:
             ]
             assert tree(k) == tree("oracle")
 
-    def test_v1_journal_is_refused_by_version(self, tmp_path):
+    def test_v1_journal_is_refused_by_version(self, tmp_path, capsys):
         """A journal of the previous format (post-dedup ``record`` view,
         no raw facts) must fail on its version, not on a missing field."""
         journal_dir = tmp_path / "v1"
@@ -331,8 +333,8 @@ class TestRunRecord:
             DampiVerifier(
                 wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
             ).verify(journal=journal_dir)
-        with pytest.raises(JournalError, match="format version 1"):
-            main(["resume", str(journal_dir)])
+        assert main(["resume", str(journal_dir)]) == 2  # usage error, one line
+        assert "format version 1" in capsys.readouterr().err
 
 
 class TestFailureEntryResume:
@@ -455,6 +457,30 @@ class TestSerialization:
             3, base, kwargs={"receives": 2}
         )
 
+    #: fields that cannot change a report (bit-identity holds across them)
+    EXECUTION_CONFIG_FIELDS = {
+        "jobs", "job_timeout_seconds", "force_jobs",
+        "prefix_checkpoints", "checkpoint_cache_mb", "checkpoint_interval",
+        "keep_traces", "artifacts_dir",
+        "trace_events", "trace_buffer", "trace_sample_every",
+        "progress_interval_seconds", "fault_plan",
+        "journal_checkpoint_interval", "journal_segment_bytes", "journal_fsync",
+        "dist_heartbeat_seconds", "dist_lease_timeout_seconds",
+    }
+
+    def test_every_config_field_is_classified(self):
+        """A new DampiConfig field must answer "does it change the
+        report?": semantic (hashed into the journal signature) or listed
+        above as an execution knob — never neither, never both."""
+        semantic = set(SEMANTIC_CONFIG_FIELDS) | {"cost_model"}
+        assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
+        assert not semantic & self.EXECUTION_CONFIG_FIELDS
+        names = {f.name for f in dataclasses.fields(DampiConfig)}
+        assert names == semantic | self.EXECUTION_CONFIG_FIELDS
+        assert set(jr.config_signature(3, DampiConfig())) == semantic | {
+            "nprocs", "journal_mode", "kwargs", "args",
+        }
+
 
 class TestCliJournal:
     PROG = "repro.workloads.patterns:wildcard_lattice"
@@ -475,6 +501,32 @@ class TestCliJournal:
         assert rc == 0
         # resumed a complete journal: everything replayed, nothing executed
         assert "run(s) replayed, 0 executed" in out
+
+    def test_journal_naming_a_removed_knob_is_refused(self, tmp_path):
+        """A journal from a version whose DampiConfig had more fields
+        (``mode``, ``persistent_session``, ``indexed_matching``) is never
+        resumed silently, by either door."""
+        journal_dir = tmp_path / "j"
+        DampiVerifier(wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE).verify(
+            journal=CampaignJournal(journal_dir, program_label=self.PROG)
+        )
+        segment = min(journal_dir.glob("segment-*.jsonl"))
+        head, _, rest = segment.read_text().partition("\n")
+        meta = json.loads(head)
+        assert meta["t"] == "meta"
+        meta["signature"]["mode"] = "run_to_block"
+        meta["config"].update(
+            mode="run_to_block", persistent_session=True, indexed_matching=True
+        )
+        segment.write_text(json.dumps(meta) + "\n" + rest)
+        with pytest.raises(
+            SystemExit, match="does not match this version's DampiConfig"
+        ):
+            main(["resume", str(journal_dir)])
+        with pytest.raises(JournalError, match="different verification semantics"):
+            DampiVerifier(
+                wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+            ).verify(journal=journal_dir)
 
     def test_resume_without_meta_errors(self, tmp_path):
         empty = tmp_path / "empty"

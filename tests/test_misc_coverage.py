@@ -152,7 +152,7 @@ class TestFreeModeWithNewFeatures:
             assert req.data == p.size
 
         for _ in range(3):
-            run_ok(prog, 8, mode="free")
+            run_ok(prog, 8)
 
     def test_ssend_in_free_mode(self):
         def prog(p):
@@ -162,10 +162,10 @@ class TestFreeModeWithNewFeatures:
                 assert p.world.recv(source=0) == "x"
 
         for _ in range(3):
-            run_ok(prog, 2, mode="free")
+            run_ok(prog, 2)
 
     def test_scan_in_free_mode(self):
         def prog(p):
             assert p.world.scan(1, op=SUM) == p.rank + 1
 
-        run_ok(prog, 8, mode="free")
+        run_ok(prog, 8)

@@ -16,7 +16,7 @@ from tests.conftest import run_ok
 
 
 class TestBasicTransfer:
-    def test_send_recv_payload(self, sched_mode):
+    def test_send_recv_payload(self):
         def prog(p):
             if p.rank == 0:
                 p.world.send({"k": [1, 2]}, dest=1, tag=4)
@@ -26,7 +26,7 @@ class TestBasicTransfer:
                 assert got == {"k": [1, 2]}
                 assert st.source == 0 and st.tag == 4
 
-        run_ok(prog, 2, mode=sched_mode)
+        run_ok(prog, 2)
 
     def test_isend_irecv_wait(self):
         def prog(p):
@@ -114,7 +114,7 @@ class TestTags:
 
 
 class TestNonOvertaking:
-    def test_same_tag_fifo(self, sched_mode):
+    def test_same_tag_fifo(self):
         def prog(p):
             if p.rank == 0:
                 for i in range(20):
@@ -123,7 +123,7 @@ class TestNonOvertaking:
                 got = [p.world.recv(source=0, tag=7) for _ in range(20)]
                 assert got == list(range(20))
 
-        run_ok(prog, 2, mode=sched_mode)
+        run_ok(prog, 2)
 
     def test_wildcard_respects_per_source_order(self):
         def prog(p):
@@ -296,11 +296,11 @@ class TestErrors:
         res = run_program(prog, 2)
         assert any(isinstance(e, InvalidRankError) for e in res.primary_errors.values())
 
-    def test_head_to_head_deadlock(self, sched_mode):
+    def test_head_to_head_deadlock(self):
         def prog(p):
             p.world.recv(source=1 - p.rank)
 
-        res = run_program(prog, 2, mode=sched_mode)
+        res = run_program(prog, 2)
         assert res.deadlocked
         assert set(res.deadlock.blocked) == {0, 1}
 

@@ -18,11 +18,7 @@ import pytest
 from repro.dampi.config import DampiConfig
 from repro.dampi.campaign import run_campaign
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.parallel import (
-    ReplaySpec,
-    schedule_key,
-    simulate_wave_schedule,
-)
+from repro.dampi.parallel import ReplaySpec, schedule_key
 from repro.dampi.verifier import DampiVerifier
 from repro.errors import AbortError, DeadlockError
 from repro.mpi.constants import ANY_SOURCE
@@ -291,25 +287,6 @@ class TestPicklingSupport:
         assert good.picklable()
         bad = ReplaySpec(DampiVerifier, lambda p: None, 3, DampiConfig())
         assert not bad.picklable()
-
-
-class TestWaveSimulation:
-    def test_serial_is_sum_and_wide_waves_scale(self):
-        keys = [("k", i) for i in range(8)]
-        durs = [1.0] * 8
-        waves = [[keys[j] for j in range(i, min(i + 8, 8))] for i in range(8)]
-        t1 = simulate_wave_schedule(keys, durs, waves, jobs=1)
-        t4 = simulate_wave_schedule(keys, durs, waves, jobs=4)
-        assert t1 == pytest.approx(8.0)
-        assert t4 == pytest.approx(2.0)
-
-    def test_dependent_chain_does_not_scale(self):
-        # each wave reveals only the next schedule: span == work
-        keys = [("k", i) for i in range(4)]
-        waves = [[k] for k in keys]
-        t1 = simulate_wave_schedule(keys, [1.0] * 4, waves, jobs=1)
-        t4 = simulate_wave_schedule(keys, [1.0] * 4, waves, jobs=4)
-        assert t1 == t4 == pytest.approx(4.0)
 
 
 class TestTelemetryDeterminism:

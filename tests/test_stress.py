@@ -1,4 +1,4 @@
-"""Stress and scale tests: free-threaded mode, larger rank counts."""
+"""Stress and scale tests: contended programs, larger rank counts."""
 
 import pytest
 
@@ -12,8 +12,9 @@ from tests.conftest import run_ok
 
 
 class TestFreeModeStress:
-    """Free threading races real OS scheduling against engine locking;
-    every semantic invariant must survive it."""
+    """Contended programs (many-to-one funnels, collective storms, ADLB,
+    an instrumented self run): every semantic invariant must survive the
+    token hand-offs they force."""
 
     def test_funnel_conserves_messages(self):
         def prog(p):
@@ -27,7 +28,7 @@ class TestFreeModeStress:
                     p.world.send(p.rank, dest=0)
 
         for _ in range(5):
-            run_ok(prog, 8, mode="free")
+            run_ok(prog, 8)
 
     def test_collectives_under_contention(self):
         def prog(p):
@@ -36,7 +37,7 @@ class TestFreeModeStress:
                 total = p.world.allreduce(p.rank + i, op=SUM)
             return total
 
-        res = run_ok(prog, 12, mode="free")
+        res = run_ok(prog, 12)
         assert len(set(res.returns.values())) == 1
 
     def test_adlb_in_free_mode(self):
@@ -44,13 +45,13 @@ class TestFreeModeStress:
             return adlb_run(p, batch_app, num_servers=2, units_per_worker=2)
 
         for _ in range(3):
-            res = run_ok(job, 8, mode="free")
+            res = run_ok(job, 8)
             total = sum(v[0] for v in res.returns.values() if v is not None)
             assert total == 12
 
     def test_dampi_self_run_in_free_mode(self):
-        """DAMPI's analysis must stay consistent even when the self run is
-        scheduled by the OS (the paper's deployment reality)."""
+        """DAMPI's analysis of a six-rank funnel: every wildcard epoch is
+        recorded and matched."""
 
         def prog(p):
             if p.rank == 0:
@@ -61,57 +62,11 @@ class TestFreeModeStress:
 
         pb = PiggybackModule()
         cm = DampiClockModule(pb)
-        res = run_program(prog, 6, modules=[cm, pb], mode="free")
+        res = run_program(prog, 6, modules=[cm, pb])
         res.raise_any()
         trace = res.artifacts["dampi"]
         assert trace.wildcard_count == 5
         assert all(e.matched_source is not None for e in trace.all_epochs())
-
-
-class TestModeEquivalence:
-    """Deterministic programs must compute identical results in all three
-    scheduling modes — randomized over program structure."""
-
-    from hypothesis import HealthCheck, given, settings, strategies as st
-
-    @settings(
-        max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    @given(
-        ops=st.lists(
-            st.sampled_from(["allreduce", "scan", "ring", "bcast", "gather"]),
-            min_size=1,
-            max_size=6,
-        ),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_three_modes_agree(self, ops, seed):
-        from repro.mpi.constants import SUM
-
-        def prog(p):
-            acc = float(seed % 7)
-            for i, op in enumerate(ops):
-                if op == "allreduce":
-                    acc = p.world.allreduce(acc + p.rank, op=SUM)
-                elif op == "scan":
-                    acc += p.world.scan(1, op=SUM)
-                elif op == "ring":
-                    r = p.world.irecv(source=(p.rank - 1) % p.size, tag=i)
-                    p.world.send(acc, dest=(p.rank + 1) % p.size, tag=i)
-                    r.wait()
-                    acc += r.data
-                elif op == "bcast":
-                    acc += p.world.bcast(acc if p.rank == 0 else None, root=0)
-                elif op == "gather":
-                    g = p.world.gather(acc, root=0)
-                    acc = sum(g) if p.rank == 0 else acc
-            return round(acc, 6)
-
-        results = {
-            mode: run_ok(prog, 4, mode=mode).returns
-            for mode in ("run_to_block", "rr", "free")
-        }
-        assert results["run_to_block"] == results["rr"] == results["free"]
 
 
 class TestScale:

@@ -207,7 +207,15 @@ class TestPersistentSession:
     """Satellite: the persistent replay session (one runtime + parked rank
     threads reused across guided replays) is a pure optimisation — its
     reports must be bit-identical to fresh-runtime-per-run execution, and
-    no state may bleed between the runs it hosts."""
+    no state may bleed between the runs it hosts.  The fresh leg is a
+    policy *instance* config, which bypasses the session (pinned by
+    ``test_policy_instance_bypasses_session``)."""
+
+    @staticmethod
+    def _fresh_config():
+        from repro.mpi.matching import ArrivalPolicy
+
+        return DampiConfig(policy=ArrivalPolicy())
 
     def _fp(self, rep):
         from tests.test_parallel import _report_fingerprint
@@ -218,18 +226,13 @@ class TestPersistentSession:
         kwargs = {"receives": 3, "senders": 3}
         pooled = DampiVerifier(wildcard_lattice, 4, kwargs=kwargs).verify()
         fresh = DampiVerifier(
-            wildcard_lattice,
-            4,
-            DampiConfig(persistent_session=False),
-            kwargs=kwargs,
+            wildcard_lattice, 4, self._fresh_config(), kwargs=kwargs
         ).verify()
         assert self._fp(pooled) == self._fp(fresh)
 
     def test_pooled_error_finding_bit_identical_to_fresh(self):
         pooled = DampiVerifier(fig3_program, 3).verify()
-        fresh = DampiVerifier(
-            fig3_program, 3, DampiConfig(persistent_session=False)
-        ).verify()
+        fresh = DampiVerifier(fig3_program, 3, self._fresh_config()).verify()
         assert self._fp(pooled) == self._fp(fresh)
         assert (
             pooled.errors[0].decisions.forced == fresh.errors[0].decisions.forced
@@ -267,20 +270,6 @@ class TestPersistentSession:
             wildcard_lattice,
             3,
             DampiConfig(policy=SeededRandomPolicy(7)),
-            kwargs={"receives": 2, "senders": 2},
-        )
-        try:
-            v.run_once()
-            v.run_once()
-            assert v._session is None
-        finally:
-            v.close()
-
-    def test_session_disabled_by_config(self):
-        v = DampiVerifier(
-            wildcard_lattice,
-            3,
-            DampiConfig(persistent_session=False),
             kwargs={"receives": 2, "senders": 2},
         )
         try:
