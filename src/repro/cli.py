@@ -25,6 +25,7 @@ import importlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -45,17 +46,17 @@ def resolve_program(spec: str) -> Callable:
     """Import ``module.path:callable``."""
     module_name, sep, attr = spec.partition(":")
     if not sep or not attr:
-        raise SystemExit(f"program must be 'module:callable', got {spec!r}")
+        raise UsageError(f"program must be 'module:callable', got {spec!r}")
     try:
         module = importlib.import_module(module_name)
     except ImportError as e:
-        raise SystemExit(f"cannot import {module_name!r}: {e}") from e
+        raise UsageError(f"cannot import {module_name!r}: {e}") from e
     try:
         program = getattr(module, attr)
     except AttributeError:
-        raise SystemExit(f"{module_name!r} has no attribute {attr!r}") from None
+        raise UsageError(f"{module_name!r} has no attribute {attr!r}") from None
     if not callable(program):
-        raise SystemExit(f"{spec!r} is not callable")
+        raise UsageError(f"{spec!r} is not callable")
     return program
 
 
@@ -81,174 +82,186 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def jobs_flag(p: argparse.ArgumentParser) -> None:
-        # verify and escalate only: the commands that run the replay pool
+        # verify and escalate only: 'dist run' sizes the same fleet with
+        # --workers, and 'replay' executes one schedule
         p.add_argument(
             "--jobs",
             "-j",
             type=int,
             default=1,
             metavar="N",
-            help="replay worker processes (0 = all cores; default 1 = serial; "
-            "the report is identical either way; auto-demoted to serial on "
-            "single-CPU hosts, where a pool can only add overhead)",
+            help="fleet worker processes (0 = all cores; default 1 = "
+            "in-process; the report is identical either way; stays "
+            "in-process on single-CPU hosts, where workers could only "
+            "time-slice)",
+        )
+
+    def verify_flags(v: argparse.ArgumentParser) -> None:
+        """Everything 'verify' and 'dist run' share — one campaign, two
+        spellings of who executes it."""
+        common(v)
+        v.add_argument(
+            "--clock",
+            default="lamport",
+            choices=DampiConfig._CLOCK_IMPLS,
+            help="causality tracker (default: lamport, the paper's)",
+        )
+        v.add_argument(
+            "--piggyback",
+            default="separate",
+            choices=("separate", "inline"),
+            help="clock transport mechanism (default: separate messages)",
+        )
+        v.add_argument(
+            "--bound-k",
+            type=int,
+            default=None,
+            metavar="K",
+            help="bounded mixing window (default: unbounded full coverage)",
+        )
+        v.add_argument(
+            "--max-interleavings", type=int, default=None, help="exploration budget"
+        )
+        v.add_argument(
+            "--max-seconds", type=float, default=None, help="wall-clock budget"
+        )
+        v.add_argument(
+            "--baseline",
+            action="store_true",
+            help="use the centralized ISP baseline instead of DAMPI",
+        )
+        v.add_argument(
+            "--no-monitor", action="store_true", help="disable the §V omission monitor"
+        )
+        v.add_argument(
+            "--no-leak-check", action="store_true", help="disable leak checking"
+        )
+        v.add_argument(
+            "--witness-dir",
+            type=Path,
+            default=None,
+            help="save each found error's Epoch Decisions witness here",
+        )
+        v.add_argument(
+            "--artifacts-dir",
+            default=None,
+            help="write every run's epochs / potential-match / decision files "
+            "here (the paper's Fig. 1 file tree)",
+        )
+        v.add_argument(
+            "--show-runs",
+            action="store_true",
+            help="print the per-run table (flipped epoch, matches, outcome)",
+        )
+        v.add_argument(
+            "--all",
+            action="store_true",
+            help="with --show-runs, print every run (no 50-row cap)",
+        )
+        v.add_argument(
+            "--trace-out",
+            type=Path,
+            default=None,
+            metavar="FILE",
+            help="write the campaign event stream as a Chrome trace_event "
+            "JSON (open in chrome://tracing or Perfetto); implies tracing",
+        )
+        v.add_argument(
+            "--events-out",
+            type=Path,
+            default=None,
+            metavar="FILE",
+            help="write the campaign event stream as JSONL; implies tracing",
+        )
+        v.add_argument(
+            "--revt-out",
+            type=Path,
+            default=None,
+            metavar="FILE",
+            help="write the campaign event stream in the compact binary "
+            ".revt encoding (read it back with 'repro stats'); implies "
+            "tracing",
+        )
+        v.add_argument(
+            "--no-trace",
+            action="store_true",
+            help="disable event tracing (tracing is on by default — the "
+            "ring-buffered tracer costs <5%% — and feeds the report's "
+            "telemetry block and any --*-out event stream)",
+        )
+        v.add_argument(
+            "--trace-sample",
+            type=int,
+            default=1,
+            metavar="N",
+            help="record full event payloads for 1 in N replays "
+            "(deterministic, keyed off the schedule signature; exact "
+            "event counters are kept for every run regardless; default 1 "
+            "= every run)",
+        )
+        v.add_argument(
+            "--json-out",
+            type=Path,
+            default=None,
+            metavar="FILE",
+            help="write the report JSON (v3, includes the telemetry block)",
+        )
+        v.add_argument(
+            "--progress",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help="print a live progress heartbeat to stderr every SECONDS",
+        )
+        v.add_argument(
+            "--journal-dir",
+            type=Path,
+            default=None,
+            metavar="DIR",
+            help="durable campaign journal: every run is fsync'd to DIR "
+            "(with a fleet: leases, streamed records and per-lease worker "
+            "shards), and 'repro resume DIR' picks up where a crash left off "
+            "without re-executing covered interleavings; so does re-running "
+            "this command where it makes the same fleet-or-not choice "
+            "(--jobs N stays in-process on a single-CPU host, and the "
+            "journal's kind follows what actually ran)",
+        )
+        v.add_argument(
+            "--fault-plan",
+            default=None,
+            metavar="PLAN",
+            help="deterministic fault injection, e.g. 'kill@run:3', "
+            "'hang@flip:1.2:30', 'kill@worker:2' or 'kill@coord:3' (see "
+            "repro.dampi.faults; robustness testing)",
+        )
+        v.add_argument(
+            "--no-prefix-checkpoints",
+            action="store_true",
+            help="disable prefix-sharing replay (checkpoint/restore at "
+            "decision points); every guided replay re-executes from MPI_Init. "
+            "Reports are bit-identical either way",
+        )
+        v.add_argument(
+            "--no-prune",
+            action="store_true",
+            help="disable future-equivalence subtree pruning (on by default: "
+            "sibling alternatives whose futures are provably isomorphic are "
+            "explored once; findings are identical either way — see "
+            "report.prune_stats for what was skipped)",
+        )
+        v.add_argument(
+            "--adaptive-clocks",
+            action="store_true",
+            help="adaptive clock escalation: run the scalar clock, detect "
+            "epochs where its approximation may have excluded a real match "
+            "(the paper's Fig. 4 pattern), and re-derive just those epochs' "
+            "alternatives under vector clocks via one precision replay each; "
+            "requires --clock lamport|lamport_dual",
         )
 
     v = sub.add_parser("verify", help="explore the wildcard match space")
-    common(v)
+    verify_flags(v)
     jobs_flag(v)
-    v.add_argument(
-        "--clock",
-        default="lamport",
-        choices=DampiConfig._CLOCK_IMPLS,
-        help="causality tracker (default: lamport, the paper's)",
-    )
-    v.add_argument(
-        "--piggyback",
-        default="separate",
-        choices=("separate", "inline"),
-        help="clock transport mechanism (default: separate messages)",
-    )
-    v.add_argument(
-        "--bound-k",
-        type=int,
-        default=None,
-        metavar="K",
-        help="bounded mixing window (default: unbounded full coverage)",
-    )
-    v.add_argument(
-        "--max-interleavings", type=int, default=None, help="exploration budget"
-    )
-    v.add_argument(
-        "--max-seconds", type=float, default=None, help="wall-clock budget"
-    )
-    v.add_argument(
-        "--baseline",
-        action="store_true",
-        help="use the centralized ISP baseline instead of DAMPI",
-    )
-    v.add_argument(
-        "--no-monitor", action="store_true", help="disable the §V omission monitor"
-    )
-    v.add_argument(
-        "--no-leak-check", action="store_true", help="disable leak checking"
-    )
-    v.add_argument(
-        "--witness-dir",
-        type=Path,
-        default=None,
-        help="save each found error's Epoch Decisions witness here",
-    )
-    v.add_argument(
-        "--artifacts-dir",
-        default=None,
-        help="write every run's epochs / potential-match / decision files "
-        "here (the paper's Fig. 1 file tree)",
-    )
-    v.add_argument(
-        "--show-runs",
-        action="store_true",
-        help="print the per-run table (flipped epoch, matches, outcome)",
-    )
-    v.add_argument(
-        "--all",
-        action="store_true",
-        help="with --show-runs, print every run (no 50-row cap)",
-    )
-    v.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the campaign event stream as a Chrome trace_event "
-        "JSON (open in chrome://tracing or Perfetto); implies tracing",
-    )
-    v.add_argument(
-        "--events-out",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the campaign event stream as JSONL; implies tracing",
-    )
-    v.add_argument(
-        "--revt-out",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the campaign event stream in the compact binary "
-        ".revt encoding (read it back with 'repro stats'); implies "
-        "tracing",
-    )
-    v.add_argument(
-        "--no-trace",
-        action="store_true",
-        help="disable event tracing (tracing is on by default — the "
-        "ring-buffered tracer costs <5%% — and feeds the report's "
-        "telemetry block and any --*-out event stream)",
-    )
-    v.add_argument(
-        "--trace-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="record full event payloads for 1 in N replays "
-        "(deterministic, keyed off the schedule signature; exact "
-        "event counters are kept for every run regardless; default 1 "
-        "= every run)",
-    )
-    v.add_argument(
-        "--json-out",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the report JSON (v3, includes the telemetry block)",
-    )
-    v.add_argument(
-        "--progress",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="print a live progress heartbeat to stderr every SECONDS",
-    )
-    v.add_argument(
-        "--journal-dir",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="durable campaign journal: every run is fsync'd to DIR, and "
-        "a later run (or 'repro resume DIR') picks up where a crash left "
-        "off without re-executing covered interleavings",
-    )
-    v.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection, e.g. 'kill@run:3' or "
-        "'hang@flip:1.2:30' (see repro.dampi.faults; robustness testing)",
-    )
-    v.add_argument(
-        "--no-prefix-checkpoints",
-        action="store_true",
-        help="disable prefix-sharing replay (checkpoint/restore at "
-        "decision points); every guided replay re-executes from MPI_Init. "
-        "Reports are bit-identical either way",
-    )
-    v.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable future-equivalence subtree pruning (on by default: "
-        "sibling alternatives whose futures are provably isomorphic are "
-        "explored once; findings are identical either way — see "
-        "report.prune_stats for what was skipped)",
-    )
-    v.add_argument(
-        "--adaptive-clocks",
-        action="store_true",
-        help="adaptive clock escalation: run the scalar clock, detect "
-        "epochs where its approximation may have excluded a real match "
-        "(the paper's Fig. 4 pattern), and re-derive just those epochs' "
-        "alternatives under vector clocks via one precision replay each; "
-        "requires --clock lamport|lamport_dual",
-    )
 
     s = sub.add_parser(
         "stats",
@@ -308,31 +321,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault injection (see repro.dampi.faults)",
     )
 
+    def resume_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "journal_dir", type=Path, help="a verify / dist run --journal-dir"
+        )
+        p.add_argument(
+            "--program",
+            default=None,
+            help="override the program spec recorded in the journal",
+        )
+        p.add_argument(
+            "--fault-plan",
+            default=None,
+            metavar="PLAN",
+            help="fault plan for the resumed attempt (the recorded plan is "
+            "NOT re-injected by default — the fault already happened)",
+        )
+        p.add_argument(
+            "--json-out", type=Path, default=None, metavar="FILE",
+            help="write the report JSON",
+        )
+        p.add_argument(
+            "--show-runs", action="store_true", help="print the per-run table"
+        )
+
     rs = sub.add_parser(
         "resume",
-        help="resume a crashed verification from its --journal-dir "
-        "(program, nprocs, and config are read from the journal)",
+        help="resume a crashed verification from its --journal-dir, "
+        "in-process or with a fleet as the journal was written (program, "
+        "nprocs, and config are read from the journal)",
     )
-    rs.add_argument("journal_dir", type=Path, help="a verify --journal-dir")
-    rs.add_argument(
-        "--program",
-        default=None,
-        help="override the program spec recorded in the journal",
-    )
-    rs.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="PLAN",
-        help="fault plan for the resumed attempt (the recorded plan is "
-        "NOT re-injected by default — the fault already happened)",
-    )
-    rs.add_argument(
-        "--json-out", type=Path, default=None, metavar="FILE",
-        help="write the report JSON",
-    )
-    rs.add_argument(
-        "--show-runs", action="store_true", help="print the per-run table"
-    )
+    resume_flags(rs)
 
     d = sub.add_parser(
         "dist",
@@ -342,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = d.add_subparsers(dest="dist_command", required=True)
 
     dr = dsub.add_parser(
-        "run", help="run a distributed verification campaign"
+        "run",
+        help="'verify' with the fleet size spelled --workers: always runs "
+        "the coordinator, even with one worker or one CPU",
     )
-    common(dr)
+    verify_flags(dr)
     dr.add_argument(
         "--workers",
         "-w",
@@ -354,79 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes exploring leased subtrees (default 2); the "
         "report is bit-identical for any N",
     )
-    dr.add_argument(
-        "--clock", default="lamport", choices=DampiConfig._CLOCK_IMPLS
-    )
-    dr.add_argument(
-        "--bound-k", type=int, default=None, metavar="K",
-        help="bounded mixing window",
-    )
-    dr.add_argument(
-        "--max-interleavings", type=int, default=None,
-        help="exploration budget (applied during report assembly)",
-    )
-    dr.add_argument(
-        "--progress", type=float, default=None, metavar="SECONDS",
-        help="one aggregated fleet heartbeat to stderr every SECONDS",
-    )
-    dr.add_argument(
-        "--journal-dir", type=Path, default=None, metavar="DIR",
-        help="durable coordinator journal (leases, streamed records, "
-        "per-lease worker shards); survives worker AND coordinator "
-        "crashes — 'repro dist resume DIR' continues",
-    )
-    dr.add_argument(
-        "--fault-plan", default=None, metavar="PLAN",
-        help="deterministic fault injection, e.g. 'kill@worker:2' or "
-        "'kill@coord:3' (see repro.dampi.faults)",
-    )
-    dr.add_argument(
-        "--no-prefix-checkpoints", action="store_true",
-        help="disable prefix-sharing replay inside the shard workers",
-    )
-    dr.add_argument(
-        "--no-prune", action="store_true",
-        help="disable future-equivalence subtree pruning (workers skip "
-        "provably isomorphic sibling subtrees; findings are identical "
-        "either way)",
-    )
-    dr.add_argument(
-        "--adaptive-clocks", action="store_true",
-        help="adaptive clock escalation inside the shard workers "
-        "(requires --clock lamport|lamport_dual)",
-    )
-    dr.add_argument(
-        "--json-out", type=Path, default=None, metavar="FILE",
-        help="write the report JSON",
-    )
-    dr.add_argument(
-        "--show-runs", action="store_true", help="print the per-run table"
-    )
 
     dz = dsub.add_parser(
         "resume",
-        help="resume a crashed distributed campaign from its --journal-dir",
+        help="'repro resume' under its older name, plus --workers",
     )
-    dz.add_argument("journal_dir", type=Path, help="a dist run --journal-dir")
+    resume_flags(dz)
     dz.add_argument(
         "--workers", "-w", type=int, default=None, metavar="N",
         help="worker count for the resumed attempt (default: as recorded)",
-    )
-    dz.add_argument(
-        "--program", default=None,
-        help="override the program spec recorded in the journal",
-    )
-    dz.add_argument(
-        "--fault-plan", default=None, metavar="PLAN",
-        help="fault plan for the resumed attempt (the recorded plan is "
-        "NOT re-injected by default — the fault already happened)",
-    )
-    dz.add_argument(
-        "--json-out", type=Path, default=None, metavar="FILE",
-        help="write the report JSON",
-    )
-    dz.add_argument(
-        "--show-runs", action="store_true", help="print the per-run table"
     )
 
     dst = dsub.add_parser(
@@ -478,22 +435,35 @@ def _check_adaptive_clock(args) -> None:
     """Fail fast with a CLI-shaped message instead of DampiConfig's
     ValueError when --adaptive-clocks meets a non-scalar clock."""
     if args.adaptive_clocks and args.clock not in ("lamport", "lamport_dual"):
-        raise SystemExit(
+        raise UsageError(
             f"--adaptive-clocks escalates a *scalar* clock to vector "
             f"precision on demand; --clock {args.clock} is already "
             f"(or wraps) a vector clock — drop one of the two flags"
         )
 
 
+def _existing_journal_dir(path: Path) -> Path:
+    """A command that only reads a journal must not conjure one: refuse
+    anything that is not already a directory."""
+    if not path.is_dir():
+        raise UsageError(f"{path} is not a directory (expected a --journal-dir)")
+    return path
+
+
 def cmd_verify(args) -> int:
+    """``verify`` and ``dist run``: one campaign, executed in-process, by
+    the fleet ``--jobs`` asks for, or by exactly ``--workers`` workers."""
     program, kwargs = _program_args(args)
+    workers = getattr(args, "workers", None)  # 'dist run' only
+    if workers is not None and workers < 1:
+        raise UsageError(f"--workers must be >= 1, not {workers}")
     if args.no_trace and (args.trace_out or args.events_out or args.revt_out):
-        raise SystemExit(
+        raise UsageError(
             "--no-trace conflicts with --trace-out/--events-out/--revt-out "
             "(event exports need the tracer)"
         )
     if args.no_trace and args.trace_sample != 1:
-        raise SystemExit(
+        raise UsageError(
             "--no-trace conflicts with --trace-sample "
             "(payload sampling configures the tracer --no-trace disables)"
         )
@@ -505,7 +475,7 @@ def cmd_verify(args) -> int:
         max_interleavings=args.max_interleavings,
         max_seconds=args.max_seconds,
         policy=args.policy,
-        jobs=_jobs_arg(args),
+        jobs=_jobs_arg(args) if workers is None else 1,
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
         artifacts_dir=args.artifacts_dir,
@@ -531,43 +501,64 @@ def cmd_verify(args) -> int:
             fsync=config.journal_fsync,
             program_label=args.program,
         )
-    report = verifier.verify(journal=journal)
+    return _report_tail(
+        args, _run(verifier, journal, workers), args.program, args.nprocs
+    )
+
+
+def _run(verifier, journal, workers):
+    """``workers`` None: the verifier decides from ``config.jobs`` and the
+    host; a number: the coordinator over exactly that many."""
+    if workers is None:
+        return verifier.verify(journal=journal)
+    from repro.dist import DistCoordinator
+
+    return DistCoordinator(verifier, workers=workers, journal=journal).run()
+
+
+def _report_tail(args, report, label, nprocs) -> int:
+    """Print a finished campaign and write what the flags asked for; the
+    exit code says whether the program under test has defects.  Flags a
+    command does not define (``resume`` has only the report ones) read as
+    unset."""
+    def flag(name):
+        return getattr(args, name, None)
+
     print(report.summary())
+    fleet = (report.parallel_stats or {}).get("mode") == "dist"
+    if fleet:
+        ps = report.parallel_stats
+        print(
+            f"  distributed: {ps['workers']} worker(s), "
+            f"{ps['leases']} lease(s), {ps['records']} record(s), "
+            f"{ps['worker_deaths']} worker death(s)"
+        )
     if report.journal_stats is not None:
         js = report.journal_stats
         print(
-            f"  journal: {js['replayed']} run(s) replayed from "
-            f"{js['dir']}, {js['executed']} executed"
+            f"  journal: {js['replayed']} {'record(s)' if fleet else 'run(s)'} "
+            f"replayed, {js['executed']} executed"
         )
     if args.show_runs:
-        print(report.run_table(limit=None if args.all else 50))
-    if args.trace_out is not None:
+        # 'resume' has no --all and always printed every row
+        print(report.run_table(limit=50 if flag("all") is False else None))
+    header = {"program": label, "nprocs": nprocs}
+    if flag("trace_out") is not None:
         from repro.obs.export import write_chrome_trace
 
         write_chrome_trace(
-            report.events,
-            args.trace_out,
-            label=args.program,
-            nprocs=args.nprocs,
+            report.events, args.trace_out, label=label, nprocs=nprocs
         )
         print(f"  chrome trace saved: {args.trace_out}")
-    if args.events_out is not None:
+    if flag("events_out") is not None:
         from repro.obs.export import write_events_jsonl
 
-        write_events_jsonl(
-            report.events,
-            args.events_out,
-            header={"program": args.program, "nprocs": args.nprocs},
-        )
+        write_events_jsonl(report.events, args.events_out, header=header)
         print(f"  event log saved: {args.events_out}")
-    if args.revt_out is not None:
+    if flag("revt_out") is not None:
         from repro.obs.binary import write_events_binary
 
-        write_events_binary(
-            report.events,
-            args.revt_out,
-            header={"program": args.program, "nprocs": args.nprocs},
-        )
+        write_events_binary(report.events, args.revt_out, header=header)
         print(f"  binary event stream saved: {args.revt_out}")
     if args.json_out is not None:
         args.json_out.write_text(report.to_json() + "\n")
@@ -575,7 +566,7 @@ def cmd_verify(args) -> int:
     if report.monitor_report and report.monitor_report.triggered:
         for alert in report.monitor_report.alerts:
             print(f"  alert: {alert}")
-    if args.witness_dir is not None and report.errors:
+    if flag("witness_dir") is not None and report.errors:
         args.witness_dir.mkdir(parents=True, exist_ok=True)
         for i, error in enumerate(report.errors):
             if error.decisions is not None:
@@ -601,7 +592,7 @@ def _stats_follow(args) -> int:
     try:
         interval = follow_interval(args.interval)
     except ValueError as e:
-        raise SystemExit(str(e)) from e
+        raise UsageError(str(e)) from e
     try:
         while True:
             progress = journal_progress(args.file)
@@ -610,7 +601,7 @@ def _stats_follow(args) -> int:
                 break
             _time.sleep(interval)
     except JournalStatsError as e:
-        raise SystemExit(str(e)) from e
+        raise UsageError(str(e)) from e
     except KeyboardInterrupt:
         print("(stopped following; campaign still running)")
         return 0
@@ -643,22 +634,22 @@ def cmd_stats(args) -> int:
         try:
             print(render_journal_summary(journal_progress(args.file)))
         except JournalStatsError as e:
-            raise SystemExit(str(e)) from e
+            raise UsageError(str(e)) from e
         return 0
     if args.follow:
-        raise SystemExit(
+        raise UsageError(
             f"--follow needs a --journal-dir directory to tail; "
             f"{args.file} is a file"
         )
     try:
         raw = args.file.read_bytes()
     except OSError as e:
-        raise SystemExit(f"cannot read {args.file}: {e}") from e
+        raise UsageError(f"cannot read {args.file}: {e}") from e
     if raw.startswith(BINARY_MAGIC):
         try:
             header, events = read_events_binary(args.file)
         except ValueError as e:
-            raise SystemExit(f"{args.file}: corrupt .revt stream: {e}") from e
+            raise UsageError(f"{args.file}: corrupt .revt stream: {e}") from e
         print(render_events_summary(header, events))
         return 0
     payload = None
@@ -672,13 +663,13 @@ def cmd_stats(args) -> int:
     try:
         header, events = read_events_jsonl(args.file)
     except ValueError as e:
-        raise SystemExit(
+        raise UsageError(
             f"{args.file} is neither a report JSON (--json-out), an "
             f"events JSONL (--events-out), a binary stream (--revt-out), "
             f"nor a journal directory: {e}"
         ) from e
     if header.get("format") != JSONL_FORMAT:
-        raise SystemExit(f"{args.file}: not a {JSONL_FORMAT} file")
+        raise UsageError(f"{args.file}: not a {JSONL_FORMAT} file")
     print(render_events_summary(header, events))
     return 0
 
@@ -705,49 +696,42 @@ def cmd_escalate(args) -> int:
     return 1 if result.errors else 0
 
 
-def _load_resume(args, journal_mode: str, api: str):
-    """What ``resume`` and ``dist resume`` read back from a journal's meta
-    record: ``(journal, meta, program, config, kwargs)``, or a
-    refusal naming what the operator should do instead.  ``journal_mode``
-    is the kind this command owns; ``api`` the in-process way out."""
+def _load_resume(args):
+    """What ``resume`` reads back from a journal's meta record:
+    ``(journal, meta, mode, program, config, kwargs)``, or a refusal
+    naming what the operator should do instead."""
     from repro.dampi.journal import CampaignJournal
     from repro.mpi.costmodel import CostModel
 
-    journal = CampaignJournal(args.journal_dir)
+    journal = CampaignJournal(_existing_journal_dir(args.journal_dir))
     meta = journal.meta
     if meta is None:
-        raise SystemExit(
+        raise UsageError(
             f"{args.journal_dir}: no journal meta record found "
             f"(empty directory, or not a campaign journal)"
         )
     mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode != journal_mode:
-        if journal_mode == "dist":
-            raise SystemExit(
-                f"{args.journal_dir} is a {mode!r} journal, not a distributed "
-                f"coordinator journal; use "
-                f"{'repro resume' if mode == 'campaign' else 'the coordinator journal'} instead"
-            )
-        if mode == "shard":
-            raise SystemExit(
-                f"{args.journal_dir} is a worker shard journal of a distributed "
-                f"campaign — it covers one leased subtree, not the whole "
-                f"verification; resume the campaign's coordinator journal with "
-                f"'repro dist resume' instead"
-            )
-        raise SystemExit(
-            f"{args.journal_dir} is a {mode!r} journal; use "
-            f"'repro dist resume' on it"
+    if mode == "shard":
+        raise UsageError(
+            f"{args.journal_dir} is a worker shard journal of a distributed "
+            f"campaign — it covers one leased subtree, not the whole "
+            f"verification; resume the campaign's coordinator journal with "
+            f"'repro dist resume' instead"
         )
     spec = args.program or meta.get("program")
     if not spec:
-        raise SystemExit(
+        raise UsageError(
             "this journal does not record a program spec (it was written "
             "by the API, not the CLI); pass --program module:callable"
         )
     payload = meta.get("config")
     if not isinstance(payload, dict):
-        raise SystemExit(
+        api = (
+            "repro.dist.distributed_verify"
+            if mode == "dist"
+            else "DampiVerifier.verify"
+        )
+        raise UsageError(
             "this journal's config is not serializable (policy instance?); "
             f"resume in-process via {api}(journal=...)"
         )
@@ -759,126 +743,54 @@ def _load_resume(args, journal_mode: str, api: str):
         config = _config(**d, **({"cost_model": CostModel(**cm)} if cm else {}))
     except TypeError as e:
         # also how a journal from a version with more knobs is refused
-        raise SystemExit(
+        raise UsageError(
             f"journal config does not match this version's DampiConfig: {e}"
         ) from e
     kwargs = meta.get("kwargs")
     if not isinstance(kwargs, dict):
-        raise SystemExit(
+        raise UsageError(
             f"this journal's program kwargs are not serializable "
             f"({kwargs!r}); resume in-process instead"
         )
-    return journal, meta, resolve_program(spec), config, kwargs
+    return journal, meta, mode, resolve_program(spec), config, kwargs
 
 
 def cmd_resume(args) -> int:
-    """Self-contained crash recovery: everything needed to continue —
-    program spec, nprocs, config, kwargs — is read from the journal's
-    meta record, so the operator only names the directory."""
-    journal, meta, program, config, kwargs = _load_resume(
-        args, "campaign", "DampiVerifier.verify"
-    )
-    verifier = DampiVerifier(program, meta["nprocs"], config, kwargs=kwargs)
-    report = verifier.verify(journal=journal)
-    print(report.summary())
-    js = report.journal_stats or {}
-    print(
-        f"  journal: {js.get('replayed', 0)} run(s) replayed, "
-        f"{js.get('executed', 0)} executed"
-    )
-    if args.show_runs:
-        print(report.run_table(limit=None))
-    if args.json_out is not None:
-        args.json_out.write_text(report.to_json() + "\n")
-        print(f"  report JSON saved: {args.json_out}")
-    return 1 if report.errors else 0
-
-
-def _print_dist_report(args, report) -> int:
-    print(report.summary())
-    ps = report.parallel_stats or {}
-    print(
-        f"  distributed: {ps.get('workers')} worker(s), "
-        f"{ps.get('leases')} lease(s), {ps.get('records')} record(s), "
-        f"{ps.get('worker_deaths', 0)} worker death(s)"
-    )
-    if report.journal_stats is not None:
-        js = report.journal_stats
-        print(
-            f"  journal: {js['replayed']} record(s) replayed from "
-            f"{js['dir']}, {js['executed']} executed"
+    """Self-contained crash recovery (``resume`` and ``dist resume``):
+    everything needed to continue — program spec, nprocs, config, kwargs,
+    and whether a fleet wrote the journal — is read from its meta record,
+    so the operator only names the directory.  The journal's kind decides
+    who continues it: a campaign journal the in-process loop (whatever
+    ``jobs`` it recorded — a ``--jobs 2`` run demoted on a single-CPU
+    host wrote one too, and only that loop can read it), a coordinator
+    journal the fleet at its recorded size (``dist resume
+    --workers`` overrides)."""
+    journal, meta, mode, program, config, kwargs = _load_resume(args)
+    workers = None
+    if mode == "dist":
+        workers = (
+            getattr(args, "workers", None)
+            or (meta.get("dist") or {}).get("workers")
+            or 2
         )
-    if args.show_runs:
-        print(report.run_table(limit=None))
-    if args.json_out is not None:
-        args.json_out.write_text(report.to_json() + "\n")
-        print(f"  report JSON saved: {args.json_out}")
-    return 1 if report.errors else 0
-
-
-def cmd_dist_run(args) -> int:
-    from repro.dampi.journal import CampaignJournal
-    from repro.dist import distributed_verify
-
-    program, kwargs = _program_args(args)
-    _check_adaptive_clock(args)
-    config = _config(
-        clock_impl=args.clock,
-        bound_k=args.bound_k,
-        max_interleavings=args.max_interleavings,
-        policy=args.policy,
-        progress_interval_seconds=args.progress,
-        fault_plan=args.fault_plan,
-        prefix_checkpoints=not args.no_prefix_checkpoints,
-        prune=not args.no_prune,
-        adaptive_clocks=args.adaptive_clocks,
+        if workers < 1:
+            raise UsageError(f"--workers must be >= 1, not {workers}")
+    verifier = DampiVerifier(
+        program, meta["nprocs"], replace(config, jobs=1), kwargs=kwargs
     )
-    journal = None
-    if args.journal_dir is not None:
-        journal = CampaignJournal(
-            args.journal_dir,
-            segment_bytes=config.journal_segment_bytes,
-            fsync=config.journal_fsync,
-            program_label=args.program,
-        )
-    report = distributed_verify(
-        program,
-        args.nprocs,
-        config=config,
-        workers=args.workers,
-        journal=journal,
-        kwargs=kwargs,
+    return _report_tail(
+        args, _run(verifier, journal, workers), meta.get("program"), meta["nprocs"]
     )
-    return _print_dist_report(args, report)
-
-
-def cmd_dist_resume(args) -> int:
-    """Like 'repro resume' but for a coordinator journal: program spec,
-    nprocs, config, and worker count all come from the meta record."""
-    from repro.dist import distributed_verify
-
-    journal, meta, program, config, kwargs = _load_resume(
-        args, "dist", "repro.dist.distributed_verify"
-    )
-    workers = args.workers or (meta.get("dist") or {}).get("workers") or 2
-    report = distributed_verify(
-        program,
-        meta["nprocs"],
-        config=config,
-        workers=workers,
-        journal=journal,
-        kwargs=kwargs,
-    )
-    return _print_dist_report(args, report)
 
 
 def cmd_dist_status(args) -> int:
     from repro.dist import journal_status
 
-    st = journal_status(args.journal_dir)
+    st = journal_status(_existing_journal_dir(args.journal_dir))
     if st["mode"] != "dist":
-        print(f"{st['dir']}: a {st['mode']!r} journal, not a distributed one")
-        return 1
+        raise UsageError(
+            f"{st['dir']}: a {st['mode']!r} journal, not a distributed one"
+        )
     state = "complete" if st["complete"] else "in progress"
     print(f"distributed campaign journal {st['dir']} ({state})")
     print(f"  self run recorded : {st['self_run']}")
@@ -921,9 +833,9 @@ def main(argv=None) -> int:
             return cmd_resume(args)
         if args.command == "dist":
             if args.dist_command == "run":
-                return cmd_dist_run(args)
+                return cmd_verify(args)
             if args.dist_command == "resume":
-                return cmd_dist_resume(args)
+                return cmd_resume(args)
             if args.dist_command == "status":
                 return cmd_dist_status(args)
         if args.command == "replay":

@@ -18,7 +18,6 @@ module turns that workflow into an API:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -180,8 +179,8 @@ def escalating_verify(
 class CampaignCell:
     nprocs: int
     config_name: str
-    #: None when the cell's verification never produced a report (its
-    #: worker died, its report was unpicklable, ...) — see ``failure``
+    #: None when the cell's verification never produced a report (it
+    #: raised) — see ``failure``
     report: Optional[VerificationReport] = None
     #: why the cell failed to verify, when it did
     failure: Optional[str] = None
@@ -257,9 +256,8 @@ def _run_campaign_cell(
     name: Optional[str] = None,
     journal_dir=None,
 ) -> VerificationReport:
-    """Worker entry point for one (nprocs, config) cell.  The cell's own
-    fault plan fires its ``cell:`` site here — inside the pool worker when
-    the sweep is pooled — and the same plan instance is handed to
+    """One (nprocs, config) cell.  The cell's own fault plan fires its
+    ``cell:`` site here, and the same plan instance is handed to
     ``verify`` so one-shot semantics hold across the cell's sites."""
     plan = FaultPlan.parse(cfg.fault_plan)
     if plan and name is not None:
@@ -274,7 +272,7 @@ def run_campaign(
     nprocs_list: Sequence[int],
     configs: Optional[dict[str, DampiConfig]] = None,
     kwargs: Optional[dict] = None,
-    jobs: Optional[int] = 1,
+    jobs: Optional[int] = None,
     journal_dir=None,
 ) -> CampaignResult:
     """Verify across a (process count × configuration) grid.
@@ -282,21 +280,12 @@ def run_campaign(
     Default configurations: a quick ``k=0`` pass and a capped unbounded
     pass — the cheap-then-thorough pairing most sessions want.
 
-    Cells are fully independent verifications, so with ``jobs > 1``
-    (``None`` = ``os.cpu_count()``) they are dispatched onto one shared
-    worker pool; each pooled cell runs its own replays in-process
-    (``jobs=1``) to avoid nested pools.  Cell order — and therefore the
-    result — is identical to the serial sweep.  Unpicklable programs fall
-    back to the serial sweep automatically.
-
-    A cell whose verification *itself* fails — its worker is killed, its
-    report cannot cross the process boundary — is recorded as a failed
+    Cells run one after another, in grid order; ``jobs`` (when not None)
+    overrides the replay parallelism of every cell's config (see
+    :class:`DampiConfig.jobs`), exactly as in :func:`escalating_verify`.
+    A cell whose verification raises is recorded as a failed
     :class:`CampaignCell` (``report=None``, ``failure=<reason>``) and the
-    sweep keeps going; a dead worker breaks the shared pool, so the pool
-    is rebuilt and the not-yet-finished cells are resubmitted.  When the
-    pool breaks, the cell being waited on is the one blamed — with
-    concurrent cells in flight the true culprit may be a later cell,
-    which will then fail (and be blamed) in the next round.
+    sweep keeps going.
 
     ``journal_dir`` gives every cell its own journal under
     ``<dir>/np<nprocs>-<name>``; re-running the campaign with the same
@@ -308,101 +297,20 @@ def run_campaign(
             "quick-k0": DampiConfig(bound_k=0, max_interleavings=500),
             "full-capped": DampiConfig(max_interleavings=2000),
         }
-    grid = [
-        (nprocs, name, cfg)
-        for nprocs in nprocs_list
-        for name, cfg in configs.items()
-    ]
     result = CampaignResult()
-    njobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    if njobs > 1 and len(grid) > 1 and _cells_picklable(program, configs, kwargs):
-        cells = _run_pooled_cells(program, grid, kwargs, njobs, journal_dir)
-        result.cells.extend(cells)
-        return result
-    for nprocs, name, cfg in grid:
-        try:
-            report = _run_campaign_cell(
-                program, nprocs, cfg, kwargs, name=name, journal_dir=journal_dir
-            )
-            result.cells.append(CampaignCell(nprocs, name, report))
-        except Exception as e:
-            result.cells.append(
-                CampaignCell(
-                    nprocs, name, failure=f"{type(e).__name__}: {e}"
-                )
-            )
-    return result
-
-
-def _run_pooled_cells(
-    program, grid, kwargs, njobs: int, journal_dir
-) -> list[CampaignCell]:
-    """The pooled sweep, tolerant of dying cells.  Cells are consumed in
-    grid order; a cell that raises is recorded failed.  A dead worker
-    breaks the whole ``ProcessPoolExecutor`` (every pending future raises
-    ``BrokenProcessPool``), so on breakage the observed cell is blamed,
-    the results of cells not yet observed are discarded, and a fresh pool
-    re-runs them — each round fails at least one cell, so at most
-    ``len(grid)`` rounds."""
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else methods[0])
-    done: dict[int, CampaignCell] = {}
-    remaining = list(enumerate(grid))
-    while remaining:
-        pool = ProcessPoolExecutor(max_workers=njobs, mp_context=ctx)
-        futures = [
-            (
-                idx,
-                nprocs,
-                name,
-                pool.submit(
-                    _run_campaign_cell,
-                    program,
-                    nprocs,
-                    replace(cfg, jobs=1),
-                    kwargs,
-                    name=name,
-                    journal_dir=journal_dir,
-                ),
-            )
-            for idx, (nprocs, name, cfg) in remaining
-        ]
-        broken = False
-        next_remaining = []
-        for i, (idx, nprocs, name, fut) in enumerate(futures):
-            if broken:
-                # unobserved after breakage: rerun on the fresh pool (its
-                # journal, if any, makes the rerun a cheap replay+resume)
-                next_remaining.append(remaining[i])
-                continue
+    for nprocs in nprocs_list:
+        for name, cfg in configs.items():
+            if jobs is not None:
+                cfg = replace(cfg, jobs=jobs)
             try:
-                done[idx] = CampaignCell(nprocs, name, fut.result())
-            except BrokenProcessPool:
-                done[idx] = CampaignCell(
-                    nprocs,
-                    name,
-                    failure="cell worker died (pool broken while this "
-                    "cell was being awaited)",
+                report = _run_campaign_cell(
+                    program, nprocs, cfg, kwargs, name=name, journal_dir=journal_dir
                 )
-                broken = True
+                result.cells.append(CampaignCell(nprocs, name, report))
             except Exception as e:
-                done[idx] = CampaignCell(
-                    nprocs, name, failure=f"{type(e).__name__}: {e}"
+                result.cells.append(
+                    CampaignCell(
+                        nprocs, name, failure=f"{type(e).__name__}: {e}"
+                    )
                 )
-        pool.shutdown(wait=False, cancel_futures=True)
-        remaining = next_remaining
-    return [done[idx] for idx in sorted(done)]
-
-
-def _cells_picklable(program, configs, kwargs) -> bool:
-    import pickle
-
-    try:
-        pickle.dumps((program, configs, kwargs))
-        return True
-    except Exception:
-        return False
+    return result

@@ -156,7 +156,7 @@ class PrefixCheckpointCache:
         self._bytes = 0
         #: keys whose recording run found a non-resumable cut state
         self.ineligible: set = set()
-        # counters (surfaced via ReplayExecutor / repro stats)
+        # counters (surfaced via report.parallel_stats / repro stats)
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -58,22 +58,15 @@ class DampiConfig:
         Hard budget guards; the report flags truncation.
     jobs:
         Replay parallelism.  ``1`` (the default) replays in-process,
-        serially.  ``N > 1`` runs guided replays on a pool of ``N``
-        worker processes via :mod:`repro.dampi.parallel`; ``None`` uses
-        ``os.cpu_count()``.  The report is bit-identical to ``jobs=1``
-        (the pool only *pre-computes* the schedules the serial walk
-        requests).  Falls back to in-process execution automatically when
-        the program is unpicklable.
-    job_timeout_seconds:
-        Per-replay wall-clock timeout in pool mode; a worker exceeding it
-        (or dying) is reported as a ``crash`` defect with its witness
-        schedule instead of hanging the session.  ``None`` disables.
-    force_jobs:
-        By default ``jobs > 1`` is auto-demoted to in-process execution
-        on single-CPU hosts, where process-pool dispatch can only add
-        overhead (``pool_stats`` records the demotion and its reason).
-        ``True`` skips the heuristic and uses the pool regardless —
-        tests of the pool machinery and oversubscription experiments.
+        serially.  ``N > 1`` hands the campaign to the lease fleet of
+        :mod:`repro.dist` — ``N`` forked worker processes exploring
+        disjoint subtrees, the coordinator assembling the serial walk as
+        records arrive; ``None`` uses ``os.cpu_count()``.  The report is
+        bit-identical to ``jobs=1``.  On a single-CPU host the campaign
+        stays in-process (logged; ``exec.demoted`` gauge): workers could
+        only time-slice against each other there.  A journal records
+        which of the two shapes wrote it, so a ``journal=`` directory
+        cannot move between ``jobs=1`` and ``jobs>1``.
     policy / cost_model:
         Substrate knobs: the wildcard match policy for SELF_RUN portions
         (the paper's native match bias; a policy *instance* may carry
@@ -106,7 +99,7 @@ class DampiConfig:
         run.
     progress_interval_seconds:
         When set, ``verify()`` writes a live progress heartbeat (runs
-        done/queued, frontier depth, dedup-cache hit rate, ETA) to stderr
+        done/queued, frontier depth, checkpoint hits/misses, ETA) to stderr
         at most this often.  ``None`` (default) disables.
     artifacts_dir:
         When set, every run's epochs, potential matches, and forced
@@ -118,7 +111,7 @@ class DampiConfig:
         comma-separated ``action@site[:selector][:param]`` terms that
         kill/hang/delay replay workers, the verify loop, escalation
         stages, or campaign cells at chosen points.  Travels inside the
-        config, so pooled replay workers and campaign cells inherit it
+        config, so fleet workers and campaign cells inherit it
         automatically.  ``None`` (the default) injects nothing.
     journal_checkpoint_interval:
         When verifying with a journal, write a full generator-state
@@ -144,8 +137,6 @@ class DampiConfig:
     max_interleavings: Optional[int] = None
     max_seconds: Optional[float] = None
     jobs: Optional[int] = 1
-    job_timeout_seconds: Optional[float] = None
-    force_jobs: bool = False
     #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
     #: the engine at each explored decision point and start the sibling
     #: schedules of that point from the snapshot instead of re-executing
@@ -198,8 +189,9 @@ class DampiConfig:
     dist_heartbeat_seconds: float = 0.5
     #: distributed mode: a lease whose worker shows no progress (no
     #: record, donation, or run-count advance) for this long is declared
-    #: lost — the worker is terminated and the lease re-issued.  Must
-    #: comfortably exceed the cost of one replay.
+    #: lost — the worker is terminated and the lease re-issued (the hang
+    #: guard of every ``jobs > 1`` campaign).  Must comfortably exceed
+    #: the cost of one replay.
     dist_lease_timeout_seconds: float = 30.0
 
     _CLOCK_IMPLS = ("lamport", "vector", "lamport_dual", "vector_dual")
@@ -217,8 +209,6 @@ class DampiConfig:
             raise ValueError("auto_loop_threshold must be None or >= 1")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be None (= cpu_count) or >= 1")
-        if self.job_timeout_seconds is not None and self.job_timeout_seconds <= 0:
-            raise ValueError("job_timeout_seconds must be None or > 0")
         if self.checkpoint_cache_mb < 1:
             raise ValueError("checkpoint_cache_mb must be >= 1")
         if self.checkpoint_interval < 1:

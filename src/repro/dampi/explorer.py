@@ -114,9 +114,6 @@ class ScheduleGenerator:
         self.auto_loop_threshold = auto_loop_threshold
         self.path: list[DecisionNode] = []
         self._flip_index: Optional[int] = None
-        #: the flipped node's ``chosen`` before the pending flip — what
-        #: :meth:`abandon` must restore when the replay never happens
-        self._flip_prev: Optional[int] = None
         self._seeded = False
         self.divergences = 0
         self.frozen_created = 0
@@ -209,7 +206,6 @@ class ScheduleGenerator:
         path.append(root)
         self.path = path
         self._flip_index = len(path) - 1
-        self._flip_prev = alt
         forced = {n.key: n.chosen for n in path if n.chosen >= 0}
         return EpochDecisions(forced=forced, flip=root.key)
 
@@ -365,7 +361,6 @@ class ScheduleGenerator:
                 continue
             alt = min(node.untried)  # deterministic exploration order
             node.tried.add(alt)
-            self._flip_prev = node.chosen
             node.chosen = alt
             self._flip_index = i
             # Unmatched (never-completed) epochs have no source to force;
@@ -386,8 +381,9 @@ class ScheduleGenerator:
 
     def next_decision_batch(self, width: int) -> list[EpochDecisions]:
         """Up to ``width`` *pending* schedules the serial walk is going to
-        request, without mutating the DFS state — the frontier wave a
-        parallel executor can precompute.
+        request, without mutating the DFS state.  No product code calls
+        it any more (the replay pool it fed is gone); it stays because
+        ``benchmarks/ledger/spans.py`` patches it by name — see ROADMAP.
 
         The first element is exactly what the next :meth:`next_decisions`
         call will return.  The remaining elements are the untried sibling
@@ -428,18 +424,6 @@ class ScheduleGenerator:
                 break
         return out
 
-    def abandon(self) -> None:
-        """Drop the pending flip without a trace (the replay was lost to a
-        worker crash/timeout): the alternative stays tried so it is never
-        re-emitted, and the flipped node's ``chosen`` reverts to the source
-        that actually executed — the lost alternative never ran, so leaving
-        it as ``chosen`` would smuggle a never-executed source into the
-        forced prefix of every later, shallower flip."""
-        if self._flip_index is not None and self._flip_prev is not None:
-            self.path[self._flip_index].chosen = self._flip_prev
-        self._flip_index = None
-        self._flip_prev = None
-
     def integrate(self, trace: RunTrace, signature=None) -> bool:
         """Fold a replay's trace into the search state.
 
@@ -472,7 +456,6 @@ class ScheduleGenerator:
             else:
                 node.sigs.setdefault(sig, node.chosen)
         self._flip_index = None
-        self._flip_prev = None
         if trace.diverged:
             self.divergences += 1
         prefix = self.path[: i + 1]

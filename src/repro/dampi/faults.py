@@ -5,7 +5,7 @@ workers that die mid-replay, cells that OOM, jobs that hit wall-clock
 limits and are killed at arbitrary points.  This module turns those
 failure modes into a reproducible harness: a :class:`FaultPlan` is a
 compact string carried on :attr:`DampiConfig.fault_plan` (and therefore
-pickled into replay workers and campaign cells automatically) that fires
+inherited by fleet workers and campaign cells automatically) that fires
 a chosen *action* at a chosen *site*.
 
 Plan syntax — comma-separated ``action@site[:selector][:param]`` terms::
@@ -28,12 +28,13 @@ Actions
 -------
 ``kill``
     ``os._exit(FAULT_EXIT_CODE)`` — a hard, unflushed death, exactly what
-    a SIGKILLed worker or a dying node looks like.  Injected in a pool
-    worker it kills that worker; injected in the main loop it kills the
-    campaign (the crash the journal exists to survive).
+    a SIGKILLed worker or a dying node looks like.  Injected in a fleet
+    worker it kills that worker (its lease is re-issued); injected in the
+    main loop it kills the campaign (the crash the journal exists to
+    survive).
 ``hang``
     Sleep ``param`` seconds (default :data:`DEFAULT_HANG_SECONDS`) — a
-    wedged worker, the food for ``job_timeout_seconds``.
+    wedged worker, the food for ``dist_lease_timeout_seconds``.
 ``delay``
     Sleep ``param`` seconds and continue — jitter for race hunting.
 ``raise``
@@ -44,20 +45,20 @@ Sites
 ``self``
     Immediately before the self run (selector: none).
 ``run:<n>``
-    In the verify loop, immediately before executing/consuming replay
+    In the verify loop — or, with a fleet, the coordinator's assembly
+    walk — immediately before executing/consuming replay
     ``n`` (the 1-based run index) — and before anything about run ``n``
     reaches the journal, so a ``kill`` here loses exactly that run.
 ``flip:<rank>.<lc>[.<src>]``
     Inside replay execution (:meth:`DampiVerifier.run_once`), wherever it
-    happens — a pool worker in pool mode (a mid-wave fault), the main
-    process inline.  Matches the schedule's flip epoch, optionally only
+    happens — a fleet worker when ``jobs > 1``, the main process
+    otherwise.  Matches the schedule's flip epoch, optionally only
     when ``src`` is the source forced at it.
 ``stage:<label>``
     In :func:`~repro.dampi.campaign.escalating_verify`, before the stage
     with that label (``k0``, ``k1``, ..., ``unbounded``) starts.
 ``cell:<nprocs>.<config_name>``
-    In :func:`~repro.dampi.campaign.run_campaign`, before that cell runs
-    (inside the cell worker when the sweep is pooled).
+    In :func:`~repro.dampi.campaign.run_campaign`, before that cell runs.
 ``worker:<id>[.<seq>]``
     In a distributed worker process (:mod:`repro.dist.worker`), before it
     consumes its ``seq``-th replay (1-based across its whole lifetime);
@@ -72,7 +73,9 @@ Sites
 
 Each fault fires **once per process**: a plan object tracks which of its
 faults already fired, and worker processes carry their own plan copy —
-so a ``flip`` kill takes down one worker, not every retry forever.
+so a ``flip`` kill fires once per worker (a replacement worker parses a
+fresh copy: a lease that kills every worker it is issued to exhausts
+``MAX_LEASE_ISSUES`` and aborts the campaign loudly).
 """
 
 from __future__ import annotations

@@ -33,10 +33,6 @@ Each line is one JSON record with a ``t`` discriminator:
     it was first to ``found`` (an audit figure for ``repro stats``;
     resume recomputes it), and the *run record* (below) built by
     :func:`run_entry`.
-``failure``
-    A replay lost to a worker crash/timeout: ``index``, schedule ``key``
-    and the failure ``reason`` (resume replays the ``abandon()``
-    transition and re-records the lost run).
 ``checkpoint``
     A full :class:`~repro.dampi.explorer.ScheduleGenerator` snapshot
     (path nodes with ``tried``/``alternatives``/``frozen``, counters),
@@ -394,9 +390,9 @@ def config_signature(
     different signature would silently mix two different searches.
     Program arguments are part of it — they change what executes.
 
-    ``mode`` distinguishes the three journal kinds a distributed campaign
-    produces: ``"campaign"`` (a whole serial verification), ``"dist"``
-    (a coordinator journal holding leases and streamed records), and
+    ``mode`` distinguishes the three journal kinds: ``"campaign"`` (a
+    whole in-process verification), ``"dist"`` (a fleet coordinator's
+    journal holding leases and streamed records — ``jobs > 1``), and
     ``"shard"`` (one worker's journal of one leased subtree, whose
     ``shard_prefix`` — the forced prefix it was leased — is part of the
     identity).  A journal of one mode can never be resumed as another:
@@ -462,7 +458,8 @@ class CampaignJournal:
         self._fh = None
         self._segment_index = 0
         self._segment_written = 0
-        self.root.mkdir(parents=True, exist_ok=True)
+        # loading never creates the directory: a read-only command pointed
+        # at a typo must leave nothing behind (the first append makes it)
         self._load()
 
     @classmethod
@@ -514,6 +511,14 @@ class CampaignJournal:
                         self._check_version(record)
                         self.meta = record
                     continue
+                if record.get("t") == "failure":
+                    raise JournalError(
+                        f"journal {self.root} holds a \"failure\" entry "
+                        f"(run {record.get('index')}): the replay pool "
+                        f"that wrote those is gone and a lost replay is "
+                        f"now re-executed — start over in a new journal "
+                        f"directory"
+                    )
                 self.entries.append(record)
         self._segment_index = next_index
 
@@ -530,8 +535,8 @@ class CampaignJournal:
             )
 
     def run_entries(self) -> list[dict]:
-        """The replayable history: run and failure records, in order."""
-        return [e for e in self.entries if e.get("t") in ("run", "failure")]
+        """The replayable history: run records, in order."""
+        return [e for e in self.entries if e.get("t") == "run"]
 
     def latest_checkpoint(self) -> Optional[dict]:
         ckpt = None
@@ -603,12 +608,14 @@ class CampaignJournal:
             ),
             "dist": (
                 "a distributed *coordinator* journal (leases and streamed "
-                "worker records, not a serial run history).  Use "
-                "'repro dist resume' on it"
+                "worker records, as 'dist run' and '--jobs N' write them, "
+                "not a serial run history).  'repro resume' continues it; "
+                "a new campaign there needs the fleet again"
             ),
             "campaign": (
-                "a whole-campaign journal from a serial verification.  Use "
-                "'repro resume' on it"
+                "a whole-campaign journal from an in-process verification "
+                "('--jobs 1').  'repro resume' continues it; a new "
+                "campaign there must run in-process again"
             ),
         }[have]
         return (
@@ -619,6 +626,7 @@ class CampaignJournal:
     # -- writing ---------------------------------------------------------------
 
     def _open_segment(self) -> None:
+        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / f"segment-{self._segment_index:05d}.jsonl"
         self._segment_index += 1
         self._segment_written = 0

@@ -184,7 +184,7 @@ def signature_of(result, trace: RunTrace) -> RunSignature:
 
 def escalation_config(cfg):
     """The config of a precision replay: same program semantics, vector
-    clocks, every campaign-level knob (pool, checkpoints, tracing,
+    clocks, every campaign-level knob (fleet, checkpoints, tracing,
     journal, faults) stripped — one in-process replay, nothing else."""
     return replace(
         cfg,
@@ -192,7 +192,6 @@ def escalation_config(cfg):
         adaptive_clocks=False,
         prune=False,
         jobs=1,
-        force_jobs=False,
         prefix_checkpoints=False,
         trace_events=False,
         progress_interval_seconds=None,

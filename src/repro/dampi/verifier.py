@@ -11,6 +11,7 @@ witness that reproduces it.
 from __future__ import annotations
 
 import logging
+import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FaultPlan
 from repro.dampi.leaks import LeakCheckModule, LeakReport
 from repro.dampi.monitor import MonitorReport, OmissionMonitorModule
-from repro.dampi.parallel import ReplayExecutor, ReplaySpec
 from repro.dampi.piggyback import PiggybackModule
 from repro.dampi import prune as prune_mod
 from repro.errors import DeadlockError
@@ -129,8 +129,8 @@ class _ReplaySession:
                     getattr(make_policy(cfg.policy), "stateless", False)
                 )
             else:
-                # mirror the executor's single-CPU jobs demotion: log and
-                # fall back to full replays instead of erroring mid-campaign
+                # mirror the single-CPU jobs demotion: log and fall back
+                # to full replays instead of erroring mid-campaign
                 self.checkpoint_demote_reason = reason
                 _log.info("prefix checkpoints demoted: %s", reason)
 
@@ -443,7 +443,10 @@ class VerificationReport:
     #: untruncated run means the bound never bit and the space is fully
     #: covered (no wider bound can find more)
     bound_frozen: int = 0
-    #: replay-executor counters (mode, waves, cache hits/misses, ...)
+    #: how this attempt executed its replays: ``mode`` ``"inline"``
+    #: (``jobs``, ``demoted``/``demote_reason``, the ``checkpoint`` cache
+    #: counters) or ``"dist"`` (``workers``, ``leases``, ``records``,
+    #: ``worker_deaths``)
     parallel_stats: Optional[dict] = None
     #: journal accounting when verify() ran with one: directory, runs
     #: replayed from the journal vs executed live.  Like parallel_stats,
@@ -623,7 +626,7 @@ class _Campaign:
         #: where consumed runs are appended; None while a journal's own
         #: entries are being replayed (and for unjournaled campaigns)
         self.journal: Optional[jr.CampaignJournal] = None
-        #: run/failure entries the journal holds / since its last checkpoint
+        #: run entries the journal holds / since its last checkpoint
         self.applied = 0
         self.since_checkpoint = 0
 
@@ -663,7 +666,7 @@ class DampiVerifier:
         #: deterministic fault injection (no-op unless config.fault_plan);
         #: fired at self/run sites by verify() and at flip sites by
         #: run_once() — so flip faults strike wherever the replay actually
-        #: executes, a pool worker included
+        #: executes, a fleet worker included
         self._faults = FaultPlan.parse(self.config.fault_plan)
         #: per-run event tracer handed to every Runtime this verifier
         #: builds; None (the fast path) unless config.trace_events
@@ -707,7 +710,7 @@ class DampiVerifier:
 
         The self run is always captured; guided replays hash their
         canonical schedule key, so the decision is identical in-process,
-        in pool workers, and across resumes — the rate-N stream is a
+        in fleet workers, and across resumes — the rate-N stream is a
         deterministic subset of the rate-1 stream.  Exact ``events.*``
         counters are kept either way (see :class:`repro.obs.trace.Tracer`).
         """
@@ -792,35 +795,31 @@ class DampiVerifier:
         except Exception:
             pass
 
-    # -- parallel plumbing --------------------------------------------------------
+    # -- fleet plumbing -----------------------------------------------------------
 
     def _spec_extra(self) -> dict:
-        """Extra constructor kwargs a replay worker must pass to rebuild
+        """Extra constructor kwargs a fleet worker must pass to rebuild
         this verifier (subclasses with additional state override)."""
         return {}
 
-    def _make_executor(
-        self, telemetry: Optional[CampaignTelemetry] = None
-    ) -> ReplayExecutor:
-        spec = ReplaySpec(
-            verifier_cls=type(self),
-            program=self.program,
-            nprocs=self.nprocs,
-            config=self.config,
-            args=self.args,
-            kwargs=self.kwargs,
-            ctor_extra=self._spec_extra(),
-        )
-        return ReplayExecutor(
-            spec,
-            jobs=self.config.jobs,
-            timeout=self.config.job_timeout_seconds,
-            inline_runner=self.run_once,
-            force=self.config.force_jobs,
-            metrics=telemetry.metrics if telemetry is not None else None,
-            tracer=telemetry.tracer if telemetry is not None else None,
-            checkpoint_stats_fn=self.checkpoint_stats,
-        )
+    def _fleet_size(self) -> tuple[int, Optional[str]]:
+        """``(jobs, demote_reason)``: the worker count ``config.jobs``
+        asks for, and why this host will not get a fleet for it (None =
+        it will).  Replay cost is pure compute, so on a single-CPU host
+        workers could only time-slice against each other and the
+        coordinator: the campaign stays in-process there (reports are
+        identical either way)."""
+        cpus = os.cpu_count() or 1
+        jobs = self.config.jobs if self.config.jobs is not None else cpus
+        if jobs > 1 and cpus <= 1:
+            reason = (
+                f"auto-demoted to in-process execution: single-CPU host "
+                f"(os.cpu_count()={os.cpu_count()!r}) cannot run {jobs} "
+                f"compute-bound replay workers concurrently"
+            )
+            _log.info("%s", reason)
+            return jobs, reason
+        return jobs, None
 
     def verify(
         self,
@@ -830,11 +829,11 @@ class DampiVerifier:
         """The full coverage loop: self run + guided replays to exhaustion
         (or to the configured bounds).
 
-        The loop itself is serial — it is the DFS of paper §II-B — but
-        replay *execution* is delegated to a :class:`ReplayExecutor` built
-        from ``config.jobs``, which may pre-compute the frontier wave on
-        a worker pool.  Reports are bit-identical across ``jobs``
-        settings; see :mod:`repro.dampi.parallel`.
+        With ``config.jobs == 1`` the loop runs here, in-process — it is
+        the DFS of paper §II-B.  With more, the campaign is handed to a
+        :class:`repro.dist.DistCoordinator` over ``jobs`` local workers,
+        which assembles that same walk from the records its fleet streams
+        back; reports are bit-identical across ``jobs`` settings.
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
@@ -848,11 +847,17 @@ class DampiVerifier:
         one-shot faults stay one-shot across stages).
         """
         cfg = self.config
-        telemetry = CampaignTelemetry(cfg)
-        started = time.perf_counter()
         if faults is not None:
             self._faults = faults
         faults = self._faults
+        jobs, demote_reason = self._fleet_size()
+        if jobs > 1 and demote_reason is None:
+            # imported here: repro.dist builds on this module
+            from repro.dist.coordinator import DistCoordinator
+
+            return DistCoordinator(self, workers=jobs, journal=journal).run()
+        telemetry = CampaignTelemetry(cfg)
+        started = time.perf_counter()
         camp = _Campaign(self, telemetry)
         report = camp.report
         history = []
@@ -878,7 +883,6 @@ class DampiVerifier:
                 camp, 0, None, result, trace,
                 esc=self._escalate(None, trace), started=tele_token,
             )
-        executor = self._make_executor(telemetry)
 
         executed = 0 if history else 1  # the live self run counts as executed
         try:
@@ -889,8 +893,6 @@ class DampiVerifier:
                 if cfg.max_seconds is not None and time.perf_counter() - started > cfg.max_seconds:
                     report.truncated = not camp.generator.exhausted
                     break
-                width = executor.wave_width
-                batch = camp.generator.next_decision_batch(width) if width else ()
                 decisions = camp.generator.next_decisions()
                 if decisions is None:
                     break
@@ -903,26 +905,38 @@ class DampiVerifier:
                         metrics=telemetry.metrics,
                     )
                 tele_token = telemetry.run_started()
-                outcome = executor.run(decisions, batch)
+                result, trace = self.run_once(decisions)
                 executed += 1
-                if outcome.failure is not None:
-                    self._consume_failure(camp, run_index, decisions, outcome.failure)
-                else:
-                    self._consume(
-                        camp, run_index, decisions, outcome.result, outcome.trace,
-                        esc=self._escalate(decisions, outcome.trace),
-                        started=tele_token,
-                    )
-                telemetry.heartbeat(report.interleavings, camp.generator, executor)
+                self._consume(
+                    camp, run_index, decisions, result, trace,
+                    esc=self._escalate(decisions, trace), started=tele_token,
+                )
+                telemetry.heartbeat(
+                    report.interleavings, camp.generator, self.checkpoint_stats
+                )
         finally:
             # the journal needs no explicit cleanup here: every append is
             # already flushed+fsync'd, and the normal path below writes the
             # end marker and closes it
-            executor.close()
             self.close()
 
-        stats = executor.stats()
-        telemetry.record_executor(stats)
+        stats = {
+            "mode": "inline",
+            "jobs": jobs,
+            "demoted": demote_reason is not None,
+            "demote_reason": demote_reason,
+        }
+        gauge = telemetry.metrics.gauge
+        gauge("exec.jobs").set(stats["jobs"])
+        gauge("exec.demoted").set(stats["demoted"])
+        ckpt = self.checkpoint_stats()
+        if ckpt is not None:
+            stats["checkpoint"] = ckpt
+            for name, value in ckpt.items():
+                # per-depth breakdowns stay in the stats dict; gauges hold
+                # scalars only
+                if not isinstance(value, dict):
+                    gauge(f"exec.checkpoint_{name}").set(value)
         if journal is not None:
             journal.append(
                 {
@@ -1033,37 +1047,20 @@ class DampiVerifier:
             camp.since_checkpoint = 0
 
     def _consume_entry(
-        self, camp: _Campaign, index, decisions, entry: dict, drive=True
+        self, camp: _Campaign, index, decisions, entry: dict, drive=True,
+        obs=None,
     ) -> None:
-        """:meth:`_consume` a run that exists only as its run record."""
+        """:meth:`_consume` a run that exists only as its run record.
+        ``obs`` is the run's tracer payload when it travelled beside the
+        record (a fleet worker's frame); a journaled record has none."""
+        result = jr.result_from_entry(entry)
+        if obs:
+            result.artifacts["obs"] = obs
         self._consume(
             camp, index, decisions,
-            jr.result_from_entry(entry), jr.trace_from_jsonable(entry["trace"]),
+            result, jr.trace_from_jsonable(entry["trace"]),
             esc=entry.get("esc"), drive=drive,
         )
-
-    def _consume_failure(
-        self, camp: _Campaign, index, decisions, reason: str, drive=True
-    ) -> None:
-        """Fold in a replay that never produced a result (its pool worker
-        crashed or timed out); ``drive`` as in :meth:`_consume`."""
-        if drive:
-            camp.generator.abandon()
-        self._record_worker_failure(
-            camp.report, index, decisions, reason, camp.seen
-        )
-        camp.telemetry.record_failure(index, reason)
-        if camp.journal is not None:
-            camp.journal.append(
-                {
-                    "t": "failure",
-                    "index": index,
-                    "key": jr.decisions_to_jsonable(decisions),
-                    "reason": reason,
-                }
-            )
-            camp.applied += 1
-            camp.since_checkpoint += 1
 
     def _finish_report(
         self, camp: _Campaign, started, parallel_stats,
@@ -1071,7 +1068,7 @@ class DampiVerifier:
     ) -> None:
         """Close out the report once the walk is over: the generator's
         final counters, the prune/escalation block, this attempt's
-        executor and journal accounting, then telemetry."""
+        execution and journal accounting, then telemetry."""
         cfg = self.config
         report, generator = camp.report, camp.generator
         metrics = camp.telemetry.metrics
@@ -1108,7 +1105,7 @@ class DampiVerifier:
         """Rebuild the session state from a journal without executing
         anything: each entry's run record goes through the same
         :meth:`_consume` a live run does, which also feeds the trace back
-        through the generator's own ``seed``/``integrate``/``abandon``
+        through the generator's own ``seed``/``integrate``
         (deterministic, so the rebuilt DFS state is bit-identical) — with
         a fast-forward from the latest checkpoint when one exists.
         Returns the last run index replayed."""
@@ -1134,12 +1131,7 @@ class DampiVerifier:
                 self._check_journal_schedule(
                     journal, run_index, decisions, camp.generator.next_decisions()
                 )
-            if entry["t"] == "failure":
-                self._consume_failure(
-                    camp, run_index, decisions, entry["reason"], drive=drive
-                )
-            else:
-                self._consume_entry(camp, run_index, decisions, entry, drive=drive)
+            self._consume_entry(camp, run_index, decisions, entry, drive=drive)
             if i + 1 == fast_forward:
                 camp.generator = jr.restore_generator(ckpt["generator"])
         if camp.telemetry.tracer is not None:
@@ -1191,33 +1183,6 @@ class DampiVerifier:
             camp.telemetry.tracer.instant(
                 "journal_checkpoint", "journal", applied=camp.applied
             )
-
-    def _record_worker_failure(
-        self,
-        report: VerificationReport,
-        index: int,
-        decisions: EpochDecisions,
-        reason: str,
-        seen: set,
-    ) -> None:
-        """A pool worker crashed or timed out: surface the lost replay as a
-        crash defect (with its witness schedule) instead of aborting."""
-        report.interleavings += 1
-        key = ("crash", reason)
-        if key not in seen:
-            seen.add(key)
-            report.errors.append(FoundError("crash", index, reason, decisions))
-        report.runs.append(
-            RunRecord(
-                index=index,
-                makespan=0.0,
-                wildcard_count=0,
-                error_kinds=("crash",),
-                diverged=True,
-                flip=decisions.flip if decisions else None,
-                outcome=frozenset(),
-            )
-        )
 
     def _record_run(
         self,

@@ -16,20 +16,44 @@ The report is **assembled**, not accumulated.  Every global quantity in
 a serial report — run indices, error dedup, ``error_kinds`` order,
 subtree pruning, budget truncation — depends on the serial walk's
 total order, which concurrent workers cannot reproduce.  So the
-coordinator collects records keyed by their canonical schedule
-(:func:`~repro.dist.protocol.entry_schedule_key`) and, once exploration
-is done, *re-runs the serial verify loop without executing anything*:
-fresh generator, ``next_decisions()``, look the schedule up in the
-record map, and hand the record to the verifier's own
+coordinator keeps records keyed by their canonical schedule
+(:func:`~repro.dist.protocol.entry_schedule_key`) and *runs the serial
+verify loop without executing anything*: one generator,
+``next_decisions()``, look the schedule up in the record map, and hand
+the record to the verifier's own
 :meth:`~repro.dampi.verifier.DampiVerifier._consume` — the step a live
 run goes through.  The walk is a deterministic function of the records,
 so the assembled report is bit-identical to serial ``verify()`` by
-construction; a missing schedule is a hard :class:`DistError` (coverage
-hole), never a silent gap.
+construction; a schedule no lease can still deliver is a hard
+:class:`DistError` (coverage hole), never a silent gap.
 
-Budgets: ``max_interleavings`` is enforced during assembly (a global
-prefix-of-the-walk property).  ``max_seconds`` is a wall-clock budget
-with no serial-equivalent meaning across N machines and is not applied.
+Streaming and budgets
+---------------------
+The walk is *streaming*: it advances every time a record arrives
+(:meth:`DistCoordinator._advance`) and it, not the lease table, decides
+when the campaign is over — the moment it is exhausted or reaches
+``max_interleavings`` / ``max_seconds`` the fleet is shut down, whatever
+leases are still open.  A budget therefore bounds the work done, not
+just the report: leases are issued deepest-first, which is the order the
+walk visits them, so the records a truncated walk needs come from the
+first leases issued.  Records that arrive ahead of the walk wait in the
+map and are released as the walk consumes them, so the map holds the
+fleet's lead over the walk, not the campaign; records the walk never
+asks for (a budget, or a subtree the assembly pruned and a worker did
+not) are simply left there.
+
+A run's tracer payload (``obs``: exact ``events.*`` counts, sampled raw
+records) travels *beside* its run record in the ``record`` frame as one
+packed string, waits in the map with it, and is decoded only when it is
+handed to ``_consume``.  A payload is never journaled, so a record that comes out
+of a journal contributes no events, exactly like a resumed run of an
+in-process campaign — and that includes a *shard* journal: a lease
+re-issued after a worker death is served from ``srun`` memo hits, which
+carry no ``obs``, so a traced, journaled campaign that lost a worker can
+report smaller ``events.*`` totals than serial (by the runs that worker
+had journaled but whose ``record`` frames were not handled before it was
+reaped).  ``events.*`` is fleet-size-invariant for campaigns without
+deaths or resumes; every other deterministic namespace always is.
 
 Durability
 ----------
@@ -41,7 +65,7 @@ journaled before it is acknowledged by assembly):
 ``lease``       a lease's id and spec, once, at first offer
 ``rec``         one streamed record entry
 ``lease_done``  a subtree fully explored
-``end``         exploration finished (assembly is a pure function)
+``end``         the walk is over (exhausted or out of budget)
 
 ``resume`` = rebuild the :class:`LeaseTable` and record map from the
 journal, re-enqueue every non-done lease, and continue; workers memoize
@@ -58,7 +82,9 @@ Heartbeats alone are deliberately not progress: a replay wedged by a
 ``hang`` fault keeps heartbeating but stops advancing.  Either way the
 worker's leases return to the queue and a replacement process is
 spawned; a lease re-issued more than :data:`MAX_LEASE_ISSUES` times
-aborts the campaign (a deterministic crash would loop forever).
+aborts the campaign (a deterministic crash would loop forever).  A
+replay lost this way is *re-executed*, never reported: only a run that
+produced a record can put a finding in the report.
 """
 
 from __future__ import annotations
@@ -68,7 +94,7 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dampi.config import DampiConfig
@@ -88,13 +114,16 @@ from repro.dist.protocol import (
     send_frame,
     start_reader,
     unpack_events,
+    unpack_obs,
 )
 from repro.dist.worker import worker_main
-from repro.obs.metrics import NONDETERMINISTIC_PREFIXES, MetricsRegistry
-from repro.obs.progress import ProgressReporter
+from repro.obs.metrics import NONDETERMINISTIC_PREFIXES
 
 #: a lease assigned this many times without completing aborts the campaign
 MAX_LEASE_ISSUES = 5
+
+#: what a record the walk has consumed leaves in the record map
+_CONSUMED = (None, None)
 
 
 def _filtered_snapshot(snap: dict) -> dict:
@@ -130,49 +159,54 @@ class _WorkerState:
 
 
 class DistCoordinator:
-    """One distributed verification campaign."""
+    """One verification campaign run by a fleet: ``verifier`` supplies the
+    program, the config and the consume step; ``workers`` processes supply
+    the executions (``DampiVerifier.verify`` hands itself over when
+    ``config.jobs > 1``)."""
 
     def __init__(
         self,
-        program,
-        nprocs: int,
-        config: Optional[DampiConfig] = None,
+        verifier: DampiVerifier,
         workers: int = 2,
         journal=None,
-        args: tuple = (),
-        kwargs: Optional[dict] = None,
         stream=None,
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
-        self.program = program
-        self.nprocs = nprocs
-        self.config = config or DampiConfig()
+        #: executes the self run, owns the consume step and the shared
+        #: one-shot fault plan; workers rebuild their own from its type
+        self.verifier = verifier
+        self.config = verifier.config
         self.workers = int(workers)
-        self.args = args
-        self.kwargs = kwargs or {}
-        self._stream = stream
-        #: executes the self run and owns report-assembly bookkeeping
-        #: (_consume) plus the shared one-shot fault plan
-        self.verifier = DampiVerifier(
-            program, nprocs, self.config, args=args, kwargs=self.kwargs
-        )
-        self.metrics = MetricsRegistry()
+        self.telemetry = CampaignTelemetry(self.config, stream=stream)
+        #: fleet accounting (``dist.*``, merged worker ``exec.*``/``ckpt.*``)
+        #: lands straight in the report's registry
+        self.metrics = self.telemetry.metrics
+        self.camp = _Campaign(verifier, self.telemetry)
         self.table = LeaseTable()
-        #: schedule_key -> record entry (the assembly's input)
+        #: schedule_key -> (record entry, packed tracer payload or None):
+        #: what the walk consumes; a consumed key stays (dedup, the record
+        #: count) but lets go of both
         self.recs: dict = {}
         self.self_entry: Optional[dict] = None
         self.journal: Optional[CampaignJournal] = None
         if journal is not None:
             self.journal = CampaignJournal.open(journal, self.config)
+            self.journal.bind(tracer=self.telemetry.tracer, metrics=self.metrics)
             self.journal.ensure_meta(
-                nprocs,
+                verifier.nprocs,
                 self.config,
-                kwargs=self.kwargs,
-                prog_args=args,
+                kwargs=verifier.kwargs,
+                prog_args=verifier.args,
                 mode="dist",
                 extra={"dist": {"workers": self.workers}},
             )
+        #: the schedule the walk is waiting for (None between runs), its
+        #: key, and the index the run will get
+        self._asked = None
+        self._asked_key = None
+        self._run_index = 0
+        self._started = 0.0
         self._replayed = 0  # records preloaded from the journal
         self._executed = 0  # fresh records received live
         #: worker lifecycle events (lease spans, memo hits) shipped
@@ -186,12 +220,6 @@ class DistCoordinator:
         self._events: queue.Queue = queue.Queue()
         self._server: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
-        interval = self.config.progress_interval_seconds
-        self.progress = (
-            ProgressReporter(interval, stream=stream)
-            if interval is not None
-            else None
-        )
 
     # -- journal ---------------------------------------------------------------
 
@@ -212,7 +240,7 @@ class DistCoordinator:
             elif t == "rec":
                 key = entry_schedule_key(e["entry"])
                 if key is not None and key not in self.recs:
-                    self.recs[key] = e["entry"]
+                    self.recs[key] = (e["entry"], None)
                     self._replayed += 1
             elif t == "lease_done":
                 self.table.mark_done(e["id"])
@@ -229,35 +257,87 @@ class DistCoordinator:
 
     def run(self) -> VerificationReport:
         cfg = self.config
-        started = time.perf_counter()
-        faults = self.verifier._faults
+        verifier = self.verifier
+        self._started = time.perf_counter()
+        faults = verifier._faults
         self._reload()
+        self_obs = None
         if self.self_entry is None:
             if faults:
-                faults.fire("self", metrics=self.metrics)
-            result, trace = self.verifier.run_once()
+                faults.fire(
+                    "self", tracer=self.telemetry.tracer, metrics=self.metrics
+                )
+            result, trace = verifier.run_once()
             # augment the trace before it is journaled: resume and the
-            # assembly walk then replay the escalation deterministically
-            esc = self.verifier._escalate(None, trace)
-            self.verifier.close()
+            # walk then replay the escalation deterministically
+            esc = verifier._escalate(None, trace)
+            verifier.close()
+            self_obs = result.artifacts.get("obs")
             self.self_entry = run_entry(None, result, trace, esc=esc)
             self._journal_append({"t": "dself", "entry": self.self_entry})
-        self_trace = trace_from_jsonable(self.self_entry["trace"])
+        verifier._consume_entry(self.camp, 0, None, self.self_entry, obs=self_obs)
         # Enumerate the initial frontier.  On resume this re-derives the
         # same specs (deterministic function of the self trace) and the
         # table dedups them against the journaled ones.
         master = ScheduleGenerator(
             bound_k=cfg.bound_k, auto_loop_threshold=cfg.auto_loop_threshold
         )
-        master.seed(self_trace)
+        master.seed(trace_from_jsonable(self.self_entry["trace"]))
         for spec in master.take_subtree_leases():
             self._offer(spec)
-        complete = self.journal is not None and self.journal.complete
-        if not complete and not self.table.all_done:
+        # a journal that already holds every record the walk asks for
+        # (a finished campaign, or one whose budget it covers) needs no fleet
+        if not self._advance(faults):
             self._distribute(faults)
-        if not complete:
+        if self.journal is not None and not self.journal.complete:
             self._journal_append({"t": "end"})
-        return self._assemble(started)
+        return self._finish()
+
+    def _advance(self, faults) -> bool:
+        """Advance the one serial walk over the records collected so far
+        — the loop body of ``DampiVerifier.verify`` with a map lookup in
+        place of ``run_once``.  Returns True when the walk is over
+        (exhausted, or out of budget with ``report.truncated`` set) and
+        False when it waits for a record no worker has delivered yet."""
+        cfg = self.config
+        camp = self.camp
+        report = camp.report
+        while True:
+            if (
+                cfg.max_interleavings is not None
+                and report.interleavings >= cfg.max_interleavings
+            ) or (
+                cfg.max_seconds is not None
+                and time.perf_counter() - self._started > cfg.max_seconds
+            ):
+                # a schedule asked for but not consumed is unexplored work
+                report.truncated = (
+                    self._asked is not None or not camp.generator.exhausted
+                )
+                return True
+            if self._asked is None:
+                self._asked = camp.generator.next_decisions()
+                if self._asked is None:
+                    return True
+                self._asked_key = schedule_key(self._asked)
+                self._run_index += 1
+                if faults:
+                    faults.fire(
+                        "run",
+                        (self._run_index,),
+                        tracer=self.telemetry.tracer,
+                        metrics=self.metrics,
+                    )
+            rec = self.recs.get(self._asked_key)
+            if rec is None:
+                return False
+            entry, obs = rec
+            self.recs[self._asked_key] = _CONSUMED
+            self.verifier._consume_entry(
+                camp, self._run_index, self._asked, entry,
+                obs=unpack_obs(obs) if obs else None,
+            )
+            self._asked = None
 
     # -- distribution ----------------------------------------------------------
 
@@ -280,7 +360,17 @@ class DistCoordinator:
             for _ in range(self.workers):
                 self._spawn(ctx, host, port, shards_dir)
             tick = max(0.05, self.config.dist_heartbeat_seconds / 2)
-            while not self.table.all_done:
+            while not self._advance(faults):
+                if self.table.all_done:
+                    # every frame of a lease precedes its lease_done, so
+                    # nothing that could still arrive covers the schedule
+                    raise DistError(
+                        f"coverage hole: the deterministic walk asks for flip "
+                        f"{self._asked.flip} at run {self._run_index} but no "
+                        f"worker record covers it ({len(self.recs)} records "
+                        f"collected) — a lease finished without streaming all "
+                        f"its runs"
+                    )
                 try:
                     tag, frame = self._events.get(timeout=tick)
                 except queue.Empty:
@@ -319,11 +409,13 @@ class DistCoordinator:
                 wid,
                 host,
                 port,
-                self.program,
-                self.nprocs,
+                type(self.verifier),
+                self.verifier.program,
+                self.verifier.nprocs,
                 self.config,
-                self.args,
-                self.kwargs,
+                self.verifier.args,
+                self.verifier.kwargs,
+                self.verifier._spec_extra(),
                 shards_dir,
             ),
             name=f"dist-worker-{wid}",
@@ -378,7 +470,7 @@ class DistCoordinator:
                 self._journal_append(
                     {"t": "rec", "id": frame.get("lease"), "entry": frame["entry"]}
                 )
-                self.recs[key] = frame["entry"]
+                self.recs[key] = (frame["entry"], frame.get("obs"))
                 self._executed += 1
                 self.metrics.inc("dist.records")
         elif t == "discovered":
@@ -503,11 +595,11 @@ class DistCoordinator:
                 victim.last_steal_at = now
                 self.metrics.inc("dist.steal_requests")
                 self._send(victim, {"t": "steal"})
-        if self.progress is not None:
+        if self.telemetry.progress is not None:
             frames = [
                 s.frame for s in self._states.values() if s.alive and s.frame
             ]
-            self.progress.merge_tick(
+            self.telemetry.progress.merge_tick(
                 frames,
                 active_leases=self.table.active_count,
                 pending_leases=self.table.pending_count,
@@ -522,6 +614,11 @@ class DistCoordinator:
     # -- shutdown --------------------------------------------------------------
 
     def _shutdown_workers(self) -> None:
+        """The walk is over: tell every worker to stop (mid-lease ones
+        included) and collect their ``bye`` accounting — and any
+        ``lease_done`` already on the wire, so the ledger of a campaign
+        that ended with its last record shows that lease closed.  Records
+        still in flight are not needed any more and are dropped unread."""
         waiting = []
         for state in self._states.values():
             if state.alive and state.sock is not None:
@@ -533,7 +630,8 @@ class DistCoordinator:
                 tag, frame = self._events.get(timeout=0.1)
             except queue.Empty:
                 continue
-            self._handle(tag, frame, None)
+            if frame is None or frame.get("t") in ("bye", "lease_done"):
+                self._handle(tag, frame, None)
 
     def _teardown(self) -> None:
         server = self._server
@@ -555,48 +653,13 @@ class DistCoordinator:
                     proc.terminate()
                 proc.join(timeout=5)
 
-    # -- assembly --------------------------------------------------------------
+    # -- report ----------------------------------------------------------------
 
-    def _assemble(self, started: float) -> VerificationReport:
-        """The serial verify loop, re-run as a pure function of collected
-        traces (see module doc: bit-identity by construction)."""
-        cfg = self.config
-        telemetry = CampaignTelemetry(
-            replace(cfg, progress_interval_seconds=None, trace_events=False),
-            stream=self._stream,
-        )
-        verifier = self.verifier
-        camp = _Campaign(verifier, telemetry)
-        report = camp.report
-        verifier._consume_entry(camp, 0, None, self.self_entry)
-        run_index = 0
-        while True:
-            if (
-                cfg.max_interleavings is not None
-                and report.interleavings >= cfg.max_interleavings
-            ):
-                report.truncated = not camp.generator.exhausted
-                break
-            decisions = camp.generator.next_decisions()
-            if decisions is None:
-                break
-            run_index += 1
-            entry = self.recs.get(schedule_key(decisions))
-            if entry is None:
-                raise DistError(
-                    f"coverage hole: the deterministic walk asks for flip "
-                    f"{decisions.flip} at run {run_index} but no worker "
-                    f"record covers it ({len(self.recs)} records collected) "
-                    f"— a lease finished without streaming all its runs"
-                )
-            verifier._consume_entry(camp, run_index, decisions, entry)
-        # fleet/exec accounting rides in the nondeterministic namespaces
-        telemetry.metrics.merge_snapshot(
-            _filtered_snapshot(self.metrics.snapshot())
-        )
-        verifier._finish_report(
-            camp,
-            started,
+    def _finish(self) -> VerificationReport:
+        report = self.camp.report
+        self.verifier._finish_report(
+            self.camp,
+            self._started,
             {
                 "mode": "dist",
                 "workers": self.workers,
@@ -632,20 +695,15 @@ def distributed_verify(
     stream=None,
 ) -> VerificationReport:
     """Verify ``program`` with the decision tree sharded across
-    ``workers`` processes; returns a report bit-identical to the serial
+    ``workers`` processes, on any host (``DampiVerifier.verify`` with
+    ``jobs > 1`` keeps a single-CPU host in-process; this does not);
+    returns a report bit-identical to the serial
     :meth:`DampiVerifier.verify` (modulo ``wall_seconds`` and the
     environment-dependent telemetry namespaces)."""
-    coordinator = DistCoordinator(
-        program,
-        nprocs,
-        config=config,
-        workers=workers,
-        journal=journal,
-        args=args,
-        kwargs=kwargs,
-        stream=stream,
-    )
-    return coordinator.run()
+    verifier = DampiVerifier(program, nprocs, config, args=args, kwargs=kwargs)
+    return DistCoordinator(
+        verifier, workers=workers, journal=journal, stream=stream
+    ).run()
 
 
 def journal_status(path) -> dict:

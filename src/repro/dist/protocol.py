@@ -14,7 +14,9 @@ worker → coordinator
                     subtree, the active ``lease`` id.
     ``need_lease``  the worker is idle and wants work.
     ``record``      one completed run of the active lease: the full run
-                    *entry* (below).
+                    *entry* (below) and, beside it, the run's tracer
+                    payload ``obs`` when event tracing is on
+                    (:func:`pack_obs`).
     ``discovered``  candidate leases for alternatives discovered at
                     pinned prefix nodes — subtrees that belong to other
                     shards, routed through the coordinator for dedup.
@@ -29,7 +31,9 @@ coordinator → worker
     ``lease``       one lease: ``id`` plus the spec
                     (see :func:`repro.dist.leases.lease_root_decisions`).
     ``steal``       please split your current subtree and donate half.
-    ``shutdown``    no work remains; send ``bye`` and exit.
+    ``shutdown``    the campaign is over (walk exhausted or out of
+                    budget): stop after the replay in flight, send
+                    ``bye`` and exit.
 
 Run entries
 -----------
@@ -44,6 +48,7 @@ from __future__ import annotations
 import base64
 import json
 import socket
+import sys
 import threading
 from typing import Optional
 
@@ -109,6 +114,39 @@ def pack_events(events, header: Optional[dict] = None) -> str:
 def unpack_events(blob: str):
     """Decode a :func:`pack_events` field back into ``(header, events)``."""
     return decode_events(base64.b64decode(blob.encode("ascii")))
+
+
+def _retuple(value):
+    return tuple(_retuple(v) for v in value) if isinstance(value, list) else value
+
+
+def pack_obs(obs: dict) -> str:
+    """A run's tracer payload (:meth:`repro.obs.trace.Tracer.collect`)
+    as one opaque string field of its ``record`` frame: the coordinator
+    holds it undecoded — a fraction of the decoded size — until the walk
+    consumes that record, and never decodes the ones it does not."""
+    return json.dumps(obs, separators=(",", ":"))
+
+
+def unpack_obs(blob: str) -> dict:
+    """Decode :func:`pack_obs` and undo what the JSON trip did: raw
+    records and sequence-valued args are tuples again, so the events
+    rendered from them equal the ones an in-process run renders (args
+    are hashable by contract — emitters pass tuples, never lists)."""
+    obs = json.loads(blob)
+    intern = sys.intern
+    # name / category / phase / arg names repeat in every record; decoded
+    # they are a fresh str each, interned they cost the campaign ring
+    # what an in-process run's literals do
+    obs["records"] = [
+        (
+            intern(rec[0]), intern(rec[1]), rec[2], intern(rec[3]),
+            rec[4], rec[5], rec[6],
+            {intern(k): _retuple(v) for k, v in rec[7].items()},
+        )
+        for rec in obs["records"]
+    ]
+    return obs
 
 
 # -- run entries ---------------------------------------------------------------

@@ -42,7 +42,9 @@ Work stealing: when the coordinator sends ``steal``, the worker splits
 the deepest open node of its current subtree
 (:meth:`~repro.dampi.explorer.ScheduleGenerator.split_deepest`) and
 donates the upper half as new lease specs; an idle worker donates
-nothing.  Steal requests are checked between replays, never mid-run.
+nothing.  Steal requests — and ``shutdown``, which ends a lease where it
+stands once the coordinator's walk is over — are checked between
+replays, never mid-run.
 
 Death handling is symmetrical: the worker ``os._exit(0)``\\ s the moment
 its socket to the coordinator drops (no orphan exploration), and the
@@ -71,10 +73,10 @@ from repro.dampi.journal import (
     run_entry,
     trace_from_jsonable,
 )
-from repro.dampi.verifier import DampiVerifier
 from repro.dist.protocol import (
     decisions_key_str,
     pack_events,
+    pack_obs,
     send_frame,
     start_reader,
 )
@@ -86,19 +88,18 @@ def shard_config(config):
     """The config a worker verifies its subtree under.
 
     Semantic knobs (clock, piggyback, bound, policy, ...) pass through
-    untouched — they define what a run *is*.  Execution knobs are
+    untouched — they define what a run *is* — and so do the event-tracing
+    knobs: a run's events are part of what it ships.  Execution knobs are
     normalized: one inline job per worker (the worker process *is* the
-    parallelism), no budgets (budgets
-    are global properties the coordinator's assembly enforces), no
-    per-worker progress lines or event tracing (the coordinator owns
-    observability).  The fault plan travels along so ``worker:*`` sites
-    fire inside the right process.
+    parallelism), no budgets (budgets are properties of the serial walk,
+    which the coordinator runs and ends the fleet by), no per-worker
+    progress lines or artifact trees (the coordinator owns those).  The
+    fault plan travels along so ``worker:*`` sites fire inside the right
+    process.
     """
     return replace(
         config,
         jobs=1,
-        force_jobs=False,
-        trace_events=False,
         progress_interval_seconds=None,
         max_interleavings=None,
         max_seconds=None,
@@ -111,26 +112,20 @@ class _ShardWorker:
         self,
         worker_id: int,
         sock: socket.socket,
-        program,
-        nprocs: int,
-        config,
-        args: tuple,
-        kwargs: Optional[dict],
+        verifier,
         shards_dir,
     ):
         self.worker_id = worker_id
         self.sock = sock
         self.send_lock = threading.Lock()
         self.inbox: queue.Queue = queue.Queue()
-        self.config = shard_config(config)
-        self.verifier = DampiVerifier(
-            program, nprocs, self.config, args=args, kwargs=kwargs
-        )
+        self.verifier = verifier
+        self.config = verifier.config
         self.metrics = MetricsRegistry()
         #: worker-lifecycle events (lease start/done, memo hits) shipped
-        #: upstream in the bye frame as a compact binary payload — the
-        #: per-run tracer stays off in shards (see shard_config); these
-        #: events are about the *worker's* walk, not the verified runs
+        #: upstream in the bye frame as a compact binary payload; these
+        #: are about the *worker's* walk — a verified run's own events
+        #: travel with its record
         self.tracer = Tracer(buffer=4096)
         self.shards_dir = Path(shards_dir) if shards_dir else None
         #: lifetime replay counter — the ``worker:<id>.<seq>`` fault
@@ -149,6 +144,8 @@ class _ShardWorker:
         self._lease_id: Optional[str] = None
         self._gen: Optional[ScheduleGenerator] = None
         self._alive = True
+        #: the coordinator said ``shutdown`` while a lease was running
+        self._stop = False
 
     # -- plumbing --------------------------------------------------------------
 
@@ -182,7 +179,8 @@ class _ShardWorker:
             )
 
     def _drain_inbox(self, gen: Optional[ScheduleGenerator]) -> None:
-        """Between replays: answer steal requests, die on coordinator EOF."""
+        """Between replays: answer steal requests, note a shutdown, die
+        on coordinator EOF."""
         while True:
             try:
                 _tag, frame = self.inbox.get_nowait()
@@ -193,6 +191,8 @@ class _ShardWorker:
             if frame.get("t") == "steal":
                 leases = gen.split_deepest() if gen is not None else []
                 self._send({"t": "donate", "leases": leases})
+            elif frame.get("t") == "shutdown":
+                self._stop = True
 
     @staticmethod
     def _discovery_specs(gen: ScheduleGenerator, discoveries) -> list:
@@ -264,7 +264,7 @@ class _ShardWorker:
             name=f"dist-hb-{self.worker_id}",
             daemon=True,
         ).start()
-        while True:
+        while not self._stop:
             self._send({"t": "need_lease"})
             while True:
                 frame = self._next_frame()
@@ -275,23 +275,21 @@ class _ShardWorker:
                     continue
                 break
             if frame.get("t") == "shutdown":
-                self._alive = False
-                self._fold_checkpoint_metrics()
-                self._fold_prune_metrics()
-                bye = {
-                    "t": "bye",
-                    "stats": {"runs": self._runs},
-                    "metrics": self.metrics.snapshot(),
-                }
-                events = self.tracer.drain()
-                if events:
-                    bye["events"] = pack_events(
-                        events, header={"worker": self.worker_id}
-                    )
-                self._send(bye)
-                return
+                break
             if frame.get("t") == "lease":
                 self._explore(frame["id"], frame["spec"])
+        self._alive = False
+        self._fold_checkpoint_metrics()
+        self._fold_prune_metrics()
+        bye = {
+            "t": "bye",
+            "stats": {"runs": self._runs},
+            "metrics": self.metrics.snapshot(),
+        }
+        events = self.tracer.drain()
+        if events:
+            bye["events"] = pack_events(events, header={"worker": self.worker_id})
+        self._send(bye)
 
     def _explore(self, lease_id_: str, spec: dict) -> None:
         # Pruning in a shard is a pure walk shortcut: the worker's
@@ -339,8 +337,11 @@ class _ShardWorker:
                 self._seq += 1
                 self.verifier._faults.fire("worker", (self.worker_id, self._seq))
                 self._drain_inbox(gen)
+                if self._stop:
+                    return  # the walk is over; the subtree stays open
                 kstr = decisions_key_str(decisions)
                 entry = memo.get(kstr)
+                obs = None
                 if entry is not None:
                     self.metrics.inc("exec.memo_hits")
                     self.tracer.instant(
@@ -358,11 +359,17 @@ class _ShardWorker:
                         self._escalations += 1
                         self._extra_alternatives += esc
                     entry = run_entry(decisions, result, trace, esc=esc)
+                    # the tracer payload rides beside the record, never in
+                    # it: journals (and thus memo hits) carry no events
+                    obs = result.artifacts.get("obs")
                     if journal is not None:
                         journal.append({"t": "srun", "k": kstr, "entry": entry})
                     self.metrics.inc("exec.replays")
                 self._runs += 1
-                self._send({"t": "record", "lease": lease_id_, "entry": entry})
+                frame = {"t": "record", "lease": lease_id_, "entry": entry}
+                if obs:
+                    frame["obs"] = pack_obs(obs)
+                self._send(frame)
                 gen.integrate(
                     trace,
                     signature=(
@@ -397,22 +404,29 @@ def worker_main(
     worker_id: int,
     host: str,
     port: int,
+    verifier_cls,
     program,
     nprocs: int,
     config,
     args: tuple = (),
     kwargs: Optional[dict] = None,
+    ctor_extra: Optional[dict] = None,
     shards_dir=None,
 ) -> None:
-    """Process entry point (target of the coordinator's ``mp.Process``)."""
+    """Process entry point (target of the coordinator's ``mp.Process``):
+    rebuild the coordinator's verifier — same class, same extra
+    constructor state (``DampiVerifier._spec_extra``) — under
+    :func:`shard_config` and explore leases with it."""
     sock = socket.create_connection((host, port))
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         pass
-    worker = _ShardWorker(
-        worker_id, sock, program, nprocs, config, args, kwargs, shards_dir
+    verifier = verifier_cls(
+        program, nprocs, shard_config(config), args=args, kwargs=kwargs,
+        **(ctor_extra or {}),
     )
+    worker = _ShardWorker(worker_id, sock, verifier, shards_dir)
     try:
         worker.run()
     finally:

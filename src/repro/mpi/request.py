@@ -26,7 +26,7 @@ def reset_request_ids() -> None:
 
     Request uids appear in deadlock/leak diagnostics; per-run numbering
     keeps those messages identical whether a schedule is replayed in-process
-    or on a pool worker (see :mod:`repro.dampi.parallel`)."""
+    or on a fleet worker (see :mod:`repro.dist.worker`)."""
     global _request_ids
     _request_ids = itertools.count(1)
 

@@ -395,7 +395,7 @@ class Runtime:
 
             # per-run uid numbering: diagnostics quoting a request/envelope
             # must not depend on what this process executed before (guided
-            # replays may run in pool workers — see repro.dampi.parallel)
+            # replays may run in fleet workers — see repro.dist.worker)
             reset_envelope_ids()
             reset_request_ids()
 

@@ -5,10 +5,10 @@
 campaign-level tracer (run-lifecycle spans, scheduler events), the
 :class:`~repro.obs.metrics.MetricsRegistry` every component writes into,
 and the optional stderr heartbeat.  Per-run event streams — collected by
-the runtime's tracer during the run, possibly in a replay worker process —
+the runtime's tracer during the run, possibly in a fleet worker process —
 arrive inside ``RunResult.artifacts["obs"]`` and are merged onto the
 campaign timeline here, relabelled with the run index and rebased onto
-the consume window (for pool runs the *worker* wall is unknowable on the
+the consume window (for fleet runs the *worker* wall is unknowable on the
 campaign axis; the consume window is where the serial walk observed the
 run, which is what the Chrome lanes should show).
 
@@ -37,18 +37,6 @@ ENGINE_STAT_KEYS = (
     "envelopes", "bytes", "collectives", "matches", "wildcard_matches",
 )
 
-#: executor stats() key -> the registry counter ReplayExecutor backs it
-#: with; record_executor skips these when the counter is already present
-#: (shared registry) and only gauges the rest
-_EXEC_COUNTER_NAMES = {
-    "submitted": "exec.submitted",
-    "hits": "exec.cache_hits",
-    "misses": "exec.cache_misses",
-    "failures": "exec.failures",
-    "wasted": "exec.wasted",
-    "abandoned_workers": "exec.abandoned_workers",
-}
-
 
 class CampaignTelemetry:
     """Aggregates one verification campaign's events and metrics."""
@@ -71,7 +59,6 @@ class CampaignTelemetry:
         self._runs = m.counter("campaign.runs")
         self._errors = m.counter("campaign.errors")
         self._divergent = m.counter("campaign.divergent_runs")
-        self._failures = m.counter("campaign.replay_failures")
         self._wc_hist = m.histogram("run.wildcard_count", WILDCARD_BUCKETS)
         self._vtime_hist = m.histogram("run.vtime_seconds", VTIME_BUCKETS)
         #: recent consume walls, for the heartbeat's ETA
@@ -152,63 +139,29 @@ class CampaignTelemetry:
                 span_args["errors"] = ",".join(error_kinds)
             self.tracer.complete("run", "campaign", t0, run=index, **span_args)
 
-    def record_failure(self, index: int, reason: str) -> None:
-        self._failures.inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "replay_failure", "campaign", run=index, reason=reason
-            )
+    # -- heartbeat -------------------------------------------------------------
 
-    # -- executor / heartbeat -------------------------------------------------
-
-    def record_executor(self, stats: dict) -> None:
-        """Gauge the replay executor's final accounting under ``exec.*``.
-        Counter-backed keys are skipped when the executor shared this
-        registry (they are already present as ``exec.`` counters).  The
-        nested ``checkpoint`` dict (prefix-checkpoint cache accounting)
-        is flattened to ``exec.checkpoint_*`` gauges."""
-        have = set(self.metrics.snapshot()["counters"])
-        for key, value in (stats or {}).items():
-            if key == "checkpoint" and isinstance(value, dict):
-                for ck, cv in value.items():
-                    if isinstance(cv, dict):
-                        # per-depth breakdowns stay in the stats dict;
-                        # gauges hold scalars only
-                        continue
-                    self.metrics.gauge(f"exec.checkpoint_{ck}").set(cv)
-                continue
-            counter_name = _EXEC_COUNTER_NAMES.get(key)
-            if counter_name is not None and counter_name in have:
-                continue
-            self.metrics.gauge(f"exec.{key}").set(value)
-
-    def heartbeat(self, completed: int, generator, executor,
+    def heartbeat(self, completed: int, generator, checkpoint_stats=None,
                   force: bool = False) -> None:
+        """One throttled progress line; ``checkpoint_stats`` is a callable
+        returning the prefix-checkpoint cache counters (or None), not
+        called at all when progress reporting is off."""
         if self.progress is None:
             return
         gstats = generator.stats()
-        hits = getattr(executor, "hits", 0)
-        misses = getattr(executor, "misses", 0)
-        rate = hits / (hits + misses) if (hits + misses) else None
         queued = gstats.get("open_alternatives", 0)
         eta = None
         if self._recent_walls and queued:
             recent = self._recent_walls[-20:]
             eta = queued * (sum(recent) / len(recent))
         checkpoint = None
-        ckpt_fn = getattr(executor, "checkpoint_stats", None)
-        if ckpt_fn is not None:
-            try:
-                ckpt = ckpt_fn()
-            except Exception:  # pragma: no cover - heartbeat must not raise
-                ckpt = None
-            if ckpt and ckpt.get("enabled"):
-                checkpoint = (ckpt.get("hits", 0), ckpt.get("misses", 0))
+        ckpt = checkpoint_stats() if checkpoint_stats is not None else None
+        if ckpt and ckpt.get("enabled"):
+            checkpoint = (ckpt.get("hits", 0), ckpt.get("misses", 0))
         self.progress.tick(
             completed=completed,
             queued=queued,
             frontier_depth=gstats.get("path_length", 0),
-            cache_hit_rate=rate,
             eta_seconds=eta,
             checkpoint=checkpoint,
             force=force,

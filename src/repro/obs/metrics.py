@@ -19,7 +19,7 @@ from bisect import bisect_left
 from typing import Dict, Sequence, Tuple
 
 #: Instrument-name prefixes whose values depend on the environment
-#: (scheduling, host speed, worker pool, crash/resume history, injected
+#: (scheduling, host speed, worker fleet, crash/resume history, injected
 #: faults) rather than the verified execution.  Everything else must be
 #: jobs-invariant — and invariant across journal resumes.  ``ckpt.*``
 #: (prefix-checkpoint cache traffic) is separate from ``exec.*`` because

@@ -2,7 +2,7 @@
 
 One throttled stderr line per interval::
 
-    [dampi] runs 37 done / 12 queued | frontier 12 | cache 41% hit | 8.2s elapsed | eta ~3.1s
+    [dampi] runs 37 done / 12 queued | frontier 12 | ckpt 30/6 h/m | 8.2s elapsed | eta ~3.1s
 
 The reporter only formats and writes when the interval has elapsed
 (checked against an injectable monotonic clock so tests don't sleep), so
@@ -84,7 +84,6 @@ class ProgressReporter:
             self._open_line = False
 
     def tick(self, completed: int, queued: int, frontier_depth: int,
-             cache_hit_rate: Optional[float] = None,
              eta_seconds: Optional[float] = None,
              checkpoint: Optional[tuple] = None,
              force: bool = False) -> bool:
@@ -100,8 +99,6 @@ class ProgressReporter:
             f"runs {completed} done / {queued} queued",
             f"frontier {frontier_depth}",
         ]
-        if cache_hit_rate is not None:
-            parts.append(f"cache {cache_hit_rate * 100:.0f}% hit")
         if checkpoint is not None:
             parts.append(f"ckpt {checkpoint[0]}/{checkpoint[1]} h/m")
         parts.append(f"{_fmt_seconds(now - self._t0)} elapsed")

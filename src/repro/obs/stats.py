@@ -271,20 +271,18 @@ def journal_progress(path) -> dict:
             1 for e in journal.entries if e.get("t") == "srun"
         )
     else:  # serial campaign
-        runs = failures = checkpoints = errors = prunes = 0
+        runs = checkpoints = errors = prunes = 0
         for e in journal.entries:
             t = e.get("t")
             if t == "run":
                 runs += 1
                 errors += e.get("found", 0)
-            elif t == "failure":
-                failures += 1
             elif t == "checkpoint":
                 checkpoints += 1
             elif t == "prune":
                 prunes += 1
         progress.update(
-            runs=runs, failures=failures, checkpoints=checkpoints,
+            runs=runs, checkpoints=checkpoints,
             errors=errors, prunes=prunes,
         )
     return progress
@@ -319,8 +317,7 @@ def journal_follow_line(progress: dict) -> str:
         )
     return (
         f"{state}: {progress.get('runs', 0)} run(s), "
-        f"{progress.get('errors', 0)} error(s), "
-        f"{progress.get('failures', 0)} failure(s)"
+        f"{progress.get('errors', 0)} error(s)"
     )
 
 
@@ -342,7 +339,7 @@ def render_journal_summary(progress: dict) -> str:
             f"  run records       : {progress['records']}",
             "",
             "(per-run detail lives in the assembled report: "
-            "'repro dist resume' this directory, then 'repro stats' the "
+            "'repro resume' this directory, then 'repro stats' the "
             "--json-out)",
         ]
     elif mode == "shard":
@@ -357,7 +354,6 @@ def render_journal_summary(progress: dict) -> str:
         lines += [
             f"  runs journaled    : {progress.get('runs', 0)}",
             f"  errors found      : {progress.get('errors', 0)}",
-            f"  replay failures   : {progress.get('failures', 0)}",
             f"  checkpoints       : {progress.get('checkpoints', 0)}",
         ]
         if progress.get("prunes"):

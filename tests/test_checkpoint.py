@@ -318,16 +318,16 @@ class TestZooBitIdentity:
 
 class TestJobsAndDistIdentity:
     def test_jobs2_checkpointed_matches_serial_full(self):
-        on = _verify(
-            matmult_program, 4, MATMULT_KW, jobs=2, force_jobs=True
-        )
+        on = _verify(matmult_program, 4, MATMULT_KW, jobs=2)
         off = _verify(matmult_program, 4, MATMULT_KW, prefix_checkpoints=False)
         assert _canon(on) == _canon(off)
-        ckpt = on.parallel_stats["checkpoint"]
-        assert ckpt["enabled"]
-        # pool workers execute the replays; their caches report upstream
-        assert ckpt["workers_reporting"] >= 1
-        assert ckpt["hits"] > 0
+        if on.parallel_stats["mode"] == "dist":
+            # fleet workers execute the replays; their caches report
+            # upstream as ckpt.* counters
+            hits = on.telemetry["metrics"]["counters"]["ckpt.hits"]
+        else:  # single-CPU host: jobs=2 stayed in-process
+            hits = on.parallel_stats["checkpoint"]["hits"]
+        assert hits > 0
 
     def test_two_worker_dist_matches_serial_full(self):
         from repro.dist import distributed_verify

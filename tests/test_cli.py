@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main, resolve_program
+from repro.cli import UsageError, main, resolve_program
 
 
 class TestResolveProgram:
@@ -15,19 +15,19 @@ class TestResolveProgram:
         assert fn is fig3_program
 
     def test_missing_colon(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             resolve_program("repro.workloads.patterns")
 
     def test_bad_module(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             resolve_program("no.such.module:fn")
 
     def test_bad_attr(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             resolve_program("repro.workloads.patterns:nope")
 
     def test_not_callable(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             resolve_program("repro.workloads.patterns:ANY_SOURCE")
 
 
@@ -151,7 +151,8 @@ class TestReplayCommand:
 
 
 class TestJobsFlag:
-    """``--jobs`` exists only where a replay pool does."""
+    """``--jobs`` exists only where it sizes something: ``dist run``
+    spells its fleet ``--workers``, ``replay`` runs one schedule."""
 
     @pytest.mark.parametrize(
         "command",
@@ -218,6 +219,89 @@ class TestUsageErrors:
         self._assert_usage_error(
             argv + ["--bound-k", "1"], capsys, "different verification semantics"
         )
+        # the fleet keeps a different journal: same refusal, either way round
+        serial = self.LATTICE + ["-n", "3", "--journal-dir"]
+        fleet = ["dist", "run"] + serial[1:-1] + ["--workers", "2", "--journal-dir"]
+        self._assert_usage_error(fleet + [str(tmp_path / "j")], capsys, "in-process")
+        assert main(fleet + [str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        self._assert_usage_error(
+            serial + [str(tmp_path / "fleet")], capsys, "coordinator"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--no-trace", "--trace-sample", "4"], "--trace-sample"),
+            (["--no-trace", "--events-out", "e.jsonl"], "--no-trace"),
+            (["--adaptive-clocks", "--clock", "vector"], "--adaptive-clocks"),
+        ],
+        ids=["no-trace+sample", "no-trace+export", "adaptive+vector"],
+    )
+    def test_conflicting_flags(self, flags, needle, capsys):
+        self._assert_usage_error(self.LATTICE + ["-n", "3"] + flags, capsys, needle)
+
+    def test_bad_program_spec_and_fleet_size(self, capsys):
+        self._assert_usage_error(
+            ["verify", "no.such.module:fn", "-n", "3"], capsys, "cannot import"
+        )
+        self._assert_usage_error(
+            ["dist", "run"] + self.LATTICE[1:] + ["-n", "3", "--workers", "0"],
+            capsys, "--workers",
+        )
+
+    @pytest.mark.parametrize(
+        "command",
+        [["resume"], ["dist", "resume"], ["dist", "status"]],
+        ids=["resume", "dist resume", "dist status"],
+    )
+    def test_read_only_commands_create_nothing(self, command, tmp_path, capsys):
+        nope = tmp_path / "nope"
+        self._assert_usage_error(command + [str(nope)], capsys, "not a directory")
+        assert not nope.exists()
+        not_a_journal = tmp_path / "file"
+        not_a_journal.write_text("{}")
+        self._assert_usage_error(
+            command + [str(not_a_journal)], capsys, "not a directory"
+        )
+
+    def test_wrong_journal_kind_and_unreadable_stats_input(self, tmp_path, capsys):
+        journal = tmp_path / "j"
+        assert main(self.LATTICE + ["-n", "3", "--journal-dir", str(journal)]) == 0
+        capsys.readouterr()
+        self._assert_usage_error(
+            ["dist", "status", str(journal)], capsys, "not a distributed one"
+        )
+        self._assert_usage_error(
+            ["stats", str(tmp_path / "missing.json")], capsys, "cannot read"
+        )
+        junk = tmp_path / "junk.txt"
+        junk.write_text("not telemetry\n")
+        self._assert_usage_error(["stats", str(junk)], capsys, "neither a report")
+        self._assert_usage_error(
+            ["stats", str(junk), "--follow"], capsys, "--follow"
+        )
+
+    def test_interrupting_stats_follow_is_not_an_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import time
+
+        from repro.dampi import DampiConfig, DampiVerifier, FaultInjected
+        from repro.workloads.patterns import wildcard_lattice
+
+        with pytest.raises(FaultInjected):  # leaves the journal without an end
+            DampiVerifier(
+                wildcard_lattice, 3, DampiConfig(fault_plan="raise@run:2"),
+                kwargs={"receives": 2, "senders": 2},
+            ).verify(journal=tmp_path / "j")
+
+        def interrupt(_seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(time, "sleep", interrupt)
+        assert main(["stats", str(tmp_path / "j"), "--follow"]) == 0
+        assert "stopped following" in capsys.readouterr().out
 
 
 class TestEscalateCommand:
@@ -292,8 +376,7 @@ class TestTelemetryFlags:
     def test_stats_rejects_unrelated_file(self, tmp_path):
         junk = tmp_path / "junk.txt"
         junk.write_text("not telemetry\n")
-        with pytest.raises(SystemExit):
-            main(["stats", str(junk)])
+        assert main(["stats", str(junk)]) == 2
 
     def test_show_runs_footer_and_all_flag(self, capsys):
         args = [

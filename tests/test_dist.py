@@ -11,12 +11,14 @@ sharding changes who executes a schedule, never which schedules exist.
 from __future__ import annotations
 
 import json
+import multiprocessing
 from collections import deque
 
 import pytest
 
+from repro.adlb import adlb_run, batch_app
 from repro.dampi.config import DampiConfig
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.journal import (
     CampaignJournal,
@@ -24,9 +26,9 @@ from repro.dampi.journal import (
     result_from_entry,
     run_entry,
 )
-from repro.dampi.parallel import schedule_key
 from repro.dampi.verifier import DampiVerifier
 from repro.dist import (
+    DistCoordinator,
     DistError,
     distributed_verify,
     journal_status,
@@ -37,7 +39,9 @@ from repro.dist import (
 from repro.dist.leases import LeaseTable
 from repro.dist.protocol import decisions_key_str, entry_schedule_key
 from repro.dist.worker import _ShardWorker, shard_config
+from repro.isp.verifier import IspVerifier
 from repro.obs.metrics import deterministic_view
+from repro.obs.trace import event_signature
 from repro.workloads.bugzoo import ZOO, buffer_too_small, head_to_head_recv
 from repro.workloads.matmult import matmult_program
 from repro.workloads.patterns import wildcard_lattice
@@ -463,6 +467,96 @@ class TestDistributedBitIdentity:
             distributed_verify(wildcard_lattice, 3, DampiConfig(), workers=0)
 
 
+def adlb_batch(p):
+    """The Fig. 9 batch app over one ADLB server: at 6 ranks its k=1 walk
+    is tens of thousands of replays — the campaign only a budget ends."""
+    return adlb_run(p, batch_app, num_servers=1, units_per_worker=1)
+
+
+def _fleet_child(conn, cfg, workers):
+    report = distributed_verify(adlb_batch, 6, cfg, workers=workers)
+    conn.send(
+        (_canon(report), report.telemetry["metrics"]["counters"]["dist.records"])
+    )
+    conn.close()
+
+
+def _fleet_within(seconds, cfg, workers):
+    """``(canonical report, dist.records)`` of an ADLB fleet campaign run
+    in a sacrificial child, which is killed — failing the test — if the
+    campaign has not ended after ``seconds``: a budget the fleet ignores
+    does not end on its own."""
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_fleet_child, args=(send, cfg, workers))
+    proc.start()
+    send.close()
+    try:
+        assert recv.poll(seconds), f"fleet still exploring after {seconds}s"
+        return recv.recv()
+    finally:
+        proc.kill()
+        proc.join(30)
+
+
+class TestBudgetsBoundWork:
+    """The walk, not the lease table, ends the campaign: a budget stops
+    the fleet as soon as the report it defines is complete."""
+
+    BUDGET = 100
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_interleaving_budget_identical_and_bounded(self, workers):
+        cfg = DampiConfig(bound_k=1, max_interleavings=self.BUDGET)
+        serial = DampiVerifier(adlb_batch, 6, cfg).verify()
+        assert serial.truncated and serial.interleavings == self.BUDGET
+        canon, records = _fleet_within(60, cfg, workers)
+        assert canon == _canon(serial)
+        # leases go out in walk order, so the fleet runs at most a few
+        # leases ahead of what the report needs
+        assert records <= 5 * self.BUDGET
+
+    def test_max_seconds_truncates_and_terminates(self):
+        cfg = DampiConfig(bound_k=1, max_seconds=1.0)
+        canon, _records = _fleet_within(60, cfg, 2)
+        assert canon["truncated"] and canon["interleavings"] > 1
+
+
+class TestFleetCarriesTheVerifier:
+    def test_isp_baseline_fleet_matches_isp_serial(self):
+        """Workers rebuild ``type(verifier)`` with its ``_spec_extra()``:
+        the baseline's scheduler tax is in every worker's makespans."""
+        cfg = DampiConfig()
+        serial = IspVerifier(wildcard_lattice, 4, cfg, kwargs=BIG).verify()
+        fleet = DistCoordinator(
+            IspVerifier(wildcard_lattice, 4, cfg, kwargs=BIG), workers=2
+        ).run()
+        assert _canon(fleet) == _canon(serial)
+        dampi = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(clock_impl="vector"), kwargs=BIG
+        ).verify()
+        assert fleet.total_vtime > dampi.total_vtime  # the tax was paid
+
+    @pytest.mark.parametrize("sample_every", [1, 4])
+    def test_run_events_travel_with_their_records(self, sample_every):
+        cfg = DampiConfig(trace_events=True, trace_sample_every=sample_every)
+        serial = DampiVerifier(matmult_program, 3, cfg).verify()
+        fleet = distributed_verify(matmult_program, 3, cfg, workers=2)
+        # events.* included: exact counts at any sampling rate
+        view = deterministic_view(fleet.telemetry["metrics"])
+        assert view == deterministic_view(serial.telemetry["metrics"])
+        assert any(name.startswith("events.") for name in view["counters"])
+
+        def run_events(report):
+            return event_signature(
+                e for e in report.events if e.cat not in ("dist", "sched")
+            )
+
+        assert run_events(fleet) == run_events(serial)
+        for key in ("captured", "dropped", "sampled_runs"):
+            assert fleet.telemetry["events"][key] == serial.telemetry["events"][key]
+
+
 class TestDistributedJournal:
     def test_journal_resume_replays_without_reexecution(self, tmp_path):
         cfg = DampiConfig()
@@ -545,6 +639,7 @@ class TestShardConfig:
         sc = shard_config(cfg)
         assert sc.jobs == 1
         assert sc.max_interleavings is None and sc.max_seconds is None
-        assert not sc.trace_events and sc.progress_interval_seconds is None
+        assert sc.progress_interval_seconds is None
+        assert sc.trace_events  # a run's events ship with its record
         assert sc.bound_k == 2  # semantic knobs untouched
         assert sc.clock_impl == cfg.clock_impl

@@ -181,19 +181,32 @@ class TestCoordinatorDeath:
 
 
 class TestCliRefusals:
-    def test_plain_resume_refuses_shard_journal(self, tmp_path):
+    def test_plain_resume_refuses_shard_journal(self, tmp_path, capsys):
         from repro.cli import main
 
         jdir = tmp_path / "j"
         _dist(nprocs=3, kwargs=LATTICE, journal=jdir)
         shard = sorted((jdir / "shards").glob("lease-*"))[0]
-        with pytest.raises(SystemExit, match="shard journal"):
-            main(["resume", str(shard)])
+        assert main(["resume", str(shard)]) == 2
+        assert "shard journal" in capsys.readouterr().err
 
-    def test_plain_resume_refuses_coordinator_journal(self, tmp_path):
+    def test_one_resume_command_serves_both_journal_kinds(self, tmp_path, capsys):
+        """``resume`` and ``dist resume`` are one function that dispatches
+        on the journal's recorded kind, not on which name was typed."""
         from repro.cli import main
 
-        jdir = tmp_path / "j"
-        _dist(nprocs=3, kwargs=LATTICE, journal=jdir)
-        with pytest.raises(SystemExit, match="dist resume"):
-            main(["resume", str(jdir)])
+        prog = ["--program", "repro.workloads.patterns:wildcard_lattice"]
+        fleet_dir, serial_dir = tmp_path / "fleet", tmp_path / "serial"
+        _dist(nprocs=3, kwargs=LATTICE, journal=fleet_dir)
+        DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=dict(LATTICE)
+        ).verify(journal=serial_dir)
+        for command in (["resume"], ["dist", "resume"]):
+            assert main(command + [str(fleet_dir)] + prog) == 0
+            out = capsys.readouterr().out
+            assert "distributed:" in out
+            assert "3 record(s) replayed, 0 executed" in out
+            assert main(command + [str(serial_dir)] + prog) == 0
+            out = capsys.readouterr().out
+            assert "distributed:" not in out
+            assert "4 run(s) replayed, 0 executed" in out

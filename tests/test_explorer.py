@@ -129,59 +129,6 @@ class TestSeedAndWalk:
         assert g.divergences == 1
 
 
-class TestAbandon:
-    """Lost replays (worker crash/timeout) must not corrupt the walk."""
-
-    def test_abandon_restores_the_executed_chosen(self):
-        g = ScheduleGenerator()
-        g.seed(trace_with([(0, 0, 1)], [(0, 0, 2), (0, 0, 3)]))
-        node = g.path[0]
-        d = g.next_decisions()
-        assert d.forced[(0, 0)] == 2 and node.chosen == 2
-        g.abandon()
-        # regression: chosen used to stay at the lost alternative (2);
-        # the source that actually executed along this path is still 1
-        assert node.chosen == 1
-        assert node.tried == {1, 2}  # the lost alternative is never re-emitted
-
-    def test_lost_alternative_not_reemitted_and_prefix_stays_honest(self):
-        g = ScheduleGenerator()
-        g.seed(trace_with([(0, 0, 1), (0, 1, 1)], [(0, 0, 2), (0, 1, 2)]))
-        d = g.next_decisions()
-        assert d.flip == (0, 1) and d.forced[(0, 1)] == 2
-        g.abandon()
-        # the next schedule flips the shallower node; the abandoned node's
-        # prefix entry (if any future flip includes it) must carry the
-        # executed source, which the snapshot below also certifies
-        d2 = g.next_decisions()
-        assert d2.flip == (0, 0)
-        assert g.path[1].chosen == 1
-
-    def test_integrate_after_abandon_walks_the_sibling(self):
-        g = ScheduleGenerator()
-        g.seed(trace_with([(0, 0, 1)], [(0, 0, 2), (0, 0, 3)]))
-        g.next_decisions()  # flip to 2
-        g.abandon()  # ... lost
-        d = g.next_decisions()  # sibling alternative
-        assert d.flip == (0, 0) and d.forced[(0, 0)] == 3
-        g.integrate(trace_with([(0, 0, 3)], []))
-        assert g.next_decisions() is None  # space exhausted, no re-emission
-
-    def test_abandoned_state_snapshots_faithfully(self):
-        """A checkpoint taken after an abandon must record the executed
-        source, or a resumed walk would diverge from the journal."""
-        from repro.dampi.journal import restore_generator, snapshot_generator
-
-        g = ScheduleGenerator()
-        g.seed(trace_with([(0, 0, 1)], [(0, 0, 2), (0, 0, 3)]))
-        g.next_decisions()
-        g.abandon()
-        snap = snapshot_generator(g)
-        assert snap["path"][0]["chosen"] == 1
-        restored = restore_generator(snap)
-        assert restored.next_decisions() == g.next_decisions()
-
-
 class TestBoundedMixing:
     def test_k0_freezes_entire_suffix(self):
         g = ScheduleGenerator(bound_k=0)

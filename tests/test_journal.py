@@ -26,10 +26,9 @@ from repro.dampi import FaultInjected, VerificationReport
 from repro.dampi import journal as jr
 from repro.dampi import prune as prune_mod
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
-from repro.dampi.parallel import schedule_key
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import wildcard_lattice
 from tests.test_explorer import trace_with
@@ -213,17 +212,46 @@ class TestCrashResume:
             ).verify(journal=journal_dir)
 
     def test_execution_knobs_do_not_invalidate_the_journal(self, tmp_path):
-        """jobs / fault_plan / journal tuning are bit-identity-preserving,
-        so resuming under different values of them must be allowed."""
+        """checkpoints / tracing / fault_plan / journal tuning are
+        bit-identity-preserving, so resuming under different values of
+        them must be allowed.  (``jobs`` is too, but it decides which
+        *kind* of journal is written — see the test below.)"""
         journal_dir = tmp_path / "j"
         _crash_campaign(journal_dir, "kill@run:2")
         resumed = DampiVerifier(
             wildcard_lattice,
             3,
-            DampiConfig(jobs=2, journal_checkpoint_interval=1),
+            DampiConfig(
+                prefix_checkpoints=False, trace_events=True,
+                journal_checkpoint_interval=1,
+            ),
             kwargs=LATTICE,
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["replayed"] == 2
+
+    def test_in_process_journal_refuses_the_fleet_and_back(self, tmp_path):
+        """A journal directory is welded to who wrote it: the in-process
+        loop's run history and the coordinator's lease ledger are
+        different files, and neither reader guesses at the other's."""
+        from repro.dist import distributed_verify
+
+        serial_dir, fleet_dir = tmp_path / "serial", tmp_path / "fleet"
+        DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=serial_dir)
+        with pytest.raises(JournalError, match="in-process"):
+            distributed_verify(
+                wildcard_lattice, 3, DampiConfig(), workers=2,
+                kwargs=LATTICE, journal=serial_dir,
+            )
+        distributed_verify(
+            wildcard_lattice, 3, DampiConfig(), workers=2,
+            kwargs=LATTICE, journal=fleet_dir,
+        )
+        with pytest.raises(JournalError, match="coordinator"):
+            DampiVerifier(
+                wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+            ).verify(journal=fleet_dir)
 
     def test_journal_stats_stay_off_the_report_json(self, tmp_path):
         report = DampiVerifier(
@@ -338,48 +366,23 @@ class TestRunRecord:
 
 
 class TestFailureEntryResume:
-    def test_worker_crash_failure_entries_resume_bit_identically(self, tmp_path):
-        """A replay lost to a dying pool worker lands in the journal as a
-        failure entry; resuming replays the abandon and the rest of the
-        walk matches the faulted run exactly."""
-        cfg = DampiConfig(
-            jobs=2, force_jobs=True, fault_plan="raise@flip:0.0"
-        )
+    def test_journal_with_a_failure_entry_is_refused(self, tmp_path, capsys):
+        """The replay pool turned a dead worker into a ``"failure"`` entry
+        (and a crash finding); the fleet re-executes lost replays instead,
+        so nothing writes or reads that entry any more."""
         journal_dir = tmp_path / "j"
-        faulted = DampiVerifier(
-            wildcard_lattice, 3, cfg, kwargs=LATTICE
-        ).verify(journal=journal_dir)
-        assert any(e.kind == "crash" for e in faulted.errors)
-        resumed = DampiVerifier(
-            wildcard_lattice, 3, DampiConfig(jobs=1), kwargs=LATTICE
-        ).verify(journal=journal_dir)
-        assert resumed.journal_stats["executed"] == 0
-        assert _canon(resumed) == _canon(faulted)
-
-    def test_post_crash_schedules_match_the_oracle_walk(self, tmp_path):
-        """Regression for the abandon() bug: after a lost replay, every
-        schedule the generator emits afterwards must still be one the
-        clean oracle walk emits — a stale ``chosen`` on the flipped node
-        would smuggle never-executed sources into later forced prefixes."""
-        oracle_dir, faulted_dir = tmp_path / "oracle", tmp_path / "faulted"
         DampiVerifier(
-            wildcard_lattice, 4, DampiConfig(), kwargs=BIG
-        ).verify(journal=oracle_dir)
-        DampiVerifier(
-            wildcard_lattice,
-            4,
-            DampiConfig(jobs=2, force_jobs=True, fault_plan="raise@flip:0.0"),
-            kwargs=BIG,
-        ).verify(journal=faulted_dir)
-        def keys(journal_dir):
-            out = []
-            for e in CampaignJournal(journal_dir).run_entries():
-                if e.get("key") is not None:
-                    out.append(schedule_key(jr.decisions_from_jsonable(e["key"])))
-            return out
-        oracle_keys, faulted_keys = keys(oracle_dir), keys(faulted_dir)
-        assert len(faulted_keys) == len(set(faulted_keys))  # no re-emission
-        assert set(faulted_keys) <= set(oracle_keys)
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=CampaignJournal(journal_dir, program_label="m:f"))
+        with open(min(journal_dir.glob("segment-*.jsonl")), "a") as fh:
+            fh.write(json.dumps(
+                {"t": "failure", "index": 4, "key": None, "reason": "worker died"}
+            ) + "\n")
+        with pytest.raises(JournalError, match="replay pool"):
+            CampaignJournal(journal_dir)
+        assert main(["resume", str(journal_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "replay pool" in err
 
 
 class TestCampaignJournals:
@@ -431,8 +434,8 @@ class TestSerialization:
                 [(0, 0, 0), (0, 1, 1)], [(0, 0, 1), (0, 1, 0)], nprocs=3
             )
         )
-        gen.next_decisions()
-        gen.abandon()  # leave tried/chosen state behind
+        gen.next_decisions()  # leave tried/chosen state behind
+        gen.integrate(trace_with([(0, 0, 0), (0, 1, 0)], [], nprocs=3))
         snap = jr.snapshot_generator(gen)
         restored = jr.restore_generator(snap)
         assert jr.snapshot_generator(restored) == snap
@@ -459,7 +462,7 @@ class TestSerialization:
 
     #: fields that cannot change a report (bit-identity holds across them)
     EXECUTION_CONFIG_FIELDS = {
-        "jobs", "job_timeout_seconds", "force_jobs",
+        "jobs",
         "prefix_checkpoints", "checkpoint_cache_mb", "checkpoint_interval",
         "keep_traces", "artifacts_dir",
         "trace_events", "trace_buffer", "trace_sample_every",
@@ -476,6 +479,7 @@ class TestSerialization:
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
         names = {f.name for f in dataclasses.fields(DampiConfig)}
+        assert len(names) == 29
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "journal_mode", "kwargs", "args",
@@ -502,7 +506,7 @@ class TestCliJournal:
         # resumed a complete journal: everything replayed, nothing executed
         assert "run(s) replayed, 0 executed" in out
 
-    def test_journal_naming_a_removed_knob_is_refused(self, tmp_path):
+    def test_journal_naming_a_removed_knob_is_refused(self, tmp_path, capsys):
         """A journal from a version whose DampiConfig had more fields
         (``mode``, ``persistent_session``, ``indexed_matching``) is never
         resumed silently, by either door."""
@@ -519,10 +523,8 @@ class TestCliJournal:
             mode="run_to_block", persistent_session=True, indexed_matching=True
         )
         segment.write_text(json.dumps(meta) + "\n" + rest)
-        with pytest.raises(
-            SystemExit, match="does not match this version's DampiConfig"
-        ):
-            main(["resume", str(journal_dir)])
+        assert main(["resume", str(journal_dir)]) == 2
+        assert "does not match this version's DampiConfig" in capsys.readouterr().err
         with pytest.raises(JournalError, match="different verification semantics"):
             DampiVerifier(
                 wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
@@ -531,5 +533,4 @@ class TestCliJournal:
     def test_resume_without_meta_errors(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
-        with pytest.raises(SystemExit):
-            main(["resume", str(empty)])
+        assert main(["resume", str(empty)]) == 2

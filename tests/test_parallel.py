@@ -1,34 +1,34 @@
-"""The parallel replay engine: frontier batches, the worker pool, and the
-serial-vs-parallel determinism guarantee.
+"""``jobs > 1``: the serial-vs-parallel determinism guarantee.
 
 The headline property: for any program and any ``jobs`` setting the
-verification report is *bit-identical* to the serial walk — the pool only
-pre-computes schedules the serial DFS is going to request anyway.
+verification report is *bit-identical* to the serial walk — the fleet
+only executes schedules; the coordinator assembles them in the order the
+serial DFS asks for them.  ``verify(jobs=N)`` keeps a single-CPU host
+in-process, so the tests that must see worker processes on any host go
+through ``distributed_verify(workers=N)``, the same coordinator.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
 from dataclasses import replace
 
 import pytest
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.campaign import run_campaign
+from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.parallel import ReplaySpec, schedule_key
 from repro.dampi.verifier import DampiVerifier
+from repro.dist import distributed_verify
 from repro.errors import AbortError, DeadlockError
 from repro.mpi.constants import ANY_SOURCE
+from repro.mpi.matching import ArrivalPolicy
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import wildcard_lattice
 
 from tests.test_explorer import trace_with
-
-#: workers fork from the test process; programs can tell where they run
-_MAIN_PID = os.getpid()
 
 
 def _report_fingerprint(report):
@@ -60,17 +60,17 @@ class TestSerialParallelDeterminism:
 
     @pytest.mark.parametrize("bound_k", [0, 1, None])
     def test_lattice_identical_across_bounds(self, bound_k):
-        # force_jobs: actually exercise worker processes even on a
-        # single-CPU host (where jobs>1 would auto-demote to inline)
+        # distributed_verify: actually exercise worker processes even on
+        # a single-CPU host (where jobs>1 would stay in-process)
         cfg = DampiConfig(bound_k=bound_k)
         kwargs = {"receives": 3, "senders": 3}
         serial = DampiVerifier(wildcard_lattice, 4, cfg, kwargs=kwargs).verify()
-        parallel = DampiVerifier(
-            wildcard_lattice, 4, replace(cfg, jobs=4, force_jobs=True), kwargs=kwargs
-        ).verify()
+        parallel = distributed_verify(
+            wildcard_lattice, 4, cfg, workers=4, kwargs=kwargs
+        )
         assert _report_fingerprint(serial) == _report_fingerprint(parallel)
-        assert parallel.parallel_stats["mode"] == "pool"
-        assert not parallel.parallel_stats["demoted"]
+        assert parallel.parallel_stats["mode"] == "dist"
+        assert parallel.parallel_stats["workers"] == 4
 
     def test_budget_truncation_identical(self):
         cfg = DampiConfig(max_interleavings=7)
@@ -160,32 +160,25 @@ def _lattice_body(p):
     return None
 
 
-def crash_in_worker_program(p):
-    """Dies instantly — but only inside a pool worker process."""
-    if os.getpid() != _MAIN_PID:
-        os._exit(17)
-    return _lattice_body(p)
-
-
-def sleep_in_worker_program(p):
-    """Takes ~1s per rank 0 — but only inside a pool worker process."""
-    if os.getpid() != _MAIN_PID and p.rank == 0:
-        time.sleep(1.0)
-    return _lattice_body(p)
-
-
 class TestWorkerPoolDegradation:
-    def test_unpicklable_program_falls_back_inline(self):
-        captured = []  # a closure is unpicklable
+    def test_closure_program_and_policy_instance_match_serial(self):
+        """Workers are forked, so nothing about the campaign is pickled:
+        a closure program and a policy *instance* run on the fleet like
+        anything else."""
+        captured = []
 
         def program(p):
             captured.append(p.rank)
             return _lattice_body(p)
 
-        report = DampiVerifier(program, 4, DampiConfig(jobs=4)).verify()
-        assert report.parallel_stats["mode"] == "inline"
-        serial = DampiVerifier(program, 4, DampiConfig(jobs=1)).verify()
-        assert _report_fingerprint(report) == _report_fingerprint(serial)
+        cfg = DampiConfig(policy=ArrivalPolicy())
+        fleet = distributed_verify(program, 4, cfg, workers=2)
+        assert fleet.parallel_stats["mode"] == "dist"
+        serial = DampiVerifier(program, 4, replace(cfg, jobs=1)).verify()
+        assert _report_fingerprint(fleet) == _report_fingerprint(serial)
+        # and through the front door, wherever this host sends jobs=2
+        jobs2 = DampiVerifier(program, 4, replace(cfg, jobs=2)).verify()
+        assert _report_fingerprint(jobs2) == _report_fingerprint(serial)
 
     def test_single_cpu_hosts_auto_demote_with_reason(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -193,82 +186,28 @@ class TestWorkerPoolDegradation:
             wildcard_lattice, 4, DampiConfig(jobs=4), kwargs={"receives": 2, "senders": 2}
         ).verify()
         stats = report.parallel_stats
+        assert stats["mode"] == "inline" and stats["jobs"] == 4
         assert stats["demoted"] and "single-CPU host" in stats["demote_reason"]
-        assert stats["submitted"] == 0  # the pool never even started
+        gauges = report.telemetry["metrics"]["gauges"]
+        assert gauges["exec.demoted"] and gauges["exec.jobs"] == 4
         serial = DampiVerifier(
             wildcard_lattice, 4, DampiConfig(jobs=1), kwargs={"receives": 2, "senders": 2}
         ).verify()
+        assert not serial.parallel_stats["demoted"]
         assert _report_fingerprint(report) == _report_fingerprint(serial)
-
-    def test_force_jobs_overrides_single_cpu_demotion(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        report = DampiVerifier(
-            wildcard_lattice,
-            4,
-            DampiConfig(jobs=2, force_jobs=True),
-            kwargs={"receives": 2, "senders": 2},
-        ).verify()
-        stats = report.parallel_stats
-        assert not stats["demoted"] and stats["demote_reason"] is None
-        assert stats["submitted"] > 0
-
-    def test_dead_worker_reported_as_crash_and_session_survives(self):
-        report = DampiVerifier(
-            crash_in_worker_program, 4, DampiConfig(jobs=2, force_jobs=True)
-        ).verify()
-        stats = report.parallel_stats
-        assert stats["demoted"] and stats["failures"] >= 1
-        kinds = {e.kind for e in report.errors}
-        assert "crash" in kinds
-        lost = [e for e in report.errors if "worker died" in e.detail]
-        assert lost and lost[0].decisions is not None  # witness survives
-        # after demotion the rest of the space was walked in-process
-        serial = DampiVerifier(
-            crash_in_worker_program, 4, DampiConfig(jobs=1)
-        ).verify()
-        assert report.interleavings == serial.interleavings
-
-    def test_timed_out_worker_reported_as_crash(self):
-        report = DampiVerifier(
-            sleep_in_worker_program,
-            4,
-            DampiConfig(
-                jobs=2,
-                force_jobs=True,
-                job_timeout_seconds=0.15,
-                max_interleavings=3,
-            ),
-        ).verify()
-        timeouts = [e for e in report.errors if "exceeded" in e.detail]
-        assert timeouts and all(e.kind == "crash" for e in timeouts)
-        assert all(e.decisions is not None for e in timeouts)
-        # each wedged worker was abandoned by recycling the pool — the
-        # session stays in pool mode rather than demoting to inline
-        stats = report.parallel_stats
-        assert stats["abandoned_workers"] == len(timeouts)
-        assert not stats["demoted"]
 
 
 class TestParallelCampaign:
-    def test_pooled_cells_match_serial_sweep(self):
+    def test_campaign_jobs_override_matches_serial_sweep(self):
         kwargs = {"receives": 2, "senders": 2}
         serial = run_campaign(wildcard_lattice, [3, 4], kwargs=kwargs, jobs=1)
-        pooled = run_campaign(wildcard_lattice, [3, 4], kwargs=kwargs, jobs=2)
-        assert [(c.nprocs, c.config_name) for c in pooled.cells] == [
+        fleet = run_campaign(wildcard_lattice, [3, 4], kwargs=kwargs, jobs=2)
+        assert [(c.nprocs, c.config_name) for c in fleet.cells] == [
             (c.nprocs, c.config_name) for c in serial.cells
         ]
-        for a, b in zip(serial.cells, pooled.cells):
+        for a, b in zip(serial.cells, fleet.cells):
             assert _report_fingerprint(a.report) == _report_fingerprint(b.report)
-
-    def test_unpicklable_campaign_falls_back_serial(self):
-        box = []
-
-        def program(p):
-            box.append(0)
-            return _lattice_body(p)
-
-        result = run_campaign(program, [3], jobs=2)
-        assert len(result.cells) == 2 and result.ok
+            assert b.report.config.jobs == 2
 
 
 class TestPicklingSupport:
@@ -282,12 +221,6 @@ class TestPicklingSupport:
         e2 = pickle.loads(pickle.dumps(e))
         assert (e2.rank, e2.errorcode) == (3, 9) and str(e2) == str(e)
 
-    def test_replay_spec_picklable_probe(self):
-        good = ReplaySpec(DampiVerifier, wildcard_lattice, 3, DampiConfig())
-        assert good.picklable()
-        bad = ReplaySpec(DampiVerifier, lambda p: None, 3, DampiConfig())
-        assert not bad.picklable()
-
 
 class TestTelemetryDeterminism:
     """Satellite: telemetry must not break the jobs-independence contract.
@@ -299,12 +232,13 @@ class TestTelemetryDeterminism:
     """
 
     def _verify(self, jobs):
-        cfg = DampiConfig(
-            trace_events=True, jobs=jobs, force_jobs=jobs > 1
+        cfg = DampiConfig(trace_events=True)
+        kwargs = {"receives": 2, "senders": 3}
+        if jobs == 1:
+            return DampiVerifier(wildcard_lattice, 4, cfg, kwargs=kwargs).verify()
+        return distributed_verify(
+            wildcard_lattice, 4, cfg, workers=jobs, kwargs=kwargs
         )
-        return DampiVerifier(
-            wildcard_lattice, 4, cfg, kwargs={"receives": 2, "senders": 3}
-        ).verify()
 
     def test_jobs2_metrics_totals_match_serial(self):
         from repro.obs.metrics import deterministic_view
@@ -320,22 +254,12 @@ class TestTelemetryDeterminism:
         from repro.obs.trace import event_signature
 
         def consumed_run_events(report):
-            # sched-category events come from the pool itself and are
+            # dist-category events come from the fleet itself and are
             # jobs-dependent by nature; everything else must match
             return event_signature(
-                e for e in report.events if e.cat != "sched"
+                e for e in report.events if e.cat != "dist"
             )
 
         serial = self._verify(1)
         pooled = self._verify(2)
         assert consumed_run_events(serial) == consumed_run_events(pooled)
-
-    def test_executor_shares_campaign_registry(self):
-        report = self._verify(2)
-        counters = report.telemetry["metrics"]["counters"]
-        gauges = report.telemetry["metrics"]["gauges"]
-        # pool accounting lands in exec.* counters, not duplicate gauges
-        assert counters["exec.submitted"] > 0
-        for key in ("submitted", "hits", "misses", "failures", "wasted"):
-            assert f"exec.{key}" not in gauges
-        assert gauges["exec.jobs"] == 2

@@ -78,7 +78,7 @@ class TestPruningZooProperty:
         serial = _verify(COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True)
         pooled = _verify(
             COMMUTATIVE.program, COMMUTATIVE.nprocs,
-            prune=True, jobs=2, force_jobs=True,
+            prune=True, jobs=2,
         )
         assert _findings(pooled) == _findings(serial)
         assert pooled.interleavings == serial.interleavings
