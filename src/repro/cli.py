@@ -321,37 +321,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault injection (see repro.dampi.faults)",
     )
 
-    def resume_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "journal_dir", type=Path, help="a verify / dist run --journal-dir"
-        )
-        p.add_argument(
-            "--program",
-            default=None,
-            help="override the program spec recorded in the journal",
-        )
-        p.add_argument(
-            "--fault-plan",
-            default=None,
-            metavar="PLAN",
-            help="fault plan for the resumed attempt (the recorded plan is "
-            "NOT re-injected by default — the fault already happened)",
-        )
-        p.add_argument(
-            "--json-out", type=Path, default=None, metavar="FILE",
-            help="write the report JSON",
-        )
-        p.add_argument(
-            "--show-runs", action="store_true", help="print the per-run table"
-        )
-
     rs = sub.add_parser(
         "resume",
         help="resume a crashed verification from its --journal-dir, "
         "in-process or with a fleet as the journal was written (program, "
         "nprocs, and config are read from the journal)",
     )
-    resume_flags(rs)
+    rs.add_argument(
+        "journal_dir", type=Path, help="a verify / dist run --journal-dir"
+    )
+    rs.add_argument(
+        "--program",
+        default=None,
+        help="override the program spec recorded in the journal",
+    )
+    rs.add_argument(
+        "--fault-plan",
+        default=None,
+        metavar="PLAN",
+        help="fault plan for the resumed attempt (the recorded plan is "
+        "NOT re-injected by default — the fault already happened)",
+    )
+    rs.add_argument(
+        "--json-out", type=Path, default=None, metavar="FILE",
+        help="write the report JSON",
+    )
+    rs.add_argument(
+        "--show-runs", action="store_true", help="print the per-run table"
+    )
+    rs.add_argument(
+        "--workers", "-w", type=int, default=None, metavar="N",
+        help="fleet size for the resumed attempt of a fleet's journal "
+        "(default: as recorded)",
+    )
 
     d = sub.add_parser(
         "dist",
@@ -374,16 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes exploring leased subtrees (default 2); the "
         "report is bit-identical for any N",
-    )
-
-    dz = dsub.add_parser(
-        "resume",
-        help="'repro resume' under its older name, plus --workers",
-    )
-    resume_flags(dz)
-    dz.add_argument(
-        "--workers", "-w", type=int, default=None, metavar="N",
-        help="worker count for the resumed attempt (default: as recorded)",
     )
 
     dst = dsub.add_parser(
@@ -495,12 +487,7 @@ def cmd_verify(args) -> int:
     if args.journal_dir is not None:
         from repro.dampi.journal import CampaignJournal
 
-        journal = CampaignJournal(
-            args.journal_dir,
-            segment_bytes=config.journal_segment_bytes,
-            fsync=config.journal_fsync,
-            program_label=args.program,
-        )
+        journal = CampaignJournal(args.journal_dir, program_label=args.program)
     return _report_tail(
         args, _run(verifier, journal, workers), args.program, args.nprocs
     )
@@ -716,7 +703,7 @@ def _load_resume(args):
             f"{args.journal_dir} is a worker shard journal of a distributed "
             f"campaign — it covers one leased subtree, not the whole "
             f"verification; resume the campaign's coordinator journal with "
-            f"'repro dist resume' instead"
+            f"'repro resume' instead"
         )
     spec = args.program or meta.get("program")
     if not spec:
@@ -756,23 +743,20 @@ def _load_resume(args):
 
 
 def cmd_resume(args) -> int:
-    """Self-contained crash recovery (``resume`` and ``dist resume``):
-    everything needed to continue — program spec, nprocs, config, kwargs,
-    and whether a fleet wrote the journal — is read from its meta record,
+    """Self-contained crash recovery: everything needed to continue —
+    program spec, nprocs, config, kwargs, and whether a fleet wrote the
+    journal — is read from its meta record,
     so the operator only names the directory.  The journal's kind decides
     who continues it: a campaign journal the in-process loop (whatever
     ``jobs`` it recorded — a ``--jobs 2`` run demoted on a single-CPU
     host wrote one too, and only that loop can read it), a coordinator
-    journal the fleet at its recorded size (``dist resume
-    --workers`` overrides)."""
+    journal the fleet at its recorded size (``--workers`` overrides)."""
     journal, meta, mode, program, config, kwargs = _load_resume(args)
     workers = None
     if mode == "dist":
-        workers = (
-            getattr(args, "workers", None)
-            or (meta.get("dist") or {}).get("workers")
-            or 2
-        )
+        workers = args.workers
+        if workers is None:
+            workers = (meta.get("dist") or {}).get("workers") or 2
         if workers < 1:
             raise UsageError(f"--workers must be >= 1, not {workers}")
     verifier = DampiVerifier(
@@ -834,8 +818,6 @@ def main(argv=None) -> int:
         if args.command == "dist":
             if args.dist_command == "run":
                 return cmd_verify(args)
-            if args.dist_command == "resume":
-                return cmd_resume(args)
             if args.dist_command == "status":
                 return cmd_dist_status(args)
         if args.command == "replay":

@@ -11,7 +11,7 @@ from repro.mpi.costmodel import CostModel
 #: under one set cannot be resumed under another
 #: (``journal.config_signature`` hashes these plus ``cost_model``).
 #: Every other field is an execution knob (``jobs``, checkpoints,
-#: telemetry, ``fault_plan``, journal/dist tuning): bit-identity-
+#: telemetry, ``fault_plan``, the lease timeout): bit-identity-
 #: preserving and deliberately excluded.  A new field must be classified
 #: (``tests/test_journal.py`` enumerates the dataclass).
 SEMANTIC_CONFIG_FIELDS = (
@@ -84,10 +84,6 @@ class DampiConfig:
         (see :mod:`repro.obs`).  Off by default: the disabled path costs
         one ``is not None`` test per emitter site
         (``benchmarks/bench_obs_overhead.py`` bounds it at <3%).
-    trace_buffer:
-        Ring-buffer capacity (events) for each tracer when
-        ``trace_events`` is on; overflow drops the oldest events and is
-        reported in ``telemetry["events"]["dropped"]``.
     trace_sample_every:
         Payload sampling for per-run event streams: full payloads are
         recorded for the self run and for 1-in-N guided replays, chosen
@@ -113,17 +109,6 @@ class DampiConfig:
         stages, or campaign cells at chosen points.  Travels inside the
         config, so fleet workers and campaign cells inherit it
         automatically.  ``None`` (the default) injects nothing.
-    journal_checkpoint_interval:
-        When verifying with a journal, write a full generator-state
-        checkpoint every this many journaled runs (resume transition-
-        replays only the entries after the latest checkpoint).
-    journal_segment_bytes:
-        Journal segment rotation threshold (see
-        :mod:`repro.dampi.journal`).
-    journal_fsync:
-        ``fsync`` every journal append (the durability the journal
-        exists for).  ``False`` trades crash-safety for speed — only
-        sensible in tests and on battery-backed storage.
     """
 
     clock_impl: str = "lamport"
@@ -145,6 +130,8 @@ class DampiConfig:
     #: demotion) when the run uses non-snapshotable resources.
     prefix_checkpoints: bool = True
     #: Byte budget (MiB) for the per-session prefix-checkpoint LRU cache.
+    #: (This and ``checkpoint_interval`` stay fields only because they go
+    #: with their subsystem — ROADMAP "Delete prefix checkpoints".)
     checkpoint_cache_mb: int = 64
     #: Snapshot only decision points whose forced-prefix depth is a
     #: multiple of this (1 = every decision point).
@@ -176,22 +163,15 @@ class DampiConfig:
     keep_traces: bool = False
     artifacts_dir: Optional[str] = None
     trace_events: bool = False
-    trace_buffer: int = 65536
     trace_sample_every: int = 1
     progress_interval_seconds: Optional[float] = None
     fault_plan: Optional[str] = None
-    journal_checkpoint_interval: int = 16
-    journal_segment_bytes: int = 4 * 1024 * 1024
-    journal_fsync: bool = True
-    #: distributed mode (repro.dist): how often each worker sends a
-    #: heartbeat/progress frame to the coordinator.  Execution knob —
-    #: not part of the semantic config signature.
-    dist_heartbeat_seconds: float = 0.5
     #: distributed mode: a lease whose worker shows no progress (no
     #: record, donation, or run-count advance) for this long is declared
     #: lost — the worker is terminated and the lease re-issued (the hang
-    #: guard of every ``jobs > 1`` campaign).  Must comfortably exceed
-    #: the cost of one replay.
+    #: guard of every ``jobs > 1`` campaign).  Stays a field because it is
+    #: the one fleet value that depends on the program under test: it
+    #: must comfortably exceed the cost of one replay.
     dist_lease_timeout_seconds: float = 30.0
 
     _CLOCK_IMPLS = ("lamport", "vector", "lamport_dual", "vector_dual")
@@ -222,8 +202,6 @@ class DampiConfig:
                 "precision; it requires clock_impl lamport|lamport_dual, "
                 f"not {self.clock_impl!r}"
             )
-        if self.trace_buffer < 1:
-            raise ValueError("trace_buffer must be >= 1")
         if self.trace_sample_every < 1:
             raise ValueError("trace_sample_every must be >= 1")
         if (
@@ -237,11 +215,5 @@ class DampiConfig:
             from repro.dampi.faults import FaultPlan
 
             FaultPlan.parse(self.fault_plan)
-        if self.journal_checkpoint_interval < 1:
-            raise ValueError("journal_checkpoint_interval must be >= 1")
-        if self.journal_segment_bytes < 4096:
-            raise ValueError("journal_segment_bytes must be >= 4096")
-        if self.dist_heartbeat_seconds <= 0:
-            raise ValueError("dist_heartbeat_seconds must be > 0")
         if self.dist_lease_timeout_seconds <= 0:
             raise ValueError("dist_lease_timeout_seconds must be > 0")

@@ -69,7 +69,7 @@ Sites
     In the distributed coordinator (:mod:`repro.dist.coordinator`),
     before it journals the ``n``-th record streamed back by workers
     (1-based) — a coordinator death mid-campaign, the crash
-    ``repro dist resume`` exists to survive.
+    ``repro resume`` exists to survive.
 
 Each fault fires **once per process**: a plan object tracks which of its
 faults already fired, and worker processes carry their own plan copy —

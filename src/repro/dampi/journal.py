@@ -36,12 +36,13 @@ Each line is one JSON record with a ``t`` discriminator:
 ``checkpoint``
     A full :class:`~repro.dampi.explorer.ScheduleGenerator` snapshot
     (path nodes with ``tried``/``alternatives``/``frozen``, counters),
-    written every ``DampiConfig.journal_checkpoint_interval`` entries —
+    written every :data:`CHECKPOINT_INTERVAL` entries —
     resume fast-forwards the generator from the latest one and drives it
     only with the entries after it.
 ``end``
     Campaign completion marker with final counts (tooling/CI aid; a
-    journal without one is simply an interrupted campaign).
+    journal without one is simply an interrupted campaign).  Written
+    once: verifying a finished journal again appends nothing.
 
 The run record
 --------------
@@ -65,8 +66,8 @@ by ``flush`` + ``fsync``.  A crash mid-append leaves a torn final line
 with no trailing newline; the loader drops anything after the last
 newline of each segment, so a torn tail costs exactly the record being
 written — which was by definition not yet acknowledged.  Segments rotate
-at ``DampiConfig.journal_segment_bytes``, and every resume attempt opens
-a fresh segment (old segments are never reopened for writing).
+at :data:`DEFAULT_SEGMENT_BYTES`, and every attempt that appends opens a
+fresh segment (old segments are never reopened for writing).
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ JOURNAL_VERSION = 2
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+
+#: a campaign journal gets a full generator checkpoint every this many
+#: ``run`` entries (resume drives the generator only with the entries
+#: after the latest one)
+CHECKPOINT_INTERVAL = 16
 
 
 class JournalError(RuntimeError):
@@ -296,6 +302,16 @@ def result_from_entry(entry: dict) -> JournaledResult:
     )
 
 
+def run_from_entry(entry: dict, obs=None) -> tuple:
+    """A run record as ``DampiVerifier._consume`` takes a run: ``(result,
+    trace, esc)``.  ``obs`` is the tracer payload that travelled beside
+    a fleet worker's record; a journaled record has none."""
+    result = result_from_entry(entry)
+    if obs:
+        result.artifacts["obs"] = obs
+    return result, trace_from_jsonable(entry["trace"]), entry.get("esc")
+
+
 # -- generator snapshots -------------------------------------------------------
 
 
@@ -463,16 +479,9 @@ class CampaignJournal:
         self._load()
 
     @classmethod
-    def open(cls, journal, config) -> "CampaignJournal":
-        """Coerce a path or an existing journal into a journal, opened
-        under ``config``'s journal tuning."""
-        if isinstance(journal, CampaignJournal):
-            return journal
-        return cls(
-            journal,
-            segment_bytes=config.journal_segment_bytes,
-            fsync=config.journal_fsync,
-        )
+    def open(cls, journal) -> "CampaignJournal":
+        """Coerce a path or an existing journal into a journal."""
+        return journal if isinstance(journal, CampaignJournal) else cls(journal)
 
     def bind(self, tracer=None, metrics=None) -> None:
         """Attach the campaign's telemetry sinks (journal events land in
@@ -604,7 +613,7 @@ class CampaignJournal:
                 f"{old_sig.get('shard_prefix')!r}), not the whole decision "
                 "tree, so resuming it as a campaign would silently re-walk "
                 "everything outside the shard.  Resume the campaign's "
-                "coordinator journal with 'repro dist resume' instead"
+                "coordinator journal with 'repro resume' instead"
             ),
             "dist": (
                 "a distributed *coordinator* journal (leases and streamed "

@@ -14,595 +14,49 @@ import logging
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.dampi import journal as jr
 from repro.dampi.artifacts import ArtifactStore
-from repro.dampi.checkpoint import (
-    PrefixCheckpointCache,
-    capture_key,
-    checkpoint_key,
-)
 from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions, schedule_key
-from repro.dampi.epoch import EpochKey, RunTrace
+from repro.dampi.epoch import RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FaultPlan
 from repro.dampi.leaks import LeakCheckModule, LeakReport
-from repro.dampi.monitor import MonitorReport, OmissionMonitorModule
+from repro.dampi.monitor import OmissionMonitorModule
 from repro.dampi.piggyback import PiggybackModule
 from repro.dampi import prune as prune_mod
-from repro.errors import DeadlockError
-from repro.mpi.runtime import RankExecutorPool, Runtime, RunResult
-from repro.mpi.snapshot import (
-    CheckpointError,
-    CheckpointIneligible,
-    CheckpointUnsupported,
-    RecordingProc,
+from repro.dampi.report import (
+    FoundError,
+    RunRecord,
+    VerificationReport,
+    completed_outcome,
 )
+from repro.dampi.session import _ReplaySession
+from repro.errors import DeadlockError
+from repro.mpi.runtime import Runtime, RunResult
 from repro.mpi.tracing import TraceModule
 from repro.obs.campaign import CampaignTelemetry
 from repro.obs.trace import Tracer
-from repro.pnmpi.module import ToolModule
 
 _log = logging.getLogger(__name__)
 
-#: composite entry points the RecordingProc facade decomposes into PMPI
-#: primitives during record/replay; a tool module wrapping one of these
-#: would be bypassed by the decomposition, so its presence demotes
-#: checkpointing (full replays are unaffected — chains stay intact there)
-_CHECKPOINT_COMPOSITES = (
-    "waitall",
-    "waitany",
-    "waitsome",
-    "testall",
-    "ssend",
-    "sendrecv",
-)
-
-
-class _ReplaySession:
-    """Persistent execution substrate reused across one verification's runs.
-
-    Holds one :class:`Runtime` (tool modules constructed once, their
-    interposition chains compiled once) and one :class:`RankExecutorPool`
-    (rank threads spawned once).  Per run it recycles the runtime — a
-    fresh :class:`~repro.mpi.engine.MessageEngine`, so *all* matching,
-    scheduling, context, and virtual-clock state is rebuilt from scratch —
-    points the clock module at the run's decisions, and dispatches the
-    rank mains onto the parked pool threads.  Module per-run state is
-    reset by each module's ``setup`` inside ``Runtime.run``.
-
-    The session is an optimisation with a bit-identity contract: a
-    recycled run must be indistinguishable from a cold-start one (the
-    differential tests in ``tests/test_verifier.py`` compare whole
-    reports).  Anything that cannot honour the contract — policy
-    instances with hidden state — must bypass the session instead.
-    """
-
-    def __init__(self, verifier: "DampiVerifier"):
-        cfg = verifier.config
-        modules = verifier._build_modules(None)
-        self.clock = next(
-            m for m in modules if isinstance(m, DampiClockModule)
-        )
-        self.runtime = Runtime(
-            verifier.nprocs,
-            verifier.program,
-            modules=modules,
-            policy=cfg.policy,
-            cost_model=cfg.cost_model,
-            args=verifier.args,
-            kwargs=verifier.kwargs,
-            tracer=verifier._run_tracer,
-        )
-        self.pool = RankExecutorPool(
-            verifier.nprocs, name=f"{self.runtime.name}-session"
-        )
-        # -- prefix-sharing replay (repro.dampi.checkpoint) ----------------
-        self.checkpoint_cache: Optional[PrefixCheckpointCache] = None
-        self.checkpoint_demote_reason: Optional[str] = None
-        self.checkpoint_interval = cfg.checkpoint_interval
-        self._ckpt_stats_final: Optional[dict] = None
-        self._faults = verifier._faults
-        #: deep sharing (ancestor restores + in-run/in-suffix snapshots)
-        #: requires the match policy to be stateless: a restored run skips
-        #: the prefix's policy consultations, so a policy carrying hidden
-        #: state (a seeded RNG) would diverge from a full run.  Stateful
-        #: policies keep the sibling-only scheme, whose producer and
-        #: consumer force bit-identical prefixes.
-        self._deep_sharing = False
-        if cfg.prefix_checkpoints:
-            reason = self._checkpoint_unsupported_reason()
-            if reason is None:
-                self.runtime.install_views(
-                    [RecordingProc(p) for p in self.runtime.procs]
-                )
-                self.checkpoint_cache = PrefixCheckpointCache(
-                    cfg.checkpoint_cache_mb * 1024 * 1024
-                )
-                from repro.mpi.matching import make_policy
-
-                self._deep_sharing = bool(
-                    getattr(make_policy(cfg.policy), "stateless", False)
-                )
-            else:
-                # mirror the single-CPU jobs demotion: log and fall back
-                # to full replays instead of erroring mid-campaign
-                self.checkpoint_demote_reason = reason
-                _log.info("prefix checkpoints demoted: %s", reason)
-
-    def _checkpoint_unsupported_reason(self) -> Optional[str]:
-        """Why this session cannot checkpoint (None = it can)."""
-        # per-run event tracing no longer demotes checkpoints: snapshots
-        # carry the tracer's prefix stream (repro.mpi.snapshot), so a
-        # restored run's events and exact counters match a full run
-        for module in self.runtime.stack:
-            if type(module).snapshot_state is ToolModule.snapshot_state:
-                return f"tool module {module.name!r} has no snapshot support"
-            for point in _CHECKPOINT_COMPOSITES:
-                if module.overrides(point):
-                    return (
-                        f"tool module {module.name!r} wraps composite "
-                        f"{point!r} (record/replay decomposition would "
-                        f"bypass it)"
-                    )
-        return None
-
-    def run(
-        self, decisions: Optional[EpochDecisions]
-    ) -> tuple[RunResult, RunTrace]:
-        decisions = decisions or EpochDecisions()
-        cache = self.checkpoint_cache
-        if cache is None or decisions.flip is None:
-            return self._run_full(decisions)
-        key = checkpoint_key(decisions)
-        if key in cache.ineligible:
-            cache.skips += 1
-            return self._run_full(decisions)
-        snap = (
-            cache.find(decisions) if self._deep_sharing else cache.get(key)
-        )
-        if snap is not None:
-            out = self._run_restored(snap, decisions, key)
-            if out is not None:
-                return out
-            # the restore/replay failed and demoted checkpointing
-            return self._run_full(decisions)
-        if self._deep_sharing:
-            # record on every miss: in-run captures make the whole path a
-            # future dict hit, so a miss is the one chance to amortize it
-            # (the expect_siblings hint no longer gates anything — it can
-            # go stale across dist steal-splits)
-            cache.misses += 1
-            return self._run_recording(decisions, key)
-        if not decisions.expect_siblings:
-            # the generator knows no other schedule shares this prefix
-            # right now — recording would almost surely be wasted
-            return self._run_full(decisions)
-        if len(decisions.forced) % self.checkpoint_interval != 0:
-            return self._run_full(decisions)
-        cache.misses += 1
-        return self._run_recording(decisions, key)
-
-    def _run_full(self, decisions: EpochDecisions) -> tuple[RunResult, RunTrace]:
-        self.runtime.recycle()
-        self.clock.decisions = decisions
-        pool = None if self.pool.broken else self.pool
-        result = self.runtime.run(pool=pool)
-        return result, result.artifacts["dampi"]
-
-    def _run_recording(
-        self, decisions: EpochDecisions, key
-    ) -> tuple[RunResult, RunTrace]:
-        """Full replay that snapshots the engine at its own flip point, so
-        the flipped node's sibling schedules can resume from there.  Under
-        deep sharing the run additionally snapshots at every eligible
-        wildcard post — before and after the flip — so future first-visit
-        schedules anywhere along this path dict-hit their own flip."""
-        self.runtime.recycle()
-        self.clock.decisions = decisions
-        views = self.runtime.views
-        for view in views:
-            view.start_record()
-        if self._deep_sharing:
-            self._arm_triggers(decisions, key)
-        else:
-            flip_rank, flip_lc = decisions.flip
-            session = self
-
-            def trigger(view, _rank=flip_rank, _lc=flip_lc, _key=key):
-                # pre-tick clock identifies the epoch, exactly as the clock
-                # module's irecv/probe hooks key it
-                if session.clock._state[_rank].clock.time != _lc:
-                    return
-                view._trigger = None
-                session._capture(_key)
-
-            views[flip_rank]._trigger = trigger
-        try:
-            pool = None if self.pool.broken else self.pool
-            result = self.runtime.run(pool=pool)
-        finally:
-            for view in views:
-                view.set_passthrough()
-        return result, result.artifacts["dampi"]
-
-    def _arm_triggers(self, decisions: EpochDecisions, key) -> None:
-        """Deep-sharing capture triggers on every rank's view: each
-        wildcard post is a potential snapshot point.  The flip itself is
-        stored under the schedule's sibling key (always captured); other
-        posts go under :func:`capture_key` of the state decided so far,
-        gated by ``checkpoint_interval`` and deduplicated against the
-        cache.  The triggers run on rank threads that hold the engine
-        token, so cache access needs no extra locking."""
-        session = self
-        flip = decisions.flip
-        interval = self.checkpoint_interval
-        for rank, view in enumerate(self.runtime.views):
-
-            def trigger(view, _rank=rank):
-                cache = session.checkpoint_cache
-                if cache is None:  # demoted mid-run
-                    view._trigger = None
-                    return
-                # pre-tick clock identifies the epoch about to be decided
-                k = (_rank, session.clock._state[_rank].clock.time)
-                if k == flip:
-                    if key not in cache and key not in cache.ineligible:
-                        session._capture(key, deep=True)
-                    return
-                meta = session.clock.capture_meta()
-                if meta["natural"]:
-                    # a naturally-decided epoch makes the snapshot
-                    # unusable by every later schedule (the explorer
-                    # forces the whole path, and forced-vs-natural posts
-                    # are not observably equivalent) — and capturing it
-                    # would burn the cache key for a fully-forced
-                    # producer
-                    return
-                if len(meta["decided"]) % interval != 0:
-                    return
-                ckey = capture_key(k, meta["decided"])
-                if ckey in cache or ckey in cache.ineligible:
-                    return
-                session._capture(ckey, deep=True, suffix=True)
-
-            view._trigger = trigger
-
-    def _capture(self, key, deep: bool = False, suffix: bool = False) -> None:
-        """Runs on a rank's thread, just before a wildcard operation is
-        delegated to the engine."""
-        cache = self.checkpoint_cache
-        if cache is None:
-            return
-        try:
-            snap = self.runtime.snapshot()
-        except CheckpointIneligible:
-            cache.ineligible.add(key)
-            cache.skips += 1
-            return
-        except CheckpointUnsupported as e:
-            self._demote_checkpoints(f"capture failed: {e}")
-            return
-        cache.capture_seconds += snap.capture_seconds
-        snap.key = key
-        if deep:
-            # decided-state metadata makes the snapshot eligible for
-            # ancestor restores (checkpoint.snapshot_usable)
-            snap.meta = self.clock.capture_meta()
-            snap.depth = len(snap.meta["decided"])
-        else:
-            snap.depth = len(key[1]) + 1
-        cache.put(key, snap)
-        if suffix:
-            cache.suffix_captures += 1
-        if not deep:
-            # sibling-only mode: the logs up to the cut are inside the
-            # snapshot — stop paying record overhead for the rest of this
-            # run (deep sharing keeps recording for later capture points)
-            for view in self.runtime.views:
-                if view.recording:
-                    view.set_passthrough()
-
-    def _run_restored(
-        self, snap, decisions: EpochDecisions, key
-    ) -> Optional[tuple[RunResult, RunTrace]]:
-        """Resume a schedule from a prefix checkpoint; None means the
-        attempt failed (checkpointing has been demoted — run full).
-
-        An *exact* hit (the snapshot was cut at this schedule's own flip)
-        replays the logged prefix and executes only the suffix.  An
-        *ancestor* hit restores a shallower snapshot, rebases the clock
-        module's guidance onto this schedule's decision map, and — deep
-        sharing only — keeps recording past the cut so the novel suffix
-        yields further snapshots."""
-        cache = self.checkpoint_cache
-        exact = getattr(snap, "key", None) == key
-        record_after = self._deep_sharing and not exact
-        if self._faults:
-            self._faults.fire("restore", decisions.flip)
-        try:
-            self.runtime.recycle(checkpoint=snap, record_after=record_after)
-        except Exception as e:  # noqa: BLE001 - any restore failure => demote
-            self._demote_checkpoints(
-                f"restore failed: {type(e).__name__}: {e}"
-            )
-            return None
-        if self._deep_sharing:
-            # the snapshot's guidance state belongs to the producer's
-            # schedule; repoint every rank at this schedule's decisions
-            self.clock.rebase_decisions(decisions)
-        else:
-            self.clock.decisions = decisions
-        if record_after:
-            self._arm_triggers(decisions, key)
-        try:
-            pool = None if self.pool.broken else self.pool
-            result = self.runtime.run(pool=pool)
-        finally:
-            if record_after:
-                for view in self.runtime.views or ():
-                    view.set_passthrough()
-        for exc in result.errors.values():
-            if isinstance(exc, CheckpointError):
-                # the restored run's prefix was not actually compatible
-                # with the recording — an invariant violation, not a user
-                # bug
-                self._demote_checkpoints(f"replay diverged: {exc}")
-                return None
-        cache.record_hit(snap)
-        cache.restore_seconds += self.runtime._restore_seconds
-        return result, result.artifacts["dampi"]
-
-    def _demote_checkpoints(self, reason: str) -> None:
-        cache = self.checkpoint_cache
-        if cache is None:
-            return
-        self._ckpt_stats_final = cache.stats()
-        self.checkpoint_cache = None
-        self.checkpoint_demote_reason = reason
-        _log.info("prefix checkpoints demoted: %s", reason)
-        for view in self.runtime.views or ():
-            view.set_passthrough()
-
-    def checkpoint_stats(self) -> dict:
-        cache = self.checkpoint_cache
-        if cache is not None:
-            stats = cache.stats()
-        elif self._ckpt_stats_final is not None:
-            stats = dict(self._ckpt_stats_final)
-        else:
-            stats = PrefixCheckpointCache(1).stats()
-        stats["enabled"] = cache is not None
-        stats["demote_reason"] = self.checkpoint_demote_reason
-        return stats
-
-    def close(self) -> None:
-        self.pool.close()
-
-
-@dataclass
-class FoundError:
-    """One defect with its reproduction witness."""
-
-    kind: str  # "deadlock" | "crash" | "communicator_leak" | "request_leak"
-    run_index: int
-    detail: str
-    decisions: Optional[EpochDecisions] = None
-
-    def __str__(self) -> str:
-        where = "self run" if self.run_index == 0 else f"replay {self.run_index}"
-        return f"[{self.kind}] in {where}: {self.detail}"
-
-
-def completed_outcome(trace: RunTrace) -> frozenset:
-    """The semantic fingerprint of one interleaving: every completed
-    wildcard epoch paired with the source it matched."""
-    return frozenset(
-        (e.key, e.matched_source)
-        for e in trace.all_epochs()
-        if e.matched_source is not None
-    )
-
-
-@dataclass
-class RunRecord:
-    """Per-interleaving summary kept on the report."""
-
-    index: int
-    makespan: float
-    wildcard_count: int
-    error_kinds: tuple[str, ...]
-    diverged: bool
-    flip: Optional[EpochKey]
-    #: completed wildcard outcome of this run — the semantic fingerprint of
-    #: the interleaving (used by coverage/property tests)
-    outcome: frozenset
-
-
-@dataclass
-class VerificationReport:
-    """Everything a verification session learned."""
-
-    nprocs: int
-    config: DampiConfig
-    interleavings: int = 0
-    errors: list[FoundError] = field(default_factory=list)
-    leak_report: Optional[LeakReport] = None
-    monitor_report: Optional[MonitorReport] = None
-    wildcards_analyzed: int = 0
-    self_run_vtime: float = 0.0
-    total_vtime: float = 0.0
-    wall_seconds: float = 0.0
-    truncated: bool = False
-    divergences: int = 0
-    #: decision nodes frozen by the bounded-mixing distance rule; 0 on an
-    #: untruncated run means the bound never bit and the space is fully
-    #: covered (no wider bound can find more)
-    bound_frozen: int = 0
-    #: how this attempt executed its replays: ``mode`` ``"inline"``
-    #: (``jobs``, ``demoted``/``demote_reason``, the ``checkpoint`` cache
-    #: counters) or ``"dist"`` (``workers``, ``leases``, ``records``,
-    #: ``worker_deaths``)
-    parallel_stats: Optional[dict] = None
-    #: journal accounting when verify() ran with one: directory, runs
-    #: replayed from the journal vs executed live.  Like parallel_stats,
-    #: excluded from to_json(): it describes *this attempt*, not the
-    #: verification (a resumed report is otherwise bit-identical).
-    journal_stats: Optional[dict] = None
-    #: pruning / adaptive-escalation accounting (None unless
-    #: ``config.prune`` or ``config.adaptive_clocks``): subtrees pruned,
-    #: replays saved versus the unpruned walk, precision replays run and
-    #: the vector-only alternatives they injected.  Deterministic — part
-    #: of to_json() (see :mod:`repro.dampi.prune`).
-    prune_stats: Optional[dict] = None
-    #: telemetry block (metrics snapshot + event-stream accounting),
-    #: filled in by CampaignTelemetry.finalize; report JSON v3
-    telemetry: Optional[dict] = None
-    #: merged campaign event stream (list of repro.obs.trace.Event);
-    #: empty unless config.trace_events
-    events: list = field(default_factory=list)
-    runs: list[RunRecord] = field(default_factory=list)
-    traces: list[RunTrace] = field(default_factory=list)
-
-    @property
-    def deadlocks(self) -> list[FoundError]:
-        return [e for e in self.errors if e.kind == "deadlock"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    @property
-    def outcomes(self) -> set[frozenset]:
-        """Distinct wildcard-match outcomes covered (coverage measure)."""
-        return {r.outcome for r in self.runs}
-
-    def summary(self) -> str:
-        lines = [
-            f"DAMPI verification of {self.nprocs} processes "
-            f"({self.config.clock_impl} clocks, "
-            f"k={'unbounded' if self.config.bound_k is None else self.config.bound_k})",
-            f"  interleavings explored : {self.interleavings}"
-            + (" (truncated)" if self.truncated else ""),
-            f"  wildcard ops analyzed  : {self.wildcards_analyzed}",
-            f"  distinct outcomes      : {len(self.outcomes)}",
-            f"  total virtual time     : {self.total_vtime:.6f} s"
-            f" (self run {self.self_run_vtime:.6f} s)",
-            f"  wall-clock             : {self.wall_seconds:.2f} s",
-        ]
-        if self.monitor_report and self.monitor_report.triggered:
-            lines.append(
-                f"  omission alerts (§V)   : {len(self.monitor_report)}"
-            )
-        if self.prune_stats:
-            ps = self.prune_stats
-            lines.append(
-                f"  subtrees pruned        : {ps['subtrees_pruned']}"
-                f" ({ps['replays_saved']} replays saved)"
-            )
-            if ps.get("adaptive_clocks"):
-                lines.append(
-                    f"  clock escalations      : {ps['escalations']}"
-                    f" (+{ps['extra_alternatives']} vector-only alternatives)"
-                )
-        if self.errors:
-            lines.append(f"  ERRORS ({len(self.errors)}):")
-            lines.extend(f"    {e}" for e in self.errors)
-        else:
-            lines.append("  no errors found")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        """Machine-readable report for CI pipelines: counts, errors with
-        their witness schedules, monitor alerts, and per-run records."""
-        import json
-
-        payload = {
-            "version": 3,
-            "nprocs": self.nprocs,
-            "clock_impl": self.config.clock_impl,
-            "bound_k": self.config.bound_k,
-            "interleavings": self.interleavings,
-            "truncated": self.truncated,
-            "wildcards_analyzed": self.wildcards_analyzed,
-            "distinct_outcomes": len(self.outcomes),
-            "self_run_vtime": self.self_run_vtime,
-            "total_vtime": self.total_vtime,
-            "wall_seconds": self.wall_seconds,
-            "divergences": self.divergences,
-            "monitor_alerts": (
-                len(self.monitor_report) if self.monitor_report else 0
-            ),
-            "errors": [
-                {
-                    "kind": e.kind,
-                    "run_index": e.run_index,
-                    "detail": e.detail,
-                    "witness": (
-                        None
-                        if e.decisions is None
-                        else [[r, lc, src] for (r, lc), src in sorted(e.decisions.forced.items())]
-                    ),
-                }
-                for e in self.errors
-            ],
-            "runs": [
-                {
-                    "index": r.index,
-                    "flip": list(r.flip) if r.flip else None,
-                    "errors": list(r.error_kinds),
-                    "diverged": r.diverged,
-                    "makespan": r.makespan,
-                    "wildcard_count": r.wildcard_count,
-                }
-                for r in self.runs
-            ],
-            "prune_stats": self.prune_stats,
-            "telemetry": self.telemetry or {},
-        }
-        return json.dumps(payload, indent=2)
-
-    def run_table(self, limit: Optional[int] = 50) -> str:
-        """A per-run text table: which epoch each replay flipped, what the
-        wildcards matched, and what went wrong.  ``limit`` caps the rows
-        (None = all)."""
-        lines = [
-            f"{'run':>5} | {'flipped epoch':>14} | {'wildcard matches':<40} | outcome"
-        ]
-        rows = self.runs if limit is None else self.runs[:limit]
-        for r in rows:
-            matches = ", ".join(
-                f"r{rank}@{lc}<-{src}"
-                for (rank, lc), src in sorted(r.outcome)
-            )
-            if len(matches) > 40:
-                matches = matches[:37] + "..."
-            flip = "self run" if r.flip is None else f"({r.flip[0]},{r.flip[1]})"
-            state = ",".join(r.error_kinds) if r.error_kinds else "ok"
-            if r.diverged:
-                state += " [diverged]"
-            lines.append(f"{r.index:>5} | {flip:>14} | {matches:<40} | {state}")
-        if limit is not None and len(self.runs) > limit:
-            lines.append(
-                f"  ... {len(self.runs) - limit} more runs (use --all)"
-            )
-        return "\n".join(lines)
-
 
 class _Campaign:
-    """What one campaign folds its runs into: the state
-    :meth:`DampiVerifier._consume` advances, whether the runs come from
-    the live loop, a journal being resumed, or a distributed
-    coordinator's collected records."""
+    """One campaign: the state :meth:`DampiVerifier._consume` folds runs
+    into, and the depth-first walk of paper Fig. 1 that asks for them.
+    The walk is written once, here; *where* a run executes is its
+    ``source`` — this process (``jobs == 1``) or a fleet's record map
+    (:class:`repro.dist.DistCoordinator`)."""
 
-    def __init__(self, verifier: "DampiVerifier", telemetry: CampaignTelemetry):
+    def __init__(self, verifier: "DampiVerifier", stream=None):
         cfg = verifier.config
+        self.verifier = verifier
+        self.started = time.perf_counter()
         self.report = VerificationReport(nprocs=verifier.nprocs, config=cfg)
-        self.telemetry = telemetry
+        self.telemetry = CampaignTelemetry(cfg, stream=stream)
         self.generator = ScheduleGenerator(
             bound_k=cfg.bound_k,
             auto_loop_threshold=cfg.auto_loop_threshold,
@@ -623,12 +77,126 @@ class _Campaign:
             "escalation_replays": 0,
             "extra_alternatives": 0,
         }
-        #: where consumed runs are appended; None while a journal's own
-        #: entries are being replayed (and for unjournaled campaigns)
+        #: the campaign's journal, if it has one (:meth:`open_journal`)
         self.journal: Optional[jr.CampaignJournal] = None
-        #: run entries the journal holds / since its last checkpoint
-        self.applied = 0
+        #: whether ``_consume`` appends each run to it: the in-process
+        #: driver's ``run`` history (a coordinator journals arrivals itself)
+        self.log_runs = False
+        #: runs appended since the journal's last checkpoint
         self.since_checkpoint = 0
+        #: the schedule the walk is parked on (None between runs)
+        self.asked: Optional[EpochDecisions] = None
+
+    def open_journal(self, journal, mode: str = "campaign", extra=None):
+        """Hook the campaign up to its journal (a directory, a
+        :class:`~repro.dampi.journal.CampaignJournal`, or None): telemetry
+        sinks bound, meta written or checked against this verification."""
+        if journal is None:
+            return None
+        v = self.verifier
+        self.journal = journal = jr.CampaignJournal.open(journal)
+        journal.bind(tracer=self.telemetry.tracer, metrics=self.telemetry.metrics)
+        journal.ensure_meta(
+            v.nprocs, v.config, kwargs=v.kwargs, prog_args=v.args,
+            mode=mode, extra=extra,
+        )
+        return journal
+
+    def self_run(self) -> tuple:
+        """Execute run 0, here whatever the source: it seeds the walk and
+        every lease."""
+        self.verifier._faults.fire(
+            "self", tracer=self.telemetry.tracer, metrics=self.telemetry.metrics
+        )
+        return self.verifier._execute()
+
+    def walk(self, source) -> bool:
+        """Advance the walk: test the budgets, ask the generator for the
+        next schedule, get that run from ``source`` and consume it under
+        the next index (runs are numbered in walk order).
+        ``source(decisions)`` returns ``(result, trace, esc)``, or None
+        when it does not have the run yet — the walk then parks on that
+        schedule and returns False (call again once it may have arrived).
+        True means the walk is over: exhausted, or out of budget with
+        ``report.truncated`` set."""
+        cfg = self.verifier.config
+        report, telemetry = self.report, self.telemetry
+        while True:
+            if (
+                cfg.max_interleavings is not None
+                and report.interleavings >= cfg.max_interleavings
+            ) or (
+                cfg.max_seconds is not None
+                and time.perf_counter() - self.started > cfg.max_seconds
+            ):
+                # a schedule asked for but not consumed is unexplored work
+                report.truncated = (
+                    self.asked is not None or not self.generator.exhausted
+                )
+                return True
+            if self.asked is None:
+                self.asked = self.generator.next_decisions()
+                if self.asked is None:
+                    return True
+                self.verifier._faults.fire(
+                    "run",
+                    (report.interleavings,),
+                    tracer=telemetry.tracer,
+                    metrics=telemetry.metrics,
+                )
+            started = telemetry.run_started()
+            run = source(self.asked)
+            if run is None:
+                return False
+            decisions, self.asked = self.asked, None
+            self.verifier._consume(
+                self, report.interleavings, decisions, *run, started=started
+            )
+
+    def finish(self, parallel_stats, replayed=0, executed=0) -> VerificationReport:
+        """Close out once the walk is over: the journal's ``end`` marker
+        (once — verifying a finished journal again leaves it as it is),
+        the generator's final counters, the prune/escalation block, this
+        attempt's accounting (``replayed`` runs came out of the journal,
+        ``executed`` were produced live), then telemetry."""
+        cfg = self.verifier.config
+        report, generator, journal = self.report, self.generator, self.journal
+        metrics = self.telemetry.metrics
+        report.divergences = generator.divergences
+        report.bound_frozen = generator.distance_frozen
+        report.parallel_stats = parallel_stats
+        if cfg.prune or cfg.adaptive_clocks:
+            report.prune_stats = {
+                "enabled": cfg.prune,
+                "adaptive_clocks": cfg.adaptive_clocks,
+                "subtrees_pruned": generator.prunes,
+                "replays_saved": generator.replays_saved,
+                **self.esc,
+            }
+            metrics.counter("prune.subtrees").inc(generator.prunes)
+            metrics.counter("prune.replays_saved").inc(generator.replays_saved)
+            for name, n in self.esc.items():
+                metrics.counter(f"prune.{name}").inc(n)
+        if journal is not None:
+            if not journal.complete:
+                journal.append(
+                    {
+                        "t": "end",
+                        "interleavings": report.interleavings,
+                        "truncated": report.truncated,
+                    }
+                )
+            journal.close()
+            report.journal_stats = {
+                "dir": str(journal.root),
+                "replayed": replayed,
+                "executed": executed,
+            }
+            metrics.gauge("journal.replayed_runs").set(replayed)
+            metrics.gauge("journal.executed_runs").set(executed)
+        report.wall_seconds = time.perf_counter() - self.started
+        self.telemetry.finalize(report)
+        return report
 
 
 class DampiVerifier:
@@ -671,9 +239,7 @@ class DampiVerifier:
         #: per-run event tracer handed to every Runtime this verifier
         #: builds; None (the fast path) unless config.trace_events
         self._run_tracer: Optional[Tracer] = (
-            Tracer(buffer=self.config.trace_buffer)
-            if self.config.trace_events
-            else None
+            Tracer() if self.config.trace_events else None
         )
 
     # -- module stack -----------------------------------------------------------
@@ -846,78 +412,40 @@ class DampiVerifier:
         fault plan with a shared instance (escalation stages use this so
         one-shot faults stay one-shot across stages).
         """
-        cfg = self.config
         if faults is not None:
             self._faults = faults
-        faults = self._faults
         jobs, demote_reason = self._fleet_size()
         if jobs > 1 and demote_reason is None:
             # imported here: repro.dist builds on this module
             from repro.dist.coordinator import DistCoordinator
 
             return DistCoordinator(self, workers=jobs, journal=journal).run()
-        telemetry = CampaignTelemetry(cfg)
-        started = time.perf_counter()
-        camp = _Campaign(self, telemetry)
+        camp = _Campaign(self)
         report = camp.report
-        history = []
-        if journal is not None:
-            journal = jr.CampaignJournal.open(journal, cfg)
-            journal.bind(tracer=telemetry.tracer, metrics=telemetry.metrics)
-            journal.ensure_meta(
-                self.nprocs, cfg, kwargs=self.kwargs, prog_args=self.args
-            )
-            history = journal.run_entries()
-        run_index = self._replay_journal(camp, journal, history) if history else 0
-        # from here on consumed runs are appended (the replayed ones are
-        # what the journal already holds)
-        camp.journal, camp.applied = journal, len(history)
-        if not history:
-            if faults:
-                faults.fire(
-                    "self", tracer=telemetry.tracer, metrics=telemetry.metrics
-                )
-            tele_token = telemetry.run_started()
-            result, trace = self.run_once()
-            self._consume(
-                camp, 0, None, result, trace,
-                esc=self._escalate(None, trace), started=tele_token,
-            )
+        journal = camp.open_journal(journal)
+        history = journal.run_entries() if journal is not None else []
 
-        executed = 0 if history else 1  # the live self run counts as executed
+        def here(decisions):
+            # the progress line of a campaign executed here (a fleet's
+            # coordinator prints its own, merged over the workers)
+            camp.telemetry.heartbeat(
+                report.interleavings, camp.generator, self.checkpoint_stats
+            )
+            return self._execute(decisions)
+
         try:
-            while True:
-                if cfg.max_interleavings is not None and report.interleavings >= cfg.max_interleavings:
-                    report.truncated = not camp.generator.exhausted
-                    break
-                if cfg.max_seconds is not None and time.perf_counter() - started > cfg.max_seconds:
-                    report.truncated = not camp.generator.exhausted
-                    break
-                decisions = camp.generator.next_decisions()
-                if decisions is None:
-                    break
-                run_index += 1
-                if faults:
-                    faults.fire(
-                        "run",
-                        (run_index,),
-                        tracer=telemetry.tracer,
-                        metrics=telemetry.metrics,
-                    )
-                tele_token = telemetry.run_started()
-                result, trace = self.run_once(decisions)
-                executed += 1
-                self._consume(
-                    camp, run_index, decisions, result, trace,
-                    esc=self._escalate(decisions, trace), started=tele_token,
-                )
-                telemetry.heartbeat(
-                    report.interleavings, camp.generator, self.checkpoint_stats
-                )
+            if history:
+                self._replay_journal(camp, journal, history)
+            # from here on consumed runs are appended (the replayed ones
+            # are what the journal already holds)
+            camp.log_runs = journal is not None
+            if not history:
+                started = camp.telemetry.run_started()
+                self._consume(camp, 0, None, *camp.self_run(), started=started)
+            camp.walk(here)
         finally:
-            # the journal needs no explicit cleanup here: every append is
-            # already flushed+fsync'd, and the normal path below writes the
-            # end marker and closes it
+            # the journal needs no cleanup here: every append is already
+            # durable, and finish() writes the end marker and closes it
             self.close()
 
         stats = {
@@ -926,7 +454,7 @@ class DampiVerifier:
             "demoted": demote_reason is not None,
             "demote_reason": demote_reason,
         }
-        gauge = telemetry.metrics.gauge
+        gauge = camp.telemetry.metrics.gauge
         gauge("exec.jobs").set(stats["jobs"])
         gauge("exec.demoted").set(stats["demoted"])
         ckpt = self.checkpoint_stats()
@@ -937,18 +465,14 @@ class DampiVerifier:
                 # scalars only
                 if not isinstance(value, dict):
                     gauge(f"exec.checkpoint_{name}").set(value)
-        if journal is not None:
-            journal.append(
-                {
-                    "t": "end",
-                    "interleavings": report.interleavings,
-                    "truncated": report.truncated,
-                }
-            )
-        self._finish_report(
-            camp, started, stats, journal, len(history), executed
-        )
-        return report
+        replayed = len(history)
+        return camp.finish(stats, replayed, report.interleavings - replayed)
+
+    def _execute(self, decisions: Optional[EpochDecisions] = None) -> tuple:
+        """One run executed here, as :meth:`_consume` takes it:
+        ``(result, trace, esc)``."""
+        result, trace = self.run_once(decisions)
+        return result, trace, self._escalate(decisions, trace)
 
     def _escalate(self, decisions, trace) -> Optional[int]:
         """Adaptive clock escalation hook (no-op unless
@@ -1020,9 +544,9 @@ class DampiVerifier:
             error_kinds=rec.error_kinds,
             started=started,
         )
-        journal = camp.journal
-        if journal is None:
+        if not camp.log_runs:
             return
+        journal = camp.journal
         journal.append(
             self._journal_run_entry(
                 index, decisions, result, trace, esc, len(report.errors) - n_err
@@ -1040,75 +564,20 @@ class DampiVerifier:
                     "saved": generator.replays_saved - saved_before,
                 }
             )
-        camp.applied += 1
         camp.since_checkpoint += 1
-        if camp.since_checkpoint >= cfg.journal_checkpoint_interval:
+        if camp.since_checkpoint >= jr.CHECKPOINT_INTERVAL:
             self._journal_checkpoint(camp)
             camp.since_checkpoint = 0
 
-    def _consume_entry(
-        self, camp: _Campaign, index, decisions, entry: dict, drive=True,
-        obs=None,
-    ) -> None:
-        """:meth:`_consume` a run that exists only as its run record.
-        ``obs`` is the run's tracer payload when it travelled beside the
-        record (a fleet worker's frame); a journaled record has none."""
-        result = jr.result_from_entry(entry)
-        if obs:
-            result.artifacts["obs"] = obs
-        self._consume(
-            camp, index, decisions,
-            result, jr.trace_from_jsonable(entry["trace"]),
-            esc=entry.get("esc"), drive=drive,
-        )
-
-    def _finish_report(
-        self, camp: _Campaign, started, parallel_stats,
-        journal=None, replayed=0, executed=0,
-    ) -> None:
-        """Close out the report once the walk is over: the generator's
-        final counters, the prune/escalation block, this attempt's
-        execution and journal accounting, then telemetry."""
-        cfg = self.config
-        report, generator = camp.report, camp.generator
-        metrics = camp.telemetry.metrics
-        report.divergences = generator.divergences
-        report.bound_frozen = generator.distance_frozen
-        report.parallel_stats = parallel_stats
-        if cfg.prune or cfg.adaptive_clocks:
-            report.prune_stats = {
-                "enabled": cfg.prune,
-                "adaptive_clocks": cfg.adaptive_clocks,
-                "subtrees_pruned": generator.prunes,
-                "replays_saved": generator.replays_saved,
-                **camp.esc,
-            }
-            metrics.counter("prune.subtrees").inc(generator.prunes)
-            metrics.counter("prune.replays_saved").inc(generator.replays_saved)
-            for name, n in camp.esc.items():
-                metrics.counter(f"prune.{name}").inc(n)
-        if journal is not None:
-            journal.close()
-            report.journal_stats = {
-                "dir": str(journal.root),
-                "replayed": replayed,
-                "executed": executed,
-            }
-            metrics.gauge("journal.replayed_runs").set(replayed)
-            metrics.gauge("journal.executed_runs").set(executed)
-        report.wall_seconds = time.perf_counter() - started
-        camp.telemetry.finalize(report)
-
     # -- journal plumbing ---------------------------------------------------------
 
-    def _replay_journal(self, camp: _Campaign, journal, history) -> int:
+    def _replay_journal(self, camp: _Campaign, journal, history) -> None:
         """Rebuild the session state from a journal without executing
         anything: each entry's run record goes through the same
         :meth:`_consume` a live run does, which also feeds the trace back
         through the generator's own ``seed``/``integrate``
         (deterministic, so the rebuilt DFS state is bit-identical) — with
-        a fast-forward from the latest checkpoint when one exists.
-        Returns the last run index replayed."""
+        a fast-forward from the latest checkpoint when one exists."""
         ckpt = journal.latest_checkpoint()
         fast_forward = 0
         if ckpt is not None:
@@ -1118,7 +587,6 @@ class DampiVerifier:
                     f"journal {journal.root}: checkpoint claims "
                     f"{fast_forward} entries but only {len(history)} exist"
                 )
-        run_index = 0
         for i, entry in enumerate(history):
             drive = i >= fast_forward
             run_index = entry["index"]
@@ -1128,34 +596,30 @@ class DampiVerifier:
                 else None
             )
             if drive and run_index:
-                self._check_journal_schedule(
-                    journal, run_index, decisions, camp.generator.next_decisions()
-                )
-            self._consume_entry(camp, run_index, decisions, entry, drive=drive)
+                # a journaled entry must match what the deterministic walk
+                # asks for at that point
+                asked = camp.generator.next_decisions()
+                if (
+                    asked is None
+                    or decisions is None
+                    or schedule_key(decisions) != schedule_key(asked)
+                ):
+                    raise jr.JournalError(
+                        f"journal {journal.root}: entry {run_index} diverges "
+                        f"from the deterministic walk (journaled flip "
+                        f"{decisions.flip if decisions else None}, walk asks "
+                        f"{asked.flip if asked else None}) — was the "
+                        f"program or its configuration changed since the "
+                        f"journal was written?"
+                    )
+            self._consume(
+                camp, run_index, decisions, *jr.run_from_entry(entry), drive=drive
+            )
             if i + 1 == fast_forward:
                 camp.generator = jr.restore_generator(ckpt["generator"])
         if camp.telemetry.tracer is not None:
             camp.telemetry.tracer.instant(
                 "journal_resume", "journal", replayed=len(history)
-            )
-        return run_index
-
-    def _check_journal_schedule(self, journal, index, journaled, asked) -> None:
-        """A journaled entry must match what the deterministic walk asks
-        for at that point — anything else means the program, its inputs,
-        or the config changed under the journal."""
-        if (
-            asked is None
-            or journaled is None
-            or schedule_key(journaled) != schedule_key(asked)
-        ):
-            raise jr.JournalError(
-                f"journal {journal.root}: entry {index} diverges "
-                f"from the deterministic walk (journaled flip "
-                f"{journaled.flip if journaled else None}, walk asks "
-                f"{asked.flip if asked else None}) — was the "
-                f"program or its configuration changed since the journal "
-                f"was written?"
             )
 
     def _journal_run_entry(
@@ -1172,16 +636,18 @@ class DampiVerifier:
         }
 
     def _journal_checkpoint(self, camp: _Campaign) -> None:
+        # every consumed run is in the journal: replayed from it or appended
+        applied = camp.report.interleavings
         camp.journal.append(
             {
                 "t": "checkpoint",
-                "applied": camp.applied,
+                "applied": applied,
                 "generator": jr.snapshot_generator(camp.generator),
             }
         )
         if camp.telemetry.tracer is not None:
             camp.telemetry.tracer.instant(
-                "journal_checkpoint", "journal", applied=camp.applied
+                "journal_checkpoint", "journal", applied=applied
             )
 
     def _record_run(
@@ -1196,47 +662,37 @@ class DampiVerifier:
         report.interleavings += 1
         report.total_vtime += result.makespan
         kinds = []
+
+        def found(kind: str, ident: str, detail: str) -> bool:
+            """Report a defect unless an earlier run already did."""
+            if (kind, ident) in seen:
+                return False
+            seen.add((kind, ident))
+            report.errors.append(FoundError(kind, index, detail, decisions))
+            return True
+
         if result.deadlocked:
             kinds.append("deadlock")
-            key = ("deadlock", str(sorted(result.deadlock.blocked)))
-            if key not in seen:
-                seen.add(key)
-                report.errors.append(
-                    FoundError("deadlock", index, str(result.deadlock), decisions)
-                )
+            found(
+                "deadlock",
+                str(sorted(result.deadlock.blocked)),
+                str(result.deadlock),
+            )
         for rank, exc in result.primary_errors.items():
             if isinstance(exc, DeadlockError):
                 continue
             kinds.append("crash")
-            key = ("crash", f"{rank}:{type(exc).__name__}:{exc}")
-            if key not in seen:
-                seen.add(key)
-                report.errors.append(
-                    FoundError(
-                        "crash",
-                        index,
-                        f"rank {rank}: {type(exc).__name__}: {exc}",
-                        decisions,
-                    )
-                )
+            name = type(exc).__name__
+            found("crash", f"{rank}:{name}:{exc}", f"rank {rank}: {name}: {exc}")
         leaks: Optional[LeakReport] = result.artifacts.get("leaks")
         if leaks is not None:
-            for leak in leaks.comm_leaks:
-                key = ("communicator_leak", str(leak))
-                if key not in seen:
-                    seen.add(key)
-                    kinds.append("communicator_leak")
-                    report.errors.append(
-                        FoundError("communicator_leak", index, str(leak), decisions)
-                    )
-            for leak in leaks.request_leaks:
-                key = ("request_leak", str(leak))
-                if key not in seen:
-                    seen.add(key)
-                    kinds.append("request_leak")
-                    report.errors.append(
-                        FoundError("request_leak", index, str(leak), decisions)
-                    )
+            for kind, leaked in (
+                ("communicator_leak", leaks.comm_leaks),
+                ("request_leak", leaks.request_leaks),
+            ):
+                for leak in leaked:
+                    if found(kind, str(leak), str(leak)):
+                        kinds.append(kind)
         outcome = completed_outcome(trace)
         report.runs.append(
             RunRecord(

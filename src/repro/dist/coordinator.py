@@ -18,19 +18,21 @@ subtree pruning, budget truncation — depends on the serial walk's
 total order, which concurrent workers cannot reproduce.  So the
 coordinator keeps records keyed by their canonical schedule
 (:func:`~repro.dist.protocol.entry_schedule_key`) and *runs the serial
-verify loop without executing anything*: one generator,
-``next_decisions()``, look the schedule up in the record map, and hand
-the record to the verifier's own
-:meth:`~repro.dampi.verifier.DampiVerifier._consume` — the step a live
-run goes through.  The walk is a deterministic function of the records,
+verify loop without executing anything*: the campaign's one walk
+(``_Campaign.walk`` in :mod:`repro.dampi.verifier` — budgets,
+``next_decisions()``, run numbering, the verifier's own
+:meth:`~repro.dampi.verifier.DampiVerifier._consume`) driven by a source
+that looks the schedule up in the record map instead of executing it.
+The walk is a deterministic function of the records,
 so the assembled report is bit-identical to serial ``verify()`` by
 construction; a schedule no lease can still deliver is a hard
 :class:`DistError` (coverage hole), never a silent gap.
 
 Streaming and budgets
 ---------------------
-The walk is *streaming*: it advances every time a record arrives
-(:meth:`DistCoordinator._advance`) and it, not the lease table, decides
+The walk is *streaming*: it advances every time a record arrives, parks
+on the first schedule no record covers yet, and it, not the lease table,
+decides
 when the campaign is over — the moment it is exhausted or reaches
 ``max_interleavings`` / ``max_seconds`` the fleet is shut down, whatever
 leases are still open.  A budget therefore bounds the work done, not
@@ -65,7 +67,8 @@ journaled before it is acknowledged by assembly):
 ``lease``       a lease's id and spec, once, at first offer
 ``rec``         one streamed record entry
 ``lease_done``  a subtree fully explored
-``end``         the walk is over (exhausted or out of budget)
+``end``         the walk is over (exhausted or out of budget), with the
+                final counts — the campaign journal's marker
 
 ``resume`` = rebuild the :class:`LeaseTable` and record map from the
 journal, re-enqueue every non-done lease, and continue; workers memoize
@@ -100,13 +103,14 @@ from typing import Optional
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, run_entry, trace_from_jsonable
-from repro.dampi.verifier import (
-    CampaignTelemetry,
-    DampiVerifier,
-    VerificationReport,
-    _Campaign,
+from repro.dampi.journal import (
+    CampaignJournal,
+    run_entry,
+    run_from_entry,
+    trace_from_jsonable,
 )
+from repro.dampi.verifier import DampiVerifier, VerificationReport, _Campaign
+from repro.dist import protocol
 from repro.dist.leases import Lease, LeaseTable
 from repro.dist.protocol import (
     DistError,
@@ -178,35 +182,20 @@ class DistCoordinator:
         self.verifier = verifier
         self.config = verifier.config
         self.workers = int(workers)
-        self.telemetry = CampaignTelemetry(self.config, stream=stream)
+        self.camp = _Campaign(verifier, stream=stream)
+        self.telemetry = self.camp.telemetry
         #: fleet accounting (``dist.*``, merged worker ``exec.*``/``ckpt.*``)
         #: lands straight in the report's registry
         self.metrics = self.telemetry.metrics
-        self.camp = _Campaign(verifier, self.telemetry)
         self.table = LeaseTable()
         #: schedule_key -> (record entry, packed tracer payload or None):
         #: what the walk consumes; a consumed key stays (dedup, the record
         #: count) but lets go of both
         self.recs: dict = {}
         self.self_entry: Optional[dict] = None
-        self.journal: Optional[CampaignJournal] = None
-        if journal is not None:
-            self.journal = CampaignJournal.open(journal, self.config)
-            self.journal.bind(tracer=self.telemetry.tracer, metrics=self.metrics)
-            self.journal.ensure_meta(
-                verifier.nprocs,
-                self.config,
-                kwargs=verifier.kwargs,
-                prog_args=verifier.args,
-                mode="dist",
-                extra={"dist": {"workers": self.workers}},
-            )
-        #: the schedule the walk is waiting for (None between runs), its
-        #: key, and the index the run will get
-        self._asked = None
-        self._asked_key = None
-        self._run_index = 0
-        self._started = 0.0
+        self.journal: Optional[CampaignJournal] = self.camp.open_journal(
+            journal, mode="dist", extra={"dist": {"workers": self.workers}}
+        )
         self._replayed = 0  # records preloaded from the journal
         self._executed = 0  # fresh records received live
         #: worker lifecycle events (lease spans, memo hits) shipped
@@ -257,25 +246,20 @@ class DistCoordinator:
 
     def run(self) -> VerificationReport:
         cfg = self.config
-        verifier = self.verifier
-        self._started = time.perf_counter()
-        faults = verifier._faults
+        verifier, camp = self.verifier, self.camp
         self._reload()
         self_obs = None
         if self.self_entry is None:
-            if faults:
-                faults.fire(
-                    "self", tracer=self.telemetry.tracer, metrics=self.metrics
-                )
-            result, trace = verifier.run_once()
-            # augment the trace before it is journaled: resume and the
-            # walk then replay the escalation deterministically
-            esc = verifier._escalate(None, trace)
+            # the trace is augmented (escalation) before it is journaled:
+            # resume and the walk then replay it deterministically
+            result, trace, esc = camp.self_run()
             verifier.close()
             self_obs = result.artifacts.get("obs")
             self.self_entry = run_entry(None, result, trace, esc=esc)
             self._journal_append({"t": "dself", "entry": self.self_entry})
-        verifier._consume_entry(self.camp, 0, None, self.self_entry, obs=self_obs)
+        verifier._consume(
+            camp, 0, None, *run_from_entry(self.self_entry, self_obs)
+        )
         # Enumerate the initial frontier.  On resume this re-derives the
         # same specs (deterministic function of the self trace) and the
         # table dedups them against the journaled ones.
@@ -287,61 +271,24 @@ class DistCoordinator:
             self._offer(spec)
         # a journal that already holds every record the walk asks for
         # (a finished campaign, or one whose budget it covers) needs no fleet
-        if not self._advance(faults):
-            self._distribute(faults)
-        if self.journal is not None and not self.journal.complete:
-            self._journal_append({"t": "end"})
+        if not camp.walk(self._collected):
+            self._distribute()
         return self._finish()
 
-    def _advance(self, faults) -> bool:
-        """Advance the one serial walk over the records collected so far
-        — the loop body of ``DampiVerifier.verify`` with a map lookup in
-        place of ``run_once``.  Returns True when the walk is over
-        (exhausted, or out of budget with ``report.truncated`` set) and
-        False when it waits for a record no worker has delivered yet."""
-        cfg = self.config
-        camp = self.camp
-        report = camp.report
-        while True:
-            if (
-                cfg.max_interleavings is not None
-                and report.interleavings >= cfg.max_interleavings
-            ) or (
-                cfg.max_seconds is not None
-                and time.perf_counter() - self._started > cfg.max_seconds
-            ):
-                # a schedule asked for but not consumed is unexplored work
-                report.truncated = (
-                    self._asked is not None or not camp.generator.exhausted
-                )
-                return True
-            if self._asked is None:
-                self._asked = camp.generator.next_decisions()
-                if self._asked is None:
-                    return True
-                self._asked_key = schedule_key(self._asked)
-                self._run_index += 1
-                if faults:
-                    faults.fire(
-                        "run",
-                        (self._run_index,),
-                        tracer=self.telemetry.tracer,
-                        metrics=self.metrics,
-                    )
-            rec = self.recs.get(self._asked_key)
-            if rec is None:
-                return False
-            entry, obs = rec
-            self.recs[self._asked_key] = _CONSUMED
-            self.verifier._consume_entry(
-                camp, self._run_index, self._asked, entry,
-                obs=unpack_obs(obs) if obs else None,
-            )
-            self._asked = None
+    def _collected(self, decisions) -> Optional[tuple]:
+        """The walk's source: the run a worker already delivered for this
+        schedule, or None (the walk parks until a frame brings it)."""
+        key = schedule_key(decisions)
+        rec = self.recs.get(key)
+        if rec is None:
+            return None
+        entry, obs = rec
+        self.recs[key] = _CONSUMED
+        return run_from_entry(entry, unpack_obs(obs) if obs else None)
 
     # -- distribution ----------------------------------------------------------
 
-    def _distribute(self, faults) -> None:
+    def _distribute(self) -> None:
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.bind(("127.0.0.1", 0))
         self._server.listen(self.workers + 4)
@@ -359,14 +306,16 @@ class DistCoordinator:
         try:
             for _ in range(self.workers):
                 self._spawn(ctx, host, port, shards_dir)
-            tick = max(0.05, self.config.dist_heartbeat_seconds / 2)
-            while not self._advance(faults):
+            faults = self.verifier._faults
+            tick = max(0.05, protocol.HEARTBEAT_SECONDS / 2)
+            while not self.camp.walk(self._collected):
                 if self.table.all_done:
                     # every frame of a lease precedes its lease_done, so
                     # nothing that could still arrive covers the schedule
                     raise DistError(
                         f"coverage hole: the deterministic walk asks for flip "
-                        f"{self._asked.flip} at run {self._run_index} but no "
+                        f"{self.camp.asked.flip} at run "
+                        f"{self.camp.report.interleavings} but no "
                         f"worker record covers it ({len(self.recs)} records "
                         f"collected) — a lease finished without streaming all "
                         f"its runs"
@@ -584,7 +533,7 @@ class DistCoordinator:
                 and s.sock is not None
                 and not s.steal_outstanding
                 and self.table.active_for(s.id)
-                and now - s.last_steal_at > self.config.dist_heartbeat_seconds
+                and now - s.last_steal_at > protocol.HEARTBEAT_SECONDS
             ]
             if victims:
                 victim = max(
@@ -656,10 +605,7 @@ class DistCoordinator:
     # -- report ----------------------------------------------------------------
 
     def _finish(self) -> VerificationReport:
-        report = self.camp.report
-        self.verifier._finish_report(
-            self.camp,
-            self._started,
+        report = self.camp.finish(
             {
                 "mode": "dist",
                 "workers": self.workers,
@@ -667,7 +613,6 @@ class DistCoordinator:
                 "records": len(self.recs),
                 "worker_deaths": self.metrics.counter("dist.worker_deaths").value,
             },
-            self.journal,
             self._replayed,
             self._executed,
         )

@@ -57,6 +57,11 @@ from repro.dampi.journal import decisions_from_jsonable, decisions_to_jsonable
 from repro.obs.binary import decode_events, encode_events
 
 
+#: how often each worker sends an ``hb`` frame; the coordinator polls at
+#: half of it and asks one victim to ``steal`` at most this often
+HEARTBEAT_SECONDS = 0.5
+
+
 class DistError(RuntimeError):
     """A distributed campaign that cannot proceed (protocol violation,
     coverage hole, lost coordinator)."""

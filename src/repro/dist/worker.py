@@ -67,12 +67,8 @@ from typing import Optional
 
 from repro.dampi import prune as prune_mod
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import (
-    CampaignJournal,
-    result_from_entry,
-    run_entry,
-    trace_from_jsonable,
-)
+from repro.dampi.journal import CampaignJournal, run_entry, run_from_entry
+from repro.dist import protocol
 from repro.dist.protocol import (
     decisions_key_str,
     pack_events,
@@ -260,7 +256,7 @@ class _ShardWorker:
         self._send({"t": "hello", "worker": self.worker_id, "pid": os.getpid()})
         threading.Thread(
             target=self._heartbeat_loop,
-            args=(self.config.dist_heartbeat_seconds,),
+            args=(protocol.HEARTBEAT_SECONDS,),
             name=f"dist-hb-{self.worker_id}",
             daemon=True,
         ).start()
@@ -316,11 +312,7 @@ class _ShardWorker:
         journal = None
         memo: dict = {}
         if self.shards_dir is not None:
-            journal = CampaignJournal(
-                self.shards_dir / f"lease-{lease_id_}",
-                segment_bytes=self.config.journal_segment_bytes,
-                fsync=self.config.journal_fsync,
-            )
+            journal = CampaignJournal(self.shards_dir / f"lease-{lease_id_}")
             journal.ensure_meta(
                 self.verifier.nprocs,
                 self.config,
@@ -347,14 +339,12 @@ class _ShardWorker:
                     self.tracer.instant(
                         "memo_hit", "dist", run=self._runs, lease=lease_id_
                     )
-                    result = result_from_entry(entry)
-                    trace = trace_from_jsonable(entry["trace"])
+                    result, trace, _esc = run_from_entry(entry)
                 else:
-                    result, trace = self.verifier.run_once(decisions)
-                    # escalate BEFORE the trace is journaled or streamed:
+                    # escalated BEFORE the trace is journaled or streamed:
                     # the memo, the coordinator, and the assembly all
                     # inherit the augmented alternatives for free
-                    esc = self.verifier._escalate(decisions, trace)
+                    result, trace, esc = self.verifier._execute(decisions)
                     if esc is not None:
                         self._escalations += 1
                         self._extra_alternatives += esc

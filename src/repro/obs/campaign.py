@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
-from repro.obs.trace import DEFAULT_BUFFER, Tracer
+from repro.obs.trace import Tracer
 
 #: run.wildcard_count boundaries — wildcard ops per run
 WILDCARD_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -43,9 +43,8 @@ class CampaignTelemetry:
 
     def __init__(self, config, stream=None, clock=time.perf_counter):
         trace_enabled = bool(getattr(config, "trace_events", False))
-        buffer = int(getattr(config, "trace_buffer", DEFAULT_BUFFER))
         self.tracer: Optional[Tracer] = (
-            Tracer(buffer=buffer, clock=clock) if trace_enabled else None
+            Tracer(clock=clock) if trace_enabled else None
         )
         self.metrics = MetricsRegistry()
         interval = getattr(config, "progress_interval_seconds", None)

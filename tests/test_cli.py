@@ -252,8 +252,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command",
-        [["resume"], ["dist", "resume"], ["dist", "status"]],
-        ids=["resume", "dist resume", "dist status"],
+        [["resume"], ["dist", "status"]],
+        ids=["resume", "dist status"],
     )
     def test_read_only_commands_create_nothing(self, command, tmp_path, capsys):
         nope = tmp_path / "nope"

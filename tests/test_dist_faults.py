@@ -17,7 +17,7 @@ import pytest
 from repro.dampi.config import DampiConfig
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.verifier import DampiVerifier
-from repro.dist import DistError, distributed_verify, journal_status
+from repro.dist import DistError, distributed_verify, journal_status, protocol
 from repro.workloads.patterns import wildcard_lattice
 
 from tests.test_journal import BIG, LATTICE, _canon
@@ -96,16 +96,17 @@ class TestWorkerDeath:
         assert _canon(report) == _canon(oracle)
         assert report.parallel_stats["worker_deaths"] == 2
 
-    def test_hung_worker_expires_by_progress_not_heartbeat(self):
+    def test_hung_worker_expires_by_progress_not_heartbeat(self, monkeypatch):
         """A worker that hangs mid-replay keeps heartbeating (the hb
         thread is separate) — only the *progress*-based expiry can catch
         it.  The coordinator must terminate it and re-issue the lease."""
+        # forked workers inherit the patched period
+        monkeypatch.setattr(protocol, "HEARTBEAT_SECONDS", 0.1)
         oracle = _oracle(nprocs=3, kwargs=LATTICE)
         report = _dist(
             fault_plan="hang@worker:1.1:600",
             nprocs=3,
             kwargs=LATTICE,
-            dist_heartbeat_seconds=0.1,
             dist_lease_timeout_seconds=1.0,
         )
         assert _canon(report) == _canon(oracle)
@@ -126,7 +127,7 @@ class TestCoordinatorDeath:
     def test_kill_mid_campaign_then_resume_is_bit_identical(self, tmp_path):
         """THE distributed acceptance test: SIGKILL-equivalent death of
         the coordinator before it journals the 4th streamed record, then
-        ``repro dist resume`` — the assembled report is bit-identical to
+        a resume — the assembled report is bit-identical to
         an uninterrupted serial run, re-executing only uncovered work."""
         oracle = _oracle()
         jdir = tmp_path / "j"
@@ -191,8 +192,9 @@ class TestCliRefusals:
         assert "shard journal" in capsys.readouterr().err
 
     def test_one_resume_command_serves_both_journal_kinds(self, tmp_path, capsys):
-        """``resume`` and ``dist resume`` are one function that dispatches
-        on the journal's recorded kind, not on which name was typed."""
+        """``resume`` dispatches on the journal's recorded kind;
+        ``--workers`` resizes a fleet and is ignored by a campaign
+        journal."""
         from repro.cli import main
 
         prog = ["--program", "repro.workloads.patterns:wildcard_lattice"]
@@ -201,12 +203,12 @@ class TestCliRefusals:
         DampiVerifier(
             wildcard_lattice, 3, DampiConfig(), kwargs=dict(LATTICE)
         ).verify(journal=serial_dir)
-        for command in (["resume"], ["dist", "resume"]):
-            assert main(command + [str(fleet_dir)] + prog) == 0
+        for flags, size in ([], 2), (["--workers", "3"], 3):
+            assert main(["resume", str(fleet_dir)] + flags + prog) == 0
             out = capsys.readouterr().out
-            assert "distributed:" in out
+            assert f"distributed: {size} worker(s)" in out
             assert "3 record(s) replayed, 0 executed" in out
-            assert main(command + [str(serial_dir)] + prog) == 0
+            assert main(["resume", str(serial_dir)] + flags + prog) == 0
             out = capsys.readouterr().out
             assert "distributed:" not in out
             assert "4 run(s) replayed, 0 executed" in out

@@ -7,6 +7,7 @@ interleavings already journaled (the re-executed count is asserted).
 """
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -49,23 +50,26 @@ def _canon(report) -> dict:
     return d
 
 
-def _verify_child(journal_dir, fault_plan, nprocs, kwargs, cfg_overrides):
+def _verify_child(journal_dir, fault_plan, nprocs, kwargs, journal_kw):
     """Child-process body: run a journaled verification that a ``kill``
     fault is expected to take down."""
-    cfg = DampiConfig(fault_plan=fault_plan, **cfg_overrides)
     DampiVerifier(
-        wildcard_lattice, nprocs, cfg, kwargs=dict(kwargs)
-    ).verify(journal=journal_dir)
+        wildcard_lattice, nprocs, DampiConfig(fault_plan=fault_plan),
+        kwargs=dict(kwargs),
+    ).verify(journal=CampaignJournal(journal_dir, **journal_kw))
     os._exit(0)  # reached only if the plan never killed us
 
 
-def _crash_campaign(journal_dir, fault_plan, nprocs=3, kwargs=LATTICE, **cfg):
-    """Run a journaled verification in a child process and assert the
-    injected fault — not anything else — killed it."""
+def _crash_campaign(
+    journal_dir, fault_plan, nprocs=3, kwargs=LATTICE, **journal_kw
+):
+    """Run a journaled verification in a child process (forked: it
+    inherits a monkeypatched module constant) and assert the injected
+    fault — not anything else — killed it."""
     ctx = multiprocessing.get_context("fork")
     proc = ctx.Process(
         target=_verify_child,
-        args=(str(journal_dir), fault_plan, nprocs, kwargs, cfg),
+        args=(str(journal_dir), fault_plan, nprocs, kwargs, journal_kw),
     )
     proc.start()
     proc.join(120)
@@ -108,34 +112,55 @@ class TestCrashResume:
         }
         assert _canon(resumed) == _canon(oracle)
 
-    def test_complete_journal_replays_without_executing(self, tmp_path):
-        journal_dir = tmp_path / "j"
-        first = DampiVerifier(
-            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
-        ).verify(journal=journal_dir)
-        assert first.journal_stats["executed"] == first.interleavings
-        assert CampaignJournal(journal_dir).complete
-        resumed = DampiVerifier(
-            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
-        ).verify(journal=journal_dir)
-        assert resumed.journal_stats["replayed"] == first.interleavings
-        assert resumed.journal_stats["executed"] == 0
-        assert _canon(resumed) == _canon(first)
+    @pytest.mark.parametrize("fleet", [False, True], ids=["in-process", "fleet"])
+    def test_complete_journal_replays_without_executing(self, tmp_path, fleet):
+        """Verifying a finished journal again executes nothing and writes
+        nothing: no second ``end`` record, no new segment — whichever
+        driver of the walk wrote it."""
+        from repro.dist import DistCoordinator
 
-    def test_checkpoint_fast_forward(self, tmp_path):
+        def attempt():
+            v = DampiVerifier(wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE)
+            if fleet:
+                return DistCoordinator(v, workers=2, journal=tmp_path / "j").run()
+            return v.verify(journal=tmp_path / "j")
+
+        def snapshot():
+            return {
+                p: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.rglob("*")
+                if p.is_file()
+            }
+
+        first = attempt()
+        # a fleet counts streamed records, and the self run is not one
+        assert first.journal_stats["executed"] == first.interleavings - fleet
+        before = snapshot()
+        ends = [e for e in CampaignJournal(tmp_path / "j").entries if e["t"] == "end"]
+        assert ends == [
+            {"t": "end", "interleavings": first.interleavings, "truncated": False}
+        ]
+        for _ in range(2):
+            again = attempt()
+            assert again.journal_stats["replayed"] == first.journal_stats["executed"]
+            assert again.journal_stats["executed"] == 0
+            assert _canon(again) == _canon(first)
+            assert snapshot() == before
+
+    def test_checkpoint_fast_forward(self, tmp_path, monkeypatch):
         """A kill deep in a large walk resumes through a checkpoint (the
         generator snapshot) rather than replaying every transition live."""
-        cfg = dict(journal_checkpoint_interval=4)
+        monkeypatch.setattr(jr, "CHECKPOINT_INTERVAL", 4)
         oracle = DampiVerifier(
-            wildcard_lattice, 4, DampiConfig(**cfg), kwargs=BIG
+            wildcard_lattice, 4, DampiConfig(), kwargs=BIG
         ).verify()
         journal_dir = tmp_path / "j"
-        _crash_campaign(journal_dir, "kill@run:20", nprocs=4, kwargs=BIG, **cfg)
+        _crash_campaign(journal_dir, "kill@run:20", nprocs=4, kwargs=BIG)
         journal = CampaignJournal(journal_dir)
         ckpt = journal.latest_checkpoint()
-        assert ckpt is not None and ckpt["applied"] >= 4
+        assert ckpt is not None and ckpt["applied"] == 20
         resumed = DampiVerifier(
-            wildcard_lattice, 4, DampiConfig(**cfg), kwargs=BIG
+            wildcard_lattice, 4, DampiConfig(), kwargs=BIG
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["replayed"] == 20
         assert resumed.journal_stats["executed"] == oracle.interleavings - 20
@@ -154,15 +179,16 @@ class TestCrashResume:
 
     def test_segment_rotation_preserves_resume(self, tmp_path):
         journal_dir = tmp_path / "j"
-        cfg = dict(journal_segment_bytes=4096)
         oracle = DampiVerifier(
             wildcard_lattice, 4, DampiConfig(), kwargs=BIG
         ).verify()
-        _crash_campaign(journal_dir, "kill@run:10", nprocs=4, kwargs=BIG, **cfg)
+        _crash_campaign(
+            journal_dir, "kill@run:10", nprocs=4, kwargs=BIG, segment_bytes=4096
+        )
         assert len(list(journal_dir.glob("segment-*.jsonl"))) > 1
         resumed = DampiVerifier(
-            wildcard_lattice, 4, DampiConfig(**cfg), kwargs=BIG
-        ).verify(journal=journal_dir)
+            wildcard_lattice, 4, DampiConfig(), kwargs=BIG
+        ).verify(journal=CampaignJournal(journal_dir, segment_bytes=4096))
         assert resumed.journal_stats["replayed"] == 10
         assert _canon(resumed) == _canon(oracle)
 
@@ -212,19 +238,16 @@ class TestCrashResume:
             ).verify(journal=journal_dir)
 
     def test_execution_knobs_do_not_invalidate_the_journal(self, tmp_path):
-        """checkpoints / tracing / fault_plan / journal tuning are
-        bit-identity-preserving, so resuming under different values of
-        them must be allowed.  (``jobs`` is too, but it decides which
-        *kind* of journal is written — see the test below.)"""
+        """checkpoints / tracing / fault_plan are bit-identity-preserving,
+        so resuming under different values of them must be allowed.
+        (``jobs`` is too, but it decides which *kind* of journal is
+        written — see the test below.)"""
         journal_dir = tmp_path / "j"
         _crash_campaign(journal_dir, "kill@run:2")
         resumed = DampiVerifier(
             wildcard_lattice,
             3,
-            DampiConfig(
-                prefix_checkpoints=False, trace_events=True,
-                journal_checkpoint_interval=1,
-            ),
+            DampiConfig(prefix_checkpoints=False, trace_events=True),
             kwargs=LATTICE,
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["replayed"] == 2
@@ -451,7 +474,7 @@ class TestSerialization:
 
     def test_config_signature_ignores_execution_knobs(self):
         base = DampiConfig()
-        same = DampiConfig(jobs=4, fault_plan="kill@self", journal_fsync=False)
+        same = DampiConfig(jobs=4, fault_plan="kill@self", trace_events=True)
         different = DampiConfig(bound_k=2)
         assert jr.config_signature(3, base) == jr.config_signature(3, same)
         assert jr.config_signature(3, base) != jr.config_signature(3, different)
@@ -465,10 +488,9 @@ class TestSerialization:
         "jobs",
         "prefix_checkpoints", "checkpoint_cache_mb", "checkpoint_interval",
         "keep_traces", "artifacts_dir",
-        "trace_events", "trace_buffer", "trace_sample_every",
+        "trace_events", "trace_sample_every",
         "progress_interval_seconds", "fault_plan",
-        "journal_checkpoint_interval", "journal_segment_bytes", "journal_fsync",
-        "dist_heartbeat_seconds", "dist_lease_timeout_seconds",
+        "dist_lease_timeout_seconds",
     }
 
     def test_every_config_field_is_classified(self):
@@ -479,7 +501,7 @@ class TestSerialization:
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
         names = {f.name for f in dataclasses.fields(DampiConfig)}
-        assert len(names) == 29
+        assert len(names) == 24
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "journal_mode", "kwargs", "args",
@@ -520,7 +542,8 @@ class TestCliJournal:
         assert meta["t"] == "meta"
         meta["signature"]["mode"] = "run_to_block"
         meta["config"].update(
-            mode="run_to_block", persistent_session=True, indexed_matching=True
+            mode="run_to_block", persistent_session=True, indexed_matching=True,
+            journal_fsync=True, dist_heartbeat_seconds=0.5,
         )
         segment.write_text(json.dumps(meta) + "\n" + rest)
         assert main(["resume", str(journal_dir)]) == 2

@@ -283,10 +283,12 @@ class TestRingAccounting:
         assert payload["dropped"] == 3
 
     def test_campaign_dropped_accounting(self):
-        report = _verify(
-            wildcard_lattice, 3, LATTICE_KW,
-            trace_events=True, trace_buffer=4,
+        verifier = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(trace_events=True),
+            kwargs=dict(LATTICE_KW),
         )
+        verifier._run_tracer = Tracer(buffer=4)
+        report = verifier.verify()
         ev = report.telemetry["events"]
         assert ev["dropped"] > 0
         # exact counters are immune to the tiny ring

@@ -8,7 +8,8 @@ randomly generated programs:
 * **soundness** (both clock modes): every outcome DAMPI explores is
   oracle-feasible;
 * **completeness** (vector clocks, the paper's precise mode): DAMPI
-  explores *exactly* the oracle's outcome set;
+  explores *exactly* the oracle's outcome set — with ``prune=False``:
+  pruning preserves findings, not outcomes (``DampiConfig.prune``);
 * Lamport mode may under-approximate (paper §II-F) but never over.
 """
 
@@ -32,9 +33,10 @@ from tests.oracle import (
 )
 
 
-def verify(programs, clock_impl):
+def verify(programs, clock_impl, prune=True):
     cfg = DampiConfig(
-        clock_impl=clock_impl, enable_monitor=False, enable_leak_check=False
+        clock_impl=clock_impl, enable_monitor=False, enable_leak_check=False,
+        prune=prune,
     )
     return DampiVerifier(as_runnable(programs), len(programs), cfg).verify()
 
@@ -96,7 +98,7 @@ class TestHandPickedDifferential:
     def test_vector_matches_oracle_exactly(self, idx):
         programs = self.CASES[idx]
         expected, dead = feasible_outcomes(programs)
-        rep = verify(programs, "vector")
+        rep = verify(programs, "vector", prune=False)
         got = dampi_outcomes(rep)
         assert got == expected, (
             f"case {idx}: DAMPI {sorted(map(sorted, got))} != "
@@ -155,7 +157,7 @@ def test_random_programs_vector_exact(seed):
     nprocs = rng.randint(2, 4)
     programs = random_program(rng, nprocs)
     expected, dead = feasible_outcomes(programs)
-    rep = verify(programs, "vector")
+    rep = verify(programs, "vector", prune=False)
     got = dampi_outcomes(rep)
     # completeness + soundness on completed executions
     assert got == expected, (
@@ -166,6 +168,26 @@ def test_random_programs_vector_exact(seed):
     # DAMPI must not report one
     if not dead:
         assert not rep.deadlocks
+
+
+@pytest.mark.parametrize("seed", [14892])
+def test_pruning_may_skip_an_outcome_but_accounts_for_it(seed):
+    """A generated program where pruning skips a distinct *outcome* (no
+    finding): the unpruned walk is exact, the pruned one sound, and its
+    report accounts for the replay it did not run."""
+    programs = random_program(random.Random(seed), 4)
+    expected, dead = feasible_outcomes(programs)
+    assert len(expected) == 6 and not dead
+    exact = verify(programs, "vector", prune=False)
+    assert dampi_outcomes(exact) == expected
+    pruned = verify(programs, "vector")
+    assert dampi_outcomes(pruned) < expected
+    assert (
+        pruned.interleavings + pruned.prune_stats["replays_saved"]
+        == exact.interleavings
+        == len(expected)
+    )
+    assert [str(e) for e in pruned.errors] == [str(e) for e in exact.errors] == []
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
