@@ -185,9 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument(
             "--no-trace",
             action="store_true",
-            help="disable event tracing (tracing is on by default — the "
-            "ring-buffered tracer costs <5%% — and feeds the report's "
-            "telemetry block and any --*-out event stream)",
+            help="disable event tracing (on by default from the CLI, off "
+            "in the API; it feeds the report's telemetry block and any "
+            "--*-out event stream, and its whole-campaign cost is the "
+            "ledger's obs.trace_overhead_ratio)",
         )
         v.add_argument(
             "--trace-sample",
@@ -234,12 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
             "'hang@flip:1.2:30', 'kill@worker:2' or 'kill@coord:3' (see "
             "repro.dampi.faults; robustness testing)",
         )
+        # tombstone for benchmarks/ledger/layers.py:285, which passes it: ignored
         v.add_argument(
-            "--no-prefix-checkpoints",
-            action="store_true",
-            help="disable prefix-sharing replay (checkpoint/restore at "
-            "decision points); every guided replay re-executes from MPI_Init. "
-            "Reports are bit-identical either way",
+            "--no-prefix-checkpoints", action="store_true", help=argparse.SUPPRESS
         )
         v.add_argument(
             "--no-prune",
@@ -471,13 +469,12 @@ def cmd_verify(args) -> int:
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
         artifacts_dir=args.artifacts_dir,
-        # tracing is the default: the ring-buffered tracer holds campaign
-        # overhead under the 5% budget (benchmarks/bench_obs_overhead.py)
+        # the CLI traces by default (the API does not); the cost is the
+        # ledger's obs.trace_overhead_ratio, the decision ROADMAP item 5's
         trace_events=not args.no_trace,
         trace_sample_every=args.trace_sample,
         progress_interval_seconds=args.progress,
         fault_plan=args.fault_plan,
-        prefix_checkpoints=not args.no_prefix_checkpoints,
         prune=not args.no_prune,
         adaptive_clocks=args.adaptive_clocks,
     )

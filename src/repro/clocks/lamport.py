@@ -63,12 +63,6 @@ class LamportStamp:
     def __repr__(self) -> str:  # compact; shows up a lot in decision files
         return f"LC({self.time})"
 
-    def __reduce__(self):
-        # Checkpoint thaw reconstructs thousands of stamps; a two-int
-        # constructor call is several times cheaper than the generic
-        # frozen-dataclass state dance.
-        return (LamportStamp, (self.time, self.rank))
-
 
 class LamportClock:
     """Mutable per-process Lamport clock.
@@ -114,13 +108,6 @@ class LamportClock:
         if snap is None:
             snap = self._snap = LamportStamp(self.time, self.rank)
         return snap
-
-    def __getstate__(self):
-        return (self.rank, self.time)
-
-    def __setstate__(self, state):
-        self.rank, self.time = state
-        self._snap = None
 
     def __repr__(self) -> str:
         return f"LamportClock(rank={self.rank}, time={self.time})"

@@ -71,16 +71,6 @@ class _RankClockState:
         #: >0 inside an MPI_Pcontrol(1)..MPI_Pcontrol(0) region
         self.pcontrol_depth = 0
 
-    # positional tuple state: checkpoint thaw hot path
-
-    def __getstate__(self):
-        return (self.clock, self.mode, self.guided_epoch, self.epochs,
-                self.epoch_lcs, self.pcontrol_depth)
-
-    def __setstate__(self, state):
-        (self.clock, self.mode, self.guided_epoch, self.epochs,
-         self.epoch_lcs, self.pcontrol_depth) = state
-
 
 class DampiClockModule(ToolModule):
     """Algorithm 1.  Construct one per run; pair with a PiggybackModule
@@ -138,83 +128,6 @@ class DampiClockModule(ToolModule):
         self._consumed_decisions = set()
         self._forced_mismatches = []
         self._scalar_risk = set()
-
-    # -- checkpoint support --------------------------------------------------
-
-    def rebase_decisions(self, decisions: EpochDecisions) -> None:
-        """Re-aim a restored run at its own decision map.
-
-        A restored snapshot carries the *producer's* per-rank guidance
-        (``guided_epoch`` is the producer's deepest forced lc).  Sibling
-        restores share guidance by construction, but an ancestor restore
-        hands the state to a schedule that forces *deeper* epochs — with
-        the stale ceiling the mode would flip to SELF_RUN before reaching
-        them and the forced decisions would be silently skipped.  Resetting
-        the ceiling (and re-arming GUIDED_RUN; the lazy per-op check
-        downgrades it again once the rank passes its last forced epoch) is
-        the *only* state that distinguishes runs along the same prefix:
-        everything else the snapshot holds evolved identically.
-        """
-        self.decisions = decisions
-        mode = GUIDED_RUN if decisions else SELF_RUN
-        for rank, st in enumerate(self._state):
-            st.guided_epoch = decisions.guided_epoch(rank)
-            st.mode = mode
-
-    def capture_meta(self) -> dict:
-        """The decision-relevant state burned into a snapshot taken *now*:
-
-        * ``decided`` — epoch key -> source for every committed choice:
-          forced epochs map to their forced source (even while pending —
-          the source is committed at post time), naturally matched epochs
-          to their matched source;
-        * ``natural`` — the subset of ``decided`` that matched naturally,
-          mapped to the op kind (``recv``/``probe``) for the usability
-          predicate's probe exclusion;
-        * ``pending`` — epochs posted naturally and still unmatched: a
-          restored run cannot retroactively force these.
-        """
-        decided: dict = {}
-        natural: dict = {}
-        pending: list = []
-        forced_map = self.decisions.forced
-        for st in self._state:
-            for e in st.epochs:
-                if e.forced:
-                    decided[e.key] = forced_map.get(e.key, e.matched_source)
-                elif e.matched_source is not None:
-                    decided[e.key] = e.matched_source
-                    natural[e.key] = e.kind
-                else:
-                    pending.append(e.key)
-        return {"decided": decided, "natural": natural, "pending": tuple(pending)}
-
-    def snapshot_state(self):
-        # ``decisions`` is deliberately excluded: the replay session
-        # installs the (sibling-specific) decisions after every restore.
-        return (
-            self._state,
-            self._epoch_by_req,
-            self._icoll_pb,
-            self._matches,
-            self._consumed_decisions,
-            self._forced_mismatches,
-            self._scalar_risk,
-        )
-
-    def restore_state(self, state, runtime) -> None:
-        (
-            self._state,
-            self._epoch_by_req,
-            self._icoll_pb,
-            self._matches,
-            self._consumed_decisions,
-            self._forced_mismatches,
-            self._scalar_risk,
-        ) = state
-        self._engine = runtime.engine
-        self._nprocs = runtime.nprocs
-        self._tracer = getattr(runtime, "tracer", None)
 
     # -- piggyback wiring ----------------------------------------------------
 
@@ -691,29 +604,8 @@ class DampiClockModule(ToolModule):
     # -- artifact -----------------------------------------------------------------------
 
     def finish(self, runtime) -> RunTrace:
-        """Build the run trace in canonical forced-vs-natural form.
-
-        A run restored from an *ancestor* checkpoint inherits epochs its
-        producer matched naturally where this schedule forces the same
-        source — the raw ``epoch.forced`` flags and the consumed-decision
-        set then record *how* each value was obtained, not *what* was
-        decided.  The trace normalizes both to what a full re-execution
-        of this schedule would report: an epoch is forced iff its key is
-        in the decision map, and a decision is unconsumed iff no epoch
-        with its key was recorded at all.  For full runs this is the
-        identity (every forced key reached in GUIDED_RUN is consulted and
-        consumed; an unreached key records no epoch), so reports and
-        journals are byte-for-byte unchanged — the raw consumed/forced
-        views remain available on the module for diagnostics.
-        """
         self._post_mortem_scan(runtime)
-        forced_keys = set(self.decisions.forced)
-        recorded: set = set()
-        for st in self._state:
-            for e in st.epochs:
-                e.forced = e.key in forced_keys
-                recorded.add(e.key)
-        unconsumed = sorted(forced_keys - recorded)
+        unconsumed = sorted(set(self.decisions.forced) - self._consumed_decisions)
         return RunTrace(
             nprocs=self._nprocs,
             epochs={r: st.epochs for r, st in enumerate(self._state)},

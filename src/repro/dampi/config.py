@@ -10,9 +10,9 @@ from repro.mpi.costmodel import CostModel
 #: config fields that change what the walk *means* — a journal recorded
 #: under one set cannot be resumed under another
 #: (``journal.config_signature`` hashes these plus ``cost_model``).
-#: Every other field is an execution knob (``jobs``, checkpoints,
-#: telemetry, ``fault_plan``, the lease timeout): bit-identity-
-#: preserving and deliberately excluded.  A new field must be classified
+#: Every other field is an execution knob (``jobs``, telemetry,
+#: ``fault_plan``, the lease timeout): bit-identity-preserving and
+#: deliberately excluded.  A new field must be classified
 #: (``tests/test_journal.py`` enumerates the dataclass).
 SEMANTIC_CONFIG_FIELDS = (
     "clock_impl",
@@ -81,9 +81,9 @@ class DampiConfig:
         Capture structured telemetry events (wildcard matches, epochs,
         piggyback sends, run/scheduler lifecycle) into the report's
         ``events`` stream, exportable as JSONL or Chrome trace_event JSON
-        (see :mod:`repro.obs`).  Off by default: the disabled path costs
-        one ``is not None`` test per emitter site
-        (``benchmarks/bench_obs_overhead.py`` bounds it at <3%).
+        (see :mod:`repro.obs`).  Off by default in the API; the CLI turns
+        it on (``--no-trace`` turns it off).  What it costs a whole
+        campaign is the ledger's ``obs.trace_overhead_ratio``.
     trace_sample_every:
         Payload sampling for per-run event streams: full payloads are
         recorded for the self run and for 1-in-N guided replays, chosen
@@ -95,8 +95,8 @@ class DampiConfig:
         run.
     progress_interval_seconds:
         When set, ``verify()`` writes a live progress heartbeat (runs
-        done/queued, frontier depth, checkpoint hits/misses, ETA) to stderr
-        at most this often.  ``None`` (default) disables.
+        done/queued, frontier depth, ETA) to stderr at most this often.
+        ``None`` (default) disables.
     artifacts_dir:
         When set, every run's epochs, potential matches, and forced
         decisions are written under this directory as line-oriented JSON
@@ -122,20 +122,6 @@ class DampiConfig:
     max_interleavings: Optional[int] = None
     max_seconds: Optional[float] = None
     jobs: Optional[int] = 1
-    #: Prefix-sharing replay (see :mod:`repro.dampi.checkpoint`): snapshot
-    #: the engine at each explored decision point and start the sibling
-    #: schedules of that point from the snapshot instead of re-executing
-    #: the shared prefix from MPI_Init.  Reports stay bit-identical; the
-    #: session demotes itself (logged, like the single-CPU ``jobs``
-    #: demotion) when the run uses non-snapshotable resources.
-    prefix_checkpoints: bool = True
-    #: Byte budget (MiB) for the per-session prefix-checkpoint LRU cache.
-    #: (This and ``checkpoint_interval`` stay fields only because they go
-    #: with their subsystem — ROADMAP "Delete prefix checkpoints".)
-    checkpoint_cache_mb: int = 64
-    #: Snapshot only decision points whose forced-prefix depth is a
-    #: multiple of this (1 = every decision point).
-    checkpoint_interval: int = 1
     #: Future-equivalence subtree pruning (see :mod:`repro.dampi.prune`):
     #: when a flipped sibling's run provably matches an already-walked
     #: sibling — same downstream send/recv skeleton fingerprint *and*
@@ -189,10 +175,6 @@ class DampiConfig:
             raise ValueError("auto_loop_threshold must be None or >= 1")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be None (= cpu_count) or >= 1")
-        if self.checkpoint_cache_mb < 1:
-            raise ValueError("checkpoint_cache_mb must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
         if self.adaptive_clocks and self.clock_impl not in (
             "lamport",
             "lamport_dual",

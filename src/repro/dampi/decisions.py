@@ -30,12 +30,6 @@ class EpochDecisions:
 
     forced: dict[EpochKey, int] = field(default_factory=dict)
     flip: Optional[EpochKey] = None
-    #: scheduling hint from the generator: False when no later schedule is
-    #: expected to share this one's prefix (the flipped node has no other
-    #: untried alternative right now), so recording a prefix checkpoint
-    #: would be wasted work.  Advisory only — never part of the schedule's
-    #: identity and never affects results.
-    expect_siblings: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         for key, src in self.forced.items():
@@ -84,8 +78,6 @@ class EpochDecisions:
             "flip": list(self.flip) if self.flip else None,
             "forced": [[r, lc, src] for (r, lc), src in sorted(self.forced.items())],
         }
-        if not self.expect_siblings:
-            payload["expect_siblings"] = False
         return json.dumps(payload, indent=2)
 
     @classmethod
@@ -95,11 +87,7 @@ class EpochDecisions:
             raise ValueError(f"unsupported decisions file version: {payload.get('version')!r}")
         forced = {(r, lc): src for r, lc, src in payload["forced"]}
         flip = tuple(payload["flip"]) if payload.get("flip") else None
-        return cls(
-            forced=forced,
-            flip=flip,
-            expect_siblings=payload.get("expect_siblings", True),
-        )
+        return cls(forced=forced, flip=flip)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -77,20 +77,6 @@ class EpochRecord:
         m = f" matched={self.matched_source}" if self.matched_source is not None else ""
         return f"Epoch({self.kind} r{self.rank}@{self.lc} ctx={self.ctx} tag={self.tag}{m})"
 
-    # Positional tuple state: epoch records are serialized in bulk on the
-    # checkpoint capture/thaw hot path, where this is several times
-    # cheaper than the generic slots-dict protocol.
-
-    def __getstate__(self):
-        return (self.rank, self.lc, self.index, self.ctx, self.tag,
-                self.kind, self.stamp, self.explore, self.forced,
-                self.matched_source, self.matched_env_uid, self.matched_seq)
-
-    def __setstate__(self, state):
-        (self.rank, self.lc, self.index, self.ctx, self.tag,
-         self.kind, self.stamp, self.explore, self.forced,
-         self.matched_source, self.matched_env_uid, self.matched_seq) = state
-
 
 @dataclass(slots=True)
 class PotentialMatch:
@@ -111,17 +97,6 @@ class PotentialMatch:
 
     def __repr__(self) -> str:
         return f"PotentialMatch(epoch={self.epoch}, src={self.source}, seq={self.seq})"
-
-    # The highest-count object class in a checkpoint payload — see the
-    # EpochRecord note on positional tuple state.
-
-    def __getstate__(self):
-        return (self.epoch, self.source, self.env_uid, self.seq,
-                self.tag, self.stamp)
-
-    def __setstate__(self, state):
-        (self.epoch, self.source, self.env_uid, self.seq,
-         self.tag, self.stamp) = state
 
 
 @dataclass

@@ -368,15 +368,7 @@ class ScheduleGenerator:
             forced = {
                 n.key: n.chosen for n in self.path[: i + 1] if n.chosen >= 0
             }
-            return EpochDecisions(
-                forced=forced,
-                flip=node.key,
-                # a prefix checkpoint recorded by this run is only ever
-                # consumed by the node's *remaining* alternatives (newly
-                # discovered ones may still arrive later — the hint is
-                # advisory, not identity)
-                expect_siblings=bool(node.untried),
-            )
+            return EpochDecisions(forced=forced, flip=node.key)
         return None
 
     def next_decision_batch(self, width: int) -> list[EpochDecisions]:
@@ -405,17 +397,10 @@ class ScheduleGenerator:
             if node.frozen or node.pinned or not node.untried:
                 continue
             base = {n.key: n.chosen for n in self.path[:i] if n.chosen >= 0}
-            alts = sorted(node.untried)
-            for j, alt in enumerate(alts):
+            for alt in sorted(node.untried):
                 forced = dict(base)
                 forced[node.key] = alt
-                out.append(
-                    EpochDecisions(
-                        forced=forced,
-                        flip=node.key,
-                        expect_siblings=j < len(alts) - 1,
-                    )
-                )
+                out.append(EpochDecisions(forced=forced, flip=node.key))
                 if len(out) >= width:
                     return out
             if self.bound_k != 0:

@@ -93,7 +93,7 @@ FAULT_EXIT_CODE = 43
 DEFAULT_HANG_SECONDS = 3600.0
 
 _ACTIONS = ("kill", "hang", "delay", "raise")
-_SITES = ("self", "run", "flip", "restore", "stage", "cell", "worker", "coord")
+_SITES = ("self", "run", "flip", "stage", "cell", "worker", "coord")
 
 
 class FaultPlanError(ValueError):
@@ -152,13 +152,13 @@ def _parse_term(term: str) -> Fault:
             if not fields:
                 raise FaultPlanError(f"fault term {term!r}: run needs an index")
             selector = (int(fields.pop(0)),)
-        elif site in ("flip", "restore"):
+        elif site == "flip":
             if not fields:
-                raise FaultPlanError(f"fault term {term!r}: {site} needs rank.lc")
+                raise FaultPlanError(f"fault term {term!r}: flip needs rank.lc")
             bits = fields.pop(0).split(".")
             if len(bits) not in (2, 3):
                 raise FaultPlanError(
-                    f"fault term {term!r}: {site} selector is rank.lc[.src]"
+                    f"fault term {term!r}: flip selector is rank.lc[.src]"
                 )
             selector = tuple(int(b) for b in bits)
         elif site == "stage":

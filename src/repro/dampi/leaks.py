@@ -91,14 +91,6 @@ class LeakCheckModule(ToolModule):
         self._state = [_RankLeakState() for _ in range(runtime.nprocs)]
         self._reports = [LeakReport() for _ in range(runtime.nprocs)]
 
-    # -- checkpoint support --------------------------------------------------
-
-    def snapshot_state(self):
-        return (self._state, self._reports)
-
-    def restore_state(self, state, runtime) -> None:
-        self._state, self._reports = state
-
     # -- communicators ------------------------------------------------------
 
     def comm_dup(self, proc, chain, comm):

@@ -63,12 +63,6 @@ class OmissionMonitorModule(ToolModule):
         self._outstanding = [{} for _ in range(runtime.nprocs)]
         self._alerts = []
 
-    def snapshot_state(self):
-        return (self._outstanding, self._alerts)
-
-    def restore_state(self, state, runtime) -> None:
-        self._outstanding, self._alerts = state
-
     def _check(self, proc, operation: str) -> None:
         outstanding = self._outstanding[proc.world_rank]
         if outstanding:

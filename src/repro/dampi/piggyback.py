@@ -123,32 +123,6 @@ class PiggybackModule(ToolModule):
             self._shadow_comm[key] = comm
         return comm
 
-    # -- checkpoint support --------------------------------------------------
-
-    def snapshot_state(self):
-        return (
-            self._shadow_ctx,
-            self._shadow_comm,
-            self._pb_send,
-            self._pb_recv,
-            self._inline_stamp,
-            self.pb_messages,
-            self.deferred_pb_recvs,
-        )
-
-    def restore_state(self, state, runtime) -> None:
-        (
-            self._shadow_ctx,
-            self._shadow_comm,
-            self._pb_send,
-            self._pb_recv,
-            self._inline_stamp,
-            self.pb_messages,
-            self.deferred_pb_recvs,
-        ) = state
-        self._engine = runtime.engine
-        self._tracer = getattr(runtime, "tracer", None)
-
     def _stamp(self, proc):
         if self.provider is None:
             raise RuntimeError("piggyback module has no stamp provider registered")

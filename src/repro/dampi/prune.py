@@ -184,15 +184,14 @@ def signature_of(result, trace: RunTrace) -> RunSignature:
 
 def escalation_config(cfg):
     """The config of a precision replay: same program semantics, vector
-    clocks, every campaign-level knob (fleet, checkpoints, tracing,
-    journal, faults) stripped — one in-process replay, nothing else."""
+    clocks, every campaign-level knob (fleet, tracing, journal, faults)
+    stripped — one in-process replay, nothing else."""
     return replace(
         cfg,
         clock_impl=precision_impl(cfg.clock_impl),
         adaptive_clocks=False,
         prune=False,
         jobs=1,
-        prefix_checkpoints=False,
         trace_events=False,
         progress_interval_seconds=None,
         artifacts_dir=None,

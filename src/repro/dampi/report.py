@@ -74,9 +74,8 @@ class VerificationReport:
     #: covered (no wider bound can find more)
     bound_frozen: int = 0
     #: how this attempt executed its replays: ``mode`` ``"inline"``
-    #: (``jobs``, ``demoted``/``demote_reason``, the ``checkpoint`` cache
-    #: counters) or ``"dist"`` (``workers``, ``leases``, ``records``,
-    #: ``worker_deaths``)
+    #: (``jobs``, ``demoted``/``demote_reason``) or ``"dist"``
+    #: (``workers``, ``leases``, ``records``, ``worker_deaths``)
     parallel_stats: Optional[dict] = None
     #: journal accounting when verify() ran with one: directory, runs
     #: replayed from the journal vs executed live.  Like parallel_stats,

@@ -229,8 +229,6 @@ class DampiVerifier:
         self.kwargs = kwargs or {}
         self._session: Optional[_ReplaySession] = None
         self._runs_started = 0
-        #: checkpoint-cache stats preserved across close() (report wiring)
-        self._last_checkpoint_stats: Optional[dict] = None
         #: deterministic fault injection (no-op unless config.fault_plan);
         #: fired at self/run sites by verify() and at flip sites by
         #: run_once() — so flip faults strike wherever the replay actually
@@ -337,20 +335,7 @@ class DampiVerifier:
         session = getattr(self, "_session", None)
         self._session = None
         if session is not None:
-            try:
-                self._last_checkpoint_stats = session.checkpoint_stats()
-            except Exception:
-                pass
             session.close()
-
-    def checkpoint_stats(self) -> Optional[dict]:
-        """Prefix-checkpoint cache counters (hits/misses/evictions/bytes),
-        from the live session or — after close() — its final snapshot.
-        None when no session ever existed (single-run usage)."""
-        session = self._session
-        if session is not None:
-            return session.checkpoint_stats()
-        return self._last_checkpoint_stats
 
     def __del__(self):  # best-effort; daemon threads die with the process
         # At interpreter shutdown module globals may already be None and
@@ -428,9 +413,7 @@ class DampiVerifier:
         def here(decisions):
             # the progress line of a campaign executed here (a fleet's
             # coordinator prints its own, merged over the workers)
-            camp.telemetry.heartbeat(
-                report.interleavings, camp.generator, self.checkpoint_stats
-            )
+            camp.telemetry.heartbeat(report.interleavings, camp.generator)
             return self._execute(decisions)
 
         try:
@@ -457,14 +440,6 @@ class DampiVerifier:
         gauge = camp.telemetry.metrics.gauge
         gauge("exec.jobs").set(stats["jobs"])
         gauge("exec.demoted").set(stats["demoted"])
-        ckpt = self.checkpoint_stats()
-        if ckpt is not None:
-            stats["checkpoint"] = ckpt
-            for name, value in ckpt.items():
-                # per-depth breakdowns stay in the stats dict; gauges hold
-                # scalars only
-                if not isinstance(value, dict):
-                    gauge(f"exec.checkpoint_{name}").set(value)
         replayed = len(history)
         return camp.finish(stats, replayed, report.interleavings - replayed)
 

@@ -184,7 +184,7 @@ class DistCoordinator:
         self.workers = int(workers)
         self.camp = _Campaign(verifier, stream=stream)
         self.telemetry = self.camp.telemetry
-        #: fleet accounting (``dist.*``, merged worker ``exec.*``/``ckpt.*``)
+        #: fleet accounting (``dist.*``, merged worker ``exec.*``)
         #: lands straight in the report's registry
         self.metrics = self.telemetry.metrics
         self.table = LeaseTable()

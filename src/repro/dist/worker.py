@@ -21,23 +21,6 @@ Two deliberate deviations from the serial loop:
   re-issued after a worker death replays its finished work from disk
   instead of re-executing it.
 
-Prefix checkpoints compose with sharding for free: the worker keeps one
-:class:`~repro.dampi.verifier.DampiVerifier` (and thus one replay
-session and one ``PrefixCheckpointCache``) for its whole life, so a
-lease whose root is a *sibling* of an earlier lease's root — same flip
-node, different alternative — restores from the checkpoint that earlier
-lease recorded instead of re-executing the shared prefix from
-``MPI_Init``.  Deep sharing widens this across leases: recording runs
-snapshot at every eligible wildcard post, so a lease rooted anywhere
-along a path an earlier lease recorded dict-hits its own flip point,
-and the ancestor scan covers leases whose prefixes merely extend a
-recorded one.  The coordinator dedups sibling leases from the same
-discovery, so they frequently land on the same worker back-to-back.
-Cache counters ship upstream in the ``bye`` frame as ``ckpt.*`` metrics
-— their own nondeterministic namespace rather than ``exec.*``, because
-``exec.*`` totals are worker-count-invariant while cache hits (and the
-ancestor/suffix variants) depend on which worker a lease lands on.
-
 Work stealing: when the coordinator sends ``steal``, the worker splits
 the deepest open node of its current subtree
 (:meth:`~repro.dampi.explorer.ScheduleGenerator.split_deepest`) and
@@ -212,27 +195,6 @@ class _ShardWorker:
                 )
         return specs
 
-    def _fold_checkpoint_metrics(self) -> None:
-        """Fold the replay session's checkpoint-cache counters into the
-        metrics snapshot shipped with ``bye``.  They ride the ``ckpt.``
-        namespace — nondeterministic, so the coordinator's prefix filter
-        keeps them and sums across workers, but deliberately *not*
-        ``exec.``, whose totals stay worker-count-invariant."""
-        ckpt = self.verifier.checkpoint_stats()
-        if not ckpt:
-            return
-        for name in (
-            "hits", "misses", "evictions", "skips",
-            "ancestor_hits", "suffix_captures",
-        ):
-            n = int(ckpt.get(name) or 0)
-            if n:
-                self.metrics.inc(f"ckpt.{name}", n)
-        for name in ("restore_ms", "capture_ms"):
-            v = float(ckpt.get(name) or 0.0)
-            if v:
-                self.metrics.inc(f"ckpt.{name}", round(v, 3))
-
     def _fold_prune_metrics(self) -> None:
         """Fold prune/escalation counts into the ``bye`` snapshot.  They
         ride ``dist.worker_*`` — lease partitioning and steals decide
@@ -275,7 +237,6 @@ class _ShardWorker:
             if frame.get("t") == "lease":
                 self._explore(frame["id"], frame["spec"])
         self._alive = False
-        self._fold_checkpoint_metrics()
         self._fold_prune_metrics()
         bye = {
             "t": "bye",

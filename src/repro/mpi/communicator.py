@@ -115,38 +115,6 @@ class CommContext:
     def is_fully_freed(self) -> bool:
         return len(self.freed_by) == len(self.group)
 
-    def __deepcopy__(self, memo):
-        """Structured clone for engine checkpoints.
-
-        Everything is plain data except the lock, which must be a fresh
-        (unheld) instance in the clone; registering in ``memo`` first keeps
-        shared references (engine.contexts vs engine.world vs shadow
-        contexts) pointing at one clone."""
-        clone = CommContext.__new__(CommContext)
-        memo[id(self)] = clone
-        clone.ctx = self.ctx
-        clone.group = self.group
-        clone.parent = self.parent
-        clone.tool = self.tool
-        clone.label = self.label
-        clone.freed_by = set(self.freed_by)
-        clone._send_seq = dict(self._send_seq)
-        clone._coll_seq = dict(self._coll_seq)
-        clone._lock = threading.Lock()
-        return clone
-
-    # pickle support (engine checkpoints serialize contexts): the lock is
-    # the only non-data field and must come back fresh and unheld
-    def __getstate__(self):
-        return {
-            name: getattr(self, name) for name in self.__slots__ if name != "_lock"
-        }
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._lock = threading.Lock()
-
     def __repr__(self) -> str:
         return f"CommContext({self.label}, size={self.size})"
 

@@ -69,8 +69,7 @@ class RankRunState(enum.Enum):
 
 
 class _RankState:
-    __slots__ = ("rank", "state", "cond", "ready_fn", "describe", "site",
-                 "blocks_this_call")
+    __slots__ = ("rank", "state", "cond", "ready_fn", "describe")
 
     def __init__(self, rank: int, lock: threading.Lock):
         self.rank = rank
@@ -78,13 +77,6 @@ class _RankState:
         self.cond = threading.Condition(lock)
         self.ready_fn = None
         self.describe = ""
-        #: which engine primitive last blocked this rank ("wait", "waitany",
-        #: "probe", "coll") — checkpoint eligibility reads it
-        self.site = ""
-        #: blocking events inside the rank's current top-level MPI call
-        #: (reset by ``begin_call``); >1 means a tool hook blocked too, so
-        #: the call is not resumable from its final blocking primitive alone
-        self.blocks_this_call = 0
 
 
 class EngineStats:
@@ -134,12 +126,6 @@ class MessageEngine:
         self._next_ctx = WORLD_CTX
         self._fatal: Optional[BaseException] = None
         self._current: Optional[int] = 0
-        #: ranks whose thread has entered the job (checkpoint capture needs
-        #: to distinguish not-yet-started ranks from finished ones)
-        self._started: set[int] = set()
-        #: ranks re-entering their blocking primitive after a checkpoint
-        #: restore; the restored token holder waits until this drains
-        self._reentering: set[int] = set()
         self.world = self._new_context(tuple(range(nprocs)), label="world")
 
     # ------------------------------------------------------------------ #
@@ -185,7 +171,6 @@ class MessageEngine:
     def thread_started(self, rank: int) -> None:
         """First thing each rank thread does: wait for its first token."""
         with self._lock:
-            self._started.add(rank)
             self._wait_for_token(rank)
             self._ranks[rank].state = RankRunState.RUNNING
 
@@ -245,7 +230,7 @@ class MessageEngine:
         else:
             self._current = None  # everyone DONE
 
-    def _block_until(self, rank: int, ready_fn, describe, site: str = "") -> None:
+    def _block_until(self, rank: int, ready_fn, describe) -> None:
         """Block the calling rank until ``ready_fn()`` (engine-state
         predicate).  Releases the token while blocked.
 
@@ -253,11 +238,6 @@ class MessageEngine:
         callables are only evaluated when the rank actually blocks, so hot
         paths can defer ``repr`` formatting to the (rare) blocking case."""
         st = self._ranks[rank]
-        st.site = site
-        st.blocks_this_call += 1
-        if rank in self._reentering:
-            self._reenter_block(rank, st, ready_fn, describe)
-            return
         if ready_fn():
             return
         if not isinstance(describe, str):
@@ -279,79 +259,6 @@ class MessageEngine:
         st.ready_fn = None
         self._wait_for_token(rank)
         st.state = RankRunState.RUNNING
-
-    def _reenter_block(self, rank: int, st: _RankState, ready_fn, describe) -> None:
-        """Resume a checkpointed BLOCKED rank inside its blocking primitive.
-
-        The rank re-ran its prefix thread-locally (request replay) and has
-        now reached the exact primitive it was captured in.  Its restored
-        rank state is already BLOCKED with the token elsewhere, so this
-        installs the fresh predicate/description and joins the normal wait
-        loop — crucially *without* passing the token (``_schedule_next``
-        already happened, in the run that was snapshotted)."""
-        if not isinstance(describe, str):
-            describe = describe()
-        st.describe = describe
-        st.ready_fn = ready_fn
-        self._mark_reentered(rank)
-        if st.state is RankRunState.BLOCKED and ready_fn():
-            # completed while we were re-entering (e.g. an eager send the
-            # restored token holder already performed)
-            st.state = RankRunState.RUNNABLE
-        while not ready_fn():
-            self._check_fatal(rank)
-            if not st.cond.wait(timeout=_WAIT_QUANTUM):
-                self._check_fatal(rank)
-                if not ready_fn():
-                    raise EngineStallError(f"rank {rank} stalled in {describe}")
-        self._check_fatal(rank)
-        if st.state is RankRunState.BLOCKED:
-            st.state = RankRunState.RUNNABLE
-        st.ready_fn = None
-        self._wait_for_token(rank)
-        st.state = RankRunState.RUNNING
-
-    def reenter_gate(self, rank: int) -> None:
-        """Synchronisation point after a rank finishes replaying its
-        checkpoint log and is about to run live.
-
-        Re-entering ranks that were captured RUNNABLE (unblocked but not
-        yet holding the token) park here for the token; the restored token
-        holder waits here until every re-entering rank has reinstalled its
-        wait state, so no wake-up can be missed."""
-        with self._lock:
-            st = self._ranks[rank]
-            if rank in self._reentering:
-                if st.state is RankRunState.RUNNABLE:
-                    self._mark_reentered(rank)
-                    self._wait_for_token(rank)
-                    st.state = RankRunState.RUNNING
-                # BLOCKED ranks re-enter inside _block_until instead
-                return
-            # the restored token holder: wait for peers to finish re-entry
-            deadline_misses = 0
-            while self._reentering:
-                self._check_fatal(rank)
-                if not st.cond.wait(timeout=_WAIT_QUANTUM):
-                    self._check_fatal(rank)
-                    deadline_misses += 1
-                    if deadline_misses >= 2 and self._reentering:
-                        raise EngineStallError(
-                            f"rank {rank} stalled waiting for checkpoint "
-                            f"re-entry of ranks {sorted(self._reentering)}"
-                        )
-
-    def _mark_reentered(self, rank: int) -> None:
-        self._reentering.discard(rank)
-        if not self._reentering:
-            for st in self._ranks:
-                st.cond.notify_all()
-
-    def begin_call(self, rank: int) -> None:
-        """Mark the start of a top-level MPI call for ``rank`` (resets the
-        per-call blocking-event counter).  Lockless: a rank only writes its
-        own counter, and only one rank runs at a time."""
-        self._ranks[rank].blocks_this_call = 0
 
     def _unblock_if_ready(self, rank: int) -> None:
         """Called by whichever rank just changed state that may satisfy a
@@ -570,7 +477,6 @@ class MessageEngine:
                     rank,
                     lambda: req.is_complete or self._fatal is not None,
                     lambda: f"wait on {req!r}",
-                    site="wait",
                 )
             return self._consume(rank, req)
 
@@ -647,7 +553,6 @@ class MessageEngine:
                 lambda: any(r.state is RequestState.COMPLETE for r in active)
                 or self._fatal is not None,
                 f"waitany over {len(active)} requests",
-                site="waitany",
             )
             self._check_fatal(rank)
             for i, r in enumerate(reqs):
@@ -706,7 +611,6 @@ class MessageEngine:
                 lambda: bool(mb.candidates_for(ctx_id, src_world, tag))
                 or self._fatal is not None,
                 f"probe(src={src_world}, tag={tag}, ctx={ctx_id})",
-                site="probe",
             )
             self._check_fatal(rank)
             self.clocks.advance(rank, self.cost.local_op)
@@ -755,7 +659,6 @@ class MessageEngine:
                 rank,
                 lambda: inst.ready_for(rank) or self._fatal is not None,
                 f"{kind} on {ctx.label} (instance {seq})",
-                site="coll",
             )
             self._check_fatal(rank)
             coll_cost = self.cost.collective_cost(len(inst.group))

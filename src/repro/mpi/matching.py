@@ -50,15 +50,6 @@ class MatchPolicy:
     """
 
     name = "abstract"
-    #: a stateless policy's choice depends only on the candidate list, so
-    #: any two runs that present the same candidates make the same choice
-    #: regardless of how many earlier choices each run made.  Checkpoint
-    #: sharing beyond exact sibling prefixes (ancestor restores, in-suffix
-    #: snapshots) is only sound under a stateless policy: a restored run
-    #: inherits the producer's policy object mid-stream, which for a
-    #: stateful policy (e.g. a seeded RNG) sits at a different point in
-    #: its internal sequence than a full run would.
-    stateless = True
 
     def choose(self, candidates: list[Envelope]) -> Envelope:
         raise NotImplementedError
@@ -110,10 +101,6 @@ class SeededRandomPolicy(MatchPolicy):
     """
 
     name = "random"
-    #: consumes RNG state per natural multi-candidate match — a restored
-    #: run's RNG position differs from a full run's, so only exact sibling
-    #: checkpoints (identical pre-flip forcing) are shareable
-    stateless = False
 
     def __init__(self, seed: int = 0):
         self.seed = seed

@@ -12,7 +12,6 @@ so the class is ``__slots__``-based with the wire size computed once.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Any
 
@@ -37,17 +36,6 @@ def reset_envelope_ids() -> None:
     """
     global _envelope_ids
     _envelope_ids = itertools.count(1)
-
-
-def envelope_ids_mark() -> int:
-    """Next uid the counter would hand out (checkpoint capture)."""
-    return next(copy.copy(_envelope_ids))
-
-
-def set_envelope_ids(next_uid: int) -> None:
-    """Resume envelope numbering at ``next_uid`` (checkpoint restore)."""
-    global _envelope_ids
-    _envelope_ids = itertools.count(next_uid)
 
 
 class Envelope:
@@ -152,17 +140,3 @@ class Envelope:
             f"Envelope(#{self.uid} {self.src}->{self.dst} ctx={self.ctx} "
             f"tag={self.tag} seq={self.seq})"
         )
-
-    # Positional tuple state: envelopes fill checkpoint mailbox payloads,
-    # where this is several times cheaper to thaw than the generic
-    # slots-dict protocol.
-
-    def __getstate__(self):
-        return (self.src, self.dst, self.ctx, self.tag, self.payload,
-                self.seq, self.send_vtime, self.arrival_vtime, self.uid,
-                self.matched, self.sync_req, self._nbytes)
-
-    def __setstate__(self, state):
-        (self.src, self.dst, self.ctx, self.tag, self.payload,
-         self.seq, self.send_vtime, self.arrival_vtime, self.uid,
-         self.matched, self.sync_req, self._nbytes) = state

@@ -72,23 +72,12 @@ class Proc:
         self.runtime = runtime
         self.initialized = False
         self.finalized = False
-        #: the handle requests and communicators route completions through;
-        #: normally this Proc itself, but checkpoint-recording sessions
-        #: install a RecordingProc facade (see repro.mpi.snapshot) so that
-        #: req.wait()/comm.recv() re-enter the facade, not the raw handle
-        self._view = self
         #: wildcard receives rewritten by a tool get their original selector
         #: preserved on the Request (posted_src); nothing needed here.
         self.world = Communicator(engine.world, self)
         self._bottoms = self._make_bottoms()
         self.pmpi = _PMPI(self)
         self._chains = self._bottoms  # replaced by runtime when a stack exists
-
-    def install_view(self, view) -> None:
-        """Route request/communicator delegation through ``view`` (a
-        RecordingProc facade, or this Proc itself to uninstall)."""
-        self._view = view
-        self.world = Communicator(self.engine.world, view)
 
     def rebind(self, engine: MessageEngine) -> None:
         """Point this handle at a fresh engine for another run (session
@@ -102,7 +91,7 @@ class Proc:
         self.engine = engine
         self.initialized = False
         self.finalized = False
-        self.world = Communicator(engine.world, self._view)
+        self.world = Communicator(engine.world, self)
 
     # -- identity ------------------------------------------------------------
 
@@ -172,31 +161,26 @@ class Proc:
         if dest == PROC_NULL:
             return self._null_request(RequestKind.SEND, comm)
         return self.engine.pmpi_isend(
-            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag,
-            proc=self._view,
+            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag, proc=self
         )
 
     def _pmpi_issend(self, comm: Communicator, payload: Any, dest: int, tag: int) -> Request:
         if dest == PROC_NULL:
             return self._null_request(RequestKind.SEND, comm)
         return self.engine.pmpi_issend(
-            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag,
-            proc=self._view,
+            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag, proc=self
         )
 
     def _pmpi_irecv(self, comm: Communicator, source: int, tag: int) -> Request:
         if source == PROC_NULL:
             return self._null_request(RequestKind.RECV, comm)
         return self.engine.pmpi_irecv(
-            self.world_rank, comm.ctx, self._to_world(comm, source), tag,
-            proc=self._view,
+            self.world_rank, comm.ctx, self._to_world(comm, source), tag, proc=self
         )
 
     def _null_request(self, kind: RequestKind, comm: Communicator) -> Request:
         """Transfers to/from MPI_PROC_NULL complete immediately, no data."""
-        req = Request(
-            kind, self.world_rank, comm.ctx, posted_src=PROC_NULL, proc=self._view
-        )
+        req = Request(kind, self.world_rank, comm.ctx, posted_src=PROC_NULL, proc=self)
         req.state = RequestState.COMPLETE
         req.status = Status(source=PROC_NULL, tag=UNDEFINED)
         req.complete_vtime = self.engine.clocks.now(self.world_rank)
@@ -279,7 +263,7 @@ class Proc:
     def _icoll(self, comm: Communicator, kind: str, payload=None, root=None, op=None) -> Request:
         root_world = None if root is None else self._to_world(comm, root)
         return self.engine.pmpi_icollective(
-            self.world_rank, comm.ctx, kind, payload, root_world, op, proc=self._view
+            self.world_rank, comm.ctx, kind, payload, root_world, op, proc=self
         )
 
     def _pmpi_ibarrier(self, comm: Communicator) -> Request:
@@ -320,11 +304,11 @@ class Proc:
 
     def _pmpi_comm_dup(self, comm: Communicator) -> Communicator:
         ctx = self._coll(comm, "comm_dup")
-        return Communicator(ctx, self._view)
+        return Communicator(ctx, self)
 
     def _pmpi_comm_split(self, comm: Communicator, color: int, key: int):
         ctx = self._coll(comm, "comm_split", (color, key))
-        return None if ctx is None else Communicator(ctx, self._view)
+        return None if ctx is None else Communicator(ctx, self)
 
     def _pmpi_comm_free(self, comm: Communicator) -> None:
         self.engine.pmpi_comm_free(self.world_rank, comm.ctx)

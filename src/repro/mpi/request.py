@@ -9,7 +9,6 @@ sees every completion — that is where DAMPI does its late-message work).
 
 from __future__ import annotations
 
-import copy
 import enum
 import itertools
 from typing import Any, Optional
@@ -29,17 +28,6 @@ def reset_request_ids() -> None:
     or on a fleet worker (see :mod:`repro.dist.worker`)."""
     global _request_ids
     _request_ids = itertools.count(1)
-
-
-def request_ids_mark() -> int:
-    """Next uid the counter would hand out (checkpoint capture)."""
-    return next(copy.copy(_request_ids))
-
-
-def set_request_ids(next_uid: int) -> None:
-    """Resume request numbering at ``next_uid`` (checkpoint restore)."""
-    global _request_ids
-    _request_ids = itertools.count(next_uid)
 
 
 class RequestKind(enum.Enum):
@@ -90,18 +78,6 @@ class Status:
 
     def __repr__(self) -> str:
         return f"Status(source={self.source}, tag={self.tag})"
-
-    # Positional tuple state: statuses ride along with every completed
-    # request in a checkpoint payload, where this is several times
-    # cheaper to thaw than the generic slots-dict protocol.
-
-    def __getstate__(self):
-        return (self.source, self.tag, self.cancelled, self._payload,
-                self.error)
-
-    def __setstate__(self, state):
-        (self.source, self.tag, self.cancelled, self._payload,
-         self.error) = state
 
 
 class Request:
@@ -216,18 +192,3 @@ class Request:
             f"ctx={self.ctx} src={self.posted_src} tag={self.posted_tag} "
             f"{self.state.value})"
         )
-
-    # Positional tuple state — see Status; the live ``proc`` handle is a
-    # session-lifetime pin (repro.mpi.snapshot), never serialized here.
-
-    def __getstate__(self):
-        return (self.uid, self.kind, self.state, self.owner, self.ctx,
-                self.posted_src, self.posted_tag, self.effective_src,
-                self.data, self.status, self.complete_vtime,
-                self.post_vtime, self.envelope, self.proc, self.max_count)
-
-    def __setstate__(self, state):
-        (self.uid, self.kind, self.state, self.owner, self.ctx,
-         self.posted_src, self.posted_tag, self.effective_src,
-         self.data, self.status, self.complete_vtime,
-         self.post_vtime, self.envelope, self.proc, self.max_count) = state

@@ -274,27 +274,8 @@ class Runtime:
         self._returns: dict[int, Any] = {}
         self._errors: dict[int, BaseException] = {}
         self._ran = False
-        #: per-rank RecordingProc facades (checkpointing sessions install
-        #: these via :meth:`install_views`); None = plain handles
-        self.views = None
-        #: per-rank resume kinds after a checkpoint restore, else None
-        self._restored: Optional[dict[int, str]] = None
-        self._restore_seconds = 0.0
-        #: engine shell reused across checkpoint restores (every run-state
-        #: field is overwritten at install time; see install_snapshot)
-        self._restore_engine = None
 
-    def install_views(self, views) -> None:
-        """Install per-rank RecordingProc facades (see repro.mpi.snapshot).
-
-        Programs then receive the facade as their process handle, and
-        requests/communicators route completions through it.  Passthrough
-        facades add one frame per MPI call and change nothing else."""
-        self.views = list(views)
-        for proc, view in zip(self.procs, self.views):
-            proc.install_view(view)
-
-    def recycle(self, checkpoint=None, record_after: bool = False) -> None:
+    def recycle(self) -> None:
         """Reset a finished Runtime for another run (session reuse).
 
         Builds a fresh :class:`MessageEngine` from the original
@@ -306,14 +287,6 @@ class Runtime:
         read ``proc.engine`` at call time.  Module per-run state is
         re-initialised by the ``module.setup`` loop inside :meth:`run`.
 
-        ``checkpoint``: a :class:`repro.mpi.snapshot.Snapshot` — instead
-        of a cold engine, rebuild the engine *from the checkpoint* so the
-        next :meth:`run` resumes at the captured decision point
-        (prefix-sharing replay).  Requires :meth:`install_views`.
-        ``record_after``: facades keep recording once their replay log is
-        exhausted (ancestor restores capture further snapshots inside the
-        novel suffix); only meaningful with ``checkpoint``.
-
         Caveat: the match policy is rebuilt from the original *spec*.  If
         a policy **instance** was passed (e.g. a seeded
         :class:`~repro.mpi.matching.SeededRandomPolicy`), that same
@@ -321,12 +294,7 @@ class Runtime:
         reused, so recycled runs are not cold-start-identical; pass the
         string spec instead, or don't recycle.
         """
-        if checkpoint is not None:
-            self.restore(checkpoint, record_after=record_after)
-            return
-        # a failed restore leaves _ran False but _restored set — the engine
-        # holds partially-installed checkpoint state and must be rebuilt
-        if not self._ran and self._restored is None:
+        if not self._ran:
             return
         self.engine = MessageEngine(
             self.nprocs,
@@ -336,30 +304,14 @@ class Runtime:
         )
         for proc in self.procs:
             proc.rebind(self.engine)
-        if self.views is not None:
-            for view in self.views:
-                view.set_passthrough()
         self._returns = {}
         self._errors = {}
         self._ran = False
-        self._restored = None
-        self._restore_seconds = 0.0
 
-    def snapshot(self):
-        """Capture the current engine state as a checkpoint (called from
-        the token-holding rank mid-run; see :mod:`repro.mpi.snapshot`)."""
-        from repro.mpi.snapshot import capture_snapshot
+    # tombstones for benchmarks/ledger/spans.py:131-133, which patches both by name
+    def snapshot(self): ...
 
-        if self.views is None:
-            raise RuntimeError("snapshot() requires install_views()")
-        return capture_snapshot(self, self.views)
-
-    def restore(self, snap, record_after: bool = False) -> None:
-        """Prime this Runtime to resume from ``snap`` on the next
-        :meth:`run` (the checkpoint-accepting arm of :meth:`recycle`)."""
-        from repro.mpi.snapshot import install_snapshot
-
-        install_snapshot(self, snap, record_after=record_after)
+    def restore(self, snap): ...
 
     def run(
         self,
@@ -381,26 +333,18 @@ class Runtime:
             )
         self._ran = True
         t0 = time.perf_counter()
-        restored = self._restored is not None
         tracer = self.tracer
-        if restored:
-            # resuming mid-run from a checkpoint: uid counters, module
-            # state, and the tracer's prefix stream were all reinstated by
-            # the restore (install_snapshot), and modules must NOT be set
-            # up again (that would wipe the restored prefix state)
-            pass
-        else:
-            if tracer is not None:
-                tracer.reset()  # run-relative timestamps
+        if tracer is not None:
+            tracer.reset()  # run-relative timestamps
 
-            # per-run uid numbering: diagnostics quoting a request/envelope
-            # must not depend on what this process executed before (guided
-            # replays may run in fleet workers — see repro.dist.worker)
-            reset_envelope_ids()
-            reset_request_ids()
+        # per-run uid numbering: diagnostics quoting a request/envelope must
+        # not depend on what this process executed before (guided replays
+        # may run in fleet workers — see repro.dist.worker)
+        reset_envelope_ids()
+        reset_request_ids()
 
-            for module in self.stack:
-                module.setup(self)
+        for module in self.stack:
+            module.setup(self)
 
         if pool is not None:
             if pool.nprocs != self.nprocs:
@@ -474,32 +418,18 @@ class Runtime:
             "execute": t2 - t1,
             "finish": t3 - t2,
         }
-        if restored:
-            result.phases["restore"] = self._restore_seconds
         return result
 
     def _rank_main(self, rank: int) -> None:
-        restored = self._restored
-        if restored is not None:
-            kind = restored[rank]
-            if kind == "done":
-                # finished before the checkpoint: its DONE state, return
-                # value and module effects were all restored with the engine
-                return
-            if kind == "mid":
-                self._rank_resume(rank)
-                return
-            # "prestart": full lifecycle below (its facade is passthrough)
         proc = self.procs[rank]
-        handle = self.views[rank] if self.views is not None else proc
         try:
             self.engine.thread_started(rank)
             for module in self.stack:
                 module.attach(proc)
             proc._chains["init"]()
-            result = self.program(handle, *self.args, **self.kwargs)
+            result = self.program(proc, *self.args, **self.kwargs)
             if not proc.finalized:
-                handle.finalize()
+                proc.finalize()
             for module in reversed(list(self.stack)):
                 module.detach(proc)
             self._returns[rank] = result
@@ -507,29 +437,6 @@ class Runtime:
             self._errors[rank] = e
             if not isinstance(e, (DeadlockError, AbortError)):
                 # first-party failure: tear the job down so blocked peers exit
-                abort = AbortError(rank)
-                abort.__cause__ = e
-                self.engine.kill(abort)
-        finally:
-            self.engine.thread_finished(rank)
-
-    def _rank_resume(self, rank: int) -> None:
-        """Rank main for a checkpoint-restored mid-run rank: re-run the
-        program with its facade fast-forwarding through the replay log
-        (thread_started/attach/init already happened — their effects are
-        part of the restored state)."""
-        proc = self.procs[rank]
-        handle = self.views[rank]
-        try:
-            result = self.program(handle, *self.args, **self.kwargs)
-            if not proc.finalized:
-                handle.finalize()
-            for module in reversed(list(self.stack)):
-                module.detach(proc)
-            self._returns[rank] = result
-        except BaseException as e:  # noqa: BLE001 - verifiers must see everything
-            self._errors[rank] = e
-            if not isinstance(e, (DeadlockError, AbortError)):
                 abort = AbortError(rank)
                 abort.__cause__ = e
                 self.engine.kill(abort)

@@ -140,11 +140,8 @@ class CampaignTelemetry:
 
     # -- heartbeat -------------------------------------------------------------
 
-    def heartbeat(self, completed: int, generator, checkpoint_stats=None,
-                  force: bool = False) -> None:
-        """One throttled progress line; ``checkpoint_stats`` is a callable
-        returning the prefix-checkpoint cache counters (or None), not
-        called at all when progress reporting is off."""
+    def heartbeat(self, completed: int, generator) -> None:
+        """One throttled progress line."""
         if self.progress is None:
             return
         gstats = generator.stats()
@@ -153,17 +150,11 @@ class CampaignTelemetry:
         if self._recent_walls and queued:
             recent = self._recent_walls[-20:]
             eta = queued * (sum(recent) / len(recent))
-        checkpoint = None
-        ckpt = checkpoint_stats() if checkpoint_stats is not None else None
-        if ckpt and ckpt.get("enabled"):
-            checkpoint = (ckpt.get("hits", 0), ckpt.get("misses", 0))
         self.progress.tick(
             completed=completed,
             queued=queued,
             frontier_depth=gstats.get("path_length", 0),
             eta_seconds=eta,
-            checkpoint=checkpoint,
-            force=force,
         )
 
     # -- report integration ---------------------------------------------------

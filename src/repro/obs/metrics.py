@@ -21,12 +21,9 @@ from typing import Dict, Sequence, Tuple
 #: Instrument-name prefixes whose values depend on the environment
 #: (scheduling, host speed, worker fleet, crash/resume history, injected
 #: faults) rather than the verified execution.  Everything else must be
-#: jobs-invariant — and invariant across journal resumes.  ``ckpt.*``
-#: (prefix-checkpoint cache traffic) is separate from ``exec.*`` because
-#: ``exec.*`` totals are additionally worker-count-invariant, while
-#: cache hits depend on which worker a sibling lease lands on.
+#: jobs-invariant — and invariant across journal resumes.
 NONDETERMINISTIC_PREFIXES: Tuple[str, ...] = (
-    "exec.", "wall.", "journal.", "fault.", "dist.", "ckpt.",
+    "exec.", "wall.", "journal.", "fault.", "dist.",
 )
 
 

@@ -2,7 +2,7 @@
 
 One throttled stderr line per interval::
 
-    [dampi] runs 37 done / 12 queued | frontier 12 | ckpt 30/6 h/m | 8.2s elapsed | eta ~3.1s
+    [dampi] runs 37 done / 12 queued | frontier 12 | 8.2s elapsed | eta ~3.1s
 
 The reporter only formats and writes when the interval has elapsed
 (checked against an injectable monotonic clock so tests don't sleep), so
@@ -85,12 +85,8 @@ class ProgressReporter:
 
     def tick(self, completed: int, queued: int, frontier_depth: int,
              eta_seconds: Optional[float] = None,
-             checkpoint: Optional[tuple] = None,
              force: bool = False) -> bool:
-        """Emit a heartbeat if due; returns whether a line was written.
-
-        ``checkpoint`` is an optional ``(hits, misses)`` pair from the
-        prefix-checkpoint cache, shown as ``ckpt 12/3 h/m``."""
+        """Emit a heartbeat if due; returns whether a line was written."""
         now = self._clock()
         if not force and now - self._last < self.interval:
             return False
@@ -99,8 +95,6 @@ class ProgressReporter:
             f"runs {completed} done / {queued} queued",
             f"frontier {frontier_depth}",
         ]
-        if checkpoint is not None:
-            parts.append(f"ckpt {checkpoint[0]}/{checkpoint[1]} h/m")
         parts.append(f"{_fmt_seconds(now - self._t0)} elapsed")
         if eta_seconds is not None:
             parts.append(f"eta ~{_fmt_seconds(eta_seconds)}")

@@ -52,7 +52,7 @@ def _histogram_line(name: str, h: dict) -> List[str]:
 
 def _phase_lines(counters: dict) -> List[str]:
     """Per-phase wall-time breakdown from the ``wall.phase.*`` counters
-    (spawn_reset / execute / finish / restore real-seconds, accumulated
+    (spawn_reset / execute / finish real-seconds, accumulated
     per consumed run)."""
     phases = {
         name[len("wall.phase."):]: value
@@ -135,23 +135,6 @@ def render_report_summary(payload: dict) -> str:
     histograms = metrics.get("histograms") or {}
     lines += _phase_lines(counters)
     lines += _dist_lines(counters, gauges)
-    if gauges.get("exec.checkpoint_enabled"):
-        hits = gauges.get("exec.checkpoint_hits") or 0
-        misses = gauges.get("exec.checkpoint_misses") or 0
-        rate = hits / (hits + misses) if (hits + misses) else 0.0
-        held = gauges.get("exec.checkpoint_bytes_held") or 0
-        entries = gauges.get("exec.checkpoint_entries") or 0
-        evictions = gauges.get("exec.checkpoint_evictions") or 0
-        lines.append(
-            f"  prefix checkpoints: {hits} hits / {misses} misses "
-            f"({rate * 100:.0f}% hit), {entries} entries / "
-            f"{held / 1024:.0f} KiB held, {evictions} evicted"
-        )
-    elif gauges.get("exec.checkpoint_demote_reason"):
-        lines.append(
-            "  prefix checkpoints: demoted "
-            f"({gauges['exec.checkpoint_demote_reason']})"
-        )
     if counters:
         lines += ["", "counters", _rule()]
         for name, value in counters.items():

@@ -17,9 +17,7 @@ Design constraints, in priority order:
    when ``capture`` is off (a sampled-out run) :meth:`drain`/:meth:`collect`
    collapse the payloads into per-name counters instead of handing them
    out, so campaign-level ``events.*`` totals are exact at any payload
-   sampling rate.  Recording unconditionally keeps prefix checkpoints
-   honest: a snapshot cut during a sampled-out run still carries the
-   prefix payloads a *captured* descendant run needs.
+   sampling rate.
 4. **Bounded memory.**  The ring has a fixed capacity; overflow evicts
    the oldest record (still counting it — eviction folds the record into
    the counters) and bumps ``dropped`` rather than growing without limit.
@@ -29,11 +27,9 @@ Design constraints, in priority order:
    (which strips the clock fields).  ``args`` is rendered as a sorted
    tuple of pairs — hashable, picklable, and order-stable.
 
-Raw records cross process boundaries (replay workers pickle the
-:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``) and
-ride inside prefix checkpoints (:meth:`snapshot_state` /
-:meth:`restore_state` — see ``repro.mpi.snapshot``), so both shapes stay
-plain tuples/dicts of primitives.
+Raw records cross process boundaries (fleet workers ship the
+:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``), so
+they stay plain tuples/dicts of primitives.
 """
 
 from __future__ import annotations
@@ -133,9 +129,9 @@ class Tracer:
         self._t0 = clock()
         self.dropped = 0
         #: payload output switch: when False (a sampled-out run) the ring
-        #: still records — checkpoint snapshots need the payloads — but
-        #: drain/collect fold them into the counters instead of handing
-        #: them out (exact counters, no payloads leave the tracer)
+        #: still records — the counters are tallied from it — but
+        #: drain/collect fold the payloads into the counters instead of
+        #: handing them out (exact counters, no payloads leave the tracer)
         self.capture = True
         self._ring: list = [None] * self.buffer
         self._next = 0
@@ -283,36 +279,6 @@ class Tracer:
         self.dropped = 0
         self._t0 = self._clock()
 
-    # -- checkpoint integration ---------------------------------------------
-
-    def snapshot_state(self) -> tuple:
-        """Freeze the stream state at a prefix-checkpoint cut: buffered
-        records, off-ring counters, and the drop count.  Restoring this
-        into a consumer run makes its stream (and exact totals) identical
-        to a full re-execution of the shared prefix."""
-        return (self._records(), dict(self._counts), self.dropped)
-
-    def restore_state(self, state: Optional[tuple]) -> None:
-        """Reinstate :meth:`snapshot_state` output (checkpoint restore).
-
-        The ring is restored regardless of ``capture`` — a snapshot cut
-        inside a sampled-out run must still hand the prefix payloads to
-        any captured run that restores it; :meth:`drain`/:meth:`collect`
-        decide at output time whether payloads leave the tracer."""
-        self.reset()
-        if state is None:
-            return
-        records, counts, dropped = state
-        self._counts = dict(counts)
-        n = len(records)
-        if n > self.buffer:  # pragma: no cover - ring shrank mid-session
-            records = records[n - self.buffer:]
-            n = self.buffer
-        self._ring[:n] = records
-        self._count = n
-        self._next = 0 if n == self.buffer else n
-        self.dropped = dropped
-
 
 class _NullTracer:
     """Module-level no-op stand-in for a disabled tracer.
@@ -359,12 +325,6 @@ class _NullTracer:
         return {"records": [], "counts": {}, "dropped": 0, "captured": False}
 
     def reset(self) -> None:
-        return None
-
-    def snapshot_state(self) -> tuple:
-        return ([], {}, 0)
-
-    def restore_state(self, state) -> None:
         return None
 
 

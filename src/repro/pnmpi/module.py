@@ -89,29 +89,6 @@ class ToolModule:
         """Does this module wrap the given entry point?"""
         return getattr(type(self), point, None) is not getattr(ToolModule, point, None)
 
-    # -- checkpoint support (prefix-sharing replay) -------------------------
-
-    def snapshot_state(self):
-        """Return this module's per-run state for an engine checkpoint.
-
-        The returned object is deep-copied *jointly* with the engine state
-        (shared requests/contexts keep their identity), so return the live
-        containers themselves — do **not** copy, and do **not** include
-        engine/tracer references (``restore_state`` re-points those).
-
-        The default returns ``NotImplemented``, which marks the module as
-        non-snapshotable: sessions then demote to full replay instead of
-        checkpointing.  Override together with :meth:`restore_state`."""
-        return NotImplemented
-
-    def restore_state(self, state, runtime) -> None:
-        """Install a (thawed) state previously returned by
-        :meth:`snapshot_state`; re-point any engine/tracer references at
-        ``runtime.engine`` / ``runtime.tracer``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot restore checkpoint state"
-        )
-
     # Entry-point default implementations do not exist on the base class on
     # purpose: ToolStack only includes a module in a chain when the subclass
     # actually defines the attribute, keeping un-wrapped points at native

@@ -135,19 +135,25 @@ class TestReplayCommand:
         )
         capsys.readouterr()
         witness = next(tmp_path.glob("error*.json"))
-        rc = main(
-            [
-                "replay",
-                "repro.workloads.patterns:fig3_program",
-                "--nprocs",
-                "3",
-                "--decisions",
-                str(witness),
-            ]
-        )
+        argv = [
+            "replay",
+            "repro.workloads.patterns:fig3_program",
+            "--nprocs",
+            "3",
+            "--decisions",
+            str(witness),
+        ]
+        rc = main(argv)
         out = capsys.readouterr().out
         assert rc == 1
         assert "WildcardBugError" in out
+        # a witness written before prefix checkpoints were deleted carries
+        # their advisory hint; the key is ignored, the outcome the same
+        payload = json.loads(witness.read_text())
+        assert "expect_siblings" not in payload
+        witness.write_text(json.dumps({**payload, "expect_siblings": False}))
+        assert main(argv) == 1
+        assert capsys.readouterr().out == out
 
 
 class TestJobsFlag:
@@ -197,8 +203,12 @@ class TestUsageErrors:
             (["-n", "3", "--kwargs", "[1]"], "--kwargs"),
             (["-n", "3", "--kwargs", "{"], "--kwargs"),
             (["-n", "3", "--trace-sample", "0"], "trace_sample_every"),
+            (["-n", "3", "--fault-plan", "kill@restore:1.2"], "unknown site 'restore'"),
         ],
-        ids=["jobs", "bound-k", "nprocs", "kwargs-list", "kwargs-json", "trace-sample"],
+        ids=[
+            "jobs", "bound-k", "nprocs", "kwargs-list", "kwargs-json",
+            "trace-sample", "removed-fault-site",
+        ],
     )
     def test_bad_flag_values(self, flags, needle, capsys):
         self._assert_usage_error(self.LATTICE + flags, capsys, needle)

@@ -11,8 +11,12 @@ the lease; the replay is re-executed, never reported as a finding) is
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.dampi import (
     DampiConfig,
@@ -26,6 +30,7 @@ from repro.dampi.faults import (
     DEFAULT_HANG_SECONDS,
     FAULT_EXIT_CODE,
     FaultPlanError,
+    _SITES,
     _parse_term,
 )
 from repro.obs.metrics import deterministic_view
@@ -67,6 +72,7 @@ class TestPlanGrammar:
             "kill",                  # no site
             "explode@self",          # unknown action
             "kill@everywhere",       # unknown site
+            "kill@restore:1.2",      # a site until prefix checkpoints went
             "kill@run",              # run needs an index
             "kill@run:x",            # non-integer index
             "kill@flip:1",           # flip needs rank.lc
@@ -84,6 +90,16 @@ class TestPlanGrammar:
     def test_bad_terms_rejected(self, term):
         with pytest.raises(FaultPlanError):
             _parse_term(term)
+
+    def test_every_site_has_a_caller(self):
+        """A site nothing fires is grammar without a failure mode behind
+        it: a name leaves ``_SITES`` with its last ``fire("<site>"``."""
+        source = "\n".join(
+            p.read_text() for p in Path(repro.__file__).parent.rglob("*.py")
+        )
+        assert len(_SITES) == 7
+        for site in _SITES:
+            assert re.search(rf'fire\(\s*"{site}"', source), site
 
     def test_plan_parse_and_spec_roundtrip(self):
         spec = "kill@run:3,hang@flip:1.2:30,delay@self:0.5"

@@ -81,11 +81,19 @@ class TestCrashResume:
         """THE acceptance test: kill the campaign before replay 2, resume,
         get the uninterrupted report back bit-for-bit — having re-executed
         only the runs the journal had not yet seen."""
+        self._kill_resume_compare(tmp_path / "j", "kill@run:2")
+
+    def test_kill_inside_a_replay_then_resume_is_bit_identical(self, tmp_path):
+        """The ``flip`` site strikes inside ``run_once``: replay 2 is the
+        one that flips epoch (0, 0), and dying in it loses exactly it."""
+        self._kill_resume_compare(tmp_path / "j", "kill@flip:0.0")
+
+    def _kill_resume_compare(self, journal_dir, plan):
         oracle = DampiVerifier(
             wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
         ).verify()
-        journal_dir = tmp_path / "j"
-        _crash_campaign(journal_dir, "kill@run:2")
+        assert [run.flip for run in oracle.runs].index((0, 0)) == 2
+        _crash_campaign(journal_dir, plan)
         resumed = DampiVerifier(
             wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
         ).verify(journal=journal_dir)
@@ -238,7 +246,7 @@ class TestCrashResume:
             ).verify(journal=journal_dir)
 
     def test_execution_knobs_do_not_invalidate_the_journal(self, tmp_path):
-        """checkpoints / tracing / fault_plan are bit-identity-preserving,
+        """tracing / fault_plan are bit-identity-preserving,
         so resuming under different values of them must be allowed.
         (``jobs`` is too, but it decides which *kind* of journal is
         written — see the test below.)"""
@@ -247,7 +255,7 @@ class TestCrashResume:
         resumed = DampiVerifier(
             wildcard_lattice,
             3,
-            DampiConfig(prefix_checkpoints=False, trace_events=True),
+            DampiConfig(trace_events=True, trace_sample_every=2),
             kwargs=LATTICE,
         ).verify(journal=journal_dir)
         assert resumed.journal_stats["replayed"] == 2
@@ -337,9 +345,7 @@ class TestRunRecord:
             )
 
         def tree(tag):
-            # decisions files compare by schedule: their advisory
-            # ``expect_siblings`` hint is not part of a schedule's identity
-            # and is not journaled
+            # decisions files compare by schedule
             root = tmp_path / f"artifacts-{tag}"
             return {
                 str(p.relative_to(root)): (
@@ -486,7 +492,6 @@ class TestSerialization:
     #: fields that cannot change a report (bit-identity holds across them)
     EXECUTION_CONFIG_FIELDS = {
         "jobs",
-        "prefix_checkpoints", "checkpoint_cache_mb", "checkpoint_interval",
         "keep_traces", "artifacts_dir",
         "trace_events", "trace_sample_every",
         "progress_interval_seconds", "fault_plan",
@@ -501,7 +506,7 @@ class TestSerialization:
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
         names = {f.name for f in dataclasses.fields(DampiConfig)}
-        assert len(names) == 24
+        assert len(names) == 21
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "journal_mode", "kwargs", "args",
@@ -530,28 +535,54 @@ class TestCliJournal:
 
     def test_journal_naming_a_removed_knob_is_refused(self, tmp_path, capsys):
         """A journal from a version whose DampiConfig had more fields
-        (``mode``, ``persistent_session``, ``indexed_matching``) is never
-        resumed silently, by either door."""
-        journal_dir = tmp_path / "j"
-        DampiVerifier(wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE).verify(
-            journal=CampaignJournal(journal_dir, program_label=self.PROG)
-        )
-        segment = min(journal_dir.glob("segment-*.jsonl"))
-        head, _, rest = segment.read_text().partition("\n")
-        meta = json.loads(head)
-        assert meta["t"] == "meta"
-        meta["signature"]["mode"] = "run_to_block"
-        meta["config"].update(
-            mode="run_to_block", persistent_session=True, indexed_matching=True,
-            journal_fsync=True, dist_heartbeat_seconds=0.5,
-        )
-        segment.write_text(json.dumps(meta) + "\n" + rest)
-        assert main(["resume", str(journal_dir)]) == 2
-        assert "does not match this version's DampiConfig" in capsys.readouterr().err
-        with pytest.raises(JournalError, match="different verification semantics"):
-            DampiVerifier(
-                wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
-            ).verify(journal=journal_dir)
+        (``mode``, ``persistent_session``, ``indexed_matching``; the
+        prefix-checkpoint knobs) is never resumed silently: ``repro
+        resume`` refuses it and writes nothing, and where a removed field
+        was semantic the API door refuses it too."""
+        removed = {
+            "substrate": (
+                {"mode": "run_to_block"},
+                dict(
+                    mode="run_to_block", persistent_session=True,
+                    indexed_matching=True, journal_fsync=True,
+                    dist_heartbeat_seconds=0.5,
+                ),
+            ),
+            "prefix-checkpoints": (
+                {},
+                dict(
+                    prefix_checkpoints=True, checkpoint_cache_mb=64,
+                    checkpoint_interval=1,
+                ),
+            ),
+        }
+        def files(root):
+            return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        for name, (signature, config) in removed.items():
+            journal_dir = tmp_path / name
+            DampiVerifier(wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE).verify(
+                journal=CampaignJournal(journal_dir, program_label=self.PROG)
+            )
+            segment = min(journal_dir.glob("segment-*.jsonl"))
+            head, _, rest = segment.read_text().partition("\n")
+            meta = json.loads(head)
+            assert meta["t"] == "meta"
+            meta["signature"].update(signature)
+            meta["config"].update(config)
+            segment.write_text(json.dumps(meta) + "\n" + rest)
+            before = files(journal_dir)
+            assert main(["resume", str(journal_dir)]) == 2
+            err = capsys.readouterr().err
+            assert "does not match this version's DampiConfig" in err
+            assert files(journal_dir) == before
+            if signature:
+                with pytest.raises(
+                    JournalError, match="different verification semantics"
+                ):
+                    DampiVerifier(
+                        wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+                    ).verify(journal=journal_dir)
 
     def test_resume_without_meta_errors(self, tmp_path):
         empty = tmp_path / "empty"

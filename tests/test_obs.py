@@ -214,10 +214,10 @@ class TestProgress:
         assert p.tick(1, 5, 2)  # first tick always fires
         assert not p.tick(2, 4, 2)
         clk.advance(1.1)
-        assert p.tick(3, 3, 2, checkpoint=(5, 5), eta_seconds=9.0)
+        assert p.tick(3, 3, 2, eta_seconds=9.0)
         assert p.lines_written == 2
         assert "runs 3 done / 3 queued" in lines[-1]
-        assert "ckpt 5/5 h/m" in lines[-1] and "eta ~9.0s" in lines[-1]
+        assert "eta ~9.0s" in lines[-1]
 
     def test_final_skipped_on_fast_silent_campaign(self):
         lines = []
