@@ -185,20 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument(
             "--no-trace",
             action="store_true",
-            help="disable event tracing (on by default from the CLI, off "
-            "in the API; it feeds the report's telemetry block and any "
-            "--*-out event stream, and its whole-campaign cost is the "
-            "ledger's obs.trace_overhead_ratio)",
+            help="no tracer at all: drops the exact events.* counters from "
+            "the report's telemetry block (event payloads are recorded only "
+            "for a --trace-out/--events-out/--revt-out sink in any case; "
+            "what counting costs a whole campaign is the ledger's "
+            "obs.trace_overhead_ratio)",
         )
         v.add_argument(
             "--trace-sample",
             type=int,
             default=1,
             metavar="N",
-            help="record full event payloads for 1 in N replays "
-            "(deterministic, keyed off the schedule signature; exact "
-            "event counters are kept for every run regardless; default 1 "
-            "= every run)",
+            help="thin the stream a --trace-out/--events-out/--revt-out "
+            "sink reads: record event payloads for 1 in N replays "
+            "(deterministic, keyed off the schedule signature; the other "
+            "replays only count, so events.* stays exact; default 1 = "
+            "every run)",
         )
         v.add_argument(
             "--json-out",
@@ -469,8 +471,8 @@ def cmd_verify(args) -> int:
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
         artifacts_dir=args.artifacts_dir,
-        # the CLI traces by default (the API does not); the cost is the
-        # ledger's obs.trace_overhead_ratio, the decision ROADMAP item 5's
+        # the CLI counts events by default (the API does not); payloads
+        # are recorded only for a sink to read, see below
         trace_events=not args.no_trace,
         trace_sample_every=args.trace_sample,
         progress_interval_seconds=args.progress,
@@ -478,6 +480,9 @@ def cmd_verify(args) -> int:
         prune=not args.no_prune,
         adaptive_clocks=args.adaptive_clocks,
     )
+    if not (args.trace_out or args.events_out or args.revt_out):
+        # nothing will read event payloads: no run records any
+        config = replace(config, trace_sample_every=None)
     cls = IspVerifier if args.baseline else DampiVerifier
     verifier = cls(program, args.nprocs, config, kwargs=kwargs)
     journal = None
@@ -756,8 +761,10 @@ def cmd_resume(args) -> int:
             workers = (meta.get("dist") or {}).get("workers") or 2
         if workers < 1:
             raise UsageError(f"--workers must be >= 1, not {workers}")
+    # 'resume' has no event sink, whatever the first attempt streamed into
     verifier = DampiVerifier(
-        program, meta["nprocs"], replace(config, jobs=1), kwargs=kwargs
+        program, meta["nprocs"],
+        replace(config, jobs=1, trace_sample_every=None), kwargs=kwargs,
     )
     return _report_tail(
         args, _run(verifier, journal, workers), meta.get("program"), meta["nprocs"]

@@ -78,21 +78,25 @@ class DampiConfig:
         Retain every run's full trace on the report (memory-hungry;
         useful in tests).
     trace_events:
-        Capture structured telemetry events (wildcard matches, epochs,
-        piggyback sends, run/scheduler lifecycle) into the report's
-        ``events`` stream, exportable as JSONL or Chrome trace_event JSON
-        (see :mod:`repro.obs`).  Off by default in the API; the CLI turns
-        it on (``--no-trace`` turns it off).  What it costs a whole
-        campaign is the ledger's ``obs.trace_overhead_ratio``.
+        Structured telemetry events (wildcard matches, epochs, piggyback
+        sends, run/scheduler lifecycle).  When on, every run counts its
+        events exactly into the report's ``events.*`` counters, and the
+        runs ``trace_sample_every`` selects also record their payloads
+        into the report's ``events`` stream, exportable as JSONL, binary
+        ``.revt`` or Chrome trace_event JSON (see :mod:`repro.obs`).  Off
+        by default in the API (no tracer object, no ``events.*``); the CLI
+        turns it on (``--no-trace`` turns it off).  What counting costs a
+        whole campaign is the ledger's ``obs.trace_overhead_ratio``.
     trace_sample_every:
-        Payload sampling for per-run event streams: full payloads are
-        recorded for the self run and for 1-in-N guided replays, chosen
+        Which runs record event payloads — they need a reader.  ``None``:
+        none do and ``report.events`` stays empty (what the CLI passes
+        unless ``--trace-out/--events-out/--revt-out`` names a sink).
+        ``N``: the self run and 1-in-N guided replays do, chosen
         deterministically from the schedule signature (so the sampled
         stream is identical across ``jobs`` settings and is an exact
-        subset of the rate-1 stream).  Every event still increments the
-        exact ``events.*`` counters regardless of the rate, so telemetry
-        totals are invariant under sampling.  1 (default) records every
-        run.
+        subset of the rate-1 stream); 1 (default) records every run.  A
+        run that does not record still counts: ``events.*`` totals are
+        exact and identical at any value.
     progress_interval_seconds:
         When set, ``verify()`` writes a live progress heartbeat (runs
         done/queued, frontier depth, ETA) to stderr at most this often.
@@ -149,7 +153,7 @@ class DampiConfig:
     keep_traces: bool = False
     artifacts_dir: Optional[str] = None
     trace_events: bool = False
-    trace_sample_every: int = 1
+    trace_sample_every: Optional[int] = 1
     progress_interval_seconds: Optional[float] = None
     fault_plan: Optional[str] = None
     #: distributed mode: a lease whose worker shows no progress (no
@@ -184,8 +188,8 @@ class DampiConfig:
                 "precision; it requires clock_impl lamport|lamport_dual, "
                 f"not {self.clock_impl!r}"
             )
-        if self.trace_sample_every < 1:
-            raise ValueError("trace_sample_every must be >= 1")
+        if self.trace_sample_every is not None and self.trace_sample_every < 1:
+            raise ValueError("trace_sample_every must be None or >= 1")
         if (
             self.progress_interval_seconds is not None
             and self.progress_interval_seconds < 0

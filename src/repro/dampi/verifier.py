@@ -235,7 +235,8 @@ class DampiVerifier:
         #: executes, a fleet worker included
         self._faults = FaultPlan.parse(self.config.fault_plan)
         #: per-run event tracer handed to every Runtime this verifier
-        #: builds; None (the fast path) unless config.trace_events
+        #: builds (it counts every event; :meth:`_trace_capture` says which
+        #: runs also record payloads); None unless config.trace_events
         self._run_tracer: Optional[Tracer] = (
             Tracer() if self.config.trace_events else None
         )
@@ -269,16 +270,21 @@ class DampiVerifier:
     # -- execution ---------------------------------------------------------------
 
     def _trace_capture(self, decisions: Optional[EpochDecisions]) -> bool:
-        """Whether this run's event payloads are recorded (deterministic
-        1-in-N sampling keyed off the schedule signature).
+        """Whether this run records its event payloads or only counts its
+        events — decided here and nowhere else, from the config and the
+        schedule alone, so it is identical in-process, in fleet workers,
+        and across resumes.
 
-        The self run is always captured; guided replays hash their
-        canonical schedule key, so the decision is identical in-process,
-        in fleet workers, and across resumes — the rate-N stream is a
-        deterministic subset of the rate-1 stream.  Exact ``events.*``
-        counters are kept either way (see :class:`repro.obs.trace.Tracer`).
+        ``trace_sample_every`` None: nothing will read payloads, no run
+        records any.  Otherwise the self run always does, and guided
+        replays are sampled 1-in-N on a hash of their canonical schedule
+        key — the rate-N stream is a deterministic subset of the rate-1
+        stream.  Exact ``events.*`` counters are kept either way (see
+        :class:`repro.obs.trace.Tracer`).
         """
         n = self.config.trace_sample_every
+        if n is None:
+            return False
         if n <= 1 or decisions is None or decisions.flip is None:
             return True
         return zlib.crc32(repr(schedule_key(decisions)).encode()) % n == 0

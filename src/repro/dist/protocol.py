@@ -14,9 +14,10 @@ worker → coordinator
                     subtree, the active ``lease`` id.
     ``need_lease``  the worker is idle and wants work.
     ``record``      one completed run of the active lease: the full run
-                    *entry* (below) and, beside it, the run's tracer
-                    payload ``obs`` when event tracing is on
-                    (:func:`pack_obs`).
+                    *entry* (below) and, beside it when event tracing is
+                    on, the run's tracer payload ``obs`` (:func:`pack_obs`):
+                    exact emit counts, and raw records only from a run
+                    that recorded payloads for a reader.
     ``discovered``  candidate leases for alternatives discovered at
                     pinned prefix nodes — subtrees that belong to other
                     shards, routed through the coordinator for dedup.

@@ -109,8 +109,8 @@ class MessageEngine:
         self.cost = cost_model or CostModel()
         self.policy = make_policy(policy)
         #: structured event sink (:class:`repro.obs.trace.Tracer`) or None.
-        #: Hot-path emitters guard with ``is not None`` — the disabled
-        #: tracer must stay within the bench_obs_overhead budget.
+        #: Hot-path emitters guard with ``is not None``; what a tracer
+        #: costs a campaign is the ledger's ``obs.trace_overhead_ratio``.
         self.tracer = tracer
         self.clocks = VirtualClocks(nprocs)
         self.stats = EngineStats()

@@ -3,10 +3,10 @@
 The telemetry layer answers "where did this campaign spend its effort"
 without perturbing what it measures:
 
-- :mod:`repro.obs.trace` — ring-buffered structured events (spans and
-  instants) with rank/run context.  A disabled tracer is ``None`` at every
-  emitter site (one attribute load + ``is not None`` test on the hot path)
-  or the module-level :data:`~repro.obs.trace.NULL_TRACER` no-op.
+- :mod:`repro.obs.trace` — structured events (spans and instants) with
+  rank/run context: always counted, ring-buffered only when something
+  will read the stream.  A disabled tracer is ``None`` at every emitter
+  site (one attribute load + ``is not None`` test on the hot path).
 - :mod:`repro.obs.metrics` — counters, gauges, and fixed-boundary
   histograms in a :class:`~repro.obs.metrics.MetricsRegistry`; the
   deterministic namespaces (``engine.*``, ``pb.*``, ``campaign.*``,
@@ -38,7 +38,7 @@ from repro.obs.metrics import (
     deterministic_view,
 )
 from repro.obs.progress import ProgressReporter
-from repro.obs.trace import NULL_TRACER, Event, Tracer, event_signature
+from repro.obs.trace import Event, Tracer, event_signature
 
 __all__ = [
     "CampaignTelemetry",
@@ -47,7 +47,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
     "ProgressReporter",
     "Tracer",
     "decode_events",

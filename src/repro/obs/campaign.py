@@ -4,9 +4,13 @@
 :meth:`~repro.dampi.verifier.DampiVerifier.verify` call.  It holds the
 campaign-level tracer (run-lifecycle spans, scheduler events), the
 :class:`~repro.obs.metrics.MetricsRegistry` every component writes into,
-and the optional stderr heartbeat.  Per-run event streams — collected by
-the runtime's tracer during the run, possibly in a fleet worker process —
-arrive inside ``RunResult.artifacts["obs"]`` and are merged onto the
+and the optional stderr heartbeat.  The campaign tracer exists only when
+something will read its stream (``config.trace_events`` with a payload
+rate — see :class:`~repro.dampi.config.DampiConfig`); a run's exact
+per-name emit counts arrive inside ``RunResult.artifacts["obs"]`` either
+way and land in ``events.*``.  With a reader, the per-run event streams —
+collected by the runtime's tracer during the run, possibly in a fleet
+worker process — arrive beside the counts and are merged onto the
 campaign timeline here, relabelled with the run index and rebased onto
 the consume window (for fleet runs the *worker* wall is unknowable on the
 campaign axis; the consume window is where the serial walk observed the
@@ -42,9 +46,13 @@ class CampaignTelemetry:
     """Aggregates one verification campaign's events and metrics."""
 
     def __init__(self, config, stream=None, clock=time.perf_counter):
-        trace_enabled = bool(getattr(config, "trace_events", False))
+        #: payload rate; None = nothing reads payloads, so no run records
+        #: any and there is no campaign stream to merge them into
+        self._sample_every = config.trace_sample_every
         self.tracer: Optional[Tracer] = (
-            Tracer(clock=clock) if trace_enabled else None
+            Tracer(clock=clock)
+            if config.trace_events and self._sample_every is not None
+            else None
         )
         self.metrics = MetricsRegistry()
         interval = getattr(config, "progress_interval_seconds", None)
@@ -67,7 +75,6 @@ class CampaignTelemetry:
         self._run_dropped = 0
         #: runs whose full payload stream was recorded (sampling)
         self._sampled_runs = 0
-        self._sample_every = int(getattr(config, "trace_sample_every", 1) or 1)
 
     # -- run lifecycle --------------------------------------------------------
 

@@ -2,22 +2,26 @@
 
 Design constraints, in priority order:
 
-1. **Cheap when on.**  The hot path (:meth:`Tracer.instant`) allocates no
-   :class:`Event` — it packs a raw tuple into a preallocated ring slot and
-   defers *all* rendering (arg sorting, dataclass construction) to
+1. **Payloads need a reader.**  A tracer with ``capture`` off *counts*:
+   an emit is one dict increment — no record tuple, no clock read, and the
+   ring itself is allocated only by the first captured event.  That is
+   what every run of a campaign does unless something will read the
+   stream (a ``--trace-out/--events-out/--revt-out`` sink, or
+   ``report.events`` through the API); what counting costs a whole
+   campaign is the ledger's ``obs.trace_overhead_ratio``.  With
+   ``capture`` on, the hot path (:meth:`Tracer.instant`) still allocates
+   no :class:`Event` — it packs a raw tuple into a ring slot and defers
+   *all* rendering (arg sorting, dataclass construction) to
    :meth:`drain`/:meth:`collect`, which run once per run instead of once
-   per event.  ``benchmarks/bench_obs_overhead.py`` bounds the enabled
-   cost at <=5% on the matmult self-run.
+   per event.
 2. **Cheap when off.**  Emitter sites hold a ``tracer`` that is either a
    :class:`Tracer` or ``None``; the disabled path is one attribute load
-   plus an ``is not None`` test (the :data:`NULL_TRACER` singleton exists
-   for callers that prefer unconditional calls — its methods are no-ops).
-   The disabled-tracer cost is bounded at <3% by the same benchmark.
-3. **Exact counters, sampled payloads.**  The ring always records, but
-   when ``capture`` is off (a sampled-out run) :meth:`drain`/:meth:`collect`
-   collapse the payloads into per-name counters instead of handing them
-   out, so campaign-level ``events.*`` totals are exact at any payload
-   sampling rate.
+   plus an ``is not None`` test.
+3. **Exact counters, sampled payloads.**  Every emit is counted under its
+   name whether or not its payload is recorded — at the emit site when
+   ``capture`` is off, from the ring (and from what the ring evicted)
+   when it is on — so campaign-level ``events.*`` totals are exact and
+   identical at any payload sampling rate, with or without a reader.
 4. **Bounded memory.**  The ring has a fixed capacity; overflow evicts
    the oldest record (still counting it — eviction folds the record into
    the counters) and bumps ``dropped`` rather than growing without limit.
@@ -109,11 +113,12 @@ def _materialize(rec) -> Event:
 
 
 class Tracer:
-    """Collects raw event records into a preallocated ring buffer.
+    """Counts every emit; with ``capture`` on, also records it into a ring.
 
-    The ring is a fixed-size list whose slots are reused across runs
-    (:meth:`reset` just rewinds the indices); records are materialized
-    into :class:`Event` objects only on :meth:`drain`.
+    The ring is a fixed-size list, allocated by the first captured event,
+    whose slots are reused across runs (:meth:`reset` just rewinds the
+    indices); records are materialized into :class:`Event` objects only
+    on :meth:`drain`.
     """
 
     __slots__ = (
@@ -128,17 +133,17 @@ class Tracer:
         self._clock = clock
         self._t0 = clock()
         self.dropped = 0
-        #: payload output switch: when False (a sampled-out run) the ring
-        #: still records — the counters are tallied from it — but
-        #: drain/collect fold the payloads into the counters instead of
-        #: handing them out (exact counters, no payloads leave the tracer)
+        #: whether emits are recorded for a reader.  False = count, do not
+        #: record: a run nobody will read the payloads of (no sink, or
+        #: sampled out — per-run state owned by the verifier)
         self.capture = True
-        self._ring: list = [None] * self.buffer
+        self._ring: Optional[list] = None
         self._next = 0
         self._count = 0
-        #: per-name exact counters for records no longer in the ring
-        #: (evicted, or emitted while capture was off); ring contents are
-        #: tallied on demand so the hot path pays no dict write
+        #: per-name exact counters for emits not in the ring (counted at
+        #: the emit site while capture was off, or evicted); ring contents
+        #: are tallied on demand so the capturing hot path pays no dict
+        #: write
         self._counts: dict = {}
 
     def __len__(self) -> int:
@@ -150,28 +155,27 @@ class Tracer:
 
     # -- hot path -----------------------------------------------------------
 
+    def _tally(self, name: str) -> None:
+        counts = self._counts
+        counts[name] = counts.get(name, 0) + 1
+
     def instant(self, name: str, cat: str, rank: Optional[int] = None,
                 run: Optional[int] = None, **args) -> None:
-        """Record a point-in-time event."""
-        i = self._next
-        ring = self._ring
-        if self._count == self.buffer:
-            old = ring[i][0]
-            counts = self._counts
-            counts[old] = counts.get(old, 0) + 1
-            self.dropped += 1
-        else:
-            self._count += 1
-        ring[i] = (name, cat, self._clock() - self._t0, "i", 0.0,
-                   rank, run, args)
-        i += 1
-        self._next = 0 if i == self.buffer else i
+        """Record (or, with ``capture`` off, count) a point-in-time event."""
+        if not self.capture:
+            self._tally(name)
+            return
+        self._push((name, cat, self._clock() - self._t0, "i", 0.0,
+                    rank, run, args))
 
     def complete(self, name: str, cat: str, start: float,
                  rank: Optional[int] = None, run: Optional[int] = None,
                  **args) -> None:
         """Record a span that began at ``start`` (a :meth:`now` sample)
         and ends now."""
+        if not self.capture:
+            self._tally(name)
+            return
         dur = self._clock() - self._t0 - start
         self._push((name, cat, start, "X", dur if dur > 0.0 else 0.0,
                     rank, run, args))
@@ -188,12 +192,15 @@ class Tracer:
     # -- cold paths ---------------------------------------------------------
 
     def _push(self, rec: tuple) -> None:
-        i = self._next
+        if not self.capture:
+            self._tally(rec[0])
+            return
         ring = self._ring
+        if ring is None:
+            ring = self._ring = [None] * self.buffer
+        i = self._next
         if self._count == self.buffer:
-            old = ring[i][0]
-            counts = self._counts
-            counts[old] = counts.get(old, 0) + 1
+            self._tally(ring[i][0])
             self.dropped += 1
         else:
             self._count += 1
@@ -218,6 +225,8 @@ class Tracer:
 
     def _records(self) -> list:
         """Ring contents, oldest first (records stay raw)."""
+        if not self._count:
+            return []
         if self._count < self.buffer:
             return self._ring[:self._count]
         i = self._next
@@ -225,7 +234,7 @@ class Tracer:
 
     def counts(self) -> dict:
         """Exact per-name emit totals since the last :meth:`reset`:
-        evicted + sampled-out records plus whatever is still buffered."""
+        counted-only and evicted emits plus whatever is still buffered."""
         totals = dict(self._counts)
         for rec in self._records():
             name = rec[0]
@@ -252,7 +261,7 @@ class Tracer:
         """Drain into the raw transport payload a run hands back through
         ``RunResult.artifacts["obs"]``: records stay unrendered (cheap to
         pickle, rendered only at export), counters are exact totals.  A
-        ``capture``-off (sampled-out) run ships counts only."""
+        ``capture``-off run ships counts only."""
         records = self._records()
         self._next = 0
         self._count = 0
@@ -271,62 +280,10 @@ class Tracer:
     def reset(self) -> None:
         """Rewind the ring and rebase the epoch; per-run tracers reset at
         the top of every run so timestamps are run-relative.  Slots are
-        reused, not reallocated; the ``capture`` flag is preserved (it is
-        per-run sampling state owned by the verifier)."""
+        reused, not reallocated; the ``capture`` flag is preserved (the
+        verifier sets it before every run)."""
         self._next = 0
         self._count = 0
         self._counts = {}
         self.dropped = 0
         self._t0 = self._clock()
-
-
-class _NullTracer:
-    """Module-level no-op stand-in for a disabled tracer.
-
-    Shares the :class:`Tracer` surface; every method returns immediately.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-    dropped = 0
-    buffer = 0
-    capture = False
-
-    def __len__(self) -> int:
-        return 0
-
-    def now(self) -> float:
-        return 0.0
-
-    def instant(self, name, cat, rank=None, run=None, **args) -> None:
-        return None
-
-    def complete(self, name, cat, start, rank=None, run=None, **args) -> None:
-        return None
-
-    def emit(self, event) -> None:
-        return None
-
-    def emit_raw(self, records, run=None, ts_offset=0.0) -> None:
-        return None
-
-    @contextmanager
-    def span(self, name, cat, rank=None, run=None, **args):
-        yield
-
-    def counts(self) -> dict:
-        return {}
-
-    def drain(self) -> list:
-        return []
-
-    def collect(self) -> dict:
-        return {"records": [], "counts": {}, "dropped": 0, "captured": False}
-
-    def reset(self) -> None:
-        return None
-
-
-#: The shared disabled tracer; safe to pass anywhere a Tracer is accepted.
-NULL_TRACER = _NullTracer()

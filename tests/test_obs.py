@@ -10,7 +10,6 @@ import pytest
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
 from repro.obs import (
-    NULL_TRACER,
     Event,
     MetricsRegistry,
     ProgressReporter,
@@ -94,16 +93,6 @@ class TestTracer:
         c = [Event("n", "c", ts=1.0, dur=2.0, ph="X", rank=1, args=(("k", 1),))]
         assert event_signature(a) == event_signature(b)
         assert event_signature(a) != event_signature(c)
-
-    def test_null_tracer_is_inert(self):
-        NULL_TRACER.instant("x", "c", rank=0, k=1)
-        NULL_TRACER.complete("x", "c", 0.0)
-        NULL_TRACER.emit(Event("x", "c", ts=0.0))
-        with NULL_TRACER.span("x", "c"):
-            pass
-        NULL_TRACER.reset()
-        assert NULL_TRACER.drain() == []
-        assert len(NULL_TRACER) == 0 and not NULL_TRACER.enabled
 
 
 class TestMetrics:

@@ -2,9 +2,11 @@
 
 The tentpole contracts of the ring-tracer rebuild:
 
-- full event payloads may be *sampled* (1 in N replays) but per-name
-  ``events.*`` counters stay exact and bit-identical at any rate, any
-  ``--jobs`` setting;
+- event payloads are recorded only for a reader (a CLI sink flag, or
+  ``report.events`` through the API) and may be *sampled* (1 in N
+  replays), but per-name ``events.*`` counters stay exact and
+  bit-identical with or without a reader, at any rate, any ``--jobs``
+  setting;
 - the sampled stream at rate N is exactly the rate-1 stream filtered to
   the sampled runs (the capture decision is a pure function of the
   schedule signature);
@@ -271,6 +273,19 @@ class TestRingAccounting:
         assert payload["captured"] is False
         assert payload["dropped"] == 0
 
+    def test_capture_off_allocates_no_ring(self):
+        t = Tracer(clock=lambda: 0.0)
+        t.capture = False
+        for i in range(100_000):
+            t.instant("hot" if i % 4 else "rare", "test", rank=0, k=i)
+        t.complete("span", "test", 0.0)
+        t.emit(Event("merged", "test", ts=0.0))
+        assert t._ring is None and len(t) == 0 and t.dropped == 0
+        assert t.counts() == {
+            "hot": 75_000, "rare": 25_000, "span": 1, "merged": 1,
+        }
+        assert t.drain() == []
+
     def test_collect_is_exact_under_overflow(self):
         t = Tracer(buffer=2, clock=lambda: 0.0)
         for _ in range(5):
@@ -305,6 +320,54 @@ class TestZooTraceBitIdentity:
         )
         off = _verify(entry.program, entry.nprocs, max_interleavings=40)
         assert _canon(on) == _canon(off)
+
+    @pytest.mark.parametrize("entry", ZOO, ids=[e.name for e in ZOO])
+    def test_bugzoo_reader_changes_the_stream_only(self, entry, tmp_path, capsys):
+        """No sink / a sink / a sampled sink, in-process and fleet: one
+        report, one set of deterministic counters (``events.*`` included),
+        and at each rate one stream — the API's ``report.events``."""
+        from repro.cli import main
+
+        spec = f"repro.workloads.bugzoo:{entry.program.__name__}"
+
+        def cli(tag, jobs, *flags):
+            out = tmp_path / f"{tag}-j{jobs}.json"
+            argv = ["verify", spec, "--nprocs", str(entry.nprocs),
+                    "--jobs", str(jobs), "--json-out", str(out), *flags]
+            assert main(argv) in (0, 1)
+            payload = json.loads(out.read_text())
+            view = deterministic_view(payload["telemetry"]["metrics"])
+            payload.pop("wall_seconds")
+            payload.pop("telemetry")
+            return payload, view
+
+        def stream(path):
+            return _sig(read_events_jsonl(path)[1])
+
+        reports, streams = [], {1: [], 3: []}
+        for jobs in (1, 2):
+            reports.append(cli("default", jobs))
+            for rate in (1, 3):
+                sink = tmp_path / f"r{rate}-j{jobs}.jsonl"
+                reports.append(cli(
+                    f"r{rate}", jobs, "--events-out", str(sink),
+                    "--trace-sample", str(rate),
+                ))
+                streams[rate].append(stream(sink))
+        capsys.readouterr()
+        assert all(r == reports[0] for r in reports[1:])
+        for rate in (1, 3):
+            api = _verify(
+                entry.program, entry.nprocs,
+                trace_events=True, trace_sample_every=rate,
+            )
+            assert (
+                _canon(api), deterministic_view(api.telemetry["metrics"])
+            ) == reports[0]
+            # through the same codec: it decodes sequence args as lists
+            via = tmp_path / f"api-r{rate}.jsonl"
+            write_events_jsonl(api.events, via)
+            assert streams[rate] == [stream(via)] * 2
 
 
 # --------------------------------------------------------------------- #
@@ -438,14 +501,16 @@ class TestCliTracing:
         "verify", "repro.workloads.patterns:fig3_program", "--nprocs", "3",
     ]
 
-    def test_tracing_on_by_default(self, tmp_path, capsys):
+    def test_default_counts_events_and_records_none(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "r.json"
         main(self.ARGS + ["--json-out", str(out)])
-        payload = json.loads(out.read_text())
-        assert payload["telemetry"]["events"]["enabled"] is True
-        assert payload["telemetry"]["events"]["captured"] > 0
+        telemetry = json.loads(out.read_text())["telemetry"]
+        assert telemetry["events"] == {
+            "enabled": False, "captured": 0, "dropped": 0,
+        }
+        assert telemetry["metrics"]["counters"]["events.wildcard_match"] > 0
 
     def test_no_trace_disables(self, tmp_path, capsys):
         from repro.cli import main
