@@ -454,6 +454,13 @@ class CampaignJournal:
     loaded eagerly), hand it to ``verify(journal=...)``, and the verifier
     does the rest — validates the meta record, replays prior entries, and
     appends the live remainder.
+
+    ``entries`` is the history *loaded at open*: what a resume, ``repro
+    stats``, a coordinator's reload or a shard's memo read before the
+    first append.  :meth:`append` makes a record durable and does not keep
+    it — nothing in the writing process reads it back, and a campaign's
+    memory must not grow with its length; re-open the directory to read
+    what was written.
     """
 
     def __init__(
@@ -469,6 +476,8 @@ class CampaignJournal:
         self.program_label = program_label
         self.meta: Optional[dict] = None
         self.entries: list[dict] = []
+        #: the campaign's ``end`` record is in the journal
+        self.complete = False
         self._tracer = None
         self._metrics = None
         self._fh = None
@@ -529,6 +538,8 @@ class CampaignJournal:
                         f"directory"
                     )
                 self.entries.append(record)
+                if record.get("t") == "end":
+                    self.complete = True
         self._segment_index = next_index
 
     def _check_version(self, meta: dict) -> None:
@@ -553,10 +564,6 @@ class CampaignJournal:
             if e.get("t") == "checkpoint":
                 ckpt = e
         return ckpt
-
-    @property
-    def complete(self) -> bool:
-        return any(e.get("t") == "end" for e in self.entries)
 
     # -- meta ------------------------------------------------------------------
 
@@ -660,8 +667,8 @@ class CampaignJournal:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self._segment_written += len(data)
-        if record is not self.meta:
-            self.entries.append(record)
+        if record.get("t") == "end":
+            self.complete = True
         if self._metrics is not None:
             self._metrics.counter("journal.appends").inc()
             self._metrics.counter("journal.bytes").inc(len(data))
@@ -682,6 +689,6 @@ class CampaignJournal:
 
     def __repr__(self) -> str:
         return (
-            f"CampaignJournal({self.root}, {len(self.entries)} entries"
+            f"CampaignJournal({self.root}, {len(self.entries)} entries loaded"
             f"{', complete' if self.complete else ''})"
         )

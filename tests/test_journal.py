@@ -155,6 +155,21 @@ class TestCrashResume:
             assert _canon(again) == _canon(first)
             assert snapshot() == before
 
+    def test_live_journal_does_not_retain_what_it_appends(self, tmp_path):
+        """``entries`` is the history loaded at open; what a campaign
+        appends is durable on disk and not kept in the writing process."""
+        journal = CampaignJournal(tmp_path / "j")
+        report = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=journal)
+        assert journal.entries == [] and journal.run_entries() == []
+        assert journal.complete
+        reopened = CampaignJournal(tmp_path / "j")
+        assert reopened.complete
+        assert [e["index"] for e in reopened.run_entries()] == list(
+            range(report.interleavings)
+        )
+
     def test_checkpoint_fast_forward(self, tmp_path, monkeypatch):
         """A kill deep in a large walk resumes through a checkpoint (the
         generator snapshot) rather than replaying every transition live."""
