@@ -7,14 +7,21 @@ describe strided/blocked layouts (every real halo exchange) can express
 them: :class:`Datatype` supports the MPI constructor family
 (``contiguous``, ``vector``, ``indexed``, ``struct``) with true
 size/extent semantics, plus ``pack``/``unpack`` against numpy buffers.
+
+numpy is imported by whoever uses it — ``pack``/``unpack`` here, or the
+program under test — never by importing this module: most verified
+programs send plain Python objects, and the import is most of a
+process's start-up.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ class Datatype:
 
     def pack(self, buffer: np.ndarray) -> np.ndarray:
         """Gather one element's significant bytes from a uint8 buffer."""
+        import numpy as np
+
         buffer = np.asarray(buffer, dtype=np.uint8)
         if buffer.size < self.extent:
             raise ValueError(
@@ -138,6 +147,8 @@ class Datatype:
 
     def unpack(self, packed: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         """Scatter packed bytes back into a uint8 buffer (in place)."""
+        import numpy as np
+
         packed = np.asarray(packed, dtype=np.uint8)
         if packed.size != self.size:
             raise ValueError(f"packed size {packed.size} != type size {self.size}")
@@ -182,7 +193,9 @@ def count_of(payload: Any) -> int:
     Sized containers and numpy arrays report their length; scalars and
     opaque objects count as one element.
     """
-    if isinstance(payload, np.ndarray):
+    # a process that never imported numpy holds no ndarray
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(payload, np.ndarray):
         return int(payload.size)
     if isinstance(payload, (bytes, bytearray, str, list, tuple)):
         return len(payload)

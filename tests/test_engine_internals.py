@@ -1,5 +1,9 @@
 """Engine internals: scheduling modes, virtual time, datatypes, cost model."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.mpi.costmodel import CostModel, SerializedResource, VirtualClocks
@@ -21,6 +25,23 @@ import numpy as np
 
 
 class TestDatatypes:
+    def test_numpy_loads_when_a_program_imports_it(self):
+        """Importing the CLI (and with it the whole substrate) must not
+        import numpy; a payload can only be an ndarray once something did."""
+        code = (
+            "import sys, repro.cli\n"
+            "from repro.mpi.datatypes import count_of\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+            "assert count_of([1, 2, 3]) == 3 and count_of(42) == 1\n"
+            "import numpy\n"
+            "assert count_of(numpy.zeros((2, 5))) == 10\n"
+        )
+        src = os.path.dirname(os.path.dirname(sys.modules["repro"].__file__))
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
     def test_count_of(self):
         assert count_of([1, 2, 3]) == 3
         assert count_of("abcd") == 4
