@@ -164,14 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="FILE",
             help="write the campaign event stream as a Chrome trace_event "
-            "JSON (open in chrome://tracing or Perfetto); implies tracing",
+            "JSON (open in chrome://tracing or Perfetto); makes runs record "
+            "event payloads",
         )
         v.add_argument(
             "--events-out",
             type=Path,
             default=None,
             metavar="FILE",
-            help="write the campaign event stream as JSONL; implies tracing",
+            help="write the campaign event stream as JSONL; makes runs record "
+            "event payloads",
         )
         v.add_argument(
             "--revt-out",
@@ -179,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="FILE",
             help="write the campaign event stream in the compact binary "
-            ".revt encoding (read it back with 'repro stats'); implies "
-            "tracing",
+            ".revt encoding (read it back with 'repro stats'); makes runs "
+            "record event payloads",
         )
         v.add_argument(
             "--no-trace",
@@ -449,7 +451,8 @@ def cmd_verify(args) -> int:
     workers = getattr(args, "workers", None)  # 'dist run' only
     if workers is not None and workers < 1:
         raise UsageError(f"--workers must be >= 1, not {workers}")
-    if args.no_trace and (args.trace_out or args.events_out or args.revt_out):
+    sink = args.trace_out or args.events_out or args.revt_out
+    if args.no_trace and sink:
         raise UsageError(
             "--no-trace conflicts with --trace-out/--events-out/--revt-out "
             "(event exports need the tracer)"
@@ -458,6 +461,12 @@ def cmd_verify(args) -> int:
         raise UsageError(
             "--no-trace conflicts with --trace-sample "
             "(payload sampling configures the tracer --no-trace disables)"
+        )
+    if args.trace_sample > 1 and not sink:
+        raise UsageError(
+            "--trace-sample needs --trace-out/--events-out/--revt-out: event "
+            "payloads are recorded only for such a sink, so without one "
+            "there is nothing to sample"
         )
     _check_adaptive_clock(args)
     config = _config(
@@ -480,7 +489,7 @@ def cmd_verify(args) -> int:
         prune=not args.no_prune,
         adaptive_clocks=args.adaptive_clocks,
     )
-    if not (args.trace_out or args.events_out or args.revt_out):
+    if not sink:
         # nothing will read event payloads: no run records any
         config = replace(config, trace_sample_every=None)
     cls = IspVerifier if args.baseline else DampiVerifier

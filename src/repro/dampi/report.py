@@ -123,6 +123,13 @@ class VerificationReport:
             f" (self run {self.self_run_vtime:.6f} s)",
             f"  wall-clock             : {self.wall_seconds:.2f} s",
         ]
+        ev = (self.telemetry or {}).get("events") or {}
+        if ev.get("enabled") and ev["dropped"]:
+            lines.append(
+                f"  event stream           : {ev['captured']} captured, "
+                f"{ev['dropped']} dropped (ring of {ev['buffer']}) — the "
+                f"stream holds the tail; thin it with --trace-sample N"
+            )
         if self.monitor_report and self.monitor_report.triggered:
             lines.append(
                 f"  omission alerts (§V)   : {len(self.monitor_report)}"

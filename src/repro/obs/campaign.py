@@ -186,6 +186,7 @@ class CampaignTelemetry:
             # the disabled block keeps its minimal v3 shape
             events_block["sample_every"] = self._sample_every
             events_block["sampled_runs"] = self._sampled_runs
+            events_block["buffer"] = self.tracer.buffer
         report.telemetry = {
             "metrics": self.metrics.snapshot(),
             "events": events_block,

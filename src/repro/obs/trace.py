@@ -126,8 +126,6 @@ class Tracer:
         "dropped", "buffer", "capture",
     )
 
-    enabled = True
-
     def __init__(self, buffer: int = DEFAULT_BUFFER, clock=time.perf_counter):
         self.buffer = int(buffer)
         self._clock = clock

@@ -244,9 +244,13 @@ class TestUsageErrors:
         [
             (["--no-trace", "--trace-sample", "4"], "--trace-sample"),
             (["--no-trace", "--events-out", "e.jsonl"], "--no-trace"),
+            (["--trace-sample", "4"], "nothing to sample"),
             (["--adaptive-clocks", "--clock", "vector"], "--adaptive-clocks"),
         ],
-        ids=["no-trace+sample", "no-trace+export", "adaptive+vector"],
+        ids=[
+            "no-trace+sample", "no-trace+export", "sample-without-sink",
+            "adaptive+vector",
+        ],
     )
     def test_conflicting_flags(self, flags, needle, capsys):
         self._assert_usage_error(self.LATTICE + ["-n", "3"] + flags, capsys, needle)

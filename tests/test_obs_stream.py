@@ -308,6 +308,23 @@ class TestRingAccounting:
         full = _verify(wildcard_lattice, 3, LATTICE_KW, trace_events=True)
         assert _event_counters(report) == _event_counters(full)
 
+    def test_summary_says_when_the_stream_lost_events(self):
+        verifier = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(trace_events=True),
+            kwargs=dict(LATTICE_KW),
+        )
+        verifier._run_tracer = Tracer(buffer=8)
+        report = verifier.verify()
+        ev = report.telemetry["events"]
+        assert ev["dropped"] > 0
+        (line,) = [ln for ln in report.summary().splitlines() if "dropped" in ln]
+        assert f"{ev['captured']} captured, {ev['dropped']} dropped" in line
+        assert f"ring of {ev['buffer']}" in line and "--trace-sample N" in line
+        # nothing lost, nothing said
+        full = _verify(wildcard_lattice, 3, LATTICE_KW, trace_events=True)
+        assert full.telemetry["events"]["dropped"] == 0
+        assert "dropped" not in full.summary()
+
 
 class TestZooTraceBitIdentity:
     """Tracing on vs off must be invisible in the report, zoo-wide."""
