@@ -224,12 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="DIR",
             help="durable campaign journal: every run is fsync'd to DIR "
-            "(with a fleet: leases, streamed records and per-lease worker "
-            "shards), and 'repro resume DIR' picks up where a crash left off "
-            "without re-executing covered interleavings; so does re-running "
-            "this command where it makes the same fleet-or-not choice "
-            "(--jobs N stays in-process on a single-CPU host, and the "
-            "journal's kind follows what actually ran)",
+            "(with a fleet also its lease ledger and per-lease worker "
+            "memos), and 'repro resume DIR' picks up where a crash left off "
+            "without re-executing covered interleavings — in-process or "
+            "with a fleet of any size, whoever wrote DIR; so does re-running "
+            "this command",
         )
         v.add_argument(
             "--fault-plan",
@@ -325,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rs = sub.add_parser(
         "resume",
-        help="resume a crashed verification from its --journal-dir, "
-        "in-process or with a fleet as the journal was written (program, "
-        "nprocs, and config are read from the journal)",
+        help="resume a crashed verification from its --journal-dir "
+        "(program, nprocs, and config are read from the journal)",
     )
     rs.add_argument(
         "journal_dir", type=Path, help="a verify / dist run --journal-dir"
@@ -353,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rs.add_argument(
         "--workers", "-w", type=int, default=None, metavar="N",
-        help="fleet size for the resumed attempt of a fleet's journal "
-        "(default: as recorded)",
+        help="continue with a fleet of N workers, whoever wrote the "
+        "journal (default: --jobs as recorded)",
     )
 
     d = sub.add_parser(
@@ -379,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes exploring leased subtrees (default 2); the "
         "report is bit-identical for any N",
     )
-
-    dst = dsub.add_parser(
-        "status",
-        help="inspect a distributed journal (leases, records, completeness)",
-    )
-    dst.add_argument("journal_dir", type=Path, help="a dist run --journal-dir")
 
     r = sub.add_parser("replay", help="re-run one schedule from a decisions file")
     common(r)
@@ -476,7 +468,7 @@ def cmd_verify(args) -> int:
         max_interleavings=args.max_interleavings,
         max_seconds=args.max_seconds,
         policy=args.policy,
-        jobs=_jobs_arg(args) if workers is None else 1,
+        jobs=_jobs_arg(args) if workers is None else workers,
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
         artifacts_dir=args.artifacts_dir,
@@ -523,8 +515,7 @@ def _report_tail(args, report, label, nprocs) -> int:
         return getattr(args, name, None)
 
     print(report.summary())
-    fleet = (report.parallel_stats or {}).get("mode") == "dist"
-    if fleet:
+    if (report.parallel_stats or {}).get("mode") == "dist":
         ps = report.parallel_stats
         print(
             f"  distributed: {ps['workers']} worker(s), "
@@ -534,8 +525,8 @@ def _report_tail(args, report, label, nprocs) -> int:
     if report.journal_stats is not None:
         js = report.journal_stats
         print(
-            f"  journal: {js['replayed']} {'record(s)' if fleet else 'run(s)'} "
-            f"replayed, {js['executed']} executed"
+            f"  journal: {js['replayed']} run(s) replayed, "
+            f"{js['executed']} executed"
         )
     if args.show_runs:
         # 'resume' has no --all and always printed every row
@@ -660,7 +651,7 @@ def cmd_stats(args) -> int:
         return 0
     try:
         header, events = read_events_jsonl(args.file)
-    except ValueError as e:
+    except (ValueError, KeyError) as e:  # not JSON / not an event
         raise UsageError(
             f"{args.file} is neither a report JSON (--json-out), an "
             f"events JSONL (--events-out), a binary stream (--revt-out), "
@@ -696,8 +687,8 @@ def cmd_escalate(args) -> int:
 
 def _load_resume(args):
     """What ``resume`` reads back from a journal's meta record:
-    ``(journal, meta, mode, program, config, kwargs)``, or a refusal
-    naming what the operator should do instead."""
+    ``(journal, meta, program, config, kwargs)``, or a refusal naming
+    what the operator should do instead."""
     from repro.dampi.journal import CampaignJournal
     from repro.mpi.costmodel import CostModel
 
@@ -706,15 +697,7 @@ def _load_resume(args):
     if meta is None:
         raise UsageError(
             f"{args.journal_dir}: no journal meta record found "
-            f"(empty directory, or not a campaign journal)"
-        )
-    mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    if mode == "shard":
-        raise UsageError(
-            f"{args.journal_dir} is a worker shard journal of a distributed "
-            f"campaign — it covers one leased subtree, not the whole "
-            f"verification; resume the campaign's coordinator journal with "
-            f"'repro resume' instead"
+            f"(empty directory, or not a journal)"
         )
     spec = args.program or meta.get("program")
     if not spec:
@@ -724,14 +707,9 @@ def _load_resume(args):
         )
     payload = meta.get("config")
     if not isinstance(payload, dict):
-        api = (
-            "repro.dist.distributed_verify"
-            if mode == "dist"
-            else "DampiVerifier.verify"
-        )
         raise UsageError(
             "this journal's config is not serializable (policy instance?); "
-            f"resume in-process via {api}(journal=...)"
+            "resume it through the API: DampiVerifier.verify(journal=...)"
         )
     d = dict(payload)
     cm = d.pop("cost_model", None)
@@ -750,53 +728,27 @@ def _load_resume(args):
             f"this journal's program kwargs are not serializable "
             f"({kwargs!r}); resume in-process instead"
         )
-    return journal, meta, mode, resolve_program(spec), config, kwargs
+    return journal, meta, resolve_program(spec), config, kwargs
 
 
 def cmd_resume(args) -> int:
     """Self-contained crash recovery: everything needed to continue —
-    program spec, nprocs, config, kwargs, and whether a fleet wrote the
-    journal — is read from its meta record,
-    so the operator only names the directory.  The journal's kind decides
-    who continues it: a campaign journal the in-process loop (whatever
-    ``jobs`` it recorded — a ``--jobs 2`` run demoted on a single-CPU
-    host wrote one too, and only that loop can read it), a coordinator
-    journal the fleet at its recorded size (``--workers`` overrides)."""
-    journal, meta, mode, program, config, kwargs = _load_resume(args)
-    workers = None
-    if mode == "dist":
-        workers = args.workers
-        if workers is None:
-            workers = (meta.get("dist") or {}).get("workers") or 2
-        if workers < 1:
-            raise UsageError(f"--workers must be >= 1, not {workers}")
+    program spec, nprocs, config, kwargs — is read from the journal's
+    meta record, so the operator only names the directory.  Any journal
+    continues any way: with ``--jobs`` as recorded by default, or with a
+    fleet of exactly ``--workers`` workers — whoever wrote it."""
+    journal, meta, program, config, kwargs = _load_resume(args)
+    workers = args.workers
+    if workers is not None and workers < 1:
+        raise UsageError(f"--workers must be >= 1, not {workers}")
     # 'resume' has no event sink, whatever the first attempt streamed into
     verifier = DampiVerifier(
-        program, meta["nprocs"],
-        replace(config, jobs=1, trace_sample_every=None), kwargs=kwargs,
+        program, meta["nprocs"], replace(config, trace_sample_every=None),
+        kwargs=kwargs,
     )
     return _report_tail(
         args, _run(verifier, journal, workers), meta.get("program"), meta["nprocs"]
     )
-
-
-def cmd_dist_status(args) -> int:
-    from repro.dist import journal_status
-
-    st = journal_status(_existing_journal_dir(args.journal_dir))
-    if st["mode"] != "dist":
-        raise UsageError(
-            f"{st['dir']}: a {st['mode']!r} journal, not a distributed one"
-        )
-    state = "complete" if st["complete"] else "in progress"
-    print(f"distributed campaign journal {st['dir']} ({state})")
-    print(f"  self run recorded : {st['self_run']}")
-    print(
-        f"  leases            : {st['leases']} "
-        f"({st['leases_done']} done, {st['leases_open']} open)"
-    )
-    print(f"  run records       : {st['records']}")
-    return 0
 
 
 def cmd_replay(args) -> int:
@@ -829,10 +781,7 @@ def main(argv=None) -> int:
         if args.command == "resume":
             return cmd_resume(args)
         if args.command == "dist":
-            if args.dist_command == "run":
-                return cmd_verify(args)
-            if args.dist_command == "status":
-                return cmd_dist_status(args)
+            return cmd_verify(args)
         if args.command == "replay":
             return cmd_replay(args)
     except (UsageError, JournalError) as e:

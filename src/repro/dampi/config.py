@@ -64,9 +64,8 @@ class DampiConfig:
         records arrive; ``None`` uses ``os.cpu_count()``.  The report is
         bit-identical to ``jobs=1``.  On a single-CPU host the campaign
         stays in-process (logged; ``exec.demoted`` gauge): workers could
-        only time-slice against each other there.  A journal records
-        which of the two shapes wrote it, so a ``journal=`` directory
-        cannot move between ``jobs=1`` and ``jobs>1``.
+        only time-slice against each other there.  A ``journal=``
+        directory resumes at any ``jobs``, whoever wrote it.
     policy / cost_model:
         Substrate knobs: the wildcard match policy for SELF_RUN portions
         (the paper's native match bias; a policy *instance* may carry
@@ -133,8 +132,8 @@ class DampiConfig:
     #: subtree pruned instead of expanding it.  Findings stay
     #: bit-identical to the unpruned walk (the set of distinct wildcard
     #: *outcomes* visited does not — pin ``False`` to enumerate those);
-    #: every pruned subtree is accounted for in ``report.prune_stats``
-    #: and the journal.  CLI: ``--no-prune``.
+    #: every pruned subtree is accounted for in ``report.prune_stats``.
+    #: CLI: ``--no-prune``.
     prune: bool = True
     #: Adaptive per-epoch clock escalation: run the configured scalar
     #: clock (``lamport`` / ``lamport_dual``) by default, detect the

@@ -1,16 +1,18 @@
-"""Durable campaign journal: checkpoint/resume for verification sessions.
+"""Durable campaign journal: crash-safe, resumable verification.
 
 A verification campaign is a long depth-first search over epoch decisions
 — thousands of guided replays on real clusters where workers hang, nodes
 die, and jobs hit wall-clock limits.  This module makes that search
-*resumable*: :meth:`DampiVerifier.verify(journal=...)
-<repro.dampi.verifier.DampiVerifier.verify>` appends every consumed run
-to an append-only JSONL journal, and a later invocation against the same
-directory replays the journal instead of re-executing the covered
-interleavings, then continues the walk live.  Because guided replays are
-deterministic functions of their decision files, the resumed session's
-DFS state, run order, and final report are bit-identical to an
-uninterrupted run (modulo wall-clock).
+*resumable*.  A guided replay is a deterministic function of its Epoch
+Decisions, so a run record keyed by its schedule is a complete memo of
+that run, whoever executed it and in whatever order: a campaign appends
+the record of every run it produces, and a later invocation against the
+same directory — in-process or by a fleet of any size — loads the records
+into a map and walks again, taking each run from the map where it has
+one and executing the rest (:meth:`DampiVerifier.verify(journal=...)
+<repro.dampi.verifier.DampiVerifier.verify>`).  The walk is the same
+deterministic function of the same runs, so the resumed report is
+bit-identical to an uninterrupted one (modulo wall-clock).
 
 On-disk format
 --------------
@@ -29,16 +31,15 @@ Each line is one JSON record with a ``t`` discriminator:
     under different search semantics), and optionally the CLI program
     spec so ``repro resume <dir>`` is self-contained.
 ``run``
-    One consumed interleaving: its walk ``index``, the count of errors
-    it was first to ``found`` (an audit figure for ``repro stats``;
-    resume recomputes it), and the *run record* (below) built by
-    :func:`run_entry`.
-``checkpoint``
-    A full :class:`~repro.dampi.explorer.ScheduleGenerator` snapshot
-    (path nodes with ``tried``/``alternatives``/``frozen``, counters),
-    written every :data:`CHECKPOINT_INTERVAL` entries —
-    resume fast-forwards the generator from the latest one and drives it
-    only with the entries after it.
+    One executed run: ``{"t": "run", **run_entry(...)}``, the run record
+    (below), keyed by its schedule ``key`` (``null`` for the self run).
+    Written by whoever produced the run — the in-process walk, a fleet's
+    coordinator as records arrive, a fleet worker's per-lease memo — in
+    the order it was produced.
+``lease`` / ``lease_done``
+    A fleet coordinator's lease ledger: a subtree spec, journaled before
+    it is first dispatched, and its completion.  Only a coordinator
+    reads them; the in-process walk skips them.
 ``end``
     Campaign completion marker with final counts (tooling/CI aid; a
     journal without one is simply an interrupted campaign).  Written
@@ -46,27 +47,28 @@ Each line is one JSON record with a ``t`` discriminator:
 
 The run record
 --------------
-One executed run has one serialised shape, wherever it goes: a campaign
-journal's ``run`` entries, a shard worker's ``srun`` memo entries and the
-``record`` frames it streams, and the coordinator journal's
-``dself``/``rec`` entries all carry the dict :func:`run_entry` builds,
-and every reader turns it back into a result with
-:func:`result_from_entry` and folds it in through
+One executed run has one serialised shape, wherever it goes: ``run``
+entries and the ``record`` frames a fleet worker streams carry the dict
+:func:`run_entry` builds, and every reader turns it back into a result
+with :func:`result_from_entry` and folds it in through
 :meth:`DampiVerifier._consume <repro.dampi.verifier.DampiVerifier._consume>`
 — the path a live run takes.  The record ships *raw facts* (schedule
 key, full trace, makespan, engine stats, piggyback counters, the
 deadlock's blocked map, primary errors as ``(rank, type-name, message)``
 rows, the leak report, and the self run's monitor report), never the
-report's view of them: error dedup and ``error_kinds`` depend on the
-walk's global order, so they are recomputed wherever the record is
-consumed.
+report's view of them: run numbering, error dedup and ``error_kinds``
+depend on the walk's global order, so they are recomputed wherever the
+record is consumed.
 
 Durability: every append is one ``write()`` of ``json + "\\n"`` followed
 by ``flush`` + ``fsync``.  A crash mid-append leaves a torn final line
 with no trailing newline; the loader drops anything after the last
 newline of each segment, so a torn tail costs exactly the record being
-written — which was by definition not yet acknowledged.  Segments rotate
-at :data:`DEFAULT_SEGMENT_BYTES`, and every attempt that appends opens a
+written — which was by definition not yet acknowledged.  Only a
+``lease`` needs its place in the order (before its dispatch, so a
+subtree a worker discovers is never lost); a lost ``run`` is simply
+executed again, bit-identically.  Segments rotate at
+:data:`DEFAULT_SEGMENT_BYTES`, and every attempt that appends opens a
 fresh segment (old segments are never reopened for writing).
 """
 
@@ -86,24 +88,19 @@ from repro.dampi.artifacts import (
     match_to_jsonable,
 )
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
-from repro.dampi.decisions import EpochDecisions
+from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.epoch import EpochRecord, RunTrace
-from repro.dampi.explorer import DecisionNode, ScheduleGenerator
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-#: 2: ``run`` entries carry the raw run record (v1 stored the report's
-#: post-dedup view and a witnessed-outcome set in checkpoints)
-JOURNAL_VERSION = 2
+#: 3: one journal kind — every run is a ``run`` entry keyed by its
+#: schedule, whoever wrote it (v2 kept three kinds and generator
+#: checkpoints; v1 stored the report's post-dedup view)
+JOURNAL_VERSION = 3
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
-
-#: a campaign journal gets a full generator checkpoint every this many
-#: ``run`` entries (resume drives the generator only with the entries
-#: after the latest one)
-CHECKPOINT_INTERVAL = 16
 
 
 class JournalError(RuntimeError):
@@ -139,10 +136,12 @@ def trace_to_jsonable(trace: RunTrace) -> dict:
 
 
 def trace_from_jsonable(payload: dict) -> RunTrace:
-    epochs: dict[int, list[EpochRecord]] = {}
+    # every rank has a list, as in a live trace: the prune fingerprint
+    # walks ranks, so a journaled run and a live one must compare alike
+    epochs: dict[int, list[EpochRecord]] = {r: [] for r in range(payload["nprocs"])}
     for raw in payload["epochs"]:
         e = epoch_from_jsonable(raw)
-        epochs.setdefault(e.rank, []).append(e)
+        epochs[e.rank].append(e)
     for rank_epochs in epochs.values():
         rank_epochs.sort(key=lambda e: e.index)
     return RunTrace(
@@ -312,75 +311,12 @@ def run_from_entry(entry: dict, obs=None) -> tuple:
     return result, trace_from_jsonable(entry["trace"]), entry.get("esc")
 
 
-# -- generator snapshots -------------------------------------------------------
-
-
-def snapshot_generator(gen: ScheduleGenerator) -> dict:
-    """Serialize the full DFS state.  Only valid between runs (no flip
-    pending) — which is the only time checkpoints are taken."""
-    if gen._flip_index is not None:
-        raise JournalError("cannot snapshot a generator with a pending flip")
-    snap = {
-        "bound_k": gen.bound_k,
-        "auto_loop_threshold": gen.auto_loop_threshold,
-        "seeded": gen._seeded,
-        "divergences": gen.divergences,
-        "frozen_created": gen.frozen_created,
-        "auto_frozen_total": gen.auto_frozen_total,
-        "distance_frozen": gen.distance_frozen,
-        "path": [
-            {
-                "key": list(n.key),
-                "order": list(n.order),
-                "chosen": n.chosen,
-                "tried": sorted(n.tried),
-                "alternatives": sorted(n.alternatives),
-                "frozen": n.frozen,
-                "pinned": n.pinned,
-            }
-            for n in gen.path
-        ],
-    }
-    if gen.prune:
-        snap["prune"] = True
-        snap["prunes"] = gen.prunes
-        snap["replays_saved"] = gen.replays_saved
-        for raw, n in zip(snap["path"], gen.path):
-            raw["sigs"] = sorted([fp, osig, src] for (fp, osig), src in n.sigs.items())
-            raw["vcost"] = sorted([src, c] for src, c in n.vcost.items())
-            raw["vfrozen"] = sorted([src, c] for src, c in n.vfrozen.items())
-    return snap
-
-
-def restore_generator(snap: dict) -> ScheduleGenerator:
-    gen = ScheduleGenerator(
-        bound_k=snap["bound_k"],
-        auto_loop_threshold=snap["auto_loop_threshold"],
-        prune=snap.get("prune", False),
-    )
-    gen._seeded = snap["seeded"]
-    gen.divergences = snap["divergences"]
-    gen.frozen_created = snap["frozen_created"]
-    gen.auto_frozen_total = snap["auto_frozen_total"]
-    gen.distance_frozen = snap["distance_frozen"]
-    gen.prunes = snap.get("prunes", 0)
-    gen.replays_saved = snap.get("replays_saved", 0)
-    gen.path = [
-        DecisionNode(
-            key=tuple(n["key"]),
-            order=tuple(n["order"]),
-            chosen=n["chosen"],
-            tried=set(n["tried"]),
-            alternatives=set(n["alternatives"]),
-            frozen=n["frozen"],
-            pinned=n.get("pinned", False),
-            sigs={(fp, osig): src for fp, osig, src in n.get("sigs", ())},
-            vcost={src: c for src, c in n.get("vcost", ())},
-            vfrozen={src: c for src, c in n.get("vfrozen", ())},
-        )
-        for n in snap["path"]
-    ]
-    return gen
+def entry_schedule_key(entry: dict):
+    """The canonical schedule identity of a run record (hashable; None
+    for the self run) — what a record map is keyed by."""
+    if entry.get("key") is None:
+        return None
+    return schedule_key(decisions_from_jsonable(entry["key"]))
 
 
 # -- config identity -----------------------------------------------------------
@@ -399,24 +335,14 @@ def config_signature(
     config,
     kwargs: Optional[dict] = None,
     prog_args: tuple = (),
-    mode: str = "campaign",
-    shard_prefix=None,
 ) -> dict:
     """The semantic identity of a verification: resuming a journal under a
     different signature would silently mix two different searches.
-    Program arguments are part of it — they change what executes.
-
-    ``mode`` distinguishes the three journal kinds: ``"campaign"`` (a
-    whole in-process verification), ``"dist"`` (a fleet coordinator's
-    journal holding leases and streamed records — ``jobs > 1``), and
-    ``"shard"`` (one worker's journal of one leased subtree, whose
-    ``shard_prefix`` — the forced prefix it was leased — is part of the
-    identity).  A journal of one mode can never be resumed as another:
-    a shard covers one subtree, not the tree.
-    """
-    sig = {"nprocs": nprocs, "journal_mode": mode}
-    if shard_prefix is not None:
-        sig["shard_prefix"] = _jsonable_or_repr(shard_prefix)
+    Program arguments are part of it — they change what executes.  Who
+    executes does not: any journal of this verification — written
+    in-process, by a fleet's coordinator, or as a fleet worker's memo of
+    one leased subtree — holds valid runs of it."""
+    sig = {"nprocs": nprocs}
     for name in SEMANTIC_CONFIG_FIELDS:
         value = getattr(config, name, None)
         if name == "policy" and not isinstance(value, str):
@@ -452,12 +378,12 @@ class CampaignJournal:
     One instance serves one :meth:`~repro.dampi.verifier.DampiVerifier
     .verify` call: construct it on a directory (existing segments are
     loaded eagerly), hand it to ``verify(journal=...)``, and the verifier
-    does the rest — validates the meta record, replays prior entries, and
-    appends the live remainder.
+    does the rest — validates the meta record, walks over the runs it
+    holds, and appends the ones it executes.
 
     ``entries`` is the history *loaded at open*: what a resume, ``repro
-    stats``, a coordinator's reload or a shard's memo read before the
-    first append.  :meth:`append` makes a record durable and does not keep
+    stats``, a coordinator's lease reload or a worker's memo read before
+    the first append.  :meth:`append` makes a record durable and does not keep
     it — nothing in the writing process reads it back, and a campaign's
     memory must not grow with its length; re-open the directory to read
     what was written.
@@ -529,14 +455,6 @@ class CampaignJournal:
                         self._check_version(record)
                         self.meta = record
                     continue
-                if record.get("t") == "failure":
-                    raise JournalError(
-                        f"journal {self.root} holds a \"failure\" entry "
-                        f"(run {record.get('index')}): the replay pool "
-                        f"that wrote those is gone and a lost replay is "
-                        f"now re-executed — start over in a new journal "
-                        f"directory"
-                    )
                 self.entries.append(record)
                 if record.get("t") == "end":
                     self.complete = True
@@ -555,15 +473,9 @@ class CampaignJournal:
             )
 
     def run_entries(self) -> list[dict]:
-        """The replayable history: run records, in order."""
+        """The run records loaded at open, in the order they were written
+        (which is not walk order when a fleet wrote them)."""
         return [e for e in self.entries if e.get("t") == "run"]
-
-    def latest_checkpoint(self) -> Optional[dict]:
-        ckpt = None
-        for e in self.entries:
-            if e.get("t") == "checkpoint":
-                ckpt = e
-        return ckpt
 
     # -- meta ------------------------------------------------------------------
 
@@ -573,24 +485,12 @@ class CampaignJournal:
         config,
         kwargs: Optional[dict] = None,
         prog_args: tuple = (),
-        mode: str = "campaign",
-        shard_prefix=None,
-        extra: Optional[dict] = None,
     ) -> None:
         """First call of a fresh journal writes the meta record; on a
         journal with history, validate that the semantics match."""
-        sig = config_signature(
-            nprocs,
-            config,
-            kwargs=kwargs,
-            prog_args=prog_args,
-            mode=mode,
-            shard_prefix=shard_prefix,
-        )
+        sig = config_signature(nprocs, config, kwargs=kwargs, prog_args=prog_args)
         if self.meta is not None:
             old = dict(self.meta.get("signature") or {})
-            if old.get("journal_mode") != mode:
-                raise JournalError(self._mode_mismatch_message(old, mode))
             if old != sig:
                 raise JournalError(
                     f"journal {self.root} was recorded under different "
@@ -607,37 +507,7 @@ class CampaignJournal:
             "kwargs": _jsonable_or_repr(dict(kwargs) if kwargs else {}),
             "program": self.program_label,
         }
-        if extra:
-            self.meta.update(extra)
         self.append(self.meta)
-
-    def _mode_mismatch_message(self, old_sig: dict, wanted_mode: str) -> str:
-        have = old_sig.get("journal_mode", "campaign")
-        what = {
-            "shard": (
-                "a worker *shard* journal of a distributed campaign — it "
-                "records one leased subtree (forced prefix "
-                f"{old_sig.get('shard_prefix')!r}), not the whole decision "
-                "tree, so resuming it as a campaign would silently re-walk "
-                "everything outside the shard.  Resume the campaign's "
-                "coordinator journal with 'repro resume' instead"
-            ),
-            "dist": (
-                "a distributed *coordinator* journal (leases and streamed "
-                "worker records, as 'dist run' and '--jobs N' write them, "
-                "not a serial run history).  'repro resume' continues it; "
-                "a new campaign there needs the fleet again"
-            ),
-            "campaign": (
-                "a whole-campaign journal from an in-process verification "
-                "('--jobs 1').  'repro resume' continues it; a new "
-                "campaign there must run in-process again"
-            ),
-        }[have]
-        return (
-            f"journal {self.root} is {what}; refusing to open it as a "
-            f"{wanted_mode!r} journal"
-        )
 
     # -- writing ---------------------------------------------------------------
 

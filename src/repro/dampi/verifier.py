@@ -44,12 +44,17 @@ from repro.obs.trace import Tracer
 _log = logging.getLogger(__name__)
 
 
+#: what a run the walk has taken leaves in a campaign's record map
+_CONSUMED = (None, None)
+
+
 class _Campaign:
     """One campaign: the state :meth:`DampiVerifier._consume` folds runs
     into, and the depth-first walk of paper Fig. 1 that asks for them.
-    The walk is written once, here; *where* a run executes is its
-    ``source`` — this process (``jobs == 1``) or a fleet's record map
-    (:class:`repro.dist.DistCoordinator`)."""
+    The walk is written once, here; *where* a run comes from is its
+    ``source`` — the record map (a journal's runs, a fleet's arrivals),
+    else executed in this process (``jobs == 1``) or waited for from a
+    fleet (:class:`repro.dist.DistCoordinator`)."""
 
     def __init__(self, verifier: "DampiVerifier", stream=None):
         cfg = verifier.config
@@ -79,36 +84,61 @@ class _Campaign:
         }
         #: the campaign's journal, if it has one (:meth:`open_journal`)
         self.journal: Optional[jr.CampaignJournal] = None
-        #: whether ``_consume`` appends each run to it: the in-process
-        #: driver's ``run`` history (a coordinator journals arrivals itself)
-        self.log_runs = False
-        #: runs appended since the journal's last checkpoint
-        self.since_checkpoint = 0
+        #: schedule key (None = the self run) -> (run record, packed tracer
+        #: payload or None): runs the walk takes instead of executing them
+        #: — the journal's, loaded at open, and a fleet's as they arrive.
+        #: A taken key stays (dedup, the record count) but lets go of both
+        self.records: dict = {}
+        #: run records the journal held at open / runs this attempt
+        #: produced (and journaled, if there is a journal)
+        self.replayed = 0
+        self.executed = 0
         #: the schedule the walk is parked on (None between runs)
         self.asked: Optional[EpochDecisions] = None
 
-    def open_journal(self, journal, mode: str = "campaign", extra=None):
+    def open_journal(self, journal):
         """Hook the campaign up to its journal (a directory, a
         :class:`~repro.dampi.journal.CampaignJournal`, or None): telemetry
-        sinks bound, meta written or checked against this verification."""
+        sinks bound, meta written or checked against this verification,
+        and its runs loaded into the record map."""
         if journal is None:
             return None
         v = self.verifier
         self.journal = journal = jr.CampaignJournal.open(journal)
         journal.bind(tracer=self.telemetry.tracer, metrics=self.telemetry.metrics)
-        journal.ensure_meta(
-            v.nprocs, v.config, kwargs=v.kwargs, prog_args=v.args,
-            mode=mode, extra=extra,
-        )
+        journal.ensure_meta(v.nprocs, v.config, kwargs=v.kwargs, prog_args=v.args)
+        v._replay_journal(self, journal)
         return journal
 
+    def take(self, decisions: Optional[EpochDecisions]) -> Optional[tuple]:
+        """The ``(run record, packed tracer payload)`` the record map holds
+        for this schedule (None = the self run), or None; a taken record
+        is released."""
+        key = None if decisions is None else schedule_key(decisions)
+        rec = self.records.get(key)
+        if rec is None or rec is _CONSUMED:
+            return None
+        self.records[key] = _CONSUMED
+        return rec
+
+    def produced(self, decisions: Optional[EpochDecisions], run: tuple) -> None:
+        """Count a run this attempt executed, and journal it."""
+        self.executed += 1
+        if self.journal is not None:
+            self.journal.append(self.verifier._journal_run_entry(decisions, *run))
+
     def self_run(self) -> tuple:
-        """Execute run 0, here whatever the source: it seeds the walk and
-        every lease."""
+        """Run 0: from the record map, else executed here whatever the
+        source — it seeds the walk and every lease."""
+        rec = self.take(None)
+        if rec is not None:
+            return jr.run_from_entry(rec[0])
         self.verifier._faults.fire(
             "self", tracer=self.telemetry.tracer, metrics=self.telemetry.metrics
         )
-        return self.verifier._execute()
+        run = self.verifier._execute()
+        self.produced(None, run)
+        return run
 
     def walk(self, source) -> bool:
         """Advance the walk: test the budgets, ask the generator for the
@@ -153,12 +183,12 @@ class _Campaign:
                 self, report.interleavings, decisions, *run, started=started
             )
 
-    def finish(self, parallel_stats, replayed=0, executed=0) -> VerificationReport:
+    def finish(self, parallel_stats) -> VerificationReport:
         """Close out once the walk is over: the journal's ``end`` marker
         (once — verifying a finished journal again leaves it as it is),
         the generator's final counters, the prune/escalation block, this
-        attempt's accounting (``replayed`` runs came out of the journal,
-        ``executed`` were produced live), then telemetry."""
+        attempt's journal accounting (runs the journal held at open, runs
+        produced live), then telemetry."""
         cfg = self.verifier.config
         report, generator, journal = self.report, self.generator, self.journal
         metrics = self.telemetry.metrics
@@ -189,11 +219,11 @@ class _Campaign:
             journal.close()
             report.journal_stats = {
                 "dir": str(journal.root),
-                "replayed": replayed,
-                "executed": executed,
+                "replayed": self.replayed,
+                "executed": self.executed,
             }
-            metrics.gauge("journal.replayed_runs").set(replayed)
-            metrics.gauge("journal.executed_runs").set(executed)
+            metrics.gauge("journal.replayed_runs").set(self.replayed)
+            metrics.gauge("journal.executed_runs").set(self.executed)
         report.wall_seconds = time.perf_counter() - self.started
         self.telemetry.finalize(report)
         return report
@@ -394,12 +424,13 @@ class DampiVerifier:
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
-        crash-safe: every consumed run is durably appended, and a later
-        ``verify(journal=<same dir>)`` replays the journal instead of
-        re-executing the covered interleavings, then continues live —
-        producing a report bit-identical to an uninterrupted run (modulo
-        ``wall_seconds``/``telemetry``; ``report.journal_stats`` counts
-        replayed vs executed).  ``faults`` overrides the config-derived
+        crash-safe: every run executed is durably appended, and a later
+        ``verify(journal=<same dir>)`` — at any ``jobs``, whoever wrote
+        the directory — takes the journaled runs instead of re-executing
+        them and executes the rest, producing a report bit-identical to
+        an uninterrupted run (modulo ``wall_seconds``/``telemetry``;
+        ``report.journal_stats`` counts the runs the journal held vs the
+        runs executed).  ``faults`` overrides the config-derived
         fault plan with a shared instance (escalation stages use this so
         one-shot faults stay one-shot across stages).
         """
@@ -413,25 +444,23 @@ class DampiVerifier:
             return DistCoordinator(self, workers=jobs, journal=journal).run()
         camp = _Campaign(self)
         report = camp.report
-        journal = camp.open_journal(journal)
-        history = journal.run_entries() if journal is not None else []
+        camp.open_journal(journal)
 
-        def here(decisions):
+        def source(decisions):
+            rec = camp.take(decisions)
+            if rec is not None:
+                return jr.run_from_entry(rec[0])
             # the progress line of a campaign executed here (a fleet's
             # coordinator prints its own, merged over the workers)
             camp.telemetry.heartbeat(report.interleavings, camp.generator)
-            return self._execute(decisions)
+            run = self._execute(decisions)
+            camp.produced(decisions, run)
+            return run
 
         try:
-            if history:
-                self._replay_journal(camp, journal, history)
-            # from here on consumed runs are appended (the replayed ones
-            # are what the journal already holds)
-            camp.log_runs = journal is not None
-            if not history:
-                started = camp.telemetry.run_started()
-                self._consume(camp, 0, None, *camp.self_run(), started=started)
-            camp.walk(here)
+            started = camp.telemetry.run_started()
+            self._consume(camp, 0, None, *camp.self_run(), started=started)
+            camp.walk(source)
         finally:
             # the journal needs no cleanup here: every append is already
             # durable, and finish() writes the end marker and closes it
@@ -446,8 +475,7 @@ class DampiVerifier:
         gauge = camp.telemetry.metrics.gauge
         gauge("exec.jobs").set(stats["jobs"])
         gauge("exec.demoted").set(stats["demoted"])
-        replayed = len(history)
-        return camp.finish(stats, replayed, report.interleavings - replayed)
+        return camp.finish(stats)
 
     def _execute(self, decisions: Optional[EpochDecisions] = None) -> tuple:
         """One run executed here, as :meth:`_consume` takes it:
@@ -480,17 +508,15 @@ class DampiVerifier:
 
     def _consume(
         self, camp: _Campaign, index, decisions, result, trace,
-        esc=None, started=None, drive=True,
+        esc=None, started=None,
     ) -> None:
         """Fold one run into the campaign — the only place that happens.
 
-        A live run, a resumed journal entry and a distributed worker's
+        A live run, a journaled run record and a distributed worker's
         record all arrive here as ``(result, trace)`` (the latter two
         rebuilt by :func:`repro.dampi.journal.result_from_entry`), with
         ``esc`` the alternatives a clock escalation injected into the
-        trace, if one ran.  ``drive=False`` is the fast-forwarded journal
-        entry: the generator will be restored from a checkpoint that
-        already contains this run, so only the report side is applied."""
+        trace, if one ran."""
         cfg = self.config
         report, generator = camp.report, camp.generator
         if esc is not None:
@@ -499,17 +525,11 @@ class DampiVerifier:
             camp.esc["extra_alternatives"] += esc
         if camp.store is not None:
             camp.store.write_run(index, trace, decisions)
-        saved_before = generator.replays_saved
-        pruned = False
-        if drive:
-            signature = (
-                prune_mod.signature_of(result, trace) if cfg.prune else None
-            )
-            if decisions is None:
-                generator.seed(trace, signature=signature)
-            else:
-                pruned = generator.integrate(trace, signature=signature)
-        n_err = len(report.errors)
+        signature = prune_mod.signature_of(result, trace) if cfg.prune else None
+        if decisions is None:
+            generator.seed(trace, signature=signature)
+        else:
+            generator.integrate(trace, signature=signature)
         self._record_run(report, index, decisions, result, trace, camp.seen)
         rec = report.runs[-1]
         if decisions is None:
@@ -525,111 +545,31 @@ class DampiVerifier:
             error_kinds=rec.error_kinds,
             started=started,
         )
-        if not camp.log_runs:
-            return
-        journal = camp.journal
-        journal.append(
-            self._journal_run_entry(
-                index, decisions, result, trace, esc, len(report.errors) - n_err
-            )
-        )
-        if pruned:
-            # audit record: resume re-derives the decision from the run
-            # record, so this is purely for `repro stats` visibility and
-            # postmortems
-            journal.append(
-                {
-                    "t": "prune",
-                    "index": index,
-                    "flip": list(rec.flip) if rec.flip else None,
-                    "saved": generator.replays_saved - saved_before,
-                }
-            )
-        camp.since_checkpoint += 1
-        if camp.since_checkpoint >= jr.CHECKPOINT_INTERVAL:
-            self._journal_checkpoint(camp)
-            camp.since_checkpoint = 0
 
     # -- journal plumbing ---------------------------------------------------------
 
-    def _replay_journal(self, camp: _Campaign, journal, history) -> None:
-        """Rebuild the session state from a journal without executing
-        anything: each entry's run record goes through the same
-        :meth:`_consume` a live run does, which also feeds the trace back
-        through the generator's own ``seed``/``integrate``
-        (deterministic, so the rebuilt DFS state is bit-identical) — with
-        a fast-forward from the latest checkpoint when one exists."""
-        ckpt = journal.latest_checkpoint()
-        fast_forward = 0
-        if ckpt is not None:
-            fast_forward = ckpt["applied"]
-            if fast_forward > len(history):
-                raise jr.JournalError(
-                    f"journal {journal.root}: checkpoint claims "
-                    f"{fast_forward} entries but only {len(history)} exist"
-                )
-        for i, entry in enumerate(history):
-            drive = i >= fast_forward
-            run_index = entry["index"]
-            decisions = (
-                jr.decisions_from_jsonable(entry["key"])
-                if entry.get("key")
-                else None
-            )
-            if drive and run_index:
-                # a journaled entry must match what the deterministic walk
-                # asks for at that point
-                asked = camp.generator.next_decisions()
-                if (
-                    asked is None
-                    or decisions is None
-                    or schedule_key(decisions) != schedule_key(asked)
-                ):
-                    raise jr.JournalError(
-                        f"journal {journal.root}: entry {run_index} diverges "
-                        f"from the deterministic walk (journaled flip "
-                        f"{decisions.flip if decisions else None}, walk asks "
-                        f"{asked.flip if asked else None}) — was the "
-                        f"program or its configuration changed since the "
-                        f"journal was written?"
-                    )
-            self._consume(
-                camp, run_index, decisions, *jr.run_from_entry(entry), drive=drive
-            )
-            if i + 1 == fast_forward:
-                camp.generator = jr.restore_generator(ckpt["generator"])
-        if camp.telemetry.tracer is not None:
+    def _replay_journal(self, camp: _Campaign, journal) -> None:
+        """Load a journal's run records into the campaign's record map.
+        Nothing is executed or consumed here: the walk takes each record
+        when it asks for that schedule — whoever wrote the journal, in
+        whatever order — and goes through :meth:`_consume` with it as with
+        a live run, so the rebuilt walk is bit-identical.  A record the
+        walk never asks for is never used."""
+        for entry in journal.run_entries():
+            camp.records.setdefault(jr.entry_schedule_key(entry), (entry, None))
+        camp.replayed = len(camp.records)
+        if camp.replayed and camp.telemetry.tracer is not None:
             camp.telemetry.tracer.instant(
-                "journal_resume", "journal", replayed=len(history)
+                "journal_resume", "journal", replayed=camp.replayed
             )
 
-    def _journal_run_entry(
-        self, index, decisions, result, trace, esc, found
-    ) -> dict:
-        """Encode one consumed run as its campaign-journal entry: the run
-        record plus its walk index and ``found``, the errors it was first
-        to witness (audit only — resume recomputes the dedup)."""
-        return {
-            "t": "run",
-            "index": index,
-            "found": found,
-            **jr.run_entry(decisions, result, trace, esc=esc),
-        }
+    def _journal_run_entry(self, decisions, result, trace, esc) -> dict:
+        """Encode one run executed here as its journal entry: the run
+        record, keyed by its schedule — the entry every writer appends."""
+        return {"t": "run", **jr.run_entry(decisions, result, trace, esc=esc)}
 
-    def _journal_checkpoint(self, camp: _Campaign) -> None:
-        # every consumed run is in the journal: replayed from it or appended
-        applied = camp.report.interleavings
-        camp.journal.append(
-            {
-                "t": "checkpoint",
-                "applied": applied,
-                "generator": jr.snapshot_generator(camp.generator),
-            }
-        )
-        if camp.telemetry.tracer is not None:
-            camp.telemetry.tracer.instant(
-                "journal_checkpoint", "journal", applied=applied
-            )
+    def _journal_checkpoint(self, camp) -> None:
+        """Never called; benchmarks/ledger/spans.py:127 wraps it by name."""
 
     def _record_run(
         self,

@@ -14,7 +14,7 @@ See :mod:`repro.dist.coordinator` for the architecture overview and
 semantics.
 """
 
-from repro.dist.coordinator import DistCoordinator, distributed_verify, journal_status
+from repro.dist.coordinator import DistCoordinator, distributed_verify
 from repro.dist.leases import Lease, LeaseTable, lease_id, lease_key, lease_root_decisions
 from repro.dist.protocol import DistError
 
@@ -24,7 +24,6 @@ __all__ = [
     "Lease",
     "LeaseTable",
     "distributed_verify",
-    "journal_status",
     "lease_id",
     "lease_key",
     "lease_root_decisions",

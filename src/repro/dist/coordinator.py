@@ -17,7 +17,7 @@ a serial report — run indices, error dedup, ``error_kinds`` order,
 subtree pruning, budget truncation — depends on the serial walk's
 total order, which concurrent workers cannot reproduce.  So the
 coordinator keeps records keyed by their canonical schedule
-(:func:`~repro.dist.protocol.entry_schedule_key`) and *runs the serial
+(:func:`~repro.dampi.journal.entry_schedule_key`) and *runs the serial
 verify loop without executing anything*: the campaign's one walk
 (``_Campaign.walk`` in :mod:`repro.dampi.verifier` — budgets,
 ``next_decisions()``, run numbering, the verifier's own
@@ -49,31 +49,35 @@ records) travels *beside* its run record in the ``record`` frame as one
 packed string, waits in the map with it, and is decoded only when it is
 handed to ``_consume``.  A payload is never journaled, so a record that comes out
 of a journal contributes no events, exactly like a resumed run of an
-in-process campaign — and that includes a *shard* journal: a lease
-re-issued after a worker death is served from ``srun`` memo hits, which
-carry no ``obs``, so a traced, journaled campaign that lost a worker can
-report smaller ``events.*`` totals than serial (by the runs that worker
-had journaled but whose ``record`` frames were not handled before it was
+in-process campaign — and that includes a worker's memo: a lease
+re-issued after a worker death is served from memo hits, which carry no
+``obs``, so a traced, journaled campaign that lost a worker can report
+smaller ``events.*`` totals than serial (by the runs that worker had
+journaled but whose ``record`` frames were not handled before it was
 reaped).  ``events.*`` is fleet-size-invariant for campaigns without
 deaths or resumes; every other deterministic namespace always is.
 
 Durability
 ----------
-With ``journal=``, every state transition is durably appended *before*
-the action it permits (lease journaled before first dispatch, record
-journaled before it is acknowledged by assembly):
+With ``journal=``, the coordinator writes the one journal every driver
+writes (:mod:`repro.dampi.journal`):
 
-``dself``       the self run's entry (trace + result facts + monitor)
-``lease``       a lease's id and spec, once, at first offer
-``rec``         one streamed record entry
+``run``         the self run's record, then every streamed record as it
+                arrives — before the walk can take it
+``lease``       a lease's id and spec, once, at first offer — before it
+                can be dispatched
 ``lease_done``  a subtree fully explored
 ``end``         the walk is over (exhausted or out of budget), with the
-                final counts — the campaign journal's marker
+                final counts
 
-``resume`` = rebuild the :class:`LeaseTable` and record map from the
-journal, re-enqueue every non-done lease, and continue; workers memoize
-finished runs in per-lease shard journals (``shards/lease-<id>``), so a
-re-issued lease replays from disk instead of re-executing.
+``resume`` = the campaign loads the ``run`` records into its record map,
+this coordinator rebuilds the :class:`LeaseTable` from the lease ledger
+and re-enqueues every non-done lease, and the walk continues — at any
+fleet size, and from a journal any driver wrote (an in-process
+``verify(journal=)`` reads the same directory and skips the ledger).
+Workers memoize finished runs in per-lease journals of the same kind
+(``shards/lease-<id>``), so a re-issued lease replays from disk instead
+of re-executing.
 
 Failure handling
 ----------------
@@ -101,20 +105,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dampi.config import DampiConfig
-from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.journal import (
     CampaignJournal,
-    run_entry,
+    entry_schedule_key,
     run_from_entry,
-    trace_from_jsonable,
 )
 from repro.dampi.verifier import DampiVerifier, VerificationReport, _Campaign
 from repro.dist import protocol
 from repro.dist.leases import Lease, LeaseTable
 from repro.dist.protocol import (
     DistError,
-    entry_schedule_key,
     send_frame,
     start_reader,
     unpack_events,
@@ -125,9 +126,6 @@ from repro.obs.metrics import NONDETERMINISTIC_PREFIXES
 
 #: a lease assigned this many times without completing aborts the campaign
 MAX_LEASE_ISSUES = 5
-
-#: what a record the walk has consumed leaves in the record map
-_CONSUMED = (None, None)
 
 
 def _filtered_snapshot(snap: dict) -> dict:
@@ -188,16 +186,8 @@ class DistCoordinator:
         #: lands straight in the report's registry
         self.metrics = self.telemetry.metrics
         self.table = LeaseTable()
-        #: schedule_key -> (record entry, packed tracer payload or None):
-        #: what the walk consumes; a consumed key stays (dedup, the record
-        #: count) but lets go of both
-        self.recs: dict = {}
-        self.self_entry: Optional[dict] = None
-        self.journal: Optional[CampaignJournal] = self.camp.open_journal(
-            journal, mode="dist", extra={"dist": {"workers": self.workers}}
-        )
-        self._replayed = 0  # records preloaded from the journal
-        self._executed = 0  # fresh records received live
+        #: the campaign's record map holds what workers stream back
+        self.journal: Optional[CampaignJournal] = self.camp.open_journal(journal)
         #: worker lifecycle events (lease spans, memo hits) shipped
         #: binary-packed in bye frames, run-relabelled by worker id
         self._worker_events: list = []
@@ -217,20 +207,14 @@ class DistCoordinator:
             self.journal.append(record)
 
     def _reload(self) -> None:
-        """Rebuild coordinator state from a prior attempt's journal."""
+        """Rebuild the lease table from a prior attempt's ledger (the
+        campaign loaded the journal's runs when it opened it)."""
         if self.journal is None:
             return
         for e in self.journal.entries:
             t = e.get("t")
-            if t == "dself":
-                self.self_entry = e["entry"]
-            elif t == "lease":
+            if t == "lease":
                 self.table.offer(e["spec"])
-            elif t == "rec":
-                key = entry_schedule_key(e["entry"])
-                if key is not None and key not in self.recs:
-                    self.recs[key] = (e["entry"], None)
-                    self._replayed += 1
             elif t == "lease_done":
                 self.table.mark_done(e["id"])
 
@@ -248,42 +232,35 @@ class DistCoordinator:
         cfg = self.config
         verifier, camp = self.verifier, self.camp
         self._reload()
-        self_obs = None
-        if self.self_entry is None:
-            # the trace is augmented (escalation) before it is journaled:
-            # resume and the walk then replay it deterministically
-            result, trace, esc = camp.self_run()
-            verifier.close()
-            self_obs = result.artifacts.get("obs")
-            self.self_entry = run_entry(None, result, trace, esc=esc)
-            self._journal_append({"t": "dself", "entry": self.self_entry})
-        verifier._consume(
-            camp, 0, None, *run_from_entry(self.self_entry, self_obs)
-        )
-        # Enumerate the initial frontier.  On resume this re-derives the
-        # same specs (deterministic function of the self trace) and the
-        # table dedups them against the journaled ones.
-        master = ScheduleGenerator(
-            bound_k=cfg.bound_k, auto_loop_threshold=cfg.auto_loop_threshold
-        )
-        master.seed(trace_from_jsonable(self.self_entry["trace"]))
-        for spec in master.take_subtree_leases():
-            self._offer(spec)
+        # the trace is augmented (escalation) before it is journaled:
+        # resume and the walk then replay it deterministically
+        run = camp.self_run()
+        verifier.close()
+        verifier._consume(camp, 0, None, *run)
         # a journal that already holds every record the walk asks for
-        # (a finished campaign, or one whose budget it covers) needs no fleet
+        # (a finished campaign, or one whose budget it covers) needs no
+        # fleet and gains no lease
         if not camp.walk(self._collected):
+            # Enumerate the initial frontier.  On resume this re-derives
+            # the same specs (deterministic function of the self trace)
+            # and the table dedups them against the journaled ones.
+            master = ScheduleGenerator(
+                bound_k=cfg.bound_k, auto_loop_threshold=cfg.auto_loop_threshold
+            )
+            master.seed(run[1])
+            for spec in master.take_subtree_leases():
+                self._offer(spec)
             self._distribute()
         return self._finish()
 
     def _collected(self, decisions) -> Optional[tuple]:
-        """The walk's source: the run a worker already delivered for this
-        schedule, or None (the walk parks until a frame brings it)."""
-        key = schedule_key(decisions)
-        rec = self.recs.get(key)
+        """The walk's source: the run the journal or a worker already
+        delivered for this schedule, or None (the walk parks until a frame
+        brings it)."""
+        rec = self.camp.take(decisions)
         if rec is None:
             return None
         entry, obs = rec
-        self.recs[key] = _CONSUMED
         return run_from_entry(entry, unpack_obs(obs) if obs else None)
 
     # -- distribution ----------------------------------------------------------
@@ -316,7 +293,7 @@ class DistCoordinator:
                         f"coverage hole: the deterministic walk asks for flip "
                         f"{self.camp.asked.flip} at run "
                         f"{self.camp.report.interleavings} but no "
-                        f"worker record covers it ({len(self.recs)} records "
+                        f"worker record covers it ({len(self.camp.records)} records "
                         f"collected) — a lease finished without streaming all "
                         f"its runs"
                     )
@@ -412,15 +389,15 @@ class DistCoordinator:
             if faults:
                 faults.fire("coord", (self._record_count,), metrics=self.metrics)
             state.last_progress = now
-            key = entry_schedule_key(frame["entry"])
-            if key is None or key in self.recs:
+            entry = frame["entry"]
+            key = entry_schedule_key(entry)
+            records = self.camp.records
+            if key is None or key in records:
                 self.metrics.inc("dist.duplicate_records")
             else:
-                self._journal_append(
-                    {"t": "rec", "id": frame.get("lease"), "entry": frame["entry"]}
-                )
-                self.recs[key] = (frame["entry"], frame.get("obs"))
-                self._executed += 1
+                self._journal_append({"t": "run", **entry})
+                records[key] = (entry, frame.get("obs"))
+                self.camp.executed += 1
                 self.metrics.inc("dist.records")
         elif t == "discovered":
             state.last_progress = now
@@ -610,11 +587,10 @@ class DistCoordinator:
                 "mode": "dist",
                 "workers": self.workers,
                 "leases": len(self.table.leases),
-                "records": len(self.recs),
+                # guided replays' records, streamed or journaled
+                "records": sum(1 for key in self.camp.records if key is not None),
                 "worker_deaths": self.metrics.counter("dist.worker_deaths").value,
-            },
-            self._replayed,
-            self._executed,
+            }
         )
         if self._worker_events:
             # worker lifecycle events (lease spans, memo hits) ride on
@@ -650,31 +626,3 @@ def distributed_verify(
         verifier, workers=workers, journal=journal, stream=stream
     ).run()
 
-
-def journal_status(path) -> dict:
-    """Inspect a distributed coordinator journal without resuming it."""
-    journal = CampaignJournal(path)
-    leases: dict[str, str] = {}
-    recs = 0
-    have_self = False
-    for e in journal.entries:
-        t = e.get("t")
-        if t == "dself":
-            have_self = True
-        elif t == "lease":
-            leases.setdefault(e["id"], "open")
-        elif t == "lease_done":
-            leases[e["id"]] = "done"
-        elif t == "rec":
-            recs += 1
-    sig = (journal.meta or {}).get("signature") or {}
-    return {
-        "dir": str(journal.root),
-        "mode": sig.get("journal_mode", "campaign"),
-        "complete": journal.complete,
-        "self_run": have_self,
-        "records": recs,
-        "leases": len(leases),
-        "leases_done": sum(1 for s in leases.values() if s == "done"),
-        "leases_open": sum(1 for s in leases.values() if s == "open"),
-    }

@@ -39,9 +39,9 @@ coordinator → worker
 Run entries
 -----------
 A ``record`` frame carries one *run record* — the dict
-:func:`repro.dampi.journal.run_entry` builds, the same one campaign and
-shard journals store (see that module for the shape and for why it ships
-raw facts rather than any worker-local view of them).
+:func:`repro.dampi.journal.run_entry` builds, the same one every
+journal's ``run`` entries store (see that module for the shape and for
+why it ships raw facts rather than any worker-local view of them).
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ import sys
 import threading
 from typing import Optional
 
-from repro.dampi.decisions import EpochDecisions, schedule_key
-from repro.dampi.journal import decisions_from_jsonable, decisions_to_jsonable
 from repro.obs.binary import decode_events, encode_events
 
 
@@ -154,18 +152,3 @@ def unpack_obs(blob: str) -> dict:
     ]
     return obs
 
-
-# -- run entries ---------------------------------------------------------------
-
-
-def entry_schedule_key(entry: dict):
-    """The canonical schedule identity of an entry (hashable)."""
-    if entry.get("key") is None:
-        return None
-    return schedule_key(decisions_from_jsonable(entry["key"]))
-
-
-def decisions_key_str(decisions: EpochDecisions) -> str:
-    """Canonical string form of a schedule key — the shard journals' memo
-    index (JSON-able, deterministic: the forced map is emitted sorted)."""
-    return json.dumps(decisions_to_jsonable(decisions), separators=(",", ":"))

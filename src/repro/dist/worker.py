@@ -15,11 +15,12 @@ Two deliberate deviations from the serial loop:
   other shards; they are reported upstream as ``discovered`` candidate
   leases (the coordinator dedups them against everything already
   issued) instead of being explored locally.
-* **Durable shard journal.**  Each lease gets its own journal directory
-  (``shards/lease-<id>``, mode ``"shard"`` with the forced prefix in
-  the signature).  Completed runs are memoized there, so a lease
-  re-issued after a worker death replays its finished work from disk
-  instead of re-executing it.
+* **Durable memo.**  Each lease gets its own journal directory
+  (``shards/lease-<id>``): an ordinary journal of the campaign — its
+  signature, its ``run`` entries — holding the runs of one subtree.  A
+  lease re-issued after a worker death replays its finished work from
+  there instead of re-executing it, and the directory resumes as a
+  campaign like any other journal.
 
 Work stealing: when the coordinator sends ``steal``, the worker splits
 the deepest open node of its current subtree
@@ -49,11 +50,16 @@ from pathlib import Path
 from typing import Optional
 
 from repro.dampi import prune as prune_mod
+from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
-from repro.dampi.journal import CampaignJournal, run_entry, run_from_entry
+from repro.dampi.journal import (
+    CampaignJournal,
+    entry_schedule_key,
+    run_entry,
+    run_from_entry,
+)
 from repro.dist import protocol
 from repro.dist.protocol import (
-    decisions_key_str,
     pack_events,
     pack_obs,
     send_frame,
@@ -93,6 +99,7 @@ class _ShardWorker:
         sock: socket.socket,
         verifier,
         shards_dir,
+        campaign_config,
     ):
         self.worker_id = worker_id
         self.sock = sock
@@ -100,6 +107,9 @@ class _ShardWorker:
         self.inbox: queue.Queue = queue.Queue()
         self.verifier = verifier
         self.config = verifier.config
+        #: the config the campaign was started with (before
+        #: :func:`shard_config`): what a memo's signature is made of
+        self.campaign_config = campaign_config
         self.metrics = MetricsRegistry()
         #: worker-lifecycle events (lease start/done, memo hits) shipped
         #: upstream in the bye frame as a compact binary payload; these
@@ -276,15 +286,11 @@ class _ShardWorker:
             journal = CampaignJournal(self.shards_dir / f"lease-{lease_id_}")
             journal.ensure_meta(
                 self.verifier.nprocs,
-                self.config,
+                self.campaign_config,
                 kwargs=self.verifier.kwargs,
                 prog_args=self.verifier.args,
-                mode="shard",
-                shard_prefix=spec,
             )
-            for e in journal.entries:
-                if e.get("t") == "srun":
-                    memo[e["k"]] = e["entry"]
+            memo = {entry_schedule_key(e): e for e in journal.run_entries()}
         try:
             while decisions is not None:
                 self._seq += 1
@@ -292,8 +298,7 @@ class _ShardWorker:
                 self._drain_inbox(gen)
                 if self._stop:
                     return  # the walk is over; the subtree stays open
-                kstr = decisions_key_str(decisions)
-                entry = memo.get(kstr)
+                entry = memo.get(schedule_key(decisions))
                 obs = None
                 if entry is not None:
                     self.metrics.inc("exec.memo_hits")
@@ -314,7 +319,7 @@ class _ShardWorker:
                     # it: journals (and thus memo hits) carry no events
                     obs = result.artifacts.get("obs")
                     if journal is not None:
-                        journal.append({"t": "srun", "k": kstr, "entry": entry})
+                        journal.append({"t": "run", **entry})
                     self.metrics.inc("exec.replays")
                 self._runs += 1
                 frame = {"t": "record", "lease": lease_id_, "entry": entry}
@@ -377,7 +382,7 @@ def worker_main(
         program, nprocs, shard_config(config), args=args, kwargs=kwargs,
         **(ctor_extra or {}),
     )
-    worker = _ShardWorker(worker_id, sock, verifier, shards_dir)
+    worker = _ShardWorker(worker_id, sock, verifier, shards_dir, config)
     try:
         worker.run()
     finally:

@@ -203,72 +203,50 @@ class JournalStatsError(ValueError):
 
 
 def journal_progress(path) -> dict:
-    """One read-only pass over a campaign journal directory, reduced to
-    the numbers a progress line needs.  Works on live (incomplete)
-    journals — this is what ``repro stats --follow`` polls.  Raises
-    :class:`JournalStatsError` for directories that are not campaign
-    journals."""
+    """One read-only pass over a journal directory, reduced to the numbers
+    a progress line needs — the same for every journal, whoever wrote it.
+    Works on live (incomplete) journals — this is what ``repro stats
+    --follow`` polls.  Raises :class:`JournalStatsError` for directories
+    that are not journals."""
     from repro.dampi.journal import CampaignJournal, JournalError
 
     root = Path(path)
     if not any(root.glob("segment-[0-9]*.jsonl")):
         raise JournalStatsError(
             f"{root} has no journal segments (segment-NNN.jsonl) — not a "
-            f"campaign journal directory"
+            f"journal directory"
         )
     try:
         journal = CampaignJournal(root, fsync=False)
     except JournalError as e:
         raise JournalStatsError(f"{root}: {e}") from e
+    runs = findings = 0
+    leases: dict = {}  # lease id -> done
+    for e in journal.entries:
+        t = e.get("t")
+        if t == "run":
+            runs += 1
+            leaks = e.get("leaks") or {}
+            if (
+                e.get("errors") or e.get("deadlock")
+                or leaks.get("comm") or leaks.get("request")
+            ):
+                findings += 1
+        elif t == "lease":
+            leases.setdefault(e["id"], False)
+        elif t == "lease_done":
+            leases[e["id"]] = True
     meta = journal.meta or {}
-    mode = (meta.get("signature") or {}).get("journal_mode", "campaign")
-    progress: dict = {
+    return {
         "dir": str(root),
-        "mode": mode,
         "program": meta.get("program"),
         "nprocs": meta.get("nprocs"),
         "complete": journal.complete,
+        "runs": runs,
+        "findings": findings,
+        "leases": len(leases),
+        "leases_done": sum(leases.values()),
     }
-    if mode == "dist":
-        leases: dict = {}
-        records = 0
-        have_self = False
-        for e in journal.entries:
-            t = e.get("t")
-            if t == "dself":
-                have_self = True
-            elif t == "lease":
-                leases.setdefault(e["id"], "open")
-            elif t == "lease_done":
-                leases[e["id"]] = "done"
-            elif t == "rec":
-                records += 1
-        progress.update(
-            self_run=have_self,
-            records=records,
-            leases=len(leases),
-            leases_done=sum(1 for s in leases.values() if s == "done"),
-        )
-    elif mode == "shard":
-        progress["runs"] = sum(
-            1 for e in journal.entries if e.get("t") == "srun"
-        )
-    else:  # serial campaign
-        runs = checkpoints = errors = prunes = 0
-        for e in journal.entries:
-            t = e.get("t")
-            if t == "run":
-                runs += 1
-                errors += e.get("found", 0)
-            elif t == "checkpoint":
-                checkpoints += 1
-            elif t == "prune":
-                prunes += 1
-        progress.update(
-            runs=runs, checkpoints=checkpoints,
-            errors=errors, prunes=prunes,
-        )
-    return progress
 
 
 #: tightest supported ``--follow`` poll cadence: a full journal re-read
@@ -289,56 +267,35 @@ def follow_interval(interval: float) -> float:
     return max(MIN_FOLLOW_INTERVAL, float(interval))
 
 
+def _leases_text(progress: dict) -> str:
+    return f"{progress['leases_done']}/{progress['leases']} lease(s) done"
+
+
 def journal_follow_line(progress: dict) -> str:
     """The compact one-line form ``repro stats --follow`` prints per
     poll."""
     state = "complete" if progress["complete"] else "running"
-    if progress["mode"] == "dist":
-        return (
-            f"dist {state}: {progress['records']} record(s), "
-            f"{progress['leases_done']}/{progress['leases']} lease(s) done"
-        )
-    return (
-        f"{state}: {progress.get('runs', 0)} run(s), "
-        f"{progress.get('errors', 0)} error(s)"
+    line = (
+        f"{state}: {progress['runs']} run(s), "
+        f"{progress['findings']} with findings"
     )
+    if progress["leases"]:
+        line += f", {_leases_text(progress)}"
+    return line
 
 
 def render_journal_summary(progress: dict) -> str:
-    """Multi-line summary of a journal directory (any mode)."""
-    mode = progress["mode"]
+    """Multi-line summary of a journal directory."""
     state = "complete" if progress["complete"] else "in progress"
-    head = f"{mode} journal {progress['dir']} ({state})"
+    lines = [f"journal {progress['dir']} ({state})"]
     if progress.get("program"):
-        head += f"\n  program           : {progress['program']}"
+        lines.append(f"  program           : {progress['program']}")
     if progress.get("nprocs") is not None:
-        head += f"\n  nprocs            : {progress['nprocs']}"
-    lines = [head]
-    if mode == "dist":
-        lines += [
-            f"  self run recorded : {progress['self_run']}",
-            f"  leases            : {progress['leases']} "
-            f"({progress['leases_done']} done)",
-            f"  run records       : {progress['records']}",
-            "",
-            "(per-run detail lives in the assembled report: "
-            "'repro resume' this directory, then 'repro stats' the "
-            "--json-out)",
-        ]
-    elif mode == "shard":
-        lines += [
-            f"  memoized runs     : {progress.get('runs', 0)}",
-            "",
-            "(a worker shard journal covers one leased subtree of a "
-            "distributed campaign — summarize the coordinator's "
-            "--journal-dir instead)",
-        ]
-    else:
-        lines += [
-            f"  runs journaled    : {progress.get('runs', 0)}",
-            f"  errors found      : {progress.get('errors', 0)}",
-            f"  checkpoints       : {progress.get('checkpoints', 0)}",
-        ]
-        if progress.get("prunes"):
-            lines.append(f"  subtrees pruned   : {progress['prunes']}")
+        lines.append(f"  nprocs            : {progress['nprocs']}")
+    lines += [
+        f"  runs journaled    : {progress['runs']}",
+        f"  runs with findings: {progress['findings']}",
+    ]
+    if progress["leases"]:
+        lines.append(f"  leases            : {_leases_text(progress)}")
     return "\n".join(lines)

@@ -229,15 +229,13 @@ class TestUsageErrors:
         self._assert_usage_error(
             argv + ["--bound-k", "1"], capsys, "different verification semantics"
         )
-        # the fleet keeps a different journal: same refusal, either way round
-        serial = self.LATTICE + ["-n", "3", "--journal-dir"]
-        fleet = ["dist", "run"] + serial[1:-1] + ["--workers", "2", "--journal-dir"]
-        self._assert_usage_error(fleet + [str(tmp_path / "j")], capsys, "in-process")
-        assert main(fleet + [str(tmp_path / "fleet")]) == 0
-        capsys.readouterr()
+        # a fleet is refused on the semantics too, and on nothing else
+        fleet = ["dist", "run"] + argv[1:] + ["--workers", "2"]
         self._assert_usage_error(
-            serial + [str(tmp_path / "fleet")], capsys, "coordinator"
+            fleet + ["--bound-k", "1"], capsys, "different verification semantics"
         )
+        assert main(fleet) == 0
+        assert "4 run(s) replayed, 0 executed" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags, needle",
@@ -265,26 +263,26 @@ class TestUsageErrors:
         )
 
     @pytest.mark.parametrize(
-        "command",
-        [["resume"], ["dist", "status"]],
-        ids=["resume", "dist status"],
+        "command, missing, not_a_journal",
+        [
+            (["resume"], "not a directory", "not a directory"),
+            (["stats"], "cannot read", "neither a report"),
+        ],
+        ids=["resume", "stats"],
     )
-    def test_read_only_commands_create_nothing(self, command, tmp_path, capsys):
+    def test_read_only_commands_create_nothing(
+        self, command, missing, not_a_journal, tmp_path, capsys
+    ):
         nope = tmp_path / "nope"
-        self._assert_usage_error(command + [str(nope)], capsys, "not a directory")
+        self._assert_usage_error(command + [str(nope)], capsys, missing)
         assert not nope.exists()
-        not_a_journal = tmp_path / "file"
-        not_a_journal.write_text("{}")
-        self._assert_usage_error(
-            command + [str(not_a_journal)], capsys, "not a directory"
-        )
+        a_file = tmp_path / "file"
+        a_file.write_text("{}")
+        self._assert_usage_error(command + [str(a_file)], capsys, not_a_journal)
 
     def test_wrong_journal_kind_and_unreadable_stats_input(self, tmp_path, capsys):
-        journal = tmp_path / "j"
-        assert main(self.LATTICE + ["-n", "3", "--journal-dir", str(journal)]) == 0
-        capsys.readouterr()
         self._assert_usage_error(
-            ["dist", "status", str(journal)], capsys, "not a distributed one"
+            ["stats", str(tmp_path)], capsys, "not a journal directory"
         )
         self._assert_usage_error(
             ["stats", str(tmp_path / "missing.json")], capsys, "cannot read"

@@ -17,7 +17,8 @@ import pytest
 from repro.dampi.config import DampiConfig
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.verifier import DampiVerifier
-from repro.dist import DistError, distributed_verify, journal_status, protocol
+from repro.dist import DistError, distributed_verify, protocol
+from repro.obs.stats import journal_progress
 from repro.workloads.patterns import wildcard_lattice
 
 from tests.test_journal import BIG, LATTICE, _canon
@@ -67,7 +68,7 @@ def _crash_coordinator(journal_dir, fault_plan, nprocs=4, kwargs=BIG, workers=2)
 class TestWorkerDeath:
     def test_kill_mid_lease_report_identical(self, tmp_path):
         """A worker dies before its 2nd replay; the coordinator re-issues
-        the lease (shard journal replays the finished run) and the final
+        the lease (its memo journal replays the finished run) and the final
         report matches the serial oracle exactly."""
         oracle = _oracle()
         report = _dist(
@@ -132,14 +133,14 @@ class TestCoordinatorDeath:
         oracle = _oracle()
         jdir = tmp_path / "j"
         _crash_coordinator(jdir, "kill@coord:4")
-        status = journal_status(jdir)
-        assert not status["complete"]
-        assert status["records"] == 3  # journaled-before-dispatch held
+        progress = journal_progress(jdir)
+        assert not progress["complete"]
+        assert progress["runs"] == 4  # the self run + 3 streamed records
         resumed = _dist(journal=jdir)
         assert _canon(resumed) == _canon(oracle)
-        assert resumed.journal_stats["replayed"] == 3
+        assert resumed.journal_stats["replayed"] == 4
         assert resumed.journal_stats["executed"] > 0
-        assert journal_status(jdir)["complete"]
+        assert journal_progress(jdir)["complete"]
 
     def test_kill_before_first_record(self, tmp_path):
         """Death with leases journaled but zero records: resume restarts
@@ -147,7 +148,7 @@ class TestCoordinatorDeath:
         oracle = _oracle()
         jdir = tmp_path / "j"
         _crash_coordinator(jdir, "kill@coord:1")
-        assert journal_status(jdir)["records"] == 0
+        assert journal_progress(jdir)["runs"] == 1  # the self run
         resumed = _dist(journal=jdir)
         assert _canon(resumed) == _canon(oracle)
 
@@ -158,8 +159,8 @@ class TestCoordinatorDeath:
         jdir = tmp_path / "j"
         _crash_coordinator(jdir, "kill@coord:2")
         _crash_coordinator(jdir, "kill@coord:6")
-        first = journal_status(jdir)["records"]
-        assert first >= 5  # second crash got further on replayed records
+        first = journal_progress(jdir)["runs"]
+        assert first >= 6  # second crash got further on replayed records
         resumed = _dist(journal=jdir)
         assert _canon(resumed) == _canon(oracle)
 
@@ -182,19 +183,10 @@ class TestCoordinatorDeath:
 
 
 class TestCliRefusals:
-    def test_plain_resume_refuses_shard_journal(self, tmp_path, capsys):
-        from repro.cli import main
-
-        jdir = tmp_path / "j"
-        _dist(nprocs=3, kwargs=LATTICE, journal=jdir)
-        shard = sorted((jdir / "shards").glob("lease-*"))[0]
-        assert main(["resume", str(shard)]) == 2
-        assert "shard journal" in capsys.readouterr().err
-
     def test_one_resume_command_serves_both_journal_kinds(self, tmp_path, capsys):
-        """``resume`` dispatches on the journal's recorded kind;
-        ``--workers`` resizes a fleet and is ignored by a campaign
-        journal."""
+        """``resume`` continues any journal in-process by default, and
+        with a fleet of exactly ``--workers`` workers when asked — whoever
+        wrote it."""
         from repro.cli import main
 
         prog = ["--program", "repro.workloads.patterns:wildcard_lattice"]
@@ -203,12 +195,11 @@ class TestCliRefusals:
         DampiVerifier(
             wildcard_lattice, 3, DampiConfig(), kwargs=dict(LATTICE)
         ).verify(journal=serial_dir)
-        for flags, size in ([], 2), (["--workers", "3"], 3):
-            assert main(["resume", str(fleet_dir)] + flags + prog) == 0
-            out = capsys.readouterr().out
-            assert f"distributed: {size} worker(s)" in out
-            assert "3 record(s) replayed, 0 executed" in out
-            assert main(["resume", str(serial_dir)] + flags + prog) == 0
-            out = capsys.readouterr().out
-            assert "distributed:" not in out
-            assert "4 run(s) replayed, 0 executed" in out
+        for journal_dir in fleet_dir, serial_dir:
+            for flags, fleet in ([], None), (["--workers", "3"], 3):
+                assert main(["resume", str(journal_dir)] + flags + prog) == 0
+                out = capsys.readouterr().out
+                assert ("distributed:" in out) == bool(fleet)
+                if fleet:
+                    assert f"distributed: {fleet} worker(s)" in out
+                assert "4 run(s) replayed, 0 executed" in out

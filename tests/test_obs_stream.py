@@ -424,25 +424,13 @@ class TestJournalStats:
             wildcard_lattice, 3, DampiConfig(), kwargs=dict(LATTICE_KW)
         ).verify(journal=jdir)
         progress = journal_progress(jdir)
-        assert progress["mode"] == "campaign"
         assert progress["complete"]
         assert progress["runs"] > 0
+        assert progress["leases"] == 0
         text = render_journal_summary(progress)
-        assert "runs journaled" in text
+        assert "runs journaled" in text and "runs with findings" in text
+        assert "lease" not in text
         assert "complete" in journal_follow_line(progress)
-
-    def test_shard_journal_points_to_coordinator(self, tmp_path):
-        from repro.dampi.journal import CampaignJournal
-
-        jdir = tmp_path / "lease-1"
-        j = CampaignJournal(jdir)
-        j.ensure_meta(2, DampiConfig(), mode="shard", shard_prefix={"alt": 1})
-        j.append({"t": "srun", "k": "x", "entry": {}})
-        j.close()
-        progress = journal_progress(jdir)
-        assert progress["mode"] == "shard"
-        assert progress["runs"] == 1
-        assert "coordinator" in render_journal_summary(progress)
 
     def test_non_journal_dir_pointed_error(self, tmp_path):
         with pytest.raises(JournalStatsError, match="no journal segments"):

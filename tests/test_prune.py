@@ -23,6 +23,7 @@ import pytest
 
 from repro.dampi import prune as prune_mod
 from repro.dampi.config import DampiConfig
+from repro.dampi.faults import FaultInjected
 from repro.dampi.verifier import DampiVerifier
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import fig4_program
@@ -107,20 +108,29 @@ class TestPruningJournal:
         assert resumed.prune_stats == first.prune_stats
         assert _findings(resumed) == _findings(first)
 
-    def test_prune_audit_records_journaled(self, tmp_path):
-        from repro.dampi.journal import CampaignJournal
+    def test_interrupted_resume_prunes_like_the_live_walk(self, tmp_path):
+        """A resumed walk mixes journaled runs with live ones, so a
+        journaled run must fingerprint exactly like the live run it stands
+        for — a run record that dropped the trace's empty ranks once made
+        the resume miss a prune the live walk took (one extra replay)."""
+        from tests.test_journal import _canon
 
-        jdir = tmp_path / "journal"
-        report = _verify(
-            COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True, journal=jdir
-        )
-        journal = CampaignJournal(jdir)
-        audits = [e for e in journal.entries if e.get("t") == "prune"]
-        assert len(audits) == report.prune_stats["subtrees_pruned"]
-        assert (
-            sum(a["saved"] for a in audits)
-            == report.prune_stats["replays_saved"]
-        )
+        oracle = _verify(COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True)
+        assert oracle.prune_stats["subtrees_pruned"] > 0
+        for k in range(1, oracle.interleavings):
+            jdir = tmp_path / f"journal-{k}"
+            with pytest.raises(FaultInjected):
+                _verify(
+                    COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True,
+                    journal=jdir, fault_plan=f"raise@run:{k}",
+                )
+            resumed = _verify(
+                COMMUTATIVE.program, COMMUTATIVE.nprocs, prune=True,
+                journal=jdir,
+            )
+            assert resumed.journal_stats["replayed"] == k
+            assert _canon(resumed) == _canon(oracle)
+            assert resumed.prune_stats == oracle.prune_stats
 
 
 class TestPruningDistributed:
