@@ -10,7 +10,6 @@ PnMPI interposition stack.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Optional, Sequence
 
 from repro.errors import InvalidCommunicatorError, InvalidRankError
@@ -46,7 +45,6 @@ class CommContext:
         "freed_by",
         "_send_seq",
         "_coll_seq",
-        "_lock",
     )
 
     def __init__(
@@ -65,12 +63,11 @@ class CommContext:
         #: world ranks that have freed their handle (len == size => fully freed)
         self.freed_by: set[int] = set()
         # (src_world, dst_world) -> next sequence number.  Mutated only
-        # under the engine lock (see next_send_seq).
+        # by the engine's token holder (see next_send_seq).
         self._send_seq: dict[tuple[int, int], int] = {}
         # per-world-rank count of collectives entered on this context; the
         # n-th collective call of every member pairs into instance n.
         self._coll_seq: dict[int, int] = {}
-        self._lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -97,8 +94,8 @@ class CommContext:
     def next_send_seq(self, src_world: int, dst_world: int) -> int:
         """Allocate the next non-overtaking sequence number for a stream.
 
-        Lockless: every call site holds the engine lock, which already
-        serialises access in all scheduling modes."""
+        Unlocked: every call site is engine code, which only the token
+        holder runs, so calls never overlap."""
         key = (src_world, dst_world)
         seq = self._send_seq.get(key, 0)
         self._send_seq[key] = seq + 1
@@ -107,7 +104,7 @@ class CommContext:
     def next_collective_seq(self, world_rank: int) -> int:
         """Ordinal of this rank's next collective on this context.
 
-        Lockless — same engine-lock argument as :meth:`next_send_seq`."""
+        Unlocked — same token argument as :meth:`next_send_seq`."""
         seq = self._coll_seq.get(world_rank, 0)
         self._coll_seq[world_rank] = seq + 1
         return seq

@@ -2,28 +2,37 @@
 
 One :class:`MessageEngine` exists per job.  Rank threads call its
 ``pmpi_*`` methods — the bottom of the PnMPI stack, i.e. "the MPI library".
-All engine state is guarded by a single lock shared by per-rank condition
-variables.
 
 Scheduling
 ----------
-Exactly one rank executes at a time, holding a token from thread start;
-the token passes round-robin when the holder blocks, finishes or polls
-(``test``/``iprobe``/``yield``).  This makes entire executions
-deterministic, which DAMPI's guided replays rely on, at one context
-switch per *blocking event*.  An MPI library's native non-determinism is
-modelled by the wildcard :class:`~repro.mpi.matching.MatchPolicy`, not by
-thread timing.
+Exactly one rank executes at a time: the *token holder*.  The token
+passes round-robin from ``from_rank + 1`` when the holder blocks,
+finishes or polls (``test``/``iprobe``/``yield``).  This makes entire
+executions deterministic, which DAMPI's guided replays rely on, at one
+context switch per *blocking event*.  An MPI library's native
+non-determinism is modelled by the wildcard
+:class:`~repro.mpi.matching.MatchPolicy`, not by thread timing.
+
+Each rank owns a *baton*, a raw ``_thread`` lock that is held while the
+rank is not the token holder.  A hand-off releases exactly one baton —
+the next holder's — and the outgoing rank then blocks on its own, so a
+hand-off wakes one thread however many ranks the last operation
+unblocked (unblocking only marks a rank runnable).  Because only the
+token holder ever runs engine code, engine state needs no lock.  The one
+exception is :meth:`MessageEngine.kill` from the runtime's join timeout:
+it sets the fatal error under a small lock and then opens every baton;
+a woken rank sees the error and raises.
 
 Deadlock detection is a *proof*, not a timeout: sends are eager, matching
 is performed immediately on post, so if every non-finished rank is blocked
-then no future engine event can occur and the job is deadlocked.
+then no future engine event can occur and the job is deadlocked.  A rank
+main stuck outside the engine is the runtime's join timeout.
 """
 
 from __future__ import annotations
 
+import _thread
 import enum
-import threading
 from typing import Any, Optional
 
 from repro.errors import (
@@ -42,10 +51,6 @@ from repro.mpi.matching import IndexedMailBox, make_policy
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, RequestKind, RequestState, Status
 
-#: Condition waits re-check this often; protects the test-suite from hanging
-#: forever on an engine bug (a stall past this raises EngineStallError).
-_WAIT_QUANTUM = 300.0
-
 # Enum members resolved once — class-level member access goes through a
 # descriptor, and these are checked on every wait/test.
 _COMPLETE = RequestState.COMPLETE
@@ -57,10 +62,6 @@ _SEND = RequestKind.SEND
 WORLD_CTX = 0
 
 
-class EngineStallError(RuntimeError):
-    """A rank waited far beyond any plausible scheduling delay."""
-
-
 class RankRunState(enum.Enum):
     RUNNING = "running"
     RUNNABLE = "runnable"
@@ -68,15 +69,34 @@ class RankRunState(enum.Enum):
     DONE = "done"
 
 
-class _RankState:
-    __slots__ = ("rank", "state", "cond", "ready_fn", "describe")
+_RUNNING = RankRunState.RUNNING
+_RUNNABLE = RankRunState.RUNNABLE
+_BLOCKED = RankRunState.BLOCKED
+_DONE = RankRunState.DONE
 
-    def __init__(self, rank: int, lock: threading.Lock):
+
+def _open(baton) -> None:
+    """Release ``baton``; a no-op if it is already open (the fatal path
+    and a hand-off may race to open the same baton)."""
+    try:
+        baton.release()
+    except RuntimeError:
+        pass
+
+
+class _RankState:
+    __slots__ = ("rank", "state", "baton", "ready_fn", "describe")
+
+    def __init__(self, rank: int):
         self.rank = rank
-        self.state = RankRunState.RUNNABLE
-        self.cond = threading.Condition(lock)
+        self.state = _RUNNABLE
+        #: held while this rank is not the token holder
+        self.baton = _thread.allocate_lock()
+        self.baton.acquire()
         self.ready_fn = None
-        self.describe = ""
+        #: zero-arg callable naming what the rank is blocked in, called
+        #: only to render a deadlock report
+        self.describe = None
 
 
 class EngineStats:
@@ -117,15 +137,17 @@ class MessageEngine:
         #: Serialised central resource; only the ISP module visits it.
         self.central = SerializedResource()
 
-        self._lock = threading.Lock()
-        self._ranks = [_RankState(r, self._lock) for r in range(nprocs)]
+        self._ranks = [_RankState(r) for r in range(nprocs)]
         self._mail = [IndexedMailBox(r) for r in range(nprocs)]
         self._collectives: dict[tuple[int, int], CollectiveInstance] = {}
         self._coll_done: dict[tuple[int, int], int] = {}
         self.contexts: dict[int, CommContext] = {}
         self._next_ctx = WORLD_CTX
         self._fatal: Optional[BaseException] = None
+        #: serialises only the first-fatal-wins assignment (see kill)
+        self._fatal_lock = _thread.allocate_lock()
         self._current: Optional[int] = 0
+        self._ranks[0].baton.release()  # rank 0 holds the first token
         self.world = self._new_context(tuple(range(nprocs)), label="world")
 
     # ------------------------------------------------------------------ #
@@ -151,8 +173,7 @@ class MessageEngine:
         Called by tool modules outside any collective; deterministic given
         call order, which deterministic scheduling guarantees.
         """
-        with self._lock:
-            return self._new_context(base.group, parent=base.ctx, tool=True, label=label)
+        return self._new_context(base.group, parent=base.ctx, tool=True, label=label)
 
     def _live_context(self, ctx_id: int) -> CommContext:
         ctx = self.contexts.get(ctx_id)
@@ -165,116 +186,110 @@ class MessageEngine:
         return ctx
 
     # ------------------------------------------------------------------ #
-    # scheduling primitives (lock held unless stated)                     #
+    # scheduling primitives (called by the token holder unless stated)   #
     # ------------------------------------------------------------------ #
 
     def thread_started(self, rank: int) -> None:
         """First thing each rank thread does: wait for its first token."""
-        with self._lock:
-            self._wait_for_token(rank)
-            self._ranks[rank].state = RankRunState.RUNNING
+        st = self._ranks[rank]
+        self._wait_for_token(st)
+        st.state = _RUNNING
 
     def thread_finished(self, rank: int) -> None:
-        """Last thing each rank thread does (even on exception)."""
-        with self._lock:
-            self._ranks[rank].state = RankRunState.DONE
+        """Last thing each rank thread does (even on exception).  After a
+        fatal error every baton is open, so there is no token to pass."""
+        self._ranks[rank].state = _DONE
+        if self._fatal is None:
             self._schedule_next(rank)
 
     def kill(self, exc: BaseException) -> None:
-        """Abort the whole job with ``exc`` (first fatal wins)."""
-        with self._lock:
-            self._set_fatal(exc)
-
-    def _set_fatal(self, exc: BaseException) -> None:
-        if self._fatal is None:
+        """Abort the whole job with ``exc`` (first fatal wins).  Safe from
+        any thread, including while the token holder hands off."""
+        with self._fatal_lock:
+            if self._fatal is not None:
+                return
             self._fatal = exc
-            tr = self.tracer
-            if tr is not None and isinstance(exc, DeadlockError):
-                tr.instant(
-                    "deadlock", "engine",
-                    blocked=tuple(sorted(exc.blocked)),
-                )
+        tr = self.tracer
+        if tr is not None and isinstance(exc, DeadlockError):
+            tr.instant(
+                "deadlock", "engine",
+                blocked=tuple(sorted(exc.blocked)),
+            )
+        # _fatal is set before any baton opens, so a rank that passes its
+        # baton from here on sees it
         for st in self._ranks:
-            st.cond.notify_all()
+            _open(st.baton)
 
-    def _check_fatal(self, rank: int) -> None:
+    def _check_fatal(self) -> None:
         if self._fatal is not None:
             raise self._fatal
 
-    def _wait_for_token(self, rank: int) -> None:
-        st = self._ranks[rank]
-        while self._current != rank:
-            self._check_fatal(rank)
-            if not st.cond.wait(timeout=_WAIT_QUANTUM):
-                self._check_fatal(rank)
-                raise EngineStallError(f"rank {rank} starved waiting for token")
-        self._check_fatal(rank)
+    def _wait_for_token(self, st: _RankState) -> None:
+        st.baton.acquire()
+        if self._fatal is not None:
+            _open(st.baton)  # stay open: every later wait must raise too
+            raise self._fatal
 
-    def _schedule_next(self, from_rank: Optional[int]) -> None:
-        """Pass the token to the next runnable rank (round-robin); prove
-        deadlock if nobody is runnable but somebody is blocked."""
-        start = 0 if from_rank is None else (from_rank + 1) % self.nprocs
-        for i in range(self.nprocs):
-            cand = (start + i) % self.nprocs
-            if self._ranks[cand].state is RankRunState.RUNNABLE:
+    def _schedule_next(self, from_rank: int) -> None:
+        """Pass the token to the next runnable rank (round-robin from
+        ``from_rank + 1``); prove deadlock if nobody is runnable but
+        somebody is blocked."""
+        ranks = self._ranks
+        n = self.nprocs
+        cand = from_rank
+        for _ in range(n):
+            cand += 1
+            if cand == n:
+                cand = 0
+            st = ranks[cand]
+            if st.state is _RUNNABLE:
                 self._current = cand
-                self._ranks[cand].cond.notify()
+                _open(st.baton)
                 return
         blocked = {
-            st.rank: st.describe
-            for st in self._ranks
-            if st.state is RankRunState.BLOCKED
+            st.rank: st.describe() for st in ranks
+            if st.state is _BLOCKED
         }
         if blocked:
-            self._set_fatal(DeadlockError(blocked))
+            self.kill(DeadlockError(blocked))
         else:
             self._current = None  # everyone DONE
 
     def _block_until(self, rank: int, ready_fn, describe) -> None:
         """Block the calling rank until ``ready_fn()`` (engine-state
-        predicate).  Releases the token while blocked.
+        predicate), passing the token on meanwhile.
 
-        ``describe`` may be a string or a zero-arg callable producing one;
-        callables are only evaluated when the rank actually blocks, so hot
-        paths can defer ``repr`` formatting to the (rare) blocking case."""
-        st = self._ranks[rank]
+        ``describe`` is a zero-arg callable naming the blocking call; it
+        is only evaluated if a deadlock is proven, so hot paths never
+        format it."""
         if ready_fn():
             return
-        if not isinstance(describe, str):
-            describe = describe()
-        st.state = RankRunState.BLOCKED
-        st.describe = describe
+        st = self._ranks[rank]
         st.ready_fn = ready_fn
-        self._schedule_next(rank)
-        while not ready_fn():
-            self._check_fatal(rank)
-            if not st.cond.wait(timeout=_WAIT_QUANTUM):
-                self._check_fatal(rank)
-                if not ready_fn():
-                    raise EngineStallError(f"rank {rank} stalled in {describe}")
-        self._check_fatal(rank)
-        if st.state is RankRunState.BLOCKED:
-            # Completed without an explicit wake (e.g. we raced the waker).
-            st.state = RankRunState.RUNNABLE
-        st.ready_fn = None
-        self._wait_for_token(rank)
-        st.state = RankRunState.RUNNING
+        st.describe = describe
+        while True:
+            st.state = _BLOCKED
+            self._schedule_next(rank)
+            self._wait_for_token(st)
+            if ready_fn():
+                break
+        st.state = _RUNNING
 
     def _unblock_if_ready(self, rank: int) -> None:
         """Called by whichever rank just changed state that may satisfy a
-        blocked rank's predicate."""
+        blocked rank's predicate.  Wakes nobody: the rank becomes runnable
+        and waits for its turn in the round-robin."""
         st = self._ranks[rank]
-        if st.state is RankRunState.BLOCKED and st.ready_fn is not None and st.ready_fn():
-            st.state = RankRunState.RUNNABLE
-            st.cond.notify()
+        if st.state is _BLOCKED and st.ready_fn():
+            st.state = _RUNNABLE
 
     def _yield_token(self, rank: int) -> None:
         """Voluntary scheduling point (test/iprobe loops)."""
         st = self._ranks[rank]
-        st.state = RankRunState.RUNNABLE
+        st.state = _RUNNABLE
         self._schedule_next(rank)
-        self._wait_for_token(rank)
-        st.state = RankRunState.RUNNING
+        self._wait_for_token(st)
+        st.state = _RUNNING
 
     # ------------------------------------------------------------------ #
     # point-to-point                                                      #
@@ -286,45 +301,44 @@ class MessageEngine:
         """Eager non-blocking send: deposits immediately, completes locally."""
         validate_tag(tag, receiving=False)
         cost = self.cost
-        with self._lock:
-            if self._fatal is not None:
-                raise self._fatal
-            # Hot path: a context is only worth re-validating once someone
-            # has freed on it (the common case is an untouched world comm).
-            ctx = self.contexts.get(ctx_id)
-            if ctx is None or ctx.freed_by:
-                ctx = self._live_context(ctx_id)
-            vtimes = self.clocks.vtimes
-            send_vtime = vtimes[rank]
-            req = Request(_SEND, rank, ctx_id, proc=proc)
-            req.post_vtime = send_vtime
-            seq = ctx.next_send_seq(rank, dest_world)
-            env = Envelope(
-                src=rank,
-                dst=dest_world,
-                ctx=ctx_id,
-                tag=tag,
-                payload=payload,
-                seq=seq,
-                send_vtime=send_vtime,
-            )
-            # inlined cost.arrival_vtime / cost.send_cost (hottest call site)
-            nbytes = env.nbytes
-            byte_cost = nbytes * cost.byte_time
-            env.arrival_vtime = send_vtime + cost.latency + byte_cost
-            send_cost = cost.p2p_overhead + byte_cost
-            if ctx.tool:
-                send_cost *= cost.tool_factor
-            vtimes[rank] = now = send_vtime + send_cost
-            req.state = _COMPLETE
-            req.complete_vtime = now
-            req.status = Status()
-            req.envelope = env
-            stats = self.stats
-            stats.envelopes += 1
-            stats.bytes += nbytes
-            self._deposit(env)
-            return req
+        if self._fatal is not None:
+            raise self._fatal
+        # Hot path: a context is only worth re-validating once someone
+        # has freed on it (the common case is an untouched world comm).
+        ctx = self.contexts.get(ctx_id)
+        if ctx is None or ctx.freed_by:
+            ctx = self._live_context(ctx_id)
+        vtimes = self.clocks.vtimes
+        send_vtime = vtimes[rank]
+        req = Request(_SEND, rank, ctx_id, proc=proc)
+        req.post_vtime = send_vtime
+        seq = ctx.next_send_seq(rank, dest_world)
+        env = Envelope(
+            src=rank,
+            dst=dest_world,
+            ctx=ctx_id,
+            tag=tag,
+            payload=payload,
+            seq=seq,
+            send_vtime=send_vtime,
+        )
+        # inlined cost.arrival_vtime / cost.send_cost (hottest call site)
+        nbytes = env.nbytes
+        byte_cost = nbytes * cost.byte_time
+        env.arrival_vtime = send_vtime + cost.latency + byte_cost
+        send_cost = cost.p2p_overhead + byte_cost
+        if ctx.tool:
+            send_cost *= cost.tool_factor
+        vtimes[rank] = now = send_vtime + send_cost
+        req.state = _COMPLETE
+        req.complete_vtime = now
+        req.status = Status()
+        req.envelope = env
+        stats = self.stats
+        stats.envelopes += 1
+        stats.bytes += nbytes
+        self._deposit(env)
+        return req
 
     def pmpi_issend(
         self, rank: int, ctx_id: int, payload: Any, dest_world: int, tag: int, proc=None
@@ -333,34 +347,33 @@ class MessageEngine:
         completes only when a matching receive consumes the message —
         rendezvous semantics, the stricter deadlock discipline."""
         validate_tag(tag, receiving=False)
-        with self._lock:
-            self._check_fatal(rank)
-            ctx = self._live_context(ctx_id)
-            send_vtime = self.clocks.now(rank)
-            req = Request(RequestKind.SEND, rank, ctx_id, proc=proc)
-            req.post_vtime = send_vtime
-            seq = ctx.next_send_seq(rank, dest_world)
-            env = Envelope(
-                src=rank,
-                dst=dest_world,
-                ctx=ctx_id,
-                tag=tag,
-                payload=payload,
-                seq=seq,
-                send_vtime=send_vtime,
-            )
-            env.arrival_vtime = self.cost.arrival_vtime(env)
-            env.sync_req = req
-            send_cost = self.cost.send_cost(env.nbytes)
-            if ctx.tool:
-                send_cost *= self.cost.tool_factor
-            self.clocks.advance(rank, send_cost)
-            req.status = Status()
-            req.envelope = env
-            self.stats.envelopes += 1
-            self.stats.bytes += env.nbytes
-            self._deposit(env)  # may complete req immediately if matched
-            return req
+        self._check_fatal()
+        ctx = self._live_context(ctx_id)
+        send_vtime = self.clocks.now(rank)
+        req = Request(RequestKind.SEND, rank, ctx_id, proc=proc)
+        req.post_vtime = send_vtime
+        seq = ctx.next_send_seq(rank, dest_world)
+        env = Envelope(
+            src=rank,
+            dst=dest_world,
+            ctx=ctx_id,
+            tag=tag,
+            payload=payload,
+            seq=seq,
+            send_vtime=send_vtime,
+        )
+        env.arrival_vtime = self.cost.arrival_vtime(env)
+        env.sync_req = req
+        send_cost = self.cost.send_cost(env.nbytes)
+        if ctx.tool:
+            send_cost *= self.cost.tool_factor
+        self.clocks.advance(rank, send_cost)
+        req.status = Status()
+        req.envelope = env
+        self.stats.envelopes += 1
+        self.stats.bytes += env.nbytes
+        self._deposit(env)  # may complete req immediately if matched
+        return req
 
     def _deposit(self, env: Envelope) -> None:
         """Route an envelope: complete the oldest matching posted receive,
@@ -416,42 +429,41 @@ class MessageEngine:
         native non-determinism DAMPI exists to cover).
         """
         validate_tag(tag, receiving=True)
-        with self._lock:
-            if self._fatal is not None:
-                raise self._fatal
-            ctx = self.contexts.get(ctx_id)
-            if ctx is None or ctx.freed_by:
-                ctx = self._live_context(ctx_id)
-            req = Request(
-                _RECV, rank, ctx_id, posted_src=src_world, posted_tag=tag, proc=proc
-            )
-            cost = self.cost
-            post_cost = cost.p2p_overhead  # inlined cost.recv_cost()
-            if ctx.tool:
-                post_cost *= cost.tool_factor
-            vtimes = self.clocks.vtimes
-            vtimes[rank] = req.post_vtime = vtimes[rank] + post_cost
-            mb = self._mail[rank]
-            candidates = mb.candidates_for(ctx_id, src_world, tag)
-            if candidates:
-                if len(candidates) == 1:
-                    env = candidates[0]
-                else:
-                    env = self.policy.choose(candidates)
-                    tr = self.tracer
-                    if tr is not None and src_world == ANY_SOURCE:
-                        # the native non-determinism DAMPI explores: the
-                        # policy arbitrated among multiple eligible sends
-                        tr.instant(
-                            "policy_choice", "match", rank=rank,
-                            candidates=len(candidates), chosen=env.src,
-                            tag=env.tag,
-                        )
-                mb.remove_unexpected(env)
-                self._complete_recv(req, env)
+        if self._fatal is not None:
+            raise self._fatal
+        ctx = self.contexts.get(ctx_id)
+        if ctx is None or ctx.freed_by:
+            ctx = self._live_context(ctx_id)
+        req = Request(
+            _RECV, rank, ctx_id, posted_src=src_world, posted_tag=tag, proc=proc
+        )
+        cost = self.cost
+        post_cost = cost.p2p_overhead  # inlined cost.recv_cost()
+        if ctx.tool:
+            post_cost *= cost.tool_factor
+        vtimes = self.clocks.vtimes
+        vtimes[rank] = req.post_vtime = vtimes[rank] + post_cost
+        mb = self._mail[rank]
+        candidates = mb.candidates_for(ctx_id, src_world, tag)
+        if candidates:
+            if len(candidates) == 1:
+                env = candidates[0]
             else:
-                mb.add_posted(req)
-            return req
+                env = self.policy.choose(candidates)
+                tr = self.tracer
+                if tr is not None and src_world == ANY_SOURCE:
+                    # the native non-determinism DAMPI explores: the
+                    # policy arbitrated among multiple eligible sends
+                    tr.instant(
+                        "policy_choice", "match", rank=rank,
+                        candidates=len(candidates), chosen=env.src,
+                        tag=env.tag,
+                    )
+            mb.remove_unexpected(env)
+            self._complete_recv(req, env)
+        else:
+            mb.add_posted(req)
+        return req
 
     # ------------------------------------------------------------------ #
     # completion                                                          #
@@ -467,31 +479,29 @@ class MessageEngine:
             or req.state is _CONSUMED
         ):
             self._validate_completion_target(rank, req)
-        with self._lock:
-            if self._fatal is not None:
-                raise self._fatal
-            # Fast path: eager sends and already-matched receives complete at
-            # post time, so most waits never block — skip the closure setup.
-            if req.state is not _COMPLETE:
-                self._block_until(
-                    rank,
-                    lambda: req.is_complete or self._fatal is not None,
-                    lambda: f"wait on {req!r}",
-                )
-            return self._consume(rank, req)
+        if self._fatal is not None:
+            raise self._fatal
+        # Fast path: eager sends and already-matched receives complete at
+        # post time, so most waits never block — skip the closure setup.
+        if req.state is not _COMPLETE:
+            self._block_until(
+                rank,
+                lambda: req.is_complete,
+                lambda: f"wait on {req!r}",
+            )
+        return self._consume(rank, req)
 
     def pmpi_test(self, rank: int, req: Request) -> tuple[bool, Optional[Status]]:
         """Non-blocking completion check.  A scheduling point — otherwise
         a test loop would hold the token forever and livelock the job."""
         self._validate_completion_target(rank, req)
-        with self._lock:
-            self._check_fatal(rank)
-            if req.is_complete:
-                return True, self._consume(rank, req)
-            self._yield_token(rank)
-            if req.is_complete:
-                return True, self._consume(rank, req)
-            return False, None
+        self._check_fatal()
+        if req.is_complete:
+            return True, self._consume(rank, req)
+        self._yield_token(rank)
+        if req.is_complete:
+            return True, self._consume(rank, req)
+        return False, None
 
     def _validate_completion_target(self, rank: int, req: Request) -> None:
         if not isinstance(req, Request):
@@ -534,43 +544,39 @@ class MessageEngine:
         """Block until at least one active request completes; returns the
         index of a completed request *without consuming it* (the caller then
         waits on it through the tool stack so tools observe the completion)."""
-        with self._lock:
-            self._check_fatal(rank)
-            active = [
-                r
-                for r in reqs
-                if r.state not in (RequestState.CONSUMED, RequestState.FREED)
-            ]
-            if not active:
-                raise InvalidRequestError("waitany on no active requests")
-            for r in active:
-                if r.owner != rank:
-                    raise InvalidRequestError(
-                        f"rank {rank} waiting on rank {r.owner}'s request"
-                    )
-            self._block_until(
-                rank,
-                lambda: any(r.state is RequestState.COMPLETE for r in active)
-                or self._fatal is not None,
-                f"waitany over {len(active)} requests",
-            )
-            self._check_fatal(rank)
-            for i, r in enumerate(reqs):
-                if r.state is RequestState.COMPLETE:
-                    return i
-            raise InvalidRequestError("waitany woke with no completed request")
+        self._check_fatal()
+        active = [
+            r
+            for r in reqs
+            if r.state not in (RequestState.CONSUMED, RequestState.FREED)
+        ]
+        if not active:
+            raise InvalidRequestError("waitany on no active requests")
+        for r in active:
+            if r.owner != rank:
+                raise InvalidRequestError(
+                    f"rank {rank} waiting on rank {r.owner}'s request"
+                )
+        self._block_until(
+            rank,
+            lambda: any(r.state is _COMPLETE for r in active),
+            lambda: f"waitany over {len(active)} requests",
+        )
+        for i, r in enumerate(reqs):
+            if r.state is RequestState.COMPLETE:
+                return i
+        raise InvalidRequestError("waitany woke with no completed request")
 
     def pmpi_request_free(self, rank: int, req: Request) -> None:
         """``MPI_Request_free``: mark freed without completing.  A pending
         receive freed this way is the paper's R-Leak."""
-        with self._lock:
-            self._check_fatal(rank)
-            if req.owner != rank:
-                raise InvalidRequestError("freeing another rank's request")
-            if req.state is RequestState.FREED:
-                raise InvalidRequestError("request freed twice")
-            req.state = RequestState.FREED
-            self.clocks.advance(rank, self.cost.local_op)
+        self._check_fatal()
+        if req.owner != rank:
+            raise InvalidRequestError("freeing another rank's request")
+        if req.state is RequestState.FREED:
+            raise InvalidRequestError("request freed twice")
+        req.state = RequestState.FREED
+        self.clocks.advance(rank, self.cost.local_op)
 
     # ------------------------------------------------------------------ #
     # probes                                                              #
@@ -589,34 +595,30 @@ class MessageEngine:
         self, rank: int, ctx_id: int, src_world: int, tag: int
     ) -> tuple[bool, Optional[Status]]:
         validate_tag(tag, receiving=True)
-        with self._lock:
-            self._check_fatal(rank)
-            self._live_context(ctx_id)
-            self.clocks.advance(rank, self.cost.local_op)
+        self._check_fatal()
+        self._live_context(ctx_id)
+        self.clocks.advance(rank, self.cost.local_op)
+        status = self._probe_status(rank, ctx_id, src_world, tag)
+        if status is None:
+            # scheduling point: iprobe polling loops must let peers run
+            self._yield_token(rank)
             status = self._probe_status(rank, ctx_id, src_world, tag)
-            if status is None:
-                # scheduling point: iprobe polling loops must let peers run
-                self._yield_token(rank)
-                status = self._probe_status(rank, ctx_id, src_world, tag)
-            return (status is not None), status
+        return (status is not None), status
 
     def pmpi_probe(self, rank: int, ctx_id: int, src_world: int, tag: int) -> Status:
         validate_tag(tag, receiving=True)
-        with self._lock:
-            self._check_fatal(rank)
-            self._live_context(ctx_id)
-            mb = self._mail[rank]
-            self._block_until(
-                rank,
-                lambda: bool(mb.candidates_for(ctx_id, src_world, tag))
-                or self._fatal is not None,
-                f"probe(src={src_world}, tag={tag}, ctx={ctx_id})",
-            )
-            self._check_fatal(rank)
-            self.clocks.advance(rank, self.cost.local_op)
-            status = self._probe_status(rank, ctx_id, src_world, tag)
-            assert status is not None
-            return status
+        self._check_fatal()
+        self._live_context(ctx_id)
+        mb = self._mail[rank]
+        self._block_until(
+            rank,
+            lambda: bool(mb.candidates_for(ctx_id, src_world, tag)),
+            lambda: f"probe(src={src_world}, tag={tag}, ctx={ctx_id})",
+        )
+        self.clocks.advance(rank, self.cost.local_op)
+        status = self._probe_status(rank, ctx_id, src_world, tag)
+        assert status is not None
+        return status
 
     # ------------------------------------------------------------------ #
     # collectives                                                         #
@@ -633,42 +635,40 @@ class MessageEngine:
     ) -> Any:
         """All collective kinds funnel here; see :mod:`repro.mpi.collectives`
         for pairing, agreement checks, completion rules and result values."""
-        with self._lock:
-            self._check_fatal(rank)
-            ctx = self._live_context(ctx_id)
-            if rank not in ctx.group:
-                raise InvalidCommunicatorError(
-                    f"rank {rank} not a member of {ctx.label}"
-                )
-            seq = ctx.next_collective_seq(rank)
-            key = (ctx_id, seq)
-            inst = self._collectives.get(key)
-            if inst is None:
-                inst = CollectiveInstance(ctx_id, seq, ctx.group)
-                self._collectives[key] = inst
-            now = self.clocks.now(rank)
-            inst.enter(rank, payload, kind, now, root_world, op)
-            self.stats.collectives += 1
-            if inst.all_entered and kind in ("comm_dup", "comm_split"):
-                self._finish_comm_collective(inst, ctx)
-            self._drain_collective_requests(inst)
-            for w in inst.group:
-                if w != rank:
-                    self._unblock_if_ready(w)
-            self._block_until(
-                rank,
-                lambda: inst.ready_for(rank) or self._fatal is not None,
-                f"{kind} on {ctx.label} (instance {seq})",
+        self._check_fatal()
+        ctx = self._live_context(ctx_id)
+        if rank not in ctx.group:
+            raise InvalidCommunicatorError(
+                f"rank {rank} not a member of {ctx.label}"
             )
-            self._check_fatal(rank)
-            coll_cost = self.cost.collective_cost(len(inst.group))
-            if ctx.tool:
-                coll_cost *= self.cost.tool_factor
-            t = inst.completion_vtime(rank, coll_cost, self.cost.latency)
-            self.clocks.raise_to(rank, t)
-            result = inst.result_for(rank)
-            self._retire_collective(key, inst)
-            return result
+        seq = ctx.next_collective_seq(rank)
+        key = (ctx_id, seq)
+        inst = self._collectives.get(key)
+        if inst is None:
+            inst = CollectiveInstance(ctx_id, seq, ctx.group)
+            self._collectives[key] = inst
+        now = self.clocks.now(rank)
+        inst.enter(rank, payload, kind, now, root_world, op)
+        self.stats.collectives += 1
+        if inst.all_entered and kind in ("comm_dup", "comm_split"):
+            self._finish_comm_collective(inst, ctx)
+        self._drain_collective_requests(inst)
+        for w in inst.group:
+            if w != rank:
+                self._unblock_if_ready(w)
+        self._block_until(
+            rank,
+            lambda: inst.ready_for(rank),
+            lambda: f"{kind} on {ctx.label} (instance {seq})",
+        )
+        coll_cost = self.cost.collective_cost(len(inst.group))
+        if ctx.tool:
+            coll_cost *= self.cost.tool_factor
+        t = inst.completion_vtime(rank, coll_cost, self.cost.latency)
+        self.clocks.raise_to(rank, t)
+        result = inst.result_for(rank)
+        self._retire_collective(key, inst)
+        return result
 
     def pmpi_icollective(
         self,
@@ -683,30 +683,29 @@ class MessageEngine:
         """Non-blocking collective (MPI-3 ibarrier/ibcast/iallreduce/...):
         enters the instance immediately and returns a request that
         completes once the kind's completion rule is satisfied."""
-        with self._lock:
-            self._check_fatal(rank)
-            ctx = self._live_context(ctx_id)
-            if rank not in ctx.group:
-                raise InvalidCommunicatorError(f"rank {rank} not a member of {ctx.label}")
-            seq = ctx.next_collective_seq(rank)
-            key = (ctx_id, seq)
-            inst = self._collectives.get(key)
-            if inst is None:
-                inst = CollectiveInstance(ctx_id, seq, ctx.group)
-                self._collectives[key] = inst
-            inst.enter(rank, payload, kind, self.clocks.now(rank), root_world, op)
-            self.stats.collectives += 1
-            if inst.all_entered and kind in ("comm_dup", "comm_split"):
-                self._finish_comm_collective(inst, ctx)
-            req = Request(RequestKind.COLL, rank, ctx_id, proc=proc)
-            req.post_vtime = self.clocks.now(rank)
-            inst.pending_requests.append((rank, req, key))
-            self._drain_collective_requests(inst)
-            # arrivals may also unblock *blocking* participants
-            for w in inst.group:
-                if w != rank:
-                    self._unblock_if_ready(w)
-            return req
+        self._check_fatal()
+        ctx = self._live_context(ctx_id)
+        if rank not in ctx.group:
+            raise InvalidCommunicatorError(f"rank {rank} not a member of {ctx.label}")
+        seq = ctx.next_collective_seq(rank)
+        key = (ctx_id, seq)
+        inst = self._collectives.get(key)
+        if inst is None:
+            inst = CollectiveInstance(ctx_id, seq, ctx.group)
+            self._collectives[key] = inst
+        inst.enter(rank, payload, kind, self.clocks.now(rank), root_world, op)
+        self.stats.collectives += 1
+        if inst.all_entered and kind in ("comm_dup", "comm_split"):
+            self._finish_comm_collective(inst, ctx)
+        req = Request(RequestKind.COLL, rank, ctx_id, proc=proc)
+        req.post_vtime = self.clocks.now(rank)
+        inst.pending_requests.append((rank, req, key))
+        self._drain_collective_requests(inst)
+        # arrivals may also unblock *blocking* participants
+        for w in inst.group:
+            if w != rank:
+                self._unblock_if_ready(w)
+        return req
 
     def _drain_collective_requests(self, inst: CollectiveInstance) -> None:
         """Complete every pending non-blocking participation whose rank is
@@ -769,17 +768,16 @@ class MessageEngine:
     # ------------------------------------------------------------------ #
 
     def pmpi_comm_free(self, rank: int, ctx_id: int) -> None:
-        with self._lock:
-            self._check_fatal(rank)
-            ctx = self.contexts.get(ctx_id)
-            if ctx is None:
-                raise InvalidCommunicatorError(f"unknown context {ctx_id}")
-            if rank in ctx.freed_by:
-                raise InvalidCommunicatorError(
-                    f"rank {rank} freed communicator {ctx.label} twice"
-                )
-            ctx.freed_by.add(rank)
-            self.clocks.advance(rank, self.cost.local_op)
+        self._check_fatal()
+        ctx = self.contexts.get(ctx_id)
+        if ctx is None:
+            raise InvalidCommunicatorError(f"unknown context {ctx_id}")
+        if rank in ctx.freed_by:
+            raise InvalidCommunicatorError(
+                f"rank {rank} freed communicator {ctx.label} twice"
+            )
+        ctx.freed_by.add(rank)
+        self.clocks.advance(rank, self.cost.local_op)
 
     # ------------------------------------------------------------------ #
     # misc                                                                #
@@ -789,24 +787,20 @@ class MessageEngine:
         """Model local computation: advances virtual time only."""
         if seconds < 0:
             raise ValueError("compute time must be non-negative")
-        with self._lock:
-            self._check_fatal(rank)
-            self.clocks.advance(rank, seconds)
+        self._check_fatal()
+        self.clocks.advance(rank, seconds)
 
     def charge(self, rank: int, seconds: float) -> None:
         """Advance a rank's virtual clock by tool-side CPU time (used by
         interposition modules to model their own overhead).
 
-        Lockless: a rank only ever charges *itself*, the store is a single
-        bytecode under the GIL, and only one rank thread runs at a time
-        anyway.  Cross-rank reads (e.g. makespan) happen after the job
-        drains."""
+        A rank only ever charges *itself*, as the token holder.
+        Cross-rank reads (e.g. makespan) happen after the job drains."""
         self.clocks.vtimes[rank] += seconds
 
     def pmpi_pcontrol(self, rank: int, level: int) -> None:
         """No engine semantics; tool modules interpret (loop abstraction)."""
-        with self._lock:
-            self._check_fatal(rank)
+        self._check_fatal()
 
     def pmpi_abort(self, rank: int, errorcode: int = 1) -> None:
         exc = AbortError(rank, errorcode)
@@ -815,18 +809,16 @@ class MessageEngine:
 
     def pmpi_yield(self, rank: int) -> None:
         """Explicit voluntary scheduling point (used by busy-poll loops)."""
-        with self._lock:
-            self._check_fatal(rank)
-            self._yield_token(rank)
+        self._check_fatal()
+        self._yield_token(rank)
 
     def visit_central(self, rank: int, service: float) -> None:
         """Synchronous round-trip to the serialised central resource (the
         ISP scheduler).  Charges latency out, queueing + service, latency
         back — all on this rank's virtual clock."""
-        with self._lock:
-            arrival = self.clocks.now(rank) + self.cost.latency
-            done = self.central.visit(arrival, service)
-            self.clocks.raise_to(rank, done + self.cost.latency)
+        arrival = self.clocks.now(rank) + self.cost.latency
+        done = self.central.visit(arrival, service)
+        self.clocks.raise_to(rank, done + self.cost.latency)
 
     # -- introspection for tools/tests -------------------------------------
 
@@ -834,20 +826,14 @@ class MessageEngine:
         """Post-mortem introspection: every arrived-but-unreceived envelope
         as ``(destination rank, envelope)``.  Used by DAMPI to analyse the
         queues of a deadlocked/crashed run (call after the job ended)."""
-        with self._lock:
-            return [
-                (rank, env)
-                for rank, mb in enumerate(self._mail)
-                for env in mb.unexpected
-            ]
+        return [
+            (rank, env)
+            for rank, mb in enumerate(self._mail)
+            for env in mb.unexpected
+        ]
 
     def mailbox_depths(self) -> list[tuple[int, int]]:
-        with self._lock:
-            return [mb.pending_counts() for mb in self._mail]
-
-    def pending_unexpected(self, rank: int) -> int:
-        with self._lock:
-            return self._mail[rank].pending_counts()[0]
+        return [mb.pending_counts() for mb in self._mail]
 
     @property
     def makespan(self) -> float:

@@ -149,7 +149,7 @@ class IndexedMailBox:
     Invariants that make this bit-identical to a first-compatible linear
     scan over flat queues:
 
-    * envelope uids are assigned at deposit time under the engine lock, so
+    * envelope uids are assigned at deposit time by the engine's token holder, so
       uid order *is* global arrival order — sorting per-source stream
       heads by uid reproduces the linear scan's candidate order exactly;
     * the envelope a receive consumes is always its tag-stream's head

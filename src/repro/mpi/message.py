@@ -30,7 +30,7 @@ def reset_envelope_ids() -> None:
     before (the parallel replay engine runs schedules in pool workers,
     whose counters would otherwise have drifted from the serial walk's).
 
-    Uids are assigned under the engine lock at send time, so within a run
+    Uids are assigned by the engine's token holder at send time, so within a run
     uid order is global arrival order — the indexed matcher leans on this
     to reproduce the linear scan's candidate ordering.
     """
