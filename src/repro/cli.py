@@ -143,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="save each found error's Epoch Decisions witness here",
         )
         v.add_argument(
-            "--artifacts-dir",
-            default=None,
-            help="write every run's epochs / potential-match / decision files "
-            "here (the paper's Fig. 1 file tree)",
-        )
-        v.add_argument(
             "--show-runs",
             action="store_true",
             help="print the per-run table (flipped epoch, matches, outcome)",
@@ -471,7 +465,6 @@ def cmd_verify(args) -> int:
         jobs=_jobs_arg(args) if workers is None else workers,
         enable_monitor=not args.no_monitor,
         enable_leak_check=not args.no_leak_check,
-        artifacts_dir=args.artifacts_dir,
         # the CLI counts events by default (the API does not); payloads
         # are recorded only for a sink to read, see below
         trace_events=not args.no_trace,

@@ -25,7 +25,7 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.verifier import DampiVerifier, VerificationReport, FoundError
-from repro.dampi.campaign import escalating_verify, run_campaign
+from repro.dampi.campaign import escalating_verify
 from repro.dampi.faults import FaultInjected, FaultPlan
 from repro.dampi.journal import CampaignJournal, JournalError
 
@@ -39,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "FoundError",
     "escalating_verify",
-    "run_campaign",
     "FaultInjected",
     "FaultPlan",
     "CampaignJournal",

@@ -1,19 +1,14 @@
-"""Verification campaigns: escalating bounds and configuration sweeps.
+"""Escalating verification: widen the mixing bound stage by stage.
 
 The paper's §III-B2 describes how bounded mixing is meant to be *used*:
 "users can slowly increase k should they suspect that the reaching effect
-of a matching receive is further than they initially assumed."  This
-module turns that workflow into an API:
-
-:func:`escalating_verify`
-    run k=0, then k=1, 2, ... (finally unbounded) until an error is
-    found, the space is fully covered, or the run budget is spent —
-    cheap coverage first, exhaustive coverage only if affordable.
-
-:func:`run_campaign`
-    sweep a program across process counts and configurations, with one
-    deduplicated error list and a comparison table — the "verify my code
-    before the big run" driver.
+of a matching receive is further than they initially assumed."
+:func:`escalating_verify` turns that workflow into an API: run k=0, then
+k=1, 2, ... (finally unbounded) until an error is found, the space is
+fully covered, or the run budget is spent — cheap coverage first,
+exhaustive coverage only if affordable.  (A sweep over process counts or
+configurations is a loop over :meth:`DampiVerifier.verify
+<repro.dampi.verifier.DampiVerifier.verify>`.)
 """
 
 from __future__ import annotations
@@ -98,7 +93,6 @@ def escalating_verify(
     run_budget: int = 2000,
     stop_on_error: bool = True,
     kwargs: Optional[dict] = None,
-    jobs: Optional[int] = None,
     journal_dir=None,
 ) -> EscalationResult:
     """Widen bounded mixing stage by stage (paper §III-B2's workflow).
@@ -120,9 +114,9 @@ def escalating_verify(
 
     Escalation also stops when an error is found (if ``stop_on_error``),
     when the unbounded stage covers its space without truncation, or when
-    the budget is gone.  ``jobs`` (when not None) overrides the replay
-    parallelism of every stage's config (see :class:`DampiConfig.jobs`);
-    stages themselves are inherently sequential — each widens the last.
+    the budget is gone.  Every stage runs at ``base_config.jobs`` (see
+    :class:`DampiConfig.jobs`); stages themselves are inherently
+    sequential — each widens the last.
 
     ``journal_dir`` makes the escalation crash-safe: each stage verifies
     under its own journal (``<dir>/stage-k0``, ``stage-k1``, ...,
@@ -137,8 +131,6 @@ def escalating_verify(
     boundaries and one-shot faults stay one-shot across the escalation.
     """
     base = base_config or DampiConfig()
-    if jobs is not None:
-        base = replace(base, jobs=jobs)
     faults = FaultPlan.parse(base.fault_plan)
     result = EscalationResult()
     remaining = run_budget
@@ -172,145 +164,4 @@ def escalating_verify(
             if not have_covered or not _covers(covered_k, k):
                 have_covered, covered_k = True, k
     result.stopped_reason = "all stages ran"
-    return result
-
-
-@dataclass
-class CampaignCell:
-    nprocs: int
-    config_name: str
-    #: None when the cell's verification never produced a report (it
-    #: raised) — see ``failure``
-    report: Optional[VerificationReport] = None
-    #: why the cell failed to verify, when it did
-    failure: Optional[str] = None
-
-    @property
-    def label(self) -> str:
-        return f"np={self.nprocs}/{self.config_name}"
-
-
-@dataclass
-class CampaignResult:
-    cells: list[CampaignCell] = field(default_factory=list)
-
-    @property
-    def errors(self) -> list[tuple[str, FoundError]]:
-        """(cell label, error) pairs, deduplicated by kind+detail."""
-        seen, out = set(), []
-        for cell in self.cells:
-            if cell.report is None:
-                continue
-            for e in cell.report.errors:
-                key = (e.kind, e.detail)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((cell.label, e))
-        return out
-
-    @property
-    def failed_cells(self) -> list[CampaignCell]:
-        """Cells whose verification itself failed (no report at all)."""
-        return [c for c in self.cells if c.report is None]
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            cell.report is not None and cell.report.ok for cell in self.cells
-        )
-
-    def summary(self) -> str:
-        lines = [
-            f"{'nprocs':>6} | {'config':<12} | {'interleavings':>13} | "
-            f"{'R*':>5} | errors"
-        ]
-        for cell in self.cells:
-            r = cell.report
-            if r is None:
-                lines.append(
-                    f"{cell.nprocs:>6} | {cell.config_name:<12} | "
-                    f"{'FAILED':>13}  | {'-':>5} | {cell.failure}"
-                )
-                continue
-            lines.append(
-                f"{cell.nprocs:>6} | {cell.config_name:<12} | "
-                f"{r.interleavings:>13}{'+' if r.truncated else ' '} | "
-                f"{r.wildcards_analyzed:>5} | {len(r.errors)}"
-            )
-        for label, e in self.errors:
-            lines.append(f"  [{label}] {e}")
-        return "\n".join(lines)
-
-
-def _cell_journal(journal_dir, nprocs: int, name: str):
-    return (
-        Path(journal_dir) / f"np{nprocs}-{name}" if journal_dir is not None else None
-    )
-
-
-def _run_campaign_cell(
-    program: Callable,
-    nprocs: int,
-    cfg: DampiConfig,
-    kwargs: Optional[dict],
-    name: Optional[str] = None,
-    journal_dir=None,
-) -> VerificationReport:
-    """One (nprocs, config) cell.  The cell's own fault plan fires its
-    ``cell:`` site here, and the same plan instance is handed to
-    ``verify`` so one-shot semantics hold across the cell's sites."""
-    plan = FaultPlan.parse(cfg.fault_plan)
-    if plan and name is not None:
-        plan.fire("cell", (nprocs, name))
-    return DampiVerifier(program, nprocs, cfg, kwargs=kwargs).verify(
-        journal=_cell_journal(journal_dir, nprocs, name), faults=plan
-    )
-
-
-def run_campaign(
-    program: Callable,
-    nprocs_list: Sequence[int],
-    configs: Optional[dict[str, DampiConfig]] = None,
-    kwargs: Optional[dict] = None,
-    jobs: Optional[int] = None,
-    journal_dir=None,
-) -> CampaignResult:
-    """Verify across a (process count × configuration) grid.
-
-    Default configurations: a quick ``k=0`` pass and a capped unbounded
-    pass — the cheap-then-thorough pairing most sessions want.
-
-    Cells run one after another, in grid order; ``jobs`` (when not None)
-    overrides the replay parallelism of every cell's config (see
-    :class:`DampiConfig.jobs`), exactly as in :func:`escalating_verify`.
-    A cell whose verification raises is recorded as a failed
-    :class:`CampaignCell` (``report=None``, ``failure=<reason>``) and the
-    sweep keeps going.
-
-    ``journal_dir`` gives every cell its own journal under
-    ``<dir>/np<nprocs>-<name>``; re-running the campaign with the same
-    arguments replays completed cells and resumes interrupted ones (see
-    :mod:`repro.dampi.journal`).
-    """
-    if configs is None:
-        configs = {
-            "quick-k0": DampiConfig(bound_k=0, max_interleavings=500),
-            "full-capped": DampiConfig(max_interleavings=2000),
-        }
-    result = CampaignResult()
-    for nprocs in nprocs_list:
-        for name, cfg in configs.items():
-            if jobs is not None:
-                cfg = replace(cfg, jobs=jobs)
-            try:
-                report = _run_campaign_cell(
-                    program, nprocs, cfg, kwargs, name=name, journal_dir=journal_dir
-                )
-                result.cells.append(CampaignCell(nprocs, name, report))
-            except Exception as e:
-                result.cells.append(
-                    CampaignCell(
-                        nprocs, name, failure=f"{type(e).__name__}: {e}"
-                    )
-                )
     return result

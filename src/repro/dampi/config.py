@@ -24,7 +24,6 @@ SEMANTIC_CONFIG_FIELDS = (
     "policy",
     "enable_leak_check",
     "enable_monitor",
-    "trace_ops",
     "prune",
     "adaptive_clocks",
 )
@@ -68,10 +67,11 @@ class DampiConfig:
         directory resumes at any ``jobs``, whoever wrote it.
     policy / cost_model:
         Substrate knobs: the wildcard match policy for SELF_RUN portions
-        (the paper's native match bias; a policy *instance* may carry
-        state, so it gets a fresh Runtime per run instead of the
-        persistent replay session) and the virtual-time constants.
-    enable_leak_check / enable_monitor / trace_ops:
+        (the paper's native match bias; a name builds a fresh policy per
+        run, a policy *instance* is the caller's one object, shared by
+        every run of the campaign with whatever state it carries) and the
+        virtual-time constants.
+    enable_leak_check / enable_monitor:
         Toggle the auxiliary checker modules.
     keep_traces:
         Retain every run's full trace on the report (memory-hungry;
@@ -100,17 +100,12 @@ class DampiConfig:
         When set, ``verify()`` writes a live progress heartbeat (runs
         done/queued, frontier depth, ETA) to stderr at most this often.
         ``None`` (default) disables.
-    artifacts_dir:
-        When set, every run's epochs, potential matches, and forced
-        decisions are written under this directory as line-oriented JSON
-        — the file tree of the paper's Fig. 1 (see
-        :mod:`repro.dampi.artifacts`).
     fault_plan:
         Deterministic fault injection spec (see :mod:`repro.dampi.faults`):
         comma-separated ``action@site[:selector][:param]`` terms that
-        kill/hang/delay replay workers, the verify loop, escalation
-        stages, or campaign cells at chosen points.  Travels inside the
-        config, so fleet workers and campaign cells inherit it
+        kill/hang/delay replay workers, the verify loop, the coordinator
+        or escalation stages at chosen points.  Travels inside the
+        config, so fleet workers and escalation stages inherit it
         automatically.  ``None`` (the default) injects nothing.
     """
 
@@ -148,9 +143,7 @@ class DampiConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     enable_leak_check: bool = True
     enable_monitor: bool = True
-    trace_ops: bool = False
     keep_traces: bool = False
-    artifacts_dir: Optional[str] = None
     trace_events: bool = False
     trace_sample_every: Optional[int] = 1
     progress_interval_seconds: Optional[float] = None

@@ -1,12 +1,12 @@
 """Deterministic fault injection for campaign robustness testing.
 
 Verification campaigns are meant to survive real-cluster failure modes:
-workers that die mid-replay, cells that OOM, jobs that hit wall-clock
-limits and are killed at arbitrary points.  This module turns those
-failure modes into a reproducible harness: a :class:`FaultPlan` is a
-compact string carried on :attr:`DampiConfig.fault_plan` (and therefore
-inherited by fleet workers and campaign cells automatically) that fires
-a chosen *action* at a chosen *site*.
+workers that die mid-replay, coordinators that OOM, jobs that hit
+wall-clock limits and are killed at arbitrary points.  This module turns
+those failure modes into a reproducible harness: a :class:`FaultPlan` is
+a compact string carried on :attr:`DampiConfig.fault_plan` (and therefore
+inherited by fleet workers and escalation stages automatically) that
+fires a chosen *action* at a chosen *site*.
 
 Plan syntax — comma-separated ``action@site[:selector][:param]`` terms::
 
@@ -18,7 +18,6 @@ Plan syntax — comma-separated ``action@site[:selector][:param]`` terms::
     delay@run:2:0.05            sleep 50ms before consuming replay 2
     raise@run:4                 raise FaultInjected before replay 4
     kill@stage:k1               die at the k=1 escalation stage boundary
-    kill@cell:3.quick-k0        die at the np=3/quick-k0 campaign cell
     kill@worker:2               die in distributed worker 2, first replay
     kill@worker:2.5             ... just before its 5th replay
     kill@coord:3                die in the coordinator before it journals
@@ -57,8 +56,6 @@ Sites
 ``stage:<label>``
     In :func:`~repro.dampi.campaign.escalating_verify`, before the stage
     with that label (``k0``, ``k1``, ..., ``unbounded``) starts.
-``cell:<nprocs>.<config_name>``
-    In :func:`~repro.dampi.campaign.run_campaign`, before that cell runs.
 ``worker:<id>[.<seq>]``
     In a distributed worker process (:mod:`repro.dist.worker`), before it
     consumes its ``seq``-th replay (1-based across its whole lifetime);
@@ -93,7 +90,7 @@ FAULT_EXIT_CODE = 43
 DEFAULT_HANG_SECONDS = 3600.0
 
 _ACTIONS = ("kill", "hang", "delay", "raise")
-_SITES = ("self", "run", "flip", "stage", "cell", "worker", "coord")
+_SITES = ("self", "run", "flip", "stage", "worker", "coord")
 
 
 class FaultPlanError(ValueError):
@@ -112,7 +109,7 @@ class Fault:
     site: str
     #: site-specific match key: ``()`` for self, ``(index,)`` for run,
     #: ``(rank, lc)`` or ``(rank, lc, src)`` for flip, ``(label,)`` for
-    #: stage, ``(nprocs, name)`` for cell
+    #: stage, ``(id,)`` or ``(id, seq)`` for worker, ``(n,)`` for coord
     selector: tuple = ()
     #: seconds for hang/delay; ignored elsewhere
     param: Optional[float] = None
@@ -165,17 +162,6 @@ def _parse_term(term: str) -> Fault:
             if not fields:
                 raise FaultPlanError(f"fault term {term!r}: stage needs a label")
             selector = (fields.pop(0),)
-        elif site == "cell":
-            if not fields:
-                raise FaultPlanError(
-                    f"fault term {term!r}: cell needs nprocs.config_name"
-                )
-            nprocs, sep2, name = fields.pop(0).partition(".")
-            if not sep2:
-                raise FaultPlanError(
-                    f"fault term {term!r}: cell selector is nprocs.config_name"
-                )
-            selector = (int(nprocs), name)
         elif site == "worker":
             if not fields:
                 raise FaultPlanError(

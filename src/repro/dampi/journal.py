@@ -60,6 +60,11 @@ report's view of them: run numbering, error dedup and ``error_kinds``
 depend on the walk's global order, so they are recomputed wherever the
 record is consumed.
 
+It is also the on-disk record of paper Fig. 1: the trace holds every
+epoch and every potential match of the run, so a journal re-read offline
+seeds a fresh schedule generator to the decisions the live campaign took
+(plain line-oriented JSON: grep/jq work on it).
+
 Durability: every append is one ``write()`` of ``json + "\\n"`` followed
 by ``flush`` + ``fsync``.  A crash mid-append leaves a torn final line
 with no trailing newline; the loader drops anything after the last
@@ -81,23 +86,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.dampi.artifacts import (
-    epoch_from_jsonable,
-    epoch_to_jsonable,
-    match_from_jsonable,
-    match_to_jsonable,
-)
+from repro.clocks.lamport import LamportStamp
+from repro.clocks.vector import VectorStamp
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
 from repro.dampi.decisions import EpochDecisions, schedule_key
-from repro.dampi.epoch import EpochRecord, RunTrace
+from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-#: 3: one journal kind — every run is a ``run`` entry keyed by its
-#: schedule, whoever wrote it (v2 kept three kinds and generator
-#: checkpoints; v1 stored the report's post-dedup view)
-JOURNAL_VERSION = 3
+#: 4: the meta record's signature and config lost two removed knobs, the
+#: op-tracer toggle and the per-run artifact tree (``run`` entries are
+#: unchanged since 3, when every run became one ``run`` entry keyed by its
+#: schedule; v2 kept three kinds and generator checkpoints; v1 stored the
+#: report's post-dedup view)
+JOURNAL_VERSION = 4
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -108,6 +111,83 @@ class JournalError(RuntimeError):
 
 
 # -- payload (de)serialisation -------------------------------------------------
+
+
+def stamp_to_jsonable(stamp) -> Optional[dict]:
+    if stamp is None:
+        return None
+    if isinstance(stamp, LamportStamp):
+        return {"kind": "lamport", "time": stamp.time, "rank": stamp.rank}
+    if isinstance(stamp, VectorStamp):
+        return {"kind": "vector", "components": list(stamp.components)}
+    raise TypeError(f"unknown stamp type {type(stamp).__name__}")
+
+
+def stamp_from_jsonable(payload: Optional[dict]):
+    if payload is None:
+        return None
+    if payload["kind"] == "lamport":
+        return LamportStamp(payload["time"], payload.get("rank", -1))
+    if payload["kind"] == "vector":
+        return VectorStamp(tuple(payload["components"]))
+    raise ValueError(f"unknown stamp kind {payload['kind']!r}")
+
+
+def epoch_to_jsonable(e: EpochRecord) -> dict:
+    return {
+        "rank": e.rank,
+        "lc": e.lc,
+        "index": e.index,
+        "ctx": e.ctx,
+        "tag": e.tag,
+        "kind": e.kind,
+        "stamp": stamp_to_jsonable(e.stamp),
+        "explore": e.explore,
+        "forced": e.forced,
+        "matched_source": e.matched_source,
+        "matched_env_uid": e.matched_env_uid,
+        "matched_seq": e.matched_seq,
+    }
+
+
+def epoch_from_jsonable(payload: dict) -> EpochRecord:
+    e = EpochRecord(
+        rank=payload["rank"],
+        lc=payload["lc"],
+        index=payload["index"],
+        ctx=payload["ctx"],
+        tag=payload["tag"],
+        kind=payload["kind"],
+        stamp=stamp_from_jsonable(payload["stamp"]),
+        explore=payload["explore"],
+        forced=payload["forced"],
+    )
+    e.matched_source = payload["matched_source"]
+    e.matched_env_uid = payload["matched_env_uid"]
+    e.matched_seq = payload["matched_seq"]
+    return e
+
+
+def match_to_jsonable(m: PotentialMatch) -> dict:
+    return {
+        "epoch": list(m.epoch),
+        "source": m.source,
+        "env_uid": m.env_uid,
+        "seq": m.seq,
+        "tag": m.tag,
+        "stamp": stamp_to_jsonable(m.stamp),
+    }
+
+
+def match_from_jsonable(payload: dict) -> PotentialMatch:
+    return PotentialMatch(
+        epoch=tuple(payload["epoch"]),
+        source=payload["source"],
+        env_uid=payload["env_uid"],
+        seq=payload["seq"],
+        tag=payload["tag"],
+        stamp=stamp_from_jsonable(payload["stamp"]),
+    )
 
 
 def decisions_to_jsonable(decisions: EpochDecisions) -> dict:

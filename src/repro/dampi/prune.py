@@ -194,7 +194,6 @@ def escalation_config(cfg):
         jobs=1,
         trace_events=False,
         progress_interval_seconds=None,
-        artifacts_dir=None,
         fault_plan=None,
         max_interleavings=None,
         max_seconds=None,

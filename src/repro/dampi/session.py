@@ -26,8 +26,10 @@ class _ReplaySession:
     The session is an optimisation with a bit-identity contract: a
     recycled run must be indistinguishable from a cold-start one (the
     differential tests in ``tests/test_verifier.py`` compare whole
-    reports).  Anything that cannot honour the contract — policy
-    instances with hidden state — must bypass the session instead.
+    reports against a fresh runtime per run).  A policy *instance* is no
+    exception: a recycled engine and a fresh runtime get that same object
+    from the same spec, so its state (a seeded RNG) advances alike either
+    way.
     """
 
     def __init__(self, verifier: "DampiVerifier"):

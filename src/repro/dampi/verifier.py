@@ -17,7 +17,6 @@ import zlib
 from typing import Callable, Optional
 
 from repro.dampi import journal as jr
-from repro.dampi.artifacts import ArtifactStore
 from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions, schedule_key
@@ -37,7 +36,6 @@ from repro.dampi.report import (
 from repro.dampi.session import _ReplaySession
 from repro.errors import DeadlockError
 from repro.mpi.runtime import Runtime, RunResult
-from repro.mpi.tracing import TraceModule
 from repro.obs.campaign import CampaignTelemetry
 from repro.obs.trace import Tracer
 
@@ -66,11 +64,6 @@ class _Campaign:
             bound_k=cfg.bound_k,
             auto_loop_threshold=cfg.auto_loop_threshold,
             prune=cfg.prune,
-        )
-        self.store = (
-            ArtifactStore(cfg.artifacts_dir)
-            if cfg.artifacts_dir is not None
-            else None
         )
         #: error-dedup keys claimed so far
         self.seen: set[tuple[str, str]] = set()
@@ -287,8 +280,6 @@ class DampiVerifier:
             flag_scalar_risk=cfg.adaptive_clocks,
         )
         modules: list = list(self._extra_outer_modules())
-        if cfg.trace_ops:
-            modules.append(TraceModule())
         if cfg.enable_monitor:
             modules.append(OmissionMonitorModule())
         if cfg.enable_leak_check:
@@ -327,8 +318,8 @@ class DampiVerifier:
         The first execution always cold-starts (fresh runtime and
         threads): single-run users pay nothing for the session machinery
         and leak no pool threads.  From the second execution on — i.e.
-        for guided replays — a persistent session takes over, unless
-        ``policy`` is a policy *instance* (see :class:`_ReplaySession`).
+        for guided replays — a persistent session takes over (see
+        :class:`_ReplaySession`).
         """
         cfg = self.config
         if self._faults and decisions is not None and decisions.flip is not None:
@@ -343,9 +334,7 @@ class DampiVerifier:
         self._runs_started += 1
         if self._session is not None:
             return self._session.run(decisions)
-        # a policy instance may carry internal state (e.g. a seeded RNG)
-        # across runs; only string specs rebuild from scratch
-        if self._runs_started >= 2 and isinstance(cfg.policy, str):
+        if self._runs_started >= 2:
             self._session = _ReplaySession(self)
             return self._session.run(decisions)
         runtime = Runtime(
@@ -488,7 +477,7 @@ class DampiVerifier:
         ``config.adaptive_clocks`` and the run flagged scalar risk): one
         vector-clock precision replay, whose vector-only alternatives are
         injected into ``trace`` in place *before* it is consumed — so the
-        journal, the artifact store, the generator and every later reader
+        journal, the generator and every later reader
         of the run record (resume, dist assembly) inherit the augmented
         trace for free.  Returns the injected-alternative count, or None
         when no escalation ran (the run record omits the field)."""
@@ -523,8 +512,6 @@ class DampiVerifier:
             camp.esc["escalations"] += 1
             camp.esc["escalation_replays"] += 1
             camp.esc["extra_alternatives"] += esc
-        if camp.store is not None:
-            camp.store.write_run(index, trace, decisions)
         signature = prune_mod.signature_of(result, trace) if cfg.prune else None
         if decisions is None:
             generator.seed(trace, signature=signature)

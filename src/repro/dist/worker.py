@@ -78,9 +78,10 @@ def shard_config(config):
     normalized: one inline job per worker (the worker process *is* the
     parallelism), no budgets (budgets are properties of the serial walk,
     which the coordinator runs and ends the fleet by), no per-worker
-    progress lines or artifact trees (the coordinator owns those).  The
-    fault plan travels along so ``worker:*`` sites fire inside the right
-    process.
+    progress lines (the coordinator prints its own).  A worker's runs
+    reach disk only as journal ``run`` records: its lease memo's and,
+    once streamed back, the coordinator's.  The fault plan travels along so
+    ``worker:*`` sites fire inside the right process.
     """
     return replace(
         config,
@@ -88,7 +89,6 @@ def shard_config(config):
         progress_interval_seconds=None,
         max_interleavings=None,
         max_seconds=None,
-        artifacts_dir=None,
     )
 
 

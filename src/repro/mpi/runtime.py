@@ -287,12 +287,11 @@ class Runtime:
         read ``proc.engine`` at call time.  Module per-run state is
         re-initialised by the ``module.setup`` loop inside :meth:`run`.
 
-        Caveat: the match policy is rebuilt from the original *spec*.  If
-        a policy **instance** was passed (e.g. a seeded
-        :class:`~repro.mpi.matching.SeededRandomPolicy`), that same
-        instance — including any internal RNG state it advanced — is
-        reused, so recycled runs are not cold-start-identical; pass the
-        string spec instead, or don't recycle.
+        The match policy is rebuilt from the original *spec*: a name gives
+        a fresh policy, a policy **instance** (e.g. a seeded
+        :class:`~repro.mpi.matching.SeededRandomPolicy`) is that same
+        object, carrying whatever RNG state it advanced — exactly what a
+        new Runtime built from the same instance would get.
         """
         if not self._ran:
             return

@@ -1,137 +1,92 @@
-"""On-disk artifacts (Fig. 1 file architecture) and offline re-analysis."""
+"""The journal as the on-disk record of paper Fig. 1, and offline
+re-analysis from it.
+
+Real DAMPI is file-centric: each process writes its potential matches to
+disk, and the schedule generator turns those files into the next run's
+Epoch Decisions.  Here a journal ``run`` entry holds exactly those facts
+(schedule key, every epoch, every potential match); its codec is pinned
+in ``tests/test_journal.py``.
+"""
 
 import json
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.clocks.lamport import LamportStamp
-from repro.clocks.vector import VectorStamp
-from repro.dampi.artifacts import (
-    ArtifactStore,
-    epoch_from_jsonable,
-    epoch_to_jsonable,
-    match_from_jsonable,
-    match_to_jsonable,
-    stamp_from_jsonable,
-    stamp_to_jsonable,
-)
+from repro.dampi import journal as jr
+from repro.dampi import prune as prune_mod
 from repro.dampi.config import DampiConfig
+from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
+from repro.dampi.journal import CampaignJournal
 from repro.dampi.matcher import compute_alternatives
 from repro.dampi.verifier import DampiVerifier
 from repro.workloads.patterns import fig3_program, wildcard_lattice
 
+LATTICE = {"receives": 2, "senders": 2}
 
-class TestSerialisation:
-    def test_lamport_stamp_roundtrip(self):
-        s = LamportStamp(7, 3)
-        out = stamp_from_jsonable(stamp_to_jsonable(s))
-        assert out.time == 7 and out.rank == 3
 
-    def test_vector_stamp_roundtrip(self):
-        s = VectorStamp((1, 0, 4))
-        assert stamp_from_jsonable(stamp_to_jsonable(s)) == s
-
-    def test_none_stamp(self):
-        assert stamp_to_jsonable(None) is None
-        assert stamp_from_jsonable(None) is None
-
-    @given(
-        rank=st.integers(min_value=0, max_value=9),
-        lc=st.integers(min_value=0, max_value=100),
-        tag=st.integers(min_value=-102, max_value=50),
-        matched=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
-    )
-    def test_epoch_roundtrip_property(self, rank, lc, tag, matched):
-        from repro.dampi.epoch import EpochRecord
-
-        e = EpochRecord(
-            rank=rank, lc=lc, index=0, ctx=0, tag=tag, stamp=LamportStamp(lc + 1)
-        )
-        e.matched_source = matched
-        out = epoch_from_jsonable(json.loads(json.dumps(epoch_to_jsonable(e))))
-        assert (out.rank, out.lc, out.tag, out.matched_source) == (
-            rank,
-            lc,
-            tag,
-            matched,
-        )
-
-    def test_match_roundtrip(self):
-        from repro.dampi.epoch import PotentialMatch
-
-        m = PotentialMatch(
-            epoch=(1, 4), source=2, env_uid=99, seq=3, tag=5, stamp=LamportStamp(2)
-        )
-        out = match_from_jsonable(json.loads(json.dumps(match_to_jsonable(m))))
-        assert out.epoch == (1, 4) and out.source == 2 and out.seq == 3
+def _journaled(tmp_path, program, nprocs, kwargs=None, **cfg_kw):
+    """Verify with a journal; the report and the journal's run entries,
+    which an in-process walk appends in walk order."""
+    report = DampiVerifier(
+        program, nprocs, DampiConfig(**cfg_kw), kwargs=kwargs
+    ).verify(journal=tmp_path / "j")
+    return report, CampaignJournal(tmp_path / "j").run_entries()
 
 
 class TestStore:
-    def _verify_with_artifacts(self, tmp_path, **cfg_kw):
-        cfg = DampiConfig(artifacts_dir=str(tmp_path / "session"), **cfg_kw)
-        rep = DampiVerifier(
-            wildcard_lattice, 3, cfg, kwargs={"receives": 2, "senders": 2}
-        ).verify()
-        return rep, ArtifactStore(tmp_path / "session")
-
-    def test_one_dir_per_run(self, tmp_path):
-        rep, store = self._verify_with_artifacts(tmp_path)
-        assert store.run_indices() == list(range(rep.interleavings))
-
-    def test_self_run_has_no_decisions(self, tmp_path):
-        _, store = self._verify_with_artifacts(tmp_path)
-        assert store.load_decisions(0) is None
-        assert store.load_decisions(1) is not None
-
-    def test_jsonl_files_greppable(self, tmp_path):
-        _, store = self._verify_with_artifacts(tmp_path)
-        lines = (store.run_dir(0) / "epochs.jsonl").read_text().splitlines()
-        assert len(lines) == 2  # two wildcard epochs
-        assert all(json.loads(l)["kind"] == "recv" for l in lines)
-
     def test_trace_roundtrip_through_disk(self, tmp_path):
-        cfg = DampiConfig(artifacts_dir=str(tmp_path / "s"), keep_traces=True)
-        rep = DampiVerifier(
-            wildcard_lattice, 3, cfg, kwargs={"receives": 2, "senders": 2}
-        ).verify()
-        store = ArtifactStore(tmp_path / "s")
-        live = rep.traces[0]
-        loaded = store.load_run_trace(0)
+        report, entries = _journaled(
+            tmp_path, wildcard_lattice, 3, LATTICE, keep_traces=True
+        )
+        live = report.traces[0]
+        loaded = jr.trace_from_jsonable(entries[0]["trace"])
         assert loaded.wildcard_count == live.wildcard_count
         assert {e.key for e in loaded.all_epochs()} == {
             e.key for e in live.all_epochs()
         }
         assert len(loaded.potential_matches) == len(live.potential_matches)
 
+    def test_jsonl_files_greppable(self, tmp_path):
+        _journaled(tmp_path, wildcard_lattice, 3, LATTICE)
+        (segment,) = (tmp_path / "j").glob("segment-*.jsonl")
+        records = [json.loads(line) for line in segment.read_text().splitlines()]
+        self_run = next(r for r in records if r["t"] == "run" and r["key"] is None)
+        epochs = self_run["trace"]["epochs"]
+        assert len(epochs) == 2  # two wildcard epochs
+        assert all(e["kind"] == "recv" for e in epochs)
+
 
 class TestOfflineReanalysis:
-    """The Fig. 1 pipeline, run offline: reloaded potential-match files
-    must drive the schedule generator to the same first decision the live
-    session took."""
+    """The Fig. 1 pipeline, run offline: the potential matches a journal's
+    ``run`` entries hold must drive a fresh schedule generator to the
+    decisions the live session took."""
 
     def test_offline_schedule_matches_live(self, tmp_path):
-        cfg = DampiConfig(artifacts_dir=str(tmp_path / "s"))
-        rep = DampiVerifier(fig3_program, 3, cfg).verify()
-        store = ArtifactStore(tmp_path / "s")
+        report, entries = _journaled(tmp_path, fig3_program, 3)
+        assert len(entries) == report.interleavings > 1
 
-        offline = ScheduleGenerator()
-        offline.seed(store.load_run_trace(0))
-        decisions = offline.next_decisions()
-        live_decisions = store.load_decisions(1)
-        assert decisions.forced == live_decisions.forced
-        assert decisions.flip == live_decisions.flip
+        def run(entry):
+            trace = jr.trace_from_jsonable(entry["trace"])
+            result = jr.result_from_entry(entry)
+            return trace, prune_mod.signature_of(result, trace)
+
+        offline = ScheduleGenerator(prune=DampiConfig().prune)
+        trace, signature = run(entries[0])
+        offline.seed(trace, signature=signature)
+        for entry in entries[1:]:
+            decisions = offline.next_decisions()
+            assert schedule_key(decisions) == jr.entry_schedule_key(entry)
+            trace, signature = run(entry)
+            offline.integrate(trace, signature=signature)
+        assert offline.next_decisions() is None
 
     def test_offline_alternatives_match_live(self, tmp_path):
-        cfg = DampiConfig(artifacts_dir=str(tmp_path / "s"), keep_traces=True)
-        rep = DampiVerifier(
-            wildcard_lattice, 4, cfg, kwargs={"receives": 2, "senders": 3}
-        ).verify()
-        store = ArtifactStore(tmp_path / "s")
-        for i in range(rep.interleavings):
-            live = compute_alternatives(rep.traces[i])
-            offline = compute_alternatives(store.load_run_trace(i))
-            assert {k: set(v) for k, v in live.items()} == {
-                k: set(v) for k, v in offline.items()
+        report, entries = _journaled(
+            tmp_path, wildcard_lattice, 4, {"receives": 2, "senders": 3},
+            keep_traces=True,
+        )
+        assert len(entries) == report.interleavings
+        for live, entry in zip(report.traces, entries):
+            offline = jr.trace_from_jsonable(entry["trace"])
+            assert {k: set(v) for k, v in compute_alternatives(live).items()} == {
+                k: set(v) for k, v in compute_alternatives(offline).items()
             }

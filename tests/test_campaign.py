@@ -1,14 +1,8 @@
-"""Escalating verification and campaign sweeps."""
+"""Escalating verification."""
 
 import pytest
 
-from repro.dampi.campaign import (
-    CampaignResult,
-    EscalationResult,
-    escalating_verify,
-    run_campaign,
-)
-from repro.dampi.config import DampiConfig
+from repro.dampi.campaign import escalating_verify
 from repro.workloads.patterns import fig3_program, wildcard_lattice
 
 
@@ -91,31 +85,3 @@ class TestEscalation:
         kinds = [e.detail for e in result.errors]
         assert len(kinds) == len(set(kinds))
 
-
-class TestCampaign:
-    def test_grid_of_cells(self):
-        result = run_campaign(
-            wildcard_lattice, [3, 4], kwargs={"receives": 2, "senders": 2}
-        )
-        assert len(result.cells) == 4  # 2 nprocs x 2 default configs
-        assert result.ok
-
-    def test_custom_configs(self):
-        configs = {"lamport": DampiConfig(), "vector": DampiConfig(clock_impl="vector")}
-        result = run_campaign(
-            wildcard_lattice, [3], configs, kwargs={"receives": 2, "senders": 2}
-        )
-        assert {c.config_name for c in result.cells} == {"lamport", "vector"}
-
-    def test_errors_labelled_with_cell(self):
-        result = run_campaign(fig3_program, [3])
-        assert not result.ok
-        labels = [label for label, _ in result.errors]
-        assert any("np=3" in l for l in labels)
-
-    def test_summary_table(self):
-        result = run_campaign(
-            wildcard_lattice, [3], kwargs={"receives": 2, "senders": 2}
-        )
-        text = result.summary()
-        assert "nprocs" in text and "quick-k0" in text

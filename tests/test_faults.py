@@ -1,8 +1,7 @@
 """The deterministic fault-injection harness, and what it proves:
 
 * the plan grammar parses (and rejects) what the docs promise;
-* kill/hang/delay/raise fire at the self/run/flip/stage/cell sites;
-* a campaign cell that raises is recorded failed and the sweep keeps going;
+* kill/hang/delay/raise fire at the self/run/flip/stage sites;
 * none of it leaks into the deterministic telemetry namespaces.
 
 What a fleet does about a worker that dies or wedges mid-replay (re-issue
@@ -23,7 +22,6 @@ from repro.dampi import (
     DampiVerifier,
     FaultInjected,
     FaultPlan,
-    run_campaign,
 )
 from repro.dampi.campaign import escalating_verify
 from repro.dampi.faults import (
@@ -53,7 +51,7 @@ class TestPlanGrammar:
             ("raise@run:4", "raise", "run", (4,), None),
             ("kill@stage:k1", "kill", "stage", ("k1",), None),
             ("kill@stage:unbounded", "kill", "stage", ("unbounded",), None),
-            ("kill@cell:3.quick-k0", "kill", "cell", (3, "quick-k0"), None),
+            ("delay@self:0.5", "delay", "self", (), 0.5),
             ("kill@worker:2", "kill", "worker", (2,), None),
             ("kill@worker:2.5", "kill", "worker", (2, 5), None),
             ("hang@worker:1.3:60", "hang", "worker", (1, 3), 60.0),
@@ -78,7 +76,6 @@ class TestPlanGrammar:
             "kill@flip:1",           # flip needs rank.lc
             "kill@flip:1.2.3.4",     # too many flip fields
             "kill@stage",            # stage needs a label
-            "kill@cell:3",           # cell needs nprocs.name
             "kill@run:1:2:3",        # trailing fields
             "kill@worker",           # worker needs an id
             "kill@worker:x",         # non-integer id
@@ -97,7 +94,7 @@ class TestPlanGrammar:
         source = "\n".join(
             p.read_text() for p in Path(repro.__file__).parent.rglob("*.py")
         )
-        assert len(_SITES) == 7
+        assert len(_SITES) == 6
         for site in _SITES:
             assert re.search(rf'fire\(\s*"{site}"', source), site
 
@@ -182,24 +179,6 @@ class TestStageFaults:
             kwargs=LATTICE,
         )
         assert result.final_report is not None and not result.errors
-
-
-class TestCellFaults:
-    def test_serial_cell_fault_recorded_and_sweep_continues(self):
-        configs = {
-            "boom": DampiConfig(fault_plan="raise@cell:3.boom"),
-            "ok": DampiConfig(),
-        }
-        result = run_campaign(
-            wildcard_lattice, [3], configs=configs, kwargs=LATTICE, jobs=1
-        )
-        assert not result.ok
-        failed = result.failed_cells
-        assert [c.config_name for c in failed] == ["boom"]
-        assert "FaultInjected" in failed[0].failure
-        ok = [c for c in result.cells if c.config_name == "ok"]
-        assert ok[0].report is not None and ok[0].report.ok
-        assert "FAILED" in result.summary()
 
 
 class TestTelemetryIsolation:

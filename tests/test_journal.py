@@ -14,21 +14,24 @@ import os
 import shutil
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cli import main
+from repro.clocks.lamport import LamportStamp
+from repro.clocks.vector import VectorStamp
 from repro.dampi import (
     CampaignJournal,
     DampiConfig,
     DampiVerifier,
     JournalError,
     escalating_verify,
-    run_campaign,
 )
 from repro.dampi import FaultInjected, VerificationReport
 from repro.dampi import journal as jr
 from repro.dampi import prune as prune_mod
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
 from repro.dampi.decisions import EpochDecisions, schedule_key
+from repro.dampi.epoch import EpochRecord, PotentialMatch
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dist import distributed_verify
@@ -310,39 +313,29 @@ class TestRunRecord:
     def test_resume_at_every_k_with_traces_and_artifacts(self, tmp_path):
         """Interrupt before every replay of a 6-run campaign whose errors
         surface at runs 0 and 2; every resume must hand back the
-        uninterrupted report, kept traces and artifact tree included."""
+        uninterrupted report, kept traces and journaled traces (the
+        run's on-disk artifact) included."""
         entry = next(e for e in ZOO if e.name == "order-dependent consumption")
 
-        def verify(tag, journal=None, fault_plan=None):
-            cfg = DampiConfig(
-                keep_traces=True,
-                artifacts_dir=str(tmp_path / f"artifacts-{tag}"),
-                fault_plan=fault_plan,
-            )
+        def verify(journal, fault_plan=None):
+            cfg = DampiConfig(keep_traces=True, fault_plan=fault_plan)
             return DampiVerifier(entry.program, entry.nprocs, cfg).verify(
                 journal=journal
             )
 
-        def tree(tag):
-            # decisions files compare by schedule
-            root = tmp_path / f"artifacts-{tag}"
+        def journaled_traces(jdir):
             return {
-                str(p.relative_to(root)): (
-                    schedule_key(EpochDecisions.load(p))
-                    if p.name == "decisions.json"
-                    else p.read_bytes()
-                )
-                for p in sorted(root.rglob("*"))
-                if p.is_file()
+                jr.entry_schedule_key(e): e["trace"]
+                for e in CampaignJournal(jdir).run_entries()
             }
 
-        oracle = verify("oracle")
+        oracle = verify(tmp_path / "journal-oracle")
         assert oracle.interleavings == 6
         for k in range(1, oracle.interleavings):
             jdir = tmp_path / f"journal-{k}"
             with pytest.raises(FaultInjected):
-                verify(k, journal=jdir, fault_plan=f"raise@run:{k}")
-            resumed = verify(k, journal=jdir)
+                verify(jdir, fault_plan=f"raise@run:{k}")
+            resumed = verify(jdir)
             assert resumed.journal_stats["replayed"] == k
             assert resumed.journal_stats["executed"] == oracle.interleavings - k
             assert _canon(resumed) == _canon(oracle)
@@ -350,7 +343,9 @@ class TestRunRecord:
             assert [jr.trace_to_jsonable(t) for t in resumed.traces] == [
                 jr.trace_to_jsonable(t) for t in oracle.traces
             ]
-            assert tree(k) == tree("oracle")
+            assert journaled_traces(jdir) == journaled_traces(
+                tmp_path / "journal-oracle"
+            )
 
     def test_v1_journal_is_refused_by_version(self, tmp_path, capsys):
         """A journal of the v1 format (post-dedup ``record`` view, no raw
@@ -358,6 +353,16 @@ class TestRunRecord:
         _assert_refused_by_version(tmp_path, capsys, 1, {
             "t": "run", "index": 0, "key": None, "trace": {},
             "record": {"makespan": 0.0}, "errors": [], "seen": [],
+        })
+
+    def test_v3_journal_is_refused_by_version(self, tmp_path, capsys):
+        """A v3 journal's ``run`` entries read fine, but its meta record
+        hashes and dumps config fields this build no longer has: it fails
+        on its version, not on a signature mismatch."""
+        _assert_refused_by_version(tmp_path, capsys, 3, {
+            "t": "run", "key": None, "trace": {}, "makespan": 0.0,
+            "stats": {}, "pb": None, "leaks": None, "deadlock": None,
+            "errors": [], "monitor": None,
         })
 
 
@@ -473,19 +478,6 @@ class TestCampaignJournals:
             assert step.report.journal_stats["executed"] == 0
         assert resumed.stopped_reason == first.stopped_reason
 
-    def test_campaign_cells_resume_from_their_journals(self, tmp_path):
-        journal_dir = tmp_path / "j"
-        first = run_campaign(
-            wildcard_lattice, [3], kwargs=LATTICE, journal_dir=journal_dir
-        )
-        resumed = run_campaign(
-            wildcard_lattice, [3], kwargs=LATTICE, journal_dir=journal_dir
-        )
-        assert resumed.ok
-        for a, b in zip(resumed.cells, first.cells):
-            assert a.report.journal_stats["executed"] == 0
-            assert _canon(a.report) == _canon(b.report)
-
 
 class TestSerialization:
     def test_decisions_roundtrip(self):
@@ -497,6 +489,45 @@ class TestSerialization:
         d = EpochDecisions(forced={}, flip=None)
         d2 = jr.decisions_from_jsonable(jr.decisions_to_jsonable(d))
         assert d2.flip is None and d2.forced == {}
+
+    def test_lamport_stamp_roundtrip(self):
+        s = LamportStamp(7, 3)
+        out = jr.stamp_from_jsonable(jr.stamp_to_jsonable(s))
+        assert out.time == 7 and out.rank == 3
+
+    def test_vector_stamp_roundtrip(self):
+        s = VectorStamp((1, 0, 4))
+        assert jr.stamp_from_jsonable(jr.stamp_to_jsonable(s)) == s
+
+    def test_none_stamp(self):
+        assert jr.stamp_to_jsonable(None) is None
+        assert jr.stamp_from_jsonable(None) is None
+
+    @given(
+        rank=st.integers(min_value=0, max_value=9),
+        lc=st.integers(min_value=0, max_value=100),
+        tag=st.integers(min_value=-102, max_value=50),
+        matched=st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+    )
+    def test_epoch_roundtrip_property(self, rank, lc, tag, matched):
+        e = EpochRecord(
+            rank=rank, lc=lc, index=0, ctx=0, tag=tag, stamp=LamportStamp(lc + 1)
+        )
+        e.matched_source = matched
+        out = jr.epoch_from_jsonable(json.loads(json.dumps(jr.epoch_to_jsonable(e))))
+        assert (out.rank, out.lc, out.tag, out.matched_source) == (
+            rank,
+            lc,
+            tag,
+            matched,
+        )
+
+    def test_match_roundtrip(self):
+        m = PotentialMatch(
+            epoch=(1, 4), source=2, env_uid=99, seq=3, tag=5, stamp=LamportStamp(2)
+        )
+        out = jr.match_from_jsonable(json.loads(json.dumps(jr.match_to_jsonable(m))))
+        assert out.epoch == (1, 4) and out.source == 2 and out.seq == 3
 
     def test_config_signature_ignores_execution_knobs(self):
         base = DampiConfig()
@@ -512,7 +543,7 @@ class TestSerialization:
     #: fields that cannot change a report (bit-identity holds across them)
     EXECUTION_CONFIG_FIELDS = {
         "jobs",
-        "keep_traces", "artifacts_dir",
+        "keep_traces",
         "trace_events", "trace_sample_every",
         "progress_interval_seconds", "fault_plan",
         "dist_lease_timeout_seconds",
@@ -523,10 +554,11 @@ class TestSerialization:
         report?": semantic (hashed into the journal signature) or listed
         above as an execution knob — never neither, never both."""
         semantic = set(SEMANTIC_CONFIG_FIELDS) | {"cost_model"}
+        assert len(SEMANTIC_CONFIG_FIELDS) == 11
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
         names = {f.name for f in dataclasses.fields(DampiConfig)}
-        assert len(names) == 21
+        assert len(names) == 19
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "kwargs", "args",

@@ -17,7 +17,6 @@ from dataclasses import replace
 import pytest
 
 from repro.dampi.config import DampiConfig
-from repro.dampi.campaign import run_campaign
 from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.verifier import DampiVerifier
@@ -195,19 +194,6 @@ class TestWorkerPoolDegradation:
         ).verify()
         assert not serial.parallel_stats["demoted"]
         assert _report_fingerprint(report) == _report_fingerprint(serial)
-
-
-class TestParallelCampaign:
-    def test_campaign_jobs_override_matches_serial_sweep(self):
-        kwargs = {"receives": 2, "senders": 2}
-        serial = run_campaign(wildcard_lattice, [3, 4], kwargs=kwargs, jobs=1)
-        fleet = run_campaign(wildcard_lattice, [3, 4], kwargs=kwargs, jobs=2)
-        assert [(c.nprocs, c.config_name) for c in fleet.cells] == [
-            (c.nprocs, c.config_name) for c in serial.cells
-        ]
-        for a, b in zip(serial.cells, fleet.cells):
-            assert _report_fingerprint(a.report) == _report_fingerprint(b.report)
-            assert b.report.config.jobs == 2
 
 
 class TestPicklingSupport:

@@ -8,6 +8,7 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.verifier import DampiVerifier, measure_slowdown
 from repro.mpi.constants import ANY_SOURCE
+from repro.mpi.runtime import Runtime
 from repro.workloads.patterns import (
     WildcardBugError,
     deadlock_program,
@@ -203,19 +204,31 @@ class TestReport:
         assert all(r.flip is not None for r in rep.runs[1:])
 
 
+class _FreshRuntimeVerifier(DampiVerifier):
+    """The reference the persistent session is held to: a new Runtime
+    (new engine, new modules, new rank threads) for every run."""
+
+    def run_once(self, decisions=None):
+        cfg = self.config
+        result = Runtime(
+            self.nprocs,
+            self.program,
+            modules=self._build_modules(decisions),
+            policy=cfg.policy,
+            cost_model=cfg.cost_model,
+            args=self.args,
+            kwargs=self.kwargs,
+            tracer=self._run_tracer,
+        ).run()
+        return result, result.artifacts["dampi"]
+
+
 class TestPersistentSession:
     """Satellite: the persistent replay session (one runtime + parked rank
     threads reused across guided replays) is a pure optimisation — its
-    reports must be bit-identical to fresh-runtime-per-run execution, and
-    no state may bleed between the runs it hosts.  The fresh leg is a
-    policy *instance* config, which bypasses the session (pinned by
-    ``test_policy_instance_bypasses_session``)."""
-
-    @staticmethod
-    def _fresh_config():
-        from repro.mpi.matching import ArrivalPolicy
-
-        return DampiConfig(policy=ArrivalPolicy())
+    reports must be bit-identical to fresh-runtime-per-run execution
+    (:class:`_FreshRuntimeVerifier`), and no state may bleed between the
+    runs it hosts."""
 
     def _fp(self, rep):
         from tests.test_parallel import _report_fingerprint
@@ -225,14 +238,12 @@ class TestPersistentSession:
     def test_pooled_reports_bit_identical_to_fresh(self):
         kwargs = {"receives": 3, "senders": 3}
         pooled = DampiVerifier(wildcard_lattice, 4, kwargs=kwargs).verify()
-        fresh = DampiVerifier(
-            wildcard_lattice, 4, self._fresh_config(), kwargs=kwargs
-        ).verify()
+        fresh = _FreshRuntimeVerifier(wildcard_lattice, 4, kwargs=kwargs).verify()
         assert self._fp(pooled) == self._fp(fresh)
 
     def test_pooled_error_finding_bit_identical_to_fresh(self):
         pooled = DampiVerifier(fig3_program, 3).verify()
-        fresh = DampiVerifier(fig3_program, 3, self._fresh_config()).verify()
+        fresh = _FreshRuntimeVerifier(fig3_program, 3).verify()
         assert self._fp(pooled) == self._fp(fresh)
         assert (
             pooled.errors[0].decisions.forced == fresh.errors[0].decisions.forced
@@ -261,23 +272,38 @@ class TestPersistentSession:
             v.close()
         assert v._session is None
 
-    def test_policy_instance_bypasses_session(self):
-        # a policy object may carry hidden state across runs (seeded RNG);
-        # only string specs are session-safe
+    def test_policy_instance_uses_session(self):
+        """A policy instance is one object whether the runtime is recycled
+        or rebuilt, so a seeded campaign goes through the session like any
+        other and walks exactly as a fresh runtime per run does."""
         from repro.mpi.matching import SeededRandomPolicy
 
-        v = DampiVerifier(
-            wildcard_lattice,
-            3,
-            DampiConfig(policy=SeededRandomPolicy(7)),
-            kwargs={"receives": 2, "senders": 2},
-        )
+        kwargs = {"receives": 3, "senders": 3}
+
+        def config():
+            return DampiConfig(policy=SeededRandomPolicy(7))
+
+        v = DampiVerifier(wildcard_lattice, 4, config(), kwargs=kwargs)
         try:
             v.run_once()
             v.run_once()
-            assert v._session is None
+            assert v._session is not None
         finally:
             v.close()
+        pooled = DampiVerifier(wildcard_lattice, 4, config(), kwargs=kwargs).verify()
+        fresh = _FreshRuntimeVerifier(
+            wildcard_lattice, 4, config(), kwargs=kwargs
+        ).verify()
+        assert self._fp(pooled) == self._fp(fresh)
+        # the walk the fresh-runtime-per-run path gives, pinned
+        a, b, c = (0, 0), (0, 1), (0, 2)
+        assert pooled.interleavings == len(pooled.outcomes) == 25
+        assert not pooled.errors and not pooled.truncated
+        assert [r.flip for r in pooled.runs] == [
+            None, c, c, b, c, c, b, c, c, a, c, c, b, c, c, b, c, c, a,
+            c, c, b, b, c, c,
+        ]
+        assert pooled.runs[0].outcome == frozenset({(a, 1), (b, 2), (c, 1)})
 
 
 class TestMeasureSlowdown:
