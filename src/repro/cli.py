@@ -170,20 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
             "event payloads",
         )
         v.add_argument(
-            "--revt-out",
-            type=Path,
-            default=None,
-            metavar="FILE",
-            help="write the campaign event stream in the compact binary "
-            ".revt encoding (read it back with 'repro stats'); makes runs "
-            "record event payloads",
-        )
-        v.add_argument(
             "--no-trace",
             action="store_true",
             help="no tracer at all: drops the exact events.* counters from "
             "the report's telemetry block (event payloads are recorded only "
-            "for a --trace-out/--events-out/--revt-out sink in any case; "
+            "for a --trace-out/--events-out sink in any case; "
             "what counting costs a whole campaign is the ledger's "
             "obs.trace_overhead_ratio)",
         )
@@ -192,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="thin the stream a --trace-out/--events-out/--revt-out "
+            help="thin the stream a --trace-out/--events-out "
             "sink reads: record event payloads for 1 in N replays "
             "(deterministic, keyed off the schedule signature; the other "
             "replays only count, so events.* stays exact; default 1 = "
@@ -261,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser(
         "stats",
         help="summarize a verification's telemetry (report JSON, events "
-        "JSONL, binary .revt stream, or a --journal-dir)",
+        "JSONL, or a --journal-dir)",
     )
     s.add_argument(
         "file",
         type=Path,
-        help="a --json-out report, an --events-out JSONL file, a "
-        "--revt-out binary stream, or a --journal-dir directory",
+        help="a --json-out report, an --events-out JSONL file, or a "
+        "--journal-dir directory",
     )
     s.add_argument(
         "--follow",
@@ -437,10 +428,10 @@ def cmd_verify(args) -> int:
     workers = getattr(args, "workers", None)  # 'dist run' only
     if workers is not None and workers < 1:
         raise UsageError(f"--workers must be >= 1, not {workers}")
-    sink = args.trace_out or args.events_out or args.revt_out
+    sink = args.trace_out or args.events_out
     if args.no_trace and sink:
         raise UsageError(
-            "--no-trace conflicts with --trace-out/--events-out/--revt-out "
+            "--no-trace conflicts with --trace-out/--events-out "
             "(event exports need the tracer)"
         )
     if args.no_trace and args.trace_sample != 1:
@@ -450,7 +441,7 @@ def cmd_verify(args) -> int:
         )
     if args.trace_sample > 1 and not sink:
         raise UsageError(
-            "--trace-sample needs --trace-out/--events-out/--revt-out: event "
+            "--trace-sample needs --trace-out/--events-out: event "
             "payloads are recorded only for such a sink, so without one "
             "there is nothing to sample"
         )
@@ -524,7 +515,6 @@ def _report_tail(args, report, label, nprocs) -> int:
     if args.show_runs:
         # 'resume' has no --all and always printed every row
         print(report.run_table(limit=50 if flag("all") is False else None))
-    header = {"program": label, "nprocs": nprocs}
     if flag("trace_out") is not None:
         from repro.obs.export import write_chrome_trace
 
@@ -535,13 +525,11 @@ def _report_tail(args, report, label, nprocs) -> int:
     if flag("events_out") is not None:
         from repro.obs.export import write_events_jsonl
 
-        write_events_jsonl(report.events, args.events_out, header=header)
+        write_events_jsonl(
+            report.events, args.events_out,
+            header={"program": label, "nprocs": nprocs},
+        )
         print(f"  event log saved: {args.events_out}")
-    if flag("revt_out") is not None:
-        from repro.obs.binary import write_events_binary
-
-        write_events_binary(report.events, args.revt_out, header=header)
-        print(f"  binary event stream saved: {args.revt_out}")
     if args.json_out is not None:
         args.json_out.write_text(report.to_json() + "\n")
         print(f"  report JSON saved: {args.json_out}")
@@ -595,12 +583,10 @@ def _stats_follow(args) -> int:
 def cmd_stats(args) -> int:
     """Render a campaign summary from any verify artifact.
 
-    The input kind is auto-detected: a directory is a journal; a file
-    starting with the ``.revt`` magic is a binary event stream; a single
+    The input kind is auto-detected: a directory is a journal; a single
     JSON object with a ``telemetry`` key is a report; anything else is
     tried as an events JSONL (line-delimited JSON with a header line,
     see :mod:`repro.obs.export`)."""
-    from repro.obs.binary import BINARY_MAGIC, read_events_binary
     from repro.obs.export import JSONL_FORMAT, read_events_jsonl
     from repro.obs.stats import (
         JournalStatsError,
@@ -627,13 +613,6 @@ def cmd_stats(args) -> int:
         raw = args.file.read_bytes()
     except OSError as e:
         raise UsageError(f"cannot read {args.file}: {e}") from e
-    if raw.startswith(BINARY_MAGIC):
-        try:
-            header, events = read_events_binary(args.file)
-        except ValueError as e:
-            raise UsageError(f"{args.file}: corrupt .revt stream: {e}") from e
-        print(render_events_summary(header, events))
-        return 0
     payload = None
     try:
         payload = json.loads(raw.decode("utf-8", errors="replace"))
@@ -647,8 +626,7 @@ def cmd_stats(args) -> int:
     except (ValueError, KeyError) as e:  # not JSON / not an event
         raise UsageError(
             f"{args.file} is neither a report JSON (--json-out), an "
-            f"events JSONL (--events-out), a binary stream (--revt-out), "
-            f"nor a journal directory: {e}"
+            f"events JSONL (--events-out), nor a journal directory: {e}"
         ) from e
     if header.get("format") != JSONL_FORMAT:
         raise UsageError(f"{args.file}: not a {JSONL_FORMAT} file")

@@ -197,17 +197,24 @@ class DampiClockModule(ToolModule):
 
     # -- Algorithm 1: MPI_Irecv -------------------------------------------------
 
-    def irecv(self, proc, chain, comm, source, tag):
-        rank = proc.world_rank
+    def _guided_source(self, rank: int) -> tuple:
+        """A wildcard's epoch ``lc`` and the source ``GetSrcFromEpoch``
+        forces for it, or None: the rank drops to SELF_RUN for good once
+        its clock passes ``guided_epoch``, and an unforced epoch in
+        GUIDED_RUN keeps the user's ``ANY_SOURCE``."""
         state = self._state[rank]
-        if source != ANY_SOURCE:
-            return chain(comm, source, tag)
         lc = state.clock.time
         if state.mode == GUIDED_RUN and lc > state.guided_epoch:
             state.mode = SELF_RUN
-        forced = None
         if state.mode == GUIDED_RUN:
-            forced = self.decisions.source_for(rank, lc)
+            return lc, self.decisions.source_for(rank, lc)
+        return lc, None
+
+    def irecv(self, proc, chain, comm, source, tag):
+        if source != ANY_SOURCE:
+            return chain(comm, source, tag)
+        rank = proc.world_rank
+        lc, forced = self._guided_source(rank)
         if forced is not None:
             req = chain(comm, forced, tag)
             req.posted_src = ANY_SOURCE  # preserve the user's selector
@@ -308,13 +315,7 @@ class DampiClockModule(ToolModule):
         if source != ANY_SOURCE:
             return chain(comm, source, tag)
         rank = proc.world_rank
-        state = self._state[rank]
-        lc = state.clock.time
-        if state.mode == GUIDED_RUN and lc > state.guided_epoch:
-            state.mode = SELF_RUN
-        forced = None
-        if state.mode == GUIDED_RUN:
-            forced = self.decisions.source_for(rank, lc)
+        lc, forced = self._guided_source(rank)
         if forced is not None:
             status = chain(comm, forced, tag)
             self._consumed_decisions.add((rank, lc))
@@ -329,13 +330,7 @@ class DampiClockModule(ToolModule):
         if source != ANY_SOURCE:
             return chain(comm, source, tag)
         rank = proc.world_rank
-        state = self._state[rank]
-        lc = state.clock.time
-        if state.mode == GUIDED_RUN and lc > state.guided_epoch:
-            state.mode = SELF_RUN
-        forced = None
-        if state.mode == GUIDED_RUN:
-            forced = self.decisions.source_for(rank, lc)
+        lc, forced = self._guided_source(rank)
         if forced is not None:
             # Enforcing a probe match requires the forced message to be
             # observable: use a blocking probe on the forced source.  (A

@@ -81,15 +81,17 @@ class DampiConfig:
         sends, run/scheduler lifecycle).  When on, every run counts its
         events exactly into the report's ``events.*`` counters, and the
         runs ``trace_sample_every`` selects also record their payloads
-        into the report's ``events`` stream, exportable as JSONL, binary
-        ``.revt`` or Chrome trace_event JSON (see :mod:`repro.obs`).  Off
+        into the report's ``events`` stream, exportable as JSONL or
+        Chrome trace_event JSON (see :mod:`repro.obs`).  Off
         by default in the API (no tracer object, no ``events.*``); the CLI
         turns it on (``--no-trace`` turns it off).  What counting costs a
         whole campaign is the ledger's ``obs.trace_overhead_ratio``.
     trace_sample_every:
         Which runs record event payloads — they need a reader.  ``None``:
         none do and ``report.events`` stays empty (what the CLI passes
-        unless ``--trace-out/--events-out/--revt-out`` names a sink).
+        unless ``--trace-out/--events-out`` names a sink).  Fleet workers
+        record their own lifecycle events (lease spans, memo hits) on the
+        same condition.
         ``N``: the self run and 1-in-N guided replays do, chosen
         deterministically from the schedule signature (so the sampled
         stream is identical across ``jobs`` settings and is an exact

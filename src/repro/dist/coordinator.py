@@ -114,13 +114,7 @@ from repro.dampi.journal import (
 from repro.dampi.verifier import DampiVerifier, VerificationReport, _Campaign
 from repro.dist import protocol
 from repro.dist.leases import Lease, LeaseTable
-from repro.dist.protocol import (
-    DistError,
-    send_frame,
-    start_reader,
-    unpack_events,
-    unpack_obs,
-)
+from repro.dist.protocol import DistError, send_frame, start_reader, unpack_obs
 from repro.dist.worker import worker_main
 from repro.obs.metrics import NONDETERMINISTIC_PREFIXES
 
@@ -188,9 +182,6 @@ class DistCoordinator:
         self.table = LeaseTable()
         #: the campaign's record map holds what workers stream back
         self.journal: Optional[CampaignJournal] = self.camp.open_journal(journal)
-        #: worker lifecycle events (lease spans, memo hits) shipped
-        #: binary-packed in bye frames, run-relabelled by worker id
-        self._worker_events: list = []
         self._record_count = 0  # every streamed record frame (fault site)
         self._states: dict[int, _WorkerState] = {}  # worker id -> state
         self._by_tag: dict[int, _WorkerState] = {}
@@ -424,17 +415,12 @@ class DistCoordinator:
                 self.metrics.merge_snapshot(_filtered_snapshot(snap))
             blob = frame.get("events")
             if blob:
-                try:
-                    _header, events = unpack_events(blob)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    self.metrics.inc("dist.worker_event_decode_errors")
-                else:
-                    self.metrics.inc("dist.worker_events", len(events))
-                    self._worker_events.extend(
-                        ev.with_run(state.id) for ev in events
-                    )
+                # worker lifecycle events (lease spans, memo hits): merged
+                # like a run's payload, with the worker id as their run;
+                # timestamps stay on the worker's own clock
+                records = unpack_obs(blob)["records"]
+                self.metrics.inc("dist.worker_events", len(records))
+                self.telemetry.tracer.emit_raw(records, run=state.id)
             state.alive = False
 
     def _worker_died(self, state: _WorkerState) -> None:
@@ -582,7 +568,7 @@ class DistCoordinator:
     # -- report ----------------------------------------------------------------
 
     def _finish(self) -> VerificationReport:
-        report = self.camp.finish(
+        return self.camp.finish(
             {
                 "mode": "dist",
                 "workers": self.workers,
@@ -592,17 +578,6 @@ class DistCoordinator:
                 "worker_deaths": self.metrics.counter("dist.worker_deaths").value,
             }
         )
-        if self._worker_events:
-            # worker lifecycle events (lease spans, memo hits) ride on
-            # worker-local clocks; they join the report stream for export
-            # but stay out of to_json (env-dependent timings)
-            report.events = report.events + sorted(
-                self._worker_events, key=lambda e: (e.ts, e.name)
-            )
-            report.telemetry["events"]["worker_captured"] = len(
-                self._worker_events
-            )
-        return report
 
 
 def distributed_verify(

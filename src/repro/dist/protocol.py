@@ -25,8 +25,10 @@ worker → coordinator
                     deepest open node of the victim's subtree (may be
                     empty).
     ``lease_done``  the active lease's subtree is exhausted.
-    ``bye``         response to ``shutdown``: final ``stats`` and a
-                    metrics snapshot to merge into the report.
+    ``bye``         response to ``shutdown``: final ``stats``, a metrics
+                    snapshot to merge into the report and, when the
+                    campaign records event payloads, the worker tracer's
+                    ``events`` (:func:`pack_obs`, like a run's ``obs``).
 
 coordinator → worker
     ``lease``       one lease: ``id`` plus the spec
@@ -46,14 +48,10 @@ why it ships raw facts rather than any worker-local view of them).
 
 from __future__ import annotations
 
-import base64
 import json
 import socket
 import sys
 import threading
-from typing import Optional
-
-from repro.obs.binary import decode_events, encode_events
 
 
 #: how often each worker sends an ``hb`` frame; the coordinator polls at
@@ -103,21 +101,7 @@ def start_reader(sock: socket.socket, tag, events) -> threading.Thread:
     return thread
 
 
-# -- binary event payloads -----------------------------------------------------
-
-
-def pack_events(events, header: Optional[dict] = None) -> str:
-    """Encode an event stream for a JSON frame: the compact ``.revt``
-    binary encoding (struct-packed frames + interned strings), base64'd
-    into an ASCII field.  Workers ship their lifecycle events this way in
-    ``bye`` frames — at campaign scale the binary form is a fraction of
-    the JSONL size and needs no per-event JSON escaping."""
-    return base64.b64encode(encode_events(events, header=header)).decode("ascii")
-
-
-def unpack_events(blob: str):
-    """Decode a :func:`pack_events` field back into ``(header, events)``."""
-    return decode_events(base64.b64decode(blob.encode("ascii")))
+# -- tracer payloads -----------------------------------------------------------
 
 
 def _retuple(value):
@@ -125,10 +109,11 @@ def _retuple(value):
 
 
 def pack_obs(obs: dict) -> str:
-    """A run's tracer payload (:meth:`repro.obs.trace.Tracer.collect`)
-    as one opaque string field of its ``record`` frame: the coordinator
-    holds it undecoded — a fraction of the decoded size — until the walk
-    consumes that record, and never decodes the ones it does not."""
+    """A tracer payload (:meth:`repro.obs.trace.Tracer.collect`) as one
+    opaque string field: a run's in its ``record`` frame — the
+    coordinator holds it undecoded, a fraction of the decoded size, until
+    the walk consumes that record, and never decodes the ones it does
+    not — and a worker's own in its ``bye`` frame."""
     return json.dumps(obs, separators=(",", ":"))
 
 

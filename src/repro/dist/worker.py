@@ -59,12 +59,7 @@ from repro.dampi.journal import (
     run_from_entry,
 )
 from repro.dist import protocol
-from repro.dist.protocol import (
-    pack_events,
-    pack_obs,
-    send_frame,
-    start_reader,
-)
+from repro.dist.protocol import pack_obs, send_frame, start_reader
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -111,25 +106,22 @@ class _ShardWorker:
         #: :func:`shard_config`): what a memo's signature is made of
         self.campaign_config = campaign_config
         self.metrics = MetricsRegistry()
-        #: worker-lifecycle events (lease start/done, memo hits) shipped
-        #: upstream in the bye frame as a compact binary payload; these
-        #: are about the *worker's* walk — a verified run's own events
-        #: travel with its record
-        self.tracer = Tracer(buffer=4096)
+        #: worker-lifecycle events (lease spans, memo hits), shipped
+        #: upstream in the bye frame; these are about the *worker's* walk
+        #: — a verified run's own events travel with its record.  Recorded
+        #: only when the campaign has a stream to merge them into (the
+        #: condition ``CampaignTelemetry`` builds its tracer on)
+        self.tracer: Optional[Tracer] = (
+            Tracer(buffer=4096)
+            if self.config.trace_events
+            and self.config.trace_sample_every is not None
+            else None
+        )
         self.shards_dir = Path(shards_dir) if shards_dir else None
         #: lifetime replay counter — the ``worker:<id>.<seq>`` fault
         #: selector (1-based, memo hits included: "before consuming")
         self._seq = 0
         self._runs = 0
-        #: adaptive-clock escalations run by this worker, one precision
-        #: replay each (fresh replays only — memoized entries were
-        #: escalated when first executed)
-        self._escalations = 0
-        self._extra_alternatives = 0
-        #: subtree prunes across this worker's leases (worker-local walk
-        #: shortcuts; the assembly recomputes the deterministic totals)
-        self._prunes = 0
-        self._replays_saved = 0
         self._lease_id: Optional[str] = None
         self._gen: Optional[ScheduleGenerator] = None
         self._alive = True
@@ -205,22 +197,6 @@ class _ShardWorker:
                 )
         return specs
 
-    def _fold_prune_metrics(self) -> None:
-        """Fold prune/escalation counts into the ``bye`` snapshot.  They
-        ride ``dist.worker_*`` — lease partitioning and steals decide
-        which subtrees (and thus which prune opportunities) each worker
-        sees, so the totals are worker-count-dependent; the deterministic
-        ``prune.*`` numbers come from the coordinator's assembly."""
-        for name, n in (
-            ("worker_prunes", self._prunes),
-            ("worker_replays_saved", self._replays_saved),
-            ("worker_escalations", self._escalations),
-            ("worker_escalation_replays", self._escalations),
-            ("worker_extra_alternatives", self._extra_alternatives),
-        ):
-            if n:
-                self.metrics.inc(f"dist.{name}", n)
-
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> None:
@@ -247,15 +223,13 @@ class _ShardWorker:
             if frame.get("t") == "lease":
                 self._explore(frame["id"], frame["spec"])
         self._alive = False
-        self._fold_prune_metrics()
         bye = {
             "t": "bye",
             "stats": {"runs": self._runs},
             "metrics": self.metrics.snapshot(),
         }
-        events = self.tracer.drain()
-        if events:
-            bye["events"] = pack_events(events, header={"worker": self.worker_id})
+        if self.tracer is not None:
+            bye["events"] = pack_obs(self.tracer.collect())
         self._send(bye)
 
     def _explore(self, lease_id_: str, spec: dict) -> None:
@@ -272,7 +246,8 @@ class _ShardWorker:
         )
         self._gen = gen
         self._lease_id = lease_id_
-        lease_t0 = self.tracer.now()
+        tracer = self.tracer
+        lease_t0 = tracer.now() if tracer is not None else 0.0
         decisions = gen.seed_prefix(
             spec["prefix"],
             spec["flip_key"],
@@ -302,18 +277,16 @@ class _ShardWorker:
                 obs = None
                 if entry is not None:
                     self.metrics.inc("exec.memo_hits")
-                    self.tracer.instant(
-                        "memo_hit", "dist", run=self._runs, lease=lease_id_
-                    )
+                    if tracer is not None:
+                        tracer.instant(
+                            "memo_hit", "dist", run=self._runs, lease=lease_id_
+                        )
                     result, trace, _esc = run_from_entry(entry)
                 else:
                     # escalated BEFORE the trace is journaled or streamed:
                     # the memo, the coordinator, and the assembly all
                     # inherit the augmented alternatives for free
                     result, trace, esc = self.verifier._execute(decisions)
-                    if esc is not None:
-                        self._escalations += 1
-                        self._extra_alternatives += esc
                     entry = run_entry(decisions, result, trace, esc=esc)
                     # the tracer payload rides beside the record, never in
                     # it: journals (and thus memo hits) carry no events
@@ -346,11 +319,10 @@ class _ShardWorker:
         finally:
             self._gen = None
             self._lease_id = None
-            self._prunes += gen.prunes
-            self._replays_saved += gen.replays_saved
-            self.tracer.complete(
-                "lease", "dist", lease_t0, lease=lease_id_, runs=self._runs
-            )
+            if tracer is not None:
+                tracer.complete(
+                    "lease", "dist", lease_t0, lease=lease_id_, runs=self._runs
+                )
             if journal is not None:
                 journal.close()
         self._send({"t": "lease_done", "id": lease_id_})

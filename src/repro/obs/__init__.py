@@ -11,11 +11,9 @@ without perturbing what it measures:
   histograms in a :class:`~repro.obs.metrics.MetricsRegistry`; the
   deterministic namespaces (``engine.*``, ``pb.*``, ``campaign.*``,
   ``run.*``) are reproducible bit-for-bit across ``--jobs`` settings.
-- :mod:`repro.obs.export` — JSONL event logs and Chrome ``trace_event``
-  JSON (chrome://tracing / Perfetto, per-rank lanes).
-- :mod:`repro.obs.binary` — the compact ``.revt`` binary event encoding
-  (struct-packed frames + interned string table), also used on the dist
-  wire for worker bye-frame event payloads.
+- :mod:`repro.obs.export` — the JSONL event log (the one file format of
+  an event stream, what ``repro stats`` reads back) and Chrome
+  ``trace_event`` JSON (chrome://tracing / Perfetto, per-rank lanes).
 - :mod:`repro.obs.progress` — throttled stderr heartbeat for long
   campaigns.
 - :mod:`repro.obs.campaign` — :class:`~repro.obs.campaign.CampaignTelemetry`,
@@ -23,12 +21,6 @@ without perturbing what it measures:
   :meth:`repro.dampi.verifier.DampiVerifier.verify`.
 """
 
-from repro.obs.binary import (
-    decode_events,
-    encode_events,
-    read_events_binary,
-    write_events_binary,
-)
 from repro.obs.campaign import CampaignTelemetry
 from repro.obs.metrics import (
     Counter,
@@ -49,10 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "ProgressReporter",
     "Tracer",
-    "decode_events",
     "deterministic_view",
-    "encode_events",
     "event_signature",
-    "read_events_binary",
-    "write_events_binary",
 ]

@@ -5,9 +5,8 @@ Accepts any artifact ``repro verify`` writes:
 - a report JSON v3 (``--json-out``) — renders the headline numbers, a
   per-phase wall-time breakdown (``wall.phase.*``), and the full metrics
   registry (counters, gauges, histograms);
-- a JSONL event log (``--events-out``) or a binary ``.revt`` stream
-  (``--revt-out``) — renders per-category event counts and total span
-  time per event name;
+- a JSONL event log (``--events-out``) — renders per-category event
+  counts and total span time per event name;
 - a ``--journal-dir`` directory — renders the journal's progress
   (``repro stats --follow`` tails it live while the campaign runs).
 """
@@ -91,7 +90,7 @@ def _dist_lines(counters: dict, gauges: dict) -> List[str]:
         )
     wev = counters.get("dist.worker_events") or 0
     if wev:
-        lines.append(f"    worker events    : {wev:g} (binary bye-frames)")
+        lines.append(f"    worker events    : {wev:g} (bye frames)")
     return lines
 
 
@@ -158,8 +157,6 @@ def render_report_summary(payload: dict) -> str:
                 f" sample_every={ev['sample_every']} "
                 f"sampled_runs={ev.get('sampled_runs', 0)}"
             )
-        if ev.get("worker_captured"):
-            line += f" worker_captured={ev['worker_captured']}"
         lines += ["", line]
     return "\n".join(lines)
 

@@ -6,7 +6,7 @@ Design constraints, in priority order:
    an emit is one dict increment — no record tuple, no clock read, and the
    ring itself is allocated only by the first captured event.  That is
    what every run of a campaign does unless something will read the
-   stream (a ``--trace-out/--events-out/--revt-out`` sink, or
+   stream (a ``--trace-out/--events-out`` sink, or
    ``report.events`` through the API); what counting costs a whole
    campaign is the ledger's ``obs.trace_overhead_ratio``.  With
    ``capture`` on, the hot path (:meth:`Tracer.instant`) still allocates
@@ -32,8 +32,9 @@ Design constraints, in priority order:
    tuple of pairs — hashable, picklable, and order-stable.
 
 Raw records cross process boundaries (fleet workers ship the
-:meth:`collect` payload back inside ``RunResult.artifacts["obs"]``), so
-they stay plain tuples/dicts of primitives.
+:meth:`collect` payload of each run, and of their own lifecycle tracer,
+back through ``repro.dist.protocol.pack_obs``), so they stay plain
+tuples/dicts of primitives.
 """
 
 from __future__ import annotations
@@ -74,15 +75,6 @@ class Event:
             if k == key:
                 return v
         return default
-
-    def with_run(self, run: int, ts_offset: float = 0.0) -> "Event":
-        """Relabel onto a campaign lane: assign a run index and rebase
-        the timestamp (used when merging per-run streams)."""
-        return Event(
-            name=self.name, cat=self.cat, ts=self.ts + ts_offset,
-            ph=self.ph, dur=self.dur, rank=self.rank, run=run,
-            args=self.args,
-        )
 
 
 def event_signature(events: Iterable[Event]) -> Tuple:

@@ -82,10 +82,16 @@ class TestTracer:
         assert e.name == "b" and e.ts == 0.0
         assert tr.dropped == 0
 
-    def test_with_run_rebases_and_relabels(self):
-        e = Event(name="n", cat="c", ts=0.5, rank=1)
-        r = e.with_run(9, ts_offset=10.0)
+    def test_emit_raw_rebases_and_relabels(self):
+        clk = FakeClock()
+        src = Tracer(clock=clk)
+        clk.advance(0.5)
+        src.instant("n", "c", rank=1, run=3, k=2)
+        tr = Tracer(clock=FakeClock())
+        tr.emit_raw(src.collect()["records"], run=9, ts_offset=10.0)
+        (r,) = tr.drain()
         assert r.run == 9 and r.ts == 10.5 and r.rank == 1 and r.name == "n"
+        assert r.args == (("k", 2),)
 
     def test_signature_strips_clock_fields_only(self):
         a = [Event("n", "c", ts=1.0, dur=2.0, ph="X", rank=0, args=(("k", 1),))]

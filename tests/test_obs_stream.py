@@ -1,4 +1,4 @@
-"""Line-rate telemetry: sampling determinism, binary streams, overflow.
+"""Line-rate telemetry: sampling determinism, the JSONL stream, overflow.
 
 The tentpole contracts of the ring-tracer rebuild:
 
@@ -10,8 +10,8 @@ The tentpole contracts of the ring-tracer rebuild:
 - the sampled stream at rate N is exactly the rate-1 stream filtered to
   the sampled runs (the capture decision is a pure function of the
   schedule signature);
-- the binary ``.revt`` encoding round-trips to the same events as the
-  JSONL exporter;
+- the JSONL log, the one file format of an event stream, round-trips
+  every event up to its sequence args decoding as lists;
 - ring overflow drops payloads, never counts.
 """
 
@@ -19,22 +19,14 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
-from repro.obs import (
-    Event,
-    Tracer,
-    decode_events,
-    deterministic_view,
-    encode_events,
-    event_signature,
-    read_events_binary,
-    write_events_binary,
-)
-from repro.obs.export import read_events_jsonl, write_events_jsonl
+from repro.obs import Event, Tracer, deterministic_view, event_signature
+from repro.obs.export import JSONL_FORMAT, read_events_jsonl, write_events_jsonl
 from repro.obs.progress import ProgressReporter
 from repro.obs.stats import (
     JournalStatsError,
@@ -150,7 +142,7 @@ class TestSampling:
 
 
 # --------------------------------------------------------------------- #
-# binary encoding                                                        #
+# JSONL encoding                                                         #
 # --------------------------------------------------------------------- #
 
 
@@ -188,61 +180,42 @@ def _random_event(rng: random.Random) -> Event:
     )
 
 
-class TestBinaryRoundTrip:
-    def test_property_binary_matches_jsonl_roundtrip(self, tmp_path):
+def _as_jsonl(events) -> list:
+    """What the JSONL codec decodes ``events`` to: the in-memory stream
+    holds sequence args as tuples, JSON gives them back as lists."""
+
+    def listed(v):
+        return [listed(x) for x in v] if isinstance(v, (tuple, list)) else v
+
+    return [
+        replace(e, args=tuple((k, listed(v)) for k, v in e.args))
+        for e in events
+    ]
+
+
+class TestJsonlRoundTrip:
+    def test_property_jsonl_roundtrip(self, tmp_path):
         rng = random.Random(0xDA397)
         events = [_random_event(rng) for _ in range(300)]
-        header = {"program": "prop", "nprocs": 8}
-
-        jl = tmp_path / "events.jsonl"
-        write_events_jsonl(events, jl, header=dict(header))
-        jl_header, via_jsonl = read_events_jsonl(jl)
-
-        bheader, via_binary = decode_events(
-            encode_events(events, header=dict(header))
-        )
-        assert bheader["program"] == jl_header["program"] == "prop"
-        # the two codecs canonicalize identically (tuples -> lists,
-        # floats exact: JSON repr round-trips doubles, binary ships raw)
-        assert via_binary == via_jsonl
-        assert event_signature(via_binary) == event_signature(via_jsonl)
-        assert [e.ts for e in via_binary] == [e.ts for e in via_jsonl]
-        assert [e.dur for e in via_binary] == [e.dur for e in via_jsonl]
-
-    def test_file_roundtrip_and_size(self, tmp_path):
-        rng = random.Random(7)
-        events = [_random_event(rng) for _ in range(200)]
-        revt = tmp_path / "s.revt"
-        jsonl = tmp_path / "s.jsonl"
-        write_events_binary(events, revt, header={"n": 1})
-        write_events_jsonl(events, jsonl, header={"n": 1})
-        header, back = read_events_binary(revt)
-        assert header["n"] == 1 and len(back) == len(events)
-        # "compact" is the point: the interned-string struct framing
-        # must beat the JSONL text form comfortably
-        assert revt.stat().st_size < jsonl.stat().st_size / 2
+        path = tmp_path / "events.jsonl"
+        write_events_jsonl(events, path, header={"program": "prop", "nprocs": 8})
+        header, back = read_events_jsonl(path)
+        assert header["program"] == "prop" and header["nprocs"] == 8
+        # every field exact, clocks included: JSON repr round-trips doubles
+        assert back == _as_jsonl(events)
 
     def test_empty_stream(self, tmp_path):
-        path = tmp_path / "empty.revt"
-        write_events_binary([], path)
-        header, events = read_events_binary(path)
-        assert events == []
-
-    def test_corrupt_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_events(b"NOTREVT\n\x00\x00")
+        path = tmp_path / "empty.jsonl"
+        write_events_jsonl([], path)
+        header, events = read_events_jsonl(path)
+        assert header["format"] == JSONL_FORMAT and events == []
 
     def test_campaign_stream_roundtrips(self, tmp_path):
-        # both codecs decode sequence values as lists, so the two decoded
-        # streams must agree exactly (the in-memory stream holds tuples)
         report = _verify(wildcard_lattice, 3, LATTICE_KW, trace_events=True)
-        revt, jsonl = tmp_path / "campaign.revt", tmp_path / "campaign.jsonl"
-        write_events_binary(report.events, revt, header={"nprocs": 3})
-        write_events_jsonl(report.events, jsonl, header={"nprocs": 3})
-        _, via_binary = read_events_binary(revt)
-        _, via_jsonl = read_events_jsonl(jsonl)
-        assert len(via_binary) == len(report.events)
-        assert event_signature(via_binary) == event_signature(via_jsonl)
+        path = tmp_path / "campaign.jsonl"
+        write_events_jsonl(report.events, path, header={"nprocs": 3})
+        _, back = read_events_jsonl(path)
+        assert back and back == _as_jsonl(report.events)
 
 
 # --------------------------------------------------------------------- #
@@ -497,7 +470,7 @@ class TestFollowInterval:
 
 
 # --------------------------------------------------------------------- #
-# CLI tracing defaults and .revt export                                  #
+# CLI tracing defaults and event export                                  #
 # --------------------------------------------------------------------- #
 
 
@@ -528,7 +501,7 @@ class TestCliTracing:
     def test_no_trace_conflicts_with_exports(self, tmp_path, capsys):
         from repro.cli import main
 
-        argv = self.ARGS + ["--no-trace", "--revt-out", str(tmp_path / "x")]
+        argv = self.ARGS + ["--no-trace", "--events-out", str(tmp_path / "x")]
         assert main(argv) == 2
         assert "--no-trace" in capsys.readouterr().err
 
@@ -538,15 +511,35 @@ class TestCliTracing:
         assert main(self.ARGS + ["--no-trace", "--trace-sample", "4"]) == 2
         assert "--trace-sample" in capsys.readouterr().err
 
-    def test_revt_export_and_stats(self, tmp_path, capsys):
+    def test_events_export_and_stats(self, tmp_path, capsys):
         from repro.cli import main
 
-        revt = tmp_path / "c.revt"
-        main(self.ARGS + ["--revt-out", str(revt)])
-        _, events = read_events_binary(revt)
+        jsonl = tmp_path / "c.jsonl"
+        main(self.ARGS + ["--events-out", str(jsonl)])
+        _, events = read_events_jsonl(jsonl)
         assert events
-        assert main(["stats", str(revt)]) == 0
+        assert main(["stats", str(jsonl)]) == 0
         assert "by category" in capsys.readouterr().out
+
+    def test_revt_out_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--revt-out", str(tmp_path / "c.revt")])
+        assert exc.value.code == 2
+        assert "--revt-out" in capsys.readouterr().err
+
+    def test_stats_refuses_leftover_revt(self, tmp_path, capsys):
+        """A binary stream an older version wrote is refused like any
+        other unreadable input: one usage-error line, no traceback."""
+        from repro.cli import main
+
+        path = tmp_path / "old.revt"
+        path.write_bytes(b"REVT1\n" + bytes(range(256)) * 4)
+        assert main(["stats", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "neither a report JSON" in err and "nor a journal directory" in err
 
 
 # --------------------------------------------------------------------- #
@@ -600,29 +593,56 @@ class TestProgressStreams:
 
 
 class TestDistEventPayloads:
-    def test_pack_unpack_roundtrip(self):
-        from repro.dist.protocol import pack_events, unpack_events
+    def test_bye_payload_roundtrip(self):
+        """A worker's lifecycle events travel like a run's payload: its
+        tracer's ``collect()`` through ``pack_obs``, merged raw onto the
+        worker's lane."""
+        from repro.dist.protocol import pack_obs, unpack_obs
 
-        t = Tracer(buffer=16, clock=lambda: 0.0)
-        t.instant("memo_hit", "dist", run=3, lease="L1")
-        t.complete("lease", "dist", 0.0, lease="L1", runs=4)
-        events = t.drain()
-        blob = pack_events(events, header={"worker": 9})
+        worker = Tracer(buffer=16, clock=lambda: 0.0)
+        worker.instant("memo_hit", "dist", run=3, lease="L1")
+        worker.complete("lease", "dist", 0.0, lease="L1", runs=4)
+        blob = pack_obs(worker.collect())
         assert isinstance(blob, str)  # JSON-frame safe
-        header, back = unpack_events(blob)
-        assert header["worker"] == 9
-        assert event_signature(back) == event_signature(events)
+        campaign = Tracer(clock=lambda: 0.0)
+        campaign.emit_raw(unpack_obs(blob)["records"], run=9)
+        assert event_signature(campaign.drain()) == (
+            ("memo_hit", "dist", "i", None, 9, (("lease", "L1"),)),
+            ("lease", "dist", "X", None, 9, (("lease", "L1"), ("runs", 4))),
+        )
 
     def test_dist_campaign_collects_worker_events(self):
         from repro.dist import distributed_verify
 
         report = distributed_verify(
-            matmult_program, 3, config=DampiConfig(), workers=2
+            matmult_program, 3, config=DampiConfig(trace_events=True), workers=2
         )
         counters = report.telemetry["metrics"]["counters"]
-        assert counters.get("dist.worker_events", 0) > 0
         dist_events = [e for e in report.events if e.cat == "dist"]
-        assert any(e.name == "lease" for e in dist_events)
-        assert report.telemetry["events"]["worker_captured"] == len(
-            dist_events
+        assert counters["dist.worker_events"] == len(dist_events)
+        leases = [e for e in dist_events if e.name == "lease"]
+        assert len(leases) == counters["dist.leases_issued"] > 0
+
+    def test_default_campaign_ships_no_worker_events(self, monkeypatch):
+        """Nothing reads a default campaign's events, so its workers
+        record none and their ``bye`` frames carry none."""
+        from repro.dist import distributed_verify
+        from repro.dist.coordinator import DistCoordinator
+
+        byes = []
+        handle = DistCoordinator._handle
+
+        def spy(self, tag, frame, faults):
+            if frame is not None and frame.get("t") == "bye":
+                byes.append(frame)
+            return handle(self, tag, frame, faults)
+
+        monkeypatch.setattr(DistCoordinator, "_handle", spy)
+        report = distributed_verify(
+            matmult_program, 3, config=DampiConfig(), workers=2
         )
+        assert byes and not any("events" in frame for frame in byes)
+        assert "dist.worker_events" not in report.telemetry["metrics"]["counters"]
+        assert report.telemetry["events"] == {
+            "enabled": False, "captured": 0, "dropped": 0,
+        }
