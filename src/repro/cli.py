@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=Path,
             default=None,
             metavar="DIR",
-            help="durable campaign journal: every run is fsync'd to DIR "
+            help="durable campaign journal: every run is written to DIR "
+            "at once and fsync'd in groups about every 0.1 s "
             "(with a fleet also its lease ledger and per-lease worker "
             "memos), and 'repro resume DIR' picks up where a crash left off "
             "without re-executing covered interleavings — in-process or "

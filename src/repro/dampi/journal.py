@@ -63,18 +63,30 @@ record is consumed.
 It is also the on-disk record of paper Fig. 1: the trace holds every
 epoch and every potential match of the run, so a journal re-read offline
 seeds a fresh schedule generator to the decisions the live campaign took
-(plain line-oriented JSON: grep/jq work on it).
+(plain line-oriented JSON: grep/jq work on it).  Epochs and matches are
+*rows*, not objects: a row lists the fields of
+:class:`~repro.dampi.epoch.EpochRecord` or
+:class:`~repro.dampi.epoch.PotentialMatch` in declaration order, with
+an epoch key and a stamp flattened to two cells each
+(:func:`trace_to_jsonable`).  A run's potential matches are most of its
+bytes, and a row instead of a dict per match and per stamp cuts a
+record to about a quarter.
 
 Durability: every append is one ``write()`` of ``json + "\\n"`` followed
-by ``flush`` + ``fsync``.  A crash mid-append leaves a torn final line
-with no trailing newline; the loader drops anything after the last
-newline of each segment, so a torn tail costs exactly the record being
-written — which was by definition not yet acknowledged.  Only a
-``lease`` needs its place in the order (before its dispatch, so a
-subtree a worker discovers is never lost); a lost ``run`` is simply
-executed again, bit-identically.  Segments rotate at
-:data:`DEFAULT_SEGMENT_BYTES`, and every attempt that appends opens a
-fresh segment (old segments are never reopened for writing).
+by ``flush``, so a process that dies loses nothing it appended.  What a
+*machine* crash may lose is what only the page cache held, and that is
+decided per entry type (group commit): ``meta``, ``lease``,
+``lease_done`` and ``end`` are fsync'd before :meth:`CampaignJournal.append`
+returns — a lease is durable before it is dispatched, so a subtree a
+worker discovers is never lost — while a ``run`` is fsync'd only once
+:data:`RUN_SYNC_INTERVAL_SECONDS` have passed since the journal's last
+sync, and :meth:`CampaignJournal.close` always syncs.  A lost ``run`` is
+simply executed again, bit-identically.  A crash mid-append leaves a
+torn final line with no trailing newline; the loader drops anything
+after the last newline of each segment, so a torn tail costs exactly the
+record being written.  Segments rotate at :data:`DEFAULT_SEGMENT_BYTES`,
+and every attempt that appends opens a fresh segment (old segments are
+never reopened for writing).
 """
 
 from __future__ import annotations
@@ -82,6 +94,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -95,15 +108,19 @@ from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-#: 4: the meta record's signature and config lost two removed knobs, the
-#: op-tracer toggle and the per-run artifact tree (``run`` entries are
-#: unchanged since 3, when every run became one ``run`` entry keyed by its
-#: schedule; v2 kept three kinds and generator checkpoints; v1 stored the
-#: report's post-dedup view)
-JOURNAL_VERSION = 4
+#: 5: a run trace's epochs and matches are fixed-order rows, not a dict
+#: per epoch, match and stamp (v4's meta lost two removed knobs; v3 made
+#: every run one ``run`` entry keyed by its schedule; v2 kept three kinds
+#: and generator checkpoints; v1 stored the report's post-dedup view)
+JOURNAL_VERSION = 5
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
+
+#: group commit: a ``run`` entry is fsync'd only when this long has passed
+#: since the journal's last sync (every other entry type, and ``close``,
+#: always syncs)
+RUN_SYNC_INTERVAL_SECONDS = 0.1
 
 
 class JournalError(RuntimeError):
@@ -113,81 +130,25 @@ class JournalError(RuntimeError):
 # -- payload (de)serialisation -------------------------------------------------
 
 
-def stamp_to_jsonable(stamp) -> Optional[dict]:
+def _stamp_cells(stamp) -> tuple:
+    """A stamp as two row cells, ``(value, rank)``: the value is the
+    Lamport time (an int), the vector's components (a list) or ``null``
+    for no stamp."""
     if stamp is None:
-        return None
+        return None, None
     if isinstance(stamp, LamportStamp):
-        return {"kind": "lamport", "time": stamp.time, "rank": stamp.rank}
+        return stamp.time, stamp.rank
     if isinstance(stamp, VectorStamp):
-        return {"kind": "vector", "components": list(stamp.components)}
+        return list(stamp.components), stamp.rank
     raise TypeError(f"unknown stamp type {type(stamp).__name__}")
 
 
-def stamp_from_jsonable(payload: Optional[dict]):
-    if payload is None:
+def _stamp(value, rank):
+    if value is None:
         return None
-    if payload["kind"] == "lamport":
-        return LamportStamp(payload["time"], payload.get("rank", -1))
-    if payload["kind"] == "vector":
-        return VectorStamp(tuple(payload["components"]))
-    raise ValueError(f"unknown stamp kind {payload['kind']!r}")
-
-
-def epoch_to_jsonable(e: EpochRecord) -> dict:
-    return {
-        "rank": e.rank,
-        "lc": e.lc,
-        "index": e.index,
-        "ctx": e.ctx,
-        "tag": e.tag,
-        "kind": e.kind,
-        "stamp": stamp_to_jsonable(e.stamp),
-        "explore": e.explore,
-        "forced": e.forced,
-        "matched_source": e.matched_source,
-        "matched_env_uid": e.matched_env_uid,
-        "matched_seq": e.matched_seq,
-    }
-
-
-def epoch_from_jsonable(payload: dict) -> EpochRecord:
-    e = EpochRecord(
-        rank=payload["rank"],
-        lc=payload["lc"],
-        index=payload["index"],
-        ctx=payload["ctx"],
-        tag=payload["tag"],
-        kind=payload["kind"],
-        stamp=stamp_from_jsonable(payload["stamp"]),
-        explore=payload["explore"],
-        forced=payload["forced"],
-    )
-    e.matched_source = payload["matched_source"]
-    e.matched_env_uid = payload["matched_env_uid"]
-    e.matched_seq = payload["matched_seq"]
-    return e
-
-
-def match_to_jsonable(m: PotentialMatch) -> dict:
-    return {
-        "epoch": list(m.epoch),
-        "source": m.source,
-        "env_uid": m.env_uid,
-        "seq": m.seq,
-        "tag": m.tag,
-        "stamp": stamp_to_jsonable(m.stamp),
-    }
-
-
-def match_from_jsonable(payload: dict) -> PotentialMatch:
-    return PotentialMatch(
-        epoch=tuple(payload["epoch"]),
-        source=payload["source"],
-        env_uid=payload["env_uid"],
-        seq=payload["seq"],
-        tag=payload["tag"],
-        stamp=stamp_from_jsonable(payload["stamp"]),
-    )
+    if value.__class__ is int:
+        return LamportStamp(value, rank)
+    return VectorStamp(value, rank)
 
 
 def decisions_to_jsonable(decisions: EpochDecisions) -> dict:
@@ -205,10 +166,31 @@ def decisions_from_jsonable(payload: dict) -> EpochDecisions:
 
 
 def trace_to_jsonable(trace: RunTrace) -> dict:
+    """A run trace with its epochs and potential matches as fixed-order
+    rows.  A row lists the fields of :class:`~repro.dampi.epoch.EpochRecord`
+    or :class:`~repro.dampi.epoch.PotentialMatch` in declaration order,
+    with a match's epoch key as two cells ``rank, lc`` and a stamp as two
+    cells ``value, rank`` (:func:`_stamp_cells`)::
+
+        epoch: [rank, lc, index, ctx, tag, kind, stamp_value, stamp_rank,
+                explore, forced, matched_source, matched_env_uid, matched_seq]
+        match: [epoch_rank, epoch_lc, source, env_uid, seq, tag,
+                stamp_value, stamp_rank]
+    """
     return {
         "nprocs": trace.nprocs,
-        "epochs": [epoch_to_jsonable(e) for e in trace.all_epochs()],
-        "matches": [match_to_jsonable(m) for m in trace.potential_matches],
+        "epochs": [
+            [
+                e.rank, e.lc, e.index, e.ctx, e.tag, e.kind, *_stamp_cells(e.stamp),
+                e.explore, e.forced,
+                e.matched_source, e.matched_env_uid, e.matched_seq,
+            ]
+            for e in trace.all_epochs()
+        ],
+        "matches": [
+            [*m.epoch, m.source, m.env_uid, m.seq, m.tag, *_stamp_cells(m.stamp)]
+            for m in trace.potential_matches
+        ],
         "unconsumed": [list(k) for k in trace.unconsumed_decisions],
         "mismatches": [list(k) for k in trace.forced_mismatches],
         "scalar_risk": [list(k) for k in trace.scalar_risk],
@@ -219,18 +201,28 @@ def trace_from_jsonable(payload: dict) -> RunTrace:
     # every rank has a list, as in a live trace: the prune fingerprint
     # walks ranks, so a journaled run and a live one must compare alike
     epochs: dict[int, list[EpochRecord]] = {r: [] for r in range(payload["nprocs"])}
-    for raw in payload["epochs"]:
-        e = epoch_from_jsonable(raw)
-        epochs[e.rank].append(e)
+    for (
+        rank, lc, index, ctx, tag, kind, value, srank, explore, forced,
+        src, uid, seq,
+    ) in payload["epochs"]:
+        epochs[rank].append(
+            EpochRecord(
+                rank, lc, index, ctx, tag, kind, _stamp(value, srank),
+                explore, forced, src, uid, seq,
+            )
+        )
     for rank_epochs in epochs.values():
         rank_epochs.sort(key=lambda e: e.index)
     return RunTrace(
         nprocs=payload["nprocs"],
         epochs=epochs,
-        potential_matches=[match_from_jsonable(m) for m in payload["matches"]],
+        potential_matches=[
+            PotentialMatch((er, elc), source, uid, seq, tag, _stamp(value, srank))
+            for er, elc, source, uid, seq, tag, value, srank in payload["matches"]
+        ],
         unconsumed_decisions=[tuple(k) for k in payload["unconsumed"]],
         forced_mismatches=[tuple(k) for k in payload["mismatches"]],
-        scalar_risk=[tuple(k) for k in payload.get("scalar_risk", ())],
+        scalar_risk=[tuple(k) for k in payload["scalar_risk"]],
     )
 
 
@@ -453,17 +445,19 @@ def config_to_jsonable(config) -> Optional[dict]:
 
 
 class CampaignJournal:
-    """Append-only, fsync'd, segment-rotated campaign journal.
+    """Append-only, group-committed, segment-rotated campaign journal.
 
     One instance serves one :meth:`~repro.dampi.verifier.DampiVerifier
     .verify` call: construct it on a directory (existing segments are
     loaded eagerly), hand it to ``verify(journal=...)``, and the verifier
     does the rest — validates the meta record, walks over the runs it
-    holds, and appends the ones it executes.
+    holds, appends the ones it executes, and closes it on every exit
+    path (a ``run`` appended since the last sync is on disk only once
+    :meth:`close` has synced it).
 
     ``entries`` is the history *loaded at open*: what a resume, ``repro
     stats``, a coordinator's lease reload or a worker's memo read before
-    the first append.  :meth:`append` makes a record durable and does not keep
+    the first append.  :meth:`append` writes a record and does not keep
     it — nothing in the writing process reads it back, and a campaign's
     memory must not grow with its length; re-open the directory to read
     what was written.
@@ -489,6 +483,7 @@ class CampaignJournal:
         self._fh = None
         self._segment_index = 0
         self._segment_written = 0
+        self._synced_at = 0.0
         # loading never creates the directory: a read-only command pointed
         # at a typo must leave nothing behind (the first append makes it)
         self._load()
@@ -599,7 +594,13 @@ class CampaignJournal:
         self._fh = open(path, "ab")
 
     def append(self, record: dict) -> None:
-        """Durably append one record: single write, flush, fsync."""
+        """Append one record as a single ``write()`` plus ``flush``, so a
+        process that dies after this returns loses nothing of it.
+        ``meta``, ``lease``, ``lease_done`` and ``end`` are also fsync'd
+        before this returns; a ``run`` is fsync'd only when
+        :data:`RUN_SYNC_INTERVAL_SECONDS` have passed since the last sync
+        (group commit: a ``run`` a machine crash loses is executed again,
+        bit-identically, and the next sync covers it otherwise)."""
         if self._fh is None or self._segment_written >= self.segment_bytes:
             rotated = self._fh is not None
             self.close()
@@ -612,26 +613,40 @@ class CampaignJournal:
                         "journal_rotate", "journal", segment=self._segment_index - 1
                     )
         data = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
-        self._fh.write(data)
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        fh = self._fh
+        fh.write(data)
+        fh.flush()
         self._segment_written += len(data)
-        if record.get("t") == "end":
+        kind = record.get("t")
+        if (
+            kind != "run"
+            or time.monotonic() - self._synced_at >= RUN_SYNC_INTERVAL_SECONDS
+        ):
+            self._sync(fh)
+        if kind == "end":
             self.complete = True
         if self._metrics is not None:
             self._metrics.counter("journal.appends").inc()
             self._metrics.counter("journal.bytes").inc(len(data))
 
+    def _sync(self, fh) -> None:
+        if not self.fsync:
+            return
+        os.fsync(fh.fileno())
+        self._synced_at = time.monotonic()
+        if self._metrics is not None:
+            self._metrics.counter("journal.syncs").inc()
+
     def close(self) -> None:
+        """Flush and fsync the open segment (always: runs appended since
+        the last sync reach the disk here) and close it.  Idempotent."""
         fh, self._fh = self._fh, None
         if fh is not None:
             fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+            self._sync(fh)
             fh.close()
 
-    def __del__(self):  # appends are individually durable; this is hygiene
+    def __del__(self):  # a last resort: every writer closes its journal
         try:
             self.close()
         except Exception:

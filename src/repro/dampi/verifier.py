@@ -176,6 +176,12 @@ class _Campaign:
                 self, report.interleavings, decisions, *run, started=started
             )
 
+    def abort(self) -> None:
+        """The walk raised: close the journal without an ``end`` marker,
+        which syncs the runs appended since its last sync."""
+        if self.journal is not None:
+            self.journal.close()
+
     def finish(self, parallel_stats) -> VerificationReport:
         """Close out once the walk is over: the journal's ``end`` marker
         (once — verifying a finished journal again leaves it as it is),
@@ -413,7 +419,8 @@ class DampiVerifier:
 
         ``journal`` (a directory path or a
         :class:`~repro.dampi.journal.CampaignJournal`) makes the session
-        crash-safe: every run executed is durably appended, and a later
+        crash-safe: every run executed is appended (and fsync'd by group
+        commit, see :mod:`repro.dampi.journal`), and a later
         ``verify(journal=<same dir>)`` — at any ``jobs``, whoever wrote
         the directory — takes the journaled runs instead of re-executing
         them and executes the rest, producing a report bit-identical to
@@ -450,9 +457,10 @@ class DampiVerifier:
             started = camp.telemetry.run_started()
             self._consume(camp, 0, None, *camp.self_run(), started=started)
             camp.walk(source)
+        except BaseException:
+            camp.abort()
+            raise
         finally:
-            # the journal needs no cleanup here: every append is already
-            # durable, and finish() writes the end marker and closes it
             self.close()
 
         stats = {

@@ -77,7 +77,9 @@ fleet size, and from a journal any driver wrote (an in-process
 ``verify(journal=)`` reads the same directory and skips the ledger).
 Workers memoize finished runs in per-lease journals of the same kind
 (``shards/lease-<id>``), so a re-issued lease replays from disk instead
-of re-executing.
+of re-executing.  A ``lease`` is fsync'd before it is dispatched; ``run``
+records are group-committed, and the journal is closed (synced) on every
+exit path, a raised one included.
 
 Failure handling
 ----------------
@@ -220,6 +222,13 @@ class DistCoordinator:
     # -- campaign --------------------------------------------------------------
 
     def run(self) -> VerificationReport:
+        try:
+            return self._run()
+        except BaseException:
+            self.camp.abort()
+            raise
+
+    def _run(self) -> VerificationReport:
         cfg = self.config
         verifier, camp = self.verifier, self.camp
         self._reload()

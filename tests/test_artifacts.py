@@ -46,13 +46,20 @@ class TestStore:
         assert len(loaded.potential_matches) == len(live.potential_matches)
 
     def test_jsonl_files_greppable(self, tmp_path):
+        """An epoch is one row, ``[rank, lc, index, ctx, tag, kind, ...]``,
+        and a potential match one row that starts with its epoch's key."""
         _journaled(tmp_path, wildcard_lattice, 3, LATTICE)
         (segment,) = (tmp_path / "j").glob("segment-*.jsonl")
         records = [json.loads(line) for line in segment.read_text().splitlines()]
         self_run = next(r for r in records if r["t"] == "run" and r["key"] is None)
         epochs = self_run["trace"]["epochs"]
         assert len(epochs) == 2  # two wildcard epochs
-        assert all(e["kind"] == "recv" for e in epochs)
+        assert all(len(e) == 13 and e[5] == "recv" for e in epochs)
+        keys = {(e[0], e[1]) for e in epochs}
+        matches = self_run["trace"]["matches"]
+        assert matches and all(
+            len(m) == 8 and (m[0], m[1]) in keys for m in matches
+        )
 
 
 class TestOfflineReanalysis:

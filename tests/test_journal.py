@@ -6,6 +6,7 @@ bit-identical to an uninterrupted run — without re-executing the
 interleavings already journaled (the re-executed count is asserted).
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -31,12 +32,12 @@ from repro.dampi import journal as jr
 from repro.dampi import prune as prune_mod
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
 from repro.dampi.decisions import EpochDecisions, schedule_key
-from repro.dampi.epoch import EpochRecord, PotentialMatch
+from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dist import distributed_verify
 from repro.workloads.bugzoo import ZOO
-from repro.workloads.patterns import wildcard_lattice
+from repro.workloads.patterns import fig4_program, wildcard_lattice
 from tests.test_parallel import _report_fingerprint
 
 #: 4 interleavings at np=3 — small enough to crash precisely mid-walk
@@ -54,10 +55,48 @@ def _canon(report) -> dict:
     return d
 
 
-def _verify_child(journal_dir, fault_plan, nprocs, kwargs, workers, journal_kw):
+def _fsync_spy(log_path):
+    """An ``os.fsync`` that also logs an ``inode size`` line to
+    ``log_path`` — installed before a fork, it logs for every process."""
+    real = os.fsync
+
+    def spy(fd):
+        real(fd)
+        st = os.fstat(fd)
+        with open(log_path, "a") as log:
+            log.write(f"{st.st_ino} {st.st_size}\n")
+
+    return spy
+
+
+def _fsyncs(log_path) -> dict:
+    """What :func:`_fsync_spy` logged: inode -> the file sizes its fsyncs
+    covered, in order."""
+    synced: dict = {}
+    if os.path.exists(log_path):
+        with open(log_path) as log:
+            for line in log:
+                ino, size = map(int, line.split())
+                synced.setdefault(ino, []).append(size)
+    return synced
+
+
+def _machine_crash(journal_dir, log_path) -> None:
+    """Cut every segment under ``journal_dir`` to the length its last fsync
+    covered: what a power loss leaves of what only the page cache held."""
+    synced = _fsyncs(log_path)
+    for segment in journal_dir.rglob("segment-*.jsonl"):
+        os.truncate(segment, max(synced.get(segment.stat().st_ino, [0])))
+
+
+def _verify_child(
+    journal_dir, fault_plan, nprocs, kwargs, workers, journal_kw, fsync_log=None
+):
     """Child-process body: run a journaled verification — in-process, or
     by a fleet of ``workers`` — that a ``kill`` fault is expected to take
-    down."""
+    down (``fsync_log``: log every fsync, see :func:`_fsync_spy`)."""
+    if fsync_log is not None:
+        jr.os.fsync = _fsync_spy(fsync_log)
     config = DampiConfig(fault_plan=fault_plan)
     journal = CampaignJournal(journal_dir, **journal_kw)
     if workers:
@@ -74,14 +113,17 @@ def _verify_child(journal_dir, fault_plan, nprocs, kwargs, workers, journal_kw):
 
 def _crash_campaign(
     journal_dir, fault_plan, nprocs=3, kwargs=LATTICE, workers=None,
-    **journal_kw
+    fsync_log=None, **journal_kw
 ):
     """Run a journaled verification in a forked child process and assert
     the injected fault — not anything else — killed it."""
     ctx = multiprocessing.get_context("fork")
     proc = ctx.Process(
         target=_verify_child,
-        args=(str(journal_dir), fault_plan, nprocs, kwargs, workers, journal_kw),
+        args=(
+            str(journal_dir), fault_plan, nprocs, kwargs, workers, journal_kw,
+            fsync_log,
+        ),
     )
     proc.start()
     proc.join(120)
@@ -349,11 +391,34 @@ class TestRunRecord:
 
     def test_v1_journal_is_refused_by_version(self, tmp_path, capsys):
         """A journal of the v1 format (post-dedup ``record`` view, no raw
-        facts) must fail on its version, not on a missing field."""
-        _assert_refused_by_version(tmp_path, capsys, 1, {
-            "t": "run", "index": 0, "key": None, "trace": {},
-            "record": {"makespan": 0.0}, "errors": [], "seen": [],
-        })
+        facts) or of v4 (a dict per epoch, per match and per stamp) must
+        fail on its version, not on a missing field or a row unpacking."""
+        v4_trace = {
+            "nprocs": 3,
+            "epochs": [{
+                "rank": 0, "lc": 0, "index": 0, "ctx": 0, "tag": 0,
+                "kind": "recv", "stamp": {"kind": "lamport", "time": 1, "rank": 0},
+                "explore": True, "forced": False, "matched_source": 1,
+                "matched_env_uid": 1, "matched_seq": 0,
+            }],
+            "matches": [{
+                "epoch": [0, 0], "source": 2, "env_uid": 2, "seq": 0, "tag": 0,
+                "stamp": {"kind": "lamport", "time": 0, "rank": 2},
+            }],
+            "unconsumed": [], "mismatches": [], "scalar_risk": [],
+        }
+        for version, entry in (
+            (1, {
+                "t": "run", "index": 0, "key": None, "trace": {},
+                "record": {"makespan": 0.0}, "errors": [], "seen": [],
+            }),
+            (4, {
+                "t": "run", "key": None, "trace": v4_trace, "makespan": 0.0,
+                "stats": {}, "pb": None, "leaks": None, "deadlock": None,
+                "errors": [], "monitor": None,
+            }),
+        ):
+            _assert_refused_by_version(tmp_path, capsys, version, entry)
 
     def test_v3_journal_is_refused_by_version(self, tmp_path, capsys):
         """A v3 journal's ``run`` entries read fine, but its meta record
@@ -375,6 +440,37 @@ class TestFailureEntryResume:
         _assert_refused_by_version(tmp_path, capsys, 2, {
             "t": "failure", "index": 4, "key": None, "reason": "worker died",
         })
+
+
+def _roundtrip(trace):
+    """A trace through the run record's trace codec and JSON text."""
+    return jr.trace_from_jsonable(json.loads(json.dumps(jr.trace_to_jsonable(trace))))
+
+
+def _one_epoch_trace(stamp=None, epoch=None, nprocs=4):
+    e = epoch or EpochRecord(rank=1, lc=2, index=0, ctx=0, tag=7, stamp=stamp)
+    epochs = {r: [] for r in range(nprocs)}
+    epochs[e.rank].append(e)
+    return RunTrace(nprocs=nprocs, epochs=epochs)
+
+
+def _field_view(obj):
+    """``obj`` with every field and its type spelled out, for comparing a
+    trace field by field: stamps keep the rank their ``==`` ignores, and
+    a tuple never equals a list nor a bool an int."""
+    if isinstance(obj, LamportStamp):
+        return (LamportStamp, obj.time, obj.rank)
+    if isinstance(obj, VectorStamp):
+        return (VectorStamp, obj.components, obj.rank)
+    if dataclasses.is_dataclass(obj):
+        return (type(obj), *(
+            _field_view(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        ))
+    if isinstance(obj, dict):
+        return {k: _field_view(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return (type(obj), *(_field_view(v) for v in obj))
+    return (type(obj), obj)
 
 
 def _assert_refused_by_version(tmp_path, capsys, version, entry):
@@ -461,6 +557,151 @@ class TestOneJournal:
         assert resumed.journal_stats["executed"] == oracle.interleavings - runs
 
 
+class TestGroupCommit:
+    """Every append is written and flushed at once, so a process death
+    loses nothing; ``run`` entries are fsync'd in groups, so a *machine*
+    crash may lose the runs appended since the last sync — which the next
+    attempt executes again — but never a lease, a meta or an end record."""
+
+    def test_few_syncs_and_every_other_entry_synced_before_append_returns(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "fsync.log"
+        monkeypatch.setattr(jr.os, "fsync", _fsync_spy(log))
+        real_append = jr.CampaignJournal.append
+        checked = []
+
+        def append(self, record):
+            real_append(self, record)
+            if record["t"] != "run":
+                st = os.fstat(self._fh.fileno())
+                synced = _fsyncs(log).get(st.st_ino, [None])
+                assert synced[-1] == st.st_size, record["t"]
+                checked.append(record["t"])
+
+        monkeypatch.setattr(jr.CampaignJournal, "append", append)
+        report = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(trace_events=True),
+            kwargs={"receives": 5, "senders": 3},
+        ).verify(journal=tmp_path / "j")
+        assert report.interleavings >= 100
+        assert checked == ["meta", "end"]
+        counters = report.telemetry["metrics"]["counters"]
+        appends, syncs = counters["journal.appends"], counters["journal.syncs"]
+        assert appends == report.interleavings + 2
+        assert 3 <= syncs <= appends // 4, (syncs, appends)
+        # a coordinator's lease ledger: each entry synced as it is written
+        checked.clear()
+        distributed_verify(
+            wildcard_lattice, 4, DampiConfig(), workers=2, kwargs=BIG,
+            journal=tmp_path / "fleet",
+        )
+        assert set(checked) == {"meta", "lease", "lease_done", "end"}
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["in-process", "fleet"])
+    def test_raised_walk_closes_and_syncs_its_journal(
+        self, tmp_path, monkeypatch, fleet
+    ):
+        """An exception out of the walk writes no ``end`` marker, but the
+        journal is closed and its last fsync covers every byte written —
+        whether the walk ran here or in a fleet's coordinator."""
+        from repro.dist import DistCoordinator
+
+        log = tmp_path / "fsync.log"
+        monkeypatch.setattr(jr.os, "fsync", _fsync_spy(log))
+        journal = CampaignJournal(tmp_path / "j")
+        v = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(fault_plan="raise@run:5"), kwargs=BIG
+        )
+        with pytest.raises(FaultInjected):
+            if fleet:
+                DistCoordinator(v, workers=2, journal=journal).run()
+            else:
+                v.verify(journal=journal)
+        assert journal._fh is None and not journal.complete
+        (segment,) = (tmp_path / "j").glob("segment-*.jsonl")
+        st = segment.stat()
+        assert _fsyncs(log)[st.st_ino][-1] == st.st_size
+        runs = len(CampaignJournal(tmp_path / "j").run_entries())
+        # the walk took runs 0..4; a fleet may have delivered more
+        assert runs >= 5 if fleet else runs == 5
+
+    @pytest.mark.parametrize("writer", ["in-process", "fleet"])
+    def test_machine_crash_keeps_the_synced_prefix(self, tmp_path, writer):
+        """Kill a campaign, then drop from every segment what its last
+        fsync did not cover: resumed in-process and by a fleet of 2, the
+        report is the oracle's, exactly the synced runs are replayed, and
+        every lease a worker was handed is in the journal."""
+        oracle = DampiVerifier(
+            wildcard_lattice, 4, DampiConfig(), kwargs=BIG
+        ).verify()
+        written, log = tmp_path / "written", tmp_path / "fsync.log"
+        crash = (
+            dict(fault_plan="kill@run:10") if writer == "in-process"
+            else dict(fault_plan="kill@coord:9", workers=2)
+        )
+        _crash_campaign(written, nprocs=4, kwargs=BIG, fsync_log=log, **crash)
+        _machine_crash(written, log)
+        survivor = CampaignJournal(written)
+        assert survivor.meta is not None
+        leases = {e["id"] for e in survivor.entries if e["t"] == "lease"}
+        handed = {d.name[len("lease-"):] for d in written.glob("shards/lease-*")}
+        assert handed <= leases
+        if writer == "fleet":
+            assert handed
+        runs = len(survivor.run_entries())
+        resumers = {
+            "in-process": lambda j: DampiVerifier(
+                wildcard_lattice, 4, DampiConfig(), kwargs=BIG
+            ).verify(journal=j),
+            "workers=2": lambda j: distributed_verify(
+                wildcard_lattice, 4, DampiConfig(), workers=2, kwargs=BIG,
+                journal=j,
+            ),
+        }
+        for resumer, resume in resumers.items():
+            journal_dir = tmp_path / resumer
+            shutil.copytree(written, journal_dir)
+            resumed = resume(journal_dir)
+            assert _canon(resumed) == _canon(oracle), resumer
+            assert resumed.journal_stats["replayed"] == runs, resumer
+
+
+class TestRowFormat:
+    """The row format loses nothing a live trace holds: vector stamps,
+    escalation-injected matches (``env_uid`` -1, no stamp) and every
+    field's type included."""
+
+    CLOCKS = {
+        "lamport": {},
+        "vector": {"clock_impl": "vector"},
+        "adaptive": {"adaptive_clocks": True},
+    }
+
+    @pytest.mark.parametrize("clock", sorted(CLOCKS))
+    def test_every_live_trace_roundtrips_field_by_field(self, clock):
+        seen = collections.Counter()
+        programs = [(e.program, e.nprocs) for e in ZOO] + [(fig4_program, 4)]
+        for program, nprocs in programs:
+            config = DampiConfig(keep_traces=True, **self.CLOCKS[clock])
+            report = DampiVerifier(program, nprocs, config).verify()
+            for trace in report.traces:
+                assert _field_view(_roundtrip(trace)) == _field_view(trace)
+                for m in trace.potential_matches:
+                    seen[type(m.stamp).__name__] += 1
+                    seen["escalated"] += m.env_uid == prune_mod.ESCALATED_ENV_UID
+                for e in trace.all_epochs():
+                    seen[type(e.stamp).__name__] += 1
+        if clock == "vector":
+            assert seen["VectorStamp"] and not seen["LamportStamp"]
+        else:
+            assert seen["LamportStamp"] and not seen["VectorStamp"]
+        if clock == "adaptive":
+            assert seen["escalated"] and seen["escalated"] == seen["NoneType"]
+        else:
+            assert not seen["escalated"] and not seen["NoneType"]
+
+
 class TestCampaignJournals:
     def test_escalate_resumes_across_stages(self, tmp_path):
         oracle = escalating_verify(wildcard_lattice, 4, kwargs=BIG)
@@ -491,17 +732,18 @@ class TestSerialization:
         assert d2.flip is None and d2.forced == {}
 
     def test_lamport_stamp_roundtrip(self):
-        s = LamportStamp(7, 3)
-        out = jr.stamp_from_jsonable(jr.stamp_to_jsonable(s))
-        assert out.time == 7 and out.rank == 3
+        (out,) = _roundtrip(_one_epoch_trace(LamportStamp(7, 3))).all_epochs()
+        assert _field_view(out.stamp) == (LamportStamp, 7, 3)
 
     def test_vector_stamp_roundtrip(self):
-        s = VectorStamp((1, 0, 4))
-        assert jr.stamp_from_jsonable(jr.stamp_to_jsonable(s)) == s
+        s = VectorStamp((1, 0, 4), 2)
+        (out,) = _roundtrip(_one_epoch_trace(s)).all_epochs()
+        assert out.stamp == s
+        assert _field_view(out.stamp) == (VectorStamp, (1, 0, 4), 2)
 
     def test_none_stamp(self):
-        assert jr.stamp_to_jsonable(None) is None
-        assert jr.stamp_from_jsonable(None) is None
+        (out,) = _roundtrip(_one_epoch_trace(None)).all_epochs()
+        assert out.stamp is None
 
     @given(
         rank=st.integers(min_value=0, max_value=9),
@@ -514,20 +756,29 @@ class TestSerialization:
             rank=rank, lc=lc, index=0, ctx=0, tag=tag, stamp=LamportStamp(lc + 1)
         )
         e.matched_source = matched
-        out = jr.epoch_from_jsonable(json.loads(json.dumps(jr.epoch_to_jsonable(e))))
-        assert (out.rank, out.lc, out.tag, out.matched_source) == (
-            rank,
-            lc,
-            tag,
-            matched,
-        )
+        (out,) = _roundtrip(_one_epoch_trace(epoch=e, nprocs=10)).all_epochs()
+        assert _field_view(out) == _field_view(e)
 
     def test_match_roundtrip(self):
         m = PotentialMatch(
             epoch=(1, 4), source=2, env_uid=99, seq=3, tag=5, stamp=LamportStamp(2)
         )
-        out = jr.match_from_jsonable(json.loads(json.dumps(jr.match_to_jsonable(m))))
-        assert out.epoch == (1, 4) and out.source == 2 and out.seq == 3
+        trace = RunTrace(nprocs=2, epochs={0: [], 1: []}, potential_matches=[m])
+        (out,) = _roundtrip(trace).potential_matches
+        assert _field_view(out) == _field_view(m)
+
+    def test_rows_are_flat_and_fixed_order(self):
+        """The on-disk shape: one flat row per epoch and per match, stamps
+        as two cells — no dict below the trace."""
+        e = EpochRecord(0, 3, 1, 0, -1, "probe", LamportStamp(4, 0), True, False, 2, 17, 1)
+        m = PotentialMatch((0, 3), 1, 12, 0, 5, VectorStamp((0, 2), 1))
+        payload = jr.trace_to_jsonable(
+            RunTrace(nprocs=2, epochs={0: [e], 1: []}, potential_matches=[m])
+        )
+        assert payload["epochs"] == [
+            [0, 3, 1, 0, -1, "probe", 4, 0, True, False, 2, 17, 1]
+        ]
+        assert payload["matches"] == [[0, 3, 1, 12, 0, 5, [0, 2], 1]]
 
     def test_config_signature_ignores_execution_knobs(self):
         base = DampiConfig()
