@@ -6,14 +6,14 @@ frontier the repo's workloads offer) and the largest bug-zoo program by
 interleaving count (``safe commutative wildcard``, 6 interleavings — an
 honest lower bound on what sharding can buy).  The coordinator runs the
 self run, partitions the decision tree into prefix leases, and a fleet
-of worker *processes* explores the subtrees over localhost TCP — the
+of forked worker *processes* explores the subtrees over pipes — the
 single-host stand-in for the paper's cluster-wide distributed walk.
 
 Honesty notes baked into the numbers:
 
-* The serial baseline is a plain ``DampiVerifier.verify`` — no sockets,
+* The serial baseline is a plain ``DampiVerifier.verify`` — no pipes,
   no journal, no process spawns.  The 1-worker fleet therefore measures
-  the *distribution tax* (spawn + TCP + assembly) head on.
+  the *distribution tax* (spawn + framing + assembly) head on.
 * Replays are pure Python compute, so measured speedup is capped by the
   physical cores of the benching machine — and at simulator scale (a
   replay costs milliseconds) the distribution tax dominates, so the
@@ -126,7 +126,7 @@ def _leg_lines(title, leg) -> list[str]:
 def _report(data) -> list[str]:
     lines = [
         "Distributed verification scaling (coordinator + N worker "
-        f"processes over localhost TCP; {os.cpu_count()} core(s))",
+        f"processes over pipes; {os.cpu_count()} core(s))",
         "",
     ]
     lines += _leg_lines("matmult (Fig. 6), k=0", data["matmult"])
@@ -153,7 +153,7 @@ def _check(data):
                 >= leg["interleavings"] - 1
             )
     # At simulator scale a replay costs milliseconds, so the distribution
-    # tax (spawn + TCP + assembly) dominates and speedup vs serial is an
+    # tax (spawn + framing + assembly) dominates and speedup vs serial is an
     # honest < 1 — the curve that matters is fleet-vs-fleet.  No speed
     # assertion here: CI containers expose anything from 1 to N cores.
 

@@ -73,9 +73,6 @@ class DampiConfig:
         virtual-time constants.
     enable_leak_check / enable_monitor:
         Toggle the auxiliary checker modules.
-    keep_traces:
-        Retain every run's full trace on the report (memory-hungry;
-        useful in tests).
     trace_events:
         Structured telemetry events (wildcard matches, epochs, piggyback
         sends, run/scheduler lifecycle).  When on, every run counts its
@@ -145,7 +142,6 @@ class DampiConfig:
     cost_model: CostModel = field(default_factory=CostModel)
     enable_leak_check: bool = True
     enable_monitor: bool = True
-    keep_traces: bool = False
     trace_events: bool = False
     trace_sample_every: Optional[int] = 1
     progress_interval_seconds: Optional[float] = None

@@ -240,32 +240,38 @@ class ScheduleGenerator:
             for m in self.path[:upto]
         ]
 
+    def lease_specs(self, index: int, sources) -> list[dict]:
+        """One JSON-able lease spec per source in ``sources``, each the
+        subtree that forces that source at path node ``index``: the path
+        prefix above it (:meth:`prefix_rows`), the flipped node, the
+        alternative source, and the ``covered`` sources this walk accounts
+        for at the node (see :meth:`seed_prefix`)."""
+        node = self.path[index]
+        prefix = self.prefix_rows(index)
+        covered = sorted(node.tried | node.alternatives)
+        return [
+            {
+                "prefix": prefix,
+                "flip_key": list(node.key),
+                "flip_order": list(node.order),
+                "alt": alt,
+                "covered": covered,
+            }
+            for alt in sources
+        ]
+
     def take_subtree_leases(self) -> list[dict]:
         """Claim the open frontier as independently explorable subtree
         roots, deepest first — the prefix partition a distributed
-        coordinator leases to workers.  Each lease is a JSON-able spec:
-        the path prefix (``(key, order, chosen, frozen)`` rows), the
-        flipped node, the alternative source forced at it, and the
-        ``covered`` sources the master side accounts for at that node
-        (see :meth:`seed_prefix`).  Every enumerated alternative is
-        marked tried, so the local walk will not also explore it."""
+        coordinator leases to workers (:meth:`lease_specs`).  Every
+        enumerated alternative is marked tried, so the local walk will
+        not also explore it."""
         out: list[dict] = []
         for i in range(len(self.path) - 1, -1, -1):
             node = self.path[i]
             if node.frozen or node.pinned or not node.untried:
                 continue
-            prefix = self.prefix_rows(i)
-            covered = sorted(node.tried | node.alternatives)
-            for alt in sorted(node.untried):
-                out.append(
-                    {
-                        "prefix": prefix,
-                        "flip_key": list(node.key),
-                        "flip_order": list(node.order),
-                        "alt": alt,
-                        "covered": covered,
-                    }
-                )
+            out.extend(self.lease_specs(i, sorted(node.untried)))
             node.tried |= node.alternatives
         return out
 
@@ -274,8 +280,8 @@ class ScheduleGenerator:
         alternatives to a work-stealing sibling.  The victim keeps at
         least one alternative of its total frontier (never donates itself
         idle); donated sources are marked tried locally and returned as
-        lease specs (see :meth:`take_subtree_leases`).  Returns ``[]``
-        when there is nothing worth splitting."""
+        lease specs (:meth:`lease_specs`).  Returns ``[]`` when there is
+        nothing worth splitting."""
         open_nodes = [
             (i, n)
             for i, n in enumerate(self.path)
@@ -288,18 +294,7 @@ class ScheduleGenerator:
         alts = sorted(node.untried)
         donated = alts[len(alts) // 2 :] if len(alts) > 1 else alts
         node.tried |= set(donated)
-        prefix = self.prefix_rows(i)
-        covered = sorted(node.tried | node.alternatives)
-        return [
-            {
-                "prefix": prefix,
-                "flip_key": list(node.key),
-                "flip_order": list(node.order),
-                "alt": alt,
-                "covered": covered,
-            }
-            for alt in donated
-        ]
+        return self.lease_specs(i, donated)
 
     def _auto_frozen_keys(self, trace: RunTrace) -> set:
         """Loop-pattern detection: keys of epochs beyond the threshold in a

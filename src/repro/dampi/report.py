@@ -95,7 +95,6 @@ class VerificationReport:
     #: empty unless config.trace_events
     events: list = field(default_factory=list)
     runs: list[RunRecord] = field(default_factory=list)
-    traces: list[RunTrace] = field(default_factory=list)
 
     @property
     def deadlocks(self) -> list[FoundError]:

@@ -621,8 +621,6 @@ class DampiVerifier:
                 outcome=outcome,
             )
         )
-        if self.config.keep_traces:
-            report.traces.append(trace)
 
 
 def measure_slowdown(

@@ -4,7 +4,7 @@ The paper's scalability claim is that DAMPI's walk *distributes* — no
 centralized scheduler serializes exploration.  This package reproduces
 that architecture in miniature: a coordinator partitions the epoch-
 decision tree by forced prefix and leases each subtree to a worker
-process over localhost TCP; workers explore their subtrees independently
+process it forks, over that worker's pipe; workers explore their subtrees independently
 (guided to the leased prefix, normal DFS below) and stream completed-run
 records back; the coordinator assembles a report that is bit-identical
 to a serial :meth:`~repro.dampi.verifier.DampiVerifier.verify`.

@@ -83,14 +83,13 @@ exit path, a raised one included.
 
 Failure handling
 ----------------
-Worker death is detected two ways: socket EOF (fast path) and *progress*
-expiry — a worker holding a lease whose last progress (record, donate,
-lease_done, or a heartbeat showing an advanced run counter) is older
-than ``config.dist_lease_timeout_seconds`` is killed and replaced.
-Heartbeats alone are deliberately not progress: a replay wedged by a
-``hang`` fault keeps heartbeating but stops advancing.  Either way the
-worker's leases return to the queue and a replacement process is
-spawned; a lease re-issued more than :data:`MAX_LEASE_ISSUES` times
+Worker death is detected two ways: pipe EOF or a dead process (fast
+path), and *progress* expiry — a worker holding a lease whose last
+progress (a ``record``, ``discovered``, ``donate`` or ``lease_done``
+frame) is older than ``config.dist_lease_timeout_seconds`` is killed and
+replaced: that is how a replay wedged by a ``hang`` fault is caught.
+Either way the worker's leases return to the queue and a replacement
+process is spawned; a lease re-issued more than :data:`MAX_LEASE_ISSUES` times
 aborts the campaign (a deterministic crash would loop forever).  A
 replay lost this way is *re-executed*, never reported: only a run that
 produced a record can put a finding in the report.
@@ -99,11 +98,9 @@ produced a record can put a finding in the report.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
-import socket
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Optional
 
 from repro.dampi.config import DampiConfig
@@ -116,12 +113,19 @@ from repro.dampi.journal import (
 from repro.dampi.verifier import DampiVerifier, VerificationReport, _Campaign
 from repro.dist import protocol
 from repro.dist.leases import Lease, LeaseTable
-from repro.dist.protocol import DistError, send_frame, start_reader, unpack_obs
+from repro.dist.protocol import DistError, unpack_obs
 from repro.dist.worker import worker_main
 from repro.obs.metrics import NONDETERMINISTIC_PREFIXES
 
 #: a lease assigned this many times without completing aborts the campaign
 MAX_LEASE_ISSUES = 5
+
+#: a busy worker is asked to ``steal`` at most this often
+STEAL_INTERVAL_SECONDS = 0.5
+
+#: the longest the coordinator blocks on its pipes: it wakes at least
+#: this often (expiry, respawn, steals, progress)
+POLL_SECONDS = 0.25
 
 
 def _filtered_snapshot(snap: dict) -> dict:
@@ -143,15 +147,14 @@ class _WorkerState:
     """Coordinator-side view of one worker process."""
 
     id: int
-    proc: object = None
-    tag: Optional[int] = None  # reader tag == connection id
-    sock: Optional[socket.socket] = None
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
+    proc: object
+    conn: object  # the coordinator's end of the worker's pipe
     alive: bool = True
     idle: bool = False
-    runs: int = 0
-    frame: Optional[dict] = None  # latest hb payload (+ "seen" stamp)
+    runs: int = 0  # record frames received
+    last_seen: float = 0.0  # any frame
     last_progress: float = 0.0
+    leased_at: float = 0.0  # when its active lease was assigned
     last_steal_at: float = float("-inf")
     steal_outstanding: bool = False
 
@@ -186,12 +189,7 @@ class DistCoordinator:
         self.journal: Optional[CampaignJournal] = self.camp.open_journal(journal)
         self._record_count = 0  # every streamed record frame (fault site)
         self._states: dict[int, _WorkerState] = {}  # worker id -> state
-        self._by_tag: dict[int, _WorkerState] = {}
-        self._pending_socks: dict[int, socket.socket] = {}  # tag -> accepted conn
         self._next_worker_id = 0
-        self._events: queue.Queue = queue.Queue()
-        self._server: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
 
     # -- journal ---------------------------------------------------------------
 
@@ -266,25 +264,15 @@ class DistCoordinator:
     # -- distribution ----------------------------------------------------------
 
     def _distribute(self) -> None:
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.bind(("127.0.0.1", 0))
-        self._server.listen(self.workers + 4)
-        host, port = self._server.getsockname()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="dist-accept", daemon=True
-        )
-        self._accept_thread.start()
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else methods[0])
+        ctx = mp.get_context("fork")
         shards_dir = (
             str(self.journal.root / "shards") if self.journal is not None else None
         )
         self.metrics.gauge("dist.workers").set(self.workers)
         try:
             for _ in range(self.workers):
-                self._spawn(ctx, host, port, shards_dir)
+                self._spawn(ctx, shards_dir)
             faults = self.verifier._faults
-            tick = max(0.05, protocol.HEARTBEAT_SECONDS / 2)
             while not self.camp.walk(self._collected):
                 if self.table.all_done:
                     # every frame of a lease precedes its lease_done, so
@@ -297,44 +285,24 @@ class DistCoordinator:
                         f"collected) — a lease finished without streaming all "
                         f"its runs"
                     )
-                try:
-                    tag, frame = self._events.get(timeout=tick)
-                except queue.Empty:
-                    pass
-                else:
-                    self._handle(tag, frame, faults)
-                self._tick(ctx, host, port, shards_dir)
+                self._receive(POLL_SECONDS, faults)
+                self._tick(ctx, shards_dir)
             self._shutdown_workers()
         finally:
             self._teardown()
 
-    def _accept_loop(self) -> None:
-        tag = 0
-        try:
-            while True:
-                server = self._server
-                if server is None:
-                    return  # teardown already ran
-                conn, _addr = server.accept()
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:
-                    pass
-                tag += 1
-                self._events.put((-tag, {"t": "_conn", "sock": conn}))
-                start_reader(conn, tag, self._events)
-        except OSError:
-            return  # server socket closed: campaign over
-
-    def _spawn(self, ctx, host: str, port: int, shards_dir) -> None:
+    def _spawn(self, ctx, shards_dir) -> None:
         self._next_worker_id += 1
         wid = self._next_worker_id
+        conn, worker_conn = ctx.Pipe()
         proc = ctx.Process(
             target=worker_main,
             args=(
                 wid,
-                host,
-                port,
+                worker_conn,
+                # every coordinator end the fork copies into the child:
+                # it closes them, so our death is its EOF
+                [conn, *(s.conn for s in self._states.values())],
                 type(self.verifier),
                 self.verifier.program,
                 self.verifier.nprocs,
@@ -348,46 +316,44 @@ class DistCoordinator:
             daemon=True,
         )
         proc.start()
-        state = _WorkerState(id=wid, proc=proc)
-        state.last_progress = time.monotonic()
-        self._states[wid] = state
-
-    # -- event handling --------------------------------------------------------
-
-    def _handle(self, tag: int, frame: Optional[dict], faults) -> None:
-        if tag < 0:  # connection bookkeeping from the accept loop
-            self._pending_socks[-tag] = frame["sock"]
-            return
-        if frame is None:
-            state = self._by_tag.pop(tag, None)
-            if state is not None and state.alive:
-                self._worker_died(state)
-            return
-        t = frame.get("t")
-        if t == "hello":
-            state = self._states.get(frame.get("worker"))
-            if state is None:
-                return
-            state.tag = tag
-            state.sock = self._pending_socks.pop(tag, None)
-            self._by_tag[tag] = state
-            state.last_progress = time.monotonic()
-            return
-        state = self._by_tag.get(tag)
-        if state is None or not state.alive:
-            return
+        # the worker holds the only copy of its end now: its exit is our EOF
+        worker_conn.close()
         now = time.monotonic()
-        if t == "hb":
-            if int(frame.get("runs") or 0) > state.runs:
-                state.runs = int(frame["runs"])
-                state.last_progress = now
-            state.frame = dict(frame, seen=now, worker=state.id)
-        elif t == "need_lease":
+        self._states[wid] = _WorkerState(
+            id=wid, proc=proc, conn=conn, last_seen=now, last_progress=now
+        )
+
+    # -- frame handling --------------------------------------------------------
+
+    def _receive(self, timeout: float, faults, kinds=None) -> None:
+        """Wait up to ``timeout`` seconds for any live worker's pipe, then
+        handle every frame that is ready (only those of ``kinds``, if
+        given); EOF reaps the worker."""
+        live = {s.conn: s for s in self._states.values() if s.alive}
+        for conn in wait(list(live), timeout):
+            state = live[conn]
+            try:
+                while state.alive:
+                    frame = protocol.recv(conn)
+                    if kinds is None or frame.get("t") in kinds:
+                        self._handle(state, frame, faults)
+                    if not conn.poll():
+                        break
+            except (EOFError, OSError):
+                if state.alive:
+                    self._worker_died(state)
+
+    def _handle(self, state: _WorkerState, frame: dict, faults) -> None:
+        now = time.monotonic()
+        state.last_seen = now
+        t = frame.get("t")
+        if t == "need_lease":
             state.idle = True
         elif t == "record":
             self._record_count += 1
             if faults:
                 faults.fire("coord", (self._record_count,), metrics=self.metrics)
+            state.runs += 1
             state.last_progress = now
             entry = frame["entry"]
             key = entry_schedule_key(entry)
@@ -439,38 +405,34 @@ class DistCoordinator:
         released = self.table.release_worker(state.id)
         if released:
             self.metrics.inc("dist.leases_released", len(released))
-        proc = state.proc
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5)
+        state.conn.close()
+        if state.proc.is_alive():
+            state.proc.terminate()
+        state.proc.join(timeout=5)
 
     # -- periodic work ---------------------------------------------------------
 
-    def _tick(self, ctx, host: str, port: int, shards_dir) -> None:
+    def _tick(self, ctx, shards_dir) -> None:
         now = time.monotonic()
         timeout = self.config.dist_lease_timeout_seconds
         # progress-based expiry: kill and replace wedged workers
-        for state in list(self._states.values()):
+        for state in self._states.values():
             if not state.alive:
                 continue
             holding = self.table.active_for(state.id)
-            dead_proc = state.proc is not None and not state.proc.is_alive()
             expired = holding and now - state.last_progress > timeout
-            if dead_proc or expired:
+            if expired or not state.proc.is_alive():
                 if expired:
                     self.metrics.inc("dist.leases_expired", len(holding))
-                if state.tag is not None:
-                    self._by_tag.pop(state.tag, None)
                 self._worker_died(state)
         # keep the fleet at strength while work remains
         if not self.table.all_done:
             alive = sum(1 for s in self._states.values() if s.alive)
             for _ in range(self.workers - alive):
-                self._spawn(ctx, host, port, shards_dir)
+                self._spawn(ctx, shards_dir)
         # hand pending leases to idle workers
         for state in self._states.values():
-            if not (state.alive and state.idle and state.sock is not None):
+            if not (state.alive and state.idle):
                 continue
             lease = self.table.next_pending()
             if lease is None:
@@ -484,53 +446,53 @@ class DistCoordinator:
                 )
             self.table.assign(lease, state.id)
             state.idle = False
-            state.last_progress = time.monotonic()
+            state.last_progress = state.leased_at = time.monotonic()
             self.metrics.inc("dist.leases_issued")
             if lease.issues > 1:
                 self.metrics.inc("dist.leases_reissued")
             self._send(state, {"t": "lease", "id": lease.id, "spec": lease.spec})
-        # work stealing: idle capacity + empty queue -> split the busiest
+        # work stealing: idle capacity + empty queue -> split the busy
+        # worker that has held its lease longest
         if (
             self.table.pending_count == 0
             and self.table.active_count > 0
-            and any(
-                s.alive and s.idle and s.sock is not None
-                for s in self._states.values()
-            )
+            and any(s.alive and s.idle for s in self._states.values())
         ):
             victims = [
                 s
                 for s in self._states.values()
                 if s.alive
-                and s.sock is not None
                 and not s.steal_outstanding
                 and self.table.active_for(s.id)
-                and now - s.last_steal_at > protocol.HEARTBEAT_SECONDS
+                and now - s.last_steal_at > STEAL_INTERVAL_SECONDS
             ]
             if victims:
-                victim = max(
-                    victims,
-                    key=lambda s: (s.frame or {}).get("open") or 0,
-                )
+                victim = min(victims, key=lambda s: s.leased_at)
                 victim.steal_outstanding = True
                 victim.last_steal_at = now
                 self.metrics.inc("dist.steal_requests")
                 self._send(victim, {"t": "steal"})
         if self.telemetry.progress is not None:
-            frames = [
-                s.frame for s in self._states.values() if s.alive and s.frame
-            ]
+            # an idle worker waits on us: it has no lag to show
             self.telemetry.progress.merge_tick(
-                frames,
+                [
+                    {
+                        "worker": s.id,
+                        "runs": s.runs,
+                        "seen": None if s.idle else s.last_seen,
+                    }
+                    for s in self._states.values()
+                    if s.alive
+                ],
                 active_leases=self.table.active_count,
                 pending_leases=self.table.pending_count,
             )
 
-    def _send(self, state: _WorkerState, payload: dict) -> None:
+    def _send(self, state: _WorkerState, frame: dict) -> None:
         try:
-            send_frame(state.sock, payload, state.send_lock)
+            protocol.send(state.conn, frame)
         except OSError:
-            pass  # EOF event will reap it
+            pass  # its EOF reaps it
 
     # -- shutdown --------------------------------------------------------------
 
@@ -540,39 +502,19 @@ class DistCoordinator:
         ``lease_done`` already on the wire, so the ledger of a campaign
         that ended with its last record shows that lease closed.  Records
         still in flight are not needed any more and are dropped unread."""
-        waiting = []
-        for state in self._states.values():
-            if state.alive and state.sock is not None:
-                self._send(state, {"t": "shutdown"})
-                waiting.append(state)
+        waiting = [s for s in self._states.values() if s.alive]
+        for state in waiting:
+            self._send(state, {"t": "shutdown"})
         deadline = time.monotonic() + 10
         while any(s.alive for s in waiting) and time.monotonic() < deadline:
-            try:
-                tag, frame = self._events.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            if frame is None or frame.get("t") in ("bye", "lease_done"):
-                self._handle(tag, frame, None)
+            self._receive(0.1, None, kinds=("bye", "lease_done"))
 
     def _teardown(self) -> None:
-        server = self._server
-        self._server = None
-        if server is not None:
-            try:
-                server.close()
-            except OSError:
-                pass
         for state in self._states.values():
-            if state.sock is not None:
-                try:
-                    state.sock.close()
-                except OSError:
-                    pass
-            proc = state.proc
-            if proc is not None:
-                if proc.is_alive():
-                    proc.terminate()
-                proc.join(timeout=5)
+            state.conn.close()
+            if state.proc.is_alive():
+                state.proc.terminate()
+            state.proc.join(timeout=5)
 
     # -- report ----------------------------------------------------------------
 

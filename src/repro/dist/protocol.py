@@ -1,17 +1,16 @@
 """Wire protocol of the distributed verifier.
 
-Transport: newline-delimited JSON frames over a TCP stream.  Workers are
-spawned locally today, but they connect over a socket (not a pipe)
-precisely so the protocol stays host-agnostic — pointing a worker at a
-remote coordinator address is a deployment change, not a protocol one.
+Transport: one ``multiprocessing.Pipe`` per worker, created when the
+coordinator forks it and inherited by the child; a frame is one compact
+JSON dict per ``send_bytes`` message.  The fleet is local, so a pipe is
+all it needs: no server, no handshake (the coordinator knows which
+worker is behind which pipe because it made them), no thread on either
+side.  A multi-host fleet would need a transport that also names and
+authenticates its peers (see ``docs/DISTRIBUTED.md``).
 
 Frames, by direction (``t`` is the discriminator):
 
 worker → coordinator
-    ``hello``       first frame: ``worker`` id, ``pid``.
-    ``hb``          heartbeat/progress: total ``runs`` consumed, ``open``
-                    alternatives and path ``depth`` of the current
-                    subtree, the active ``lease`` id.
     ``need_lease``  the worker is idle and wants work.
     ``record``      one completed run of the active lease: the full run
                     *entry* (below) and, beside it when event tracing is
@@ -49,14 +48,7 @@ why it ships raw facts rather than any worker-local view of them).
 from __future__ import annotations
 
 import json
-import socket
 import sys
-import threading
-
-
-#: how often each worker sends an ``hb`` frame; the coordinator polls at
-#: half of it and asks one victim to ``steal`` at most this often
-HEARTBEAT_SECONDS = 0.5
 
 
 class DistError(RuntimeError):
@@ -64,41 +56,15 @@ class DistError(RuntimeError):
     coverage hole, lost coordinator)."""
 
 
-# -- frame transport -----------------------------------------------------------
+def send(conn, frame: dict) -> None:
+    """One frame: compact JSON, one ``send_bytes`` message."""
+    conn.send_bytes(json.dumps(frame, separators=(",", ":")).encode("utf-8"))
 
 
-def send_frame(sock: socket.socket, payload: dict, lock=None) -> None:
-    """One frame: compact JSON + newline, a single ``sendall``."""
-    data = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-    if lock is not None:
-        with lock:
-            sock.sendall(data)
-    else:
-        sock.sendall(data)
-
-
-def start_reader(sock: socket.socket, tag, events) -> threading.Thread:
-    """Pump frames from ``sock`` into the ``events`` queue as
-    ``(tag, payload)`` pairs; EOF or any socket error enqueues
-    ``(tag, None)`` exactly once and ends the thread."""
-
-    def pump():
-        try:
-            with sock.makefile("rb") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    try:
-                        events.put((tag, json.loads(line)))
-                    except ValueError:
-                        break  # torn frame: treat like EOF
-        except OSError:
-            pass
-        events.put((tag, None))
-
-    thread = threading.Thread(target=pump, name=f"dist-reader-{tag}", daemon=True)
-    thread.start()
-    return thread
+def recv(conn) -> dict:
+    """The next frame on ``conn``; raises ``EOFError`` (or ``OSError``)
+    once the other end is gone, a torn last frame included."""
+    return json.loads(conn.recv_bytes())
 
 
 # -- tracer payloads -----------------------------------------------------------

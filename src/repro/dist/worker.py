@@ -1,8 +1,7 @@
 """Shard worker: explore one leased subtree at a time.
 
-A worker is an ordinary OS process (spawned by the coordinator today,
-but connecting over TCP so it could equally run on another host).  Its
-life is a loop: ask for a lease, seed a fresh
+A worker is a single-threaded process the coordinator forks, talking to
+it over the one pipe it inherits.  Its life is a loop: ask for a lease, seed a fresh
 :class:`~repro.dampi.explorer.ScheduleGenerator` with the leased prefix
 (:meth:`~repro.dampi.explorer.ScheduleGenerator.seed_prefix`), then walk
 the subtree exactly like the serial verify loop — ``run_once`` →
@@ -26,25 +25,22 @@ Work stealing: when the coordinator sends ``steal``, the worker splits
 the deepest open node of its current subtree
 (:meth:`~repro.dampi.explorer.ScheduleGenerator.split_deepest`) and
 donates the upper half as new lease specs; an idle worker donates
-nothing.  Steal requests — and ``shutdown``, which ends a lease where it
-stands once the coordinator's walk is over — are checked between
-replays, never mid-run.
+nothing.  The pipe is polled between replays, never mid-run, for
+``steal`` and for ``shutdown``, which ends a lease where it stands once
+the coordinator's walk is over; an idle worker blocks on it.
 
-Death handling is symmetrical: the worker ``os._exit(0)``\\ s the moment
-its socket to the coordinator drops (no orphan exploration), and the
-coordinator expires a worker whose *progress* stalls past the lease
-timeout — heartbeats alone do not count as progress, so a hung replay
-(e.g. an injected ``hang`` fault) is detected even though the heartbeat
-thread keeps beating.
+Death handling is symmetrical: the worker ``os._exit(0)``\\ s once its
+coordinator is gone (no orphan exploration) — EOF on a receive, or a
+broken pipe on a send, a send blocked on a full pipe included; the
+worker closes every coordinator end its fork copied, so only the
+coordinator holds the other end of its pipe — and the coordinator
+expires a worker whose *progress* stalls past the lease timeout, which
+is how a hung replay (e.g. an injected ``hang`` fault) is caught.
 """
 
 from __future__ import annotations
 
 import os
-import queue
-import socket
-import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional
@@ -59,7 +55,7 @@ from repro.dampi.journal import (
     run_from_entry,
 )
 from repro.dist import protocol
-from repro.dist.protocol import pack_obs, send_frame, start_reader
+from repro.dist.protocol import pack_obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -91,15 +87,14 @@ class _ShardWorker:
     def __init__(
         self,
         worker_id: int,
-        sock: socket.socket,
+        conn,
         verifier,
         shards_dir,
         campaign_config,
     ):
         self.worker_id = worker_id
-        self.sock = sock
-        self.send_lock = threading.Lock()
-        self.inbox: queue.Queue = queue.Queue()
+        #: this worker's end of its pipe to the coordinator
+        self.conn = conn
         self.verifier = verifier
         self.config = verifier.config
         #: the config the campaign was started with (before
@@ -122,107 +117,51 @@ class _ShardWorker:
         #: selector (1-based, memo hits included: "before consuming")
         self._seq = 0
         self._runs = 0
-        self._lease_id: Optional[str] = None
-        self._gen: Optional[ScheduleGenerator] = None
-        self._alive = True
         #: the coordinator said ``shutdown`` while a lease was running
         self._stop = False
 
     # -- plumbing --------------------------------------------------------------
 
-    def _send(self, payload: dict) -> None:
+    def _send(self, frame: dict) -> None:
         try:
-            send_frame(self.sock, payload, self.send_lock)
+            protocol.send(self.conn, frame)
         except OSError:
             # Coordinator gone: nothing useful left to do.  Exit hard so
             # no half-finished exploration outlives the campaign.
             os._exit(0)
 
-    def _next_frame(self) -> Optional[dict]:
-        _tag, frame = self.inbox.get()
-        return frame
+    def _receive(self, timeout: Optional[float]) -> Optional[dict]:
+        """The coordinator's next frame, or None when none arrives within
+        ``timeout`` seconds (``None``: block until one does).  Exits on
+        EOF: the coordinator is gone."""
+        try:
+            if self.conn.poll(timeout):
+                return protocol.recv(self.conn)
+        except (EOFError, OSError):
+            os._exit(0)
+        return None
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while self._alive:
-            time.sleep(interval)
-            if not self._alive:
-                return
-            gen = self._gen
-            stats = gen.stats() if gen is not None else {}
-            self._send(
-                {
-                    "t": "hb",
-                    "runs": self._runs,
-                    "open": stats.get("open_alternatives", 0),
-                    "depth": stats.get("path_length", 0),
-                    "lease": self._lease_id,
-                }
-            )
-
-    def _drain_inbox(self, gen: Optional[ScheduleGenerator]) -> None:
-        """Between replays: answer steal requests, note a shutdown, die
-        on coordinator EOF."""
-        while True:
-            try:
-                _tag, frame = self.inbox.get_nowait()
-            except queue.Empty:
-                return
-            if frame is None:
-                os._exit(0)
+    def _poll(self, gen: ScheduleGenerator) -> None:
+        """Between replays: answer steal requests, note a shutdown."""
+        while (frame := self._receive(0)) is not None:
             if frame.get("t") == "steal":
-                leases = gen.split_deepest() if gen is not None else []
-                self._send({"t": "donate", "leases": leases})
+                self._send({"t": "donate", "leases": gen.split_deepest()})
             elif frame.get("t") == "shutdown":
                 self._stop = True
-
-    @staticmethod
-    def _discovery_specs(gen: ScheduleGenerator, discoveries) -> list:
-        specs = []
-        for idx, sources in discoveries:
-            node = gen.path[idx]
-            prefix = gen.prefix_rows(idx)
-            # the discovered sources are already marked tried, so this
-            # union covers them plus everything known before — exactly
-            # what sibling subtrees must not re-discover
-            covered = sorted(node.tried | node.alternatives)
-            for src in sources:
-                specs.append(
-                    {
-                        "prefix": prefix,
-                        "flip_key": list(node.key),
-                        "flip_order": list(node.order),
-                        "alt": src,
-                        "covered": covered,
-                    }
-                )
-        return specs
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> None:
-        start_reader(self.sock, "coord", self.inbox)
-        self._send({"t": "hello", "worker": self.worker_id, "pid": os.getpid()})
-        threading.Thread(
-            target=self._heartbeat_loop,
-            args=(protocol.HEARTBEAT_SECONDS,),
-            name=f"dist-hb-{self.worker_id}",
-            daemon=True,
-        ).start()
         while not self._stop:
             self._send({"t": "need_lease"})
-            while True:
-                frame = self._next_frame()
-                if frame is None:
-                    os._exit(0)
-                if frame.get("t") == "steal":
-                    self._send({"t": "donate", "leases": []})
-                    continue
-                break
+            frame = self._receive(None)
+            while frame.get("t") == "steal":
+                self._send({"t": "donate", "leases": []})
+                frame = self._receive(None)
             if frame.get("t") == "shutdown":
                 break
             if frame.get("t") == "lease":
                 self._explore(frame["id"], frame["spec"])
-        self._alive = False
         bye = {
             "t": "bye",
             "stats": {"runs": self._runs},
@@ -244,8 +183,6 @@ class _ShardWorker:
             auto_loop_threshold=self.config.auto_loop_threshold,
             prune=self.config.prune,
         )
-        self._gen = gen
-        self._lease_id = lease_id_
         tracer = self.tracer
         lease_t0 = tracer.now() if tracer is not None else 0.0
         decisions = gen.seed_prefix(
@@ -270,7 +207,7 @@ class _ShardWorker:
             while decisions is not None:
                 self._seq += 1
                 self.verifier._faults.fire("worker", (self.worker_id, self._seq))
-                self._drain_inbox(gen)
+                self._poll(gen)
                 if self._stop:
                     return  # the walk is over; the subtree stays open
                 entry = memo.get(schedule_key(decisions))
@@ -309,16 +246,14 @@ class _ShardWorker:
                 )
                 discoveries = gen.take_pinned_discoveries()
                 if discoveries:
-                    self._send(
-                        {
-                            "t": "discovered",
-                            "leases": self._discovery_specs(gen, discoveries),
-                        }
-                    )
+                    specs = [
+                        spec
+                        for index, sources in discoveries
+                        for spec in gen.lease_specs(index, sources)
+                    ]
+                    self._send({"t": "discovered", "leases": specs})
                 decisions = gen.next_decisions()
         finally:
-            self._gen = None
-            self._lease_id = None
             if tracer is not None:
                 tracer.complete(
                     "lease", "dist", lease_t0, lease=lease_id_, runs=self._runs
@@ -330,8 +265,8 @@ class _ShardWorker:
 
 def worker_main(
     worker_id: int,
-    host: str,
-    port: int,
+    conn,
+    coordinator_ends,
     verifier_cls,
     program,
     nprocs: int,
@@ -341,25 +276,25 @@ def worker_main(
     ctor_extra: Optional[dict] = None,
     shards_dir=None,
 ) -> None:
-    """Process entry point (target of the coordinator's ``mp.Process``):
-    rebuild the coordinator's verifier — same class, same extra
-    constructor state (``DampiVerifier._spec_extra``) — under
-    :func:`shard_config` and explore leases with it."""
-    sock = socket.create_connection((host, port))
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:
-        pass
+    """Process entry point (target of the coordinator's forked
+    ``mp.Process``; ``conn`` is the worker's end of its pipe): rebuild the
+    coordinator's verifier — same class, same extra constructor state
+    (``DampiVerifier._spec_extra``) — under :func:`shard_config` and
+    explore leases with it.
+
+    ``coordinator_ends`` are the coordinator's ends of this pipe and of
+    every live sibling's, copied into this process by the fork.  They are
+    closed first: then the coordinator's process holds the only copy of
+    this pipe's other end, and its death is EOF here."""
+    for end in coordinator_ends:
+        end.close()
     verifier = verifier_cls(
         program, nprocs, shard_config(config), args=args, kwargs=kwargs,
         **(ctor_extra or {}),
     )
-    worker = _ShardWorker(worker_id, sock, verifier, shards_dir, config)
+    worker = _ShardWorker(worker_id, conn, verifier, shards_dir, config)
     try:
         worker.run()
     finally:
         worker.verifier.close()
-        try:
-            sock.close()
-        except OSError:
-            pass
+        conn.close()

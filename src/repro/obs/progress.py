@@ -18,10 +18,11 @@ heartbeat is a plain newline-terminated line, so piped output (and
 control sequences.
 
 Distributed campaigns have *many* producers — every worker streams its
-own progress frames to the coordinator — but interleaving N raw lines
-on one terminal is noise.  :meth:`ProgressReporter.merge_tick` is the
-aggregation path: the coordinator folds the latest frame per worker into
-one line (total runs and throughput, lease queue state, per-worker lag)::
+runs to the coordinator — but interleaving N raw lines on one terminal
+is noise.  :meth:`ProgressReporter.merge_tick` is the aggregation path:
+the coordinator folds what it tracks per worker into one line (total
+runs and throughput, lease queue state, and each busy worker's lag:
+the time since its last frame)::
 
     [dampi dist] workers 3 | runs 57 (12.3/s) | leases 2 active / 4 pending | lag w1 0.1s w2 0.2s w3 2.9s | 8.2s elapsed
 """
@@ -111,10 +112,11 @@ class ProgressReporter:
     ) -> bool:
         """One aggregated heartbeat from many producers.
 
-        ``frames`` is the coordinator's latest progress frame per worker:
-        dicts with ``worker`` (id), ``runs`` (replays consumed so far),
-        and ``seen`` (the coordinator-clock timestamp of the worker's
-        last message, for the lag column).  Throughput is computed from
+        ``frames`` holds one dict per live worker, built from the
+        coordinator's view of it: ``worker`` (id), ``runs`` (records
+        received so far), and ``seen`` (the coordinator-clock timestamp
+        of the worker's last frame, for the lag column; ``None`` leaves
+        the worker out of it).  Throughput is computed from
         the delta in total runs between emitted lines, so it reflects the
         whole fleet, not any single worker."""
         now = self._clock()

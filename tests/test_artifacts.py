@@ -17,27 +17,25 @@ from repro.dampi.decisions import schedule_key
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.journal import CampaignJournal
 from repro.dampi.matcher import compute_alternatives
-from repro.dampi.verifier import DampiVerifier
 from repro.workloads.patterns import fig3_program, wildcard_lattice
+
+from tests.kept_traces import TraceKeepingVerifier
 
 LATTICE = {"receives": 2, "senders": 2}
 
 
-def _journaled(tmp_path, program, nprocs, kwargs=None, **cfg_kw):
-    """Verify with a journal; the report and the journal's run entries,
-    which an in-process walk appends in walk order."""
-    report = DampiVerifier(
-        program, nprocs, DampiConfig(**cfg_kw), kwargs=kwargs
-    ).verify(journal=tmp_path / "j")
-    return report, CampaignJournal(tmp_path / "j").run_entries()
+def _journaled(tmp_path, program, nprocs, kwargs=None):
+    """Verify with a journal; the report, the journal's run entries (an
+    in-process walk appends them in walk order) and the live traces."""
+    v = TraceKeepingVerifier(program, nprocs, kwargs=kwargs)
+    report = v.verify(journal=tmp_path / "j")
+    return report, CampaignJournal(tmp_path / "j").run_entries(), v.traces
 
 
 class TestStore:
     def test_trace_roundtrip_through_disk(self, tmp_path):
-        report, entries = _journaled(
-            tmp_path, wildcard_lattice, 3, LATTICE, keep_traces=True
-        )
-        live = report.traces[0]
+        _report, entries, traces = _journaled(tmp_path, wildcard_lattice, 3, LATTICE)
+        live = traces[0]
         loaded = jr.trace_from_jsonable(entries[0]["trace"])
         assert loaded.wildcard_count == live.wildcard_count
         assert {e.key for e in loaded.all_epochs()} == {
@@ -68,7 +66,7 @@ class TestOfflineReanalysis:
     decisions the live session took."""
 
     def test_offline_schedule_matches_live(self, tmp_path):
-        report, entries = _journaled(tmp_path, fig3_program, 3)
+        report, entries, _traces = _journaled(tmp_path, fig3_program, 3)
         assert len(entries) == report.interleavings > 1
 
         def run(entry):
@@ -87,12 +85,11 @@ class TestOfflineReanalysis:
         assert offline.next_decisions() is None
 
     def test_offline_alternatives_match_live(self, tmp_path):
-        report, entries = _journaled(
-            tmp_path, wildcard_lattice, 4, {"receives": 2, "senders": 3},
-            keep_traces=True,
+        report, entries, traces = _journaled(
+            tmp_path, wildcard_lattice, 4, {"receives": 2, "senders": 3}
         )
         assert len(entries) == report.interleavings
-        for live, entry in zip(report.traces, entries):
+        for live, entry in zip(traces, entries):
             offline = jr.trace_from_jsonable(entry["trace"])
             assert {k: set(v) for k, v in compute_alternatives(live).items()} == {
                 k: set(v) for k, v in compute_alternatives(offline).items()

@@ -30,6 +30,7 @@ from repro.mpi.message import Envelope, reset_envelope_ids
 from repro.mpi.request import Request, RequestKind, reset_request_ids
 from repro.workloads.bugzoo import ZOO
 
+from tests.kept_traces import TraceKeepingVerifier
 from tests.oracle import ReferenceMatcher
 from tests.test_parallel import _report_fingerprint
 
@@ -201,11 +202,15 @@ class TestIndexedMatchingDifferential:
 
     @pytest.mark.parametrize("entry", ZOO, ids=[e.name for e in ZOO])
     def test_bugzoo_indexed_vs_linear_identical(self, entry, monkeypatch):
-        cfg = DampiConfig(max_interleavings=40, keep_traces=True)
-        indexed = DampiVerifier(entry.program, entry.nprocs, cfg).verify()
+        cfg = DampiConfig(max_interleavings=40)
+        indexed = TraceKeepingVerifier(entry.program, entry.nprocs, cfg)
+        indexed_report = indexed.verify()
         monkeypatch.setattr("repro.mpi.engine.IndexedMailBox", ReferenceMatcher)
-        reference = DampiVerifier(entry.program, entry.nprocs, cfg).verify()
-        assert _report_fingerprint(indexed) == _report_fingerprint(reference)
+        reference = TraceKeepingVerifier(entry.program, entry.nprocs, cfg)
+        reference_report = reference.verify()
+        assert _report_fingerprint(indexed_report) == _report_fingerprint(
+            reference_report
+        )
         assert len(indexed.traces) == len(reference.traces)
         for ti, tr in zip(indexed.traces, reference.traces):
             assert _trace_fingerprint(ti) == _trace_fingerprint(tr)

@@ -31,7 +31,7 @@ from repro.dist import (
     lease_root_decisions,
 )
 from repro.dist.leases import LeaseTable
-from repro.dist.worker import _ShardWorker, shard_config
+from repro.dist.worker import shard_config
 from repro.isp.verifier import IspVerifier
 from repro.obs.metrics import deterministic_view
 from repro.obs.stats import journal_progress
@@ -317,10 +317,9 @@ def _partitioned_schedule_keys(entry_program, nprocs, cfg, depth, kwargs=None,
                 keys.append(schedule_key(decisions))
                 _res, trace = v.run_once(decisions)
                 gen.integrate(trace)
-                for s in _ShardWorker._discovery_specs(
-                    gen, gen.take_pinned_discoveries()
-                ):
-                    offer(s)
+                for index, sources in gen.take_pinned_discoveries():
+                    for s in gen.lease_specs(index, sources):
+                        offer(s)
                 if splits > 0:
                     donated = (
                         gen.split_deepest() if steal else gen.take_subtree_leases()
@@ -375,7 +374,7 @@ class TestPartitionProperty:
         assert sorted(part) == serial
 
 
-# -- end to end over TCP -------------------------------------------------------
+# -- end to end over the fleet's pipes ----------------------------------------
 
 
 def _exec_totals(report):

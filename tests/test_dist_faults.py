@@ -9,15 +9,22 @@ child so the parent can assert the exit code and then resume the journal.
 
 from __future__ import annotations
 
+import array
+import fcntl
 import multiprocessing
 import os
+import signal
+import termios
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dampi.verifier import DampiVerifier
-from repro.dist import DistError, distributed_verify, protocol
+from repro.dist import DistError, coordinator, distributed_verify, worker
 from repro.obs.stats import journal_progress
 from repro.workloads.patterns import wildcard_lattice
 
@@ -41,24 +48,100 @@ def _dist(fault_plan=None, nprocs=4, kwargs=BIG, workers=2, journal=None, **cfg)
     )
 
 
-def _dist_child(journal_dir, fault_plan, nprocs, kwargs, workers):
+#: the error every run of :func:`_loud_lattice` reports: one record of it
+#: is larger than a pipe holds (~200 KB), so its send blocks until read
+LOUD_BYTES = 512 * 1024
+
+#: unread bytes on a worker's pipe that mean it is full
+FULL_PIPE_BYTES = 64 * 1024
+
+
+def _loud_lattice(p, receives: int = 2, senders: int = 2):
+    """:func:`wildcard_lattice` whose every run crashes rank 0 with a
+    ``LOUD_BYTES`` message."""
+    wildcard_lattice(p, receives=receives, senders=senders)
+    if p.rank == 0:
+        raise RuntimeError("x" * LOUD_BYTES)
+
+
+def _unread_bytes(conn) -> int:
+    buf = array.array("i", [0])
+    fcntl.ioctl(conn.fileno(), termios.FIONREAD, buf, True)
+    return buf[0]
+
+
+_REAL_RECEIVE = coordinator.DistCoordinator._receive
+
+
+def _stop_reading_then_die(self, timeout, faults, kinds=None):
+    """``DistCoordinator._receive`` that works normally until a lease is
+    out, then stops draining the pipes.  A leased worker's first record
+    then blocks in its send; once some pipe is full and the unread bytes
+    have stopped growing, the coordinator dies like a ``kill@coord``
+    fault.  Exit 1 if no pipe ever fills."""
+    if not self.table.active_count:
+        return _REAL_RECEIVE(self, timeout, faults, kinds)
+    last = None
+    for _ in range(120):
+        queued = [_unread_bytes(s.conn) for s in self._states.values() if s.alive]
+        if queued == last and max(queued) >= FULL_PIPE_BYTES:
+            os._exit(FAULT_EXIT_CODE)
+        last = queued
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _dist_child(
+    journal_dir, fault_plan, nprocs, kwargs, workers, pid_dir, stall=False
+):
     """Child-process body: a journaled distributed campaign that a
-    ``kill@coord:n`` fault is expected to take down."""
-    _dist(
-        fault_plan=fault_plan,
-        nprocs=nprocs,
-        kwargs=kwargs,
+    ``kill@coord:n`` fault is expected to take down — or, with ``stall``,
+    a campaign of :func:`_loud_lattice` whose coordinator stops reading
+    and dies (:func:`_stop_reading_then_die`).  With ``pid_dir``, every
+    worker it forks first touches a file named after its pid."""
+    # this child exits below, so its patches die with it
+    if pid_dir is not None:
+        inner = worker.worker_main
+
+        def worker_main(*args, **kwargs):
+            Path(pid_dir, str(os.getpid())).touch()
+            return inner(*args, **kwargs)
+
+        coordinator.worker_main = worker_main
+    if stall:
+        coordinator.DistCoordinator._receive = _stop_reading_then_die
+    distributed_verify(
+        _loud_lattice if stall else wildcard_lattice,
+        nprocs,
+        DampiConfig(fault_plan=fault_plan),
         workers=workers,
+        kwargs=kwargs,
         journal=journal_dir,
     )
     os._exit(0)  # reached only if the plan never killed us
 
 
-def _crash_coordinator(journal_dir, fault_plan, nprocs=4, kwargs=BIG, workers=2):
+def _crash_coordinator(
+    journal_dir,
+    fault_plan,
+    nprocs=4,
+    kwargs=BIG,
+    workers=2,
+    pid_dir=None,
+    stall=False,
+):
     ctx = multiprocessing.get_context("fork")
     proc = ctx.Process(
         target=_dist_child,
-        args=(str(journal_dir), fault_plan, nprocs, dict(kwargs), workers),
+        args=(
+            str(journal_dir),
+            fault_plan,
+            nprocs,
+            dict(kwargs),
+            workers,
+            pid_dir,
+            stall,
+        ),
     )
     proc.start()
     proc.join(120)
@@ -97,12 +180,10 @@ class TestWorkerDeath:
         assert _canon(report) == _canon(oracle)
         assert report.parallel_stats["worker_deaths"] == 2
 
-    def test_hung_worker_expires_by_progress_not_heartbeat(self, monkeypatch):
-        """A worker that hangs mid-replay keeps heartbeating (the hb
-        thread is separate) — only the *progress*-based expiry can catch
-        it.  The coordinator must terminate it and re-issue the lease."""
-        # forked workers inherit the patched period
-        monkeypatch.setattr(protocol, "HEARTBEAT_SECONDS", 0.1)
+    def test_hung_worker_expires_by_progress(self):
+        """A worker that hangs mid-replay keeps its pipe open and its
+        process alive — only the *progress*-based expiry can catch it.
+        The coordinator must terminate it and re-issue the lease."""
         oracle = _oracle(nprocs=3, kwargs=LATTICE)
         report = _dist(
             fault_plan="hang@worker:1.1:600",
@@ -180,6 +261,64 @@ class TestCoordinatorDeath:
         again = _dist(journal=jdir)
         assert _canon(again) == _canon(first)
         assert again.journal_stats["executed"] == 0
+
+
+def _gone(pid: int) -> bool:
+    """The process has exited: no such pid, or a zombie its new parent
+    has not reaped yet."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _assert_fleet_exits(pid_dir) -> None:
+    """Every worker that recorded its pid in ``pid_dir`` is gone within
+    5 s; survivors are killed so a failure leaks no process."""
+    alive = {int(p.name) for p in Path(pid_dir).iterdir()}
+    assert len(alive) >= 2
+    deadline = time.monotonic() + 5
+    while alive and time.monotonic() < deadline:
+        alive = {pid for pid in alive if not _gone(pid)}
+        time.sleep(0.05)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, f"workers {sorted(alive)} outlived their coordinator"
+
+
+class TestNoOrphans:
+    def test_no_worker_outlives_its_coordinator(self, tmp_path):
+        """A coordinator killed mid-campaign takes its fleet with it: every
+        worker it forked exits within seconds, however many siblings were
+        forked after it."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        _crash_coordinator(tmp_path / "j", "kill@coord:4", pid_dir=str(pid_dir))
+        _assert_fleet_exits(pid_dir)
+
+    def test_workers_blocked_in_send_exit_with_their_coordinator(self, tmp_path):
+        """A coordinator that stops draining its pipes (it is the fleet's
+        bottleneck) and then dies: a worker blocked in a send on a full
+        pipe gets a broken pipe and exits too."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        _crash_coordinator(
+            tmp_path / "j", None, kwargs=LATTICE, pid_dir=str(pid_dir), stall=True
+        )
+        _assert_fleet_exits(pid_dir)
+
+    def test_campaign_leaves_no_process_or_thread(self):
+        threads = threading.active_count()
+        oracle = _oracle(nprocs=3, kwargs=LATTICE)
+        report = _dist(nprocs=3, kwargs=LATTICE, workers=2)
+        assert _canon(report) == _canon(oracle)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 class TestCliRefusals:

@@ -38,6 +38,7 @@ from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dist import distributed_verify
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import fig4_program, wildcard_lattice
+from tests.kept_traces import TraceKeepingVerifier
 from tests.test_parallel import _report_fingerprint
 
 #: 4 interleavings at np=3 — small enough to crash precisely mid-walk
@@ -360,10 +361,11 @@ class TestRunRecord:
         entry = next(e for e in ZOO if e.name == "order-dependent consumption")
 
         def verify(journal, fault_plan=None):
-            cfg = DampiConfig(keep_traces=True, fault_plan=fault_plan)
-            return DampiVerifier(entry.program, entry.nprocs, cfg).verify(
-                journal=journal
+            """The report and the trace of every run it consumed."""
+            v = TraceKeepingVerifier(
+                entry.program, entry.nprocs, DampiConfig(fault_plan=fault_plan)
             )
+            return v.verify(journal=journal), v.traces
 
         def journaled_traces(jdir):
             return {
@@ -371,19 +373,19 @@ class TestRunRecord:
                 for e in CampaignJournal(jdir).run_entries()
             }
 
-        oracle = verify(tmp_path / "journal-oracle")
+        oracle, oracle_traces = verify(tmp_path / "journal-oracle")
         assert oracle.interleavings == 6
         for k in range(1, oracle.interleavings):
             jdir = tmp_path / f"journal-{k}"
             with pytest.raises(FaultInjected):
                 verify(jdir, fault_plan=f"raise@run:{k}")
-            resumed = verify(jdir)
+            resumed, resumed_traces = verify(jdir)
             assert resumed.journal_stats["replayed"] == k
             assert resumed.journal_stats["executed"] == oracle.interleavings - k
             assert _canon(resumed) == _canon(oracle)
             assert _report_fingerprint(resumed) == _report_fingerprint(oracle)
-            assert [jr.trace_to_jsonable(t) for t in resumed.traces] == [
-                jr.trace_to_jsonable(t) for t in oracle.traces
+            assert [jr.trace_to_jsonable(t) for t in resumed_traces] == [
+                jr.trace_to_jsonable(t) for t in oracle_traces
             ]
             assert journaled_traces(jdir) == journaled_traces(
                 tmp_path / "journal-oracle"
@@ -683,9 +685,11 @@ class TestRowFormat:
         seen = collections.Counter()
         programs = [(e.program, e.nprocs) for e in ZOO] + [(fig4_program, 4)]
         for program, nprocs in programs:
-            config = DampiConfig(keep_traces=True, **self.CLOCKS[clock])
-            report = DampiVerifier(program, nprocs, config).verify()
-            for trace in report.traces:
+            v = TraceKeepingVerifier(
+                program, nprocs, DampiConfig(**self.CLOCKS[clock])
+            )
+            v.verify()
+            for trace in v.traces:
                 assert _field_view(_roundtrip(trace)) == _field_view(trace)
                 for m in trace.potential_matches:
                     seen[type(m.stamp).__name__] += 1
@@ -794,7 +798,6 @@ class TestSerialization:
     #: fields that cannot change a report (bit-identity holds across them)
     EXECUTION_CONFIG_FIELDS = {
         "jobs",
-        "keep_traces",
         "trace_events", "trace_sample_every",
         "progress_interval_seconds", "fault_plan",
         "dist_lease_timeout_seconds",
@@ -809,7 +812,7 @@ class TestSerialization:
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
         names = {f.name for f in dataclasses.fields(DampiConfig)}
-        assert len(names) == 19
+        assert len(names) == 18
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "kwargs", "args",

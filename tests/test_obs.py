@@ -287,6 +287,21 @@ class TestMergeTick:
         p.merge_tick([{"worker": 1, "runs": 0}], 1, 0)
         assert "lag" not in lines[-1]
 
+    def test_idle_worker_left_out_of_lag_column(self):
+        """The coordinator passes ``seen=None`` for an idle worker."""
+        p, clk, lines = self._reporter()
+        clk.advance(3.0)
+        p.merge_tick(
+            [
+                {"worker": 1, "runs": 4, "seen": 1.0},
+                {"worker": 2, "runs": 2, "seen": None},
+            ],
+            1,
+            0,
+        )
+        assert "workers 2" in lines[-1] and "runs 6" in lines[-1]
+        assert "lag w1 2.0s |" in lines[-1]
+
 
 class TestVerifierIntegration:
     def _verify(self, **cfg):

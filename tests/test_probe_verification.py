@@ -7,10 +7,11 @@ blocking probe on the forced source, so the observation is enforceable).
 
 import pytest
 
-from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
 from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.request import Status
+
+from tests.kept_traces import TraceKeepingVerifier
 
 
 def probe_then_dispatch(p):
@@ -63,11 +64,12 @@ class TestProbeCoverage:
             p.world.send(p.rank, dest=0)
             p.world.barrier()
 
-        rep = DampiVerifier(prog, 3, DampiConfig(keep_traces=True)).verify()
+        v = TraceKeepingVerifier(prog, 3)
+        rep = v.verify()
         assert rep.interleavings == 2
         observed = {
             e.matched_source
-            for t in rep.traces
+            for t in v.traces
             for e in t.all_epochs()
             if e.kind == "probe"
         }

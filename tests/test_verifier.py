@@ -19,6 +19,8 @@ from repro.workloads.patterns import (
     wildcard_lattice,
 )
 
+from tests.kept_traces import TraceKeepingVerifier
+
 
 class TestCoverage:
     @pytest.mark.parametrize("receives,senders", [(1, 2), (2, 2), (2, 3), (3, 2)])
@@ -190,11 +192,11 @@ class TestReport:
         assert "no errors found" in rep.summary()
 
     def test_keep_traces(self):
-        cfg = DampiConfig(keep_traces=True)
-        rep = DampiVerifier(
-            wildcard_lattice, 3, cfg, kwargs={"receives": 2, "senders": 2}
-        ).verify()
-        assert len(rep.traces) == rep.interleavings
+        v = TraceKeepingVerifier(
+            wildcard_lattice, 3, kwargs={"receives": 2, "senders": 2}
+        )
+        rep = v.verify()
+        assert len(v.traces) == rep.interleavings
 
     def test_run_records(self):
         rep = DampiVerifier(
