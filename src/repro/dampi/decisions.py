@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.dampi.epoch import EpochKey
 
@@ -66,9 +66,6 @@ class EpochDecisions:
 
     def __bool__(self) -> bool:
         return bool(self.forced)
-
-    def items(self) -> Iterable[tuple[EpochKey, int]]:
-        return self.forced.items()
 
     # -- persistence ---------------------------------------------------------
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.clocks.base import Stamp
-from repro.mpi.constants import ANY_TAG
 
 #: Epoch identity across runs: ``(rank, lamport-clock-at-issue)``.  Clock
 #: evolution is a deterministic function of match outcomes, so forced
@@ -69,9 +68,6 @@ class EpochRecord:
     @property
     def key(self) -> EpochKey:
         return (self.rank, self.lc)
-
-    def accepts_tag(self, tag: int) -> bool:
-        return self.tag == ANY_TAG or self.tag == tag
 
     def __repr__(self) -> str:
         m = f" matched={self.matched_source}" if self.matched_source is not None else ""

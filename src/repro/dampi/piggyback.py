@@ -149,23 +149,10 @@ class PiggybackModule(ToolModule):
             tr.instant("pb_send", "pb", rank=proc.world_rank, dest=dest, tag=tag)
         return req
 
-    def issend(self, proc, chain, comm, payload, dest, tag):
-        # synchronous sends carry stamps exactly like eager sends; the
-        # piggyback message itself stays eager (the tool must not add
-        # rendezvous blocking the user didn't ask for)
-        if dest == PROC_NULL:
-            return chain(comm, payload, dest, tag)
-        self._engine.charge(proc.world_rank, self._engine.cost.tool_wrap_cost)
-        if self.mechanism == "inline":
-            return chain(comm, InlinePacked(self._stamp(proc), payload), dest, tag)
-        req = chain(comm, payload, dest, tag)
-        pb = proc.pmpi.isend(self.shadow_comm(proc, comm.ctx), self._stamp(proc), dest, tag)
-        self._pb_send[req.uid] = pb
-        self.pb_messages += 1
-        tr = self._tracer
-        if tr is not None:
-            tr.instant("pb_send", "pb", rank=proc.world_rank, dest=dest, tag=tag)
-        return req
+    # synchronous sends carry stamps exactly like eager sends; the
+    # piggyback message itself stays eager (``pmpi.isend``: the tool must
+    # not add rendezvous blocking the user didn't ask for)
+    issend = isend
 
     # -- interposition: receives ------------------------------------------------
 

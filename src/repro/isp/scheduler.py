@@ -39,30 +39,6 @@ class IspInterpositionModule(ToolModule):
 
     name = "isp"
 
-    #: entry points that trigger a scheduler round-trip (every MPI call
-    #: the ISP profiler forwards; local ops like pcontrol excluded)
-    _TAXED = (
-        "isend",
-        "issend",
-        "irecv",
-        "wait",
-        "test",
-        "probe",
-        "iprobe",
-        "barrier",
-        "bcast",
-        "reduce",
-        "allreduce",
-        "gather",
-        "scatter",
-        "allgather",
-        "alltoall",
-        "reduce_scatter",
-        "comm_dup",
-        "comm_split",
-        "comm_free",
-    )
-
     def __init__(self, params: IspCostParams | None = None):
         self.params = params or IspCostParams()
         self._engine = None

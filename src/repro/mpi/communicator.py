@@ -151,10 +151,6 @@ class Communicator:
     def group(self) -> tuple[int, ...]:
         return self.context.group
 
-    @property
-    def is_freed(self) -> bool:
-        return self._freed
-
     def _check_live(self) -> None:
         if self._freed:
             raise InvalidCommunicatorError(

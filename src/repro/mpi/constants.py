@@ -63,11 +63,6 @@ BUILTIN_OPS: dict[str, ReduceOp] = {
 }
 
 
-def is_wildcard_source(source: int) -> bool:
-    """True iff ``source`` is the ANY_SOURCE wildcard."""
-    return source == ANY_SOURCE
-
-
 def validate_tag(tag: int, *, receiving: bool) -> None:
     """Raise ``InvalidTagError`` for tags outside the legal range.
 

@@ -73,10 +73,6 @@ class CostModel:
         """Wire time from issue to matchability at the receiver."""
         return self.latency + nbytes * self.byte_time
 
-    def recv_cost(self) -> float:
-        """Receiver-side completion cost."""
-        return self.p2p_overhead
-
     def collective_cost(self, n: int) -> float:
         """Completion cost of a collective over ``n`` ranks."""
         if n <= 1:
@@ -111,12 +107,6 @@ class SerializedResource:
         self.visits += 1
         self.total_service += service
         return self.busy_until
-
-    def reset(self) -> None:
-        self.busy_until = 0.0
-        self.visits = 0
-        self.total_service = 0.0
-        self.total_wait = 0.0
 
 
 @dataclass

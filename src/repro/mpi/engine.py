@@ -394,12 +394,12 @@ class MessageEngine:
         req.envelope = env
         req.status = Status(source=ctx.rank_of(env.src), tag=env.tag, payload=env.payload)
         cost = self.cost
-        recv_cost = cost.p2p_overhead  # inlined cost.recv_cost()
+        completion_cost = cost.p2p_overhead  # receiver-side completion cost
         if ctx.tool:
-            recv_cost *= cost.tool_factor
+            completion_cost *= cost.tool_factor
         req.complete_vtime = (
             max(req.post_vtime, env.arrival_vtime, self.clocks.vtimes[req.owner])
-            + recv_cost
+            + completion_cost
         )
         req.state = _COMPLETE
         stats = self.stats
@@ -438,7 +438,7 @@ class MessageEngine:
             _RECV, rank, ctx_id, posted_src=src_world, posted_tag=tag, proc=proc
         )
         cost = self.cost
-        post_cost = cost.p2p_overhead  # inlined cost.recv_cost()
+        post_cost = cost.p2p_overhead  # receiver-side posting cost
         if ctx.tool:
             post_cost *= cost.tool_factor
         vtimes = self.clocks.vtimes

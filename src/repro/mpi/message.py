@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.datatypes import sizeof
 
 _envelope_ids = itertools.count(1)
@@ -124,16 +123,6 @@ class Envelope:
         if n is None:
             n = self._nbytes = sizeof(self.payload)
         return n
-
-    def compatible(self, want_src: int, want_tag: int) -> bool:
-        """Does this envelope satisfy a receive's (source, tag) selector?
-
-        ``want_src``/``want_tag`` may be wildcards (``ANY_SOURCE`` /
-        ``ANY_TAG``); the context is checked by the matcher, not here.
-        """
-        return (want_src == ANY_SOURCE or want_src == self.src) and (
-            want_tag == ANY_TAG or want_tag == self.tag
-        )
 
     def __repr__(self) -> str:
         return (

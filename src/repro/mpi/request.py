@@ -14,7 +14,7 @@ import itertools
 from typing import Any, Optional
 
 from repro.errors import InvalidRequestError
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, UNDEFINED
+from repro.mpi.constants import UNDEFINED
 from repro.mpi.datatypes import count_of
 
 _request_ids = itertools.count(1)
@@ -48,12 +48,10 @@ class RequestState(enum.Enum):
     FREED = "freed"
 
 
-# Hot-path constants: member access on an Enum class goes through a
+# Hot-path constant: member access on an Enum class goes through a
 # descriptor; ``is_complete`` runs on every wait/test so we resolve the
 # members once here.
 _DONE = (RequestState.COMPLETE, RequestState.CONSUMED)
-_RECV = RequestKind.RECV
-_SEND = RequestKind.SEND
 
 
 class Status:
@@ -142,23 +140,6 @@ class Request:
     @property
     def is_complete(self) -> bool:
         return self.state in _DONE
-
-    @property
-    def is_recv(self) -> bool:
-        return self.kind is _RECV
-
-    @property
-    def is_send(self) -> bool:
-        return self.kind is _SEND
-
-    @property
-    def is_wildcard_recv(self) -> bool:
-        """Did the *user* post this receive with ``MPI_ANY_SOURCE``?"""
-        return self.kind is _RECV and self.posted_src == ANY_SOURCE
-
-    @property
-    def is_wildcard_tag(self) -> bool:
-        return self.kind is _RECV and self.posted_tag == ANY_TAG
 
     # -- user-facing completion sugar -------------------------------------
 

@@ -385,6 +385,30 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "campaign.runs" in out and "counters" in out
 
+    def test_stats_renders_a_fleet_report_and_its_journal(self, tmp_path, capsys):
+        report, journal = tmp_path / "report.json", tmp_path / "j"
+        fleet = ["dist", "run", *self.ARGS[1:], "--workers", "2"]
+        rc = main(fleet + ["--json-out", str(report), "--journal-dir", str(journal)])
+        assert rc == 0
+        counters = json.loads(report.read_text())["telemetry"]["metrics"]["counters"]
+        capsys.readouterr()
+        assert main(["stats", str(report)]) == 0
+        assert (
+            f"distributed       : 2 worker(s), {counters['dist.records']} "
+            f"record(s) streamed, 0 death(s)"
+        ) in capsys.readouterr().out
+        leases = sum(
+            1
+            for segment in journal.glob("segment-*.jsonl")
+            for line in segment.read_text().splitlines()
+            if json.loads(line)["t"] == "lease"
+        )
+        assert leases >= 1
+        assert main(["stats", str(journal)]) == 0
+        out = capsys.readouterr().out
+        assert "(complete)" in out
+        assert f"leases            : {leases}/{leases} lease(s) done" in out
+
     def test_stats_rejects_unrelated_file(self, tmp_path):
         junk = tmp_path / "junk.txt"
         junk.write_text("not telemetry\n")

@@ -61,6 +61,11 @@ class TestLamportClock:
     def test_lamport_totally_orders_everything(self):
         # distinct values are never concurrent — the §II-C imprecision
         assert not concurrent(LamportStamp(1), LamportStamp(2))
+        assert causally_before(LamportStamp(1), LamportStamp(2))
+
+    def test_equal_stamps_hash_equal(self):
+        # stamps key dicts and sets: equality ignores the rank, so must hash
+        assert len({LamportStamp(3, rank=0), LamportStamp(3, rank=1)}) == 1
 
 
 class TestVectorClock:
@@ -102,6 +107,10 @@ class TestVectorClock:
     def test_equal_stamps_not_causally_before(self):
         s = VectorStamp((2, 3))
         assert not s.causally_before(VectorStamp((2, 3)))
+        assert not causally_before(s, VectorStamp((2, 3)))
+
+    def test_equal_stamps_hash_equal(self):
+        assert len({VectorStamp((2, 3)), VectorStamp((2, 3)), VectorStamp((3, 2))}) == 2
 
 
 class TestFactory:

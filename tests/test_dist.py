@@ -10,6 +10,7 @@ sharding changes who executes a schedule, never which schedules exist.
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 from collections import deque
@@ -33,6 +34,7 @@ from repro.dist import (
 from repro.dist.leases import LeaseTable
 from repro.dist.worker import shard_config
 from repro.isp.verifier import IspVerifier
+from repro.mpi.constants import ANY_SOURCE
 from repro.obs.metrics import deterministic_view
 from repro.obs.stats import journal_progress
 from repro.obs.trace import event_signature
@@ -459,6 +461,55 @@ class TestDistributedBitIdentity:
             distributed_verify(wildcard_lattice, 3, DampiConfig(), workers=0)
 
 
+def late_sender_behind_a_flip(p):
+    """Rank 3's message to rank 0 is a late sender for rank 0's first
+    wildcard only when rank 3's own wildcard is flipped to rank 4.
+
+    Self run: rank 3 matches rank 0's ``go``, sent after rank 0's first
+    wildcard, so rank 3's reply is causally after that epoch.  Flipping
+    rank 3 to rank 4 (whose message depends on nothing rank 0 did) makes
+    the reply concurrent with it.  The epoch of rank 0 is shallower than
+    rank 3's in the decision path, so a fleet leases rank 3's flip with
+    rank 0's node pinned, and the worker reports the new alternative
+    upstream as a ``discovered`` lease; the crash lives only there.  Needs
+    vector clocks: under Lamport the reply carries rank 3's tick, whose
+    value is never below the shallower epoch's, so it is judged causally
+    after (docs/DISTRIBUTED.md, "Pinned discoveries")."""
+    if p.rank == 0:
+        x = p.world.recv(source=ANY_SOURCE)
+        if x == 3:
+            raise RuntimeError("BUG: rank 3 overtook rank 1")
+        p.world.send("go", dest=3)
+        p.world.recv(source=ANY_SOURCE)
+    elif p.rank == 1:
+        p.world.send(1, dest=0)
+        p.world.recv(source=4)
+        p.world.send("pong", dest=4)
+    elif p.rank == 3:
+        p.world.recv(source=ANY_SOURCE)
+        p.world.send(3, dest=0)
+    elif p.rank == 4:
+        p.world.send("ping", dest=1)
+        p.world.recv(source=1)
+        p.world.send(4, dest=3)
+
+
+class TestPinnedDiscoveries:
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_discovered_lease_found_and_report_identical(self, workers):
+        cfg = DampiConfig(clock_impl="vector")
+        serial = DampiVerifier(late_sender_behind_a_flip, 5, cfg).verify()
+        assert [e.kind for e in serial.errors] == ["crash"]
+        dist = distributed_verify(late_sender_behind_a_flip, 5, cfg, workers=workers)
+        assert dist.telemetry["metrics"]["counters"]["dist.discovered_leases"] >= 1
+        assert _canon(dist) == _canon(serial)
+
+    def test_lamport_clocks_discover_nothing(self):
+        dist = distributed_verify(late_sender_behind_a_flip, 5, DampiConfig(), workers=2)
+        assert "dist.discovered_leases" not in dist.telemetry["metrics"]["counters"]
+        assert not dist.errors
+
+
 def adlb_batch(p):
     """The Fig. 9 batch app over one ADLB server: at 6 ranks its k=1 walk
     is tens of thousands of replays — the campaign only a budget ends."""
@@ -553,6 +604,15 @@ class TestFleetCarriesTheVerifier:
         ]
         for key in ("captured", "dropped", "sampled_runs"):
             assert events[key] == serial.telemetry["events"][key]
+
+    def test_progress_is_one_merged_fleet_line(self):
+        buf = io.StringIO()
+        cfg = DampiConfig(progress_interval_seconds=0)
+        distributed_verify(
+            wildcard_lattice, 3, cfg, workers=2, kwargs=LATTICE, stream=buf
+        )
+        lines = buf.getvalue().splitlines()
+        assert any(line.startswith("[dampi dist] workers 2 | runs ") for line in lines)
 
 
 class TestDistributedJournal:

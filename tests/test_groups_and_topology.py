@@ -33,6 +33,11 @@ class TestGroupAlgebra:
         assert a.intersection(b).ranks == (2, 4)
         assert a.difference(b).ranks == (1, 3)
 
+    def test_equality_is_by_ordered_members(self):
+        assert Group([1, 2]) == Group([1, 2]) != Group([2, 1])
+        assert Group([1, 2]) != (1, 2)
+        assert len({Group([1, 2]), Group([1, 2]), Group([2, 1])}) == 2
+
     def test_rank_of_and_contains(self):
         g = Group([5, 7])
         assert g.rank_of(7) == 1
@@ -62,6 +67,7 @@ class TestCommCreate:
             if p.rank in (0, 2):
                 assert sub.size == 2
                 assert sub.rank == (0 if p.rank == 0 else 1)
+                assert sub.group == (0, 2)  # members' world ranks
                 assert sub.allreduce(1) == 2
                 sub.free()
             else:

@@ -10,7 +10,7 @@ from repro.mpi.constants import ANY_SOURCE, SUM
 from repro.mpi.runtime import run_program
 from repro.workloads.patterns import fig3_program, fig4_program, wildcard_lattice
 
-from tests.conftest import run_ok
+from tests.conftest import every_entry_point, run_ok
 
 
 class TestSchedulerTax:
@@ -27,6 +27,28 @@ class TestSchedulerTax:
         stats = res.artifacts["isp"]
         assert stats["round_trips"] == 6
         assert res.central_visits == 6
+
+    def test_every_entry_point_hand_counted(self):
+        """One program calls every entry point; each wrapper's visits are
+        worked out by hand from its source.
+
+        rank 0 (17): isend a/e/f/g/h, issend b (6); ssend = issend + wait
+        (2); sendrecv = irecv + isend + 2 waits (4); test (1); waitall and
+        waitany, one visit each with their inner wait suppressed (2);
+        waitsome and testall are not wrapped, so only their inner waits
+        visit (2).
+        rank 1 (20): wildcard probe and iprobe (2); 7 receives = irecv +
+        wait (14); sendrecv (4).
+        both (20 each): 13 collectives, the 3 icollective waits, comm_dup,
+        comm_split and 2 comm_frees.  request_free, pcontrol and compute
+        are local and free.
+        Wildcard visits: the probe, the iprobe and the first receive."""
+        mod = IspInterpositionModule()
+        res = run_ok(every_entry_point, 2, modules=[mod])
+        stats = res.artifacts["isp"]
+        assert stats["round_trips"] == 17 + 20 + 2 * 20
+        assert stats["wildcard_round_trips"] == 3
+        assert res.central_visits == stats["round_trips"]
 
     def test_wildcards_cost_more(self):
         params = IspCostParams(service=1e-6, wildcard_service=100e-6)

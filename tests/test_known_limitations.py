@@ -44,6 +44,40 @@ class TestSectionVOmission:
         assert rep.monitor_report.triggered
 
 
+def three_wildcards(p):
+    """Fig. 3 with one more receive: only the match order 2, 3, 1 crashes."""
+    if p.rank == 0:
+        x = p.world.recv(source=ANY_SOURCE)
+        y = p.world.recv(source=ANY_SOURCE)
+        p.world.recv(source=ANY_SOURCE)
+        if x == 22 and y == 33:
+            raise RuntimeError("BUG: order 2,3,1")
+    else:
+        p.world.send(p.rank * 11, dest=0)
+
+
+class TestPruningHidesABug:
+    """ROADMAP open item 1: future-equivalence pruning relabels matched
+    sources by first appearance, so the (1,2,3) and (2,1,3) runs share a
+    fingerprint and the x=2 subtree, which holds (2,3,1), is pruned.  The
+    program stays out of ``workloads.bugzoo.ZOO``: the ledger's
+    ``zoo_sweep`` pins the zoo's executions."""
+
+    def test_the_unpruned_walk_finds_the_crash(self):
+        rep = DampiVerifier(three_wildcards, 4, DampiConfig(prune=False)).verify()
+        assert rep.interleavings == 6
+        assert [str(e).split(":")[0] for e in rep.errors] == ["[crash] in replay 3"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: default pruning reports 4 interleavings, "
+        "2 replays saved and no error",
+    )
+    def test_the_default_config_finds_the_crash(self):
+        rep = DampiVerifier(three_wildcards, 4).verify()
+        assert [e.kind for e in rep.errors] == ["crash"]
+
+
 class _PairingProbe(ToolModule):
     """Records (payload, stamp) pairs delivered by a piggyback module."""
 

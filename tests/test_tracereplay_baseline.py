@@ -6,7 +6,10 @@ from repro.baselines import RecordedTrace, record_run, replay_run
 from repro.errors import ReplayDivergenceError
 from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.request import Status
+from repro.mpi.runtime import run_program
 from repro.workloads.patterns import fig3_program
+
+from tests.conftest import spin
 
 
 def funnel(p):
@@ -62,6 +65,33 @@ class TestReplay:
             replayed = replay_run(funnel, 4, trace, policy=other_policy)
             replayed.raise_any()
             assert replayed.returns[0] == original
+
+    def test_probes_and_test_completions_replay(self):
+        """A blocking probe, a polled iprobe and a receive completed by
+        MPI_Test are recorded in completion order and replayed."""
+
+        def prog(p):
+            if p.rank == 0:
+                first = p.world.probe(source=ANY_SOURCE, tag=1).source
+                p.world.recv(source=first, tag=1)
+                flag, st = p.world.iprobe(source=ANY_SOURCE, tag=2)
+                while not flag:
+                    flag, st = p.world.iprobe(source=ANY_SOURCE, tag=2)
+                spin(p.world.irecv(source=st.source, tag=2))
+                return first, st.source
+            p.world.send(p.rank, dest=0, tag=1)
+            p.world.send(p.rank, dest=0, tag=2)
+            return None
+
+        result, trace = record_run(prog, 3, policy="highest_rank")
+        result.raise_any()
+        assert [kind for kind, _, _ in trace.events[0]] == ["probe", "recv"] * 2
+        original = result.returns[0]
+        native = run_program(prog, 3, policy="lowest_rank")
+        assert native.returns[0] != original  # the policy alone picks others
+        replayed = replay_run(prog, 3, trace, policy="lowest_rank")
+        replayed.raise_any()
+        assert replayed.returns[0] == original
 
     def test_rank_count_mismatch_rejected_at_setup(self):
         _, trace = record_run(funnel, 3)

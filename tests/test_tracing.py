@@ -3,7 +3,7 @@
 from repro.mpi.constants import ANY_SOURCE, SUM
 from repro.mpi.tracing import CLASSIFICATION, OpClass, TraceModule
 
-from tests.conftest import run_ok
+from tests.conftest import every_entry_point, run_ok
 
 
 def traced(prog, nprocs, **kw):
@@ -123,6 +123,26 @@ class TestClassificationCompleteness:
         assert CLASSIFICATION["sendrecv"] is OpClass.SEND_RECV
         assert CLASSIFICATION["waitsome"] is OpClass.WAIT
         assert CLASSIFICATION["testall"] is OpClass.WAIT
+
+
+class TestEveryEntryPoint:
+    """Every wrapper of the module counts: one program calls each entry
+    point, and the counts are worked out by hand from its source."""
+
+    def test_hand_counted_classes_per_rank(self):
+        report = traced(every_entry_point, 2)
+        # rank 0 -- Send-Recv: isend a/e/f/g/h, issend b, ssend, sendrecv
+        # (the batched ops count once, their constituents not at all);
+        # Wait: test, waitall, waitany, waitsome, testall + the waits of
+        # ibarrier/ibcast/iallreduce
+        # rank 1 -- Send-Recv: probe, iprobe, 7 irecvs, sendrecv;
+        # Wait: the 7 receive waits + the 3 icollective waits
+        # both -- Collective: the 13 collectives plus comm_dup and
+        # comm_split; comm_free/request_free/pcontrol/compute are local
+        assert report.per_rank == [
+            {OpClass.SEND_RECV: 8, OpClass.COLLECTIVE: 15, OpClass.WAIT: 8, OpClass.LOCAL: 0},
+            {OpClass.SEND_RECV: 10, OpClass.COLLECTIVE: 15, OpClass.WAIT: 10, OpClass.LOCAL: 0},
+        ]
 
 
 class TestBatchedOpCounts:
