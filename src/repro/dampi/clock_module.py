@@ -526,7 +526,6 @@ class DampiClockModule(ToolModule):
 
     def _drain_comm(self, proc, comm) -> None:
         from repro.mpi.constants import ANY_SOURCE as _ANY_SRC, ANY_TAG as _ANY_TAG
-        from repro.dampi.piggyback import InlinePacked
 
         rank = proc.world_rank
         state = self._state[rank]
@@ -539,16 +538,9 @@ class DampiClockModule(ToolModule):
             env = req.envelope
             if env is None:
                 continue
-            if self.piggyback.mechanism == "inline":
-                if not isinstance(req.data, InlinePacked):
-                    continue
-                stamp = req.data.stamp
-            else:
-                pb = proc.pmpi.irecv(
-                    self.piggyback.shadow_comm(proc, comm.ctx), status.source, status.tag
-                )
-                proc.pmpi.wait(pb)
-                stamp = pb.data
+            stamp = self.piggyback.drain_stamp(proc, req)
+            if stamp is None:
+                continue
             self._find_potential_matches(rank, env, stamp)
             state.clock.merge(stamp)
 
@@ -562,39 +554,22 @@ class DampiClockModule(ToolModule):
     # the interposition state and can examine the queues before the job is
     # torn down.  We do the equivalent here, after the engine stopped:
     # pair each leftover user envelope with its piggyback stamp (the
-    # shadow queues hold the pb messages in the same per-stream order) and
-    # run the ordinary late-message analysis on it.
+    # stamp streams hold the unreceived stamps in the same per-stream
+    # order) and run the ordinary late-message analysis on it.
 
     def _post_mortem_scan(self, runtime) -> None:
         engine = runtime.engine
-        leftovers = engine.unexpected_envelopes()
-        if not leftovers:
-            return
         user: dict[tuple, list] = {}
-        shadow: dict[tuple, list] = {}
-        for rank, env in leftovers:
-            ctx = engine.contexts[env.ctx]
-            if ctx.tool:
-                shadow.setdefault((rank, ctx.parent, env.src, env.tag), []).append(env)
-            else:
+        for rank, env in engine.unexpected_envelopes():
+            if not engine.contexts[env.ctx].tool:
                 user.setdefault((rank, env.ctx, env.src, env.tag), []).append(env)
-        from repro.dampi.piggyback import InlinePacked
-
         for key, envs in user.items():
             rank = key[0]
             if not self._state[rank].epochs:
                 continue
             envs.sort(key=lambda e: e.seq)
-            if self.piggyback.mechanism == "inline":
-                for env in envs:
-                    if isinstance(env.payload, InlinePacked):
-                        self._find_potential_matches(rank, env, env.payload.stamp)
-            else:
-                pbs = sorted(shadow.get(key, []), key=lambda e: e.seq)
-                # leftover user messages of a stream align 1:1, in order,
-                # with leftover shadow messages of the mirrored stream
-                for env, pb in zip(envs, pbs):
-                    self._find_potential_matches(rank, env, pb.payload)
+            for env, stamp in self.piggyback.leftover_stamps(rank, envs):
+                self._find_potential_matches(rank, env, stamp)
 
     # -- artifact -----------------------------------------------------------------------
 

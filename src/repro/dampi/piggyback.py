@@ -17,25 +17,47 @@ shadow receive up front — posting it wildcard would race other senders'
 stamps and deadlock the tool.  We post it only once the user receive
 *completes* and its actual source/tag are known.
 
+Transport.  Every shadow receive is therefore fully specified, and a
+sender deposits its stamp in the same token-holding step as its payload,
+so MPI matching on a shadow context reduces to FIFO order per stream.
+The module runs each ``(source, dest, user context, tag)`` stream as a
+pair of queues — stamps that arrived before their receive, shadow
+receives posted before their stamp — instead of engine messages: no
+``Request``, ``Envelope`` or matching per stamp.  The cost model still
+charges a message: the module applies the engine's point-to-point
+arithmetic on tool contexts itself (send, post, match, completion), so
+virtual times are those of an engine-message transport, which
+``tests/reference_piggyback.py`` keeps as the differential reference.  A
+completion whose stamp has not arrived blocks through the engine's own
+scheduler, so a stolen stamp (below) is a proven deadlock naming its
+stream.  Collective stamp exchanges still run on the shadow contexts.
+
 Known limitation (inherited from the paper's mechanism and documented in
 DESIGN.md): when a wildcard and a deterministic receive with overlapping
 ``(source, tag)`` selectors are simultaneously outstanding, the
 post-time/completion-time split can pair stamps with the wrong message of
-the same stream.  The ``"inline"`` mechanism (clock packed into the
-payload, the datatype-packing alternative of [15]) has no such hazard and
-is provided for ablation.
+the same stream — or, when the deterministic receive is freed, leave the
+wildcard's stamp receive waiting forever (a tool-induced deadlock).  The
+``"inline"`` mechanism (clock packed into the payload, the
+datatype-packing alternative of [15]) has no such hazard and is provided
+for ablation.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.mpi.communicator import Communicator
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.mpi.datatypes import sizeof
 from repro.mpi.request import Request, RequestKind, Status
 from repro.pnmpi.module import ToolModule
+
+_SEND = RequestKind.SEND
+_RECV = RequestKind.RECV
 
 
 @dataclass(frozen=True)
@@ -44,6 +66,19 @@ class InlinePacked:
 
     stamp: Any
     payload: Any
+
+
+class _StampRecv:
+    """A posted shadow receive: done once its stream's stamp matched it."""
+
+    __slots__ = ("key", "post_vtime", "complete_vtime", "stamp", "done")
+
+    def __init__(self, key: tuple, post_vtime: float):
+        self.key = key
+        self.post_vtime = post_vtime
+        self.complete_vtime = 0.0
+        self.stamp = None
+        self.done = False
 
 
 class PiggybackModule(ToolModule):
@@ -67,12 +102,15 @@ class PiggybackModule(ToolModule):
         self._shadow_ctx: dict[int, Any] = {}
         #: (rank, user ctx id) -> per-rank shadow Communicator handle
         self._shadow_comm: dict[tuple[int, int], Communicator] = {}
-        #: user send request uid -> piggyback send request (GetPBReq)
-        self._pb_send: dict[int, Request] = {}
-        #: user recv request uid -> piggyback recv request posted up front
-        self._pb_recv: dict[int, Request] = {}
-        #: inline mechanism: recv request uid -> unpacked stamp
-        self._inline_stamp: dict[int, Any] = {}
+        #: (src, dst, user ctx id, tag) -> the stream's FIFO: stamps that
+        #: arrived before their receive, as ``(stamp, arrival_vtime)`` in
+        #: send order, or receives posted before their stamp, as
+        #: :class:`_StampRecv` in post order — never both at once
+        self._streams: dict[tuple, deque] = {}
+        #: user send request uid -> its stamp send's completion vtime (GetPBReq)
+        self._pb_send: dict[int, Any] = {}
+        #: user recv request uid -> stamp receive posted up front
+        self._pb_recv: dict[int, Any] = {}
         self._lock = threading.Lock()
         self._tracer = None
         #: mechanism statistics (ablation benches read these)
@@ -87,16 +125,26 @@ class PiggybackModule(ToolModule):
         self.consumer = consumer
 
     def setup(self, runtime) -> None:
-        self._engine = runtime.engine
+        engine = self._engine = runtime.engine
         self._tracer = getattr(runtime, "tracer", None)
-        world = runtime.engine.world
-        self._shadow_ctx = {world.ctx: runtime.engine.new_tool_context(world, "pb.world")}
+        world = engine.world
+        self._shadow_ctx = {world.ctx: engine.new_tool_context(world, "pb.world")}
         self._shadow_comm = {}
+        self._streams = {}
         self._pb_send = {}
         self._pb_recv = {}
-        self._inline_stamp = {}
         self.pb_messages = 0
         self.deferred_pb_recvs = 0
+        # the engine's point-to-point charges on a tool context
+        cost = engine.cost
+        self._vtimes = engine.clocks.vtimes
+        self._wrap_cost = cost.tool_wrap_cost
+        self._latency = cost.latency
+        self._byte_time = cost.byte_time
+        self._p2p = cost.p2p_overhead
+        self._tool_factor = cost.tool_factor
+        self._tool_p2p = cost.p2p_overhead * cost.tool_factor
+        self._tool_local = cost.local_op * cost.tool_factor
 
     def ensure_shadow(self, ctx_obj) -> None:
         """Create the shadow context for a newly created communicator.
@@ -132,26 +180,104 @@ class PiggybackModule(ToolModule):
         if self.consumer is not None:
             self.consumer(proc, req, stamp)
 
+    # -- the separate mechanism's transport: per-stream stamp queues ---------------
+
+    def _stream(self, key: tuple) -> deque:
+        stream = self._streams.get(key)
+        if stream is None:
+            if key[2] not in self._shadow_ctx:
+                raise KeyError(f"no shadow context for user ctx {key[2]}")
+            stream = self._streams[key] = deque()
+        return stream
+
+    def _match(self, recv: _StampRecv, stamp, arrival: float, owner: int) -> None:
+        recv.complete_vtime = (
+            max(recv.post_vtime, arrival, self._vtimes[owner]) + self._tool_p2p
+        )
+        recv.stamp = stamp
+        recv.done = True
+
+    def _send_stamp(self, proc, ctx_id: int, dst: int, tag: int, stamp) -> float:
+        """Deposit ``stamp`` on its stream; returns the send's completion
+        vtime, which the user send's completion consumes."""
+        src = proc.world_rank
+        vtimes = self._vtimes
+        send_vtime = vtimes[src]
+        byte_cost = sizeof(stamp) * self._byte_time
+        arrival = send_vtime + self._latency + byte_cost
+        vtimes[src] = now = send_vtime + (self._p2p + byte_cost) * self._tool_factor
+        stream = self._stream((src, dst, ctx_id, tag))
+        if stream and stream[0].__class__ is _StampRecv:
+            self._match(stream.popleft(), stamp, arrival, dst)
+            self._engine._unblock_if_ready(dst)
+        else:
+            stream.append((stamp, arrival))
+        return now
+
+    def _post_stamp_recv(self, proc, ctx_id: int, src: int, tag: int) -> _StampRecv:
+        """Post the fully specified stamp receive of one user receive."""
+        rank = proc.world_rank
+        vtimes = self._vtimes
+        vtimes[rank] = post = vtimes[rank] + self._tool_p2p
+        key = (src, rank, ctx_id, tag)
+        recv = _StampRecv(key, post)
+        stream = self._stream(key)
+        if stream and stream[0].__class__ is not _StampRecv:
+            stamp, arrival = stream.popleft()
+            self._match(recv, stamp, arrival, rank)
+        else:
+            stream.append(recv)
+        return recv
+
+    def _complete(self, rank: int, complete_vtime: float) -> None:
+        """The engine's completion charge: ``max(completion, now)`` plus
+        a tool-context local op."""
+        vtimes = self._vtimes
+        t = vtimes[rank]
+        if complete_vtime > t:
+            t = complete_vtime
+        vtimes[rank] = t + self._tool_local
+
+    def _complete_send_stamp(self, proc, complete_vtime: float) -> None:
+        self._complete(proc.world_rank, complete_vtime)
+
+    def _wait_stamp(self, proc, recv: _StampRecv):
+        """Complete a stamp receive, blocking until its stamp arrives."""
+        rank = proc.world_rank
+        if not recv.done:
+            self._engine._block_until(
+                rank, lambda: recv.done, lambda: self._describe_wait(recv)
+            )
+        self._complete(rank, recv.complete_vtime)
+        return recv.stamp
+
+    def _describe_wait(self, recv: _StampRecv) -> str:
+        src, dst, ctx_id, tag = recv.key
+        label = self._engine.contexts[ctx_id].label
+        return f"wait for the piggyback stamp {src}→{dst} on {label}, tag {tag}"
+
     # -- interposition: sends ---------------------------------------------------
 
     def isend(self, proc, chain, comm, payload, dest, tag):
         if dest == PROC_NULL:
             return chain(comm, payload, dest, tag)
-        self._engine.charge(proc.world_rank, self._engine.cost.tool_wrap_cost)
+        self._vtimes[proc.world_rank] += self._wrap_cost
         if self.mechanism == "inline":
             return chain(comm, InlinePacked(self._stamp(proc), payload), dest, tag)
         req = chain(comm, payload, dest, tag)
-        pb = proc.pmpi.isend(self.shadow_comm(proc, comm.ctx), self._stamp(proc), dest, tag)
-        self._pb_send[req.uid] = pb
+        ctx = comm.context  # ``dest`` is valid: the chain accepted it
+        self._pb_send[req.uid] = self._send_stamp(
+            proc, ctx.ctx, ctx.group[dest], tag, self._stamp(proc)
+        )
         self.pb_messages += 1
         tr = self._tracer
         if tr is not None:
             tr.instant("pb_send", "pb", rank=proc.world_rank, dest=dest, tag=tag)
         return req
 
-    # synchronous sends carry stamps exactly like eager sends; the
-    # piggyback message itself stays eager (``pmpi.isend``: the tool must
-    # not add rendezvous blocking the user didn't ask for)
+    # synchronous sends carry stamps exactly like eager sends; the stamp
+    # itself stays eager (the tool must not add rendezvous blocking the
+    # user didn't ask for)
     issend = isend
 
     # -- interposition: receives ------------------------------------------------
@@ -160,14 +286,16 @@ class PiggybackModule(ToolModule):
         req = chain(comm, source, tag)
         if source == PROC_NULL:
             return req
-        self._engine.charge(proc.world_rank, self._engine.cost.tool_wrap_cost)
+        self._vtimes[proc.world_rank] += self._wrap_cost
         if self.mechanism == "inline":
             return req
         # Deterministic selector: post the shadow receive now (CreatePBReq).
         # Any wildcard (source or tag) defers to completion time.
         if source != ANY_SOURCE and tag != ANY_TAG:
-            pb = proc.pmpi.irecv(self.shadow_comm(proc, comm.ctx), source, tag)
-            self._pb_recv[req.uid] = pb
+            ctx = comm.context
+            self._pb_recv[req.uid] = self._post_stamp_recv(
+                proc, ctx.ctx, ctx.group[source], tag
+            )
         else:
             self.deferred_pb_recvs += 1
             tr = self._tracer
@@ -193,13 +321,14 @@ class PiggybackModule(ToolModule):
         return flag, status
 
     def _on_completion(self, proc, req: Request, status: Status) -> None:
-        self._engine.charge(proc.world_rank, self._engine.cost.tool_wrap_cost)
-        if req.kind is RequestKind.SEND:
+        self._vtimes[proc.world_rank] += self._wrap_cost
+        kind = req.kind
+        if kind is _SEND:
             pb = self._pb_send.pop(req.uid, None)
             if pb is not None:
-                proc.pmpi.wait(pb)
+                self._complete_send_stamp(proc, pb)
             return
-        if req.kind is not RequestKind.RECV:
+        if kind is not _RECV:
             return  # collective requests are handled by the clock module
         # receive side
         if status is None or status.source == PROC_NULL:
@@ -220,10 +349,8 @@ class PiggybackModule(ToolModule):
             # wildcard: now that source and tag are known, receive the stamp
             # deterministically (paper: "only posting the receive call for
             # mp after the completion of m").
-            shadow = self.shadow_comm(proc, req.ctx)
-            pb = proc.pmpi.irecv(shadow, status.source, status.tag)
-        proc.pmpi.wait(pb)
-        self._deliver(proc, req, pb.data)
+            pb = self._post_stamp_recv(proc, req.ctx, req.envelope.src, status.tag)
+        self._deliver(proc, req, self._wait_stamp(proc, pb))
 
     def probe(self, proc, chain, comm, source, tag):
         status = chain(comm, source, tag)
@@ -247,14 +374,44 @@ class PiggybackModule(ToolModule):
             status._payload = status._payload.payload
 
     def request_free(self, proc, chain, req):
-        # Freeing a send request also releases its piggyback bookkeeping;
-        # freeing a pending receive leaves the shadow receive posted — the
-        # same leak the user created, mirrored in the tool layer.
+        # Freeing a send request also completes its stamp send; freeing a
+        # pending receive leaves the stamp receive posted — the same leak
+        # the user created, mirrored in the tool layer.
         chain(req)
         pb = self._pb_send.pop(req.uid, None)
         if pb is not None:
-            proc.pmpi.wait(pb)
+            self._complete_send_stamp(proc, pb)
         self._pb_recv.pop(req.uid, None)
+
+    # -- stamps of messages the program never received (clock module) -------------
+
+    def drain_stamp(self, proc, req: Request):
+        """The stamp of a leftover user message that the clock module's
+        finalize drain just received through PMPI, or None if it carries
+        none."""
+        if self.mechanism == "inline":
+            data = req.data
+            return data.stamp if isinstance(data, InlinePacked) else None
+        env = req.envelope
+        return self._wait_stamp(
+            proc, self._post_stamp_recv(proc, env.ctx, env.src, env.tag)
+        )
+
+    def leftover_stamps(self, rank: int, envs: list) -> list:
+        """Post-mortem pairing: ``(envelope, stamp)`` for the unreceived
+        user messages of one stream into ``rank``, given in ``seq`` order.
+        The stream's unreceived stamps align 1:1, in order, with them."""
+        if self.mechanism == "inline":
+            return [
+                (env, env.payload.stamp)
+                for env in envs
+                if isinstance(env.payload, InlinePacked)
+            ]
+        env = envs[0]
+        stream = self._streams.get((env.src, rank, env.ctx, env.tag))
+        if not stream or stream[0].__class__ is _StampRecv:
+            return []
+        return list(zip(envs, [stamp for stamp, _ in stream]))
 
     def finish(self, runtime) -> dict:
         return {

@@ -82,8 +82,3 @@ class ReplayDivergenceError(VerificationError):
 
 class ScheduleExhaustedError(VerificationError):
     """Internal: the explorer was asked for a replay but no alternatives remain."""
-
-
-class ToolDeadlockError(VerificationError):
-    """A deadlock provably introduced by the tool itself (e.g. a piggyback
-    receive posted with a wildcard; see paper §II-D)."""

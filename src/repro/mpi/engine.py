@@ -471,7 +471,7 @@ class MessageEngine:
 
     def pmpi_wait(self, rank: int, req: Request) -> Status:
         # _validate_completion_target, inlined (wait is the hottest entry
-        # point: two per message counting piggyback traffic)
+        # point: one per send and one per receive)
         if (
             req.__class__ is not Request
             or req.owner != rank

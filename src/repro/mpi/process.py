@@ -30,7 +30,7 @@ class _PMPI:
     """
 
     #: Hot entry points are bound eagerly as instance attributes so tool
-    #: traffic (piggyback sends/waits happen on every user message) skips
+    #: traffic (e.g. the clock module's finalize drain) skips
     #: ``__getattr__``.  The bottoms are bound methods that read
     #: ``proc.engine`` at call time, so the bindings survive ``Proc.rebind``.
     _HOT = ("isend", "issend", "irecv", "wait", "test", "probe", "iprobe")

@@ -69,6 +69,44 @@ def test_correct_patterns_stay_clean(entry: ZooEntry):
     assert not rep.monitor_report.triggered
 
 
+#: Finding details quote requests by ``#N``, a per-run ordinal.  Stamps
+#: travel on stamp queues, not as engine messages, so only user traffic
+#: allocates requests and ``#N`` counts the program's own requests.
+PINNED_DETAILS = {
+    "ssend cycle": (
+        "deadlock detected ("
+        "rank 0: wait on Request(#1 send owner=0 ctx=0 src=-104 tag=-104 pending), "
+        "rank 1: wait on Request(#2 send owner=1 ctx=0 src=-104 tag=-104 pending), "
+        "rank 2: wait on Request(#3 send owner=2 ctx=0 src=-104 tag=-104 pending))"
+    ),
+    "tag mismatch": (
+        "deadlock detected ("
+        "rank 0: wait on Request(#2 recv owner=0 ctx=0 src=1 tag=3 pending), "
+        "rank 1: wait on Request(#3 recv owner=1 ctx=0 src=0 tag=2 pending))"
+    ),
+    "double wait": (
+        "rank 1: InvalidRequestError: request "
+        "Request(#2 recv owner=1 ctx=0 src=0 tag=-102 consumed) completed twice"
+    ),
+    "wildcard starvation": (
+        "deadlock detected ("
+        "rank 0: wait on Request(#3 recv owner=0 ctx=0 src=-101 tag=-102 pending), "
+        "rank 1: barrier on world (instance 0))"
+    ),
+    "wrong communicator": (
+        "deadlock detected (rank 0: barrier on world (instance 1), "
+        "rank 1: wait on Request(#2 recv owner=1 ctx=0 src=0 tag=-102 pending))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DETAILS))
+def test_request_ordinals_count_user_requests(name):
+    entry = next(e for e in ZOO if e.name == name)
+    rep = DampiVerifier(entry.program, entry.nprocs, CFG).verify()
+    assert [e.detail for e in rep.errors] == [PINNED_DETAILS[name]]
+
+
 def test_zoo_covers_every_detector():
     expected = {
         "deadlock",

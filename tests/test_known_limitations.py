@@ -141,6 +141,43 @@ class TestSeparatePiggybackPairingHazard:
         assert pairs == {"m0": 1, "m1": 0}  # swapped — the documented hazard
 
 
+def stolen_stamp(p):
+    """A deadlock-free program: the wildcard gets m0, the freed receive
+    gets nothing."""
+    if p.rank == 0:
+        p.world.send("m0", dest=1, tag=5)
+    else:
+        wild = p.world.irecv(source=ANY_SOURCE, tag=5)
+        det = p.world.irecv(source=0, tag=5)
+        det.free()
+        wild.wait()
+
+
+class TestStolenStampIsAFalseDeadlock:
+    """The pairing hazard's other face: the freed deterministic receive's
+    stamp receive stays posted (``request_free`` mirrors the user's leak),
+    takes the stream's only stamp, and the wildcard's stamp receive —
+    posted at completion — waits for a stamp that never comes.  The
+    separate mechanism turns a deadlock-free program into a reported
+    deadlock; the inline mechanism does not."""
+
+    def test_the_program_is_deadlock_free(self):
+        assert not run_program(stolen_stamp, 2).deadlocked
+        cfg = DampiConfig(piggyback="inline")
+        assert "deadlock" not in {
+            e.kind for e in DampiVerifier(stolen_stamp, 2, cfg).verify().errors
+        }
+
+    def test_the_default_verifier_reports_a_deadlock(self):
+        rep = DampiVerifier(stolen_stamp, 2).verify()
+        deadlocks = [e for e in rep.errors if e.kind == "deadlock"]
+        assert len(deadlocks) == 1
+        # the blocked rank names the stamp stream, not a tool request
+        assert "rank 1: wait for the piggyback stamp 0→1 on world, tag 5" in str(
+            deadlocks[0]
+        )
+
+
 class TestDeterministicSchedulerBias:
     """The paper's motivation: one runtime policy keeps showing one match.
     Our deterministic self run is exactly such a bias — pinned here so the

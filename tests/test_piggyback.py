@@ -111,6 +111,10 @@ class TestPairing:
 
 class TestSeparateMechanism:
     def test_shadow_traffic_is_on_tool_contexts(self):
+        """The shadow context exists (collective stamp exchanges use it),
+        but a stamp travels on its stream's queue: the engine carries the
+        user message alone, and ``pb_messages`` counts the stamp."""
+
         def prog(p):
             if p.rank == 0:
                 p.world.send("m", dest=1)
@@ -118,18 +122,16 @@ class TestSeparateMechanism:
                 p.world.recv(source=0)
 
         pb = PiggybackModule("separate")
-        StampHarness(pb)
-        harness = pb  # just need engine stats
+        harness = StampHarness(pb)
         from repro.mpi.runtime import Runtime
 
-        rt = Runtime(2, prog, modules=[harness])
-        # hack: register a trivial provider since no harness module attached
-        pb.register(lambda proc: LamportStamp(0), lambda proc, req, s: None)
-        res = rt.run()
-        res.raise_any()
+        rt = Runtime(2, prog, modules=[harness, pb])
+        rt.run().raise_any()
         tool_ctxs = [c for c in rt.engine.contexts.values() if c.tool]
-        assert len(tool_ctxs) == 1
-        assert tool_ctxs[0].label == "pb.world"
+        assert [c.label for c in tool_ctxs] == ["pb.world"]
+        assert rt.engine.stats.envelopes == 1
+        assert pb.pb_messages == 1
+        assert harness.received[1] == [("m", 0)]
 
     def test_pb_message_count_matches_user_messages(self):
         def prog(p):
