@@ -33,7 +33,6 @@ from repro.dampi.report import (
     VerificationReport,
     completed_outcome,
 )
-from repro.dampi.session import _ReplaySession
 from repro.errors import DeadlockError
 from repro.mpi.runtime import Runtime, RunResult
 from repro.obs.campaign import CampaignTelemetry
@@ -256,8 +255,10 @@ class DampiVerifier:
         self.config = config or DampiConfig()
         self.args = args
         self.kwargs = kwargs or {}
-        self._session: Optional[_ReplaySession] = None
-        self._runs_started = 0
+        #: every run of this verifier executes on this one runtime (and its
+        #: rank threads), built by the first run_once and released by close
+        self._runtime: Optional[Runtime] = None
+        self._clock: Optional[DampiClockModule] = None
         #: deterministic fault injection (no-op unless config.fault_plan);
         #: fired at self/run sites by verify() and at flip sites by
         #: run_once() — so flip faults strike wherever the replay actually
@@ -321,11 +322,10 @@ class DampiVerifier:
     ) -> tuple[RunResult, RunTrace]:
         """One instrumented execution (self run if ``decisions`` is empty).
 
-        The first execution always cold-starts (fresh runtime and
-        threads): single-run users pay nothing for the session machinery
-        and leak no pool threads.  From the second execution on — i.e.
-        for guided replays — a persistent session takes over (see
-        :class:`_ReplaySession`).
+        Every run, the self run included, executes on the verifier's one
+        :class:`Runtime`: tool modules built and chains compiled once, rank
+        threads started once, a fresh engine per run (``Runtime.run``
+        recycles), and the clock module pointed at this run's decisions.
         """
         cfg = self.config
         if self._faults and decisions is not None and decisions.flip is not None:
@@ -337,45 +337,34 @@ class DampiVerifier:
         tracer = self._run_tracer
         if tracer is not None:
             tracer.capture = self._trace_capture(decisions)
-        self._runs_started += 1
-        if self._session is not None:
-            return self._session.run(decisions)
-        if self._runs_started >= 2:
-            self._session = _ReplaySession(self)
-            return self._session.run(decisions)
-        runtime = Runtime(
-            self.nprocs,
-            self.program,
-            modules=self._build_modules(decisions),
-            policy=cfg.policy,
-            cost_model=cfg.cost_model,
-            args=self.args,
-            kwargs=self.kwargs,
-            tracer=self._run_tracer,
-        )
-        result = runtime.run()
-        trace = result.artifacts["dampi"]
-        return result, trace
+        if self._runtime is None:
+            modules = self._build_modules(None)
+            self._clock = next(
+                m for m in modules if isinstance(m, DampiClockModule)
+            )
+            self._runtime = Runtime(
+                self.nprocs,
+                self.program,
+                modules=modules,
+                policy=cfg.policy,
+                cost_model=cfg.cost_model,
+                args=self.args,
+                kwargs=self.kwargs,
+                tracer=tracer,
+            )
+        self._clock.decisions = decisions or EpochDecisions()
+        result = self._runtime.run()
+        return result, result.artifacts["dampi"]
 
     def close(self) -> None:
-        """Release the persistent replay session (rank-executor threads),
-        if one was created.  Idempotent: safe to call repeatedly, from
-        ``verify()``'s exit path, user code, and ``__del__`` alike.
-        ``getattr`` (not attribute access) keeps it safe even on a
-        partially constructed instance."""
-        session = getattr(self, "_session", None)
-        self._session = None
-        if session is not None:
-            session.close()
-
-    def __del__(self):  # best-effort; daemon threads die with the process
-        # At interpreter shutdown module globals may already be None and
-        # attributes torn down, raising AttributeError (or anything else)
-        # from innocent code — never let that escape a finalizer.
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Release the runtime and its rank threads; the next run_once
+        builds a new one.  Idempotent.  ``getattr`` (not attribute access)
+        keeps it safe on a partially constructed instance.  A verifier
+        nobody closes releases its threads when its runtime is collected."""
+        runtime = getattr(self, "_runtime", None)
+        self._runtime = None
+        if runtime is not None:
+            runtime.close()
 
     # -- fleet plumbing -----------------------------------------------------------
 
@@ -633,7 +622,7 @@ def measure_slowdown(
     """Table-II style overhead measurement: one native run vs one
     instrumented self run; returns makespans, slowdown, R*, leak flags."""
     cfg = config or DampiConfig()
-    native = Runtime(
+    with Runtime(
         nprocs,
         program,
         modules=(),
@@ -641,10 +630,14 @@ def measure_slowdown(
         cost_model=cfg.cost_model,
         args=args,
         kwargs=kwargs or {},
-    ).run()
+    ) as runtime:
+        native = runtime.run()
     native.raise_any()
     verifier = DampiVerifier(program, nprocs, cfg, args=args, kwargs=kwargs)
-    result, trace = verifier.run_once()
+    try:
+        result, trace = verifier.run_once()
+    finally:
+        verifier.close()
     leaks: Optional[LeakReport] = result.artifacts.get("leaks")
     return {
         "native_vtime": native.makespan,

@@ -36,7 +36,6 @@ class IspVerifier(DampiVerifier):
         config = replace(config or DampiConfig(), clock_impl="vector")
         super().__init__(program, nprocs, config, args=args, kwargs=kwargs)
         self.cost_params = cost_params or IspCostParams()
-        self.last_scheduler_stats: Optional[dict] = None
 
     def _extra_outer_modules(self) -> list:
         return [IspInterpositionModule(self.cost_params)]
@@ -44,8 +43,3 @@ class IspVerifier(DampiVerifier):
     def _spec_extra(self) -> dict:
         # replay workers must rebuild the baseline with the same cost model
         return {"cost_params": self.cost_params}
-
-    def run_once(self, decisions=None):
-        result, trace = super().run_once(decisions)
-        self.last_scheduler_stats = result.artifacts.get("isp")
-        return result, trace

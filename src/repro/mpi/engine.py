@@ -624,6 +624,41 @@ class MessageEngine:
     # collectives                                                         #
     # ------------------------------------------------------------------ #
 
+    def _enter_collective(
+        self,
+        rank: int,
+        ctx_id: int,
+        kind: str,
+        payload: Any,
+        root_world: Optional[int],
+        op: Optional[ReduceOp],
+    ) -> tuple[CommContext, tuple[int, int], CollectiveInstance]:
+        """``rank`` joins its next collective on ``ctx_id``, blocking or
+        not: the instance is created by its first member, and a
+        communicator-creating kind builds its context(s) once all entered."""
+        self._check_fatal()
+        ctx = self._live_context(ctx_id)
+        if rank not in ctx.group:
+            raise InvalidCommunicatorError(
+                f"rank {rank} not a member of {ctx.label}"
+            )
+        key = (ctx_id, ctx.next_collective_seq(rank))
+        inst = self._collectives.get(key)
+        if inst is None:
+            inst = CollectiveInstance(ctx_id, key[1], ctx.group)
+            self._collectives[key] = inst
+        inst.enter(rank, payload, kind, self.clocks.now(rank), root_world, op)
+        self.stats.collectives += 1
+        if inst.all_entered and kind in ("comm_dup", "comm_split"):
+            self._finish_comm_collective(inst, ctx)
+        return ctx, key, inst
+
+    def _collective_cost(self, ctx: CommContext, inst: CollectiveInstance) -> float:
+        """Completion cost of ``inst``; tool (shadow) contexts pay
+        ``tool_factor`` of it, as their point-to-point traffic does."""
+        cost = self.cost.collective_cost(len(inst.group))
+        return cost * self.cost.tool_factor if ctx.tool else cost
+
     def pmpi_collective(
         self,
         rank: int,
@@ -635,36 +670,21 @@ class MessageEngine:
     ) -> Any:
         """All collective kinds funnel here; see :mod:`repro.mpi.collectives`
         for pairing, agreement checks, completion rules and result values."""
-        self._check_fatal()
-        ctx = self._live_context(ctx_id)
-        if rank not in ctx.group:
-            raise InvalidCommunicatorError(
-                f"rank {rank} not a member of {ctx.label}"
-            )
-        seq = ctx.next_collective_seq(rank)
-        key = (ctx_id, seq)
-        inst = self._collectives.get(key)
-        if inst is None:
-            inst = CollectiveInstance(ctx_id, seq, ctx.group)
-            self._collectives[key] = inst
-        now = self.clocks.now(rank)
-        inst.enter(rank, payload, kind, now, root_world, op)
-        self.stats.collectives += 1
-        if inst.all_entered and kind in ("comm_dup", "comm_split"):
-            self._finish_comm_collective(inst, ctx)
-        self._drain_collective_requests(inst)
+        ctx, key, inst = self._enter_collective(
+            rank, ctx_id, kind, payload, root_world, op
+        )
+        self._drain_collective_requests(ctx, inst)
         for w in inst.group:
             if w != rank:
                 self._unblock_if_ready(w)
         self._block_until(
             rank,
             lambda: inst.ready_for(rank),
-            lambda: f"{kind} on {ctx.label} (instance {seq})",
+            lambda: f"{kind} on {ctx.label} (instance {key[1]})",
         )
-        coll_cost = self.cost.collective_cost(len(inst.group))
-        if ctx.tool:
-            coll_cost *= self.cost.tool_factor
-        t = inst.completion_vtime(rank, coll_cost, self.cost.latency)
+        t = inst.completion_vtime(
+            rank, self._collective_cost(ctx, inst), self.cost.latency
+        )
         self.clocks.raise_to(rank, t)
         result = inst.result_for(rank)
         self._retire_collective(key, inst)
@@ -683,31 +703,22 @@ class MessageEngine:
         """Non-blocking collective (MPI-3 ibarrier/ibcast/iallreduce/...):
         enters the instance immediately and returns a request that
         completes once the kind's completion rule is satisfied."""
-        self._check_fatal()
-        ctx = self._live_context(ctx_id)
-        if rank not in ctx.group:
-            raise InvalidCommunicatorError(f"rank {rank} not a member of {ctx.label}")
-        seq = ctx.next_collective_seq(rank)
-        key = (ctx_id, seq)
-        inst = self._collectives.get(key)
-        if inst is None:
-            inst = CollectiveInstance(ctx_id, seq, ctx.group)
-            self._collectives[key] = inst
-        inst.enter(rank, payload, kind, self.clocks.now(rank), root_world, op)
-        self.stats.collectives += 1
-        if inst.all_entered and kind in ("comm_dup", "comm_split"):
-            self._finish_comm_collective(inst, ctx)
+        ctx, key, inst = self._enter_collective(
+            rank, ctx_id, kind, payload, root_world, op
+        )
         req = Request(RequestKind.COLL, rank, ctx_id, proc=proc)
         req.post_vtime = self.clocks.now(rank)
         inst.pending_requests.append((rank, req, key))
-        self._drain_collective_requests(inst)
+        self._drain_collective_requests(ctx, inst)
         # arrivals may also unblock *blocking* participants
         for w in inst.group:
             if w != rank:
                 self._unblock_if_ready(w)
         return req
 
-    def _drain_collective_requests(self, inst: CollectiveInstance) -> None:
+    def _drain_collective_requests(
+        self, ctx: CommContext, inst: CollectiveInstance
+    ) -> None:
         """Complete every pending non-blocking participation whose rank is
         now allowed to finish."""
         still = []
@@ -715,7 +726,7 @@ class MessageEngine:
             if inst.kind is not None and inst.ready_for(rank):
                 req.data = inst.result_for(rank)
                 req.complete_vtime = inst.completion_vtime(
-                    rank, self.cost.collective_cost(len(inst.group)), self.cost.latency
+                    rank, self._collective_cost(ctx, inst), self.cost.latency
                 )
                 req.status = Status()
                 req.state = RequestState.COMPLETE

@@ -80,8 +80,8 @@ class Proc:
         self._chains = self._bottoms  # replaced by runtime when a stack exists
 
     def rebind(self, engine: MessageEngine) -> None:
-        """Point this handle at a fresh engine for another run (session
-        reuse across guided replays — see ``Runtime.recycle``).
+        """Point this handle at a fresh engine for another run of its
+        Runtime (see ``Runtime.recycle``).
 
         The PMPI bottoms are bound methods that read ``self.engine`` at
         call time, and the compiled tool chains close over the bottoms —

@@ -2,7 +2,7 @@
 
 A *program* is a plain callable ``program(proc, *args, **kwargs)`` where
 ``proc`` is the rank's :class:`~repro.mpi.process.Proc`.  The runtime
-spawns one thread per rank, threads the tool stack through every MPI call,
+runs each rank on its own thread, threads the tool stack through every MPI call,
 and collects a :class:`RunResult` containing per-rank return values,
 errors, virtual times, and per-module artifacts.
 
@@ -15,30 +15,34 @@ once.
 Hot path
 --------
 Guided replays run the same program hundreds of times; starting and
-joining ``nprocs`` OS threads per run dominates the per-replay wall on
-small workloads.  Two mechanisms remove that cost for verification
-sessions while leaving single-run semantics untouched:
+joining ``nprocs`` OS threads per run would dominate the per-replay wall
+on small workloads.  So a Runtime owns its rank threads and runs as many
+times as it is asked to:
 
 * :class:`RankExecutorPool` — ``nprocs`` persistent daemon threads that
   execute one "generation" of rank mains per run and then park on a
-  condition variable; ``Runtime.run(pool=...)`` dispatches onto them
-  instead of spawning.
-* ``Runtime.recycle()`` — resets a finished Runtime for another run:
-  fresh :class:`MessageEngine` (all matching/scheduling/clock state is
-  engine-owned), rank handles rebound to it, compiled interposition
-  chains reused (the tool stack is per-session; each module's ``setup``
-  re-initialises its per-run state inside ``run()``).
+  condition variable.  The first :meth:`Runtime.run` starts the pool and
+  later runs reuse it; this is the one place rank threads start.
+  :meth:`Runtime.close` (or ``with``, or the runtime being collected)
+  stops them.
+* ``Runtime.recycle()`` — called by :meth:`Runtime.run` on a runtime that
+  has already run: fresh :class:`MessageEngine` (all
+  matching/scheduling/clock state is engine-owned), rank handles rebound
+  to it, compiled interposition chains reused (the tool stack is
+  per-runtime; each module's ``setup`` re-initialises its per-run state
+  inside ``run()``).
 
 The reset protocol is *reconstruction, not cleaning*: everything a run can
 dirty lives in the engine or in module state rebuilt by ``setup``, so a
-recycled run is bit-identical to a cold-start one.  The differential
-session tests in ``tests/test_verifier.py`` enforce this.
+recycled run is bit-identical to one on a fresh Runtime.  The differential
+tests in ``tests/test_verifier.py`` enforce this.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -125,12 +129,11 @@ class RankExecutorPool:
     variable — no thread creation or teardown on the per-replay path.
 
     Workers never hold run state of their own; everything a generation
-    touches lives in the Runtime/engine the target closes over, so a pool
-    is safe to share across recycled runs of *one job shape at a time*
-    (``nprocs`` is fixed at construction).  If a generation fails to drain
-    — a rank main stuck past its deadline even after the engine was killed
-    — the pool marks itself ``broken`` and refuses further runs; callers
-    fall back to fresh threads.
+    touches lives in the Runtime/engine the target closes over, and the
+    pool drops the target when the generation drains, so a parked pool
+    keeps no Runtime alive.  If a generation fails to drain — a rank main
+    stuck past its deadline even after the engine was killed — the owner
+    marks the pool ``broken`` and the next run starts a new one.
     """
 
     def __init__(self, nprocs: int, name: str = "rankpool"):
@@ -168,8 +171,8 @@ class RankExecutorPool:
             with self._cond:
                 while self._gen == seen_gen and not self._shutdown:
                     self._cond.wait()
-                if self._shutdown:
-                    return
+                if self._gen == seen_gen:  # shut down, and no generation
+                    return  # was dispatched that this worker has not run
                 seen_gen = self._gen
                 target = self._target
             try:
@@ -178,9 +181,12 @@ class RankExecutorPool:
                 # anything escaping is a harness bug — poison the pool rather
                 # than silently losing a rank
                 self.broken = True
+            # a parked worker must not keep the target's Runtime alive
+            target = None
             with self._cond:
                 self._running -= 1
                 if self._running <= 0:
+                    self._target = None
                     self._cond.notify_all()
 
     def run(self, target: Callable[[int], None], timeout: float) -> bool:
@@ -213,17 +219,27 @@ class RankExecutorPool:
         return True
 
     def close(self) -> None:
-        """Shut down the workers.  Idle workers exit promptly; workers stuck
-        in a generation are daemons and die with the process."""
+        """Shut down the workers.  Idempotent.  Idle workers exit and are
+        joined; workers still inside a generation (a stuck rank main) are
+        daemons, exit when it returns, and are not waited for.  Never
+        joins the calling thread: a finalizer may run on a worker."""
         with self._cond:
             self._shutdown = True
             self._cond.notify_all()
+            if self._running > 0:
+                return
+        me = threading.current_thread()
         for t in self._threads:
-            t.join(timeout=5.0)
+            if t is not me:
+                t.join(timeout=5.0)
 
 
 class Runtime:
-    """Configure and run one simulated MPI job.
+    """Configure and run a simulated MPI job, as many times as asked.
+
+    Each :meth:`run` is one complete execution on the runtime's own rank
+    threads.  :meth:`close` stops them; a runtime is also a context
+    manager, and one nobody closes stops its threads when collected.
 
     Parameters
     ----------
@@ -274,9 +290,12 @@ class Runtime:
         self._returns: dict[int, Any] = {}
         self._errors: dict[int, BaseException] = {}
         self._ran = False
+        self._pool: Optional[RankExecutorPool] = None
+        self._release_pool: Optional[weakref.finalize] = None
 
     def recycle(self) -> None:
-        """Reset a finished Runtime for another run (session reuse).
+        """Reset a finished Runtime for another run (:meth:`run` calls
+        this itself; a no-op on a runtime that has not run).
 
         Builds a fresh :class:`MessageEngine` from the original
         construction spec — every piece of per-run state (mailboxes,
@@ -312,24 +331,15 @@ class Runtime:
 
     def restore(self, snap): ...
 
-    def run(
-        self,
-        join_timeout: float = 900.0,
-        pool: Optional[RankExecutorPool] = None,
-    ) -> RunResult:
+    def run(self, join_timeout: float = 900.0) -> RunResult:
         """Execute the job to completion and return its :class:`RunResult`.
 
-        A runtime runs once per (re)cycle; either build a fresh Runtime
-        per execution, or call :meth:`recycle` between runs (verification
-        sessions do the latter to keep replays cheap).
-
-        ``pool``: dispatch rank mains onto a :class:`RankExecutorPool`
-        (must have matching ``nprocs``) instead of spawning threads.
+        A runtime that has already run is recycled first, so every run
+        starts from a fresh engine.  Rank mains run on the runtime's
+        :class:`RankExecutorPool`, started by the first run and replaced
+        when a stuck generation broke it.
         """
-        if self._ran:
-            raise RuntimeError(
-                "a Runtime can only run once; create a new one or recycle()"
-            )
+        self.recycle()
         self._ran = True
         t0 = time.perf_counter()
         tracer = self.tracer
@@ -345,45 +355,19 @@ class Runtime:
         for module in self.stack:
             module.setup(self)
 
-        if pool is not None:
-            if pool.nprocs != self.nprocs:
-                raise ValueError(
-                    f"pool has {pool.nprocs} executors, job needs {self.nprocs}"
-                )
-            t1 = time.perf_counter()
-            done = pool.run(self._rank_main, timeout=join_timeout)
-            if not done:
-                self.engine.kill(
-                    RuntimeError("runtime join timeout; ranks stuck on pool")
-                )
-                if not pool.wait(30.0):
-                    pool.broken = True
-        else:
-            old_stack = threading.stack_size()
-            try:
-                threading.stack_size(_THREAD_STACK_BYTES)
-                threads = [
-                    threading.Thread(
-                        target=self._rank_main,
-                        args=(rank,),
-                        name=f"{self.name}-rank{rank}",
-                        daemon=True,
-                    )
-                    for rank in range(self.nprocs)
-                ]
-            finally:
-                threading.stack_size(old_stack)
-
-            for t in threads:
-                t.start()
-            t1 = time.perf_counter()
-            for t in threads:
-                t.join(timeout=join_timeout)
-            alive = [t for t in threads if t.is_alive()]
-            if alive:
-                self.engine.kill(RuntimeError(f"runtime join timeout; stuck: {alive}"))
-                for t in alive:
-                    t.join(timeout=30.0)
+        pool = self._pool
+        if pool is None or pool.broken:
+            if pool is not None:
+                self._release_pool()  # its stuck workers are not waited for
+            pool = self._pool = RankExecutorPool(self.nprocs, name=self.name)
+            # holds the pool, not the runtime: an unclosed runtime is
+            # collected, and its threads stop then
+            self._release_pool = weakref.finalize(self, pool.close)
+        t1 = time.perf_counter()
+        if not pool.run(self._rank_main, timeout=join_timeout):
+            self.engine.kill(RuntimeError("runtime join timeout; ranks stuck on pool"))
+            if not pool.wait(30.0):
+                pool.broken = True
         t2 = time.perf_counter()
 
         engine_stats = self.engine.stats
@@ -419,6 +403,19 @@ class Runtime:
         }
         return result
 
+    def close(self) -> None:
+        """Stop the rank threads.  Idempotent, safe from any thread; a
+        later :meth:`run` starts new ones."""
+        self._pool = None
+        if self._release_pool is not None:
+            self._release_pool()
+
+    def __enter__(self) -> "Runtime":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _rank_main(self, rank: int) -> None:
         proc = self.procs[rank]
         try:
@@ -453,8 +450,8 @@ def run_program(
     args: tuple = (),
     kwargs: Optional[dict] = None,
 ) -> RunResult:
-    """One-shot convenience: build a Runtime and run it."""
-    return Runtime(
+    """One-shot convenience: build a Runtime, run it once, close it."""
+    with Runtime(
         nprocs,
         program,
         modules=modules,
@@ -462,4 +459,5 @@ def run_program(
         cost_model=cost_model,
         args=args,
         kwargs=kwargs,
-    ).run()
+    ) as runtime:
+        return runtime.run()

@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.mpi.constants import ANY_SOURCE, SUM
-from repro.mpi.runtime import RankExecutorPool, Runtime, run_program
+from repro.mpi.runtime import Runtime, run_program
 
 NPROCS = 16
 
@@ -129,14 +129,11 @@ def test_kill_from_main_thread_wakes_ranks_blocked_in_a_collective():
                 time.sleep(0.001)
         p.world.barrier()
 
-    rt = Runtime(NPROCS, program)
-    pool = RankExecutorPool(NPROCS)
-    try:
+    with Runtime(NPROCS, program) as rt:
         t0 = time.monotonic()
-        res = rt.run(join_timeout=0.2, pool=pool)
+        res = rt.run(join_timeout=0.2)
         elapsed = time.monotonic() - t0
-    finally:
-        pool.close()
+        pool = rt._pool
     assert elapsed < 0.2 + 1.0
     assert set(res.errors) == set(range(NPROCS))
     assert all(
@@ -176,14 +173,9 @@ def test_kill_racing_hand_offs_loses_no_wake(delay):
 
 
 def test_pool_reuse_leaves_every_baton_held():
-    rt = Runtime(NPROCS, ring, args=(5,))
-    pool = RankExecutorPool(NPROCS)
-    try:
+    with Runtime(NPROCS, ring, args=(5,)) as rt:
         for _ in range(2):
-            rt.recycle()
-            rt.run(pool=pool).raise_any()
+            rt.run().raise_any()
             assert rt.engine._current is None
             assert all(st.baton.locked() for st in rt.engine._ranks)
-        assert pool.generations == 2
-    finally:
-        pool.close()
+        assert rt._pool.generations == 2

@@ -147,14 +147,18 @@ class TestSchedulingModes:
         with pytest.raises(ValueError):
             MessageEngine(0)
 
-    def test_runtime_single_shot(self):
+    def test_runtime_reruns_on_a_fresh_engine(self):
         def prog(p):
-            pass
+            p.world.barrier()
+            return p.rank
 
-        rt = Runtime(2, prog)
-        rt.run()
-        with pytest.raises(RuntimeError):
-            rt.run()
+        with Runtime(2, prog) as rt:
+            first = rt.run()
+            engine = rt.engine
+            second = rt.run()  # recycled: a new engine, the same threads
+            assert rt.engine is not engine
+        assert second.returns == first.returns == {0: 0, 1: 1}
+        assert second.makespan == first.makespan > 0
 
 
 class TestToolCostAccounting:
@@ -186,6 +190,30 @@ class TestToolCostAccounting:
         res = rt.run()
         res.raise_any()
         assert res.makespan < plain
+
+    def test_tool_nonblocking_collective_charged_like_blocking(self):
+        """On a tool context a collective costs ``tool_factor`` of a user
+        one whether it is posted blocking or as a request plus a wait."""
+        cost = CostModel()
+        shared = {}
+
+        def makespan(body):
+            def prog(p):
+                from repro.mpi.communicator import Communicator
+
+                body(p, Communicator(shared["ctx"], p))
+
+            with Runtime(4, prog) as rt:
+                shared["ctx"] = rt.engine.new_tool_context(rt.engine.world, "t")
+                res = rt.run()
+            res.raise_any()
+            return res.makespan
+
+        blocking = makespan(lambda p, comm: p.pmpi.barrier(comm))
+        nonblocking = makespan(lambda p, comm: p.pmpi.wait(p.pmpi.ibarrier(comm)))
+        tf = cost.tool_factor
+        assert blocking == pytest.approx(cost.collective_cost(4) * tf)
+        assert nonblocking == pytest.approx(blocking + cost.local_op * tf)
 
     def test_charge_helper(self):
         def prog(p):

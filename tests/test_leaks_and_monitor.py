@@ -194,8 +194,8 @@ class TestOmissionMonitor:
 
 
 class TestCheckersOnPersistentSession:
-    """The persistent replay session reuses module instances across runs
-    (their per-run state is reset by ``setup``); the leak checker and the
+    """A verifier's one runtime reuses module instances across runs (their
+    per-run state is reset by ``setup``); the leak checker and the
     omission monitor must keep firing — identically — on pooled runs."""
 
     def test_leak_check_fires_on_pooled_runs(self):
@@ -204,10 +204,10 @@ class TestCheckersOnPersistentSession:
         v = DampiVerifier(orphan_resources_program, 3)
         try:
             reports = []
-            for _ in range(3):  # runs 2 and 3 execute on the session
+            for _ in range(3):  # all three on one runtime's rank threads
                 result, _ = v.run_once()
                 reports.append(result.artifacts["leaks"])
-            assert v._session is not None
+            assert v._runtime._pool.generations == 3
         finally:
             v.close()
         first = reports[0]
@@ -229,7 +229,7 @@ class TestCheckersOnPersistentSession:
             for _ in range(3):
                 result, _ = v.run_once()
                 reports.append(result.artifacts["monitor"])
-            assert v._session is not None
+            assert v._runtime._pool.generations == 3
         finally:
             v.close()
         for rep in reports:

@@ -336,7 +336,7 @@ class TestVerifierIntegration:
 
     def test_close_safe_on_partially_constructed_instance(self):
         v = DampiVerifier.__new__(DampiVerifier)
-        v.close()  # no _session attribute at all
+        v.close()  # no _runtime attribute at all
 
     def test_serial_event_streams_deterministic_modulo_timestamps(self):
         _, a = self._verify(trace_events=True)

@@ -207,12 +207,12 @@ class TestReport:
 
 
 class _FreshRuntimeVerifier(DampiVerifier):
-    """The reference the persistent session is held to: a new Runtime
+    """The reference the verifier's one runtime is held to: a new Runtime
     (new engine, new modules, new rank threads) for every run."""
 
     def run_once(self, decisions=None):
         cfg = self.config
-        result = Runtime(
+        with Runtime(
             self.nprocs,
             self.program,
             modules=self._build_modules(decisions),
@@ -221,16 +221,17 @@ class _FreshRuntimeVerifier(DampiVerifier):
             args=self.args,
             kwargs=self.kwargs,
             tracer=self._run_tracer,
-        ).run()
+        ) as runtime:
+            result = runtime.run()
         return result, result.artifacts["dampi"]
 
 
 class TestPersistentSession:
-    """Satellite: the persistent replay session (one runtime + parked rank
-    threads reused across guided replays) is a pure optimisation — its
-    reports must be bit-identical to fresh-runtime-per-run execution
-    (:class:`_FreshRuntimeVerifier`), and no state may bleed between the
-    runs it hosts."""
+    """A verifier runs every execution on one runtime (one tool stack, one
+    set of parked rank threads, a fresh engine per run).  That is a pure
+    optimisation — its reports must be bit-identical to
+    fresh-runtime-per-run execution (:class:`_FreshRuntimeVerifier`), and
+    no state may bleed between the runs it hosts."""
 
     def _fp(self, rep):
         from tests.test_parallel import _report_fingerprint
@@ -252,32 +253,32 @@ class TestPersistentSession:
         )
 
     def test_same_verification_twice_identical(self):
-        # a second full verification (its own session) observes nothing of
-        # the first — the session dies with the verifier
+        # a second full verification (its own runtime) observes nothing of
+        # the first — the runtime is closed with the verifier
         reps = [DampiVerifier(fig3_program, 3).verify() for _ in range(2)]
         assert self._fp(reps[0]) == self._fp(reps[1])
 
-    def test_session_engages_on_second_run_and_reuses_runtime(self):
+    def test_one_runtime_and_pool_serve_every_run(self):
         v = DampiVerifier(
             wildcard_lattice, 3, kwargs={"receives": 2, "senders": 2}
         )
         try:
-            v.run_once()
-            assert v._session is None  # single runs never pay for a session
-            v.run_once()
-            assert v._session is not None
-            runtime, pool = v._session.runtime, v._session.pool
-            v.run_once()
-            assert v._session.runtime is runtime  # recycled, not rebuilt
-            assert v._session.pool is pool
+            v.run_once()  # the self run already starts the rank threads
+            runtime = v._runtime
+            pool = runtime._pool
+            for _ in range(2):
+                v.run_once()
+                assert v._runtime is runtime  # recycled, not rebuilt
+                assert runtime._pool is pool
+            assert pool.generations == 3
         finally:
             v.close()
-        assert v._session is None
+        assert v._runtime is None and runtime._pool is None
 
     def test_policy_instance_uses_session(self):
         """A policy instance is one object whether the runtime is recycled
-        or rebuilt, so a seeded campaign goes through the session like any
-        other and walks exactly as a fresh runtime per run does."""
+        or rebuilt, so a seeded campaign runs on the verifier's one runtime
+        like any other and walks exactly as a fresh runtime per run does."""
         from repro.mpi.matching import SeededRandomPolicy
 
         kwargs = {"receives": 3, "senders": 3}
@@ -288,8 +289,10 @@ class TestPersistentSession:
         v = DampiVerifier(wildcard_lattice, 4, config(), kwargs=kwargs)
         try:
             v.run_once()
+            runtime = v._runtime
             v.run_once()
-            assert v._session is not None
+            assert v._runtime is runtime
+            assert runtime._pool.generations == 2
         finally:
             v.close()
         pooled = DampiVerifier(wildcard_lattice, 4, config(), kwargs=kwargs).verify()
