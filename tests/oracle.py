@@ -13,14 +13,23 @@ Program family (one op list per rank):
 * ``("send", dest, tag)``     — eager send (never blocks)
 * ``("recv", src, tag)``      — deterministic receive (blocks)
 * ``("wild", tag)``           — wildcard receive (blocks; branch point)
+* ``("iwild", h, tag)``       — post a wildcard ``Irecv`` as handle ``h``
+* ``("wait", h)`` / ``("test", h)`` — complete handle ``h`` (``test``
+  polls until done, so it blocks exactly like ``wait``)
+* ``("barrier",)`` / ``("allreduce",)`` — a collective every rank calls
 
 Abstract semantics: an eager send becomes *in flight* the moment its
 rank's program counter passes it.  A receive may fire iff the earliest
 in-flight compatible message per its selector exists (non-overtaking: per
 (source, tag) stream, only the oldest unconsumed message is matchable).
-The search explores every interleaving of rank steps and every wildcard
-branch, collecting the terminal assignments ``wildcard occurrence ->
-matched source`` plus whether that branch deadlocks.
+A posted ``iwild`` is *pending* until some step matches it — any time
+between its post and its ``wait``/``test``, which block until it has —
+and a rank's pending receives take a compatible message before any
+receive it posts later.  A collective fires once every rank's program
+counter sits on one, advancing them all together.  The search explores
+every interleaving of rank steps and every wildcard branch, collecting
+the terminal assignments ``wildcard occurrence -> matched source`` plus
+whether that branch deadlocks.
 
 Complexity is exponential — keep programs tiny (the differential test
 does).
@@ -39,6 +48,31 @@ def recv(src: int, tag: int = 0):
 
 def wild(tag: int = 0):
     return ("wild", tag)
+
+
+def iwild(h: int, tag: int = 0):
+    return ("iwild", h, tag)
+
+
+def wait(h: int):
+    return ("wait", h)
+
+
+def test(h: int):
+    return ("test", h)
+
+
+test.__test__ = False  # an op constructor, not a pytest test
+
+
+BARRIER = ("barrier",)
+ALLREDUCE = ("allreduce",)
+
+#: ops that post a wildcard receive (each one is an epoch, numbered per
+#: rank in program order)
+_WILDCARDS = ("wild", "iwild")
+#: ops every rank calls together
+_COLLECTIVES = ("barrier", "allreduce")
 
 
 def feasible_outcomes(programs: list[list[tuple]]) -> tuple[set, bool]:
@@ -67,48 +101,79 @@ def feasible_outcomes(programs: list[list[tuple]]) -> tuple[set, bool]:
                 out.append(min(cands, key=lambda m: m[3]))
         return out
 
-    def step(pcs, in_flight, sent_counts, assignment):
-        key = (pcs, in_flight, assignment)
+    def unclaimed(hits, pending, rank, before_pc):
+        """``hits`` minus the messages a pending receive of ``rank`` posted
+        before ``before_pc`` would take first (receives match in post
+        order)."""
+        claimed = {q[3] for q in pending if q[0] == rank and q[1] < before_pc}
+        return [m for m in hits if m[2] not in claimed]
+
+    def step(pcs, in_flight, sent_counts, assignment, pending, done):
+        key = (pcs, in_flight, assignment, pending, done)
         if key in seen_states:
             return
         seen_states.add(key)
 
         progressed = False
+        # a pending wildcard Irecv may match at any step before its wait
+        for post in pending:
+            rank, post_pc, h, tag, ordinal = post
+            hits = matchable(in_flight, rank, None, tag)
+            for m in unclaimed(hits, pending, rank, post_pc):
+                step(
+                    pcs,
+                    in_flight - {m},
+                    sent_counts,
+                    assignment | {((rank, ordinal), m[0])},
+                    pending - {post},
+                    done | {(rank, h)},
+                )
+                progressed = True
+        ops = [prog[pc] if pc < len(prog) else None for prog, pc in zip(programs, pcs)]
+        if None not in ops and len({op[0] for op in ops}) == 1 and ops[0][0] in _COLLECTIVES:
+            new_pcs = tuple(pc + 1 for pc in pcs)
+            step(new_pcs, in_flight, sent_counts, assignment, pending, done)
+            progressed = True
         for rank, pc in enumerate(pcs):
-            prog = programs[rank]
-            if pc >= len(prog):
+            op = ops[rank]
+            if op is None:
                 continue
-            op = prog[pc]
+            new_pcs = pcs[:rank] + (pc + 1,) + pcs[rank + 1 :]
             if op[0] == "send":
                 _, dest, tag = op
                 seq = sent_counts.get((rank, dest, tag), 0)
                 new_sent = dict(sent_counts)
                 new_sent[(rank, dest, tag)] = seq + 1
-                new_pcs = pcs[:rank] + (pc + 1,) + pcs[rank + 1 :]
                 step(
                     new_pcs,
                     in_flight | {(rank, dest, tag, seq)},
                     new_sent,
                     assignment,
+                    pending,
+                    done,
                 )
                 progressed = True
             elif op[0] == "recv":
                 _, src, tag = op
-                hits = matchable(in_flight, rank, src, tag)
-                if hits:
-                    (m,) = hits
-                    new_pcs = pcs[:rank] + (pc + 1,) + pcs[rank + 1 :]
-                    step(new_pcs, in_flight - {m}, sent_counts, assignment)
+                for m in unclaimed(matchable(in_flight, rank, src, tag), pending, rank, pc):
+                    step(new_pcs, in_flight - {m}, sent_counts, assignment, pending, done)
                     progressed = True
             elif op[0] == "wild":
                 _, tag = op
-                ordinal = sum(
-                    1 for prior in prog[:pc] if prior[0] == "wild"
-                )
-                for m in matchable(in_flight, rank, None, tag):
-                    new_pcs = pcs[:rank] + (pc + 1,) + pcs[rank + 1 :]
+                ordinal = sum(1 for prior in programs[rank][:pc] if prior[0] in _WILDCARDS)
+                for m in unclaimed(matchable(in_flight, rank, None, tag), pending, rank, pc):
                     new_assignment = assignment | {((rank, ordinal), m[0])}
-                    step(new_pcs, in_flight - {m}, sent_counts, new_assignment)
+                    step(new_pcs, in_flight - {m}, sent_counts, new_assignment, pending, done)
+                    progressed = True
+            elif op[0] == "iwild":
+                _, h, tag = op
+                ordinal = sum(1 for prior in programs[rank][:pc] if prior[0] in _WILDCARDS)
+                post = (rank, pc, h, tag, ordinal)
+                step(new_pcs, in_flight, sent_counts, assignment, pending | {post}, done)
+                progressed = True
+            elif op[0] in ("wait", "test"):
+                if (rank, op[1]) in done:
+                    step(new_pcs, in_flight, sent_counts, assignment, pending, done)
                     progressed = True
 
         if not progressed:
@@ -120,7 +185,8 @@ def feasible_outcomes(programs: list[list[tuple]]) -> tuple[set, bool]:
                 # knowledge, but DAMPI reports them as deadlock runs; we
                 # collect them separately via the flag only.
 
-    step(tuple(0 for _ in programs), frozenset(), {}, frozenset())
+    empty = frozenset()
+    step(tuple(0 for _ in programs), empty, {}, empty, empty, empty)
     return outcomes, deadlocks[0]
 
 
@@ -129,6 +195,7 @@ def as_runnable(programs: list[list[tuple]]):
     from repro.mpi.constants import ANY_SOURCE
 
     def runner(p):
+        reqs = {}
         for op in programs[p.rank]:
             if op[0] == "send":
                 p.world.send(f"{p.rank}", dest=op[1], tag=op[2])
@@ -136,6 +203,17 @@ def as_runnable(programs: list[list[tuple]]):
                 p.world.recv(source=op[1], tag=op[2])
             elif op[0] == "wild":
                 p.world.recv(source=ANY_SOURCE, tag=op[1])
+            elif op[0] == "iwild":
+                reqs[op[1]] = p.world.irecv(source=ANY_SOURCE, tag=op[2])
+            elif op[0] == "wait":
+                reqs[op[1]].wait()
+            elif op[0] == "test":
+                while not reqs[op[1]].test()[0]:
+                    pass
+            elif op[0] == "barrier":
+                p.world.barrier()
+            elif op[0] == "allreduce":
+                p.world.allreduce(1)
 
     return runner
 

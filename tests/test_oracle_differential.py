@@ -15,6 +15,7 @@ randomly generated programs:
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,10 +24,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
 
+from tests import oracle
 from tests.oracle import (
+    ALLREDUCE,
+    BARRIER,
     as_runnable,
     dampi_outcomes,
     feasible_outcomes,
+    iwild,
     recv,
     send,
     wild,
@@ -199,3 +204,98 @@ def test_random_programs_lamport_sound(seed):
     expected, _ = feasible_outcomes(programs)
     got = dampi_outcomes(verify(programs, "lamport"))
     assert got <= expected, f"seed {seed}: unsound outcomes {got - expected}"
+
+
+# -- paper §V: a wildcard's tick must not escape before its Wait/Test -----------
+
+#: rank 1's transmits between its wildcard post and the completion
+_TRANSMITS = ("send", "barrier", "allreduce")
+
+
+def section_v_program(transmits, slot0, slot2, complete, tail=()):
+    """Rank 1 posts a wildcard ``Irecv``, runs ``transmits`` (a send to
+    rank 0 or a collective every rank calls), completes the wildcard with
+    ``complete`` (``oracle.wait`` or ``oracle.test``) and then runs
+    ``tail``.  Ranks 0 and 2 each send rank 1 one message in collective
+    slot ``slot0``/``slot2`` (0: before the first shared collective);
+    rank 0 receives rank 1's sends in the slot rank 1 sends them, before
+    its own send."""
+    collective = {"barrier": BARRIER, "allreduce": ALLREDUCE}
+    ncoll = sum(t != "send" for t in transmits)
+    slots = [[[] for _ in range(ncoll + 1)] for _ in range(3)]
+    slot = 0
+    for t in transmits:
+        if t == "send":
+            slots[1][slot].append(send(0))
+            slots[0][slot].append(recv(1))
+        else:
+            slot += 1
+    slots[0][slot0].append(send(1))
+    slots[2][slot2].append(send(1))
+    colls = [collective[t] for t in transmits if t != "send"]
+    programs = []
+    for rank in (0, 2):
+        ops = list(slots[rank][0])
+        for c, later in zip(colls, slots[rank][1:]):
+            ops += [c, *later]
+        programs.append(ops)
+    middle = [send(0) if t == "send" else collective[t] for t in transmits]
+    programs.insert(1, [iwild(0), *middle, complete(0), *tail])
+    return programs
+
+
+#: how rank 1 ends: Wait, Test, or Wait then a receive from rank 0 that
+#: deadlocks wherever the wildcard took rank 0's only message
+_ENDINGS = ((oracle.wait, ()), (oracle.test, ()), (oracle.wait, (recv(0),)))
+
+
+def section_v_family():
+    """Every transmit sequence of length 0-2, each sender before the
+    first or after the last collective, under every ending."""
+    family = []
+    for n in range(3):
+        for transmits in itertools.product(_TRANSMITS, repeat=n):
+            last = sum(t != "send" for t in transmits)
+            for slot0, slot2 in itertools.product(sorted({0, last}), repeat=2):
+                for complete, tail in _ENDINGS:
+                    programs = section_v_program(transmits, slot0, slot2, complete, tail)
+                    family.append((transmits, programs))
+    return family
+
+
+SECTION_V = section_v_family()
+#: paper Fig. 10: rank 0 sends before the barrier, rank 2 after it
+FIG10_SHAPE = section_v_program(("barrier",), 0, 1, oracle.wait)
+
+#: committed-tick clocks and the paper's single-commit clock
+COMMITTED = {"vector": "vector_dual", "lamport": "lamport_dual"}
+SINGLE_COMMIT = "lamport"
+
+
+class TestSectionVFamily:
+    """One rank, one wildcard: no Fig. 4 cross-coupling, so the committed
+    clocks must equal the oracle exactly, and the single-commit clock
+    may fall short only where a transmit escapes the uncommitted tick."""
+
+    def test_fig10_shape_is_in_the_family(self):
+        assert FIG10_SHAPE in [programs for _, programs in SECTION_V]
+        assert len(SECTION_V) == 129
+
+    @pytest.mark.parametrize("clock", sorted(COMMITTED))
+    def test_committed_clock_equals_the_oracle(self, clock):
+        for transmits, programs in SECTION_V:
+            expected, dead = feasible_outcomes(programs)
+            rep = verify(programs, COMMITTED[clock], prune=False)
+            assert dampi_outcomes(rep) == expected, programs
+            assert bool(rep.deadlocks) == dead, programs
+
+    def test_single_commit_falls_short_only_across_a_transmit(self):
+        short = []
+        for transmits, programs in SECTION_V:
+            expected, _ = feasible_outcomes(programs)
+            got = dampi_outcomes(verify(programs, SINGLE_COMMIT, prune=False))
+            assert got <= expected, programs
+            if got != expected:
+                assert transmits, programs
+                short.append(programs)
+        assert FIG10_SHAPE in short
