@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--clock",
             default="lamport",
             choices=DampiConfig._CLOCK_IMPLS,
-            help="causality tracker (default: lamport, the paper's)",
+            help="causality tracker (default: lamport, the paper's); both "
+            "keep a wildcard's tick out of transmitted clocks until its "
+            "Wait/Test (the paper's §V fix)",
         )
         v.add_argument(
             "--piggyback",
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
             "epochs where its approximation may have excluded a real match "
             "(the paper's Fig. 4 pattern), and re-derive just those epochs' "
             "alternatives under vector clocks via one precision replay each; "
-            "requires --clock lamport|lamport_dual",
+            "requires --clock lamport",
         )
 
     v = sub.add_parser("verify", help="explore the wildcard match space")
@@ -406,11 +408,11 @@ def _jobs_arg(args):
 def _check_adaptive_clock(args) -> None:
     """Fail fast with a CLI-shaped message instead of DampiConfig's
     ValueError when --adaptive-clocks meets a non-scalar clock."""
-    if args.adaptive_clocks and args.clock not in ("lamport", "lamport_dual"):
+    if args.adaptive_clocks and args.clock != "lamport":
         raise UsageError(
             f"--adaptive-clocks escalates a *scalar* clock to vector "
-            f"precision on demand; --clock {args.clock} is already "
-            f"(or wraps) a vector clock — drop one of the two flags"
+            f"precision on demand; --clock {args.clock} is already a "
+            f"vector clock — drop one of the two flags"
         )
 
 

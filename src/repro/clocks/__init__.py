@@ -12,6 +12,9 @@ parameterised over the implementation:
 ``snapshot()``
     an immutable, comparable value suitable for piggybacking.
 
+Both also keep the paper's §V committed tick (``tick_epoch``,
+``commit_epoch``, ``epoch_snapshot``; see :class:`LamportClock`).
+
 Comparisons between snapshots implement the *causally-before* partial order;
 ``concurrent(a, b)`` tests incomparability.  For Lamport snapshots the order
 is total, which is exactly the imprecision the paper discusses in §II-F.

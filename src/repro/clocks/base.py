@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.clocks.lamport import LamportClock
+from repro.clocks.vector import VectorClock
+
 
 @runtime_checkable
 class Stamp(Protocol):
@@ -19,12 +22,23 @@ class Stamp(Protocol):
 
 @runtime_checkable
 class LogicalClock(Protocol):
-    """Mutable per-process logical clock."""
+    """Mutable per-process logical clock with the §V committed tick: an
+    epoch view (``time``) and a transmit view (``snapshot``)."""
 
     rank: int
+    time: int
 
     def tick(self) -> None:
-        """Record a visible local event (advance local time)."""
+        """Record a visible local event (advance both views)."""
+        ...
+
+    def tick_epoch(self) -> None:
+        """A wildcard was posted: advance the epoch view only."""
+        ...
+
+    def commit_epoch(self, lc: int) -> None:
+        """The wildcard posted at epoch-view ``lc`` completed: release its
+        tick into the transmit view."""
         ...
 
     def merge(self, stamp: Stamp) -> None:
@@ -32,7 +46,11 @@ class LogicalClock(Protocol):
         ...
 
     def snapshot(self) -> Stamp:
-        """An immutable copy of the current time, safe to piggyback."""
+        """An immutable copy of the transmit view, safe to piggyback."""
+        ...
+
+    def epoch_snapshot(self) -> Stamp:
+        """An immutable copy of the epoch view (an epoch's stamp)."""
         ...
 
 
@@ -60,21 +78,12 @@ def make_clock(impl: str, rank: int, nprocs: int) -> LogicalClock:
     Parameters
     ----------
     impl:
-        ``"lamport"`` (the paper's scalable default), ``"vector"``
-        (precise, O(nprocs) piggyback payload), or ``"lamport_dual"`` /
-        ``"vector_dual"`` — the §V dual-clock pair that keeps uncommitted
-        epoch ticks out of transmitted stamps (paper's proposed fix,
-        implemented in :mod:`repro.clocks.dual`).
+        ``"lamport"`` (the paper's scalable default) or ``"vector"``
+        (precise, O(nprocs) piggyback payload).  Both keep the §V
+        committed-tick pair: uncommitted epoch ticks never transmit.
     """
-    from repro.clocks.lamport import LamportClock
-    from repro.clocks.vector import VectorClock
-
     if impl == "lamport":
         return LamportClock(rank)
     if impl == "vector":
         return VectorClock(rank, nprocs)
-    if impl in ("lamport_dual", "vector_dual"):
-        from repro.clocks.dual import DualClock
-
-        return DualClock(impl.removesuffix("_dual"), rank, nprocs)
     raise ValueError(f"unknown clock implementation {impl!r}")

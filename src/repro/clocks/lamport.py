@@ -65,49 +65,84 @@ class LamportStamp:
 
 
 class LamportClock:
-    """Mutable per-process Lamport clock.
+    """Mutable per-process Lamport clock with the paper's §V committed tick.
+
+    The clock keeps two views of one scalar (§V: "a pair of Lamport
+    clocks — one for handling wildcard receives, and the other for
+    transmittal to other processes … synchronized when a Wait/Test is
+    encountered"):
+
+    * the **epoch view** ``time`` — ticks when a wildcard is posted
+      (:meth:`tick_epoch`) and identifies epochs;
+    * the **transmit view** — what :meth:`snapshot` piggybacks; only
+      :meth:`merge` and :meth:`commit_epoch` (the wildcard's Wait/Test)
+      move it, so an uncommitted epoch tick never escapes through a send
+      or collective issued before its completion (paper Fig. 10).
+
+    :meth:`tick` advances both views: a generic visible event.
 
     Attributes
     ----------
     rank:
         Owning process rank (diagnostics only).
     time:
-        Current scalar clock value.  Starts at 0.
+        Current epoch-view value.  Starts at 0.
     """
 
-    __slots__ = ("rank", "time", "_snap")
+    __slots__ = ("rank", "time", "_xmit", "_snap")
 
     def __init__(self, rank: int, time: int = 0):
         if time < 0:
             raise ValueError("Lamport time must be non-negative")
         self.rank = rank
         self.time = time
+        self._xmit = time
         self._snap: LamportStamp | None = None
 
     def tick(self) -> None:
-        """A visible local event: ``LC += 1``."""
+        """A visible local event: ``LC += 1`` in both views."""
         self.time += 1
+        self._xmit += 1
         self._snap = None
 
+    def tick_epoch(self) -> None:
+        """A wildcard was posted: advance the epoch view only."""
+        self.time += 1
+
+    def commit_epoch(self, lc: int) -> None:
+        """The wildcard posted at epoch-view ``lc`` completed: its tick
+        (post-tick value ``lc + 1``) becomes transmittable."""
+        if lc >= self._xmit:
+            self._xmit = lc + 1
+            self._snap = None
+
     def merge(self, stamp: LamportStamp) -> None:
-        """Receive rule: ``LC = max(LC, received)``.
+        """Receive rule: ``LC = max(LC, received)`` in both views.
 
         Note the paper's Algorithm 1 does *not* tick after merging on a
         receive completion; only wildcard receives tick (they open epochs).
         We follow the paper: ``merge`` is max-only, ticking is explicit.
         """
-        if stamp.time > self.time:
-            self.time = stamp.time
+        t = stamp.time
+        if t > self._xmit:  # the epoch view never lags the transmit view
+            self._xmit = t
             self._snap = None
+            if t > self.time:
+                self.time = t
 
     def snapshot(self) -> LamportStamp:
-        # Stamps are immutable and the clock only moves on ticks/merges,
-        # while snapshot() runs once per piggybacked send — cache between
-        # clock movements to avoid the per-send allocation.
+        """The transmit view, safe to piggyback."""
+        # Stamps are immutable and the transmit view only moves on
+        # merges/commits, while snapshot() runs once per piggybacked send
+        # — cache between movements to avoid the per-send allocation.
         snap = self._snap
         if snap is None:
-            snap = self._snap = LamportStamp(self.time, self.rank)
+            snap = self._snap = LamportStamp(self._xmit, self.rank)
         return snap
 
+    def epoch_snapshot(self) -> LamportStamp:
+        """The epoch view, recorded as an epoch's post-tick stamp."""
+        return LamportStamp(self.time, self.rank)
+
     def __repr__(self) -> str:
-        return f"LamportClock(rank={self.rank}, time={self.time})"
+        return f"LamportClock(rank={self.rank}, time={self.time}, xmit={self._xmit})"

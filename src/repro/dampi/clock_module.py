@@ -6,6 +6,9 @@ Responsibilities, per rank:
   the paper's update discipline: *only wildcard operations tick*; receive
   completions merge the piggybacked stamp; collectives exchange stamps
   according to their data-flow shape;
+* keep each tick out of transmitted stamps until its wildcard completes
+  (the paper's §V fix for Fig. 10): an epoch ticks the clock's epoch view,
+  and its Wait/Test commits the tick to the transmit view;
 * record an :class:`~repro.dampi.epoch.EpochRecord` for every wildcard
   receive/probe (``RecordEpochData``) keyed by the pre-tick clock value
   and carrying the post-tick stamp;
@@ -226,19 +229,17 @@ class DampiClockModule(ToolModule):
         return req
 
     def _record_epoch(self, proc, comm, lc: int, tag: int, kind: str, forced: bool) -> EpochRecord:
-        """``RecordEpochData`` + the epoch's tick.
+        """``RecordEpochData`` + the epoch's tick (epoch view only: it
+        transmits once the wildcard completes, ``_commit_epoch``).
 
-        The stored stamp is the *post-tick* snapshot: a send is causally
-        after this epoch exactly when the ticked clock flowed into it
-        (``epoch.stamp.leq(send.stamp)``).  The pre-tick value ``lc`` is
-        the epoch's identity."""
+        The stored stamp is the *post-tick* epoch-view snapshot: a send is
+        causally after this epoch exactly when the committed tick flowed
+        into it (``epoch.stamp.leq(send.stamp)``).  The pre-tick value
+        ``lc`` is the epoch's identity."""
         state = self._state[proc.world_rank]
-        state.clock.tick()
+        state.clock.tick_epoch()
         # virtual cost of epoch bookkeeping (incl. the potential-match log)
         self._engine.charge(proc.world_rank, self._engine.cost.tool_epoch_cost)
-        # dual clocks distinguish the (ticked) epoch view from the
-        # (uncommitted) transmit view; plain clocks have a single snapshot
-        snap = getattr(state.clock, "epoch_snapshot", state.clock.snapshot)
         epoch = EpochRecord(
             rank=proc.world_rank,
             lc=lc,
@@ -246,7 +247,7 @@ class DampiClockModule(ToolModule):
             ctx=comm.ctx,
             tag=tag,
             kind=kind,
-            stamp=snap(),
+            stamp=state.clock.epoch_snapshot(),
             explore=state.pcontrol_depth == 0,
             forced=forced,
         )
@@ -302,12 +303,9 @@ class DampiClockModule(ToolModule):
         self._commit_epoch(epoch)
 
     def _commit_epoch(self, epoch: EpochRecord) -> None:
-        """§V synchronization point: with dual clocks, the epoch's tick
-        becomes transmittable only now that its Wait/Test completed."""
-        clock = self._state[epoch.rank].clock
-        commit = getattr(clock, "commit_epoch", None)
-        if commit is not None:
-            commit(epoch.lc)
+        """§V synchronization point: the epoch's tick becomes
+        transmittable only now that its Wait/Test completed."""
+        self._state[epoch.rank].clock.commit_epoch(epoch.lc)
 
     # -- Algorithm 1: probes -------------------------------------------------------
 
@@ -439,9 +437,8 @@ class DampiClockModule(ToolModule):
         return result
 
     # Non-blocking collectives: the shadow exchange is issued at post time
-    # (its stamp contribution is the post-time transmit clock — under
-    # single clocks this reproduces the §V hazard faithfully; under dual
-    # clocks the uncommitted ticks stay local) and completed at Wait/Test.
+    # (its stamp contribution is the post-time transmit view, so
+    # uncommitted ticks stay local) and completed at Wait/Test.
 
     def ibarrier(self, proc, chain, comm):
         req = chain(comm)
@@ -506,7 +503,6 @@ class DampiClockModule(ToolModule):
     # feeding each through the same late-message analysis.
 
     def finalize(self, proc, chain):
-        from repro.mpi.constants import ANY_SOURCE as _ANY_SRC, ANY_TAG as _ANY_TAG
         from repro.mpi.communicator import Communicator
 
         proc.pmpi.barrier(proc.world)  # all sends are issued past this point
@@ -525,12 +521,10 @@ class DampiClockModule(ToolModule):
         return chain()
 
     def _drain_comm(self, proc, comm) -> None:
-        from repro.mpi.constants import ANY_SOURCE as _ANY_SRC, ANY_TAG as _ANY_TAG
-
         rank = proc.world_rank
         state = self._state[rank]
         while True:
-            flag, status = proc.pmpi.iprobe(comm, _ANY_SRC, _ANY_TAG)
+            flag, status = proc.pmpi.iprobe(comm, ANY_SOURCE, ANY_TAG)
             if not flag:
                 return
             req = proc.pmpi.irecv(comm, status.source, status.tag)

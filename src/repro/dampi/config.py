@@ -36,12 +36,12 @@ class DampiConfig:
     Attributes
     ----------
     clock_impl:
-        ``"lamport"`` (the paper's scalable default); ``"vector"``
+        ``"lamport"`` (the paper's scalable default) or ``"vector"``
         (precise; restores completeness on the Fig. 4 cross-coupled
-        pattern at O(nprocs) piggyback cost); or ``"lamport_dual"`` /
-        ``"vector_dual"`` — the §V dual-clock pair that additionally
-        closes the Fig. 10 omission (uncommitted epoch ticks never
-        transmit; the paper's proposed future-work mechanism).
+        pattern at O(nprocs) piggyback cost).  Either keeps the §V
+        committed-tick pair the paper proposes as future work: a
+        wildcard's tick transmits only once its Wait/Test completes, which
+        closes the Fig. 10 omission.
     piggyback:
         ``"separate"`` — the paper's mechanism: one extra message per
         message on a shadow communicator, wildcard piggybacks received
@@ -129,14 +129,13 @@ class DampiConfig:
     #: every pruned subtree is accounted for in ``report.prune_stats``.
     #: CLI: ``--no-prune``.
     prune: bool = True
-    #: Adaptive per-epoch clock escalation: run the configured scalar
-    #: clock (``lamport`` / ``lamport_dual``) by default, detect the
-    #: Fig. 4 cross-coupled imprecision pattern from each recorded trace
-    #: (an epoch whose late-send set could be inflated by scalar
-    #: mis-ordering), and re-verify only the affected runs under vector
-    #: clocks — augmenting the scalar trace with the vector-only
-    #: alternatives instead of paying O(nprocs) piggyback campaign-wide.
-    #: Requires a scalar ``clock_impl``.
+    #: Adaptive per-epoch clock escalation: run the scalar ``lamport``
+    #: clock by default, detect the Fig. 4 cross-coupled imprecision
+    #: pattern from each recorded trace (an epoch whose late-send set
+    #: could be inflated by scalar mis-ordering), and re-verify only the
+    #: affected runs under vector clocks — augmenting the scalar trace
+    #: with the vector-only alternatives instead of paying O(nprocs)
+    #: piggyback campaign-wide.  Requires ``clock_impl="lamport"``.
     adaptive_clocks: bool = False
     policy: str = "arrival"
     cost_model: CostModel = field(default_factory=CostModel)
@@ -154,7 +153,7 @@ class DampiConfig:
     #: must comfortably exceed the cost of one replay.
     dist_lease_timeout_seconds: float = 30.0
 
-    _CLOCK_IMPLS = ("lamport", "vector", "lamport_dual", "vector_dual")
+    _CLOCK_IMPLS = ("lamport", "vector")
 
     def __post_init__(self) -> None:
         if self.clock_impl not in self._CLOCK_IMPLS:
@@ -169,14 +168,10 @@ class DampiConfig:
             raise ValueError("auto_loop_threshold must be None or >= 1")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError("jobs must be None (= cpu_count) or >= 1")
-        if self.adaptive_clocks and self.clock_impl not in (
-            "lamport",
-            "lamport_dual",
-        ):
+        if self.adaptive_clocks and self.clock_impl != "lamport":
             raise ValueError(
                 "adaptive_clocks escalates a scalar clock to vector "
-                "precision; it requires clock_impl lamport|lamport_dual, "
-                f"not {self.clock_impl!r}"
+                f"precision; it requires clock_impl lamport, not {self.clock_impl!r}"
             )
         if self.trace_sample_every is not None and self.trace_sample_every < 1:
             raise ValueError("trace_sample_every must be None or >= 1")

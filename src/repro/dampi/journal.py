@@ -108,11 +108,14 @@ from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-#: 5: a run trace's epochs and matches are fixed-order rows, not a dict
-#: per epoch, match and stamp (v4's meta lost two removed knobs; v3 made
-#: every run one ``run`` entry keyed by its schedule; v2 kept three kinds
-#: and generator checkpoints; v1 stored the report's post-dedup view)
-JOURNAL_VERSION = 5
+#: 6: ``clock_impl`` ``lamport``/``vector`` name the §V committed-tick
+#: clocks, which v5 ran under ``lamport_dual``/``vector_dual`` — a v5
+#: ``lamport`` journal holds single-commit runs (v5 made a run trace's
+#: epochs and matches fixed-order rows; v4's meta lost two removed knobs;
+#: v3 made every run one ``run`` entry keyed by its schedule; v2 kept
+#: three kinds and generator checkpoints; v1 stored the report's
+#: post-dedup view)
+JOURNAL_VERSION = 6
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024

@@ -1,16 +1,19 @@
 """The §V omission-pattern monitor.
 
-DAMPI's known blind spot (paper Fig. 10): a wildcard ``Irecv`` ticks the
-local clock immediately, and if the rank *transmits* its clock (a send or
-any collective) before the ``Wait``/``Test`` of that receive, other ranks
-learn a clock value that makes their competing sends look causally-after
-the epoch — so a real potential match is missed.
+DAMPI's known blind spot (paper Fig. 10): with the paper's single clock a
+wildcard ``Irecv`` ticks the local clock immediately, and if the rank
+*transmits* its clock (a send or any collective) before the
+``Wait``/``Test`` of that receive, other ranks learn a clock value that
+makes their competing sends look causally-after the epoch — so a real
+potential match is missed.
 
 The paper's mitigation, reproduced here, is a scalable, process-local
 monitor: alert whenever a clock-transmitting operation is issued while a
-wildcard receive is outstanding (posted, not yet completed).  The alert
-means coverage may be incomplete around those epochs — not that the
-program is wrong.
+wildcard receive is outstanding (posted, not yet completed).  Our clocks
+also carry the paper's §V fix — an epoch's tick reaches transmitted
+stamps only at its ``Wait``/``Test`` (:mod:`repro.clocks`) — so the
+alert marks where the single clock would have lost coverage, not a gap
+in this campaign, and never that the program is wrong.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class OmissionAlert:
         return (
             f"rank {self.rank}: {self.operation} transmits the clock while "
             f"{len(self.outstanding_wildcards)} wildcard receive(s) are outstanding "
-            f"— alternate-match coverage may be incomplete (paper §V)"
+            f"(paper §V; their ticks stay out of it until each completes)"
         )
 
 

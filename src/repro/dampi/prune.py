@@ -49,7 +49,6 @@ import hashlib
 from dataclasses import replace
 from typing import Optional
 
-from repro.clocks.dual import precision_impl
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochKey, PotentialMatch, RunTrace
 from repro.errors import DeadlockError
@@ -188,7 +187,7 @@ def escalation_config(cfg):
     stripped — one in-process replay, nothing else."""
     return replace(
         cfg,
-        clock_impl=precision_impl(cfg.clock_impl),
+        clock_impl="vector",
         adaptive_clocks=False,
         prune=False,
         jobs=1,

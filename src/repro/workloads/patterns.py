@@ -79,11 +79,13 @@ def fig10_program(p):
     """Paper Fig. 10: the omission pattern DAMPI's monitor must flag.
 
     P1 posts a wildcard Irecv and *crosses a barrier before waiting on
-    it*; the barrier transmits P1's already-ticked clock, so P2's
-    late-arriving send no longer looks late and DAMPI misses it as a
-    potential match — even though under some MPI runtimes it can match
-    (the Isend/Irecv cross the barrier eagerly) and would crash the
-    program.  Requires 3 ranks.
+    it*; with the paper's single clock the barrier transmits P1's
+    already-ticked clock, so P2's late-arriving send no longer looks late
+    and DAMPI misses it as a potential match — even though under some MPI
+    runtimes it can match (the Isend/Irecv cross the barrier eagerly) and
+    would crash the program.  Our clocks commit the tick only at the Wait
+    (the paper's §V fix), so the default finds the crash.  Requires 3
+    ranks.
     """
     if p.rank == 0:
         req = p.world.isend(22, dest=1)

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.runtime import run_program
+
+from tests.reference_clock import use_single_commit
+
+
+@pytest.fixture
+def single_commit(monkeypatch):
+    """Run DAMPI under the paper's single-commit clock, the reference for
+    the §V committed tick (``tests/reference_clock.py``)."""
+    use_single_commit(monkeypatch)
 
 
 def run_ok(program, nprocs, **kw):

@@ -103,22 +103,28 @@ class TestVerifyCommand:
         rc = main(
             ["verify", "repro.workloads.patterns:fig10_program", "--nprocs", "3"]
         )
-        assert rc == 0  # no error found (the §V omission), only an alert
-        assert "alert:" in capsys.readouterr().out
+        assert rc == 1  # the committed tick exposes the §V crash ...
+        out = capsys.readouterr().out
+        assert "interleavings explored : 2" in out
+        assert "[crash] in replay 1" in out
+        assert "alert:" in out  # ... and the monitor still reports its window
 
     def test_dual_clock_flag(self, capsys):
-        rc = main(
-            [
+        """The committed tick is no longer a separate clock: the old
+        ``_dual`` names are usage errors."""
+        for clock in ("lamport_dual", "vector_dual"):
+            argv = [
                 "verify",
                 "repro.workloads.patterns:fig10_program",
                 "--nprocs",
                 "3",
                 "--clock",
-                "lamport_dual",
+                clock,
             ]
-        )
-        assert rc == 1  # dual clocks expose the hidden crash
-        assert "crash" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestReplayCommand:

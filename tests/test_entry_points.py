@@ -1,8 +1,8 @@
 """Every DAMPI tool-module entry point, driven under ``DampiVerifier``.
 
 Paper Algorithm 1 completes a wildcard epoch at ``MPI_Wait`` *and* at
-``MPI_Test``, and the §V dual clocks commit an epoch's tick at exactly
-that point.  The test-loop spellings below complete every request through
+``MPI_Test``, and the §V committed tick transmits an epoch's tick from
+exactly that point.  The test-loop spellings below complete every request through
 ``MPI_Test`` alone and must verify exactly like the paper's ``wait``
 spellings.  The rest drive the collectives whose clock flow and monitor
 wrappers nothing else runs under the verifier.
@@ -26,8 +26,7 @@ from repro.workloads.patterns import (
 )
 
 from tests.conftest import every_entry_point, spin
-
-CLOCKS = ("lamport", "lamport_dual", "vector", "vector_dual")
+from tests.reference_clock import CLOCKS, clock_config
 
 
 # -- the paper's patterns, completed through MPI_Test --------------------------
@@ -76,8 +75,8 @@ def fig10_test_loop(p):
         spin(p.world.isend(33, dest=1))
 
 
-def _verdict(program, nprocs, clock):
-    rep = DampiVerifier(program, nprocs, DampiConfig(clock_impl=clock)).verify()
+def _verdict(monkeypatch, program, nprocs, clock):
+    rep = DampiVerifier(program, nprocs, clock_config(monkeypatch, clock)).verify()
     alerts = len(rep.monitor_report) if rep.monitor_report else 0
     return rep.interleavings, [e.kind for e in rep.errors], alerts
 
@@ -93,23 +92,30 @@ class TestTestLoopSpellings:
         ],
         ids=["fig3", "fig4", "fig10"],
     )
-    def test_same_verdict_as_the_wait_spelling(self, wait_form, test_form, nprocs, clock):
-        assert _verdict(test_form, nprocs, clock) == _verdict(wait_form, nprocs, clock)
+    def test_same_verdict_as_the_wait_spelling(
+        self, monkeypatch, wait_form, test_form, nprocs, clock
+    ):
+        assert _verdict(monkeypatch, test_form, nprocs, clock) == _verdict(
+            monkeypatch, wait_form, nprocs, clock
+        )
 
     @pytest.mark.parametrize("clock", CLOCKS)
-    def test_fig3_crash_found_through_test(self, clock):
-        assert _verdict(fig3_test_loop, 3, clock) == (2, ["crash"], 0)
+    def test_fig3_crash_found_through_test(self, monkeypatch, clock):
+        assert _verdict(monkeypatch, fig3_test_loop, 3, clock) == (2, ["crash"], 0)
 
     @pytest.mark.parametrize(
         "clock, verdict",
         [
-            ("lamport", (1, [], 1)),  # the §V omission, flagged by the monitor
+            # the single-commit reference: the §V omission, flagged by the
+            # monitor
+            ("lamport", (1, [], 1)),
             ("lamport_dual", (2, ["crash"], 1)),  # the epoch commits at Test
             ("vector_dual", (2, ["crash"], 1)),
+            ("vector", (1, [], 1)),
         ],
     )
-    def test_fig10_dual_clocks_commit_at_test(self, clock, verdict):
-        assert _verdict(fig10_test_loop, 3, clock) == verdict
+    def test_fig10_dual_clocks_commit_at_test(self, monkeypatch, clock, verdict):
+        assert _verdict(monkeypatch, fig10_test_loop, 3, clock) == verdict
 
 
 # -- collectives: clock flow follows data flow ---------------------------------
@@ -239,8 +245,8 @@ class TestEveryEntryPoint:
         assert recorder.seen == set(ENTRY_POINTS)
 
     @pytest.mark.parametrize("clock", CLOCKS)
-    def test_clean_under_the_full_dampi_stack(self, clock):
-        rep = DampiVerifier(every_entry_point, 2, DampiConfig(clock_impl=clock)).verify()
+    def test_clean_under_the_full_dampi_stack(self, monkeypatch, clock):
+        rep = DampiVerifier(every_entry_point, 2, clock_config(monkeypatch, clock)).verify()
         assert rep.interleavings == 1 and not rep.errors
         assert rep.leak_report.clean
         assert not rep.monitor_report.triggered

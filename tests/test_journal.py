@@ -433,6 +433,26 @@ class TestRunRecord:
         })
 
 
+    def test_v5_journal_is_refused_by_version(self, tmp_path, capsys):
+        """v5 ran the single-commit clock under ``clock_impl`` "lamport";
+        v6's "lamport" is the committed-tick clock, so a v5 campaign must
+        not continue under a v6 build: ``repro resume`` refuses it on its
+        version, naming both."""
+        jdir = tmp_path / "v5"
+        argv = ["verify", "repro.workloads.patterns:fig10_program", "--nprocs", "3"]
+        assert main([*argv, "--journal-dir", str(jdir)]) == 1
+        capsys.readouterr()
+        first = sorted(jdir.glob("segment-*.jsonl"))[0]
+        meta, *rest = first.read_text().splitlines(keepends=True)
+        record = json.loads(meta)
+        assert record["t"] == "meta" and record["version"] == jr.JOURNAL_VERSION == 6
+        first.write_text(json.dumps({**record, "version": 5}) + "\n" + "".join(rest))
+        assert main(["resume", str(jdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "format version 5" in err and "version 6 only" in err
+
+
 class TestFailureEntryResume:
     def test_journal_with_a_failure_entry_is_refused(self, tmp_path, capsys):
         """The replay pool turned a dead worker into a ``"failure"`` entry;

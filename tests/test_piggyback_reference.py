@@ -5,14 +5,14 @@ The two spellings of the separate mechanism must be observationally
 equal.  Every run of a campaign delivers the same ``(payload, stamp)``
 pairs to each rank, records the same potential matches (finalize drain
 and post-mortem scan included) and ends at a bit-identical virtual
-makespan, under a scalar and a vector dual clock.
+makespan, under the single-commit scalar clock (the reference) and the
+committed-tick vector clock (ids as in ``tests/reference_clock.py``).
 """
 
 import pytest
 
 from repro.clocks.lamport import LamportStamp
 from repro.dampi import verifier as verifier_module
-from repro.dampi.config import DampiConfig
 from repro.dampi.piggyback import PiggybackModule
 from repro.dampi.verifier import DampiVerifier
 from repro.mpi.constants import ANY_SOURCE
@@ -22,6 +22,7 @@ from repro.workloads.patterns import fig3_program, fig4_program, fig10_program
 
 from tests import test_known_limitations as limitations
 from tests.oracle import as_runnable
+from tests.reference_clock import clock_config
 from tests.reference_piggyback import EngineMessagePiggyback
 from tests.test_entry_points import fig3_test_loop, fig4_test_loop, fig10_test_loop
 from tests.test_piggyback import StampHarness
@@ -88,7 +89,7 @@ def _campaign(monkeypatch, transport, program, nprocs, clock):
     with monkeypatch.context() as patch:
         patch.setattr(PiggybackModule, "_deliver", deliver)
         patch.setattr(verifier_module, "PiggybackModule", transport)
-        report = Observing(program, nprocs, DampiConfig(clock_impl=clock)).verify()
+        report = Observing(program, nprocs, clock_config(patch, clock)).verify()
     return runs, (report.interleavings, sorted(e.kind for e in report.errors))
 
 

@@ -206,11 +206,10 @@ class TestAdaptiveEscalation:
             DampiConfig(clock_impl="vector", adaptive_clocks=True)
 
     def test_precision_impl_mapping(self):
-        from repro.clocks.dual import precision_impl
-
-        assert precision_impl("lamport") == "vector"
-        assert precision_impl("lamport_dual") == "vector_dual"
-        assert precision_impl("vector") == "vector"
+        """A precision replay runs the vector clock, which keeps the
+        scalar clock's §V committed tick."""
+        cfg = prune_mod.escalation_config(DampiConfig(adaptive_clocks=True))
+        assert cfg.clock_impl == "vector" and not cfg.adaptive_clocks
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fig4_adaptive_distributed(self, workers):

@@ -128,12 +128,14 @@ class TestMonitor:
         alert = rep.monitor_report.alerts[0]
         assert alert.rank == 1 and alert.operation == "barrier"
 
-    def test_fig10_bug_is_indeed_missed(self):
-        """The monitor exists because DAMPI cannot explore the alternate
-        match here — confirm the omission (no crash found, 1 interleaving)."""
+    def test_fig10_bug_is_indeed_missed(self, single_commit):
+        """The monitor exists because the paper's single-commit clock
+        cannot explore the alternate match here — confirm the omission
+        under that reference (no crash found, 1 interleaving, the alert)."""
         rep = DampiVerifier(fig10_program, 3).verify()
         assert rep.interleavings == 1
         assert not any(e.kind == "crash" for e in rep.errors)
+        assert rep.monitor_report.triggered
 
     def test_clean_program_no_alerts(self):
         rep = DampiVerifier(
