@@ -368,11 +368,6 @@ class DampiVerifier:
 
     # -- fleet plumbing -----------------------------------------------------------
 
-    def _spec_extra(self) -> dict:
-        """Extra constructor kwargs a fleet worker must pass to rebuild
-        this verifier (subclasses with additional state override)."""
-        return {}
-
     def _fleet_size(self) -> tuple[int, Optional[str]]:
         """``(jobs, demote_reason)``: the worker count ``config.jobs``
         asks for, and why this host will not get a fleet for it (None =

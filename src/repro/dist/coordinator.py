@@ -309,7 +309,6 @@ class DistCoordinator:
                 self.config,
                 self.verifier.args,
                 self.verifier.kwargs,
-                self.verifier._spec_extra(),
                 shards_dir,
             ),
             name=f"dist-worker-{wid}",

@@ -273,14 +273,13 @@ def worker_main(
     config,
     args: tuple = (),
     kwargs: Optional[dict] = None,
-    ctor_extra: Optional[dict] = None,
     shards_dir=None,
 ) -> None:
     """Process entry point (target of the coordinator's forked
     ``mp.Process``; ``conn`` is the worker's end of its pipe): rebuild the
-    coordinator's verifier — same class, same extra constructor state
-    (``DampiVerifier._spec_extra``) — under :func:`shard_config` and
-    explore leases with it.
+    coordinator's verifier — same class, so an ``IspVerifier`` fleet keeps
+    the baseline's scheduler tax — under :func:`shard_config` and explore
+    leases with it.
 
     ``coordinator_ends`` are the coordinator's ends of this pipe and of
     every live sibling's, copied into this process by the fork.  They are
@@ -290,7 +289,6 @@ def worker_main(
         end.close()
     verifier = verifier_cls(
         program, nprocs, shard_config(config), args=args, kwargs=kwargs,
-        **(ctor_extra or {}),
     )
     worker = _ShardWorker(worker_id, conn, verifier, shards_dir, config)
     try:

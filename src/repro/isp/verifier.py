@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
-from repro.isp.scheduler import IspCostParams, IspInterpositionModule
+from repro.isp.scheduler import IspInterpositionModule
 
 
 class IspVerifier(DampiVerifier):
@@ -31,15 +31,9 @@ class IspVerifier(DampiVerifier):
         config: Optional[DampiConfig] = None,
         args: tuple = (),
         kwargs: Optional[dict] = None,
-        cost_params: Optional[IspCostParams] = None,
     ):
         config = replace(config or DampiConfig(), clock_impl="vector")
         super().__init__(program, nprocs, config, args=args, kwargs=kwargs)
-        self.cost_params = cost_params or IspCostParams()
 
     def _extra_outer_modules(self) -> list:
-        return [IspInterpositionModule(self.cost_params)]
-
-    def _spec_extra(self) -> dict:
-        # replay workers must rebuild the baseline with the same cost model
-        return {"cost_params": self.cost_params}
+        return [IspInterpositionModule()]

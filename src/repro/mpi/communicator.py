@@ -3,9 +3,15 @@
 A :class:`CommContext` is the engine-side object every member shares: a
 unique context id (the matching key), the ordered group of world ranks, and
 per-pair send sequence counters.  A :class:`Communicator` is the handle one
-rank holds; it exposes the mpi4py-flavoured operation surface and delegates
-to the owning :class:`~repro.mpi.process.Proc` so every call crosses the
-PnMPI interposition stack.
+rank holds and the program-facing MPI API: its mpi4py-flavoured methods
+validate their arguments and call the owning rank's compiled PnMPI chains
+(``proc._chains``), so every call crosses the interposition stack.
+
+Blocking operations are composed from their non-blocking parts *above* the
+tool stack — ``send = isend; wait``, ``recv = irecv; wait`` — exactly how
+ISP/DAMPI reason about MPI: tools only ever need to wrap
+``isend``/``irecv``/``wait``/``test`` plus probes and collectives (paper
+Algorithm 1 shows precisely these).
 """
 
 from __future__ import annotations
@@ -116,11 +122,19 @@ class CommContext:
         return f"CommContext({self.label}, size={self.size})"
 
 
+def _copy_status(src, dst) -> None:
+    """Fill a user-supplied :class:`Status` from a completion status."""
+    dst.source = src.source
+    dst.tag = src.tag
+    dst._payload = src._payload
+
+
 class Communicator:
     """Per-rank communicator handle (the thing programs call methods on).
 
-    All operations delegate to the owning process handle so they traverse
-    the tool stack; see :class:`repro.mpi.process.Proc` for semantics.
+    Every operation checks its arguments, then enters ``proc._chains``,
+    read at call time: the runtime installs the compiled chains after the
+    rank's world handle exists.  Request completion lives on ``Proc``.
     """
 
     __slots__ = ("context", "proc", "_freed")
@@ -175,19 +189,19 @@ class Communicator:
         """Non-blocking eager send; returns a :class:`Request`."""
         self._check_live()
         self._check_peer(dest, allow_any=False)
-        return self.proc.isend(self, payload, dest, tag)
+        return self.proc._chains["isend"](self, payload, dest, tag)
 
     def issend(self, payload: Any, dest: int, tag: int = 0):
         """Synchronous-mode non-blocking send: completes only when matched."""
         self._check_live()
         self._check_peer(dest, allow_any=False)
-        return self.proc.issend(self, payload, dest, tag)
+        return self.proc._chains["issend"](self, payload, dest, tag)
 
     def ssend(self, payload: Any, dest: int, tag: int = 0) -> None:
-        """Blocking synchronous send (issend + wait)."""
+        """Blocking synchronous send: returns once matched (MPI_Ssend)."""
         self._check_live()
         self._check_peer(dest, allow_any=False)
-        self.proc.ssend(self, payload, dest, tag)
+        self.proc._chains["ssend"](self, payload, dest, tag)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, max_count: Optional[int] = None):
         """Non-blocking receive; ``source``/``tag`` may be wildcards.
@@ -197,24 +211,33 @@ class Communicator:
         MPI_ERR_TRUNCATE."""
         self._check_live()
         self._check_peer(source, allow_any=True)
-        return self.proc.irecv(self, source, tag, max_count)
+        req = self.proc._chains["irecv"](self, source, tag)
+        req.max_count = max_count
+        return req
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Blocking send (isend + wait, both visible to the tool stack)."""
         self._check_live()
         self._check_peer(dest, allow_any=False)
-        self.proc.send(self, payload, dest, tag)
+        chains = self.proc._chains
+        chains["wait"](chains["isend"](self, payload, dest, tag))
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG, status=None,
              max_count: Optional[int] = None) -> Any:
-        """Blocking receive; returns the payload.
+        """Blocking receive (irecv + wait); returns the payload.
 
         Pass a :class:`Status` as ``status`` to learn the actual source/tag
         of a wildcard receive; ``max_count`` as in :meth:`irecv`.
         """
         self._check_live()
         self._check_peer(source, allow_any=True)
-        return self.proc.recv(self, source, tag, status, max_count)
+        chains = self.proc._chains
+        req = chains["irecv"](self, source, tag)
+        req.max_count = max_count
+        st = chains["wait"](req)
+        if status is not None:
+            _copy_status(st, status)
+        return req.data
 
     def sendrecv(
         self,
@@ -229,85 +252,90 @@ class Communicator:
         self._check_live()
         self._check_peer(dest, allow_any=False)
         self._check_peer(source, allow_any=True)
-        return self.proc.sendrecv(self, payload, dest, source, sendtag, recvtag, status)
+        data, st = self.proc._chains["sendrecv"](
+            self, payload, dest, source, sendtag, recvtag
+        )
+        if status is not None:
+            _copy_status(st, status)
+        return data
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Block until a matching message is available; returns its Status."""
         self._check_live()
         self._check_peer(source, allow_any=True)
-        return self.proc.probe(self, source, tag)
+        return self.proc._chains["probe"](self, source, tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Non-blocking probe; returns ``(flag, Status | None)``."""
         self._check_live()
         self._check_peer(source, allow_any=True)
-        return self.proc.iprobe(self, source, tag)
+        return self.proc._chains["iprobe"](self, source, tag)
 
     # -- collectives ---------------------------------------------------------
 
     def barrier(self) -> None:
         self._check_live()
-        self.proc.barrier(self)
+        self.proc._chains["barrier"](self)
 
     def ibarrier(self):
         """Non-blocking barrier: the request completes once every member
         has entered (MPI_Ibarrier)."""
         self._check_live()
-        return self.proc.ibarrier(self)
+        return self.proc._chains["ibarrier"](self)
 
     def ibcast(self, payload: Any = None, root: int = 0):
         """Non-blocking broadcast; ``req.wait()``'s request data carries
         the root's value (MPI_Ibcast)."""
         self._check_live()
         self._check_peer(root, allow_any=False)
-        return self.proc.ibcast(self, payload, root)
+        return self.proc._chains["ibcast"](self, payload, root)
 
     def iallreduce(self, payload: Any, op=None):
         """Non-blocking allreduce; the result is ``req.data`` after the
         wait (MPI_Iallreduce)."""
         self._check_live()
-        return self.proc.iallreduce(self, payload, op)
+        return self.proc._chains["iallreduce"](self, payload, op)
 
     def bcast(self, payload: Any = None, root: int = 0) -> Any:
         self._check_live()
         self._check_peer(root, allow_any=False)
-        return self.proc.bcast(self, payload, root)
+        return self.proc._chains["bcast"](self, payload, root)
 
     def reduce(self, payload: Any, op=None, root: int = 0) -> Any:
         self._check_live()
         self._check_peer(root, allow_any=False)
-        return self.proc.reduce(self, payload, op, root)
+        return self.proc._chains["reduce"](self, payload, op, root)
 
     def allreduce(self, payload: Any, op=None) -> Any:
         self._check_live()
-        return self.proc.allreduce(self, payload, op)
+        return self.proc._chains["allreduce"](self, payload, op)
 
     def gather(self, payload: Any, root: int = 0):
         self._check_live()
         self._check_peer(root, allow_any=False)
-        return self.proc.gather(self, payload, root)
+        return self.proc._chains["gather"](self, payload, root)
 
     def scatter(self, payloads: Optional[Sequence[Any]] = None, root: int = 0):
         self._check_live()
         self._check_peer(root, allow_any=False)
-        return self.proc.scatter(self, payloads, root)
+        return self.proc._chains["scatter"](self, payloads, root)
 
     def allgather(self, payload: Any):
         self._check_live()
-        return self.proc.allgather(self, payload)
+        return self.proc._chains["allgather"](self, payload)
 
     def alltoall(self, payloads: Sequence[Any]):
         self._check_live()
-        return self.proc.alltoall(self, payloads)
+        return self.proc._chains["alltoall"](self, payloads)
 
     def reduce_scatter(self, payloads: Sequence[Any], op=None):
         self._check_live()
-        return self.proc.reduce_scatter(self, payloads, op)
+        return self.proc._chains["reduce_scatter"](self, payloads, op)
 
     def scan(self, payload: Any, op=None):
         """Inclusive prefix reduction: rank i gets op-fold of ranks 0..i."""
         self._check_live()
-        return self.proc.scan(self, payload, op)
+        return self.proc._chains["scan"](self, payload, op)
 
     # -- communicator management ---------------------------------------------
 
@@ -326,8 +354,8 @@ class Communicator:
         self._check_live()
         pos = group.rank_of(self.rank)
         if pos is None:
-            return self.proc.comm_split(self, UNDEFINED, 0)
-        return self.proc.comm_split(self, 0, pos)
+            return self.proc._chains["comm_split"](self, UNDEFINED, 0)
+        return self.proc._chains["comm_split"](self, 0, pos)
 
     def cart_create(self, dims, periods=None):
         """Collective ``MPI_Cart_create``: returns ``(comm, topology)``.
@@ -345,18 +373,18 @@ class Communicator:
                 f"has {self.context.size}"
             )
         in_grid = self.rank < topo.size
-        sub = self.proc.comm_split(self, 0 if in_grid else UNDEFINED, self.rank)
+        sub = self.proc._chains["comm_split"](self, 0 if in_grid else UNDEFINED, self.rank)
         return sub, topo
 
     def dup(self) -> "Communicator":
         """Collective duplicate: a congruent communicator with a fresh context."""
         self._check_live()
-        return self.proc.comm_dup(self)
+        return self.proc._chains["comm_dup"](self)
 
     def split(self, color: int, key: int = 0) -> Optional["Communicator"]:
         """Collective split; ``color=UNDEFINED`` yields ``None`` for this rank."""
         self._check_live()
-        return self.proc.comm_split(self, color, key)
+        return self.proc._chains["comm_split"](self, color, key)
 
     def free(self) -> None:
         """Release this handle; the context is gone once all members free it.
@@ -365,7 +393,7 @@ class Communicator:
         checker reports (Table II, C-Leak column).
         """
         self._check_live()
-        self.proc.comm_free(self)
+        self.proc._chains["comm_free"](self)
         self._freed = True
 
     def __repr__(self) -> str:

@@ -1,14 +1,13 @@
-"""Per-rank process handle: the MPI API surface programs call.
+"""Per-rank process handle: identity, PMPI bottoms and request completion.
 
 A :class:`Proc` owns one rank's view of the job: its world communicator
 handle, its compiled interposition chains, and the ``pmpi`` facade tool
 modules use to issue *uninstrumented* operations (DAMPI's piggyback traffic
-must not re-enter DAMPI).
-
-Blocking operations are composed from their non-blocking parts *above* the
-tool stack — ``send = isend; wait`` — exactly how ISP/DAMPI reason about
-MPI: tools only ever need to wrap ``isend``/``irecv``/``wait``/``test``
-plus probes and collectives (paper Algorithm 1 shows precisely these).
+must not re-enter DAMPI).  Communicator operations are called on
+:class:`~repro.mpi.communicator.Communicator` handles (``p.world.isend``);
+``Proc`` keeps only what takes no communicator — request completion
+(``wait``/``test``/``waitall``/...), ``pcontrol``, ``compute``, ``wtime``,
+``finalize`` and ``abort``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import InvalidRequestError, MPIError
 from repro.mpi.communicator import Communicator
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, SUM, UNDEFINED, ReduceOp
+from repro.mpi.constants import ANY_SOURCE, PROC_NULL, SUM, UNDEFINED, ReduceOp
 from repro.mpi.engine import MessageEngine
 from repro.mpi.request import Request, RequestKind, RequestState, Status
 
@@ -225,17 +224,18 @@ class Proc:
         issend/wait so tool work (piggyback, clock) still happens once per
         constituent; modules charging MPI_Ssend as a single call wrap the
         ``ssend`` entry point and suppress their constituent hooks."""
-        req = self.issend(comm, payload, dest, tag)
-        self.wait(req)
+        chains = self._chains
+        chains["wait"](chains["issend"](comm, payload, dest, tag))
 
     def _pmpi_sendrecv(self, comm: Communicator, payload: Any, dest: int,
                        source: int, sendtag: int, recvtag: int) -> tuple:
         """Bottom of the sendrecv chain; returns ``(data, recv_status)`` so
         the public wrapper can fill a user-supplied Status object."""
-        rreq = self.irecv(comm, source, recvtag)
-        sreq = self.isend(comm, payload, dest, sendtag)
-        self.wait(sreq)
-        st = self.wait(rreq)
+        chains = self._chains
+        rreq = chains["irecv"](comm, source, recvtag)
+        sreq = chains["isend"](comm, payload, dest, sendtag)
+        chains["wait"](sreq)
+        st = chains["wait"](rreq)
         return rreq.data, st
 
     def _pmpi_test(self, req: Request):
@@ -323,79 +323,14 @@ class Proc:
         self.engine.pmpi_compute(self.world_rank, seconds)
 
     # ------------------------------------------------------------------ #
-    # instrumented API (what programs and Communicator methods call)      #
+    # instrumented calls that take no communicator                       #
     # ------------------------------------------------------------------ #
-
-    def isend(self, comm, payload, dest, tag=0) -> Request:
-        return self._chains["isend"](comm, payload, dest, tag)
-
-    def issend(self, comm, payload, dest, tag=0) -> Request:
-        return self._chains["issend"](comm, payload, dest, tag)
-
-    def irecv(self, comm, source=ANY_SOURCE, tag=ANY_TAG, max_count=None) -> Request:
-        req = self._chains["irecv"](comm, source, tag)
-        req.max_count = max_count
-        return req
 
     def wait(self, req: Request) -> Status:
         return self._chains["wait"](req)
 
     def test(self, req: Request):
         return self._chains["test"](req)
-
-    def probe(self, comm, source=ANY_SOURCE, tag=ANY_TAG) -> Status:
-        return self._chains["probe"](comm, source, tag)
-
-    def iprobe(self, comm, source=ANY_SOURCE, tag=ANY_TAG):
-        return self._chains["iprobe"](comm, source, tag)
-
-    def barrier(self, comm) -> None:
-        return self._chains["barrier"](comm)
-
-    def ibarrier(self, comm) -> Request:
-        return self._chains["ibarrier"](comm)
-
-    def ibcast(self, comm, payload=None, root=0) -> Request:
-        return self._chains["ibcast"](comm, payload, root)
-
-    def iallreduce(self, comm, payload, op=None) -> Request:
-        return self._chains["iallreduce"](comm, payload, op)
-
-    def bcast(self, comm, payload=None, root=0):
-        return self._chains["bcast"](comm, payload, root)
-
-    def reduce(self, comm, payload, op=None, root=0):
-        return self._chains["reduce"](comm, payload, op, root)
-
-    def allreduce(self, comm, payload, op=None):
-        return self._chains["allreduce"](comm, payload, op)
-
-    def gather(self, comm, payload, root=0):
-        return self._chains["gather"](comm, payload, root)
-
-    def scatter(self, comm, payloads=None, root=0):
-        return self._chains["scatter"](comm, payloads, root)
-
-    def allgather(self, comm, payload):
-        return self._chains["allgather"](comm, payload)
-
-    def alltoall(self, comm, payloads):
-        return self._chains["alltoall"](comm, payloads)
-
-    def reduce_scatter(self, comm, payloads, op=None):
-        return self._chains["reduce_scatter"](comm, payloads, op)
-
-    def scan(self, comm, payload, op=None):
-        return self._chains["scan"](comm, payload, op)
-
-    def comm_dup(self, comm) -> Communicator:
-        return self._chains["comm_dup"](comm)
-
-    def comm_split(self, comm, color, key=0):
-        return self._chains["comm_split"](comm, color, key)
-
-    def comm_free(self, comm) -> None:
-        return self._chains["comm_free"](comm)
 
     def request_free(self, req: Request) -> None:
         return self._chains["request_free"](req)
@@ -423,38 +358,6 @@ class Proc:
     def abort(self, errorcode: int = 1) -> None:
         """``MPI_Abort``: kill every rank of the job."""
         self.engine.pmpi_abort(self.world_rank, errorcode)
-
-    # -- blocking compositions (instrumented at the i*/wait level) ----------
-
-    def send(self, comm, payload, dest, tag=0) -> None:
-        req = self.isend(comm, payload, dest, tag)
-        self.wait(req)
-
-    def ssend(self, comm, payload, dest, tag=0) -> None:
-        """Blocking synchronous send: returns only once the message has
-        been matched by a receive (MPI_Ssend)."""
-        self._chains["ssend"](comm, payload, dest, tag)
-
-    def recv(self, comm, source=ANY_SOURCE, tag=ANY_TAG, status: Optional[Status] = None,
-             max_count=None):
-        req = self.irecv(comm, source, tag, max_count)
-        st = self.wait(req)
-        if status is not None:
-            status.source = st.source
-            status.tag = st.tag
-            status._payload = st._payload
-        return req.data
-
-    def sendrecv(self, comm, payload, dest, source=ANY_SOURCE, sendtag=0,
-                 recvtag=ANY_TAG, status: Optional[Status] = None):
-        data, st = self._chains["sendrecv"](
-            comm, payload, dest, source, sendtag, recvtag
-        )
-        if status is not None:
-            status.source = st.source
-            status.tag = st.tag
-            status._payload = st._payload
-        return data
 
     def waitall(self, reqs: Sequence[Request]) -> list[Status]:
         """Complete every request (``MPI_Waitall``); order of blocking is

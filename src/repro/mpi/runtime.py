@@ -54,10 +54,6 @@ from repro.mpi.process import Proc
 from repro.mpi.request import reset_request_ids
 from repro.pnmpi.stack import ToolStack
 
-#: C-stack per rank thread.  Rank code is shallow; the default 8 MiB would
-#: needlessly bloat 1024-rank jobs.
-_THREAD_STACK_BYTES = 512 * 1024
-
 
 @dataclass
 class RunResult:
@@ -148,20 +144,15 @@ class RankExecutorPool:
         self._target: Optional[Callable[[int], None]] = None
         self._running = 0
         self._shutdown = False
-        old_stack = threading.stack_size()
-        try:
-            threading.stack_size(_THREAD_STACK_BYTES)
-            self._threads = [
-                threading.Thread(
-                    target=self._worker,
-                    args=(rank,),
-                    name=f"{name}-rank{rank}",
-                    daemon=True,
-                )
-                for rank in range(nprocs)
-            ]
-        finally:
-            threading.stack_size(old_stack)
+        self._threads = [
+            threading.Thread(
+                target=self._worker,
+                args=(rank,),
+                name=f"{name}-rank{rank}",
+                daemon=True,
+            )
+            for rank in range(nprocs)
+        ]
         for t in self._threads:
             t.start()
 

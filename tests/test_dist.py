@@ -567,8 +567,8 @@ class TestBudgetsBoundWork:
 
 class TestFleetCarriesTheVerifier:
     def test_isp_baseline_fleet_matches_isp_serial(self):
-        """Workers rebuild ``type(verifier)`` with its ``_spec_extra()``:
-        the baseline's scheduler tax is in every worker's makespans."""
+        """Workers rebuild ``type(verifier)``: the baseline's scheduler
+        tax is in every worker's makespans."""
         cfg = DampiConfig()
         serial = IspVerifier(wildcard_lattice, 4, cfg, kwargs=BIG).verify()
         fleet = DistCoordinator(

@@ -123,8 +123,10 @@ class TestFree:
     def test_double_free_rejected(self):
         def prog(p):
             dup = p.world.dup()
-            p.comm_free(dup)
-            p.comm_free(dup)
+            # bypass the handle's own freed flag so the engine's
+            # double-free check is what fires
+            p.pmpi.comm_free(dup)
+            p.pmpi.comm_free(dup)
 
         res = run_program(prog, 2)
         assert any(
@@ -137,7 +139,7 @@ class TestFree:
             dup = p.world.dup()
             ctx = dup.context
             p.world.barrier()
-            p.comm_free(dup)
+            dup.free()
             p.world.barrier()  # now everyone freed it
             if p.rank == 0:
                 p.engine.pmpi_isend(0, ctx.ctx, "zombie", 1, 0)

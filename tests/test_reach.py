@@ -2,7 +2,6 @@
 honest even on runs that do not load the plugin."""
 
 from tests.reach import (
-    GATED,
     PACKAGE,
     REASONS,
     defined_functions,
@@ -16,7 +15,6 @@ class TestAllowlist:
         names = {f"{key[0]}::{qualname}" for key, qualname in defined_functions().items()}
         for name, reason in load_allowed().items():
             assert name in names, name
-            assert name.startswith(GATED), name
             assert reason in REASONS, (name, reason)
 
     def test_decorated_functions_key_on_their_first_decorator(self):
@@ -37,17 +35,22 @@ class TestGate:
     def test_unlisted_unreached_gated_function_fails(self):
         lines, failures = summarize({("mpi/a.py", 5, "__repr__")}, self.DEFINED, {})
         assert lines[0] == "reach: 1/3 src/repro functions reached"
-        assert failures == ["unreached and not allowed: mpi/a.py::f"]  # obs/ is not gated
+        # every package is gated: obs/ as much as mpi/
+        assert failures == [
+            "unreached and not allowed: mpi/a.py::f",
+            "unreached and not allowed: obs/b.py::g",
+        ]
 
     def test_listed_function_passes_and_stale_entries_fail(self):
         allowed = {"mpi/a.py::A.__repr__": "repr", "mpi/a.py::gone": "repr"}
-        rows = {("mpi/a.py", 1, "f")}
+        rows = {("mpi/a.py", 1, "f"), ("obs/b.py", 1, "g")}
         _lines, failures = summarize(rows, self.DEFINED, allowed)
         assert failures == ["allowlist names no function: mpi/a.py::gone"]
 
     def test_unknown_reason_fails(self):
         allowed = {"mpi/a.py::A.__repr__": "later"}
-        _lines, failures = summarize({("mpi/a.py", 1, "f")}, self.DEFINED, allowed)
+        rows = {("mpi/a.py", 1, "f"), ("obs/b.py", 1, "g")}
+        _lines, failures = summarize(rows, self.DEFINED, allowed)
         assert failures == [
             f"allowlist reason not one of {REASONS}: mpi/a.py::A.__repr__ 'later'"
         ]
