@@ -39,6 +39,7 @@ from repro.clocks.vector import VectorStamp
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.piggyback import PiggybackModule
+from repro.mpi.communicator import Communicator
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL, ReduceOp
 from repro.mpi.request import Request, RequestKind, Status
 from repro.pnmpi.module import ToolModule
@@ -503,21 +504,11 @@ class DampiClockModule(ToolModule):
     # feeding each through the same late-message analysis.
 
     def finalize(self, proc, chain):
-        from repro.mpi.communicator import Communicator
-
         proc.pmpi.barrier(proc.world)  # all sends are issued past this point
         rank = proc.world_rank
         if self._state[rank].epochs:
-            for ctx_id in list(self.piggyback._shadow_ctx):
-                ctx_obj = self._engine.contexts.get(ctx_id)
-                if (
-                    ctx_obj is None
-                    or rank not in ctx_obj.group
-                    or rank in ctx_obj.freed_by
-                ):
-                    continue
-                comm = Communicator(ctx_obj, proc)
-                self._drain_comm(proc, comm)
+            for ctx_obj in self._engine.held_contexts(rank):
+                self._drain_comm(proc, Communicator(ctx_obj, proc))
         return chain()
 
     def _drain_comm(self, proc, comm) -> None:

@@ -72,7 +72,9 @@ class DampiConfig:
         every run of the campaign with whatever state it carries) and the
         virtual-time constants.
     enable_leak_check / enable_monitor:
-        Toggle the auxiliary checker modules.
+        Toggle the auxiliary checker modules.  The leak check wraps only
+        ``MPI_Finalize``, where it reads from the engine what each rank
+        still holds (unfreed communicators, uncompleted requests).
     trace_events:
         Structured telemetry events (wildcard matches, epochs, piggyback
         sends, run/scheduler lifecycle).  When on, every run counts its

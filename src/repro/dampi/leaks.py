@@ -1,19 +1,26 @@
 """Resource-leak checking (Table II's C-Leak and R-Leak columns).
 
-DAMPI checks, locally per process and therefore scalably:
+DAMPI checks, locally per process and therefore scalably, at
+``MPI_Finalize``:
 
 * **communicator leaks** — communicators created via ``comm_dup`` /
   ``comm_split`` but never freed before ``MPI_Finalize``;
-* **request leaks** — requests still pending at ``MPI_Finalize`` (never
-  completed by a Wait/Test), including requests released with
-  ``MPI_Request_free`` while still active.
+* **request leaks** — requests no Wait/Test consumed, pending or
+  completed, including requests released with ``MPI_Request_free`` while
+  still active.
+
+The check is a read of the engine, which creates and retires every
+request and communicator context: :meth:`MessageEngine.held_contexts`,
+``live_requests`` and ``freed_active`` say what a rank still holds.  Live
+requests on tool contexts (DAMPI's shadow exchanges) are not the
+program's and are skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.mpi.request import Request, RequestState
+from repro.mpi.request import RequestState
 from repro.pnmpi.module import ToolModule
 
 
@@ -66,97 +73,36 @@ class LeakReport:
         return "; ".join(lines)
 
 
-class _RankLeakState:
-    __slots__ = ("live_comms", "live_requests", "freed_active")
-
-    def __init__(self) -> None:
-        #: ctx id -> label of communicators this rank created and not yet freed
-        self.live_comms: dict[int, str] = {}
-        #: uid -> Request for requests posted and not yet completed
-        self.live_requests: dict[int, Request] = {}
-        #: requests freed while still active (immediate R-Leak evidence)
-        self.freed_active: list[Request] = []
-
-
 class LeakCheckModule(ToolModule):
-    """Tracks communicator and request lifecycles per rank."""
+    """Reads what each rank still holds from the engine at its
+    ``MPI_Finalize``; it wraps no other entry point."""
 
     name = "leaks"
 
     def __init__(self) -> None:
-        self._state: list[_RankLeakState] = []
         self._reports: list[LeakReport] = []
 
     def setup(self, runtime) -> None:
-        self._state = [_RankLeakState() for _ in range(runtime.nprocs)]
         self._reports = [LeakReport() for _ in range(runtime.nprocs)]
 
-    # -- communicators ------------------------------------------------------
-
-    def comm_dup(self, proc, chain, comm):
-        new_comm = chain(comm)
-        self._state[proc.world_rank].live_comms[new_comm.ctx] = new_comm.context.label
-        return new_comm
-
-    def comm_split(self, proc, chain, comm, color, key):
-        new_comm = chain(comm, color, key)
-        if new_comm is not None:
-            self._state[proc.world_rank].live_comms[new_comm.ctx] = new_comm.context.label
-        return new_comm
-
-    def comm_free(self, proc, chain, comm):
-        chain(comm)
-        self._state[proc.world_rank].live_comms.pop(comm.ctx, None)
-
-    # -- requests ------------------------------------------------------------
-
-    def isend(self, proc, chain, comm, payload, dest, tag):
-        req = chain(comm, payload, dest, tag)
-        self._state[proc.world_rank].live_requests[req.uid] = req
-        return req
-
-    def irecv(self, proc, chain, comm, source, tag):
-        req = chain(comm, source, tag)
-        self._state[proc.world_rank].live_requests[req.uid] = req
-        return req
-
-    def wait(self, proc, chain, req):
-        status = chain(req)
-        self._state[proc.world_rank].live_requests.pop(req.uid, None)
-        return status
-
-    def test(self, proc, chain, req):
-        flag, status = chain(req)
-        if flag:
-            self._state[proc.world_rank].live_requests.pop(req.uid, None)
-        return flag, status
-
-    def request_free(self, proc, chain, req):
-        state = self._state[proc.world_rank]
-        was_pending = req.state is RequestState.PENDING
-        chain(req)
-        state.live_requests.pop(req.uid, None)
-        if was_pending:
-            # freeing an incomplete request: the transfer may still happen,
-            # but the user can never confirm it — DAMPI flags it.
-            state.freed_active.append(req)
-
-    # -- finalize-time check -----------------------------------------------------
-
     def finalize(self, proc, chain):
+        # read before the modules below finalize: the clock module's
+        # barrier and drain would complete some pending requests
         rank = proc.world_rank
-        state = self._state[rank]
+        engine = proc.engine
         report = self._reports[rank]
-        for ctx, label in sorted(state.live_comms.items()):
-            report.comm_leaks.append(CommLeak(rank, ctx, label))
-        for uid, req in sorted(state.live_requests.items()):
-            detail = (
-                "pending at MPI_Finalize"
-                if req.state is RequestState.PENDING
-                else "completed but never waited/tested"
-            )
-            report.request_leaks.append(RequestLeak(rank, uid, req.kind.value, detail))
-        for req in state.freed_active:
+        for ctx in engine.held_contexts(rank):
+            if ctx is not engine.world:
+                report.comm_leaks.append(CommLeak(rank, ctx.ctx, ctx.label))
+        for uid, req in sorted(engine.live_requests[rank].items()):
+            if not engine.contexts[req.ctx].tool:
+                detail = (
+                    "pending at MPI_Finalize"
+                    if req.state is RequestState.PENDING
+                    else "completed but never waited/tested"
+                )
+                report.request_leaks.append(RequestLeak(rank, uid, req.kind.value, detail))
+        for req in engine.freed_active[rank]:
             report.request_leaks.append(
                 RequestLeak(rank, req.uid, req.kind.value, "freed while still active")
             )

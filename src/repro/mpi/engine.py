@@ -143,6 +143,14 @@ class MessageEngine:
         self._coll_done: dict[tuple[int, int], int] = {}
         self.contexts: dict[int, CommContext] = {}
         self._next_ctx = WORLD_CTX
+        #: per rank, uid -> every request it created that no wait/test
+        #: has consumed and no request_free released.  With
+        #: :attr:`freed_active` and :meth:`held_contexts`, this is what a
+        #: rank still holds at MPI_Finalize — the leak check's C-Leak and
+        #: R-Leak read.  Charges no virtual time.
+        self.live_requests: list[dict[int, Request]] = [{} for _ in range(nprocs)]
+        #: per rank, requests ``MPI_Request_free`` released while pending
+        self.freed_active: list[list[Request]] = [[] for _ in range(nprocs)]
         self._fatal: Optional[BaseException] = None
         #: serialises only the first-fatal-wins assignment (see kill)
         self._fatal_lock = _thread.allocate_lock()
@@ -174,6 +182,14 @@ class MessageEngine:
         call order, which deterministic scheduling guarantees.
         """
         return self._new_context(base.group, parent=base.ctx, tool=True, label=label)
+
+    def held_contexts(self, rank: int) -> list[CommContext]:
+        """The user (non-tool) contexts ``rank`` belongs to and has not
+        freed, world included, in creation order."""
+        return [
+            ctx for ctx in self.contexts.values()
+            if not ctx.tool and rank in ctx.group and rank not in ctx.freed_by
+        ]
 
     def _live_context(self, ctx_id: int) -> CommContext:
         ctx = self.contexts.get(ctx_id)
@@ -312,6 +328,7 @@ class MessageEngine:
         send_vtime = vtimes[rank]
         req = Request(_SEND, rank, ctx_id, proc=proc)
         req.post_vtime = send_vtime
+        self.live_requests[rank][req.uid] = req
         seq = ctx.next_send_seq(rank, dest_world)
         env = Envelope(
             src=rank,
@@ -352,6 +369,7 @@ class MessageEngine:
         send_vtime = self.clocks.now(rank)
         req = Request(RequestKind.SEND, rank, ctx_id, proc=proc)
         req.post_vtime = send_vtime
+        self.live_requests[rank][req.uid] = req
         seq = ctx.next_send_seq(rank, dest_world)
         env = Envelope(
             src=rank,
@@ -437,6 +455,7 @@ class MessageEngine:
         req = Request(
             _RECV, rank, ctx_id, posted_src=src_world, posted_tag=tag, proc=proc
         )
+        self.live_requests[rank][req.uid] = req
         cost = self.cost
         post_cost = cost.p2p_overhead  # receiver-side posting cost
         if ctx.tool:
@@ -516,6 +535,7 @@ class MessageEngine:
             raise InvalidRequestError(f"request {req!r} completed twice")
 
     def _consume(self, rank: int, req: Request) -> Status:
+        self.live_requests[rank].pop(req.uid, None)
         if (
             req.kind is _RECV
             and req.max_count is not None
@@ -568,14 +588,20 @@ class MessageEngine:
         raise InvalidRequestError("waitany woke with no completed request")
 
     def pmpi_request_free(self, rank: int, req: Request) -> None:
-        """``MPI_Request_free``: mark freed without completing.  A pending
-        receive freed this way is the paper's R-Leak."""
+        """``MPI_Request_free``: mark freed without completing.  A request
+        freed while still pending is the paper's R-Leak.  A consumed
+        request is ``MPI_REQUEST_NULL`` and cannot be freed."""
         self._check_fatal()
         if req.owner != rank:
             raise InvalidRequestError("freeing another rank's request")
-        if req.state is RequestState.FREED:
+        if req.state is _FREED:
             raise InvalidRequestError("request freed twice")
-        req.state = RequestState.FREED
+        if req.state is _CONSUMED:
+            raise InvalidRequestError(f"freeing completed request {req!r}")
+        self.live_requests[rank].pop(req.uid, None)
+        if req.state is RequestState.PENDING:
+            self.freed_active[rank].append(req)
+        req.state = _FREED
         self.clocks.advance(rank, self.cost.local_op)
 
     # ------------------------------------------------------------------ #
@@ -708,6 +734,7 @@ class MessageEngine:
         )
         req = Request(RequestKind.COLL, rank, ctx_id, proc=proc)
         req.post_vtime = self.clocks.now(rank)
+        self.live_requests[rank][req.uid] = req
         inst.pending_requests.append((rank, req, key))
         self._drain_collective_requests(ctx, inst)
         # arrivals may also unblock *blocking* participants

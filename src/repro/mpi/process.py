@@ -183,6 +183,7 @@ class Proc:
         req.state = RequestState.COMPLETE
         req.status = Status(source=PROC_NULL, tag=UNDEFINED)
         req.complete_vtime = self.engine.clocks.now(self.world_rank)
+        self.engine.live_requests[self.world_rank][req.uid] = req
         return req
 
     def _pmpi_wait(self, req: Request) -> Status:

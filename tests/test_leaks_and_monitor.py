@@ -96,6 +96,96 @@ class TestLeakChecker:
 
         assert leaks_of(prog, 2).clean
 
+    def test_unwaited_issend(self):
+        def prog(p):
+            if p.rank == 0:
+                p.world.issend("s", dest=1)  # matched, never waited
+            else:
+                p.world.recv(source=0)
+            p.world.barrier()
+
+        report = leaks_of(prog, 2)
+        assert [str(l) for l in report.request_leaks] == [
+            "rank 0: send request #1 completed but never waited/tested"
+        ]
+
+    def test_unwaited_ibarrier(self):
+        def prog(p):
+            p.world.ibarrier()
+
+        report = leaks_of(prog, 2)
+        assert [(l.rank, l.kind) for l in report.request_leaks] == [
+            (0, "coll"), (1, "coll")
+        ]
+
+    def test_unwaited_ibcast(self):
+        def prog(p):
+            if p.rank == 0:
+                p.world.ibcast("b", root=0)
+            else:
+                p.world.ibcast(None, root=0).wait()
+
+        report = leaks_of(prog, 2)
+        assert [(l.rank, l.kind) for l in report.request_leaks] == [(0, "coll")]
+
+    def test_unwaited_iallreduce_pending_at_finalize(self):
+        def prog(p):
+            if p.rank == 0:
+                p.world.iallreduce(1)  # rank 1 never joins
+
+        report = leaks_of(prog, 2)
+        assert [str(l) for l in report.request_leaks] == [
+            "rank 0: coll request #1 pending at MPI_Finalize"
+        ]
+
+    def test_unwaited_proc_null_isend(self):
+        from repro.mpi.constants import PROC_NULL
+
+        def prog(p):
+            p.world.isend("void", dest=PROC_NULL)
+
+        report = leaks_of(prog, 1)
+        assert [str(l) for l in report.request_leaks] == [
+            "rank 0: send request #1 completed but never waited/tested"
+        ]
+
+    def test_leak_order_comms_live_then_freed(self):
+        def prog(p):
+            first = p.world.irecv(source=0, tag=1)
+            p.world.irecv(source=0, tag=2)
+            p.world.dup()
+            p.world.dup().free()
+            p.world.split(color=0, key=0)
+            first.free()
+
+        report = leaks_of(prog, 1)
+        assert [str(l) for l in report.comm_leaks] == [
+            "rank 0: communicator world.dup (ctx 1) never freed",
+            "rank 0: communicator world.split0 (ctx 3) never freed",
+        ]
+        assert [str(l) for l in report.request_leaks] == [
+            "rank 0: recv request #2 pending at MPI_Finalize",
+            "rank 0: recv request #1 freed while still active",
+        ]
+
+    def test_only_finalize_is_wrapped(self):
+        from repro.pnmpi.module import ENTRY_POINTS
+
+        assert [p for p in ENTRY_POINTS if LeakCheckModule().overrides(p)] == [
+            "finalize"
+        ]
+
+    def test_unwaited_ibarrier_under_the_dampi_stack(self):
+        # the clock module's shadow iallreduce rides a tool context and
+        # is never waited either; only the user's request is a leak
+        def prog(p):
+            p.world.ibarrier()
+
+        rep = DampiVerifier(prog, 3).verify()
+        leaks = sorted(e.detail for e in rep.errors if e.kind == "request_leak")
+        assert [d.split(":")[0] for d in leaks] == ["rank 0", "rank 1", "rank 2"]
+        assert all("coll request" in d for d in leaks)
+
     def test_report_merge_and_str(self):
         a, b = LeakReport(), LeakReport()
         assert str(a) == "no leaks"

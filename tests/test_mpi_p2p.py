@@ -245,6 +245,19 @@ class TestRequests:
             isinstance(e, InvalidRequestError) for e in res.primary_errors.values()
         )
 
+    def test_request_free_after_wait_rejected(self):
+        # a consumed request is MPI_REQUEST_NULL: freeing it is an error,
+        # as a second wait is
+        def prog(p):
+            req = p.world.isend("x", dest=0, tag=1)
+            req.wait()
+            req.free()
+
+        res = run_program(prog, 1)
+        assert any(
+            isinstance(e, InvalidRequestError) for e in res.primary_errors.values()
+        )
+
 
 class TestWildcards:
     def test_any_source_any_tag(self):
