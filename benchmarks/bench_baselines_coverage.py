@@ -12,13 +12,13 @@ Measured on the wildcard lattice (9 feasible outcomes) and on the Fig. 3
 bug-finding task.
 """
 
-from repro.baselines import record_run, replay_run
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
 from repro.mpi.runtime import run_program
 from repro.workloads.patterns import fig3_program, wildcard_lattice
 
 from benchmarks._util import one_shot, record
+from benchmarks.comparators.tracereplay import record_run, replay_run
 
 KW = {"receives": 2, "senders": 3}
 NPROCS = 4

@@ -12,11 +12,11 @@ virtual times below scale linearly with it).
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
-from repro.isp.verifier import IspVerifier
 from repro.mpi.runtime import Runtime
 from repro.workloads.parmetis import parmetis_program
 
 from benchmarks._util import FULL, one_shot, record
+from benchmarks.comparators.isp import IspVerifier
 
 SCALE = 1.0 if FULL else 0.02
 PROCS = (4, 8, 12, 16, 20, 24, 28, 32)

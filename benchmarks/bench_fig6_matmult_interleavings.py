@@ -9,10 +9,10 @@ paper's absolute numbers depend on their testbed.
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
-from repro.isp.verifier import IspVerifier
 from repro.workloads.matmult import matmult_program
 
 from benchmarks._util import FULL, one_shot, record
+from benchmarks.comparators.isp import IspVerifier
 
 NPROCS = 8
 TARGETS = (250, 500, 750, 1000) if FULL else (100, 200, 300, 400)

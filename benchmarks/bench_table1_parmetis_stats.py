@@ -12,10 +12,10 @@ Process counts: 8..128 (Table I's columns).
 """
 
 from repro.mpi.runtime import run_program
-from repro.mpi.tracing import OpClass, TraceModule
 from repro.workloads.parmetis import parmetis_program
 
 from benchmarks._util import FULL, one_shot, record
+from benchmarks.comparators.opstats import OpClass, TraceModule
 
 SCALE = 1.0 if FULL else 0.05
 PROCS = (8, 16, 32, 64, 128)

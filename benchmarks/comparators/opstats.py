@@ -1,4 +1,4 @@
-"""Operation tracing — reproduces the methodology behind Table I.
+"""Operation census — reproduces the methodology behind Table I.
 
 The paper logs "all MPI communication operations that ParMETIS makes" and
 classifies them as Send-Recv (all point-to-point), Collective, or Wait

@@ -9,7 +9,6 @@ Layers, bottom-up:
 * :mod:`repro.dampi` — the paper's contribution: decentralized wildcard
   match discovery + replay-based coverage, search bounding heuristics,
   leak/deadlock checks;
-* :mod:`repro.isp` — the centralized ISP baseline;
 * :mod:`repro.adlb` — an asynchronous dynamic load balancing library;
 * :mod:`repro.workloads` — matmult / ParMETIS / NAS / SpecMPI skeletons
   and the paper's illustrative micro-patterns.
@@ -28,7 +27,6 @@ from repro.mpi.runtime import run_program
 
 from repro.dampi.verifier import DampiVerifier, VerificationReport
 from repro.dampi.config import DampiConfig
-from repro.isp.verifier import IspVerifier
 
 __version__ = "1.0.0"
 
@@ -42,6 +40,5 @@ __all__ = [
     "DampiVerifier",
     "VerificationReport",
     "DampiConfig",
-    "IspVerifier",
     "__version__",
 ]

@@ -33,7 +33,6 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.journal import JournalError
 from repro.dampi.verifier import DampiVerifier
-from repro.isp.verifier import IspVerifier
 
 
 class UsageError(Exception):
@@ -126,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         v.add_argument(
             "--max-seconds", type=float, default=None, help="wall-clock budget"
-        )
-        v.add_argument(
-            "--baseline",
-            action="store_true",
-            help="use the centralized ISP baseline instead of DAMPI",
         )
         v.add_argument(
             "--no-monitor", action="store_true", help="disable the §V omission monitor"
@@ -471,8 +465,7 @@ def cmd_verify(args) -> int:
     if not sink:
         # nothing will read event payloads: no run records any
         config = replace(config, trace_sample_every=None)
-    cls = IspVerifier if args.baseline else DampiVerifier
-    verifier = cls(program, args.nprocs, config, kwargs=kwargs)
+    verifier = DampiVerifier(program, args.nprocs, config, kwargs=kwargs)
     journal = None
     if args.journal_dir is not None:
         from repro.dampi.journal import CampaignJournal
@@ -737,8 +730,7 @@ def cmd_replay(args) -> int:
     if trace.diverged:
         print(
             f"  warning: replay diverged "
-            f"(unconsumed: {trace.unconsumed_decisions}, "
-            f"mismatched: {trace.forced_mismatches})"
+            f"(unconsumed: {trace.unconsumed_decisions})"
         )
     return 1 if result.errors else 0
 

@@ -105,7 +105,6 @@ class DampiClockModule(ToolModule):
         self._icoll_pb: dict[int, Request] = {}
         self._matches: list[PotentialMatch] = []
         self._consumed_decisions: set = set()
-        self._forced_mismatches: list = []
         self._scalar_risk: set = set()
         self._engine = None
         self._nprocs = 0
@@ -130,7 +129,6 @@ class DampiClockModule(ToolModule):
         self._icoll_pb = {}
         self._matches = []
         self._consumed_decisions = set()
-        self._forced_mismatches = []
         self._scalar_risk = set()
 
     # -- piggyback wiring ----------------------------------------------------
@@ -297,10 +295,6 @@ class DampiClockModule(ToolModule):
         if req.envelope is not None:
             epoch.matched_env_uid = req.envelope.uid
             epoch.matched_seq = req.envelope.seq
-        if epoch.forced:
-            expected = self.decisions.source_for(epoch.rank, epoch.lc)
-            if expected is not None and status.source != expected:
-                self._forced_mismatches.append(epoch.key)
         self._commit_epoch(epoch)
 
     def _commit_epoch(self, epoch: EpochRecord) -> None:
@@ -566,7 +560,6 @@ class DampiClockModule(ToolModule):
             epochs={r: st.epochs for r, st in enumerate(self._state)},
             potential_matches=self._matches,
             unconsumed_decisions=unconsumed,
-            forced_mismatches=self._forced_mismatches,
             scalar_risk=sorted(self._scalar_risk),
         )
 

@@ -106,8 +106,6 @@ class RunTrace:
     potential_matches: list[PotentialMatch] = field(default_factory=list)
     #: decisions that were loaded but never consumed (replay divergence)
     unconsumed_decisions: list[EpochKey] = field(default_factory=list)
-    #: epochs where a forced source disagreed with what completed
-    forced_mismatches: list[EpochKey] = field(default_factory=list)
     #: epochs whose late-send set may be truncated by scalar-clock
     #: imprecision: a candidate was excluded because its scalar stamp
     #: dominated the epoch's, an ordering vector clocks might refute
@@ -133,4 +131,8 @@ class RunTrace:
 
     @property
     def diverged(self) -> bool:
-        return bool(self.unconsumed_decisions or self.forced_mismatches)
+        """The replay never reached some forced epoch (an unconsumed
+        decision).  A forced epoch that is reached always completes from
+        its forced source: the receive is re-posted with that source, so
+        the engine cannot match it elsewhere."""
+        return bool(self.unconsumed_decisions)

@@ -108,14 +108,15 @@ from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
 from repro.errors import DeadlockError
 
-#: 6: ``clock_impl`` ``lamport``/``vector`` name the §V committed-tick
-#: clocks, which v5 ran under ``lamport_dual``/``vector_dual`` — a v5
-#: ``lamport`` journal holds single-commit runs (v5 made a run trace's
-#: epochs and matches fixed-order rows; v4's meta lost two removed knobs;
-#: v3 made every run one ``run`` entry keyed by its schedule; v2 kept
-#: three kinds and generator checkpoints; v1 stored the report's
-#: post-dedup view)
-JOURNAL_VERSION = 6
+#: 7: a run trace has no ``mismatches`` cell (a reached forced epoch
+#: always completes from its forced source).  6: ``clock_impl``
+#: ``lamport``/``vector`` name the §V committed-tick clocks, which v5 ran
+#: under ``lamport_dual``/``vector_dual`` — a v5 ``lamport`` journal holds
+#: single-commit runs (v5 made a run trace's epochs and matches
+#: fixed-order rows; v4's meta lost two removed knobs; v3 made every run
+#: one ``run`` entry keyed by its schedule; v2 kept three kinds and
+#: generator checkpoints; v1 stored the report's post-dedup view)
+JOURNAL_VERSION = 7
 
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -195,7 +196,6 @@ def trace_to_jsonable(trace: RunTrace) -> dict:
             for m in trace.potential_matches
         ],
         "unconsumed": [list(k) for k in trace.unconsumed_decisions],
-        "mismatches": [list(k) for k in trace.forced_mismatches],
         "scalar_risk": [list(k) for k in trace.scalar_risk],
     }
 
@@ -224,7 +224,6 @@ def trace_from_jsonable(payload: dict) -> RunTrace:
             for er, elc, source, uid, seq, tag, value, srank in payload["matches"]
         ],
         unconsumed_decisions=[tuple(k) for k in payload["unconsumed"]],
-        forced_mismatches=[tuple(k) for k in payload["mismatches"]],
         scalar_risk=[tuple(k) for k in payload["scalar_risk"]],
     )
 

@@ -87,7 +87,6 @@ def outcome_digest(result, trace: RunTrace) -> str:
             comm_leaks,
             req_leaks,
             trace.diverged,
-            tuple(trace.forced_mismatches),
             tuple(trace.unconsumed_decisions),
         )
     )

@@ -273,10 +273,6 @@ class DampiVerifier:
 
     # -- module stack -----------------------------------------------------------
 
-    def _extra_outer_modules(self) -> list:
-        """Hook for subclasses (the ISP baseline adds its scheduler tax)."""
-        return []
-
     def _build_modules(self, decisions: Optional[EpochDecisions]) -> list:
         cfg = self.config
         piggyback = PiggybackModule(cfg.piggyback)
@@ -286,7 +282,7 @@ class DampiVerifier:
             decisions,
             flag_scalar_risk=cfg.adaptive_clocks,
         )
-        modules: list = list(self._extra_outer_modules())
+        modules: list = []
         if cfg.enable_monitor:
             modules.append(OmissionMonitorModule())
         if cfg.enable_leak_check:

@@ -277,9 +277,8 @@ def worker_main(
 ) -> None:
     """Process entry point (target of the coordinator's forked
     ``mp.Process``; ``conn`` is the worker's end of its pipe): rebuild the
-    coordinator's verifier — same class, so an ``IspVerifier`` fleet keeps
-    the baseline's scheduler tax — under :func:`shard_config` and explore
-    leases with it.
+    coordinator's verifier — same class, so a subclass's modules ride
+    along — under :func:`shard_config` and explore leases with it.
 
     ``coordinator_ends`` are the coordinator's ends of this pipe and of
     every live sibling's, copied into this process by the fork.  They are

@@ -5,8 +5,7 @@ pure-Python reproduction cannot intercept a native library at that level
 (and cannot run 1024 ranks as OS processes on one box), so this subpackage
 implements the MPI semantics DAMPI depends on:
 
-* thread-per-rank execution with a deterministic *run-to-block* scheduler
-  (plus round-robin and free-threaded modes),
+* thread-per-rank execution with a deterministic *run-to-block* scheduler,
 * eager point-to-point sends, non-blocking requests, ``ANY_SOURCE`` /
   ``ANY_TAG`` wildcards, per ``(source, dest, communicator, tag)``
   non-overtaking matching, probes,
@@ -14,8 +13,7 @@ implements the MPI semantics DAMPI depends on:
   with MPI-faithful (non-synchronising where permitted) completion rules,
 * deadlock detection (proved, not timed out),
 * a virtual-time cost model that produces the "Time in secs" axes of the
-  paper's figures, including a serialised central-scheduler resource used
-  by the ISP baseline.
+  paper's figures.
 
 Public entry point: :class:`repro.mpi.runtime.Runtime`.
 """
@@ -41,7 +39,6 @@ from repro.mpi.communicator import Communicator
 from repro.mpi.request import Request, Status
 from repro.mpi.costmodel import CostModel
 from repro.mpi.groups import CartTopology, Group, dims_create
-from repro.mpi.tracing import TraceModule, OpClass
 
 __all__ = [
     "ANY_SOURCE",
@@ -67,6 +64,4 @@ __all__ = [
     "CartTopology",
     "Group",
     "dims_create",
-    "TraceModule",
-    "OpClass",
 ]

@@ -3,17 +3,14 @@
 The paper's figures plot wall-clock seconds on an 800-node InfiniBand
 cluster.  We cannot measure that on one box, so every rank carries a
 virtual clock (seconds) advanced by this model, and benchmark harnesses
-report virtual times.  The *shape* of the paper's results comes from two
-structural facts the model preserves:
-
-* DAMPI's extra traffic is piggyback messages — cheap, fully parallel;
-* ISP's extra traffic is a synchronous round-trip per MPI call to one
-  central scheduler — a serialised resource whose queue grows with the
-  total (not per-rank) op count.
+report virtual times.  DAMPI's extra traffic is piggyback messages —
+cheap and fully parallel — so its curves stay near native.  (ISP's
+serialised central scheduler, the comparator of Figs. 5 and 6, is charged
+by its own tool module in ``benchmarks/comparators/isp.py``.)
 
 Default constants approximate a 2010-era InfiniBand cluster (~2 µs
-latency, ~1.5 GB/s effective bandwidth) and TCP to a scheduler host
-(~60 µs).  Absolute values are unimportant; ratios drive the curves.
+latency, ~1.5 GB/s effective bandwidth).  Absolute values are
+unimportant; ratios drive the curves.
 """
 
 from __future__ import annotations
@@ -81,32 +78,6 @@ class CostModel:
 
     def arrival_vtime(self, env: Envelope) -> float:
         return env.send_vtime + self.transfer_time(env.nbytes)
-
-
-@dataclass
-class SerializedResource:
-    """A single-server queue in virtual time (ISP's central scheduler).
-
-    ``visit(arrival, service)`` returns the departure time of a request
-    arriving at virtual time ``arrival`` needing ``service`` seconds, with
-    strictly serialised service: requests queue behind ``busy_until``.
-    This is what turns ISP's per-call round-trips into the super-linear
-    slowdown of Fig. 5 — the queue's utilisation scales with the *total*
-    op count across all ranks.
-    """
-
-    busy_until: float = 0.0
-    visits: int = 0
-    total_service: float = 0.0
-    total_wait: float = 0.0
-
-    def visit(self, arrival: float, service: float) -> float:
-        start = max(self.busy_until, arrival)
-        self.total_wait += start - arrival
-        self.busy_until = start + service
-        self.visits += 1
-        self.total_service += service
-        return self.busy_until
 
 
 @dataclass

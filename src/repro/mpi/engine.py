@@ -46,7 +46,7 @@ from repro.errors import (
 from repro.mpi.collectives import CollectiveInstance
 from repro.mpi.communicator import CommContext
 from repro.mpi.constants import ANY_SOURCE, UNDEFINED, ReduceOp, validate_tag
-from repro.mpi.costmodel import CostModel, SerializedResource, VirtualClocks
+from repro.mpi.costmodel import CostModel, VirtualClocks
 from repro.mpi.matching import IndexedMailBox, make_policy
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, RequestKind, RequestState, Status
@@ -101,7 +101,8 @@ class _RankState:
 
 class EngineStats:
     """Lightweight global counters (diagnostics; per-class op statistics for
-    Table I live in :mod:`repro.mpi.tracing` at the interposition level)."""
+    Table I are counted at the interposition level, by
+    ``benchmarks/comparators/opstats.py``)."""
 
     __slots__ = ("envelopes", "bytes", "collectives", "matches", "wildcard_matches")
 
@@ -134,8 +135,6 @@ class MessageEngine:
         self.tracer = tracer
         self.clocks = VirtualClocks(nprocs)
         self.stats = EngineStats()
-        #: Serialised central resource; only the ISP module visits it.
-        self.central = SerializedResource()
 
         self._ranks = [_RankState(r) for r in range(nprocs)]
         self._mail = [IndexedMailBox(r) for r in range(nprocs)]
@@ -849,14 +848,6 @@ class MessageEngine:
         """Explicit voluntary scheduling point (used by busy-poll loops)."""
         self._check_fatal()
         self._yield_token(rank)
-
-    def visit_central(self, rank: int, service: float) -> None:
-        """Synchronous round-trip to the serialised central resource (the
-        ISP scheduler).  Charges latency out, queueing + service, latency
-        back — all on this rank's virtual clock."""
-        arrival = self.clocks.now(rank) + self.cost.latency
-        done = self.central.visit(arrival, service)
-        self.clocks.raise_to(rank, done + self.cost.latency)
 
     # -- introspection for tools/tests -------------------------------------
 

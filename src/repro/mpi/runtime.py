@@ -64,8 +64,6 @@ class RunResult:
     errors: dict[int, BaseException] = field(default_factory=dict)
     makespan: float = 0.0
     artifacts: dict[str, Any] = field(default_factory=dict)
-    central_visits: int = 0
-    central_busy: float = 0.0
     #: engine-level counters (envelopes, bytes, matches, wildcard_matches,
     #: collectives) — feeds the campaign's ``engine.*`` telemetry counters
     stats: dict[str, int] = field(default_factory=dict)
@@ -240,7 +238,7 @@ class Runtime:
         ``program(proc, *args, **kwargs)``; its return value lands in
         ``RunResult.returns[rank]``.
     modules:
-        Tool modules, outermost first (e.g. ``[TraceModule(), *dampi]``).
+        Tool modules, outermost first (e.g. ``[LeakCheckModule(), clock, piggyback]``).
     policy:
         Wildcard match policy (see :mod:`repro.mpi.matching`).
     cost_model:
@@ -367,8 +365,6 @@ class Runtime:
             returns=dict(self._returns),
             errors=dict(self._errors),
             makespan=self.engine.makespan,
-            central_visits=self.engine.central.visits,
-            central_busy=self.engine.central.busy_until,
             stats={
                 "envelopes": engine_stats.envelopes,
                 "bytes": engine_stats.bytes,

@@ -86,19 +86,6 @@ class TestVerifyCommand:
         witnesses = list(tmp_path.glob("error*.json"))
         assert len(witnesses) == 1
 
-    def test_baseline_flag_runs_isp(self, capsys):
-        rc = main(
-            [
-                "verify",
-                "repro.workloads.patterns:fig3_program",
-                "--nprocs",
-                "3",
-                "--baseline",
-            ]
-        )
-        assert rc == 1
-        assert "vector clocks" in capsys.readouterr().out  # ISP forces vector
-
     def test_monitor_alert_printed(self, capsys):
         rc = main(
             ["verify", "repro.workloads.patterns:fig10_program", "--nprocs", "3"]

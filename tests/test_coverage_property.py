@@ -190,7 +190,6 @@ def _trace_fingerprint(trace):
             )
         ),
         tuple(trace.unconsumed_decisions),
-        tuple(trace.forced_mismatches),
     )
 
 

@@ -33,7 +33,6 @@ from repro.dist import (
 )
 from repro.dist.leases import LeaseTable
 from repro.dist.worker import shard_config
-from repro.isp.verifier import IspVerifier
 from repro.mpi.constants import ANY_SOURCE
 from repro.obs.metrics import deterministic_view
 from repro.obs.stats import journal_progress
@@ -42,6 +41,7 @@ from repro.workloads.bugzoo import ZOO, buffer_too_small, head_to_head_recv
 from repro.workloads.matmult import matmult_program
 from repro.workloads.patterns import wildcard_lattice
 
+from benchmarks.comparators.isp import IspVerifier
 from tests.test_journal import BIG, LATTICE, _canon
 from tests.test_parallel import _report_fingerprint
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.mpi.costmodel import CostModel, SerializedResource, VirtualClocks
+from repro.mpi.costmodel import CostModel, VirtualClocks
 from repro.mpi.datatypes import count_of, sizeof
 from repro.mpi.engine import MessageEngine
 from repro.mpi.matching import (
@@ -19,6 +19,7 @@ from repro.mpi.matching import (
 from repro.mpi.message import Envelope
 from repro.mpi.runtime import Runtime, run_program
 
+from benchmarks.comparators.isp import SerializedResource
 from tests.conftest import run_ok
 
 import numpy as np

@@ -445,12 +445,25 @@ class TestRunRecord:
         first = sorted(jdir.glob("segment-*.jsonl"))[0]
         meta, *rest = first.read_text().splitlines(keepends=True)
         record = json.loads(meta)
-        assert record["t"] == "meta" and record["version"] == jr.JOURNAL_VERSION == 6
+        assert record["t"] == "meta" and record["version"] == jr.JOURNAL_VERSION == 7
         first.write_text(json.dumps({**record, "version": 5}) + "\n" + "".join(rest))
         assert main(["resume", str(jdir)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "format version 5" in err and "version 6 only" in err
+        assert "format version 5" in err and "version 7 only" in err
+
+    def test_v6_journal_is_refused_by_version(self, tmp_path, capsys):
+        """v6 run traces carry a ``mismatches`` cell that v7 dropped: a v6
+        journal fails on its version, not on a trace row."""
+        _assert_refused_by_version(tmp_path, capsys, 6, {
+            "t": "run", "key": None, "makespan": 0.0, "stats": {},
+            "trace": {
+                "nprocs": 3, "epochs": [], "matches": [], "unconsumed": [],
+                "mismatches": [], "scalar_risk": [],
+            },
+            "pb": None, "leaks": None, "deadlock": None, "errors": [],
+            "monitor": None,
+        })
 
 
 class TestFailureEntryResume:

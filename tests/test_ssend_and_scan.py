@@ -171,13 +171,13 @@ class TestScan:
 
 class TestTracingAndIsp:
     def test_classification(self):
-        from repro.mpi.tracing import CLASSIFICATION, OpClass
+        from benchmarks.comparators.opstats import CLASSIFICATION, OpClass
 
         assert CLASSIFICATION["issend"] is OpClass.SEND_RECV
         assert CLASSIFICATION["scan"] is OpClass.COLLECTIVE
 
     def test_isp_charges_both(self):
-        from repro.isp.scheduler import IspInterpositionModule
+        from benchmarks.comparators.isp import IspInterpositionModule
 
         def prog(p):
             if p.rank == 0:

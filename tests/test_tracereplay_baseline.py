@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.baselines import RecordedTrace, record_run, replay_run
 from repro.errors import ReplayDivergenceError
 from repro.mpi.constants import ANY_SOURCE
 from repro.mpi.request import Status
 from repro.mpi.runtime import run_program
 from repro.workloads.patterns import fig3_program
 
+from benchmarks.comparators.tracereplay import RecordedTrace, record_run, replay_run
 from tests.conftest import spin
 
 

@@ -1,8 +1,8 @@
 """Operation tracing: Table I classification rules."""
 
 from repro.mpi.constants import ANY_SOURCE, SUM
-from repro.mpi.tracing import CLASSIFICATION, OpClass, TraceModule
 
+from benchmarks.comparators.opstats import CLASSIFICATION, OpClass, TraceModule
 from tests.conftest import every_entry_point, run_ok
 
 

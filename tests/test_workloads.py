@@ -5,13 +5,13 @@ import pytest
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier, measure_slowdown
-from repro.mpi.tracing import OpClass, TraceModule
 from repro.workloads.matmult import matmult_abstracted, matmult_program
 from repro.workloads.nas import NAS_PROGRAMS
 from repro.workloads.parmetis import neighbor_count, parmetis_program, round_count
 from repro.workloads.specmpi import SPEC_PROGRAMS
 from repro.workloads.stencils import grid_partners, payload_of, ring_partners
 
+from benchmarks.comparators.opstats import OpClass, TraceModule
 from tests.conftest import run_ok
 
 
