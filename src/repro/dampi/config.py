@@ -74,7 +74,9 @@ class DampiConfig:
     enable_leak_check / enable_monitor:
         Toggle the auxiliary checker modules.  The leak check wraps only
         ``MPI_Finalize``, where it reads from the engine what each rank
-        still holds (unfreed communicators, uncompleted requests).
+        still holds (unfreed communicators, uncompleted requests).  The
+        monitor wraps nothing: the clock module keeps its wildcard
+        windows and reports transmissions inside them to it.
     trace_events:
         Structured telemetry events (wildcard matches, epochs, piggyback
         sends, run/scheduler lifecycle).  When on, every run counts its

@@ -242,6 +242,12 @@ class DampiVerifier:
         separate-message piggyback, unbounded search).
     """
 
+    #: the classes :meth:`_build_modules` instantiates for DAMPI's clock
+    #: module and its piggyback transport (differential tests substitute
+    #: the references under ``tests/``)
+    clock_module_class = DampiClockModule
+    piggyback_module_class = PiggybackModule
+
     def __init__(
         self,
         program: Callable,
@@ -274,17 +280,24 @@ class DampiVerifier:
     # -- module stack -----------------------------------------------------------
 
     def _build_modules(self, decisions: Optional[EpochDecisions]) -> list:
+        """The run's tool stack, outermost first: the monitor (its alert
+        collector; the clock module keeps its windows), the leak check
+        (``finalize`` only), the DAMPI clock module and its piggyback
+        transport — :attr:`clock_module_class` over
+        :attr:`piggyback_module_class`."""
         cfg = self.config
-        piggyback = PiggybackModule(cfg.piggyback)
-        clock = DampiClockModule(
+        piggyback = self.piggyback_module_class(cfg.piggyback)
+        monitor = OmissionMonitorModule() if cfg.enable_monitor else None
+        clock = self.clock_module_class(
             piggyback,
             cfg.clock_impl,
             decisions,
             flag_scalar_risk=cfg.adaptive_clocks,
+            monitor=monitor,
         )
         modules: list = []
-        if cfg.enable_monitor:
-            modules.append(OmissionMonitorModule())
+        if monitor is not None:
+            modules.append(monitor)
         if cfg.enable_leak_check:
             modules.append(LeakCheckModule())
         modules.append(clock)

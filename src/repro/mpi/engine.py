@@ -139,7 +139,6 @@ class MessageEngine:
         self._ranks = [_RankState(r) for r in range(nprocs)]
         self._mail = [IndexedMailBox(r) for r in range(nprocs)]
         self._collectives: dict[tuple[int, int], CollectiveInstance] = {}
-        self._coll_done: dict[tuple[int, int], int] = {}
         self.contexts: dict[int, CommContext] = {}
         self._next_ctx = WORLD_CTX
         #: per rank, uid -> every request it created that no wait/test
@@ -277,8 +276,12 @@ class MessageEngine:
         ``describe`` is a zero-arg callable naming the blocking call; it
         is only evaluated if a deadlock is proven, so hot paths never
         format it."""
-        if ready_fn():
-            return
+        if not ready_fn():
+            self._block(rank, ready_fn, describe)
+
+    def _block(self, rank: int, ready_fn, describe) -> None:
+        """:meth:`_block_until` for a caller that has just seen
+        ``ready_fn()`` false."""
         st = self._ranks[rank]
         st.ready_fn = ready_fn
         st.describe = describe
@@ -657,26 +660,31 @@ class MessageEngine:
         payload: Any,
         root_world: Optional[int],
         op: Optional[ReduceOp],
-    ) -> tuple[CommContext, tuple[int, int], CollectiveInstance]:
+    ) -> tuple[CommContext, CollectiveInstance]:
         """``rank`` joins its next collective on ``ctx_id``, blocking or
-        not: the instance is created by its first member, and a
-        communicator-creating kind builds its context(s) once all entered."""
+        not, and a communicator-creating kind builds its context(s) once
+        all entered."""
         self._check_fatal()
         ctx = self._live_context(ctx_id)
         if rank not in ctx.group:
             raise InvalidCommunicatorError(
                 f"rank {rank} not a member of {ctx.label}"
             )
-        key = (ctx_id, ctx.next_collective_seq(rank))
-        inst = self._collectives.get(key)
-        if inst is None:
-            inst = CollectiveInstance(ctx_id, key[1], ctx.group)
-            self._collectives[key] = inst
+        inst = self._next_instance(rank, ctx)
         inst.enter(rank, payload, kind, self.clocks.now(rank), root_world, op)
         self.stats.collectives += 1
-        if inst.all_entered and kind in ("comm_dup", "comm_split"):
+        if kind in ("comm_dup", "comm_split") and inst.all_entered:
             self._finish_comm_collective(inst, ctx)
-        return ctx, key, inst
+        return ctx, inst
+
+    def _next_instance(self, rank: int, ctx: CommContext) -> CollectiveInstance:
+        """``rank``'s next collective instance on ``ctx``, created by its
+        first member."""
+        key = (ctx.ctx, ctx.next_collective_seq(rank))
+        inst = self._collectives.get(key)
+        if inst is None:
+            inst = self._collectives[key] = CollectiveInstance(ctx.ctx, key[1], ctx.group)
+        return inst
 
     def _collective_cost(self, ctx: CommContext, inst: CollectiveInstance) -> float:
         """Completion cost of ``inst``; tool (shadow) contexts pay
@@ -695,24 +703,17 @@ class MessageEngine:
     ) -> Any:
         """All collective kinds funnel here; see :mod:`repro.mpi.collectives`
         for pairing, agreement checks, completion rules and result values."""
-        ctx, key, inst = self._enter_collective(
+        ctx, inst = self._enter_collective(
             rank, ctx_id, kind, payload, root_world, op
         )
-        self._drain_collective_requests(ctx, inst)
-        for w in inst.group:
-            if w != rank:
-                self._unblock_if_ready(w)
-        self._block_until(
-            rank,
-            lambda: inst.ready_for(rank),
-            lambda: f"{kind} on {ctx.label} (instance {key[1]})",
-        )
+        self._release(inst, rank)
+        self._await_collective(rank, inst)
         t = inst.completion_vtime(
             rank, self._collective_cost(ctx, inst), self.cost.latency
         )
         self.clocks.raise_to(rank, t)
         result = inst.result_for(rank)
-        self._retire_collective(key, inst)
+        self._retire_collective(inst)
         return result
 
     def pmpi_icollective(
@@ -728,49 +729,99 @@ class MessageEngine:
         """Non-blocking collective (MPI-3 ibarrier/ibcast/iallreduce/...):
         enters the instance immediately and returns a request that
         completes once the kind's completion rule is satisfied."""
-        ctx, key, inst = self._enter_collective(
+        _ctx, inst = self._enter_collective(
             rank, ctx_id, kind, payload, root_world, op
         )
         req = Request(RequestKind.COLL, rank, ctx_id, proc=proc)
         req.post_vtime = self.clocks.now(rank)
         self.live_requests[rank][req.uid] = req
-        inst.pending_requests.append((rank, req, key))
-        self._drain_collective_requests(ctx, inst)
-        # arrivals may also unblock *blocking* participants
-        for w in inst.group:
-            if w != rank:
-                self._unblock_if_ready(w)
+        if inst.ready_for(rank):
+            self._complete_collective_request(inst, rank, req)
+        else:
+            inst.pending_requests[rank] = req
+        self._release(inst, rank)
         return req
 
-    def _drain_collective_requests(
-        self, ctx: CommContext, inst: CollectiveInstance
-    ) -> None:
-        """Complete every pending non-blocking participation whose rank is
-        now allowed to finish."""
-        still = []
-        for rank, req, key in inst.pending_requests:
-            if inst.kind is not None and inst.ready_for(rank):
-                req.data = inst.result_for(rank)
-                req.complete_vtime = inst.completion_vtime(
-                    rank, self._collective_cost(ctx, inst), self.cost.latency
-                )
-                req.status = Status()
-                req.state = RequestState.COMPLETE
-                self._retire_collective(key, inst)
-                self._unblock_if_ready(rank)
-            else:
-                still.append((rank, req, key))
-        inst.pending_requests[:] = still
+    def _await_collective(self, rank: int, inst: CollectiveInstance) -> None:
+        """Block ``rank`` (a member that entered ``inst``) until the kind's
+        completion rule lets it go; :meth:`_release` wakes it."""
+        if inst.ready_for(rank):
+            return
+        inst.waiters.add(rank)
+        label = self.contexts[inst.ctx].label
+        self._block(
+            rank,
+            lambda: inst.ready_for(rank),
+            lambda: f"{inst.kind} on {label} (instance {inst.seq})",
+        )
 
-    def _retire_collective(self, key, inst: CollectiveInstance) -> None:
+    def _release(self, inst: CollectiveInstance, rank: int) -> None:
+        """``rank`` just entered ``inst``: wake the members its arrival lets
+        complete — a blocked member becomes runnable, a non-blocking
+        participation completes its request.  Only members the arrival can
+        change are visited, so an instance costs O(group) in all."""
+        released = inst.released_by(rank)
+        if not released:
+            return
+        waiters = inst.waiters
+        pending = inst.pending_requests
+        ranks = self._ranks
+        for w in released:
+            if w in waiters:
+                st = ranks[w]
+                if st.state is _BLOCKED:
+                    st.state = _RUNNABLE
+            elif w in pending:
+                self._complete_collective_request(inst, w, pending.pop(w))
+
+    def _complete_collective_request(
+        self, inst: CollectiveInstance, rank: int, req: Request
+    ) -> None:
+        req.data = inst.result_for(rank)
+        req.complete_vtime = inst.completion_vtime(
+            rank, self._collective_cost(self.contexts[inst.ctx], inst), self.cost.latency
+        )
+        req.status = Status()
+        req.state = _COMPLETE
+        self._retire_collective(inst)
+        self._unblock_if_ready(rank)
+
+    def _retire_collective(self, inst: CollectiveInstance) -> None:
         """Drop a collective instance once every member's participation
         (blocking or via request) has been consumed."""
-        done = self._coll_done.get(key, 0) + 1
-        if done == len(inst.group):
-            self._collectives.pop(key, None)
-            self._coll_done.pop(key, None)
-        else:
-            self._coll_done[key] = done
+        inst.consumed += 1
+        if inst.consumed == len(inst.group):
+            self._collectives.pop((inst.ctx, inst.seq), None)
+
+    # -- tool rendezvous ----------------------------------------------------
+
+    def join_tool_collective(
+        self,
+        rank: int,
+        ctx: CommContext,
+        kind: str,
+        payload: Any = None,
+        root_world: Optional[int] = None,
+    ) -> CollectiveInstance:
+        """``rank`` joins its next ``kind`` instance on the tool context
+        ``ctx`` without blocking: a rendezvous with no result, no
+        virtual-time charge and no count in ``stats.collectives``.  The
+        members its arrival lets complete wake as a collective's do; the
+        tool reads contributions and entry vtimes off the returned
+        instance, waits with :meth:`await_tool_collective` and charges the
+        completion itself."""
+        self._check_fatal()
+        inst = self._next_instance(rank, ctx)
+        inst.enter(rank, payload, kind, self.clocks.vtimes[rank], root_world)
+        self._release(inst, rank)
+        return inst
+
+    def await_tool_collective(self, rank: int, inst: CollectiveInstance) -> None:
+        """Block until ``rank`` may leave the rendezvous it joined; a
+        deadlock names it as its collective would, ``"<kind> on <label>
+        (instance k)"``."""
+        self._await_collective(rank, inst)
+        self._retire_collective(inst)
 
     def _finish_comm_collective(self, inst: CollectiveInstance, parent: CommContext) -> None:
         """Create the new context(s) for a completed comm_dup/comm_split."""

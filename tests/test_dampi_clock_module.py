@@ -4,11 +4,13 @@ import pytest
 
 from repro.clocks.lamport import LamportStamp
 from repro.clocks.vector import VectorStamp
-from repro.dampi.clock_module import STAMP_MAX, DampiClockModule, _stamp_max
+from repro.dampi.clock_module import DampiClockModule, _stamp_max
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.piggyback import PiggybackModule
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, SUM
 from repro.mpi.runtime import run_program
+
+from tests.reference_collective_stamps import STAMP_MAX
 
 
 def run_dampi(prog, nprocs, clock_impl="lamport", decisions=None, mechanism="separate", **kw):

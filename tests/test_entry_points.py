@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
 from repro.dampi.verifier import DampiVerifier
 from repro.mpi.constants import ANY_SOURCE
@@ -121,15 +120,6 @@ class TestTestLoopSpellings:
 # -- collectives: clock flow follows data flow ---------------------------------
 
 
-class _ClockKeepingVerifier(DampiVerifier):
-    """Keeps the clock module of the run it builds modules for."""
-
-    def _build_modules(self, decisions):
-        modules = super()._build_modules(decisions)
-        self.clock = next(m for m in modules if isinstance(m, DampiClockModule))
-        return modules
-
-
 def _clocks_after(collective, nprocs=3):
     """Each rank's vector stamp after a wildcard ring (every rank ticks
     its own component once, and learns nothing else) and ``collective``."""
@@ -139,13 +129,14 @@ def _clocks_after(collective, nprocs=3):
         p.world.recv(source=ANY_SOURCE)
         collective(p.world)
 
-    v = _ClockKeepingVerifier(prog, nprocs, DampiConfig(clock_impl="vector"))
+    v = DampiVerifier(prog, nprocs, DampiConfig(clock_impl="vector"))
     try:
         result, _trace = v.run_once()
         result.raise_any()
     finally:
         v.close()
-    return [v.clock.clock_of(r).snapshot() for r in range(nprocs)]
+    # the clock module the verifier's runtime runs (``clock_module_class``)
+    return [v._clock.clock_of(r).snapshot() for r in range(nprocs)]
 
 
 class TestCollectiveClockFlow:

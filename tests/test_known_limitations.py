@@ -190,3 +190,36 @@ class TestDeterministicSchedulerBias:
 
         for _ in range(10):
             run_program(fig3_program, 3).raise_any()
+
+
+class TestFinalizeBarrierPairsWithUserBarrier:
+    """docs/ALGORITHM.md §6: DAMPI's finalize barrier runs on the user's
+    world context, so it completes a world barrier the program skipped.
+    In the zoo's ``missing collective participant`` rank 1 skips the
+    barrier, its finalize barrier completes ranks 0 and 2's, rank 1
+    finalizes cleanly, and the deadlock is reported in the tool's own
+    stamp exchange instead of the user's barrier."""
+
+    @staticmethod
+    def detail():
+        from repro.workloads.bugzoo import missing_collective_participant
+
+        rep = DampiVerifier(missing_collective_participant, 3).verify()
+        return [e.detail for e in rep.errors if e.kind == "deadlock"]
+
+    def test_the_deadlock_names_the_stamp_exchange(self):
+        assert self.detail() == [
+            "deadlock detected (rank 0: allreduce on pb.world (instance 0), "
+            "rank 2: allreduce on pb.world (instance 0))"
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the finalize barrier runs on world; moving it to a tool "
+        "context changes every makespan (Fig. 5, Table II)",
+    )
+    def test_the_deadlock_names_the_skipped_barrier(self):
+        assert self.detail() == [
+            "deadlock detected (rank 0: barrier on world (instance 0), "
+            "rank 2: barrier on world (instance 0))"
+        ]

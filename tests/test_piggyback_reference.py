@@ -12,7 +12,7 @@ committed-tick vector clock (ids as in ``tests/reference_clock.py``).
 import pytest
 
 from repro.clocks.lamport import LamportStamp
-from repro.dampi import verifier as verifier_module
+from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.piggyback import PiggybackModule
 from repro.dampi.verifier import DampiVerifier
 from repro.mpi.constants import ANY_SOURCE
@@ -67,15 +67,17 @@ def _campaign(monkeypatch, transport, program, nprocs, clock):
     observation per run: makespan, per-rank deliveries, potential
     matches (without envelope uids, which number engine messages)."""
     delivered = {}
-    original = PiggybackModule._deliver
+    original = DampiClockModule._consume_stamp
 
-    def deliver(self, proc, req, stamp):
+    def consume(self, proc, req, stamp):
         delivered.setdefault(proc.world_rank, []).append((req.data, _stamp(stamp)))
         original(self, proc, req, stamp)
 
     runs = []
 
     class Observing(DampiVerifier):
+        piggyback_module_class = transport
+
         def run_once(self, decisions=None):
             delivered.clear()
             result, trace = super().run_once(decisions)
@@ -87,8 +89,7 @@ def _campaign(monkeypatch, transport, program, nprocs, clock):
             return result, trace
 
     with monkeypatch.context() as patch:
-        patch.setattr(PiggybackModule, "_deliver", deliver)
-        patch.setattr(verifier_module, "PiggybackModule", transport)
+        patch.setattr(DampiClockModule, "_consume_stamp", consume)
         report = Observing(program, nprocs, clock_config(patch, clock)).verify()
     return runs, (report.interleavings, sorted(e.kind for e in report.errors))
 
