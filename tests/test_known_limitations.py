@@ -192,6 +192,63 @@ class TestDeterministicSchedulerBias:
             run_program(fig3_program, 3).raise_any()
 
 
+def waitany_bug(p):
+    """Crashes iff rank 2's message completes rank 0's ``waitany`` first."""
+    if p.rank == 0:
+        reqs = [p.world.irecv(source=1), p.world.irecv(source=2)]
+        i, _ = p.waitany(reqs)
+        if i == 1:
+            raise RuntimeError("BUG: rank 2 first")
+        p.wait(reqs[1 - i])
+    else:
+        p.world.send(p.rank, dest=0)
+
+
+def poll_bug(p):
+    """ROADMAP item 21's ``test_bug`` probe: crashes iff rank 0's
+    ``test`` polls before rank 1's reply arrived."""
+    if p.rank == 0:
+        req = p.world.irecv(source=1)
+        p.world.send(0, dest=1)
+        if not p.test(req)[0]:
+            raise RuntimeError("BUG: reply not yet there")
+    else:
+        p.world.recv(source=0)
+        p.world.send(1, dest=0)
+
+
+class TestCompletionOrderIsNeverFlipped:
+    """ROADMAP open item 21 / docs/ALGORITHM.md §6: DAMPI explores the
+    match of wildcard receives and probes, not which pending request
+    completes first nor whether a poll has completed yet.  The engine
+    answers both one way — ``waitany`` returns the lowest completed
+    index, and the run-to-block scheduler has the reply in before
+    ``test`` polls — so each campaign below runs once and reports
+    clean."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 21(b): waitany records no epoch; 1 interleaving, no error",
+    )
+    def test_waitany_order_is_explored(self):
+        """Both receives are deterministic, yet on real MPI rank 2's
+        send can arrive first: nothing orders it after rank 1's, so
+        ``waitany`` may return index 1 and the program crashes."""
+        rep = DampiVerifier(waitany_bug, 3).verify()
+        assert [e.kind for e in rep.errors] == ["crash"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 21(c): a poll's answer is never flipped; 1 interleaving, no error",
+    )
+    def test_a_false_poll_is_explored(self):
+        """On real MPI the reply needs a round trip through rank 1, and
+        rank 0 may poll before it lands: ``test`` then returns false and
+        the program crashes."""
+        rep = DampiVerifier(poll_bug, 2).verify()
+        assert [e.kind for e in rep.errors] == ["crash"]
+
+
 class TestFinalizeBarrierPairsWithUserBarrier:
     """docs/ALGORITHM.md §6: DAMPI's finalize barrier runs on the user's
     world context, so it completes a world barrier the program skipped.
