@@ -40,7 +40,6 @@ already processed all of that worker's puts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE
@@ -63,23 +62,30 @@ PUT_PEER = 111
 DRAIN_TYPE = -1
 
 
-@dataclass
 class _ServerState:
     """One server's pools, pending requests, and channel counters."""
 
-    #: (work_type, target worker rank or None) -> deque of
-    #: (priority, payload); highest priority first
-    pools: dict[tuple, deque] = field(default_factory=dict)
-    #: worker world rank -> requested work type, for waiting workers
-    pending: dict[int, int] = field(default_factory=dict)
-    #: workers with a steal token currently circulating on their behalf
-    steals_out: set = field(default_factory=set)
-    queued: int = 0
-    #: channel counters: work units shipped to / received from peer servers
-    sent_peer: int = 0
-    recv_peer: int = 0
-    #: last snapshot reported to the master (deduplicates SRV_IDLE traffic)
-    last_reported: Optional[tuple] = None
+    __slots__ = (
+        "pools", "pending", "steals_out", "queued", "sent_peer", "recv_peer",
+        "last_reported",
+    )
+
+    def __init__(self) -> None:
+        #: (work_type, target worker rank or None) -> deque of
+        #: (priority, payload); highest priority first
+        self.pools: dict[tuple, deque] = {}
+        #: worker world rank -> requested work type, for waiting workers
+        self.pending: dict[int, int] = {}
+        #: workers with a steal token currently circulating on their behalf
+        self.steals_out: set = set()
+        self.queued = 0
+        #: channel counters: work units shipped to / received from peer
+        #: servers
+        self.sent_peer = 0
+        self.recv_peer = 0
+        #: last snapshot reported to the master (deduplicates SRV_IDLE
+        #: traffic)
+        self.last_reported: Optional[tuple] = None
 
 
 class AdlbContext:

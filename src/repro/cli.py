@@ -31,8 +31,8 @@ from typing import Callable
 
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
-from repro.dampi.journal import JournalError
 from repro.dampi.verifier import DampiVerifier
+from repro.errors import JournalError
 
 
 class UsageError(Exception):
@@ -59,212 +59,204 @@ def resolve_program(spec: str) -> Callable:
     return program
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="DAMPI: dynamic formal verification of MPI programs "
-        "(SC'10 reproduction)",
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("program", help="program as module.path:callable")
+    p.add_argument("--nprocs", "-n", type=int, required=True, help="rank count")
+    p.add_argument(
+        "--kwargs", default="{}", help="JSON dict of program keyword arguments"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("program", help="program as module.path:callable")
-        p.add_argument("--nprocs", "-n", type=int, required=True, help="rank count")
-        p.add_argument(
-            "--kwargs", default="{}", help="JSON dict of program keyword arguments"
-        )
-        p.add_argument(
-            "--policy",
-            default="arrival",
-            help="wildcard match policy for SELF_RUN (arrival|lowest_rank|"
-            "highest_rank|random:<seed>)",
-        )
-
-    def jobs_flag(p: argparse.ArgumentParser) -> None:
-        # verify and escalate only: 'dist run' sizes the same fleet with
-        # --workers, and 'replay' executes one schedule
-        p.add_argument(
-            "--jobs",
-            "-j",
-            type=int,
-            default=1,
-            metavar="N",
-            help="fleet worker processes (0 = all cores; default 1 = "
-            "in-process; the report is identical either way; stays "
-            "in-process on single-CPU hosts, where workers could only "
-            "time-slice)",
-        )
-
-    def verify_flags(v: argparse.ArgumentParser) -> None:
-        """Everything 'verify' and 'dist run' share — one campaign, two
-        spellings of who executes it."""
-        common(v)
-        v.add_argument(
-            "--clock",
-            default="lamport",
-            choices=DampiConfig._CLOCK_IMPLS,
-            help="causality tracker (default: lamport, the paper's); both "
-            "keep a wildcard's tick out of transmitted clocks until its "
-            "Wait/Test (the paper's §V fix)",
-        )
-        v.add_argument(
-            "--piggyback",
-            default="separate",
-            choices=("separate", "inline"),
-            help="clock transport mechanism (default: separate messages)",
-        )
-        v.add_argument(
-            "--bound-k",
-            type=int,
-            default=None,
-            metavar="K",
-            help="bounded mixing window (default: unbounded full coverage)",
-        )
-        v.add_argument(
-            "--max-interleavings", type=int, default=None, help="exploration budget"
-        )
-        v.add_argument(
-            "--max-seconds", type=float, default=None, help="wall-clock budget"
-        )
-        v.add_argument(
-            "--no-monitor", action="store_true", help="disable the §V omission monitor"
-        )
-        v.add_argument(
-            "--no-leak-check", action="store_true", help="disable leak checking"
-        )
-        v.add_argument(
-            "--witness-dir",
-            type=Path,
-            default=None,
-            help="save each found error's Epoch Decisions witness here",
-        )
-        v.add_argument(
-            "--show-runs",
-            action="store_true",
-            help="print the per-run table (flipped epoch, matches, outcome)",
-        )
-        v.add_argument(
-            "--all",
-            action="store_true",
-            help="with --show-runs, print every run (no 50-row cap)",
-        )
-        v.add_argument(
-            "--trace-out",
-            type=Path,
-            default=None,
-            metavar="FILE",
-            help="write the campaign event stream as a Chrome trace_event "
-            "JSON (open in chrome://tracing or Perfetto); makes runs record "
-            "event payloads",
-        )
-        v.add_argument(
-            "--events-out",
-            type=Path,
-            default=None,
-            metavar="FILE",
-            help="write the campaign event stream as JSONL; makes runs record "
-            "event payloads",
-        )
-        v.add_argument(
-            "--no-trace",
-            action="store_true",
-            help="no tracer at all: drops the exact events.* counters from "
-            "the report's telemetry block (event payloads are recorded only "
-            "for a --trace-out/--events-out sink in any case; "
-            "what counting costs a whole campaign is the ledger's "
-            "obs.trace_overhead_ratio)",
-        )
-        v.add_argument(
-            "--trace-sample",
-            type=int,
-            default=1,
-            metavar="N",
-            help="thin the stream a --trace-out/--events-out "
-            "sink reads: record event payloads for 1 in N replays "
-            "(deterministic, keyed off the schedule signature; the other "
-            "replays only count, so events.* stays exact; default 1 = "
-            "every run)",
-        )
-        v.add_argument(
-            "--json-out",
-            type=Path,
-            default=None,
-            metavar="FILE",
-            help="write the report JSON (v3, includes the telemetry block)",
-        )
-        v.add_argument(
-            "--progress",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="print a live progress heartbeat to stderr every SECONDS",
-        )
-        v.add_argument(
-            "--journal-dir",
-            type=Path,
-            default=None,
-            metavar="DIR",
-            help="durable campaign journal: every run is written to DIR "
-            "at once and fsync'd in groups about every 0.1 s "
-            "(with a fleet also its lease ledger and per-lease worker "
-            "memos), and 'repro resume DIR' picks up where a crash left off "
-            "without re-executing covered interleavings — in-process or "
-            "with a fleet of any size, whoever wrote DIR; so does re-running "
-            "this command",
-        )
-        v.add_argument(
-            "--fault-plan",
-            default=None,
-            metavar="PLAN",
-            help="deterministic fault injection, e.g. 'kill@run:3', "
-            "'hang@flip:1.2:30', 'kill@worker:2' or 'kill@coord:3' (see "
-            "repro.dampi.faults; robustness testing)",
-        )
-        # tombstone for benchmarks/ledger/layers.py:285, which passes it: ignored
-        v.add_argument(
-            "--no-prefix-checkpoints", action="store_true", help=argparse.SUPPRESS
-        )
-        v.add_argument(
-            "--no-prune",
-            action="store_true",
-            help="disable future-equivalence subtree pruning (on by default: "
-            "sibling alternatives whose futures are provably isomorphic are "
-            "explored once; findings are identical either way — see "
-            "report.prune_stats for what was skipped)",
-        )
-        v.add_argument(
-            "--adaptive-clocks",
-            action="store_true",
-            help="adaptive clock escalation: run the scalar clock, detect "
-            "epochs where its approximation may have excluded a real match "
-            "(the paper's Fig. 4 pattern), and re-derive just those epochs' "
-            "alternatives under vector clocks via one precision replay each; "
-            "requires --clock lamport",
-        )
-
-    v = sub.add_parser("verify", help="explore the wildcard match space")
-    verify_flags(v)
-    jobs_flag(v)
-
-    s = sub.add_parser(
-        "stats",
-        help="summarize a verification's telemetry (report JSON, events "
-        "JSONL, or a --journal-dir)",
+    p.add_argument(
+        "--policy",
+        default="arrival",
+        help="wildcard match policy for SELF_RUN (arrival|lowest_rank|"
+        "highest_rank|random:<seed>)",
     )
-    s.add_argument(
+
+
+def _jobs_flag(p: argparse.ArgumentParser) -> None:
+    # verify and escalate only: 'dist run' sizes the same fleet with
+    # --workers, and 'replay' executes one schedule
+    p.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=1,
+        metavar="N",
+        help="fleet worker processes (0 = all cores; default 1 = "
+        "in-process; the report is identical either way; stays "
+        "in-process on single-CPU hosts, where workers could only "
+        "time-slice)",
+    )
+
+
+def _verify_flags(v: argparse.ArgumentParser) -> None:
+    """Everything 'verify' and 'dist run' share — one campaign, two
+    spellings of who executes it."""
+    _common(v)
+    v.add_argument(
+        "--clock",
+        default="lamport",
+        choices=DampiConfig._CLOCK_IMPLS,
+        help="causality tracker (default: lamport, the paper's); both "
+        "keep a wildcard's tick out of transmitted clocks until its "
+        "Wait/Test (the paper's §V fix)",
+    )
+    v.add_argument(
+        "--piggyback",
+        default="separate",
+        choices=("separate", "inline"),
+        help="clock transport mechanism (default: separate messages)",
+    )
+    v.add_argument(
+        "--bound-k",
+        type=int,
+        default=None,
+        metavar="K",
+        help="bounded mixing window (default: unbounded full coverage)",
+    )
+    v.add_argument(
+        "--max-interleavings", type=int, default=None, help="exploration budget"
+    )
+    v.add_argument(
+        "--max-seconds", type=float, default=None, help="wall-clock budget"
+    )
+    v.add_argument(
+        "--no-monitor", action="store_true", help="disable the §V omission monitor"
+    )
+    v.add_argument(
+        "--no-leak-check", action="store_true", help="disable leak checking"
+    )
+    v.add_argument(
+        "--witness-dir",
+        type=Path,
+        default=None,
+        help="save each found error's Epoch Decisions witness here",
+    )
+    v.add_argument(
+        "--show-runs",
+        action="store_true",
+        help="print the per-run table (flipped epoch, matches, outcome)",
+    )
+    v.add_argument(
+        "--all",
+        action="store_true",
+        help="with --show-runs, print every run (no 50-row cap)",
+    )
+    v.add_argument(
+        "--trace-out",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="write the campaign event stream as a Chrome trace_event "
+        "JSON (open in chrome://tracing or Perfetto); makes runs record "
+        "event payloads",
+    )
+    v.add_argument(
+        "--events-out",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="write the campaign event stream as JSONL; makes runs record "
+        "event payloads",
+    )
+    v.add_argument(
+        "--no-trace",
+        action="store_true",
+        help="no tracer at all: drops the exact events.* counters from "
+        "the report's telemetry block (event payloads are recorded only "
+        "for a --trace-out/--events-out sink in any case; "
+        "what counting costs a whole campaign is the ledger's "
+        "obs.trace_overhead_ratio)",
+    )
+    v.add_argument(
+        "--trace-sample",
+        type=int,
+        default=1,
+        metavar="N",
+        help="thin the stream a --trace-out/--events-out "
+        "sink reads: record event payloads for 1 in N replays "
+        "(deterministic, keyed off the schedule signature; the other "
+        "replays only count, so events.* stays exact; default 1 = "
+        "every run)",
+    )
+    v.add_argument(
+        "--json-out",
+        type=Path,
+        default=None,
+        metavar="FILE",
+        help="write the report JSON (v3, includes the telemetry block)",
+    )
+    v.add_argument(
+        "--progress",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="print a live progress heartbeat to stderr every SECONDS",
+    )
+    v.add_argument(
+        "--journal-dir",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="durable campaign journal: every run is written to DIR "
+        "at once and fsync'd in groups about every 0.1 s "
+        "(with a fleet also its lease ledger and per-lease worker "
+        "memos), and 'repro resume DIR' picks up where a crash left off "
+        "without re-executing covered interleavings — in-process or "
+        "with a fleet of any size, whoever wrote DIR; so does re-running "
+        "this command",
+    )
+    v.add_argument(
+        "--fault-plan",
+        default=None,
+        metavar="PLAN",
+        help="deterministic fault injection, e.g. 'kill@run:3', "
+        "'hang@flip:1.2:30', 'kill@worker:2' or 'kill@coord:3' (see "
+        "repro.dampi.faults; robustness testing)",
+    )
+    # tombstone for benchmarks/ledger/layers.py:285, which passes it: ignored
+    v.add_argument(
+        "--no-prefix-checkpoints", action="store_true", help=argparse.SUPPRESS
+    )
+    v.add_argument(
+        "--no-prune",
+        action="store_true",
+        help="disable future-equivalence subtree pruning (on by default: "
+        "sibling alternatives whose futures are provably isomorphic are "
+        "explored once; findings are identical either way — see "
+        "report.prune_stats for what was skipped)",
+    )
+    v.add_argument(
+        "--adaptive-clocks",
+        action="store_true",
+        help="adaptive clock escalation: run the scalar clock, detect "
+        "epochs where its approximation may have excluded a real match "
+        "(the paper's Fig. 4 pattern), and re-derive just those epochs' "
+        "alternatives under vector clocks via one precision replay each; "
+        "requires --clock lamport",
+    )
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    _verify_flags(p)
+    _jobs_flag(p)
+
+
+def _stats_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "file",
         type=Path,
         help="a --json-out report, an --events-out JSONL file, or a "
         "--journal-dir directory",
     )
-    s.add_argument(
+    p.add_argument(
         "--follow",
         action="store_true",
         help="with a --journal-dir: poll the journal and print one "
         "progress line per interval until the campaign completes "
         "(live introspection of a running verification)",
     )
-    s.add_argument(
+    p.add_argument(
         "--interval",
         type=float,
         default=2.0,
@@ -272,24 +264,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="--follow poll interval (default 2s)",
     )
 
-    e = sub.add_parser(
-        "escalate",
-        help="verify with widening bounded-mixing stages (k=0,1,2,unbounded)",
-    )
-    common(e)
-    jobs_flag(e)
-    e.add_argument(
+
+def _escalate_args(p: argparse.ArgumentParser) -> None:
+    _common(p)
+    _jobs_flag(p)
+    p.add_argument(
         "--run-budget", type=int, default=2000, help="total interleaving budget"
     )
-    e.add_argument(
+    p.add_argument(
         "--clock", default="lamport", choices=DampiConfig._CLOCK_IMPLS
     )
-    e.add_argument(
+    p.add_argument(
         "--keep-going",
         action="store_true",
         help="continue escalating after an error is found",
     )
-    e.add_argument(
+    p.add_argument(
         "--journal-dir",
         type=Path,
         default=None,
@@ -297,59 +287,52 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-stage durable journals under DIR (re-run the same "
         "command after a crash to resume)",
     )
-    e.add_argument(
+    p.add_argument(
         "--fault-plan",
         default=None,
         metavar="PLAN",
         help="deterministic fault injection (see repro.dampi.faults)",
     )
 
-    rs = sub.add_parser(
-        "resume",
-        help="resume a crashed verification from its --journal-dir "
-        "(program, nprocs, and config are read from the journal)",
-    )
-    rs.add_argument(
+
+def _resume_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "journal_dir", type=Path, help="a verify / dist run --journal-dir"
     )
-    rs.add_argument(
+    p.add_argument(
         "--program",
         default=None,
         help="override the program spec recorded in the journal",
     )
-    rs.add_argument(
+    p.add_argument(
         "--fault-plan",
         default=None,
         metavar="PLAN",
         help="fault plan for the resumed attempt (the recorded plan is "
         "NOT re-injected by default — the fault already happened)",
     )
-    rs.add_argument(
+    p.add_argument(
         "--json-out", type=Path, default=None, metavar="FILE",
         help="write the report JSON",
     )
-    rs.add_argument(
+    p.add_argument(
         "--show-runs", action="store_true", help="print the per-run table"
     )
-    rs.add_argument(
+    p.add_argument(
         "--workers", "-w", type=int, default=None, metavar="N",
         help="continue with a fleet of N workers, whoever wrote the "
         "journal (default: --jobs as recorded)",
     )
 
-    d = sub.add_parser(
-        "dist",
-        help="distributed verification: shard the decision tree across "
-        "worker processes with durable leases and work stealing",
-    )
-    dsub = d.add_subparsers(dest="dist_command", required=True)
 
+def _dist_args(p: argparse.ArgumentParser) -> None:
+    dsub = p.add_subparsers(dest="dist_command", required=True)
     dr = dsub.add_parser(
         "run",
         help="'verify' with the fleet size spelled --workers: always runs "
         "the coordinator, even with one worker or one CPU",
     )
-    verify_flags(dr)
+    _verify_flags(dr)
     dr.add_argument(
         "--workers",
         "-w",
@@ -360,17 +343,78 @@ def build_parser() -> argparse.ArgumentParser:
         "report is bit-identical for any N",
     )
 
-    r = sub.add_parser("replay", help="re-run one schedule from a decisions file")
-    common(r)
-    r.add_argument(
+
+def _replay_args(p: argparse.ArgumentParser) -> None:
+    _common(p)
+    p.add_argument(
         "--decisions",
         type=Path,
         required=True,
         help="Epoch Decisions JSON (a witness from 'verify')",
     )
-    r.add_argument(
+    p.add_argument(
         "--clock", default="lamport", choices=DampiConfig._CLOCK_IMPLS
     )
+
+
+#: every command: ``(name, --help line, adds its arguments)``, in the
+#: order ``repro --help`` lists them
+_COMMANDS = (
+    ("verify", "explore the wildcard match space", _verify_args),
+    (
+        "stats",
+        "summarize a verification's telemetry (report JSON, events "
+        "JSONL, or a --journal-dir)",
+        _stats_args,
+    ),
+    (
+        "escalate",
+        "verify with widening bounded-mixing stages (k=0,1,2,unbounded)",
+        _escalate_args,
+    ),
+    (
+        "resume",
+        "resume a crashed verification from its --journal-dir "
+        "(program, nprocs, and config are read from the journal)",
+        _resume_args,
+    ),
+    (
+        "dist",
+        "distributed verification: shard the decision tree across "
+        "worker processes with durable leases and work stealing",
+        _dist_args,
+    ),
+    ("replay", "re-run one schedule from a decisions file", _replay_args),
+)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The ``repro`` parser for the command line ``argv``: the sub-parser
+    of the command ``argv`` invokes, with its arguments, and no other —
+    building every command costs a process more than parsing the one it
+    runs.  A command line that names no command (``repro --help``, a
+    typo) gets every command listed, without arguments."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="DAMPI: dynamic formal verification of MPI programs "
+        "(SC'10 reproduction)",
+    )
+    names = [name for name, _, _ in _COMMANDS]
+    # the parser's only option is --help, so the first word that is not
+    # an option names the command
+    invoked = next((a for a in argv if not a.startswith("-")), None)
+    if invoked not in names:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, help_line, _ in _COMMANDS:
+            sub.add_parser(name, help=help_line)
+        return parser
+    # a usage line (an unrecognized argument) names every command still
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(names) + "}"
+    )
+    for name, help_line, add_arguments in _COMMANDS:
+        if name == invoked:
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -736,7 +780,8 @@ def cmd_replay(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)

@@ -21,8 +21,14 @@ is total, which is exactly the imprecision the paper discusses in §II-F.
 """
 
 from repro.clocks.lamport import LamportClock, LamportStamp
-from repro.clocks.vector import VectorClock, VectorStamp
 from repro.clocks.base import LogicalClock, Stamp, concurrent, causally_before, make_clock
+from repro._lazy import lazy_names
+
+#: a Lamport campaign does not import :mod:`repro.clocks.vector`
+__getattr__ = lazy_names(
+    globals(),
+    {name: "repro.clocks.vector" for name in ("VectorClock", "VectorStamp")},
+)
 
 __all__ = [
     "LamportClock",

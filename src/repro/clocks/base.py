@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.vector import VectorClock
 
 
 @runtime_checkable
@@ -85,5 +84,7 @@ def make_clock(impl: str, rank: int, nprocs: int) -> LogicalClock:
     if impl == "lamport":
         return LamportClock(rank)
     if impl == "vector":
+        from repro.clocks.vector import VectorClock
+
         return VectorClock(rank, nprocs)
     raise ValueError(f"unknown clock implementation {impl!r}")

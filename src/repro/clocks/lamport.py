@@ -12,12 +12,10 @@ potential match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
 class LamportStamp:
     """Immutable Lamport timestamp (one integer + issuing rank for tie notes).
 
@@ -26,8 +24,11 @@ class LamportStamp:
     paper where only the scalar clock is piggybacked.
     """
 
-    time: int
-    rank: int = -1
+    __slots__ = ("time", "rank")
+
+    def __init__(self, time: int, rank: int = -1):
+        self.time = time
+        self.rank = rank
 
     def causally_before(self, other: "LamportStamp") -> bool:
         # Sound but incomplete: LC(a) < LC(b) is necessary for a -> b,

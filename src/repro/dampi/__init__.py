@@ -25,9 +25,18 @@ from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.verifier import DampiVerifier, VerificationReport, FoundError
-from repro.dampi.campaign import escalating_verify
 from repro.dampi.faults import FaultInjected, FaultPlan
-from repro.dampi.journal import CampaignJournal, JournalError
+from repro.errors import JournalError
+from repro._lazy import lazy_names
+
+#: a campaign without a journal or escalation stages imports neither module
+__getattr__ = lazy_names(
+    globals(),
+    {
+        "escalating_verify": "repro.dampi.campaign",
+        "CampaignJournal": "repro.dampi.journal",
+    },
+)
 
 __all__ = [
     "DampiConfig",

@@ -13,7 +13,7 @@ configurations is a loop over :meth:`DampiVerifier.verify
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -22,22 +22,26 @@ from repro.dampi.faults import FaultPlan
 from repro.dampi.verifier import DampiVerifier, FoundError, VerificationReport
 
 
-@dataclass
 class EscalationStep:
-    bound_k: Optional[int]
-    report: VerificationReport
+    __slots__ = ("bound_k", "report")
+
+    def __init__(self, bound_k: Optional[int], report: VerificationReport):
+        self.bound_k = bound_k
+        self.report = report
 
     @property
     def label(self) -> str:
         return "unbounded" if self.bound_k is None else f"k={self.bound_k}"
 
 
-@dataclass
 class EscalationResult:
     """Outcome of an escalating verification."""
 
-    steps: list[EscalationStep] = field(default_factory=list)
-    stopped_reason: str = ""
+    __slots__ = ("steps", "stopped_reason")
+
+    def __init__(self) -> None:
+        self.steps: list[EscalationStep] = []
+        self.stopped_reason = ""
 
     @property
     def errors(self) -> list[FoundError]:

@@ -31,12 +31,12 @@ the post-tick stamp.
 from __future__ import annotations
 
 import bisect
+import sys
 from functools import reduce
 from typing import Optional
 
 from repro.clocks.base import make_clock
 from repro.clocks.lamport import LamportStamp
-from repro.clocks.vector import VectorStamp
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.monitor import OmissionMonitorModule
@@ -52,8 +52,10 @@ def _stamp_max(a, b):
     """Componentwise/scalar max of two stamps (the MPI_MAX of Algorithm 1)."""
     if isinstance(a, LamportStamp):
         return a if a.time >= b.time else b
-    if isinstance(a, VectorStamp):
-        return VectorStamp(
+    # a process that never imported the vector clock holds no vector stamp
+    vector = sys.modules.get("repro.clocks.vector")
+    if vector is not None and isinstance(a, vector.VectorStamp):
+        return vector.VectorStamp(
             tuple(max(x, y) for x, y in zip(a.components, b.components))
         )
     raise TypeError(f"cannot reduce stamps of type {type(a).__name__}")

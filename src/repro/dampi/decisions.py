@@ -13,33 +13,43 @@ ships with the decision file that reproduces it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dampi.epoch import EpochKey
 
 
-@dataclass
 class EpochDecisions:
     """Forced matches for a guided replay.
 
     ``forced`` maps epoch keys to communicator-local source ranks.
     ``flip`` names the decision this schedule was generated to explore
-    (provenance for reports and error witnesses).
+    (provenance for reports and error witnesses).  Two schedules are
+    equal when both are.
     """
 
-    forced: dict[EpochKey, int] = field(default_factory=dict)
-    flip: Optional[EpochKey] = None
+    __slots__ = ("forced", "flip", "_max_lc")
 
-    def __post_init__(self) -> None:
-        for key, src in self.forced.items():
+    def __init__(
+        self,
+        forced: Optional[dict[EpochKey, int]] = None,
+        flip: Optional[EpochKey] = None,
+    ):
+        forced = {} if forced is None else forced
+        for key, src in forced.items():
             rank, lc = key
             if lc < 0 or src < 0:
                 raise ValueError(f"invalid decision {key} -> {src}")
+        self.forced = forced
+        self.flip = flip
         #: lazy per-rank max-lc cache; ``forced`` is never mutated after
         #: construction (the explorer builds the dict first), so the cache
         #: never goes stale
         self._max_lc: Optional[dict[int, int]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EpochDecisions):
+            return NotImplemented
+        return self.forced == other.forced and self.flip == other.flip
 
     def source_for(self, rank: int, lc: int) -> Optional[int]:
         """``GetSrcFromEpoch``: the forced source for an epoch, if any."""

@@ -9,7 +9,6 @@ turns that into alternative match decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.clocks.base import Stamp
@@ -20,7 +19,6 @@ from repro.clocks.base import Stamp
 EpochKey = tuple[int, int]
 
 
-@dataclass(slots=True)
 class EpochRecord:
     """One non-deterministic operation observed during a run.
 
@@ -52,18 +50,38 @@ class EpochRecord:
         in the (source, dest, ctx) stream.
     """
 
-    rank: int
-    lc: int
-    index: int
-    ctx: int
-    tag: int
-    kind: str = "recv"
-    stamp: Optional[Stamp] = None
-    explore: bool = True
-    forced: bool = False
-    matched_source: Optional[int] = None
-    matched_env_uid: Optional[int] = None
-    matched_seq: Optional[int] = None
+    __slots__ = (
+        "rank", "lc", "index", "ctx", "tag", "kind", "stamp", "explore",
+        "forced", "matched_source", "matched_env_uid", "matched_seq",
+    )
+
+    def __init__(
+        self,
+        rank: int,
+        lc: int,
+        index: int,
+        ctx: int,
+        tag: int,
+        kind: str = "recv",
+        stamp: Optional[Stamp] = None,
+        explore: bool = True,
+        forced: bool = False,
+        matched_source: Optional[int] = None,
+        matched_env_uid: Optional[int] = None,
+        matched_seq: Optional[int] = None,
+    ):
+        self.rank = rank
+        self.lc = lc
+        self.index = index
+        self.ctx = ctx
+        self.tag = tag
+        self.kind = kind
+        self.stamp = stamp
+        self.explore = explore
+        self.forced = forced
+        self.matched_source = matched_source
+        self.matched_env_uid = matched_env_uid
+        self.matched_seq = matched_seq
 
     @property
     def key(self) -> EpochKey:
@@ -74,7 +92,6 @@ class EpochRecord:
         return f"Epoch({self.kind} r{self.rank}@{self.lc} ctx={self.ctx} tag={self.tag}{m})"
 
 
-@dataclass(slots=True)
 class PotentialMatch:
     """A late message recorded against an epoch (paper Fig. 2's red arrows).
 
@@ -84,33 +101,65 @@ class PotentialMatch:
     be excluded.
     """
 
-    epoch: EpochKey
-    source: int
-    env_uid: int
-    seq: int
-    tag: int
-    stamp: Optional[Stamp] = None
+    __slots__ = ("epoch", "source", "env_uid", "seq", "tag", "stamp")
+
+    def __init__(
+        self,
+        epoch: EpochKey,
+        source: int,
+        env_uid: int,
+        seq: int,
+        tag: int,
+        stamp: Optional[Stamp] = None,
+    ):
+        self.epoch = epoch
+        self.source = source
+        self.env_uid = env_uid
+        self.seq = seq
+        self.tag = tag
+        self.stamp = stamp
 
     def __repr__(self) -> str:
         return f"PotentialMatch(epoch={self.epoch}, src={self.source}, seq={self.seq})"
 
 
-@dataclass
 class RunTrace:
-    """Everything DAMPI's modules learned from one execution."""
+    """Everything DAMPI's modules learned from one execution.
 
-    nprocs: int
-    #: rank -> ordered epoch records
-    epochs: dict[int, list[EpochRecord]] = field(default_factory=dict)
-    #: raw late-message records, pre non-overtaking finalisation
-    potential_matches: list[PotentialMatch] = field(default_factory=list)
-    #: decisions that were loaded but never consumed (replay divergence)
-    unconsumed_decisions: list[EpochKey] = field(default_factory=list)
-    #: epochs whose late-send set may be truncated by scalar-clock
-    #: imprecision: a candidate was excluded because its scalar stamp
-    #: dominated the epoch's, an ordering vector clocks might refute
-    #: (the Fig. 4 cross-coupled pattern).  Empty under vector clocks.
-    scalar_risk: list[EpochKey] = field(default_factory=list)
+    Attributes
+    ----------
+    epochs:
+        rank -> ordered epoch records.
+    potential_matches:
+        Raw late-message records, pre non-overtaking finalisation.
+    unconsumed_decisions:
+        Decisions that were loaded but never consumed (replay divergence).
+    scalar_risk:
+        Epochs whose late-send set may be truncated by scalar-clock
+        imprecision: a candidate was excluded because its scalar stamp
+        dominated the epoch's, an ordering vector clocks might refute
+        (the Fig. 4 cross-coupled pattern).  Empty under vector clocks.
+    """
+
+    __slots__ = (
+        "nprocs", "epochs", "potential_matches", "unconsumed_decisions", "scalar_risk",
+    )
+
+    def __init__(
+        self,
+        nprocs: int,
+        epochs: Optional[dict[int, list[EpochRecord]]] = None,
+        potential_matches: Optional[list[PotentialMatch]] = None,
+        unconsumed_decisions: Optional[list[EpochKey]] = None,
+        scalar_risk: Optional[list[EpochKey]] = None,
+    ):
+        self.nprocs = nprocs
+        self.epochs = {} if epochs is None else epochs
+        self.potential_matches = [] if potential_matches is None else potential_matches
+        self.unconsumed_decisions = (
+            [] if unconsumed_decisions is None else unconsumed_decisions
+        )
+        self.scalar_risk = [] if scalar_risk is None else scalar_risk
 
     def all_epochs(self) -> list[EpochRecord]:
         out: list[EpochRecord] = []

@@ -30,7 +30,6 @@ a linearisation of the partial order the clocks witnessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dampi.decisions import EpochDecisions
@@ -42,42 +41,56 @@ def _order_key(e: EpochRecord) -> tuple[int, int, int]:
     return (e.lc, e.rank, e.index)
 
 
-@dataclass
 class DecisionNode:
     """One epoch in the current search path."""
 
-    key: EpochKey
-    order: tuple[int, int, int]
-    #: source forced (or self-run observed) along the current path
-    chosen: int
-    #: sources already explored under this node's prefix
-    tried: set[int] = field(default_factory=set)
-    #: all sources known possible here (grows as replays discover more)
-    alternatives: set[int] = field(default_factory=set)
-    #: frozen nodes keep their self-run match forever (loop abstraction /
-    #: bounded-mixing window exhausted / never-completed receive)
-    frozen: bool = False
-    #: pinned nodes belong to another shard of a distributed campaign:
-    #: the local walk never flips them (like frozen), but — unlike frozen
-    #: — they still accumulate newly discovered alternatives, which are
-    #: reported upstream via :meth:`ScheduleGenerator
-    #: .take_pinned_discoveries` so the coordinator can lease the sibling
-    #: subtrees to someone else
-    pinned: bool = False
-    #: future-equivalence pruning (``prune=True`` generators only):
-    #: ``(fingerprint, outcome_digest) -> source`` for every sibling
-    #: subtree whose run has been witnessed at this node.  A later flip
-    #: whose run carries an already-present signature is pruned — its
-    #: subtree is provably isomorphic to the recorded sibling's.
-    sigs: dict = field(default_factory=dict)
-    #: per-source bookkeeping for the pruning invariant: how many runs
-    #: (``vcost``) and distance-frozen nodes (``vfrozen``) the walk of
-    #: each sibling subtree produced.  A pruned sibling is credited its
-    #: reference subtree's totals, so ``executed + replays_saved`` equals
-    #: the unpruned run count and ``bound_frozen`` coverage proofs stay
-    #: sound.
-    vcost: dict = field(default_factory=dict)
-    vfrozen: dict = field(default_factory=dict)
+    __slots__ = (
+        "key", "order", "chosen", "tried", "alternatives", "frozen", "pinned",
+        "sigs", "vcost", "vfrozen",
+    )
+
+    def __init__(
+        self,
+        key: EpochKey,
+        order: tuple[int, int, int],
+        chosen: int,
+        tried: Optional[set[int]] = None,
+        alternatives: Optional[set[int]] = None,
+        frozen: bool = False,
+        pinned: bool = False,
+    ):
+        self.key = key
+        self.order = order
+        #: source forced (or self-run observed) along the current path
+        self.chosen = chosen
+        #: sources already explored under this node's prefix
+        self.tried = set() if tried is None else tried
+        #: all sources known possible here (grows as replays discover more)
+        self.alternatives = set() if alternatives is None else alternatives
+        #: frozen nodes keep their self-run match forever (loop abstraction /
+        #: bounded-mixing window exhausted / never-completed receive)
+        self.frozen = frozen
+        #: pinned nodes belong to another shard of a distributed campaign:
+        #: the local walk never flips them (like frozen), but — unlike
+        #: frozen — they still accumulate newly discovered alternatives,
+        #: which are reported upstream via :meth:`ScheduleGenerator
+        #: .take_pinned_discoveries` so the coordinator can lease the
+        #: sibling subtrees to someone else
+        self.pinned = pinned
+        #: future-equivalence pruning (``prune=True`` generators only):
+        #: ``(fingerprint, outcome_digest) -> source`` for every sibling
+        #: subtree whose run has been witnessed at this node.  A later flip
+        #: whose run carries an already-present signature is pruned — its
+        #: subtree is provably isomorphic to the recorded sibling's.
+        self.sigs: dict = {}
+        #: per-source bookkeeping for the pruning invariant: how many runs
+        #: (``vcost``) and distance-frozen nodes (``vfrozen``) the walk of
+        #: each sibling subtree produced.  A pruned sibling is credited its
+        #: reference subtree's totals, so ``executed + replays_saved``
+        #: equals the unpruned run count and ``bound_frozen`` coverage
+        #: proofs stay sound.
+        self.vcost: dict = {}
+        self.vfrozen: dict = {}
 
     @property
     def untried(self) -> set[int]:

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 #: exit status used by ``kill`` faults — distinctive, so tests and CI can
@@ -101,18 +100,26 @@ class FaultInjected(RuntimeError):
     """Raised by ``raise``-action faults."""
 
 
-@dataclass(frozen=True)
 class Fault:
     """One parsed ``action@site[:selector][:param]`` term."""
 
-    action: str
-    site: str
-    #: site-specific match key: ``()`` for self, ``(index,)`` for run,
-    #: ``(rank, lc)`` or ``(rank, lc, src)`` for flip, ``(label,)`` for
-    #: stage, ``(id,)`` or ``(id, seq)`` for worker, ``(n,)`` for coord
-    selector: tuple = ()
-    #: seconds for hang/delay; ignored elsewhere
-    param: Optional[float] = None
+    __slots__ = ("action", "site", "selector", "param")
+
+    def __init__(
+        self,
+        action: str,
+        site: str,
+        selector: tuple = (),
+        param: Optional[float] = None,
+    ):
+        self.action = action
+        self.site = site
+        #: site-specific match key: ``()`` for self, ``(index,)`` for run,
+        #: ``(rank, lc)`` or ``(rank, lc, src)`` for flip, ``(label,)`` for
+        #: stage, ``(id,)`` or ``(id, seq)`` for worker, ``(n,)`` for coord
+        self.selector = selector
+        #: seconds for hang/delay; ignored elsewhere
+        self.param = param
 
     def matches(self, selector: Sequence) -> bool:
         """Prefix match: a fault naming fewer selector fields than the
@@ -190,12 +197,14 @@ def _parse_term(term: str) -> Fault:
     return Fault(action=action, site=site, selector=selector, param=param)
 
 
-@dataclass
 class FaultPlan:
     """An ordered set of faults plus per-process fired bookkeeping."""
 
-    faults: list = field(default_factory=list)
-    _fired: set = field(default_factory=set, repr=False)
+    __slots__ = ("faults", "_fired")
+
+    def __init__(self, faults: Optional[list] = None):
+        self.faults = [] if faults is None else faults
+        self._fired: set = set()
 
     @classmethod
     def parse(cls, spec: Optional[str]) -> "FaultPlan":

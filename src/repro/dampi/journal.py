@@ -95,7 +95,6 @@ import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -106,7 +105,7 @@ from repro.dampi.decisions import EpochDecisions, schedule_key
 from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.leaks import CommLeak, LeakReport, RequestLeak
 from repro.dampi.monitor import MonitorReport, OmissionAlert
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, JournalError
 
 #: 7: a run trace has no ``mismatches`` cell (a reached forced epoch
 #: always completes from its forced source).  6: ``clock_impl``
@@ -125,10 +124,6 @@ DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: since the journal's last sync (every other entry type, and ``close``,
 #: always syncs)
 RUN_SYNC_INTERVAL_SECONDS = 0.1
-
-
-class JournalError(RuntimeError):
-    """A journal that cannot be written, read, or resumed."""
 
 
 # -- payload (de)serialisation -------------------------------------------------
@@ -328,17 +323,26 @@ def _recorded_exception(type_name: str, message: str) -> Exception:
     return cls(message)
 
 
-@dataclass
 class JournaledResult:
     """Duck-typed :class:`~repro.mpi.runtime.RunResult` rebuilt from a run
     record — exactly the fields :meth:`DampiVerifier._consume` and
     :meth:`CampaignTelemetry.record_run` read."""
 
-    makespan: float = 0.0
-    stats: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
-    deadlock: Optional[DeadlockError] = None
-    primary_errors: dict = field(default_factory=dict)
+    __slots__ = ("makespan", "stats", "artifacts", "deadlock", "primary_errors")
+
+    def __init__(
+        self,
+        makespan: float,
+        stats: dict,
+        artifacts: dict,
+        deadlock: Optional[DeadlockError],
+        primary_errors: dict,
+    ):
+        self.makespan = makespan
+        self.stats = stats
+        self.artifacts = artifacts
+        self.deadlock = deadlock
+        self.primary_errors = primary_errors
 
     @property
     def deadlocked(self) -> bool:

@@ -18,37 +18,47 @@ program's and are skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.mpi.request import RequestState
 from repro.pnmpi.module import ToolModule
 
 
-@dataclass(frozen=True)
 class CommLeak:
-    rank: int
-    ctx: int
-    label: str
+    __slots__ = ("rank", "ctx", "label")
+
+    def __init__(self, rank: int, ctx: int, label: str):
+        self.rank = rank
+        self.ctx = ctx
+        self.label = label
 
     def __str__(self) -> str:
         return f"rank {self.rank}: communicator {self.label} (ctx {self.ctx}) never freed"
 
 
-@dataclass(frozen=True)
 class RequestLeak:
-    rank: int
-    req_uid: int
-    kind: str
-    detail: str
+    __slots__ = ("rank", "req_uid", "kind", "detail")
+
+    def __init__(self, rank: int, req_uid: int, kind: str, detail: str):
+        self.rank = rank
+        self.req_uid = req_uid
+        self.kind = kind
+        self.detail = detail
 
     def __str__(self) -> str:
         return f"rank {self.rank}: {self.kind} request #{self.req_uid} {self.detail}"
 
 
-@dataclass
 class LeakReport:
-    comm_leaks: list[CommLeak] = field(default_factory=list)
-    request_leaks: list[RequestLeak] = field(default_factory=list)
+    __slots__ = ("comm_leaks", "request_leaks")
+
+    def __init__(
+        self,
+        comm_leaks: Optional[list[CommLeak]] = None,
+        request_leaks: Optional[list[RequestLeak]] = None,
+    ):
+        self.comm_leaks = [] if comm_leaks is None else comm_leaks
+        self.request_leaks = [] if request_leaks is None else request_leaks
 
     @property
     def has_comm_leak(self) -> bool:

@@ -18,18 +18,21 @@ in this campaign, and never that the program is wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.pnmpi.module import ToolModule
 
 
-@dataclass(frozen=True)
 class OmissionAlert:
-    """One detected instance of the §V pattern."""
+    """One detected instance of the §V pattern; ``outstanding_wildcards``
+    are request uids."""
 
-    rank: int
-    operation: str
-    outstanding_wildcards: tuple[int, ...]  # request uids
+    __slots__ = ("rank", "operation", "outstanding_wildcards")
+
+    def __init__(self, rank: int, operation: str, outstanding_wildcards: tuple[int, ...]):
+        self.rank = rank
+        self.operation = operation
+        self.outstanding_wildcards = outstanding_wildcards
 
     def __str__(self) -> str:
         return (
@@ -39,9 +42,11 @@ class OmissionAlert:
         )
 
 
-@dataclass
 class MonitorReport:
-    alerts: list[OmissionAlert] = field(default_factory=list)
+    __slots__ = ("alerts",)
+
+    def __init__(self, alerts: Optional[list[OmissionAlert]] = None):
+        self.alerts = [] if alerts is None else alerts
 
     @property
     def triggered(self) -> bool:

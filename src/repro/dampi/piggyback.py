@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
@@ -68,12 +67,17 @@ _SEND = RequestKind.SEND
 _RECV = RequestKind.RECV
 
 
-@dataclass(frozen=True)
 class InlinePacked:
-    """Wrapper used by the inline mechanism: stamp packed with the payload."""
+    """Wrapper used by the inline mechanism: stamp packed with the payload.
+    Its wire size (``nbytes``, what :func:`~repro.mpi.datatypes.sizeof`
+    charges) is the payload's plus the stamp's."""
 
-    stamp: Any
-    payload: Any
+    __slots__ = ("stamp", "payload", "nbytes")
+
+    def __init__(self, stamp: Any, payload: Any):
+        self.stamp = stamp
+        self.payload = payload
+        self.nbytes = sizeof(payload) + sizeof(stamp)
 
 
 class _StampRecv:

@@ -4,7 +4,6 @@ Decisions witness), the per-interleaving run records, and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dampi.config import DampiConfig
@@ -14,14 +13,35 @@ from repro.dampi.leaks import LeakReport
 from repro.dampi.monitor import MonitorReport
 
 
-@dataclass
 class FoundError:
-    """One defect with its reproduction witness."""
+    """One defect with its reproduction witness.  ``kind`` is
+    ``"deadlock"``, ``"crash"``, ``"communicator_leak"`` or
+    ``"request_leak"``; a resumed or fleet-assembled report must hold
+    errors equal to the serial walk's."""
 
-    kind: str  # "deadlock" | "crash" | "communicator_leak" | "request_leak"
-    run_index: int
-    detail: str
-    decisions: Optional[EpochDecisions] = None
+    __slots__ = ("kind", "run_index", "detail", "decisions")
+
+    def __init__(
+        self,
+        kind: str,
+        run_index: int,
+        detail: str,
+        decisions: Optional[EpochDecisions] = None,
+    ):
+        self.kind = kind
+        self.run_index = run_index
+        self.detail = detail
+        self.decisions = decisions
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FoundError):
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.run_index == other.run_index
+            and self.detail == other.detail
+            and self.decisions == other.decisions
+        )
 
     def __str__(self) -> str:
         where = "self run" if self.run_index == 0 else f"replay {self.run_index}"
@@ -38,63 +58,98 @@ def completed_outcome(trace: RunTrace) -> frozenset:
     )
 
 
-@dataclass
 class RunRecord:
-    """Per-interleaving summary kept on the report."""
+    """Per-interleaving summary kept on the report.  ``outcome`` is the
+    completed wildcard outcome of the run — the semantic fingerprint of
+    the interleaving (used by coverage/property tests)."""
 
-    index: int
-    makespan: float
-    wildcard_count: int
-    error_kinds: tuple[str, ...]
-    diverged: bool
-    flip: Optional[EpochKey]
-    #: completed wildcard outcome of this run — the semantic fingerprint of
-    #: the interleaving (used by coverage/property tests)
-    outcome: frozenset
+    __slots__ = (
+        "index", "makespan", "wildcard_count", "error_kinds", "diverged",
+        "flip", "outcome",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        makespan: float,
+        wildcard_count: int,
+        error_kinds: tuple[str, ...],
+        diverged: bool,
+        flip: Optional[EpochKey],
+        outcome: frozenset,
+    ):
+        self.index = index
+        self.makespan = makespan
+        self.wildcard_count = wildcard_count
+        self.error_kinds = error_kinds
+        self.diverged = diverged
+        self.flip = flip
+        self.outcome = outcome
+
+    def _fields(self) -> tuple:
+        return (
+            self.index, self.makespan, self.wildcard_count, self.error_kinds,
+            self.diverged, self.flip, self.outcome,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
-@dataclass
 class VerificationReport:
-    """Everything a verification session learned."""
+    """Everything a verification session learned.  A new report is empty;
+    the campaign fills it in."""
 
-    nprocs: int
-    config: DampiConfig
-    interleavings: int = 0
-    errors: list[FoundError] = field(default_factory=list)
-    leak_report: Optional[LeakReport] = None
-    monitor_report: Optional[MonitorReport] = None
-    wildcards_analyzed: int = 0
-    self_run_vtime: float = 0.0
-    total_vtime: float = 0.0
-    wall_seconds: float = 0.0
-    truncated: bool = False
-    divergences: int = 0
-    #: decision nodes frozen by the bounded-mixing distance rule; 0 on an
-    #: untruncated run means the bound never bit and the space is fully
-    #: covered (no wider bound can find more)
-    bound_frozen: int = 0
-    #: how this attempt executed its replays: ``mode`` ``"inline"``
-    #: (``jobs``, ``demoted``/``demote_reason``) or ``"dist"``
-    #: (``workers``, ``leases``, ``records``, ``worker_deaths``)
-    parallel_stats: Optional[dict] = None
-    #: journal accounting when verify() ran with one: directory, runs
-    #: replayed from the journal vs executed live.  Like parallel_stats,
-    #: excluded from to_json(): it describes *this attempt*, not the
-    #: verification (a resumed report is otherwise bit-identical).
-    journal_stats: Optional[dict] = None
-    #: pruning / adaptive-escalation accounting (None unless
-    #: ``config.prune`` or ``config.adaptive_clocks``): subtrees pruned,
-    #: replays saved versus the unpruned walk, precision replays run and
-    #: the vector-only alternatives they injected.  Deterministic — part
-    #: of to_json() (see :mod:`repro.dampi.prune`).
-    prune_stats: Optional[dict] = None
-    #: telemetry block (metrics snapshot + event-stream accounting),
-    #: filled in by CampaignTelemetry.finalize; report JSON v3
-    telemetry: Optional[dict] = None
-    #: merged campaign event stream (list of repro.obs.trace.Event);
-    #: empty unless config.trace_events
-    events: list = field(default_factory=list)
-    runs: list[RunRecord] = field(default_factory=list)
+    __slots__ = (
+        "nprocs", "config", "interleavings", "errors", "leak_report",
+        "monitor_report", "wildcards_analyzed", "self_run_vtime",
+        "total_vtime", "wall_seconds", "truncated", "divergences",
+        "bound_frozen", "parallel_stats", "journal_stats", "prune_stats",
+        "telemetry", "events", "runs",
+    )
+
+    def __init__(self, nprocs: int, config: DampiConfig):
+        self.nprocs = nprocs
+        self.config = config
+        self.interleavings = 0
+        self.errors: list[FoundError] = []
+        self.leak_report: Optional[LeakReport] = None
+        self.monitor_report: Optional[MonitorReport] = None
+        self.wildcards_analyzed = 0
+        self.self_run_vtime = 0.0
+        self.total_vtime = 0.0
+        self.wall_seconds = 0.0
+        self.truncated = False
+        self.divergences = 0
+        #: decision nodes frozen by the bounded-mixing distance rule; 0 on
+        #: an untruncated run means the bound never bit and the space is
+        #: fully covered (no wider bound can find more)
+        self.bound_frozen = 0
+        #: how this attempt executed its replays: ``mode`` ``"inline"``
+        #: (``jobs``, ``demoted``/``demote_reason``) or ``"dist"``
+        #: (``workers``, ``leases``, ``records``, ``worker_deaths``)
+        self.parallel_stats: Optional[dict] = None
+        #: journal accounting when verify() ran with one: directory, runs
+        #: replayed from the journal vs executed live.  Like
+        #: parallel_stats, excluded from to_json(): it describes *this
+        #: attempt*, not the verification (a resumed report is otherwise
+        #: bit-identical).
+        self.journal_stats: Optional[dict] = None
+        #: pruning / adaptive-escalation accounting (None unless
+        #: ``config.prune`` or ``config.adaptive_clocks``): subtrees
+        #: pruned, replays saved versus the unpruned walk, precision
+        #: replays run and the vector-only alternatives they injected.
+        #: Deterministic — part of to_json() (see :mod:`repro.dampi.prune`).
+        self.prune_stats: Optional[dict] = None
+        #: telemetry block (metrics snapshot + event-stream accounting),
+        #: filled in by CampaignTelemetry.finalize; report JSON v3
+        self.telemetry: Optional[dict] = None
+        #: merged campaign event stream (list of repro.obs.trace.Event);
+        #: empty unless config.trace_events
+        self.events: list = []
+        self.runs: list[RunRecord] = []
 
     @property
     def deadlocks(self) -> list[FoundError]:

@@ -10,13 +10,11 @@ witness that reproduces it.
 
 from __future__ import annotations
 
-import logging
 import os
 import time
 import zlib
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.dampi import journal as jr
 from repro.dampi.clock_module import DampiClockModule
 from repro.dampi.config import DampiConfig
 from repro.dampi.decisions import EpochDecisions, schedule_key
@@ -38,7 +36,8 @@ from repro.mpi.runtime import Runtime, RunResult
 from repro.obs.campaign import CampaignTelemetry
 from repro.obs.trace import Tracer
 
-_log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from repro.dampi.journal import CampaignJournal
 
 
 #: what a run the walk has taken leaves in a campaign's record map
@@ -75,7 +74,7 @@ class _Campaign:
             "extra_alternatives": 0,
         }
         #: the campaign's journal, if it has one (:meth:`open_journal`)
-        self.journal: Optional[jr.CampaignJournal] = None
+        self.journal: Optional[CampaignJournal] = None
         #: schedule key (None = the self run) -> (run record, packed tracer
         #: payload or None): runs the walk takes instead of executing them
         #: — the journal's, loaded at open, and a fleet's as they arrive.
@@ -95,8 +94,10 @@ class _Campaign:
         and its runs loaded into the record map."""
         if journal is None:
             return None
+        from repro.dampi.journal import CampaignJournal
+
         v = self.verifier
-        self.journal = journal = jr.CampaignJournal.open(journal)
+        self.journal = journal = CampaignJournal.open(journal)
         journal.bind(tracer=self.telemetry.tracer, metrics=self.telemetry.metrics)
         journal.ensure_meta(v.nprocs, v.config, kwargs=v.kwargs, prog_args=v.args)
         v._replay_journal(self, journal)
@@ -124,7 +125,9 @@ class _Campaign:
         source — it seeds the walk and every lease."""
         rec = self.take(None)
         if rec is not None:
-            return jr.run_from_entry(rec[0])
+            from repro.dampi.journal import run_from_entry
+
+            return run_from_entry(rec[0])
         self.verifier._faults.fire(
             "self", tracer=self.telemetry.tracer, metrics=self.telemetry.metrics
         )
@@ -392,7 +395,9 @@ class DampiVerifier:
                 f"(os.cpu_count()={os.cpu_count()!r}) cannot run {jobs} "
                 f"compute-bound replay workers concurrently"
             )
-            _log.info("%s", reason)
+            import logging
+
+            logging.getLogger(__name__).info("%s", reason)
             return jobs, reason
         return jobs, None
 
@@ -438,7 +443,9 @@ class DampiVerifier:
         def source(decisions):
             rec = camp.take(decisions)
             if rec is not None:
-                return jr.run_from_entry(rec[0])
+                from repro.dampi.journal import run_from_entry
+
+                return run_from_entry(rec[0])
             # the progress line of a campaign executed here (a fleet's
             # coordinator prints its own, merged over the workers)
             camp.telemetry.heartbeat(report.interleavings, camp.generator)
@@ -543,8 +550,10 @@ class DampiVerifier:
         whatever order — and goes through :meth:`_consume` with it as with
         a live run, so the rebuilt walk is bit-identical.  A record the
         walk never asks for is never used."""
+        from repro.dampi.journal import entry_schedule_key
+
         for entry in journal.run_entries():
-            camp.records.setdefault(jr.entry_schedule_key(entry), (entry, None))
+            camp.records.setdefault(entry_schedule_key(entry), (entry, None))
         camp.replayed = len(camp.records)
         if camp.replayed and camp.telemetry.tracer is not None:
             camp.telemetry.tracer.instant(
@@ -554,7 +563,9 @@ class DampiVerifier:
     def _journal_run_entry(self, decisions, result, trace, esc) -> dict:
         """Encode one run executed here as its journal entry: the run
         record, keyed by its schedule — the entry every writer appends."""
-        return {"t": "run", **jr.run_entry(decisions, result, trace, esc=esc)}
+        from repro.dampi.journal import run_entry
+
+        return {"t": "run", **run_entry(decisions, result, trace, esc=esc)}
 
     def _journal_checkpoint(self, camp) -> None:
         """Never called; benchmarks/ledger/spans.py:127 wraps it by name."""

@@ -82,3 +82,9 @@ class ReplayDivergenceError(VerificationError):
 
 class ScheduleExhaustedError(VerificationError):
     """Internal: the explorer was asked for a replay but no alternatives remain."""
+
+
+class JournalError(RuntimeError):
+    """A journal that cannot be written, read, or resumed.  Defined here,
+    not in :mod:`repro.dampi.journal` (which re-exports it), so that the
+    CLI can catch it without importing the journal."""

@@ -38,7 +38,14 @@ from repro.mpi.process import Proc
 from repro.mpi.communicator import Communicator
 from repro.mpi.request import Request, Status
 from repro.mpi.costmodel import CostModel
-from repro.mpi.groups import CartTopology, Group, dims_create
+from repro._lazy import lazy_names
+
+#: a campaign that never builds a group or a topology does not import
+#: :mod:`repro.mpi.groups`
+__getattr__ = lazy_names(
+    globals(),
+    {name: "repro.mpi.groups" for name in ("CartTopology", "Group", "dims_create")},
+)
 
 __all__ = [
     "ANY_SOURCE",

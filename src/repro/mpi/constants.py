@@ -7,7 +7,6 @@ tags, and are distinct from each other to make misuse loud in errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
 #: Wildcard source for receives and probes (MPI_ANY_SOURCE).
@@ -30,7 +29,6 @@ STATUS_IGNORE = None
 TAG_UB: int = 2**24
 
 
-@dataclass(frozen=True)
 class ReduceOp:
     """A reduction operator usable with ``reduce``/``allreduce``/``reduce_scatter``.
 
@@ -38,8 +36,11 @@ class ReduceOp:
     in rank order, which matches MPI's recommendation for reproducibility).
     """
 
-    name: str
-    fn: Callable[[Any, Any], Any]
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[Any, Any], Any]):
+        self.name = name
+        self.fn = fn
 
     def __call__(self, a: Any, b: Any) -> Any:
         return self.fn(a, b)

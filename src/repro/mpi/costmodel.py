@@ -15,7 +15,7 @@ unimportant; ratios drive the curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 
 from repro.mpi.message import Envelope
@@ -80,16 +80,14 @@ class CostModel:
         return env.send_vtime + self.transfer_time(env.nbytes)
 
 
-@dataclass
 class VirtualClocks:
     """Per-rank virtual clocks plus helpers the engine uses."""
 
-    nprocs: int
-    vtimes: list[float] = field(default_factory=list)
+    __slots__ = ("nprocs", "vtimes")
 
-    def __post_init__(self) -> None:
-        if not self.vtimes:
-            self.vtimes = [0.0] * self.nprocs
+    def __init__(self, nprocs: int):
+        self.nprocs = nprocs
+        self.vtimes = [0.0] * nprocs
 
     def advance(self, rank: int, dt: float) -> float:
         self.vtimes[rank] += dt

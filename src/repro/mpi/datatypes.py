@@ -17,14 +17,12 @@ process's start-up.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
 class Datatype:
     """A (possibly derived) datatype.
 
@@ -35,10 +33,19 @@ class Datatype:
     extent, used by :meth:`pack`/:meth:`unpack`.
     """
 
-    name: str
-    extent: int
-    _size: int = -1  # -1 => dense (size == extent)
-    blocks: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("name", "extent", "_size", "blocks")
+
+    def __init__(
+        self,
+        name: str,
+        extent: int,
+        _size: int = -1,  # -1 => dense (size == extent)
+        blocks: tuple[tuple[int, int], ...] = (),
+    ):
+        self.name = name
+        self.extent = extent
+        self._size = _size
+        self.blocks = blocks
 
     @property
     def size(self) -> int:

@@ -12,7 +12,6 @@ the halo-exchange partner computation every stencil code performs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.errors import InvalidRankError, MPIError
@@ -118,7 +117,6 @@ def dims_create(nnodes: int, ndims: int) -> list[int]:
     return sorted(dims, reverse=True)
 
 
-@dataclass(frozen=True)
 class CartTopology:
     """A Cartesian process topology over a communicator's ranks.
 
@@ -126,14 +124,15 @@ class CartTopology:
     makes dimension ``i`` wrap around.
     """
 
-    dims: tuple[int, ...]
-    periods: tuple[bool, ...]
+    __slots__ = ("dims", "periods")
 
-    def __post_init__(self):
-        if len(self.dims) != len(self.periods):
+    def __init__(self, dims: tuple[int, ...], periods: tuple[bool, ...]):
+        if len(dims) != len(periods):
             raise ValueError("dims and periods must have equal length")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"dimensions must be positive: {self.dims}")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"dimensions must be positive: {dims}")
+        self.dims = dims
+        self.periods = periods
 
     @property
     def size(self) -> int:

@@ -43,7 +43,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import AbortError, DeadlockError
@@ -55,22 +54,38 @@ from repro.mpi.request import reset_request_ids
 from repro.pnmpi.stack import ToolStack
 
 
-@dataclass
 class RunResult:
-    """Outcome of one complete program execution."""
+    """Outcome of one complete program execution.
 
-    nprocs: int
-    returns: dict[int, Any] = field(default_factory=dict)
-    errors: dict[int, BaseException] = field(default_factory=dict)
-    makespan: float = 0.0
-    artifacts: dict[str, Any] = field(default_factory=dict)
-    #: engine-level counters (envelopes, bytes, matches, wildcard_matches,
-    #: collectives) — feeds the campaign's ``engine.*`` telemetry counters
-    stats: dict[str, int] = field(default_factory=dict)
-    #: real (not virtual) seconds per run phase: ``spawn_reset`` (uid
-    #: resets, module setup, thread creation/dispatch), ``execute`` (rank
-    #: mains), ``finish`` (module artifact collection)
-    phases: dict[str, float] = field(default_factory=dict)
+    ``stats`` holds the engine-level counters (envelopes, bytes, matches,
+    wildcard_matches, collectives) — it feeds the campaign's ``engine.*``
+    telemetry counters; ``phases`` the real (not virtual) seconds per run
+    phase: ``spawn_reset`` (uid resets, module setup, thread
+    creation/dispatch), ``execute`` (rank mains), ``finish`` (module
+    artifact collection).
+    """
+
+    __slots__ = (
+        "nprocs", "returns", "errors", "makespan", "artifacts", "stats", "phases",
+    )
+
+    def __init__(
+        self,
+        nprocs: int,
+        returns: Optional[dict[int, Any]] = None,
+        errors: Optional[dict[int, BaseException]] = None,
+        makespan: float = 0.0,
+        artifacts: Optional[dict[str, Any]] = None,
+        stats: Optional[dict[str, int]] = None,
+        phases: Optional[dict[str, float]] = None,
+    ):
+        self.nprocs = nprocs
+        self.returns = {} if returns is None else returns
+        self.errors = {} if errors is None else errors
+        self.makespan = makespan
+        self.artifacts = {} if artifacts is None else artifacts
+        self.stats = {} if stats is None else stats
+        self.phases = {} if phases is None else phases
 
     @property
     def deadlocked(self) -> bool:

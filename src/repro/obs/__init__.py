@@ -29,8 +29,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     deterministic_view,
 )
-from repro.obs.progress import ProgressReporter
 from repro.obs.trace import Event, Tracer, event_signature
+from repro._lazy import lazy_names
+
+#: a campaign without ``--progress`` does not import :mod:`repro.obs.progress`
+__getattr__ = lazy_names(globals(), {"ProgressReporter": "repro.obs.progress"})
 
 __all__ = [
     "CampaignTelemetry",

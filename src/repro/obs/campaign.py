@@ -25,11 +25,13 @@ too.  Environment-dependent numbers go to ``exec.*`` / ``wall.*``.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import ProgressReporter
 from repro.obs.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.progress import ProgressReporter
 
 #: run.wildcard_count boundaries — wildcard ops per run
 WILDCARD_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -56,11 +58,11 @@ class CampaignTelemetry:
         )
         self.metrics = MetricsRegistry()
         interval = getattr(config, "progress_interval_seconds", None)
-        self.progress: Optional[ProgressReporter] = (
-            ProgressReporter(interval, stream=stream)
-            if interval is not None
-            else None
-        )
+        self.progress: Optional[ProgressReporter] = None
+        if interval is not None:
+            from repro.obs.progress import ProgressReporter
+
+            self.progress = ProgressReporter(interval, stream=stream)
         self._clock = clock
         m = self.metrics
         self._runs = m.counter("campaign.runs")

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
 #: Default ring capacity; ~100 bytes/record keeps the worst case ~6 MiB.
@@ -51,24 +50,42 @@ DEFAULT_BUFFER = 65536
 _NAME, _CAT, _TS, _PH, _DUR, _RANK, _RUN, _ARGS = range(8)
 
 
-@dataclass(frozen=True)
 class Event:
     """One structured trace record.
 
     ``ph`` follows the Chrome trace_event phase vocabulary for the two
     shapes we emit: ``"i"`` (instant) and ``"X"`` (complete span with
     ``dur``).  ``ts``/``dur`` are seconds relative to the owning tracer's
-    epoch; exporters convert units.
+    epoch; exporters convert units.  Events are equal when every field
+    is (a stream read back from JSONL equals the one written).
     """
 
-    name: str
-    cat: str
-    ts: float
-    ph: str = "i"
-    dur: float = 0.0
-    rank: Optional[int] = None
-    run: Optional[int] = None
-    args: Tuple[Tuple[str, object], ...] = ()
+    __slots__ = ("name", "cat", "ts", "ph", "dur", "rank", "run", "args")
+
+    def __init__(
+        self,
+        name: str,
+        cat: str,
+        ts: float,
+        ph: str = "i",
+        dur: float = 0.0,
+        rank: Optional[int] = None,
+        run: Optional[int] = None,
+        args: Tuple[Tuple[str, object], ...] = (),
+    ):
+        self.name = name
+        self.cat = cat
+        self.ts = ts
+        self.ph = ph
+        self.dur = dur
+        self.rank = rank
+        self.run = run
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Event):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in Event.__slots__)
 
     def arg(self, key: str, default=None):
         for k, v in self.args:

@@ -14,13 +14,11 @@ non-determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, SUM
 
 
-@dataclass(frozen=True)
 class ZooEntry:
     """One defect pattern.
 
@@ -32,11 +30,16 @@ class ZooEntry:
     ``clean`` (a tempting-but-correct pattern: must NOT be flagged).
     """
 
-    name: str
-    nprocs: int
-    program: Callable
-    expect: str
-    notes: str = ""
+    __slots__ = ("name", "nprocs", "program", "expect", "notes")
+
+    def __init__(
+        self, name: str, nprocs: int, program: Callable, expect: str, notes: str = ""
+    ):
+        self.name = name
+        self.nprocs = nprocs
+        self.program = program
+        self.expect = expect
+        self.notes = notes
 
 
 # --------------------------------------------------------------------- #

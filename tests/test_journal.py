@@ -491,15 +491,16 @@ def _one_epoch_trace(stamp=None, epoch=None, nprocs=4):
 
 def _field_view(obj):
     """``obj`` with every field and its type spelled out, for comparing a
-    trace field by field: stamps keep the rank their ``==`` ignores, and
-    a tuple never equals a list nor a bool an int."""
+    trace field by field: stamps keep the rank their ``==`` ignores, a
+    trace class (no ``==`` of its own) is compared slot by slot, and a
+    tuple never equals a list nor a bool an int."""
     if isinstance(obj, LamportStamp):
         return (LamportStamp, obj.time, obj.rank)
     if isinstance(obj, VectorStamp):
         return (VectorStamp, obj.components, obj.rank)
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, (RunTrace, EpochRecord, PotentialMatch)):
         return (type(obj), *(
-            _field_view(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            _field_view(getattr(obj, name)) for name in type(obj).__slots__
         ))
     if isinstance(obj, dict):
         return {k: _field_view(v) for k, v in obj.items()}

@@ -109,6 +109,10 @@ class TestDecisions:
         d2 = EpochDecisions.from_json(d.to_json())
         assert d2.forced == d.forced
         assert d2.flip == (3, 7)
+        # a witness read back is the schedule written (what a resumed
+        # report's errors are compared by); the flip is part of it
+        assert d2 == d
+        assert d2 != EpochDecisions(forced=d.forced)
 
     def test_save_load(self, tmp_path):
         d = EpochDecisions(forced={(1, 4): 3})

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -188,7 +187,10 @@ def _as_jsonl(events) -> list:
         return [listed(x) for x in v] if isinstance(v, (tuple, list)) else v
 
     return [
-        replace(e, args=tuple((k, listed(v)) for k, v in e.args))
+        Event(
+            e.name, e.cat, e.ts, e.ph, e.dur, e.rank, e.run,
+            args=tuple((k, listed(v)) for k, v in e.args),
+        )
         for e in events
     ]
 

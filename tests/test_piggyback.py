@@ -3,10 +3,14 @@
 import pytest
 
 from repro.clocks.lamport import LamportStamp
+from repro.dampi.config import DampiConfig
 from repro.dampi.piggyback import InlinePacked, PiggybackModule
+from repro.dampi.verifier import measure_slowdown
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.datatypes import sizeof
 from repro.mpi.runtime import run_program
 from repro.pnmpi.module import ToolModule
+from repro.workloads.parmetis import parmetis_program
 
 from tests.conftest import run_ok, spin
 
@@ -269,3 +273,11 @@ class TestInlineMechanism:
         res.raise_any()
         # the shadow ctx exists (created in setup) but carries no traffic
         assert rt.engine.stats.envelopes == 1
+        # the one message carries its payload and the stamp packed into it
+        assert rt.engine.stats.bytes == sizeof("m") + sizeof(LamportStamp(0))
+        # so instrumenting a program costs virtual time, as it does under
+        # separate piggybacking
+        slowdown = measure_slowdown(
+            parmetis_program, 4, DampiConfig(piggyback="inline"), kwargs={"scale": 0.05}
+        )["slowdown"]
+        assert slowdown > 1
