@@ -19,7 +19,7 @@ documents this substitution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.dampi.config import DampiConfig
@@ -262,7 +262,7 @@ class IspVerifier(DampiVerifier):
         args: tuple = (),
         kwargs: Optional[dict] = None,
     ):
-        config = replace(config or DampiConfig(), clock_impl="vector")
+        config = (config or DampiConfig()).replace(clock_impl="vector")
         super().__init__(program, nprocs, config, args=args, kwargs=kwargs)
 
     def _build_modules(self, decisions: Optional[EpochDecisions]) -> list:

@@ -25,7 +25,6 @@ import importlib
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -508,7 +507,7 @@ def cmd_verify(args) -> int:
     )
     if not sink:
         # nothing will read event payloads: no run records any
-        config = replace(config, trace_sample_every=None)
+        config = config.replace(trace_sample_every=None)
     verifier = DampiVerifier(program, args.nprocs, config, kwargs=kwargs)
     journal = None
     if args.journal_dir is not None:
@@ -754,7 +753,7 @@ def cmd_resume(args) -> int:
         raise UsageError(f"--workers must be >= 1, not {workers}")
     # 'resume' has no event sink, whatever the first attempt streamed into
     verifier = DampiVerifier(
-        program, meta["nprocs"], replace(config, trace_sample_every=None),
+        program, meta["nprocs"], config.replace(trace_sample_every=None),
         kwargs=kwargs,
     )
     return _report_tail(

@@ -13,7 +13,6 @@ configurations is a loop over :meth:`DampiVerifier.verify
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -149,7 +148,7 @@ def escalating_verify(
         label = "unbounded" if k is None else f"k{k}"
         if faults:
             faults.fire("stage", (label,))
-        cfg = replace(base, bound_k=k, max_interleavings=remaining)
+        cfg = base.replace(bound_k=k, max_interleavings=remaining)
         journal = (
             Path(journal_dir) / f"stage-{label}" if journal_dir is not None else None
         )

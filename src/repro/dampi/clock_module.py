@@ -337,7 +337,7 @@ class DampiClockModule(ToolModule):
             rank=proc.world_rank,
             lc=lc,
             index=len(state.epochs),
-            ctx=comm.ctx,
+            ctx=comm.context.ctx,
             tag=tag,
             kind=kind,
             stamp=state.clock.epoch_snapshot(),
@@ -473,7 +473,7 @@ class DampiClockModule(ToolModule):
         rendezvous on ``comm``'s shadow, contributing its stamp."""
         rank = proc.world_rank
         self._vtimes[rank] += self._wrap_cost
-        shadow = self.piggyback.shadow_context(comm.ctx)
+        shadow = self.piggyback.shadow_context(comm.context.ctx)
         return self._engine.join_tool_collective(
             rank,
             shadow,

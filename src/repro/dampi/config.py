@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from repro._record import Record
 from repro.mpi.costmodel import CostModel
 
 #: config fields that change what the walk *means* — a journal recorded
@@ -13,7 +13,7 @@ from repro.mpi.costmodel import CostModel
 #: Every other field is an execution knob (``jobs``, telemetry,
 #: ``fault_plan``, the lease timeout): bit-identity-preserving and
 #: deliberately excluded.  A new field must be classified
-#: (``tests/test_journal.py`` enumerates the dataclass).
+#: (``tests/test_journal.py`` enumerates :attr:`DampiConfig.FIELDS`).
 SEMANTIC_CONFIG_FIELDS = (
     "clock_impl",
     "piggyback",
@@ -29,8 +29,7 @@ SEMANTIC_CONFIG_FIELDS = (
 )
 
 
-@dataclass
-class DampiConfig:
+class DampiConfig(Record):
     """Everything tunable about a DAMPI verification session.
 
     Attributes
@@ -53,6 +52,11 @@ class DampiConfig:
         (full coverage); ``0`` = flip each epoch once with a self-run
         suffix; larger values let flipped epochs "mix" ``k`` decisions
         deep.
+    auto_loop_threshold:
+        Automatic loop-iteration abstraction (the paper's §VI future
+        work): freeze wildcard epochs past this many consecutive
+        same-signature occurrences per rank, without requiring
+        MPI_Pcontrol annotations.  ``None`` disables the heuristic.
     max_interleavings / max_seconds:
         Hard budget guards; the report flags truncation.
     jobs:
@@ -65,6 +69,24 @@ class DampiConfig:
         stays in-process (logged; ``exec.demoted`` gauge): workers could
         only time-slice against each other there.  A ``journal=``
         directory resumes at any ``jobs``, whoever wrote it.
+    prune:
+        Future-equivalence subtree pruning (see :mod:`repro.dampi.prune`):
+        when a flipped sibling's run provably matches an already-walked
+        sibling — same downstream send/recv skeleton fingerprint *and*
+        identical checker outcome — the generator marks the un-walked
+        subtree pruned instead of expanding it.  Findings stay
+        bit-identical to the unpruned walk (the set of distinct wildcard
+        *outcomes* visited does not — pin ``False`` to enumerate those);
+        every pruned subtree is accounted for in ``report.prune_stats``.
+        CLI: ``--no-prune``.
+    adaptive_clocks:
+        Adaptive per-epoch clock escalation: run the scalar ``lamport``
+        clock by default, detect the Fig. 4 cross-coupled imprecision
+        pattern from each recorded trace (an epoch whose late-send set
+        could be inflated by scalar mis-ordering), and re-verify only the
+        affected runs under vector clocks — augmenting the scalar trace
+        with the vector-only alternatives instead of paying O(nprocs)
+        piggyback campaign-wide.  Requires ``clock_impl="lamport"``.
     policy / cost_model:
         Substrate knobs: the wildcard match policy for SELF_RUN portions
         (the paper's native match bias; a name builds a fresh policy per
@@ -110,56 +132,72 @@ class DampiConfig:
         or escalation stages at chosen points.  Travels inside the
         config, so fleet workers and escalation stages inherit it
         automatically.  ``None`` (the default) injects nothing.
+    dist_lease_timeout_seconds:
+        Distributed mode: a lease whose worker shows no progress (no
+        record, donation, or run-count advance) for this long is declared
+        lost — the worker is terminated and the lease re-issued (the hang
+        guard of every ``jobs > 1`` campaign).  Stays a field because it
+        is the one fleet value that depends on the program under test: it
+        must comfortably exceed the cost of one replay.
+
+    A plain :class:`~repro._record.Record`, not a dataclass: derive a
+    variant with ``config.replace(jobs=4)`` (validated like a new
+    config), dump it with ``config.as_dict()`` (the cost model as a dict
+    of its own); both, ``==`` and ``repr`` read :attr:`FIELDS`.
     """
 
-    clock_impl: str = "lamport"
-    piggyback: str = "separate"
-    bound_k: Optional[int] = None
-    #: Automatic loop-iteration abstraction (the paper's §VI future work):
-    #: freeze wildcard epochs past this many consecutive same-signature
-    #: occurrences per rank, without requiring MPI_Pcontrol annotations.
-    #: ``None`` disables the heuristic.
-    auto_loop_threshold: Optional[int] = None
-    max_interleavings: Optional[int] = None
-    max_seconds: Optional[float] = None
-    jobs: Optional[int] = 1
-    #: Future-equivalence subtree pruning (see :mod:`repro.dampi.prune`):
-    #: when a flipped sibling's run provably matches an already-walked
-    #: sibling — same downstream send/recv skeleton fingerprint *and*
-    #: identical checker outcome — the generator marks the un-walked
-    #: subtree pruned instead of expanding it.  Findings stay
-    #: bit-identical to the unpruned walk (the set of distinct wildcard
-    #: *outcomes* visited does not — pin ``False`` to enumerate those);
-    #: every pruned subtree is accounted for in ``report.prune_stats``.
-    #: CLI: ``--no-prune``.
-    prune: bool = True
-    #: Adaptive per-epoch clock escalation: run the scalar ``lamport``
-    #: clock by default, detect the Fig. 4 cross-coupled imprecision
-    #: pattern from each recorded trace (an epoch whose late-send set
-    #: could be inflated by scalar mis-ordering), and re-verify only the
-    #: affected runs under vector clocks — augmenting the scalar trace
-    #: with the vector-only alternatives instead of paying O(nprocs)
-    #: piggyback campaign-wide.  Requires ``clock_impl="lamport"``.
-    adaptive_clocks: bool = False
-    policy: str = "arrival"
-    cost_model: CostModel = field(default_factory=CostModel)
-    enable_leak_check: bool = True
-    enable_monitor: bool = True
-    trace_events: bool = False
-    trace_sample_every: Optional[int] = 1
-    progress_interval_seconds: Optional[float] = None
-    fault_plan: Optional[str] = None
-    #: distributed mode: a lease whose worker shows no progress (no
-    #: record, donation, or run-count advance) for this long is declared
-    #: lost — the worker is terminated and the lease re-issued (the hang
-    #: guard of every ``jobs > 1`` campaign).  Stays a field because it is
-    #: the one fleet value that depends on the program under test: it
-    #: must comfortably exceed the cost of one replay.
-    dist_lease_timeout_seconds: float = 30.0
+    FIELDS = (
+        "clock_impl", "piggyback", "bound_k", "auto_loop_threshold",
+        "max_interleavings", "max_seconds", "jobs", "prune",
+        "adaptive_clocks", "policy", "cost_model", "enable_leak_check",
+        "enable_monitor", "trace_events", "trace_sample_every",
+        "progress_interval_seconds", "fault_plan",
+        "dist_lease_timeout_seconds",
+    )
+    __slots__ = FIELDS
 
     _CLOCK_IMPLS = ("lamport", "vector")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        clock_impl: str = "lamport",
+        piggyback: str = "separate",
+        bound_k: Optional[int] = None,
+        auto_loop_threshold: Optional[int] = None,
+        max_interleavings: Optional[int] = None,
+        max_seconds: Optional[float] = None,
+        jobs: Optional[int] = 1,
+        prune: bool = True,
+        adaptive_clocks: bool = False,
+        policy: str = "arrival",
+        cost_model: Optional[CostModel] = None,
+        enable_leak_check: bool = True,
+        enable_monitor: bool = True,
+        trace_events: bool = False,
+        trace_sample_every: Optional[int] = 1,
+        progress_interval_seconds: Optional[float] = None,
+        fault_plan: Optional[str] = None,
+        dist_lease_timeout_seconds: float = 30.0,
+    ):
+        self.clock_impl = clock_impl
+        self.piggyback = piggyback
+        self.bound_k = bound_k
+        self.auto_loop_threshold = auto_loop_threshold
+        self.max_interleavings = max_interleavings
+        self.max_seconds = max_seconds
+        self.jobs = jobs
+        self.prune = prune
+        self.adaptive_clocks = adaptive_clocks
+        self.policy = policy
+        # ``None`` is a fresh default model per config
+        self.cost_model = CostModel() if cost_model is None else cost_model
+        self.enable_leak_check = enable_leak_check
+        self.enable_monitor = enable_monitor
+        self.trace_events = trace_events
+        self.trace_sample_every = trace_sample_every
+        self.progress_interval_seconds = progress_interval_seconds
+        self.fault_plan = fault_plan
+        self.dist_lease_timeout_seconds = dist_lease_timeout_seconds
         if self.clock_impl not in self._CLOCK_IMPLS:
             raise ValueError(
                 f"clock_impl must be one of {self._CLOCK_IMPLS}, not {self.clock_impl!r}"

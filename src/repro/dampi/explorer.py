@@ -150,7 +150,10 @@ class ScheduleGenerator:
         if self._seeded:
             raise RuntimeError("generator already seeded")
         self._seeded = True
-        self.path = self._nodes_from_epochs(trace, trace.all_epochs(), distance_from=None)
+        self.path = self._nodes_from_epochs(
+            trace, trace.all_epochs(), explorable_alternative_sources(trace),
+            distance_from=None,
+        )
         if self.prune:
             self._charge_path(1, 0)
             self._stamp_signature(signature, self.path)
@@ -326,9 +329,15 @@ class ScheduleGenerator:
         return frozen
 
     def _nodes_from_epochs(
-        self, trace: RunTrace, epochs: list[EpochRecord], distance_from: Optional[int]
+        self,
+        trace: RunTrace,
+        epochs: list[EpochRecord],
+        alts: dict,
+        distance_from: Optional[int],
     ) -> list[DecisionNode]:
-        alts = explorable_alternative_sources(trace)
+        """One node per epoch of ``epochs``; ``alts`` is the run's
+        :func:`explorable_alternative_sources`, computed once by the
+        caller."""
         auto_frozen = self._auto_frozen_keys(trace)
         self.auto_frozen_total += len(auto_frozen)
         epochs = sorted(epochs, key=_order_key)
@@ -461,7 +470,7 @@ class ScheduleGenerator:
         frozen_before = self.distance_frozen
         if not pruned:
             fresh_epochs = [e for e in trace.all_epochs() if e.key not in prefix_keys]
-            fresh = self._nodes_from_epochs(trace, fresh_epochs, distance_from=i)
+            fresh = self._nodes_from_epochs(trace, fresh_epochs, alts, distance_from=i)
             self.path = prefix + fresh
         else:
             self.path = prefix

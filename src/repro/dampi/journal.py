@@ -91,13 +91,13 @@ never reopened for writing).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
 from pathlib import Path
 from typing import Optional
 
+from repro._record import Record
 from repro.clocks.lamport import LamportStamp
 from repro.clocks.vector import VectorStamp
 from repro.dampi.config import SEMANTIC_CONFIG_FIELDS
@@ -427,9 +427,7 @@ def config_signature(
             value = f"<instance:{type(value).__name__}>"
         sig[name] = value
     cm = getattr(config, "cost_model", None)
-    sig["cost_model"] = (
-        dataclasses.asdict(cm) if dataclasses.is_dataclass(cm) else repr(cm)
-    )
+    sig["cost_model"] = cm.as_dict() if isinstance(cm, Record) else repr(cm)
     sig["kwargs"] = _jsonable_or_repr(dict(kwargs) if kwargs else {})
     sig["args"] = _jsonable_or_repr(list(prog_args))
     return sig
@@ -440,7 +438,7 @@ def config_to_jsonable(config) -> Optional[dict]:
     e.g. a policy instance — in-process resume still works; only the
     self-contained CLI path needs this)."""
     try:
-        payload = dataclasses.asdict(config)
+        payload = config.as_dict()
         json.dumps(payload)
         return payload
     except (TypeError, ValueError):

@@ -45,9 +45,12 @@ assembly replay it deterministically for free.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import replace
 from typing import Optional
+
+try:  # the builtin module: no OpenSSL mapped for one digest
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 from repro.dampi.decisions import EpochDecisions
 from repro.dampi.epoch import EpochKey, PotentialMatch, RunTrace
@@ -60,7 +63,7 @@ ESCALATED_ENV_UID = -1
 
 
 def _digest(obj) -> str:
-    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
+    return blake2b(repr(obj).encode(), digest_size=16).hexdigest()
 
 
 def outcome_digest(result, trace: RunTrace) -> str:
@@ -184,8 +187,7 @@ def escalation_config(cfg):
     """The config of a precision replay: same program semantics, vector
     clocks, every campaign-level knob (fleet, tracing, journal, faults)
     stripped — one in-process replay, nothing else."""
-    return replace(
-        cfg,
+    return cfg.replace(
         clock_impl="vector",
         adaptive_clocks=False,
         prune=False,

@@ -41,7 +41,6 @@ is how a hung replay (e.g. an injected ``hang`` fault) is caught.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,8 +73,7 @@ def shard_config(config):
     once streamed back, the coordinator's.  The fault plan travels along so
     ``worker:*`` sites fire inside the right process.
     """
-    return replace(
-        config,
+    return config.replace(
         jobs=1,
         progress_interval_seconds=None,
         max_interleavings=None,

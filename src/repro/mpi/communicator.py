@@ -177,10 +177,11 @@ class Communicator:
             return
         if allow_any and peer == ANY_SOURCE:
             return
-        if not isinstance(peer, int) or not 0 <= peer < self.context.size:
+        group = self.context.group
+        if not isinstance(peer, int) or not 0 <= peer < len(group):
             raise InvalidRankError(
                 f"rank {peer!r} invalid for communicator {self.context.label} "
-                f"of size {self.context.size}"
+                f"of size {len(group)}"
             )
 
     # -- point-to-point ----------------------------------------------------

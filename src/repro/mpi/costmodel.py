@@ -15,14 +15,13 @@ unimportant; ratios drive the curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log2
 
+from repro._record import Record
 from repro.mpi.message import Envelope
 
 
-@dataclass
-class CostModel:
+class CostModel(Record):
     """Charges virtual seconds for simulated operations.
 
     Attributes
@@ -38,29 +37,56 @@ class CostModel:
         (tree-based implementation).
     local_op:
         Cost of purely local MPI ops (comm bookkeeping, request free, ...).
+    tool_factor:
+        CPU-cost multiplier for traffic on tool (shadow) communicators.
+        Piggyback messages ride the same transport as payload messages but
+        skip user-level copies/matching bookkeeping; Schulz et al. [15]
+        measured separate-message piggybacking at a few percent overhead.
+    tool_epoch_cost:
+        DAMPI bookkeeping per wildcard epoch: RecordEpochData plus the
+        potential-match file append.  Dominates overhead in wildcard-dense
+        codes (milc's 15× in Table II).
+    tool_msg_analysis_cost:
+        DAMPI late-message classification per received message (clock
+        compare + non-overtaking lookup against the epoch list).
+    tool_wrap_cost:
+        Per-call interposition dispatch cost (PnMPI stack traversal plus
+        DAMPI's wrapper bookkeeping), charged once per instrumented op.
+
+    A plain :class:`~repro._record.Record`: ``replace(...)``,
+    ``as_dict()``, ``==`` and ``repr`` read :attr:`FIELDS`.
     """
 
-    p2p_overhead: float = 0.5e-6
-    latency: float = 2.0e-6
-    byte_time: float = 1.0 / 1.5e9
-    collective_alpha: float = 2.0e-6
-    collective_beta: float = 1.5e-6
-    local_op: float = 0.2e-6
-    #: CPU-cost multiplier for traffic on tool (shadow) communicators.
-    #: Piggyback messages ride the same transport as payload messages but
-    #: skip user-level copies/matching bookkeeping; Schulz et al. [15]
-    #: measured separate-message piggybacking at a few percent overhead.
-    tool_factor: float = 0.35
-    #: DAMPI bookkeeping per wildcard epoch: RecordEpochData plus the
-    #: potential-match file append.  Dominates overhead in wildcard-dense
-    #: codes (milc's 15× in Table II).
-    tool_epoch_cost: float = 55.0e-6
-    #: DAMPI late-message classification per received message (clock
-    #: compare + non-overtaking lookup against the epoch list).
-    tool_msg_analysis_cost: float = 0.2e-6
-    #: per-call interposition dispatch cost (PnMPI stack traversal plus
-    #: DAMPI's wrapper bookkeeping), charged once per instrumented op.
-    tool_wrap_cost: float = 0.4e-6
+    FIELDS = (
+        "p2p_overhead", "latency", "byte_time", "collective_alpha",
+        "collective_beta", "local_op", "tool_factor", "tool_epoch_cost",
+        "tool_msg_analysis_cost", "tool_wrap_cost",
+    )
+    __slots__ = FIELDS
+
+    def __init__(
+        self,
+        p2p_overhead: float = 0.5e-6,
+        latency: float = 2.0e-6,
+        byte_time: float = 1.0 / 1.5e9,
+        collective_alpha: float = 2.0e-6,
+        collective_beta: float = 1.5e-6,
+        local_op: float = 0.2e-6,
+        tool_factor: float = 0.35,
+        tool_epoch_cost: float = 55.0e-6,
+        tool_msg_analysis_cost: float = 0.2e-6,
+        tool_wrap_cost: float = 0.4e-6,
+    ):
+        self.p2p_overhead = p2p_overhead
+        self.latency = latency
+        self.byte_time = byte_time
+        self.collective_alpha = collective_alpha
+        self.collective_beta = collective_beta
+        self.local_op = local_op
+        self.tool_factor = tool_factor
+        self.tool_epoch_cost = tool_epoch_cost
+        self.tool_msg_analysis_cost = tool_msg_analysis_cost
+        self.tool_wrap_cost = tool_wrap_cost
 
     def send_cost(self, nbytes: int) -> float:
         """Sender-side cost of an eager isend."""

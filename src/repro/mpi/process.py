@@ -156,30 +156,49 @@ class Proc:
             return peer
         return comm.context.world_rank(peer)
 
+    # The point-to-point bottoms translate a peer without a call.  A
+    # ``Communicator`` call range-checked it already; a ``proc.pmpi``
+    # caller and a guided replay's forced source did not, so an
+    # out-of-range rank still raises ``CommContext.world_rank``'s error.
+
     def _pmpi_isend(self, comm: Communicator, payload: Any, dest: int, tag: int) -> Request:
         if dest == PROC_NULL:
             return self._null_request(RequestKind.SEND, comm)
+        context = comm.context
+        group = context.group
+        if not 0 <= dest < len(group):
+            context.world_rank(dest)
         return self.engine.pmpi_isend(
-            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag, proc=self
+            self.world_rank, context.ctx, payload, group[dest], tag, proc=self
         )
 
     def _pmpi_issend(self, comm: Communicator, payload: Any, dest: int, tag: int) -> Request:
         if dest == PROC_NULL:
             return self._null_request(RequestKind.SEND, comm)
+        context = comm.context
+        group = context.group
+        if not 0 <= dest < len(group):
+            context.world_rank(dest)
         return self.engine.pmpi_issend(
-            self.world_rank, comm.ctx, payload, self._to_world(comm, dest), tag, proc=self
+            self.world_rank, context.ctx, payload, group[dest], tag, proc=self
         )
 
     def _pmpi_irecv(self, comm: Communicator, source: int, tag: int) -> Request:
         if source == PROC_NULL:
             return self._null_request(RequestKind.RECV, comm)
+        context = comm.context
+        if source != ANY_SOURCE:
+            group = context.group
+            if not 0 <= source < len(group):
+                context.world_rank(source)
+            source = group[source]
         return self.engine.pmpi_irecv(
-            self.world_rank, comm.ctx, self._to_world(comm, source), tag, proc=self
+            self.world_rank, context.ctx, source, tag, proc=self
         )
 
     def _null_request(self, kind: RequestKind, comm: Communicator) -> Request:
         """Transfers to/from MPI_PROC_NULL complete immediately, no data."""
-        req = Request(kind, self.world_rank, comm.ctx, posted_src=PROC_NULL, proc=self)
+        req = Request(kind, self.world_rank, comm.context.ctx, posted_src=PROC_NULL, proc=self)
         req.state = RequestState.COMPLETE
         req.status = Status(source=PROC_NULL, tag=UNDEFINED)
         req.complete_vtime = self.engine.clocks.now(self.world_rank)
@@ -244,18 +263,18 @@ class Proc:
 
     def _pmpi_probe(self, comm: Communicator, source: int, tag: int) -> Status:
         return self.engine.pmpi_probe(
-            self.world_rank, comm.ctx, self._to_world(comm, source), tag
+            self.world_rank, comm.context.ctx, self._to_world(comm, source), tag
         )
 
     def _pmpi_iprobe(self, comm: Communicator, source: int, tag: int):
         return self.engine.pmpi_iprobe(
-            self.world_rank, comm.ctx, self._to_world(comm, source), tag
+            self.world_rank, comm.context.ctx, self._to_world(comm, source), tag
         )
 
     def _coll(self, comm: Communicator, kind: str, payload=None, root=None, op=None):
         root_world = None if root is None else self._to_world(comm, root)
         return self.engine.pmpi_collective(
-            self.world_rank, comm.ctx, kind, payload, root_world, op
+            self.world_rank, comm.context.ctx, kind, payload, root_world, op
         )
 
     def _pmpi_barrier(self, comm: Communicator) -> None:
@@ -264,7 +283,7 @@ class Proc:
     def _icoll(self, comm: Communicator, kind: str, payload=None, root=None, op=None) -> Request:
         root_world = None if root is None else self._to_world(comm, root)
         return self.engine.pmpi_icollective(
-            self.world_rank, comm.ctx, kind, payload, root_world, op, proc=self
+            self.world_rank, comm.context.ctx, kind, payload, root_world, op, proc=self
         )
 
     def _pmpi_ibarrier(self, comm: Communicator) -> Request:
@@ -312,7 +331,7 @@ class Proc:
         return None if ctx is None else Communicator(ctx, self)
 
     def _pmpi_comm_free(self, comm: Communicator) -> None:
-        self.engine.pmpi_comm_free(self.world_rank, comm.ctx)
+        self.engine.pmpi_comm_free(self.world_rank, comm.context.ctx)
 
     def _pmpi_request_free(self, req: Request) -> None:
         self.engine.pmpi_request_free(self.world_rank, req)

@@ -7,8 +7,8 @@ interleavings already journaled (the re-executed count is asserted).
 """
 
 import collections
-import dataclasses
 import hashlib
+import inspect
 import json
 import multiprocessing
 import os
@@ -36,6 +36,7 @@ from repro.dampi.epoch import EpochRecord, PotentialMatch, RunTrace
 from repro.dampi.explorer import ScheduleGenerator
 from repro.dampi.faults import FAULT_EXIT_CODE
 from repro.dist import distributed_verify
+from repro.mpi.costmodel import CostModel
 from repro.workloads.bugzoo import ZOO
 from repro.workloads.patterns import fig4_program, wildcard_lattice
 from tests.kept_traces import TraceKeepingVerifier
@@ -845,12 +846,123 @@ class TestSerialization:
         assert len(SEMANTIC_CONFIG_FIELDS) == 11
         assert len(semantic) == len(SEMANTIC_CONFIG_FIELDS) + 1
         assert not semantic & self.EXECUTION_CONFIG_FIELDS
-        names = {f.name for f in dataclasses.fields(DampiConfig)}
+        names = set(DampiConfig.FIELDS)
+        # every __init__ parameter is a listed field, in positional order
+        assert list(inspect.signature(DampiConfig).parameters) == list(DampiConfig.FIELDS)
         assert len(names) == 18
         assert names == semantic | self.EXECUTION_CONFIG_FIELDS
         assert set(jr.config_signature(3, DampiConfig())) == semantic | {
             "nprocs", "kwargs", "args",
         }
+
+    def test_a_custom_cost_model_signs_and_dumps_by_field(self):
+        """The signature and the ``resume`` dump spell a cost model as its
+        fields in declaration order — the bytes a journal's meta record
+        holds, which an existing journal is matched against."""
+        cfg = DampiConfig(bound_k=2, cost_model=CostModel(latency=1e-05, tool_factor=0.5))
+        assert json.dumps(jr.config_signature(3, cfg)["cost_model"]) == (
+            '{"p2p_overhead": 5e-07, "latency": 1e-05, '
+            '"byte_time": 6.666666666666666e-10, "collective_alpha": 2e-06, '
+            '"collective_beta": 1.5e-06, "local_op": 2e-07, "tool_factor": 0.5, '
+            '"tool_epoch_cost": 5.5e-05, "tool_msg_analysis_cost": 2e-07, '
+            '"tool_wrap_cost": 4e-07}'
+        )
+        payload = jr.config_to_jsonable(cfg)
+        assert list(payload) == list(DampiConfig.FIELDS)
+        assert payload["cost_model"] == cfg.cost_model.as_dict()
+        again = json.loads(json.dumps(payload))
+        cm = CostModel(**again.pop("cost_model"))
+        assert DampiConfig(**again, cost_model=cm) == cfg
+        # a policy instance is not JSON-able: in-process resume only
+        assert jr.config_to_jsonable(DampiConfig(policy=object())) is None
+
+
+class TestConfigRecord:
+    """``DampiConfig`` and ``CostModel`` are plain classes: one field tuple
+    drives ``replace``, ``as_dict``, ``==`` and ``repr``."""
+
+    def test_replace_copies_and_validates(self):
+        cfg = DampiConfig()
+        four = cfg.replace(jobs=4, bound_k=1)
+        assert (four.jobs, four.bound_k, cfg.jobs, cfg.bound_k) == (4, 1, 1, None)
+        assert four.cost_model is cfg.cost_model  # a shallow copy
+        with pytest.raises(ValueError, match="bound_k"):
+            cfg.replace(bound_k=-1)
+        with pytest.raises(TypeError):
+            cfg.replace(no_such_knob=1)
+        assert CostModel().replace(latency=1.0).latency == 1.0
+
+    def test_equality_repr_and_no_hash(self):
+        assert DampiConfig() == DampiConfig()
+        assert DampiConfig() != DampiConfig(prune=False)
+        assert DampiConfig() != DampiConfig(cost_model=CostModel(latency=1.0))
+        assert CostModel() != object()
+        assert DampiConfig().cost_model is not DampiConfig().cost_model
+        assert repr(CostModel(local_op=1.0)).startswith(
+            "CostModel(p2p_overhead=5e-07, latency=2e-06, "
+        )
+        assert repr(DampiConfig(jobs=2)).startswith(
+            "DampiConfig(clock_impl='lamport', piggyback='separate', bound_k=None, "
+        )
+        assert "jobs=2, " in repr(DampiConfig(jobs=2))
+        with pytest.raises(TypeError):
+            hash(DampiConfig())
+
+    def test_positional_order_is_the_field_order(self):
+        assert list(inspect.signature(CostModel).parameters) == list(CostModel.FIELDS)
+        assert DampiConfig("vector", "inline", 3).as_dict()["bound_k"] == 3
+
+
+#: a journal written by commit 689ea76, when ``DampiConfig`` and
+#: ``CostModel`` were dataclasses: ``repro verify
+#: repro.workloads.patterns:wildcard_lattice --nprocs 3 --kwargs LATTICE
+#: --fault-plan kill@run:2 --journal-dir ...``, killed before replay 2
+OLD_JOURNAL = os.path.join(os.path.dirname(__file__), "data", "journal-kill-run2")
+
+
+class TestOldJournal:
+    """A journal an earlier release wrote resumes under this one: the
+    meta record's signature is the one this release computes, so nothing
+    is refused, and the walk continues where the kill left it."""
+
+    def _copy(self, tmp_path, name="j"):
+        return shutil.copytree(OLD_JOURNAL, tmp_path / name)
+
+    def test_signature_and_in_process_resume(self, tmp_path):
+        journal_dir = self._copy(tmp_path)
+        meta = CampaignJournal(journal_dir).meta
+        assert meta["signature"] == jr.config_signature(3, DampiConfig(), LATTICE)
+        assert json.dumps(meta["signature"]) == json.dumps(
+            jr.config_signature(3, DampiConfig(), LATTICE)
+        )
+        oracle = DampiVerifier(wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE).verify()
+        resumed = DampiVerifier(
+            wildcard_lattice, 3, DampiConfig(), kwargs=LATTICE
+        ).verify(journal=journal_dir)
+        assert resumed.journal_stats["replayed"] == 2
+        assert resumed.journal_stats["executed"] == oracle.interleavings - 2
+        assert _canon(resumed) == _canon(oracle)
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["recorded", "workers2"])
+    def test_cli_resume_equals_an_uninterrupted_run(self, tmp_path, capsys, workers):
+        """``repro resume`` rebuilds the config from the recorded dump
+        (``CostModel(**...)`` included) and reports what ``verify`` does."""
+        assert main([
+            "verify", TestCliJournal.PROG, "--nprocs", "3",
+            "--kwargs", json.dumps(LATTICE), "--json-out", str(tmp_path / "full.json"),
+        ]) == 0
+        argv = ["resume", str(self._copy(tmp_path)), "--json-out", str(tmp_path / "r.json")]
+        capsys.readouterr()
+        assert main(argv + (["--workers", str(workers)] if workers else [])) == 0
+        assert "journal: 2 run(s) replayed, 2 executed" in capsys.readouterr().out
+
+        def canon(path):
+            d = json.loads(path.read_text())
+            d.pop("wall_seconds")
+            d.pop("telemetry")
+            return d
+
+        assert canon(tmp_path / "r.json") == canon(tmp_path / "full.json")
 
 
 class TestCliJournal:

@@ -308,6 +308,24 @@ class TestErrors:
 
         res = run_program(prog, 2)
         assert any(isinstance(e, InvalidRankError) for e in res.primary_errors.values())
+        assert str(res.primary_errors[0]) == "rank 5 invalid for communicator world of size 2"
+
+    @pytest.mark.parametrize("point", ["isend", "issend", "irecv"])
+    @pytest.mark.parametrize("peer", [5, -3])
+    def test_rank_out_of_range_below_the_communicator(self, point, peer):
+        """``proc.pmpi`` skips the ``Communicator``'s peer check (as does a
+        guided replay's forced source); the bottom still refuses the rank,
+        with ``CommContext.world_rank``'s error."""
+        def prog(p):
+            if p.rank == 0:
+                if point == "irecv":
+                    p.pmpi.irecv(p.world, peer, 0)
+                else:
+                    getattr(p.pmpi, point)(p.world, "x", peer, 0)
+
+        err = run_program(prog, 2).primary_errors[0]
+        assert isinstance(err, InvalidRankError)
+        assert str(err) == f"rank {peer} out of range for communicator world of size 2"
 
     def test_head_to_head_deadlock(self):
         def prog(p):

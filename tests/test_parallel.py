@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -53,7 +52,7 @@ class TestSerialParallelDeterminism:
         cfg = DampiConfig(max_interleavings=40)
         serial = DampiVerifier(entry.program, entry.nprocs, cfg).verify()
         parallel = DampiVerifier(
-            entry.program, entry.nprocs, replace(cfg, jobs=4)
+            entry.program, entry.nprocs, cfg.replace(jobs=4)
         ).verify()
         assert _report_fingerprint(serial) == _report_fingerprint(parallel)
 
@@ -76,7 +75,7 @@ class TestSerialParallelDeterminism:
         kwargs = {"receives": 3, "senders": 3}
         serial = DampiVerifier(wildcard_lattice, 4, cfg, kwargs=kwargs).verify()
         parallel = DampiVerifier(
-            wildcard_lattice, 4, replace(cfg, jobs=3), kwargs=kwargs
+            wildcard_lattice, 4, cfg.replace(jobs=3), kwargs=kwargs
         ).verify()
         assert serial.truncated and parallel.truncated
         assert _report_fingerprint(serial) == _report_fingerprint(parallel)
@@ -173,10 +172,10 @@ class TestWorkerPoolDegradation:
         cfg = DampiConfig(policy=ArrivalPolicy())
         fleet = distributed_verify(program, 4, cfg, workers=2)
         assert fleet.parallel_stats["mode"] == "dist"
-        serial = DampiVerifier(program, 4, replace(cfg, jobs=1)).verify()
+        serial = DampiVerifier(program, 4, cfg.replace(jobs=1)).verify()
         assert _report_fingerprint(fleet) == _report_fingerprint(serial)
         # and through the front door, wherever this host sends jobs=2
-        jobs2 = DampiVerifier(program, 4, replace(cfg, jobs=2)).verify()
+        jobs2 = DampiVerifier(program, 4, cfg.replace(jobs=2)).verify()
         assert _report_fingerprint(jobs2) == _report_fingerprint(serial)
 
     def test_single_cpu_hosts_auto_demote_with_reason(self, monkeypatch):

@@ -1,7 +1,5 @@
 """End-to-end verification: coverage, error finding, witnesses, bounds."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.dampi.config import DampiConfig
