@@ -54,6 +54,10 @@ def test_fig5(benchmark):
     # shape assertions: DAMPI near-native and flat; ISP blows up with scale
     first, last = rows[0], rows[-1]
     assert last[2] / last[1] < 2.0, "DAMPI overhead must stay near-native"
+    dampi_x = [dam / nat for _, nat, dam, _ in rows]
+    assert all(abs(x / dampi_x[0] - 1) <= 0.10 for x in dampi_x), (
+        "DAMPI's overhead must stay flat (within ±10%) as processes are added"
+    )
     assert last[3] / last[1] > 50, "ISP must be orders slower at 32 procs"
     isp_growth = last[3] / first[3]
     native_growth = last[1] / first[1]

@@ -87,10 +87,13 @@ class IspInterpositionModule(ToolModule):
         self._in_batch: list[int] = []
 
     def setup(self, runtime) -> None:
-        self._engine = runtime.engine
-        # the scheduler round trip includes the socket latency; the queue
-        # is per run, like the engine
-        self._engine.cost.latency = max(self._engine.cost.latency, self.params.tcp_latency)
+        engine = self._engine = runtime.engine
+        # the scheduler round trip includes the socket latency: this run's
+        # engine gets its own cost model (the caller's is shared, and a
+        # record); the queue is per run, like the engine
+        engine.cost = engine.cost.replace(
+            latency=max(engine.cost.latency, self.params.tcp_latency)
+        )
         self._queue = SerializedResource()
         self.round_trips = 0
         self.wildcard_round_trips = 0

@@ -7,6 +7,10 @@ two classes.  A subclass lists its fields once, in positional order, as
 ``FIELDS`` and in ``__slots__``, and writes its own ``__init__``; the
 field tuple then drives :meth:`~Record.replace`, :meth:`~Record.as_dict`,
 ``==`` and ``repr``.
+
+A record is immutable: ``__init__`` assigns each field once and a later
+assignment raises, so a shared record (a config's cost model) changes
+only by :meth:`~Record.replace`, into a copy.
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None  # mutable, compared by value
+    __hash__ = None  # compared by value (a field may be unhashable)
+
+    def __setattr__(self, name: str, value) -> None:
+        if hasattr(self, name):  # set already: ``__init__`` sets each field once
+            raise AttributeError(f"{type(self).__qualname__} is immutable: use replace({name}=...)")
+        object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)

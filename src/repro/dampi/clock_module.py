@@ -201,6 +201,7 @@ class DampiClockModule(ToolModule):
         cost = engine.cost
         self._vtimes = engine.clocks.vtimes
         self._wrap_cost = cost.tool_wrap_cost
+        self._latency = cost.latency
         self._tool_local = cost.local_op * cost.tool_factor
 
     # -- piggyback wiring ----------------------------------------------------
@@ -357,22 +358,12 @@ class DampiClockModule(ToolModule):
     # -- Algorithm 1: MPI_Wait / MPI_Test ------------------------------------------
 
     def wait(self, proc, chain, req):
-        status = chain(req)
-        self._completed(proc, req, status)
-        return status
-
-    def test(self, proc, chain, req):
-        flag, status = chain(req)
-        if flag:
-            self._completed(proc, req, status)
-        return flag, status
-
-    def _completed(self, proc, req: Request, status: Optional[Status]) -> None:
-        """A request's Wait/Test succeeded: the separate mechanism
-        completes its stamp send or receives the stamp (merged by
+        """Once the request completed: the separate mechanism completes
+        its stamp send or receives the stamp (merged by
         :meth:`_consume_stamp`), a wildcard commits its epoch and closes
         its window, a non-blocking collective finishes its stamp
         exchange."""
+        status = chain(req)
         if self._drive:
             self.piggyback.completed(proc, req, status)
         kind = req.kind
@@ -388,6 +379,14 @@ class DampiClockModule(ToolModule):
                     self._commit_epoch(epoch)
         elif kind is _COLL:
             self._finish_exchange(proc, req)
+        return status
+
+    def test(self, proc, chain, req):
+        """A successful Test completes the request as :meth:`wait` does."""
+        flag, status = chain(req)
+        if flag:
+            self.wait(proc, lambda _req: status, req)
+        return flag, status
 
     def request_free(self, proc, chain, req):
         if self._drive:
@@ -489,7 +488,10 @@ class DampiClockModule(ToolModule):
         inst = self._join_exchange(proc, comm, shape, root)
         engine = self._engine
         engine.await_tool_collective(rank, inst)
-        engine.clocks.raise_to(rank, self._exchange_done_vtime(rank, inst))
+        t = inst.completion_vtime(rank, engine.contexts[inst.ctx].coll_cost, self._latency)
+        vtimes = self._vtimes
+        if t > vtimes[rank]:
+            vtimes[rank] = t
         self._merge_exchange(rank, inst)
 
     def _post_exchange(self, proc, comm, shape: str, root, req: Request) -> None:
@@ -504,21 +506,16 @@ class DampiClockModule(ToolModule):
         if inst is None:
             return
         rank = proc.world_rank
-        self._engine.await_tool_collective(rank, inst)
+        engine = self._engine
+        engine.await_tool_collective(rank, inst)
         # what waiting a completed shadow request charged: its completion
         # time, then a tool-context local op
         vtimes = self._vtimes
-        t = self._exchange_done_vtime(rank, inst)
+        t = inst.completion_vtime(rank, engine.contexts[inst.ctx].coll_cost, self._latency)
         if t < vtimes[rank]:
             t = vtimes[rank]
         vtimes[rank] = t + self._tool_local
         self._merge_exchange(rank, inst)
-
-    def _exchange_done_vtime(self, rank: int, inst: CollectiveInstance) -> float:
-        cost = self._engine.cost
-        return inst.completion_vtime(
-            rank, cost.collective_cost(len(inst.group)) * cost.tool_factor, cost.latency
-        )
 
     def _merge_exchange(self, rank: int, inst: CollectiveInstance) -> None:
         """Merge what the exchange's shape brings ``rank``; a merged stamp

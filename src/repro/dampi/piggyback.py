@@ -59,7 +59,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, PROC_NULL
-from repro.mpi.datatypes import sizeof
+from repro.mpi.datatypes import count_of, sizeof
 from repro.mpi.request import Request, RequestKind, Status
 from repro.pnmpi.module import ToolModule
 
@@ -70,14 +70,18 @@ _RECV = RequestKind.RECV
 class InlinePacked:
     """Wrapper used by the inline mechanism: stamp packed with the payload.
     Its wire size (``nbytes``, what :func:`~repro.mpi.datatypes.sizeof`
-    charges) is the payload's plus the stamp's."""
+    charges) is the payload's plus the stamp's; its element count
+    (``element_count``, what :func:`~repro.mpi.datatypes.count_of` reads,
+    so a receive buffer too small for the payload is MPI_ERR_TRUNCATE) is
+    the payload's alone."""
 
-    __slots__ = ("stamp", "payload", "nbytes")
+    __slots__ = ("stamp", "payload", "nbytes", "element_count")
 
     def __init__(self, stamp: Any, payload: Any):
         self.stamp = stamp
         self.payload = payload
         self.nbytes = sizeof(payload) + sizeof(stamp)
+        self.element_count = count_of(payload)
 
 
 class _StampRecv:
@@ -168,6 +172,8 @@ class PiggybackModule(ToolModule):
         self._tool_factor = cost.tool_factor
         self._tool_p2p = cost.p2p_overhead * cost.tool_factor
         self._tool_local = cost.local_op * cost.tool_factor
+        #: stamp class -> the byte cost of one stamp (see _send_stamp)
+        self._stamp_byte_cost = {}
 
     def ensure_shadow(self, ctx_obj) -> None:
         """Create the shadow context for a newly created communicator.
@@ -190,33 +196,37 @@ class PiggybackModule(ToolModule):
 
     # -- the separate mechanism's transport: per-stream stamp queues ---------------
 
-    def _stream(self, key: tuple) -> deque:
-        stream = self._streams.get(key)
-        if stream is None:
-            if key[2] not in self._shadow_ctx:
-                raise KeyError(f"no shadow context for user ctx {key[2]}")
-            stream = self._streams[key] = deque()
+    def _new_stream(self, key: tuple) -> deque:
+        """A stream's queue, made on its first stamp or stamp receive."""
+        if key[2] not in self._shadow_ctx:
+            raise KeyError(f"no shadow context for user ctx {key[2]}")
+        stream = self._streams[key] = deque()
         return stream
 
-    def _match(self, recv: _StampRecv, stamp, arrival: float, owner: int) -> None:
-        recv.complete_vtime = (
-            max(recv.post_vtime, arrival, self._vtimes[owner]) + self._tool_p2p
-        )
-        recv.stamp = stamp
-        recv.done = True
-
     def _send_stamp(self, proc, ctx_id: int, dst: int, tag: int, stamp) -> float:
-        """Deposit ``stamp`` on its stream; returns the send's completion
+        """Deposit ``stamp`` on its stream, completing a waiting stamp
+        receive as the engine's match would; returns the send's completion
         vtime, which the user send's completion consumes."""
         src = proc.world_rank
         vtimes = self._vtimes
         send_vtime = vtimes[src]
-        byte_cost = sizeof(stamp) * self._byte_time
+        # every stamp of one class has one wire size within a run (one
+        # integer, or one per rank), so its byte cost is looked up once
+        byte_cost = self._stamp_byte_cost.get(stamp.__class__)
+        if byte_cost is None:
+            byte_cost = sizeof(stamp) * self._byte_time
+            self._stamp_byte_cost[stamp.__class__] = byte_cost
         arrival = send_vtime + self._latency + byte_cost
         vtimes[src] = now = send_vtime + (self._p2p + byte_cost) * self._tool_factor
-        stream = self._stream((src, dst, ctx_id, tag))
+        key = (src, dst, ctx_id, tag)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._new_stream(key)
         if stream and stream[0].__class__ is _StampRecv:
-            self._match(stream.popleft(), stamp, arrival, dst)
+            recv = stream.popleft()
+            recv.complete_vtime = max(recv.post_vtime, arrival, vtimes[dst]) + self._tool_p2p
+            recv.stamp = stamp
+            recv.done = True
             self._engine._unblock_if_ready(dst)
         else:
             stream.append((stamp, arrival))
@@ -229,30 +239,23 @@ class PiggybackModule(ToolModule):
         vtimes[rank] = post = vtimes[rank] + self._tool_p2p
         key = (src, rank, ctx_id, tag)
         recv = _StampRecv(key, post)
-        stream = self._stream(key)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._new_stream(key)
         if stream and stream[0].__class__ is not _StampRecv:
-            stamp, arrival = stream.popleft()
-            self._match(recv, stamp, arrival, rank)
+            recv.stamp, arrival = stream.popleft()  # matched as in _send_stamp
+            recv.complete_vtime = max(post, arrival, vtimes[rank]) + self._tool_p2p
+            recv.done = True
         else:
             stream.append(recv)
         return recv
 
-    def _complete_send_stamp(self, proc, complete_vtime: float) -> None:
-        """The engine's completion charge: ``max(completion, now)`` plus
-        a tool-context local op."""
-        vtimes = self._vtimes
-        rank = proc.world_rank
-        t = vtimes[rank]
-        if complete_vtime > t:
-            t = complete_vtime
-        vtimes[rank] = t + self._tool_local
-
     def _wait_stamp(self, proc, recv: _StampRecv):
         """Complete a stamp receive, blocking until its stamp arrives, and
-        charge its completion as :meth:`_complete_send_stamp` does."""
+        charge its completion as :meth:`_send_completed` does."""
         rank = proc.world_rank
         if not recv.done:
-            self._engine._block_until(
+            self._engine._block(
                 rank, lambda: recv.done, lambda: self._describe_wait(recv)
             )
         vtimes = self._vtimes
@@ -357,9 +360,13 @@ class PiggybackModule(ToolModule):
         self.consumer(proc, req, self._wait_stamp(proc, pb))
 
     def _send_completed(self, proc, req: Request) -> None:
-        pb = self._pb_send.pop(req.uid, None)
-        if pb is not None:
-            self._complete_send_stamp(proc, pb)
+        """Complete a user send's stamp send with the engine's completion
+        charge: ``max(completion, now)`` plus a tool-context local op."""
+        t = self._pb_send.pop(req.uid, None)
+        if t is not None:
+            vtimes = self._vtimes
+            now = vtimes[proc.world_rank]
+            vtimes[proc.world_rank] = (t if t > now else now) + self._tool_local
 
     def probe(self, proc, chain, comm, source, tag):
         status = chain(comm, source, tag)

@@ -228,7 +228,10 @@ class CollectiveInstance:
         collective cost and a root->member transfer latency."""
         kind = self.kind
         if kind in _SYNCHRONISING:
-            return self._all_base() + coll_cost
+            base = self._base  # _all_base, inline: every collective asks
+            if base is None:
+                base = self._base = max(self.entry_vtimes.values())
+            return base + coll_cost
         own = self.entry_vtimes[world_rank]
         if kind in _ROOT_SOURCES:
             if world_rank == self.root:

@@ -49,6 +49,7 @@ class CommContext:
         "tool",
         "label",
         "freed_by",
+        "coll_cost",
         "_send_seq",
         "_coll_seq",
     )
@@ -68,6 +69,8 @@ class CommContext:
         self.label = label or f"ctx{ctx}"
         #: world ranks that have freed their handle (len == size => fully freed)
         self.freed_by: set[int] = set()
+        #: a collective's virtual completion cost here (the engine's to set)
+        self.coll_cost = 0.0
         # (src_world, dst_world) -> next sequence number.  Mutated only
         # by the engine's token holder (see next_send_seq).
         self._send_seq: dict[tuple[int, int], int] = {}
@@ -172,7 +175,9 @@ class Communicator:
             )
 
     def _check_peer(self, peer: int, *, allow_any: bool) -> None:
-        """Validate a source/dest rank argument."""
+        """Validate a live handle (:meth:`_check_live`), then a
+        source/dest rank argument."""
+        self._check_live()
         if peer == PROC_NULL:
             return
         if allow_any and peer == ANY_SOURCE:
@@ -185,22 +190,22 @@ class Communicator:
             )
 
     # -- point-to-point ----------------------------------------------------
+    # The hot operations test a live handle and an in-range int peer inline;
+    # anything else goes to _check_peer (PROC_NULL, ANY_SOURCE, or raise).
 
     def isend(self, payload: Any, dest: int, tag: int = 0):
         """Non-blocking eager send; returns a :class:`Request`."""
-        self._check_live()
-        self._check_peer(dest, allow_any=False)
+        if self._freed or dest.__class__ is not int or not 0 <= dest < len(self.context.group):
+            self._check_peer(dest, allow_any=False)
         return self.proc._chains["isend"](self, payload, dest, tag)
 
     def issend(self, payload: Any, dest: int, tag: int = 0):
         """Synchronous-mode non-blocking send: completes only when matched."""
-        self._check_live()
         self._check_peer(dest, allow_any=False)
         return self.proc._chains["issend"](self, payload, dest, tag)
 
     def ssend(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Blocking synchronous send: returns once matched (MPI_Ssend)."""
-        self._check_live()
         self._check_peer(dest, allow_any=False)
         self.proc._chains["ssend"](self, payload, dest, tag)
 
@@ -210,16 +215,16 @@ class Communicator:
         ``max_count`` models the receive buffer's element capacity: a
         longer message raises ``TruncationError`` at completion, like
         MPI_ERR_TRUNCATE."""
-        self._check_live()
-        self._check_peer(source, allow_any=True)
+        if self._freed or source.__class__ is not int or not 0 <= source < len(self.context.group):
+            self._check_peer(source, allow_any=True)
         req = self.proc._chains["irecv"](self, source, tag)
         req.max_count = max_count
         return req
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Blocking send (isend + wait, both visible to the tool stack)."""
-        self._check_live()
-        self._check_peer(dest, allow_any=False)
+        if self._freed or dest.__class__ is not int or not 0 <= dest < len(self.context.group):
+            self._check_peer(dest, allow_any=False)
         chains = self.proc._chains
         chains["wait"](chains["isend"](self, payload, dest, tag))
 
@@ -230,8 +235,8 @@ class Communicator:
         Pass a :class:`Status` as ``status`` to learn the actual source/tag
         of a wildcard receive; ``max_count`` as in :meth:`irecv`.
         """
-        self._check_live()
-        self._check_peer(source, allow_any=True)
+        if self._freed or source.__class__ is not int or not 0 <= source < len(self.context.group):
+            self._check_peer(source, allow_any=True)
         chains = self.proc._chains
         req = chains["irecv"](self, source, tag)
         req.max_count = max_count
@@ -250,7 +255,6 @@ class Communicator:
         status=None,
     ) -> Any:
         """Combined send+receive that cannot deadlock against itself."""
-        self._check_live()
         self._check_peer(dest, allow_any=False)
         self._check_peer(source, allow_any=True)
         data, st = self.proc._chains["sendrecv"](
@@ -262,20 +266,19 @@ class Communicator:
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Block until a matching message is available; returns its Status."""
-        self._check_live()
         self._check_peer(source, allow_any=True)
         return self.proc._chains["probe"](self, source, tag)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Non-blocking probe; returns ``(flag, Status | None)``."""
-        self._check_live()
         self._check_peer(source, allow_any=True)
         return self.proc._chains["iprobe"](self, source, tag)
 
     # -- collectives ---------------------------------------------------------
 
     def barrier(self) -> None:
-        self._check_live()
+        if self._freed:
+            self._check_live()
         self.proc._chains["barrier"](self)
 
     def ibarrier(self):
@@ -287,7 +290,6 @@ class Communicator:
     def ibcast(self, payload: Any = None, root: int = 0):
         """Non-blocking broadcast; ``req.wait()``'s request data carries
         the root's value (MPI_Ibcast)."""
-        self._check_live()
         self._check_peer(root, allow_any=False)
         return self.proc._chains["ibcast"](self, payload, root)
 
@@ -298,26 +300,23 @@ class Communicator:
         return self.proc._chains["iallreduce"](self, payload, op)
 
     def bcast(self, payload: Any = None, root: int = 0) -> Any:
-        self._check_live()
         self._check_peer(root, allow_any=False)
         return self.proc._chains["bcast"](self, payload, root)
 
     def reduce(self, payload: Any, op=None, root: int = 0) -> Any:
-        self._check_live()
         self._check_peer(root, allow_any=False)
         return self.proc._chains["reduce"](self, payload, op, root)
 
     def allreduce(self, payload: Any, op=None) -> Any:
-        self._check_live()
+        if self._freed:
+            self._check_live()
         return self.proc._chains["allreduce"](self, payload, op)
 
     def gather(self, payload: Any, root: int = 0):
-        self._check_live()
         self._check_peer(root, allow_any=False)
         return self.proc._chains["gather"](self, payload, root)
 
     def scatter(self, payloads: Optional[Sequence[Any]] = None, root: int = 0):
-        self._check_live()
         self._check_peer(root, allow_any=False)
         return self.proc._chains["scatter"](self, payloads, root)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from math import log2
 
 from repro._record import Record
-from repro.mpi.message import Envelope
 
 
 class CostModel(Record):
@@ -92,18 +91,11 @@ class CostModel(Record):
         """Sender-side cost of an eager isend."""
         return self.p2p_overhead + nbytes * self.byte_time
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Wire time from issue to matchability at the receiver."""
-        return self.latency + nbytes * self.byte_time
-
     def collective_cost(self, n: int) -> float:
         """Completion cost of a collective over ``n`` ranks."""
         if n <= 1:
             return self.collective_alpha
         return self.collective_alpha + self.collective_beta * log2(n)
-
-    def arrival_vtime(self, env: Envelope) -> float:
-        return env.send_vtime + self.transfer_time(env.nbytes)
 
 
 class VirtualClocks:

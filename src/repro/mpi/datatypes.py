@@ -197,8 +197,10 @@ _DEFAULT_OBJECT_BYTES = 64
 def count_of(payload: Any) -> int:
     """Element count of a payload, as ``MPI_Get_count`` would report it.
 
-    Sized containers and numpy arrays report their length; scalars and
-    opaque objects count as one element.
+    Sized containers and numpy arrays report their length, an object
+    advertising its count (``element_count``, e.g. a payload packed with
+    its piggyback stamp) that count; scalars and opaque objects count as
+    one element.
     """
     # a process that never imported numpy holds no ndarray
     np = sys.modules.get("numpy")
@@ -206,7 +208,8 @@ def count_of(payload: Any) -> int:
         return int(payload.size)
     if isinstance(payload, (bytes, bytearray, str, list, tuple)):
         return len(payload)
-    return 1
+    count = getattr(payload, "element_count", None)
+    return count if isinstance(count, int) else 1
 
 
 def sizeof(payload: Any) -> int:

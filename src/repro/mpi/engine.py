@@ -23,6 +23,19 @@ exception is :meth:`MessageEngine.kill` from the runtime's join timeout:
 it sets the fatal error under a small lock and then opens every baton;
 a woken rank sees the error and raises.
 
+A hand-off is one context switch only if the woken thread does not
+preempt the waker, which holds the GIL until it blocks on its own baton.
+Under ``SCHED_OTHER`` it does, and then waits for the GIL: a
+``parmetis_det`` run pinned to one CPU (16 ranks, 40,605 blocks) made 75k
+voluntary and 52k involuntary switches.  So the rank threads move
+themselves to ``SCHED_BATCH``, which is never wake-up preempted
+(``repro.mpi.runtime._batch_this_thread``): the same run makes 40.7k
+voluntary and about 50 involuntary switches, a bare two-thread baton
+ping-pong pinned to one CPU costs 2.0 instead of 3.7 µs per hand-off, and
+this engine's 2-rank ping-pong 14.5 instead of 18.9 µs.  Only the pool's
+own threads change policy, each its own: the thread that calls
+``Runtime.run`` is the caller's, and keeps whatever it had.
+
 Deadlock detection is a *proof*, not a timeout: sends are eager, matching
 is performed immediately on post, so if every non-finished rank is blocked
 then no future engine event can occur and the job is deadlocked.  A rank
@@ -32,7 +45,7 @@ main stuck outside the engine is the runtime's join timeout.
 from __future__ import annotations
 
 import _thread
-import enum
+from functools import partial
 from typing import Any, Optional
 
 from repro.errors import (
@@ -45,7 +58,7 @@ from repro.errors import (
 )
 from repro.mpi.collectives import CollectiveInstance
 from repro.mpi.communicator import CommContext
-from repro.mpi.constants import ANY_SOURCE, UNDEFINED, ReduceOp, validate_tag
+from repro.mpi.constants import ANY_SOURCE, TAG_UB, UNDEFINED, ReduceOp, validate_tag
 from repro.mpi.costmodel import CostModel, VirtualClocks
 from repro.mpi.matching import IndexedMailBox, make_policy
 from repro.mpi.message import Envelope
@@ -62,17 +75,11 @@ _SEND = RequestKind.SEND
 WORLD_CTX = 0
 
 
-class RankRunState(enum.Enum):
-    RUNNING = "running"
-    RUNNABLE = "runnable"
-    BLOCKED = "blocked"
-    DONE = "done"
-
-
-_RUNNING = RankRunState.RUNNING
-_RUNNABLE = RankRunState.RUNNABLE
-_BLOCKED = RankRunState.BLOCKED
-_DONE = RankRunState.DONE
+#: a rank's scheduling states, compared by identity
+_RUNNING = "running"
+_RUNNABLE = "runnable"
+_BLOCKED = "blocked"
+_DONE = "done"
 
 
 def _open(baton) -> None:
@@ -170,6 +177,10 @@ class MessageEngine:
         ctx_id = self._next_ctx
         self._next_ctx += 1
         ctx = CommContext(ctx_id, group, parent=parent, tool=tool, label=label)
+        # a collective's completion cost; tool (shadow) contexts pay
+        # ``tool_factor`` of it, as their point-to-point traffic does
+        coll_cost = self.cost.collective_cost(len(ctx.group))
+        ctx.coll_cost = coll_cost * self.cost.tool_factor if tool else coll_cost
         self.contexts[ctx_id] = ctx
         return ctx
 
@@ -314,10 +325,15 @@ class MessageEngine:
     # ------------------------------------------------------------------ #
 
     def pmpi_isend(
-        self, rank: int, ctx_id: int, payload: Any, dest_world: int, tag: int, proc=None
+        self, rank: int, ctx_id: int, payload: Any, dest_world: int, tag: int, proc=None,
+        sync: bool = False,
     ) -> Request:
-        """Eager non-blocking send: deposits immediately, completes locally."""
-        validate_tag(tag, receiving=False)
+        """Eager non-blocking send: deposits immediately, completes locally.
+        A ``sync`` send (MPI_Issend) completes only when a matching receive
+        consumes the message — rendezvous semantics, the stricter deadlock
+        discipline."""
+        if tag.__class__ is not int or not 0 <= tag <= TAG_UB:
+            validate_tag(tag, receiving=False)
         cost = self.cost
         if self._fatal is not None:
             raise self._fatal
@@ -341,78 +357,47 @@ class MessageEngine:
             seq=seq,
             send_vtime=send_vtime,
         )
-        # inlined cost.arrival_vtime / cost.send_cost (hottest call site)
+        # the cost model's send charges, inline (hottest call site)
         nbytes = env.nbytes
         byte_cost = nbytes * cost.byte_time
-        env.arrival_vtime = send_vtime + cost.latency + byte_cost
         send_cost = cost.p2p_overhead + byte_cost
         if ctx.tool:
             send_cost *= cost.tool_factor
         vtimes[rank] = now = send_vtime + send_cost
-        req.state = _COMPLETE
-        req.complete_vtime = now
+        if sync:
+            env.arrival_vtime = send_vtime + (cost.latency + byte_cost)
+            env.sync_req = req  # completes at match time
+        else:
+            env.arrival_vtime = send_vtime + cost.latency + byte_cost
+            req.state = _COMPLETE
+            req.complete_vtime = now
         req.status = Status()
         req.envelope = env
         stats = self.stats
         stats.envelopes += 1
         stats.bytes += nbytes
-        self._deposit(env)
-        return req
-
-    def pmpi_issend(
-        self, rank: int, ctx_id: int, payload: Any, dest_world: int, tag: int, proc=None
-    ) -> Request:
-        """Synchronous-mode non-blocking send (MPI_Issend): the request
-        completes only when a matching receive consumes the message —
-        rendezvous semantics, the stricter deadlock discipline."""
-        validate_tag(tag, receiving=False)
-        self._check_fatal()
-        ctx = self._live_context(ctx_id)
-        send_vtime = self.clocks.now(rank)
-        req = Request(RequestKind.SEND, rank, ctx_id, proc=proc)
-        req.post_vtime = send_vtime
-        self.live_requests[rank][req.uid] = req
-        seq = ctx.next_send_seq(rank, dest_world)
-        env = Envelope(
-            src=rank,
-            dst=dest_world,
-            ctx=ctx_id,
-            tag=tag,
-            payload=payload,
-            seq=seq,
-            send_vtime=send_vtime,
-        )
-        env.arrival_vtime = self.cost.arrival_vtime(env)
-        env.sync_req = req
-        send_cost = self.cost.send_cost(env.nbytes)
-        if ctx.tool:
-            send_cost *= self.cost.tool_factor
-        self.clocks.advance(rank, send_cost)
-        req.status = Status()
-        req.envelope = env
-        self.stats.envelopes += 1
-        self.stats.bytes += env.nbytes
-        self._deposit(env)  # may complete req immediately if matched
-        return req
-
-    def _deposit(self, env: Envelope) -> None:
-        """Route an envelope: complete the oldest matching posted receive,
-        else queue as unexpected.  Wakes the destination if anything changed."""
-        mb = self._mail[env.dst]
-        req = mb.first_posted_match(env)
-        if req is not None:
-            mb.remove_posted(req)
-            self._complete_recv(req, env)
+        # deposit: complete the oldest matching posted receive, else queue
+        # as unexpected; then wake the destination if that readied it
+        # (_unblock_if_ready, inline)
+        mb = self._mail[dest_world]
+        posted = mb.first_posted_match(env)
+        if posted is not None:
+            mb.remove_posted(posted)
+            self._complete_recv(posted, env)
         else:
             mb.add_unexpected(env)
-        self._unblock_if_ready(env.dst)
+        st = self._ranks[dest_world]
+        if st.state is _BLOCKED and st.ready_fn():
+            st.state = _RUNNABLE
+        return req
 
     def _complete_recv(self, req: Request, env: Envelope) -> None:
         ctx = self.contexts[env.ctx]
         env.matched = True
         req.data = env.payload
         req.envelope = env
-        req.status = Status(source=ctx.rank_of(env.src), tag=env.tag, payload=env.payload)
+        # the sender is a member: the engine accepted its send
+        req.status = Status(source=ctx.group.index(env.src), tag=env.tag, payload=env.payload)
         cost = self.cost
         completion_cost = cost.p2p_overhead  # receiver-side completion cost
         if ctx.tool:
@@ -448,7 +433,8 @@ class MessageEngine:
         :class:`MatchPolicy` arbitrates among eligible sources (this is the
         native non-determinism DAMPI exists to cover).
         """
-        validate_tag(tag, receiving=True)
+        if tag.__class__ is not int or not 0 <= tag <= TAG_UB:
+            validate_tag(tag, receiving=True)  # accepts ANY_TAG
         if self._fatal is not None:
             raise self._fatal
         ctx = self.contexts.get(ctx_id)
@@ -505,38 +491,12 @@ class MessageEngine:
         # Fast path: eager sends and already-matched receives complete at
         # post time, so most waits never block — skip the closure setup.
         if req.state is not _COMPLETE:
-            self._block_until(
+            self._block(
                 rank,
-                lambda: req.is_complete,
+                lambda: req.state is _COMPLETE,
                 lambda: f"wait on {req!r}",
             )
-        return self._consume(rank, req)
-
-    def pmpi_test(self, rank: int, req: Request) -> tuple[bool, Optional[Status]]:
-        """Non-blocking completion check.  A scheduling point — otherwise
-        a test loop would hold the token forever and livelock the job."""
-        self._validate_completion_target(rank, req)
-        self._check_fatal()
-        if req.is_complete:
-            return True, self._consume(rank, req)
-        self._yield_token(rank)
-        if req.is_complete:
-            return True, self._consume(rank, req)
-        return False, None
-
-    def _validate_completion_target(self, rank: int, req: Request) -> None:
-        if not isinstance(req, Request):
-            raise InvalidRequestError(f"not a request: {req!r}")
-        if req.owner != rank:
-            raise InvalidRequestError(
-                f"rank {rank} completing rank {req.owner}'s request {req!r}"
-            )
-        if req.state is RequestState.FREED:
-            raise InvalidRequestError(f"completion of freed request {req!r}")
-        if req.state is RequestState.CONSUMED:
-            raise InvalidRequestError(f"request {req!r} completed twice")
-
-    def _consume(self, rank: int, req: Request) -> Status:
+        # consume the completion
         self.live_requests[rank].pop(req.uid, None)
         if (
             req.kind is _RECV
@@ -561,6 +521,31 @@ class MessageEngine:
             t = vtimes[rank]
         vtimes[rank] = t + local
         return req.status
+
+    def pmpi_test(self, rank: int, req: Request) -> tuple[bool, Optional[Status]]:
+        """Non-blocking completion check.  A scheduling point — otherwise
+        a test loop would hold the token forever and livelock the job.
+        A completed request is consumed as :meth:`pmpi_wait` consumes it."""
+        self._validate_completion_target(rank, req)
+        self._check_fatal()
+        if req.is_complete:
+            return True, self.pmpi_wait(rank, req)
+        self._yield_token(rank)
+        if req.is_complete:
+            return True, self.pmpi_wait(rank, req)
+        return False, None
+
+    def _validate_completion_target(self, rank: int, req: Request) -> None:
+        if not isinstance(req, Request):
+            raise InvalidRequestError(f"not a request: {req!r}")
+        if req.owner != rank:
+            raise InvalidRequestError(
+                f"rank {rank} completing rank {req.owner}'s request {req!r}"
+            )
+        if req.state is RequestState.FREED:
+            raise InvalidRequestError(f"completion of freed request {req!r}")
+        if req.state is RequestState.CONSUMED:
+            raise InvalidRequestError(f"request {req!r} completed twice")
 
     def pmpi_waitany_block(self, rank: int, reqs: list[Request]) -> int:
         """Block until at least one active request completes; returns the
@@ -664,8 +649,11 @@ class MessageEngine:
         """``rank`` joins its next collective on ``ctx_id``, blocking or
         not, and a communicator-creating kind builds its context(s) once
         all entered."""
-        self._check_fatal()
-        ctx = self._live_context(ctx_id)
+        if self._fatal is not None:
+            raise self._fatal
+        ctx = self.contexts.get(ctx_id)
+        if ctx is None or ctx.freed_by:
+            ctx = self._live_context(ctx_id)
         if rank not in ctx.group:
             raise InvalidCommunicatorError(
                 f"rank {rank} not a member of {ctx.label}"
@@ -686,12 +674,6 @@ class MessageEngine:
             inst = self._collectives[key] = CollectiveInstance(ctx.ctx, key[1], ctx.group)
         return inst
 
-    def _collective_cost(self, ctx: CommContext, inst: CollectiveInstance) -> float:
-        """Completion cost of ``inst``; tool (shadow) contexts pay
-        ``tool_factor`` of it, as their point-to-point traffic does."""
-        cost = self.cost.collective_cost(len(inst.group))
-        return cost * self.cost.tool_factor if ctx.tool else cost
-
     def pmpi_collective(
         self,
         rank: int,
@@ -708,10 +690,10 @@ class MessageEngine:
         )
         self._release(inst, rank)
         self._await_collective(rank, inst)
-        t = inst.completion_vtime(
-            rank, self._collective_cost(ctx, inst), self.cost.latency
-        )
-        self.clocks.raise_to(rank, t)
+        t = inst.completion_vtime(rank, ctx.coll_cost, self.cost.latency)
+        vtimes = self.clocks.vtimes
+        if t > vtimes[rank]:
+            vtimes[rank] = t
         result = inst.result_for(rank)
         self._retire_collective(inst)
         return result
@@ -751,7 +733,7 @@ class MessageEngine:
         label = self.contexts[inst.ctx].label
         self._block(
             rank,
-            lambda: inst.ready_for(rank),
+            partial(inst.ready_for, rank),
             lambda: f"{inst.kind} on {label} (instance {inst.seq})",
         )
 
@@ -779,7 +761,7 @@ class MessageEngine:
     ) -> None:
         req.data = inst.result_for(rank)
         req.complete_vtime = inst.completion_vtime(
-            rank, self._collective_cost(self.contexts[inst.ctx], inst), self.cost.latency
+            rank, self.contexts[inst.ctx].coll_cost, self.cost.latency
         )
         req.status = Status()
         req.state = _COMPLETE
@@ -810,7 +792,8 @@ class MessageEngine:
         tool reads contributions and entry vtimes off the returned
         instance, waits with :meth:`await_tool_collective` and charges the
         completion itself."""
-        self._check_fatal()
+        if self._fatal is not None:
+            raise self._fatal
         inst = self._next_instance(rank, ctx)
         inst.enter(rank, payload, kind, self.clocks.vtimes[rank], root_world)
         self._release(inst, rank)

@@ -7,7 +7,7 @@ non-overtaking order, and virtual send/arrival times for the cost model).
 
 Envelopes are the hottest allocation in the system — one per send, touched
 by deposit, matching, completion, the cost model, and the piggyback layer —
-so the class is ``__slots__``-based with the wire size computed once.
+so the class is ``__slots__``-based with the wire size computed at send.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ class Envelope:
     sync_req:
         For synchronous sends (MPI_Issend): the send request to complete
         when this envelope is matched (rendezvous semantics).
+    nbytes:
+        Estimated wire size, used for bandwidth charging: payloads are
+        never mutated after send (eager semantics take a logical
+        snapshot), and the send charges it at once.
     """
 
     __slots__ = (
@@ -81,7 +85,7 @@ class Envelope:
         "uid",
         "matched",
         "sync_req",
-        "_nbytes",
+        "nbytes",
     )
 
     def __init__(
@@ -109,20 +113,7 @@ class Envelope:
         self.uid = next(_envelope_ids) if uid is None else uid
         self.matched = matched
         self.sync_req = sync_req
-        self._nbytes: int | None = None
-
-    @property
-    def nbytes(self) -> int:
-        """Estimated wire size, used for bandwidth charging.
-
-        Computed on first access and cached — payloads are never mutated
-        after send (eager semantics take a logical snapshot), and sizeof on
-        derived datatypes walks the type tree.
-        """
-        n = self._nbytes
-        if n is None:
-            n = self._nbytes = sizeof(self.payload)
-        return n
+        self.nbytes = sizeof(payload)
 
     def __repr__(self) -> str:
         return (

@@ -161,7 +161,9 @@ class Proc:
     # caller and a guided replay's forced source did not, so an
     # out-of-range rank still raises ``CommContext.world_rank``'s error.
 
-    def _pmpi_isend(self, comm: Communicator, payload: Any, dest: int, tag: int) -> Request:
+    def _pmpi_isend(
+        self, comm: Communicator, payload: Any, dest: int, tag: int, sync: bool = False
+    ) -> Request:
         if dest == PROC_NULL:
             return self._null_request(RequestKind.SEND, comm)
         context = comm.context
@@ -169,19 +171,11 @@ class Proc:
         if not 0 <= dest < len(group):
             context.world_rank(dest)
         return self.engine.pmpi_isend(
-            self.world_rank, context.ctx, payload, group[dest], tag, proc=self
+            self.world_rank, context.ctx, payload, group[dest], tag, self, sync
         )
 
     def _pmpi_issend(self, comm: Communicator, payload: Any, dest: int, tag: int) -> Request:
-        if dest == PROC_NULL:
-            return self._null_request(RequestKind.SEND, comm)
-        context = comm.context
-        group = context.group
-        if not 0 <= dest < len(group):
-            context.world_rank(dest)
-        return self.engine.pmpi_issend(
-            self.world_rank, context.ctx, payload, group[dest], tag, proc=self
-        )
+        return self._pmpi_isend(comm, payload, dest, tag, sync=True)
 
     def _pmpi_irecv(self, comm: Communicator, source: int, tag: int) -> Request:
         if source == PROC_NULL:

@@ -40,6 +40,7 @@ tests in ``tests/test_verifier.py`` enforce this.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import weakref
@@ -129,6 +130,19 @@ class RunResult:
         return f"RunResult(nprocs={self.nprocs}, {state}, makespan={self.makespan:.6f}s)"
 
 
+def _batch_this_thread() -> None:
+    """Move the calling rank thread from ``SCHED_OTHER`` to ``SCHED_BATCH``,
+    so a rank it wakes does not preempt it (one switch per hand-off; see
+    :mod:`repro.mpi.engine`).  With pid 0 the call acts on the calling
+    thread alone.  Any other inherited policy, a platform without the
+    call, or a refusal leaves the thread as it is."""
+    try:
+        if os.sched_getscheduler(0) == os.SCHED_OTHER:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):  # not Linux, or refused
+        pass
+
+
 class RankExecutorPool:
     """``nprocs`` persistent rank-executor threads reused across runs.
 
@@ -170,6 +184,7 @@ class RankExecutorPool:
             t.start()
 
     def _worker(self, rank: int) -> None:
+        _batch_this_thread()
         seen_gen = 0
         while True:
             with self._cond:

@@ -169,8 +169,9 @@ class Tracer:
     def instant(self, name: str, cat: str, rank: Optional[int] = None,
                 run: Optional[int] = None, **args) -> None:
         """Record (or, with ``capture`` off, count) a point-in-time event."""
-        if not self.capture:
-            self._tally(name)
+        if not self.capture:  # _tally, inline: a counting run's one cost
+            counts = self._counts
+            counts[name] = counts.get(name, 0) + 1
             return
         self._push((name, cat, self._clock() - self._t0, "i", 0.0,
                     rank, run, args))

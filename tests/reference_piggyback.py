@@ -32,8 +32,10 @@ class EngineMessagePiggyback(PiggybackModule):
             proc.world_rank, shadow.ctx, src, tag, proc=proc
         )
 
-    def _complete_send_stamp(self, proc, pb):
-        proc.pmpi.wait(pb)
+    def _send_completed(self, proc, req):
+        pb = self._pb_send.pop(req.uid, None)
+        if pb is not None:
+            proc.pmpi.wait(pb)
 
     def _wait_stamp(self, proc, pb):
         proc.pmpi.wait(pb)

@@ -107,6 +107,19 @@ def test_request_ordinals_count_user_requests(name):
     assert [e.detail for e in rep.errors] == [PINNED_DETAILS[name]]
 
 
+@pytest.mark.parametrize("entry", ZOO, ids=_ids(ZOO))
+def test_both_piggyback_mechanisms_find_the_same_bugs(entry: ZooEntry):
+    """A stamp packed into the payload (inline) and one sent alongside it
+    (separate) change nothing the verifier finds: a payload too long for
+    its receive buffer is MPI_ERR_TRUNCATE under both."""
+
+    def outcome(mechanism):
+        rep = DampiVerifier(entry.program, entry.nprocs, CFG.replace(piggyback=mechanism)).verify()
+        return rep.interleavings, [(e.kind, e.detail) for e in rep.errors]
+
+    assert outcome("inline") == outcome("separate")
+
+
 def test_zoo_covers_every_detector():
     expected = {
         "deadlock",

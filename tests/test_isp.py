@@ -128,3 +128,14 @@ class TestIspVerifier:
     def test_config_forced_to_vector(self):
         v = IspVerifier(fig3_program, 3, DampiConfig(clock_impl="lamport"))
         assert v.config.clock_impl == "vector"
+
+    def test_leaves_the_callers_config_as_it_was(self):
+        """The comparator charges ISP's socket latency on its own engine's
+        cost model: the caller's config, and the DAMPI runs that reuse it,
+        keep theirs (a benchmark runs both on one config)."""
+        cfg = DampiConfig()
+        before = DampiVerifier(wildcard_lattice, 3, cfg).run_once()[0].makespan
+        isp, _ = IspVerifier(wildcard_lattice, 3, cfg).run_once()
+        assert cfg == DampiConfig()
+        assert DampiVerifier(wildcard_lattice, 3, cfg).run_once()[0].makespan == before
+        assert isp.makespan > before

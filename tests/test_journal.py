@@ -12,6 +12,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 
 import pytest
@@ -907,6 +908,18 @@ class TestConfigRecord:
         assert "jobs=2, " in repr(DampiConfig(jobs=2))
         with pytest.raises(TypeError):
             hash(DampiConfig())
+
+    def test_fields_are_assigned_once(self):
+        """A config shares its cost model with every copy ``replace``
+        makes, so neither may change in place."""
+        cfg = DampiConfig()
+        with pytest.raises(AttributeError, match="immutable"):
+            cfg.cost_model.latency = 3.0e-5
+        with pytest.raises(AttributeError, match="immutable"):
+            cfg.jobs = 2
+        assert cfg.cost_model.replace(latency=3.0e-5).latency == 3.0e-5
+        assert cfg == DampiConfig()
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_positional_order_is_the_field_order(self):
         assert list(inspect.signature(CostModel).parameters) == list(CostModel.FIELDS)
